@@ -4,30 +4,25 @@
 // the paper-scale validation set (the same recordings the Workbench
 // calibration path consumes):
 //
-//   1. BM_CalibrateBisection vs BM_CalibrateConformalBatch: selecting a
-//      threshold by conformal order statistics (one nonconformity scan +
-//      sort + at most 2*radius+1 QoE probes) is >= 5x cheaper wall-clock
-//      than the replay bisection (max_iterations QoE probes, each a
-//      trigger scan plus fallback-suffix replays), while landing an alpha
-//      whose in-distribution QoE matches the bisection's target within
-//      CalibrationConfig::tolerance. The QoE-match is CHECKED at setup,
-//      not just reported: the binary aborts if conformal drifts off
-//      target.
+//   1. BM_CalibrateBisection / BM_CalibrateBisectionFullBudget: the cost
+//      of the workbench's only offline threshold search, the replay
+//      bisection (each QoE probe is a trigger scan plus fallback-suffix
+//      replays), with its production early stop and at its full
+//      iteration budget.
 //   2. BM_StreamingObserve: the online arm's per-decision cost is O(1)
 //      and nanosecond-scale - one windowed P² update plus a coverage
 //      compare (the `/16` point folds in the RefreshAlpha every 16
 //      observations that the serving cadence implies).
 //   3. BM_ServeCalibration{Off,On}: one DecisionService decision round
 //      over 1000 sessions with the streaming arm off vs on; the delta is
-//      the tentpole's <= 5% per-decision overhead budget (compare real
-//      runs of the two rows with tools/bench_diff.py).
+//      the <= 5% per-decision overhead budget (compare real runs of the
+//      two rows with tools/bench_diff.py).
 //
 // Uses the shared ./osap_cache artifacts (trains them on first run).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -63,7 +58,7 @@ util::ThreadPool& SharedPool() {
   return *pool;
 }
 
-/// The recording both calibration arms consume: every validation trace's
+/// The recording the bisection consumes: every validation trace's
 /// no-default greedy rollout, scored once with the agent ensemble (the
 /// U_pi scheme the paper calibrates first).
 core::CalibrationReplay<abr::AbrEnvironment>& SharedReplay() {
@@ -123,53 +118,10 @@ const CalibrationTarget& SharedTarget() {
 
 double QoeAt(double alpha) { return SharedReplay().MeanQoeAt(alpha); }
 
-/// The ConformalConfig the Workbench conformal branch derives: epsilon
-/// from the ND trigger rate (clamped to the achievable rank range), the
-/// bisection's early-stop tolerance.
-core::ConformalConfig ProductionConformal() {
-  core::ConformalConfig conformal;
-  conformal.miscoverage = core::BinaryTriggerRate(
-      SharedReplay().Sessions(), SharedBench().config().trigger_l);
-  const auto n1 = static_cast<double>(SharedReplay().Sessions().size() + 1);
-  conformal.miscoverage =
-      std::clamp(conformal.miscoverage, 1.0 / n1, 1.0 - 1.0 / n1);
-  conformal.tolerance = SharedBench().config().calibration.tolerance;
-  return conformal;
-}
-
-/// Setup-time contract check: the conformal-batch alpha's in-distribution
-/// QoE must match the bisection's target within the bisection's own
-/// tolerance (relative to max(|target|, 1), same stop rule).
-void CheckConformalMatchesTarget() {
-  static const bool checked = [] {
-    const CalibrationTarget& target = SharedTarget();
-    const core::CalibrationConfig bisect_cfg =
-        SharedBench().config().calibration;
-    const core::ConformalConfig conformal = ProductionConformal();
-    const core::ConformalResult result = core::ConformalAlphaMatchingQoe(
-        core::SessionNonconformities(SharedReplay().Sessions(),
-                                     SharedBench().config().trigger_k,
-                                     SharedBench().config().trigger_l),
-        conformal, QoeAt, target.nd_qoe);
-    const double gap = std::abs(result.achieved_qoe - target.nd_qoe);
-    const double budget =
-        bisect_cfg.tolerance * std::max(std::abs(target.nd_qoe), 1.0);
-    OSAP_CHECK_MSG(gap <= budget,
-                   "conformal-batch alpha misses the bisection QoE target");
-    std::printf("conformal-batch: alpha %.6g rank %zu/%zu  QoE %.4f "
-                "(target %.4f, budget %.4f)\n",
-                result.alpha, result.rank, result.sessions,
-                result.achieved_qoe, target.nd_qoe, budget);
-    return true;
-  }();
-  (void)checked;
-}
-
-/// The offline reference arm: one full replay bisection (the per-probe
+/// One full replay bisection as the workbench runs it (the per-probe
 /// trigger scan + fallback-suffix replay is the cost being amortized).
 void BM_CalibrateBisection(benchmark::State& state) {
   const CalibrationTarget& target = SharedTarget();
-  CheckConformalMatchesTarget();
   const core::CalibrationConfig cfg = SharedBench().config().calibration;
   std::size_t iterations = 0;
   for (auto _ : state) {
@@ -184,11 +136,9 @@ BENCHMARK(BM_CalibrateBisection)->Unit(benchmark::kMillisecond);
 
 /// The sweep at its full iteration budget (tolerance 0): what the
 /// bisection costs when the QoE surface is NOT flat enough for the
-/// early exit - the worst case the conformal arm's bounded probe count
-/// protects against.
+/// early exit.
 void BM_CalibrateBisectionFullBudget(benchmark::State& state) {
   const CalibrationTarget& target = SharedTarget();
-  CheckConformalMatchesTarget();
   core::CalibrationConfig cfg = SharedBench().config().calibration;
   cfg.tolerance = 0.0;
   std::size_t iterations = 0;
@@ -201,45 +151,6 @@ void BM_CalibrateBisectionFullBudget(benchmark::State& state) {
   state.counters["qoe_probes"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_CalibrateBisectionFullBudget)->Unit(benchmark::kMillisecond);
-
-/// The conformal-batch arm on the SAME recordings: nonconformity scan +
-/// order statistic + bounded QoE refinement.
-void BM_CalibrateConformalBatch(benchmark::State& state) {
-  const CalibrationTarget& target = SharedTarget();
-  CheckConformalMatchesTarget();
-  core::Workbench& bench = SharedBench();
-  const core::ConformalConfig conformal = ProductionConformal();
-  std::size_t evaluations = 0;
-  for (auto _ : state) {
-    const core::ConformalResult result = core::ConformalAlphaMatchingQoe(
-        core::SessionNonconformities(SharedReplay().Sessions(),
-                                     bench.config().trigger_k,
-                                     bench.config().trigger_l),
-        conformal, QoeAt, target.nd_qoe);
-    benchmark::DoNotOptimize(result.alpha);
-    evaluations = result.evaluations;
-  }
-  state.counters["qoe_probes"] = static_cast<double>(evaluations);
-}
-BENCHMARK(BM_CalibrateConformalBatch)->Unit(benchmark::kMillisecond);
-
-/// Pure rank selection (radius 0): the floor for the batch arm - no QoE
-/// oracle at all, just the scan and the sort.
-void BM_CalibrateConformalPure(benchmark::State& state) {
-  core::Workbench& bench = SharedBench();
-  SharedTarget();
-  core::ConformalConfig conformal;
-  conformal.refine_radius = 0;
-  for (auto _ : state) {
-    const core::ConformalResult result = core::ConformalAlpha(
-        core::SessionNonconformities(SharedReplay().Sessions(),
-                                     bench.config().trigger_k,
-                                     bench.config().trigger_l),
-        conformal);
-    benchmark::DoNotOptimize(result.alpha);
-  }
-}
-BENCHMARK(BM_CalibrateConformalPure)->Unit(benchmark::kMicrosecond);
 
 /// Steady-state streaming cost: Observe() alone (arg 0) or with a
 /// RefreshAlpha every `arg` observations (the serving cadence).

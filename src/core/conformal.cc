@@ -1,154 +1,8 @@
 #include "core/conformal.h"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <limits>
-
 #include "util/check.h"
 
 namespace osap::core {
-
-double SessionNonconformity(const ReplaySession& session, std::size_t k,
-                            std::size_t l) {
-  OSAP_REQUIRE(k >= 2, "SessionNonconformity: k must be >= 2");
-  OSAP_REQUIRE(l >= 1, "SessionNonconformity: l must be >= 1");
-  const std::size_t steps = session.variances.size();
-  if (steps < k - 1 + l) return 0.0;
-  // Sliding-window minimum (monotone deque of indices) over the
-  // full-window suffix variances[k-1..steps): the trigger fires at
-  // threshold alpha iff some l-run of full-window steps all exceed it,
-  // i.e. iff alpha < max over runs of the run minimum.
-  double best = 0.0;
-  std::deque<std::size_t> minima;  // indices, variances increasing
-  for (std::size_t t = k - 1; t < steps; ++t) {
-    while (!minima.empty() &&
-           session.variances[minima.back()] >= session.variances[t]) {
-      minima.pop_back();
-    }
-    minima.push_back(t);
-    if (t + 1 >= k - 1 + l) {
-      if (minima.front() + l <= t) minima.pop_front();
-      best = std::max(best, session.variances[minima.front()]);
-    }
-  }
-  return best;
-}
-
-std::vector<double> SessionNonconformities(
-    std::span<const ReplaySession> sessions, std::size_t k, std::size_t l) {
-  std::vector<double> scores;
-  scores.reserve(sessions.size());
-  for (const ReplaySession& session : sessions) {
-    scores.push_back(SessionNonconformity(session, k, l));
-  }
-  return scores;
-}
-
-double BinaryTriggerRate(std::span<const ReplaySession> sessions,
-                         std::size_t l) {
-  if (sessions.empty()) return 0.0;
-  std::size_t fired = 0;
-  for (const ReplaySession& session : sessions) {
-    if (FirstBinaryTriggerStep(session, l) != kReplayNoTrigger) ++fired;
-  }
-  return static_cast<double>(fired) / static_cast<double>(sessions.size());
-}
-
-namespace {
-
-/// Shared rank machinery: sorts scores ascending and resolves the
-/// conformal rank for epsilon. Rank r > n means "above every
-/// calibration score": serve the max (the trigger compares strictly,
-/// so the max itself keeps every calibration session default-free).
-std::size_t ConformalRank(std::size_t n, double epsilon) {
-  const double raw =
-      std::ceil(static_cast<double>(n + 1) * (1.0 - epsilon));
-  const double clamped = std::clamp(raw, 1.0, static_cast<double>(n));
-  return static_cast<std::size_t>(clamped);
-}
-
-double EmpiricalMiscoverageAt(std::span<const double> sorted, double alpha) {
-  // Sessions default iff their score exceeds alpha (strict compare).
-  const auto first_above =
-      std::upper_bound(sorted.begin(), sorted.end(), alpha);
-  return static_cast<double>(sorted.end() - first_above) /
-         static_cast<double>(sorted.size());
-}
-
-}  // namespace
-
-ConformalResult ConformalAlpha(std::vector<double> scores,
-                               const ConformalConfig& config) {
-  OSAP_REQUIRE(!scores.empty(), "ConformalAlpha: no calibration scores");
-  OSAP_REQUIRE(config.miscoverage > 0.0 && config.miscoverage < 1.0,
-               "ConformalAlpha: miscoverage must be in (0, 1)");
-  std::sort(scores.begin(), scores.end());
-  ConformalResult result;
-  result.sessions = scores.size();
-  result.miscoverage = config.miscoverage;
-  result.rank = ConformalRank(scores.size(), config.miscoverage);
-  result.alpha = scores[result.rank - 1];
-  result.empirical_miscoverage =
-      EmpiricalMiscoverageAt(scores, result.alpha);
-  return result;
-}
-
-ConformalResult ConformalAlphaMatchingQoe(
-    std::vector<double> scores, const ConformalConfig& config,
-    const std::function<double(double)>& qoe_at, double target_qoe) {
-  OSAP_REQUIRE(!scores.empty(),
-               "ConformalAlphaMatchingQoe: no calibration scores");
-  OSAP_REQUIRE(qoe_at != nullptr, "ConformalAlphaMatchingQoe: no oracle");
-  std::sort(scores.begin(), scores.end());
-  const std::size_t n = scores.size();
-  const std::size_t seed = ConformalRank(n, config.miscoverage);
-  const std::size_t lo =
-      seed > config.refine_radius ? seed - config.refine_radius : 1;
-  const std::size_t hi = std::min(n, seed + config.refine_radius);
-
-  // Probe outward from the seed (seed, seed-1, seed+1, ...): with a
-  // nonzero tolerance the flat in-distribution QoE surface then costs
-  // one probe, not 2*refine_radius + 1.
-  std::vector<std::size_t> order;
-  order.push_back(seed);
-  for (std::size_t d = 1; d <= config.refine_radius; ++d) {
-    if (seed >= lo + d) order.push_back(seed - d);
-    if (seed + d <= hi) order.push_back(seed + d);
-  }
-  const double stop_gap =
-      config.tolerance > 0.0
-          ? config.tolerance * std::max(std::abs(target_qoe), 1.0)
-          : -1.0;
-
-  ConformalResult result;
-  result.sessions = n;
-  double best_gap = std::numeric_limits<double>::infinity();
-  std::vector<double> probed;
-  for (const std::size_t rank : order) {
-    const double alpha = scores[rank - 1];
-    if (std::find(probed.begin(), probed.end(), alpha) != probed.end()) {
-      continue;  // duplicate order statistic
-    }
-    probed.push_back(alpha);
-    const double qoe = qoe_at(alpha);
-    ++result.evaluations;
-    const double gap = std::abs(qoe - target_qoe);
-    if (gap < best_gap) {
-      best_gap = gap;
-      result.alpha = alpha;
-      result.achieved_qoe = qoe;
-      result.rank = rank;
-    }
-    if (gap <= stop_gap) break;
-  }
-  // The epsilon this rank corresponds to (invert rank = ceil((n+1)(1-e))).
-  result.miscoverage =
-      1.0 - static_cast<double>(result.rank) / static_cast<double>(n + 1);
-  result.empirical_miscoverage =
-      EmpiricalMiscoverageAt(scores, result.alpha);
-  return result;
-}
 
 StreamingConformal::StreamingConformal(double miscoverage,
                                        std::size_t window,

@@ -1,35 +1,10 @@
-// Conformal threshold calibration (DESIGN.md §11; "Safe, OOD-Adaptive
+// Streaming conformal threshold (DESIGN.md §11; "Safe, OOD-Adaptive
 // MPC with Conformalized Neural Network Ensembles", PAPERS.md).
 //
-// The bisection in calibration.h searches alpha by repeatedly asking
-// "what QoE would the safety-enhanced agent attain at this threshold?" —
-// each probe is a trigger scan plus fallback-suffix replays. Conformal
-// calibration inverts the question: compute, once per recorded session,
-// the *minimal threshold at which that session never defaults* (its
-// nonconformity score), and read the threshold for a target session
-// miscoverage rate epsilon straight off the order statistics:
-//
-//     alpha = s_(ceil((n+1)(1-epsilon)))
-//
-// The split-conformal guarantee: if a fresh in-distribution session is
-// exchangeable with the n calibration sessions, it defaults with
-// probability at most epsilon (and at least epsilon - 1/(n+1)) — a
-// finite-sample bound, no distributional assumptions. Selection is one
-// O(total steps) scan plus a sort of n scores: no environment stepping,
-// no inference, no suffix replay.
-//
-// Two entry points:
-//  - ConformalAlpha: pure rank selection for a given epsilon.
-//  - ConformalAlphaMatchingQoe: epsilon is derived implicitly from a
-//    QoE target (the paper's calibration contract: match the ND
-//    scheme's in-distribution QoE) by probing the few order statistics
-//    bracketing a seed rank with a caller-supplied QoE oracle —
-//    bounded to `2*refine_radius + 1` probes, against the bisection's
-//    max_iterations.
-//
-// StreamingConformal is the O(1)-per-decision arm: the same trigger
-// statistic the live compare uses (full-window variance, or the raw
-// score for binary triggers) feeds a windowed P² sketch, and the
+// The offline bisection (calibration.h) freezes alpha at deploy time.
+// StreamingConformal is the O(1)-per-decision online arm: the same
+// trigger statistic the live compare uses (full-window variance, or the
+// raw score for binary triggers) feeds a windowed P² sketch, and the
 // threshold is the sketch's (1-epsilon)-quantile — re-read at epoch
 // boundaries, so it tracks gradual drift the frozen offline alpha
 // cannot. serve::DecisionService shards this: one sketch per shard
@@ -38,82 +13,10 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <span>
-#include <vector>
 
-#include "core/replay_calibration.h"
 #include "util/p2_quantile.h"
 
 namespace osap::core {
-
-struct ConformalConfig {
-  /// Target session miscoverage: the calibrated threshold lets a fresh
-  /// in-distribution session default with probability <= miscoverage.
-  double miscoverage = 0.05;
-  /// ConformalAlphaMatchingQoe: order statistics probed on each side of
-  /// the seed rank (at most 2 * refine_radius + 1 QoE evaluations).
-  std::size_t refine_radius = 1;
-  /// ConformalAlphaMatchingQoe early stop: ranks are probed outward from
-  /// the seed, and the search ends at the first probe whose QoE lands
-  /// within tolerance * max(|target|, 1) of the target - the stop rule
-  /// CalibrateAlpha applies. 0 disables the early stop (every distinct
-  /// order statistic in the radius is probed and the closest wins).
-  double tolerance = 0.0;
-};
-
-struct ConformalResult {
-  /// Calibrated threshold.
-  double alpha = 0.0;
-  /// The epsilon the returned rank corresponds to.
-  double miscoverage = 0.0;
-  /// Fraction of calibration sessions that default at `alpha` (their
-  /// nonconformity score exceeds it).
-  double empirical_miscoverage = 0.0;
-  /// 1-based order-statistic rank selected.
-  std::size_t rank = 0;
-  /// Calibration set size.
-  std::size_t sessions = 0;
-  /// QoE oracle probes spent (0 for pure rank selection).
-  std::size_t evaluations = 0;
-  /// Oracle value at `alpha` (ConformalAlphaMatchingQoe only).
-  double achieved_qoe = 0.0;
-};
-
-/// Minimal variance threshold at which the recorded session never
-/// triggers the (k, l) window-variance trigger: the largest over the
-/// session of the minimum variance across l consecutive full-window
-/// steps (sliding-window minimum; 0 when no such run exists, since any
-/// alpha >= 0 then keeps the session default-free). The session
-/// defaults at threshold alpha iff alpha < this score — exactly
-/// FirstTriggerStep's firing condition.
-double SessionNonconformity(const ReplaySession& session, std::size_t k,
-                            std::size_t l);
-
-/// SessionNonconformity over every session, in session order.
-std::vector<double> SessionNonconformities(
-    std::span<const ReplaySession> sessions, std::size_t k, std::size_t l);
-
-/// Fraction of sessions whose binary trigger (score >= 0.5, l
-/// consecutive) fires on the recording: the ND scheme's in-distribution
-/// session default rate, the natural epsilon for matching its QoE.
-double BinaryTriggerRate(std::span<const ReplaySession> sessions,
-                         std::size_t l);
-
-/// Pure conformal selection: sorts the scores and returns the
-/// ceil((n+1)(1-epsilon)) order statistic (the max score when the rank
-/// exceeds n — zero calibration-set defaults). O(n log n), no oracle.
-ConformalResult ConformalAlpha(std::vector<double> scores,
-                               const ConformalConfig& config);
-
-/// Conformal selection matching a QoE target: seeds the rank at
-/// ConformalAlpha(config.miscoverage), probes `qoe_at` at the distinct
-/// order statistics within refine_radius ranks of the seed, and keeps
-/// the alpha whose QoE lands closest to `target_qoe`. Bounded QoE
-/// probes (vs the bisection's max_iterations), same replay oracle.
-ConformalResult ConformalAlphaMatchingQoe(
-    std::vector<double> scores, const ConformalConfig& config,
-    const std::function<double(double)>& qoe_at, double target_qoe);
 
 /// O(1)-per-decision streaming arm: trigger statistics feed a windowed
 /// P² sketch at quantile (1 - miscoverage); RefreshAlpha() re-reads the

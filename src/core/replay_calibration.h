@@ -227,11 +227,6 @@ class CalibrationReplay {
   std::size_t SessionCount() const { return sessions_.size(); }
   const ReplaySession& Session(std::size_t i) const { return sessions_[i]; }
 
-  /// All recorded sessions, in trace order. Score/variance series
-  /// reflect the most recent ScoreWith (the conformal batch arm reads
-  /// its nonconformity scores off these).
-  std::span<const ReplaySession> Sessions() const { return sessions_; }
-
   /// Max full-window variance across every recorded step, floored at 0.
   /// Bit-identical to MaxWindowVariance over the same traces (same score
   /// sequence pushed through the same SlidingWindowStats).

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 
-#include "core/conformal.h"
 #include "core/normalization.h"
 #include "core/replay_calibration.h"
 #include "mdp/rollout.h"
@@ -136,12 +134,6 @@ std::string Workbench::CacheKey() const {
     os << "|rpu" << config_.a2c.rollouts_per_update;
   }
   if (config_.value_train.parallel_collection) os << "|pvc1";
-  // Conformal threshold selection changes the cached alphas, so it keys
-  // the bundle; the bisection default keeps its pre-existing key.
-  if (config_.conformal_calibration) {
-    os << "|conf" << config_.conformal_miscoverage << ':'
-       << config_.conformal_refine_radius;
-  }
   std::ostringstream key;
   key << std::hex << Fnv1a(os.str());
   return key.str();
@@ -494,112 +486,35 @@ void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
   const auto& validation = DatasetFor(bundle.id).validation;
   OSAP_CHECK_MSG(!validation.empty(), "calibration needs validation traces");
 
-  // The replay path records each validation trace's no-default rollout
-  // ONCE (the greedy trajectory is estimator-independent), scores it per
-  // estimator, and replays triggers against the recorded series (see
-  // replay_calibration.h). The ND target AND the bisection candidates
-  // all come from that single recording; the full re-evaluation path is
-  // kept behind the flag because the equivalence test compares the two.
-  std::optional<CalibrationReplay<abr::AbrEnvironment>> replay;
-  if (config_.calibration_replay) {
-    replay.emplace([&] { return MakeGreedyPensieve(bundle); },
-                   [&] { return MakeBufferBased(); }, env, validation,
-                   config_.trigger_k, config_.trigger_l, Pool(),
-                   EvalOptions());
-  }
+  // Record each validation trace's no-default rollout ONCE (the greedy
+  // trajectory is estimator-independent), score it per estimator, and
+  // replay triggers against the recorded series (replay_calibration.h).
+  // The ND target and every bisection probe come from that single
+  // recording; tests pin both bit-identical to full SafeAgent
+  // re-evaluation.
+  CalibrationReplay<abr::AbrEnvironment> replay(
+      [&] { return MakeGreedyPensieve(bundle); },
+      [&] { return MakeBufferBased(); }, env, validation, config_.trigger_k,
+      config_.trigger_l, Pool(), EvalOptions());
 
   // Target: the ND scheme's in-distribution QoE with the paper's fixed
-  // thresholding (binary OOD flag, l consecutive). Sessions fan out over
-  // the shared pool; results are positionally deterministic, so the
-  // target matches the serial evaluation bit-exactly.
-  if (replay.has_value()) {
-    replay->ScoreWith([&]() -> std::shared_ptr<UncertaintyEstimator> {
-      return std::make_shared<NoveltyDetector>(*bundle.novelty);
-    });
-    bundle.nd_in_dist_qoe = replay->MeanQoeAtBinaryTrigger();
-  } else {
-    const SafeAgentConfig nd_cfg =
-        TriggerFor(Scheme::kNoveltyDetection, bundle);
-    const auto make_nd = [&]() -> std::shared_ptr<mdp::Policy> {
-      auto estimator = std::make_shared<NoveltyDetector>(*bundle.novelty);
-      estimator->Reset();
-      return std::make_shared<SafeAgent>(MakeGreedyPensieve(bundle),
-                                         MakeBufferBased(), estimator,
-                                         nd_cfg);
-    };
-    bundle.nd_in_dist_qoe =
-        EvaluatePolicyParallel(make_nd, env, validation, Pool(),
-                               EvalOptions())
-            .MeanQoe();
-  }
+  // thresholding (binary OOD flag, l consecutive).
+  replay.ScoreWith([&]() -> std::shared_ptr<UncertaintyEstimator> {
+    return std::make_shared<NoveltyDetector>(*bundle.novelty);
+  });
+  bundle.nd_in_dist_qoe = replay.MeanQoeAtBinaryTrigger();
 
   // Calibrate each continuous scheme's alpha to the ND target.
-  using EstimatorFactory =
-      CalibrationReplay<abr::AbrEnvironment>::EstimatorFactory;
-  const auto calibrate = [&](const EstimatorFactory& make_estimator)
-      -> double {
-    if (replay.has_value()) {
-      replay->ScoreWith(make_estimator);
-      const auto qoe_at = [&](double alpha) {
-        return replay->MeanQoeAt(alpha);
-      };
-      if (config_.conformal_calibration) {
-        // Conformal-batch selection (DESIGN.md §11): one scan for the
-        // per-session never-trigger scores, one order statistic, and at
-        // most 2 * refine_radius + 1 QoE probes against the ND target —
-        // no bisection.
-        std::vector<double> scores = SessionNonconformities(
-            replay->Sessions(), config_.trigger_k, config_.trigger_l);
-        const double n1 = static_cast<double>(scores.size() + 1);
-        ConformalConfig conformal;
-        conformal.refine_radius = config_.conformal_refine_radius;
-        // Same stop rule as the bisection: quit refining once a probe
-        // matches the ND target within the calibration tolerance.
-        conformal.tolerance = config_.calibration.tolerance;
-        conformal.miscoverage = std::clamp(
-            config_.conformal_miscoverage > 0.0
-                ? config_.conformal_miscoverage
-                : BinaryTriggerRate(replay->Sessions(), config_.trigger_l),
-            1.0 / n1, 1.0 - 1.0 / n1);
-        const ConformalResult result =
-            conformal.refine_radius == 0
-                ? ConformalAlpha(std::move(scores), conformal)
-                : ConformalAlphaMatchingQoe(std::move(scores), conformal,
-                                            qoe_at, bundle.nd_in_dist_qoe);
-        OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id)
-                        << "] conformal alpha " << result.alpha << " (rank "
-                        << result.rank << "/" << result.sessions
-                        << ", miscoverage " << result.miscoverage << ", "
-                        << result.evaluations << " QoE probes)";
-        return result.alpha;
-      }
-      const double hi = replay->MaxFullWindowVariance();
-      if (hi <= 0.0) return 0.0;  // signal never varies: any alpha works
-      const CalibrationResult result = CalibrateAlpha(
-          qoe_at, bundle.nd_in_dist_qoe, 0.0, hi * 1.25,
-          config_.calibration);
-      return result.alpha;
-    }
-    OSAP_CHECK_MSG(!config_.conformal_calibration,
-                   "conformal calibration requires calibration_replay");
-    auto estimator = make_estimator();
-    auto driver = MakeGreedyPensieve(bundle);
-    const double hi = MaxWindowVariance(*estimator, *driver, env, validation,
-                                        config_.trigger_k);
+  const auto calibrate =
+      [&](const CalibrationReplay<abr::AbrEnvironment>::EstimatorFactory&
+              make_estimator) -> double {
+    replay.ScoreWith(make_estimator);
+    const double hi = replay.MaxFullWindowVariance();
     if (hi <= 0.0) return 0.0;  // signal never varies: any alpha works
-    const auto qoe_at = [&](double alpha) {
-      SafeAgentConfig cfg;
-      cfg.trigger.mode = TriggerMode::kWindowVariance;
-      cfg.trigger.k = config_.trigger_k;
-      cfg.trigger.l = config_.trigger_l;
-      cfg.trigger.alpha = alpha;
-      SafeAgent agent(MakeGreedyPensieve(bundle), MakeBufferBased(),
-                      estimator, cfg);
-      return EvaluatePolicy(agent, env, validation).MeanQoe();
-    };
-    const CalibrationResult result = CalibrateAlpha(
-        qoe_at, bundle.nd_in_dist_qoe, 0.0, hi * 1.25, config_.calibration);
-    return result.alpha;
+    return CalibrateAlpha(
+               [&](double alpha) { return replay.MeanQoeAt(alpha); },
+               bundle.nd_in_dist_qoe, 0.0, hi * 1.25, config_.calibration)
+        .alpha;
   };
 
   bundle.alpha_pi = calibrate([&]() -> std::shared_ptr<UncertaintyEstimator> {

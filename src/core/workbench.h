@@ -94,34 +94,6 @@ struct WorkbenchConfig {
   /// every setting (see DESIGN.md "Threading model"), so this
   /// deliberately does NOT enter CacheKey().
   std::size_t threads = 0;
-
-  /// Calibrate alpha by record-and-replay (one recorded no-default
-  /// rollout per validation trace; candidates scan the recorded variance
-  /// series and replay only the post-default suffix) instead of a full
-  /// SafeAgent re-evaluation per bisection iteration. Bit-identical
-  /// results either way (the equivalence is pinned by tests), so this
-  /// also stays out of CacheKey(); the flag exists for those tests.
-  bool calibration_replay = true;
-
-  /// Select thresholds by conformal quantile calibration over the same
-  /// replay recordings (DESIGN.md §11) instead of the QoE bisection:
-  /// per-session never-trigger nonconformity scores, threshold = the
-  /// conformal-rank order statistic, plus a bounded QoE refinement
-  /// against the ND target. Requires calibration_replay. The selected
-  /// alphas differ from the bisection's (the QoE matches within
-  /// CalibrationConfig::tolerance but the search is different), so this
-  /// DOES enter CacheKey() — the bisection default keeps its key.
-  bool conformal_calibration = false;
-
-  /// Target session miscoverage for conformal mode; < 0 derives epsilon
-  /// from the ND scheme's recorded session default rate (the paper's
-  /// QoE-match contract).
-  double conformal_miscoverage = -1.0;
-
-  /// Order statistics probed either side of the conformal rank when
-  /// refining against the ND QoE target (0 = pure rank selection, no
-  /// suffix replays at all).
-  std::size_t conformal_refine_radius = 1;
 };
 
 /// A WorkbenchConfig sized for unit/integration tests: tiny nets, few

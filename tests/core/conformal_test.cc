@@ -1,8 +1,6 @@
-// Conformal calibration: the nonconformity score must be exactly the
-// trigger-firing boundary, rank selection must honor the split-conformal
-// coverage guarantee (finite-sample, checked empirically on synthetic
-// regime-switch streams), and the streaming arm must keep coverage after
-// a regime switch that strands the frozen offline threshold.
+// Streaming conformal calibration: the online arm must keep coverage
+// (checked empirically on synthetic regime-switch streams) after a regime
+// switch that strands a frozen offline threshold.
 #include "core/conformal.h"
 
 #include <gtest/gtest.h>
@@ -11,159 +9,10 @@
 #include <cmath>
 #include <vector>
 
-#include "core/replay_calibration.h"
 #include "util/rng.h"
 
 namespace osap::core {
 namespace {
-
-ReplaySession SessionOf(std::vector<double> variances) {
-  ReplaySession session;
-  session.variances = std::move(variances);
-  return session;
-}
-
-TEST(SessionNonconformity, HandComputedWindows) {
-  // k=3: full windows from t=2. Runs of l=2 over {0.1,5,5,0.1,7,6,0.5}:
-  // run minima are min(0.1,5)=0.1, min(5,5)=5, min(5,0.1)=0.1,
-  // min(0.1,7)=0.1, min(7,6)=6, min(6,0.5)=0.5 -> max 6.
-  const ReplaySession s =
-      SessionOf({9.0, 9.0, 0.1, 5.0, 5.0, 0.1, 7.0, 6.0, 0.5});
-  EXPECT_EQ(SessionNonconformity(s, 3, 2), 6.0);
-  // l=1: the max full-window variance.
-  EXPECT_EQ(SessionNonconformity(s, 3, 1), 7.0);
-  // l=3: best run min over triples -> min(0.1,7,6)=0.1 etc; max is
-  // min(5,5,0.1)... runs: (0.1,5,5)=0.1 (5,5,0.1)=0.1 (5,0.1,7)=0.1
-  // (0.1,7,6)=0.1 (7,6,0.5)=0.5 -> 0.5.
-  EXPECT_EQ(SessionNonconformity(s, 3, 3), 0.5);
-  // Too short for any full-window l-run.
-  EXPECT_EQ(SessionNonconformity(SessionOf({1.0, 2.0}), 3, 2), 0.0);
-}
-
-TEST(SessionNonconformity, IsExactlyTheTriggerFiringBoundary) {
-  // The defining property: the (k, l) trigger fires at threshold alpha
-  // iff alpha < SessionNonconformity. Checked against FirstTriggerStep
-  // on randomized sessions at the boundary itself and one ulp below.
-  Rng rng(42);
-  for (std::size_t trial = 0; trial < 200; ++trial) {
-    std::vector<double> variances;
-    const std::size_t steps = 5 + rng.UniformInt(40);
-    for (std::size_t t = 0; t < steps; ++t) {
-      variances.push_back(rng.Uniform() < 0.2 ? 0.0
-                                              : rng.Uniform(0.0, 10.0));
-    }
-    const std::size_t k = 2 + rng.UniformInt(4);
-    const std::size_t l = 1 + rng.UniformInt(4);
-    const ReplaySession session = SessionOf(variances);
-    const double score = SessionNonconformity(session, k, l);
-    EXPECT_EQ(FirstTriggerStep(session, score, k, l), kReplayNoTrigger)
-        << "trial " << trial;
-    if (score > 0.0) {
-      const double below =
-          std::nextafter(score, -std::numeric_limits<double>::infinity());
-      EXPECT_NE(FirstTriggerStep(session, below, k, l), kReplayNoTrigger)
-          << "trial " << trial;
-    }
-  }
-}
-
-TEST(BinaryTriggerRate, CountsFiringSessions) {
-  ReplaySession fires;
-  fires.scores = {0.9, 0.9, 0.9};
-  ReplaySession quiet;
-  quiet.scores = {0.9, 0.0, 0.9, 0.0};
-  const std::vector<ReplaySession> sessions = {fires, quiet, fires, quiet};
-  EXPECT_DOUBLE_EQ(BinaryTriggerRate(sessions, 3), 0.5);
-  EXPECT_DOUBLE_EQ(BinaryTriggerRate(sessions, 1), 1.0);
-  EXPECT_DOUBLE_EQ(BinaryTriggerRate(sessions, 4), 0.0);
-}
-
-TEST(ConformalAlpha, SelectsTheTextbookOrderStatistic) {
-  // n=19 scores 1..19, epsilon=0.05: rank = ceil(20 * 0.95) = 19.
-  std::vector<double> scores;
-  for (int i = 19; i >= 1; --i) scores.push_back(i);  // unsorted on entry
-  ConformalConfig config;
-  config.miscoverage = 0.05;
-  const ConformalResult r = ConformalAlpha(scores, config);
-  EXPECT_EQ(r.rank, 19u);
-  EXPECT_EQ(r.alpha, 19.0);
-  EXPECT_EQ(r.sessions, 19u);
-  EXPECT_EQ(r.empirical_miscoverage, 0.0);  // nothing exceeds the max
-
-  // epsilon=0.5: rank = ceil(20 * 0.5) = 10 -> 9 of 19 scores above.
-  config.miscoverage = 0.5;
-  const ConformalResult median = ConformalAlpha(scores, config);
-  EXPECT_EQ(median.rank, 10u);
-  EXPECT_EQ(median.alpha, 10.0);
-  EXPECT_DOUBLE_EQ(median.empirical_miscoverage, 9.0 / 19.0);
-}
-
-TEST(ConformalAlpha, CoverageGuaranteeHoldsOnFreshExchangeableSessions) {
-  // The split-conformal bound, checked empirically: calibrate on n
-  // scores, test on m fresh draws from the SAME distribution; the
-  // fresh-session default rate must sit within binomial noise of
-  // [epsilon - 1/(n+1), epsilon].
-  Rng rng(7);
-  const std::size_t n = 399;   // (n+1) * 0.05 = 20 exactly
-  const std::size_t m = 20000;
-  const double epsilon = 0.05;
-  std::vector<double> calibration;
-  for (std::size_t i = 0; i < n; ++i) {
-    calibration.push_back(std::exp(rng.Normal()));
-  }
-  ConformalConfig config;
-  config.miscoverage = epsilon;
-  const ConformalResult r = ConformalAlpha(calibration, config);
-
-  std::size_t defaults = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (std::exp(rng.Normal()) > r.alpha) ++defaults;
-  }
-  const double rate = static_cast<double>(defaults) / m;
-  // 4 sigma of Bin(m, eps)/m ~ 0.0062, plus the 1/(n+1) lower slack.
-  EXPECT_LT(rate, epsilon + 0.01);
-  EXPECT_GT(rate, epsilon - 1.0 / (n + 1) - 0.01);
-}
-
-TEST(ConformalAlphaMatchingQoe, PicksTheRankClosestToTheTarget) {
-  // Oracle: QoE decreases in alpha; the target sits exactly on the
-  // rank-8 order statistic, one below the epsilon-seeded rank 9.
-  std::vector<double> scores = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  ConformalConfig config;
-  config.miscoverage = 0.1;  // seed rank = ceil(10 * 0.9) = 9
-  config.refine_radius = 1;
-  const auto qoe_at = [](double alpha) { return 100.0 - alpha; };
-  const ConformalResult r =
-      ConformalAlphaMatchingQoe(scores, config, qoe_at, 92.0);
-  EXPECT_EQ(r.rank, 8u);
-  EXPECT_EQ(r.alpha, 8.0);
-  EXPECT_EQ(r.achieved_qoe, 92.0);
-  EXPECT_EQ(r.evaluations, 2u);  // ranks 8 and 9, distinct values
-  // Implied epsilon inverts the selected rank.
-  EXPECT_DOUBLE_EQ(r.miscoverage, 1.0 - 8.0 / 10.0);
-
-  // radius 0 degenerates to pure conformal selection.
-  config.refine_radius = 0;
-  const ConformalResult pure =
-      ConformalAlphaMatchingQoe(scores, config, qoe_at, 92.0);
-  EXPECT_EQ(pure.rank, 9u);
-  EXPECT_EQ(pure.evaluations, 1u);
-}
-
-TEST(ConformalAlphaMatchingQoe, SkipsDuplicateOrderStatistics) {
-  std::vector<double> scores = {1, 5, 5, 5, 5, 5, 5, 5, 9};
-  ConformalConfig config;
-  config.miscoverage = 0.5;  // seed rank 5, all duplicates of 5.0
-  config.refine_radius = 2;
-  std::size_t probes = 0;
-  const auto qoe_at = [&](double) { ++probes; return 50.0; };
-  const ConformalResult r =
-      ConformalAlphaMatchingQoe(scores, config, qoe_at, 50.0);
-  EXPECT_EQ(probes, 1u);  // ranks 3..7 share one distinct value
-  EXPECT_EQ(r.alpha, 5.0);
-}
-
-// --- streaming arm: coverage across a regime switch ---------------------
 
 /// Feeds `count` draws of `gen` into the calibrator, refreshing the
 /// threshold every `refresh` observations (the epoch-boundary cadence),
@@ -223,9 +72,12 @@ TEST(StreamingConformal, FrozenOfflineThresholdDegradesAfterTheSwitch) {
   for (std::size_t i = 0; i < 499; ++i) {
     calibration.push_back(rng.Uniform());
   }
-  ConformalConfig config;
-  config.miscoverage = epsilon;
-  const double frozen = ConformalAlpha(calibration, config).alpha;
+  // The split-conformal offline threshold: the ceil((n+1)(1-epsilon))
+  // order statistic of the calibration scores.
+  std::sort(calibration.begin(), calibration.end());
+  const auto rank = static_cast<std::size_t>(std::ceil(
+      static_cast<double>(calibration.size() + 1) * (1.0 - epsilon)));
+  const double frozen = calibration[rank - 1];
 
   std::size_t frozen_exceed_a = 0;
   std::size_t frozen_exceed_b = 0;

@@ -1,7 +1,7 @@
 // Record-and-replay calibration must be a pure speedup: every quantity it
 // produces - the alpha search's upper bound, the per-candidate mean QoE,
 // and therefore the calibrated alpha itself - must be bit-identical to the
-// full SafeAgent re-evaluation it replaces.
+// full SafeAgent re-evaluation oracle (testing/full_calibration.h).
 #include "core/replay_calibration.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +12,10 @@
 #include "abr/abr_environment.h"
 #include "core/calibration.h"
 #include "core/ensemble_estimators.h"
-#include "core/evaluation.h"
-#include "core/safe_agent.h"
 #include "policies/buffer_based.h"
 #include "policies/pensieve_net.h"
 #include "policies/pensieve_policy.h"
+#include "testing/full_calibration.h"
 #include "traces/generators.h"
 
 namespace osap::core {
@@ -59,6 +58,12 @@ struct ReplayFixtureParts {
   std::shared_ptr<mdp::Policy> MakeFallback() const {
     return std::make_shared<policies::BufferBasedPolicy>(video,
                                                          abr::AbrStateLayout{});
+  }
+  /// The full re-evaluation oracle over the same policies and traces.
+  testing::FullReEvaluation Full() const {
+    return testing::FullReEvaluation(
+        [this] { return MakeLearned(); }, [this] { return MakeFallback(); },
+        abr::AbrEnvironment(video, {}), traces, kTriggerK, kTriggerL);
   }
   /// Factory for the U_pi estimator under test: ScoreWith spawns one
   /// instance per worker, all equivalent (pure function of the weights).
@@ -133,17 +138,11 @@ TEST(CalibrationReplay, MeanQoeBitIdenticalToFullSafeAgentEvaluation) {
   ASSERT_GT(hi, 0.0);
 
   // Sweep alphas that trigger never, sometimes, and immediately.
+  testing::FullReEvaluation full = f.Full();
   for (const double alpha :
        {0.0, hi * 0.05, hi * 0.25, hi * 0.5, hi * 0.9, hi * 2.0}) {
-    SafeAgentConfig cfg;
-    cfg.trigger.mode = TriggerMode::kWindowVariance;
-    cfg.trigger.k = kTriggerK;
-    cfg.trigger.l = kTriggerL;
-    cfg.trigger.alpha = alpha;
-    SafeAgent agent(f.MakeLearned(), f.MakeFallback(), estimator, cfg);
-    abr::AbrEnvironment eval_env(f.video, {});
-    const double full = EvaluatePolicy(agent, eval_env, f.traces).MeanQoe();
-    EXPECT_EQ(replay.MeanQoeAt(alpha), full) << "alpha = " << alpha;
+    EXPECT_EQ(replay.MeanQoeAt(alpha), full.QoeAt(estimator, alpha))
+        << "alpha = " << alpha;
   }
 }
 
@@ -169,18 +168,8 @@ TEST(CalibrationReplay, CalibratedAlphaBitIdenticalToFullBisection) {
       [&](double alpha) { return replay.MeanQoeAt(alpha); }, target, 0.0,
       hi * 1.25, calib);
 
-  const CalibrationResult via_full = CalibrateAlpha(
-      [&](double alpha) {
-        SafeAgentConfig cfg;
-        cfg.trigger.mode = TriggerMode::kWindowVariance;
-        cfg.trigger.k = kTriggerK;
-        cfg.trigger.l = kTriggerL;
-        cfg.trigger.alpha = alpha;
-        SafeAgent agent(f.MakeLearned(), f.MakeFallback(), estimator, cfg);
-        abr::AbrEnvironment eval_env(f.video, {});
-        return EvaluatePolicy(agent, eval_env, f.traces).MeanQoe();
-      },
-      target, 0.0, hi * 1.25, calib);
+  const CalibrationResult via_full =
+      f.Full().Calibrate(estimator, target, calib);
 
   EXPECT_EQ(via_replay.alpha, via_full.alpha);
   EXPECT_EQ(via_replay.achieved_qoe, via_full.achieved_qoe);
@@ -283,14 +272,8 @@ TEST(CalibrationReplay,
     return std::make_shared<PeriodicBinaryEstimator>();
   });
 
-  SafeAgentConfig cfg;
-  cfg.trigger.mode = TriggerMode::kBinary;
-  cfg.trigger.k = kTriggerK;
-  cfg.trigger.l = kTriggerL;
-  SafeAgent agent(f.MakeLearned(), f.MakeFallback(),
-                  std::make_shared<PeriodicBinaryEstimator>(), cfg);
-  abr::AbrEnvironment eval_env(f.video, {});
-  const double full = EvaluatePolicy(agent, eval_env, f.traces).MeanQoe();
+  const double full = f.Full().BinaryTriggerQoe(
+      std::make_shared<PeriodicBinaryEstimator>());
 
   // The pattern fires mid-trace, so this exercises real suffix replays.
   ASSERT_NE(full, Mean([&] {

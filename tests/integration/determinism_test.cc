@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workbench.h"
+#include "testing/full_calibration.h"
 
 namespace osap::core {
 namespace {
@@ -51,26 +52,25 @@ TEST(WorkbenchDeterminism, ParallelEvaluationBitIdenticalToSerial) {
 
 TEST(WorkbenchDeterminism, ReplayCalibrationBitIdenticalToFullReEvaluation) {
   // Record-and-replay calibration is a pure speedup: the calibrated
-  // thresholds (and the ND target they chase) must match the legacy
-  // full-SafeAgent-per-bisection-iteration path exactly.
-  WorkbenchConfig full_cfg = FastWorkbenchConfig();
-  full_cfg.calibration_replay = false;
-  Workbench replay(FastWorkbenchConfig());
-  Workbench full(full_cfg);
+  // thresholds (and the ND target they chase) must match the full
+  // SafeAgent-per-bisection-probe oracle exactly.
+  Workbench bench(FastWorkbenchConfig());
   constexpr auto kTrain = DatasetId::kGamma22;
 
-  const TrainedBundle& rb = replay.BundleFor(kTrain);
-  const TrainedBundle& fb = full.BundleFor(kTrain);
-  EXPECT_EQ(rb.nd_in_dist_qoe, fb.nd_in_dist_qoe);
-  EXPECT_EQ(rb.alpha_pi, fb.alpha_pi);
-  EXPECT_EQ(rb.alpha_v, fb.alpha_v);
+  const TrainedBundle& bundle = bench.BundleFor(kTrain);
+  const testing::Thresholds full =
+      testing::FullReEvaluationThresholds(bench, kTrain);
+  EXPECT_EQ(bundle.nd_in_dist_qoe, full.nd_in_dist_qoe);
+  EXPECT_EQ(bundle.alpha_pi, full.alpha_pi);
+  EXPECT_EQ(bundle.alpha_v, full.alpha_v);
 }
 
-TEST(WorkbenchDeterminism, ReplayFlagDoesNotChangeCacheKey) {
-  WorkbenchConfig full_cfg = FastWorkbenchConfig();
-  full_cfg.calibration_replay = false;
-  EXPECT_EQ(Workbench(FastWorkbenchConfig()).CacheKey(),
-            Workbench(full_cfg).CacheKey());
+TEST(WorkbenchDeterminism, DefaultCacheKeysArePinned) {
+  // Every cached bundle on disk lives under its CacheKey(); a change to
+  // these literals orphans every trained cache, including the serving
+  // benchmark's.
+  EXPECT_EQ(Workbench(WorkbenchConfig{}).CacheKey(), "a4e935d7e0df3e84");
+  EXPECT_EQ(Workbench(FastWorkbenchConfig()).CacheKey(), "6ec1e7e2c75c6603");
 }
 
 TEST(WorkbenchDeterminism, ThreadCountDoesNotChangeCacheKey) {

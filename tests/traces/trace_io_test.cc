@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "traces/generators.h"
 #include "util/rng.h"
@@ -14,7 +15,11 @@ namespace {
 class TraceIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "osap_trace_io_test";
+    // One directory per test: ctest runs a suite's tests as parallel
+    // processes, and TearDown removes the directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("osap_trace_io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace osap {
 namespace {
@@ -11,7 +12,11 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "osap_csv_test";
+    // One directory per test: ctest runs a suite's tests as parallel
+    // processes, and TearDown removes the directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("osap_csv_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

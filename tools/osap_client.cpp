@@ -12,8 +12,9 @@
 //                  held-out test traces (dataset i % 6, mixing ID and
 //                  OOD), the server's decision drives the environment
 //                  forward, and finished sessions reopen on the next
-//                  trace so the population stays constant. ~6 KB of
-//                  client memory per session.
+//                  trace (after the round's last reply) so the
+//                  population stays constant. ~6 KB of client memory
+//                  per session.
 //
 //   --replay K     The million-session mode: K state SEQUENCES are
 //                  recorded up front from real environments (same
@@ -449,7 +450,11 @@ int main(int argc, char** argv) {
       }
       res.open_sessions = viewers.size();
       res.latency_us.reserve(local_count * rounds);
-      std::vector<std::uint64_t> request_of(viewers.size());
+      // STEP ids carry the top bit, so they never meet the ids the
+      // blocking OpenSession/CloseSession draw from the client's own
+      // counter (which counts up from 1).
+      constexpr std::uint64_t kStepIdBase = std::uint64_t{1} << 63;
+      std::vector<std::size_t> finished;
       try {
         for (std::size_t round = 0; round < rounds; ++round) {
           const auto scheduled =
@@ -460,9 +465,8 @@ int main(int argc, char** argv) {
           // Pipeline the whole round: encode every session's STEP, one
           // flush, then collect the replies in arrival order.
           for (std::size_t v = 0; v < viewers.size(); ++v) {
-            request_of[v] = round * viewers.size() + v + 1;
-            client.SendStep(request_of[v], viewers[v].session,
-                            viewers[v].state);
+            client.SendStep(kStepIdBase + round * viewers.size() + v,
+                            viewers[v].session, viewers[v].state);
           }
           client.Flush();
           for (std::size_t v = 0; v < viewers.size(); ++v) {
@@ -475,7 +479,7 @@ int main(int argc, char** argv) {
                 std::chrono::duration<double, std::micro>(now - scheduled)
                     .count());
             // Match the reply to its viewer by the echoed request_id.
-            const std::uint64_t seq = reply.request_id - 1;
+            const std::uint64_t seq = reply.request_id - kStepIdBase;
             if (seq / viewers.size() != round) {
               ++res.errors;
               continue;
@@ -497,6 +501,13 @@ int main(int argc, char** argv) {
               continue;
             }
             ++res.completed_sessions;
+            finished.push_back(seq % viewers.size());
+          }
+          // Reopen finished viewers only after the round's last reply:
+          // a blocking round trip issued mid-round would read one of
+          // the round's pipelined STEP replies as its own.
+          for (const std::size_t v : finished) {
+            Viewer& viewer = viewers[v];
             client.CloseSession(viewer.session);
             const auto& tests = datasets[viewer.dataset].test;
             viewer.env.SetFixedTrace(tests[viewer.next_trace]);
@@ -504,6 +515,7 @@ int main(int argc, char** argv) {
             viewer.state = viewer.env.Reset();
             viewer.session = client.OpenSession();
           }
+          finished.clear();
         }
         for (Viewer& viewer : viewers) client.CloseSession(viewer.session);
       } catch (const std::exception& e) {

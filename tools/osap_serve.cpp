@@ -16,6 +16,8 @@
 //   osap_serve <us|upi|uv> --listen PORT [--shards N] [--edge-threads N]
 //              [--backend epoll|uring] [--revocable] [--max-in-flight N]
 //              [--lane-high-water N] [--max-sessions N]
+//   either form: [--online-calibration [--miscoverage EPS]
+//                 [--calibration-window N] [--calibration-refresh N]]
 //
 // Defaults: 1000 sessions, 2000 rounds, 4 shards, permanent defaulting,
 // closed-loop (rounds issue back to back). With --open-loop RATE the tool
@@ -25,7 +27,13 @@
 // queueing delay instead of silently slowing the arrival process down
 // (no coordinated omission). Uses the shared ./osap_cache artifacts
 // (trains them on first run - run from the repo root or a directory with
-// an osap_cache symlink).
+// an osap_cache of its own).
+//
+// The U_pi / U_V thresholds served are the bundle's frozen alphas from
+// the replay bisection, the workbench's only offline threshold search.
+// With --online-calibration (upi/uv) the service instead re-reads the
+// threshold from streaming per-lane quantile sketches at epoch
+// boundaries (DESIGN.md §11).
 //
 // With --listen PORT the tool is instead the network-edge server
 // (DESIGN.md §10): it binds the port (0 picks an ephemeral one, printed
@@ -172,9 +180,6 @@ int main(int argc, char** argv) {
   double miscoverage = 0.05;
   std::size_t calibration_window = 4096;
   std::size_t calibration_refresh = 16;
-  bool conformal_calibration = false;
-  double conformal_miscoverage = -1.0;  // < 0 derives from the ND rate
-  std::size_t conformal_radius = 1;
 
   util::ArgParser parser(
       "osap_serve",
@@ -234,20 +239,6 @@ int main(int argc, char** argv) {
                    "online calibration: lane epochs between threshold "
                    "refreshes (default 16)",
                    &calibration_refresh);
-  parser.AddFlag("--conformal-calibration",
-                 "select the bundle's frozen alphas with conformal-batch "
-                 "order statistics instead of the bisection sweep "
-                 "(DESIGN.md §11; caches separately from bisection)",
-                 &conformal_calibration);
-  parser.AddOption("--conformal-miscoverage", "EPS",
-                   "conformal-batch: target miscoverage (default: derive "
-                   "from the ND trigger rate)",
-                   &conformal_miscoverage);
-  parser.AddOption("--conformal-radius", "N",
-                   "conformal-batch: rank-refinement radius around the "
-                   "conformal order statistic (default 1; 0 = pure "
-                   "conformal, no QoE probes)",
-                   &conformal_radius);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
   const core::Scheme scheme = ParseSignal(signal_name, parser);
@@ -287,19 +278,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "osap_serve: --miscoverage must be in (0, 1)\n");
     return 2;
   }
-  if (conformal_miscoverage >= 1.0) {
-    std::fprintf(stderr,
-                 "osap_serve: --conformal-miscoverage must be < 1 "
-                 "(negative derives it from the ND trigger rate)\n");
-    return 2;
-  }
 
   core::WorkbenchConfig cfg;
   cfg.use_cache = true;
   cfg.cache_dir = "osap_cache";
-  cfg.conformal_calibration = conformal_calibration;
-  cfg.conformal_miscoverage = conformal_miscoverage;
-  cfg.conformal_refine_radius = conformal_radius;
   core::Workbench bench(cfg);
   constexpr auto kTrain = traces::DatasetId::kGamma22;
   const core::TrainedBundle& bundle = bench.BundleFor(kTrain);

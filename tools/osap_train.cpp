@@ -12,8 +12,8 @@
 // threshold-calibration step: it trains/loads the Workbench bundle for
 // the dataset (shared ./osap_cache artifacts, exactly like osap_serve)
 // and prints the calibrated alpha_pi / alpha_v next to the ND target.
-// --conformal switches that step from the bisection sweep to
-// conformal-batch order statistics (DESIGN.md §11; implies --calibrate).
+// The alphas come from the replay bisection, the workbench's only
+// threshold search (DESIGN.md §11).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -52,9 +52,6 @@ int main(int argc, char** argv) {
   // an update are collected concurrently on the shared pool).
   std::size_t rollouts_per_update = 1;
   bool calibrate = false;
-  bool conformal = false;
-  double conformal_miscoverage = -1.0;  // < 0 derives from the ND rate
-  std::size_t conformal_radius = 1;
 
   util::ArgParser parser("osap_train",
                          "Train a Pensieve actor-critic on a dataset's "
@@ -74,28 +71,8 @@ int main(int argc, char** argv) {
                  "calibration for the dataset (Workbench bundle via the "
                  "shared ./osap_cache) and print alpha_pi / alpha_v",
                  &calibrate);
-  parser.AddFlag("--conformal",
-                 "calibrate thresholds with conformal-batch order "
-                 "statistics instead of the bisection sweep (implies "
-                 "--calibrate; DESIGN.md §11)",
-                 &conformal);
-  parser.AddOption("--conformal-miscoverage", "EPS",
-                   "conformal: target miscoverage (default: derive from "
-                   "the ND trigger rate)",
-                   &conformal_miscoverage);
-  parser.AddOption("--conformal-radius", "N",
-                   "conformal: rank-refinement radius around the conformal "
-                   "order statistic (default 1; 0 = no QoE probes)",
-                   &conformal_radius);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
-  if (conformal) calibrate = true;
-  if (conformal_miscoverage >= 1.0) {
-    std::fprintf(stderr,
-                 "osap_train: --conformal-miscoverage must be < 1 "
-                 "(negative derives it from the ND trigger rate)\n");
-    return 2;
-  }
 
   const traces::DatasetId id = ParseDataset(dataset);
   const std::filesystem::path out = out_path;
@@ -173,13 +150,9 @@ int main(int argc, char** argv) {
     core::WorkbenchConfig bench_cfg;
     bench_cfg.use_cache = true;
     bench_cfg.cache_dir = "osap_cache";
-    bench_cfg.conformal_calibration = conformal;
-    bench_cfg.conformal_miscoverage = conformal_miscoverage;
-    bench_cfg.conformal_refine_radius = conformal_radius;
     core::Workbench bench(bench_cfg);
     const core::TrainedBundle& bundle = bench.BundleFor(id);
-    std::printf("calibrated thresholds (%s) for %s:\n",
-                conformal ? "conformal-batch" : "bisection sweep",
+    std::printf("calibrated thresholds for %s:\n",
                 traces::DatasetLabel(id).c_str());
     std::printf("  ND target QoE %.2f  alpha_pi %.6g  alpha_v %.6g\n",
                 bundle.nd_in_dist_qoe, bundle.alpha_pi, bundle.alpha_v);

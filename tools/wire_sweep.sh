@@ -3,7 +3,8 @@
 #
 # Launches `osap_serve --listen 0` (ephemeral port, parsed from its
 # stdout), drives it with `osap_client` in replay mode - the 100k-1M
-# open-session configuration - then SIGTERMs the server and checks the
+# open-session configuration; REPLAY 0 selects the client's default mode,
+# one real environment per viewer - then SIGTERMs the server and checks the
 # graceful-shutdown accounting: the client saw zero protocol errors and
 # the server drained to zero open sessions. The ctest `-L net` entry runs
 # this in a fast smoke config (100k sessions, few rounds) so the sweep
@@ -16,8 +17,8 @@
 # BACKEND is epoll (default), uring, or both (runs the sweep once per
 # backend; a kernel that denies io_uring makes the uring leg fall back to
 # epoll with a notice, which the sweep surfaces via the server's "io:"
-# summary line). Run from a directory with an ./osap_cache symlink (the
-# server loads the trained bundle from it).
+# summary line). Run from a directory whose ./osap_cache holds the
+# trained bundle (the server trains one there on a cold cache).
 set -euo pipefail
 
 SERVE=${1:?usage: wire_sweep.sh SERVE CLIENT [sessions] [rounds] ...}
