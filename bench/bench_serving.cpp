@@ -333,16 +333,6 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme,
   server.Start();
   std::thread loop([&server] { server.Run(); });
 
-  // Submitter-group arithmetic (mirrors DecisionService::GroupOfShard):
-  // which edge owns a session's shard.
-  const std::size_t base = shards / edges;
-  const std::size_t rem = shards % edges;
-  const auto edge_of = [&](std::uint64_t session) {
-    const std::size_t shard = static_cast<std::size_t>(session) % shards;
-    if (shard < rem * (base + 1)) return shard / (base + 1);
-    return rem + (shard - rem * (base + 1)) / base;
-  };
-
   // One connection per edge: the kernel hashes connections across the
   // SO_REUSEPORT listeners by 4-tuple, so probe (open a session, read
   // its edge, close it) until every edge holds exactly one connection.
@@ -353,7 +343,9 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme,
     auto c = std::make_unique<net::Client>();
     c->Connect("127.0.0.1", server.Port());
     const std::uint64_t probe = c->OpenSession();
-    const std::size_t e = edge_of(probe);
+    // Edge e is submitter group e: the group of the session's shard.
+    const std::size_t e = serve::DecisionService::GroupOfShard(
+        static_cast<std::size_t>(probe) % shards, shards, edges);
     c->CloseSession(probe);
     if (clients[e] == nullptr) {
       clients[e] = std::move(c);

@@ -96,8 +96,10 @@ struct Edge {
   std::vector<std::uint32_t> unpaused;  // resumed this batch: drain them
 
   // Per-session edge bookkeeping, indexed by the DENSE edge-local index
-  // (local_slot * group_width + lane; the session id itself for a
-  // single-edge server). owner_of[d] is the connection slot (or
+  // (local_slot * group_width + lane: the id's fresh ordinal in the
+  // edge's group allocator, the session id itself for a single-edge
+  // server, so these tables never outgrow the group's peak live
+  // sessions). owner_of[d] is the connection slot (or
   // kNoOwner), pending_of[d] counts that session's entries in pending,
   // batch_stamp[d] marks "already in this round" (a session decides at
   // most once per DecideBatch; duplicates defer to the next round).
@@ -105,7 +107,6 @@ struct Edge {
   std::vector<std::uint32_t> pending_of;
   std::vector<std::uint64_t> batch_stamp;
   std::uint64_t batch_round = 0;
-  std::size_t open_cursor = 0;  // round-robin lane for multi-edge opens
 
   // Round scratch (persists across batches; steady state allocates
   // nothing).

@@ -352,13 +352,6 @@ std::size_t NetServer::DenseIndex(const Edge& edge,
          (shard - edge.group_begin);
 }
 
-std::size_t NetServer::GroupSessionBytes(const Edge& edge) const {
-  // The single-edge server's one group owns the whole service including
-  // the global id free list - report the exact full accounting there.
-  if (edges_.size() == 1) return service_.MemoryStats().SessionBytes();
-  return service_.MemoryStatsOfGroup(edge.index).SessionBytes();
-}
-
 void NetServer::HandleRequest(Edge& edge, std::size_t slot,
                               const DecodedRequest& request) {
   Connection& conn = *edge.connections[slot];
@@ -387,8 +380,9 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
       bool over_bytes = false;
       if (config_.max_session_bytes > 0) {
         if (edge.opens_since_measure >= kBytesGateRefresh) {
-          edge.session_bytes.store(GroupSessionBytes(edge),
-                                   std::memory_order_relaxed);
+          edge.session_bytes.store(
+              service_.MemoryStatsOfGroup(edge.index).SessionBytes(),
+              std::memory_order_relaxed);
           edge.opens_since_measure = 0;
         }
         // Own cache just refreshed; other edges' caches may lag by up to
@@ -406,16 +400,7 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
         QueueReply(edge, slot, reply);
         return;
       }
-      std::uint64_t id;
-      if (edges_.size() == 1) {
-        id = service_.OpenSession();
-      } else {
-        // Spread this edge's sessions round-robin over its own lanes.
-        const std::size_t shard =
-            edge.group_begin + edge.open_cursor % edge.group_width;
-        ++edge.open_cursor;
-        id = service_.OpenSessionOnShard(shard);
-      }
+      const std::uint64_t id = service_.OpenSession(edge.index);
       const std::size_t dense = DenseIndex(edge, id);
       if (edge.owner_of.size() <= dense) {
         edge.owner_of.resize(dense + 1, kNoOwner);
@@ -536,8 +521,7 @@ void NetServer::RunBatch(Edge& edge) {
     edge.round_pending_idx.push_back(i);
   }
   edge.round_actions.resize(edge.round_requests.size());
-  service_.DecideBatchGroup(edge.index, edge.round_requests,
-                            edge.round_actions);
+  service_.DecideBatch(edge.round_requests, edge.round_actions);
   edge.epochs.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t epoch = service_.RoundCount();
 
@@ -790,8 +774,9 @@ void NetServer::ConsumeOutput(Edge& edge, std::size_t slot,
 }
 
 ServerStats NetServer::BuildStats(Edge& edge) {
-  edge.session_bytes.store(GroupSessionBytes(edge),
-                           std::memory_order_relaxed);
+  edge.session_bytes.store(
+      service_.MemoryStatsOfGroup(edge.index).SessionBytes(),
+      std::memory_order_relaxed);
   edge.opens_since_measure = 0;
   return Stats();
 }

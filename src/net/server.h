@@ -15,9 +15,10 @@
 //     pools,
 //   - a contiguous GROUP of the service's shard lanes (submitter group e
 //     of DecisionServiceConfig::submitter_count = edge_threads): the
-//     edge opens its sessions round-robin over its own shards and
-//     submits its micro-batches through DecideBatchGroup, so the epoch
-//     tickets stay single-submitter per lane.
+//     edge opens its sessions through OpenSession(e), which spreads them
+//     round-robin over the group's shards, and submits its micro-batches
+//     through DecideBatch, so the epoch tickets stay single-submitter per
+//     lane.
 //
 // Nothing mutable is shared between edge threads on the read / decode /
 // decide path; the only cross-edge state is a handful of atomics (the
@@ -27,13 +28,13 @@
 //
 //   backend->Pump (epoll_wait or io_uring_enter; accept / drain readable
 //   sockets) -> parse frames, admit or reject each request -> when
-//   admitted STEPs are pending, ONE DecideBatchGroup over all of them
+//   admitted STEPs are pending, ONE DecideBatch over all of them
 //   (micro-batching across connections and sessions) -> encode replies
 //   into per-connection output queues -> flush with vectored writes,
 //   partial writes continue under EPOLLOUT / send CQEs.
 //
 // edge_threads = 1 is bit-identical to the classic single-loop server:
-// one group = every shard, the global id allocator, the same admission
+// one group = every shard, ids handed out 0, 1, 2, ..., the same admission
 // arithmetic (the shared budget sees exactly one edge), the same wire
 // bytes. The backend choice never changes the decision stream either -
 // framing, per-round dedup, batching, admission and drain are shared
@@ -222,10 +223,6 @@ class NetServer {
   /// stamp bookkeeping): local * group_width + (shard - group_begin).
   /// With one edge this is the id itself.
   std::size_t DenseIndex(const Edge& edge, std::uint64_t session) const;
-  /// Exact session bytes of the edge's shard group (full-service walk
-  /// for the single-edge server - its one group owns everything
-  /// including the global id free list).
-  std::size_t GroupSessionBytes(const Edge& edge) const;
 
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 

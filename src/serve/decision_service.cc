@@ -48,6 +48,16 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
   for (std::size_t s = 0; s < config_.shard_count; ++s) {
     shards_.push_back(std::make_unique<ShardLane>(
         config_.extractor_slab_slots, extractor_doubles_));
+    // Groups are contiguous, so a new group starts at its first shard.
+    const std::size_t g =
+        GroupOfShard(s, config_.shard_count, config_.submitter_count);
+    if (g == groups_.size()) {
+      groups_.push_back(std::make_unique<SubmitterGroup>());
+      groups_.back()->begin = s;
+    }
+    groups_.back()->end = s + 1;
+    groups_.back()->counts.push_back(0);
+    shards_.back()->group = g;
     if (config_.lane_capacity_bound > 0) {
       shards_.back()->ring.SetBound(config_.lane_capacity_bound);
     }
@@ -63,15 +73,11 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
         util::WindowedP2Quantile(1.0 - config_.calibration_miscoverage,
                                  config_.calibration_window));
   }
-  group_counts_.resize(config_.submitter_count);
-  for (std::size_t g = 0; g < config_.submitter_count; ++g) {
-    group_counts_[g].resize(GroupEnd(g) - GroupBegin(g), 0);
-  }
   if (config_.shard_workers) {
     // One persistent worker per shard that is not the first of its group;
     // group-first shards run on their group's submitting thread.
-    for (std::size_t g = 0; g < config_.submitter_count; ++g) {
-      for (std::size_t s = GroupBegin(g) + 1; s < GroupEnd(g); ++s) {
+    for (const auto& group : groups_) {
+      for (std::size_t s = group->begin + 1; s < group->end; ++s) {
         worker_shards_.push_back(s);
       }
     }
@@ -94,17 +100,20 @@ DecisionService::~DecisionService() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::size_t DecisionService::GroupOfShard(std::size_t shard) const {
-  const std::size_t base = shards_.size() / config_.submitter_count;
-  const std::size_t rem = shards_.size() % config_.submitter_count;
-  // The first `rem` groups are one shard wider.
-  if (shard < rem * (base + 1)) return shard / (base + 1);
-  return rem + (shard - rem * (base + 1)) / base;
-}
-
-DecisionService::SessionId DecisionService::InitSession(std::size_t shard,
-                                                        std::size_t local) {
-  ShardLane& lane = *shards_[shard];
+DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
+  OSAP_REQUIRE(group < groups_.size(), "OpenSession: bad group");
+  SubmitterGroup& g = *groups_[group];
+  SessionId id;
+  if (!g.free_ids.empty()) {
+    id = g.free_ids.back();
+    g.free_ids.pop_back();
+  } else {
+    const std::size_t width = g.end - g.begin;
+    id = (g.fresh / width) * shards_.size() + g.begin + g.fresh % width;
+    ++g.fresh;
+  }
+  ShardLane& lane = *shards_[ShardOf(id)];
+  const std::size_t local = LocalOf(id);
   SessionTable& table = lane.sessions;
   if (table.hot.size() <= local) {
     table.hot.resize(local + 1);
@@ -135,40 +144,7 @@ DecisionService::SessionId DecisionService::InitSession(std::size_t shard,
   table.open[local] = 1;
   table.last_round[local] = 0;
   active_count_.fetch_add(1, std::memory_order_relaxed);
-  return local * shards_.size() + shard;
-}
-
-DecisionService::SessionId DecisionService::OpenSession() {
-  OSAP_REQUIRE(config_.submitter_count == 1,
-               "OpenSession: submitter groups must open via "
-               "OpenSessionOnShard");
-  SessionId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-  } else {
-    id = next_id_++;
-  }
-  const SessionId got = InitSession(ShardOf(id), LocalOf(id));
-  OSAP_CHECK(got == id);
   return id;
-}
-
-DecisionService::SessionId DecisionService::OpenSessionOnShard(
-    std::size_t shard) {
-  OSAP_REQUIRE(config_.submitter_count > 1,
-               "OpenSessionOnShard: single-submitter services use "
-               "OpenSession (global id recycling)");
-  OSAP_REQUIRE(shard < shards_.size(), "OpenSessionOnShard: bad shard");
-  ShardLane& lane = *shards_[shard];
-  std::size_t local;
-  if (!lane.free_locals.empty()) {
-    local = lane.free_locals.back();
-    lane.free_locals.pop_back();
-  } else {
-    local = lane.sessions.hot.size();
-  }
-  return InitSession(shard, local);
 }
 
 void DecisionService::CloseSession(SessionId id) {
@@ -183,11 +159,7 @@ void DecisionService::CloseSession(SessionId id) {
     lane.extractors.Trim();
   }
   lane.sessions.open[local] = 0;
-  if (config_.submitter_count == 1) {
-    free_ids_.push_back(id);
-  } else {
-    lane.free_locals.push_back(static_cast<std::uint32_t>(local));
-  }
+  groups_[GroupOf(id)]->free_ids.push_back(id);
   active_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -259,7 +231,7 @@ void DecisionService::DrainEpoch(std::size_t shard, const EpochSlot& slot) {
     lane.epochs_since_publish = 0;
     PublishCalibration(shard);
   }
-  if (config_.lane_shrink_after > 0) MaybeShrinkLane(lane, slot.count);
+  MaybeShrinkLane(lane, slot.count);
 }
 
 void DecisionService::PublishCalibration(std::size_t shard) {
@@ -293,7 +265,7 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
   lane.peak_count = std::max(lane.peak_count, count);
   lane.peak_arena_used =
       std::max(lane.peak_arena_used, lane.arena.UsedBytes());
-  if (++lane.epochs_since_shrink < config_.lane_shrink_after) return;
+  if (++lane.epochs_since_shrink < kLaneShrinkEpochs) return;
 
   // Release anything allocated for more than 2x the period's high-water
   // need; the next spike simply regrows it. Matrices are released whole
@@ -324,25 +296,15 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
 
 void DecisionService::DecideBatch(std::span<const Request> requests,
                                   std::span<mdp::Action> out) {
-  OSAP_REQUIRE(config_.submitter_count == 1,
-               "DecideBatch: submitter groups must submit via "
-               "DecideBatchGroup");
-  DecideBatchGroup(0, requests, out);
-}
-
-void DecisionService::DecideBatchGroup(std::size_t group,
-                                       std::span<const Request> requests,
-                                       std::span<mdp::Action> out) {
-  OSAP_REQUIRE(group < config_.submitter_count,
-               "DecideBatchGroup: bad group");
   OSAP_REQUIRE(out.size() >= requests.size(),
                "DecideBatch: output span too short");
   if (requests.empty()) return;
   OSAP_REQUIRE(
       requests.size() <= std::numeric_limits<std::uint32_t>::max(),
       "DecideBatch: request batch too large for ring indices");
-  const std::size_t begin = GroupBegin(group);
-  const std::size_t end = GroupEnd(group);
+  SubmitterGroup& group = *groups_[GroupOf(requests[0].session)];
+  const std::size_t begin = group.begin;
+  const std::size_t end = group.end;
   // Rounds draw from one global counter so reply epochs stay unique
   // across groups; each session's duplicate stamp lives in its shard's
   // table, which only this group touches.
@@ -352,7 +314,7 @@ void DecisionService::DecideBatchGroup(std::size_t group,
   for (const Request& r : requests) {
     const std::size_t shard = ShardOf(r.session);
     OSAP_REQUIRE(shard >= begin && shard < end,
-                 "DecideBatchGroup: session outside the submitter group");
+                 "DecideBatch: session outside the submitter group");
     SessionTable& table = shards_[shard]->sessions;
     const std::size_t local = LocalOf(r.session);
     OSAP_REQUIRE(local < table.open.size() && table.open[local] != 0,
@@ -369,7 +331,7 @@ void DecisionService::DecideBatchGroup(std::size_t group,
   // every-shard-scans-every-request partition). Reserve() is safe here
   // because every worker of THIS group is parked between its epochs and
   // other groups never touch these lanes.
-  std::vector<std::size_t>& counts = group_counts_[group];
+  std::vector<std::size_t>& counts = group.counts;
   counts.assign(end - begin, 0);
   for (const Request& r : requests) ++counts[ShardOf(r.session) - begin];
   for (std::size_t s = begin; s < end; ++s) {
@@ -562,8 +524,7 @@ void DecisionService::AccumulateLane(std::size_t shard,
   stats.registry_bytes +=
       table.extractor_of.capacity() * sizeof(ExtractorPool::Index) +
       table.open.capacity() * sizeof(std::uint8_t) +
-      table.last_round.capacity() * sizeof(std::uint64_t) +
-      lane.free_locals.capacity() * sizeof(std::uint32_t);
+      table.last_round.capacity() * sizeof(std::uint64_t);
   stats.extractor_bytes += lane.extractors.CapacityBytes();
   stats.scratch_bytes +=
       sizeof(ShardLane) + lane.arena.CapacityBytes() +
@@ -574,14 +535,20 @@ void DecisionService::AccumulateLane(std::size_t shard,
       lane.ring.Capacity() * sizeof(std::uint32_t);
 }
 
+void DecisionService::AccumulateGroup(std::size_t group,
+                                      ServiceMemoryStats& stats) const {
+  const SubmitterGroup& g = *groups_[group];
+  for (std::size_t s = g.begin; s < g.end; ++s) AccumulateLane(s, stats);
+  // Every fresh id was opened once; the free list holds the closed ones.
+  stats.open_sessions += g.fresh - g.free_ids.size();
+  stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
+  stats.scratch_bytes += sizeof(SubmitterGroup) +
+                         g.counts.capacity() * sizeof(std::size_t);
+}
+
 ServiceMemoryStats DecisionService::MemoryStats() const {
   ServiceMemoryStats stats;
-  stats.open_sessions = active_count_.load(std::memory_order_relaxed);
-  stats.registry_bytes = free_ids_.capacity() * sizeof(SessionId);
-  for (std::size_t s = 0; s < shards_.size(); ++s) AccumulateLane(s, stats);
-  for (const auto& counts : group_counts_) {
-    stats.scratch_bytes += counts.capacity() * sizeof(std::size_t);
-  }
+  for (std::size_t g = 0; g < groups_.size(); ++g) AccumulateGroup(g, stats);
   // Online-calibration writer side (per-lane sketches are members of
   // ShardLane and already inside its sizeof).
   stats.scratch_bytes +=
@@ -592,23 +559,9 @@ ServiceMemoryStats DecisionService::MemoryStats() const {
 
 ServiceMemoryStats DecisionService::MemoryStatsOfGroup(
     std::size_t group) const {
-  OSAP_REQUIRE(group < config_.submitter_count,
-               "MemoryStatsOfGroup: bad group");
+  OSAP_REQUIRE(group < groups_.size(), "MemoryStatsOfGroup: bad group");
   ServiceMemoryStats stats;
-  for (std::size_t s = GroupBegin(group); s < GroupEnd(group); ++s) {
-    AccumulateLane(s, stats);
-    if (config_.submitter_count > 1) {
-      // Open = ever-grown slots minus the shard's free list (exact: local
-      // slots only exist once opened). The single-submitter group keeps
-      // its free list globally, so fall through to active_count_ below.
-      stats.open_sessions += shards_[s]->sessions.hot.size() -
-                             shards_[s]->free_locals.size();
-    }
-  }
-  if (config_.submitter_count == 1) {
-    stats.open_sessions = active_count_.load(std::memory_order_relaxed);
-  }
-  stats.scratch_bytes += group_counts_[group].capacity() * sizeof(std::size_t);
+  AccumulateGroup(group, stats);
   return stats;
 }
 

@@ -30,18 +30,23 @@
 // sequential SafeAgent loop for all three signals in both defaulting
 // modes (pinned by equivalence tests).
 //
-// Submitter groups (DecisionServiceConfig::submitter_count, the sharded
-// submit path behind the multi-edge network server): the shard range is
-// partitioned into submitter_count contiguous groups and every piece of
-// per-session state - the SoA tables, open flags, duplicate-round stamps,
-// free lists - lives inside its shard's lane, so group g's submitter can
-// open / close / DecideBatchGroup its own shards while the other groups'
+// Submitter groups (DecisionServiceConfig::submitter_count): the shard
+// range is partitioned into submitter_count contiguous groups, and every
+// session is opened, decided and closed through its group. Each group
+// owns a separately allocated record - its shard range, its session-id
+// allocator and its routing scratch - and every piece of per-session
+// state (the SoA tables, open flags, duplicate-round stamps) lives inside
+// its shard's lane, so group g's submitter can OpenSession(g) /
+// DecideBatch / CloseSession on its own shards while the other groups'
 // submitters do the same concurrently, with no shared mutable state
 // between them (the global round counter and active-session count are
 // single atomics). Each lane still has exactly ONE submitter, so the
-// SPSC rings and epoch tickets need no extra locking. submitter_count = 1
-// (the default) is byte-for-byte the single-submitter service described
-// above.
+// SPSC rings and epoch tickets need no extra locking. A group allocates
+// ids LIFO from its own freed ids, else fresh: its n-th fresh id is
+// (n / width) * shard_count + begin + n % width, spreading the group's
+// sessions round-robin over its shards. The default single group
+// [0, shard_count) therefore hands out 0, 1, 2, ... and recycles the
+// most recently closed id first.
 //
 // Per-session state is on a strict memory budget (ROADMAP: a million
 // concurrent sessions must fit). Each shard keeps its sessions in a
@@ -58,20 +63,21 @@
 // Per-shard scratch (index/score arrays, packed matrices, a util::Arena)
 // persists across calls, so the steady state is allocation-free; after a
 // population spike, lanes shrink scratch back to the recent working set
-// (DecisionServiceConfig::lane_shrink_after). The throughput win over the
+// (every kLaneShrinkEpochs epochs). The throughput win over the
 // one-session-at-a-time loop comes from weight de-duplication - N
 // sequential sessions stream N private ~100 KB weight packs through the
 // cache hierarchy per round, the service streams ONE shared pack per
 // shard batch - plus shard parallelism on multi-core hosts.
 //
 // Thread-safety: the service synchronizes its own workers; each submitter
-// GROUP is externally synchronized - do not call Open*/Close/DecideBatch*
-// for the same group from multiple threads. Different groups may run
-// concurrently. Open/CloseSession between a group's DecideBatch calls is
-// safe (its workers are parked); the epoch ticket's release/acquire edge
-// publishes the membership change to the worker that owns the session's
-// shard. MemoryStats() walks every lane and requires ALL groups quiescent;
-// MemoryStatsOfGroup() needs only its own group parked.
+// GROUP is externally synchronized - do not call OpenSession / Close /
+// DecideBatch for the same group from multiple threads. Different groups
+// may run concurrently. Open/CloseSession between a group's DecideBatch
+// calls is safe (its workers are parked); the epoch ticket's
+// release/acquire edge publishes the membership change to the worker
+// that owns the session's shard. MemoryStats() walks every group and
+// requires ALL groups quiescent; MemoryStatsOfGroup() needs only its own
+// group parked.
 #pragma once
 
 #include <atomic>
@@ -110,19 +116,13 @@ struct DecisionServiceConfig {
   /// choice when the host dedicates a single core to the service.
   bool shard_workers = true;
   /// Concurrent submitter groups (must be in [1, shard_count]). The
-  /// shards are split into this many contiguous groups; group g may be
-  /// driven by its own thread via OpenSessionOnShard / DecideBatchGroup
-  /// concurrently with the other groups. 1 = the classic single-submitter
-  /// service (OpenSession / DecideBatch).
+  /// shards are split into this many contiguous groups (GroupOfShard);
+  /// group g may be driven by its own thread via OpenSession(g) /
+  /// DecideBatch concurrently with the other groups. 1 = one submitter
+  /// driving every shard.
   std::size_t submitter_count = 1;
   /// Sessions per slab in the per-shard extractor pool (U_S only).
   std::size_t extractor_slab_slots = 256;
-  /// Scratch shrink cadence: every lane_shrink_after epochs a shard lane
-  /// compares its scratch capacity (arena + packed matrices) against the
-  /// high-water use of the elapsed period and releases anything more than
-  /// 2x the recent need, so a population spike does not pin its peak
-  /// forever. 0 disables shrinking.
-  std::size_t lane_shrink_after = 64;
   /// Hard per-lane SPSC-ring ceiling (util::SpscRing::SetBound); 0 keeps
   /// the rings unbounded (Reserve grows on demand). The network edge sets
   /// this to its admission high-water mark so an admission bug fails
@@ -197,33 +197,24 @@ class DecisionService {
   ~DecisionService();
 
   /// Registers a new session (fresh defaulting state / novelty window)
-  /// and returns its id. Ids of closed sessions are recycled (most
-  /// recently closed first). Single-submitter services only; with
-  /// submitter groups use OpenSessionOnShard so each group touches only
-  /// its own shards.
-  SessionId OpenSession();
+  /// on one of `group`'s shards and returns its id. Ids of the group's
+  /// closed sessions are recycled (most recently closed first). Only
+  /// `group`'s submitter may call this, from its one submitting thread.
+  SessionId OpenSession(std::size_t group = 0);
 
-  /// Registers a new session pinned to `shard` (the sharded open path for
-  /// submitter groups; requires submitter_count > 1). Only the group that
-  /// owns `shard` may call this, from its one submitting thread.
-  SessionId OpenSessionOnShard(std::size_t shard);
-
-  /// Tears a session down; its id becomes invalid until recycled. With
-  /// submitter groups, only the owning group's submitter may close it.
+  /// Tears a session down; its id becomes invalid until recycled. Only
+  /// the owning group's submitter may close it.
   void CloseSession(SessionId id);
 
   /// Answers one decision per request. Each session may appear at most
   /// once per call (a session's next state depends on its previous
   /// action, so two requests for one session in one batch would be
-  /// ill-defined). out[i] answers requests[i].
+  /// ill-defined). out[i] answers requests[i]. The batch belongs to the
+  /// group of requests[0]'s shard; every request's session must live in
+  /// that group. Distinct groups may call this concurrently; within a
+  /// group, calls are externally synchronized.
   void DecideBatch(std::span<const Request> requests,
                    std::span<mdp::Action> out);
-
-  /// DecideBatch for one submitter group: every request's session must
-  /// live on one of the group's shards. Distinct groups may call this
-  /// concurrently; within a group, calls are externally synchronized.
-  void DecideBatchGroup(std::size_t group, std::span<const Request> requests,
-                        std::span<mdp::Action> out);
 
   /// Single-session convenience wrapper around DecideBatch.
   mdp::Action Decide(SessionId id, const mdp::State& state);
@@ -247,17 +238,22 @@ class DecisionService {
 
   // --- submitter groups --------------------------------------------------
   std::size_t SubmitterCount() const { return config_.submitter_count; }
-  /// Shards [GroupBegin(g), GroupEnd(g)) belong to group g (contiguous,
-  /// non-empty, sizes differ by at most one).
+  /// The group owning `shard` when `shard_count` shards are split into
+  /// `groups` contiguous groups whose sizes differ by at most one, wider
+  /// groups first. The one partition formula: the network edge and its
+  /// clients use it to map a session id (id % shard_count) to its edge.
+  static std::size_t GroupOfShard(std::size_t shard, std::size_t shard_count,
+                                  std::size_t groups) {
+    const std::size_t base = shard_count / groups;
+    const std::size_t rem = shard_count % groups;
+    const std::size_t wide = rem * (base + 1);  // shards in wider groups
+    return shard < wide ? shard / (base + 1) : rem + (shard - wide) / base;
+  }
+  /// Shards [GroupBegin(g), GroupEnd(g)) belong to group g.
   std::size_t GroupBegin(std::size_t group) const {
-    const std::size_t base = shards_.size() / config_.submitter_count;
-    const std::size_t rem = shards_.size() % config_.submitter_count;
-    return group * base + (group < rem ? group : rem);
+    return groups_[group]->begin;
   }
-  std::size_t GroupEnd(std::size_t group) const {
-    return GroupBegin(group + 1);
-  }
-  std::size_t GroupOfShard(std::size_t shard) const;
+  std::size_t GroupEnd(std::size_t group) const { return groups_[group]->end; }
 
   /// Per-session introspection (id must be open).
   bool Defaulted(SessionId id) const;
@@ -334,12 +330,9 @@ class DecisionService {
         : extractors(slab_slots, scratch_doubles) {}
 
     // --- session state owned by this shard ---
+    std::size_t group = 0;  // the submitter group owning this shard
     SessionTable sessions;
     ExtractorPool extractors;  // U_S per-session extractors
-    /// Recycled local slots (multi-submitter opens; the single-submitter
-    /// path keeps its LIFO in the service-wide free_ids_ instead so id
-    /// recycling order matches the classic service exactly).
-    std::vector<std::uint32_t> free_locals;
 
     // --- online calibration (owned by whichever thread runs the shard) ---
     util::WindowedP2Quantile sketch;  // trigger statistics, local
@@ -368,6 +361,25 @@ class DecisionService {
     bool stop = false;
   };
 
+  /// One submitter group's own state: its shard range, its session-id
+  /// allocator and its routing scratch. Allocated separately per group
+  /// (like the lanes) and cache-line aligned, so concurrent groups never
+  /// share a line.
+  struct alignas(64) SubmitterGroup {
+    std::size_t begin = 0;  // shards [begin, end)
+    std::size_t end = 0;
+    /// Closed ids awaiting reuse, most recently closed last.
+    std::vector<SessionId> free_ids;
+    /// Fresh ids handed out so far; the n-th is
+    /// (n / width) * shard_count + begin + n % width.
+    std::size_t fresh = 0;
+    /// counts[s - begin]: shard s's request count in the current round.
+    std::vector<std::size_t> counts;
+  };
+
+  /// Epochs between a lane's scratch-shrink checks (MaybeShrinkLane).
+  static constexpr std::size_t kLaneShrinkEpochs = 64;
+
   void WorkerLoop(std::size_t shard);
   /// Pops `slot.count` request indices off the shard's ring into arena
   /// storage and runs the shard on them. Runs on the shard's worker (or
@@ -378,7 +390,7 @@ class DecisionService {
   void RunShard(std::size_t shard, std::span<const Request> requests,
                 std::span<mdp::Action> out, std::span<const std::size_t> idx);
   /// Periodic scratch diet: tracks the lane's high-water use and, every
-  /// lane_shrink_after epochs, releases arena blocks / packed matrices
+  /// kLaneShrinkEpochs epochs, releases arena blocks / packed matrices
   /// beyond 2x the recent need. Runs on the lane's owning thread at the
   /// end of DrainEpoch.
   void MaybeShrinkLane(ShardLane& lane, std::size_t count);
@@ -386,9 +398,9 @@ class DecisionService {
   /// snapshot (writer mutex) and re-derives the merged live threshold.
   /// Called from the lane's owning thread at the refresh cadence.
   void PublishCalibration(std::size_t shard);
-  /// Initializes slot `local` of `shard` as a fresh session and returns
-  /// its id (shared tail of both open paths).
-  SessionId InitSession(std::size_t shard, std::size_t local);
+  std::size_t GroupOf(SessionId id) const {
+    return shards_[ShardOf(id)]->group;
+  }
   std::size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   std::size_t LocalOf(SessionId id) const { return id / shards_.size(); }
   bool IsOpen(SessionId id) const {
@@ -399,6 +411,8 @@ class DecisionService {
   void CheckOpen(SessionId id) const;
   /// Accumulates lane `shard`'s containers into `stats`.
   void AccumulateLane(std::size_t shard, ServiceMemoryStats& stats) const;
+  /// Accumulates group `group`'s lanes and allocator into `stats`.
+  void AccumulateGroup(std::size_t group, ServiceMemoryStats& stats) const;
 
   std::shared_ptr<const ServingModel> model_;
   DecisionServiceConfig config_;
@@ -406,21 +420,10 @@ class DecisionService {
   std::vector<std::thread> workers_;
   std::vector<std::size_t> worker_shards_;  // shard drained by workers_[i]
 
-  // Single-submitter id allocation (OpenSession): LIFO recycling across
-  // all shards plus a sequential high-water counter - the classic
-  // allocation order the recycling tests pin. Multi-submitter services
-  // allocate per shard (ShardLane::free_locals) instead and leave these
-  // untouched.
-  std::vector<SessionId> free_ids_;
-  SessionId next_id_ = 0;
-
+  std::vector<std::unique_ptr<SubmitterGroup>> groups_;
   std::atomic<std::size_t> active_count_{0};
   std::size_t ring_width_ = 0;        // trigger-ring doubles per session
   std::size_t extractor_doubles_ = 0;  // slab scratch per U_S session
-  /// Per-group routing scratch: group_counts_[g][s - GroupBegin(g)] is
-  /// the per-shard request count of group g's current round. Separate
-  /// allocations per group, so concurrent rounds never share storage.
-  std::vector<std::vector<std::size_t>> group_counts_;
   std::atomic<std::uint64_t> round_{0};
 
   // --- online calibration (DESIGN.md §11) ---

@@ -430,6 +430,25 @@ TEST(DecisionServiceApi, SessionBookkeeping) {
   EXPECT_NE(a, c);
 }
 
+TEST(DecisionServiceApi, SingleSubmitterIdsRecycleMostRecentFirst) {
+  // One submitter group hands out ids 0, 1, 2, ... across the shards and
+  // recycles the most recently closed id first.
+  const World& w = SharedWorld();
+  DecisionService service(
+      ModelFor(w, Signal::kAgentEnsemble,
+               ConfigFor(w, Signal::kAgentEnsemble,
+                         core::DefaultingMode::kPermanent)),
+      DecisionServiceConfig{.shard_count = 3});
+  for (DecisionService::SessionId id = 0; id < 5; ++id) {
+    EXPECT_EQ(service.OpenSession(), id);
+  }
+  service.CloseSession(1);
+  service.CloseSession(3);
+  EXPECT_EQ(service.OpenSession(), 3u);
+  EXPECT_EQ(service.OpenSession(), 1u);
+  EXPECT_EQ(service.OpenSession(), 5u);
+}
+
 TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
   // The memory-diet contract: a U_pi session is SafetyState + its
   // variance-trigger ring + a few registry bytes - no extractor, no
@@ -493,6 +512,35 @@ TEST(DecisionServiceMemory, MeterCategoriesMatchTheStats) {
   EXPECT_EQ(meter.Get("session.extractors"), stats.extractor_bytes);
   EXPECT_EQ(meter.Get("shard.scratch"), stats.scratch_bytes);
   EXPECT_EQ(meter.Total(), stats.TotalBytes());
+}
+
+TEST(DecisionServiceMemory, ScratchShrinksAfterASpike) {
+  // The scratch diet: one 4096-session round grows every lane's packed
+  // matrices and arena; two shrink periods of 8-session rounds later the
+  // lanes must have handed most of it back.
+  const World& w = SharedWorld();
+  DecisionService service(
+      ModelFor(w, Signal::kAgentEnsemble,
+               ConfigFor(w, Signal::kAgentEnsemble,
+                         core::DefaultingMode::kPermanent)),
+      DecisionServiceConfig{.shard_count = 2});
+  constexpr std::size_t kSpike = 4096;
+  constexpr std::size_t kTrickle = 8;
+  const mdp::State state(w.layout.Size(), 0.0);
+  std::vector<DecisionService::Request> requests;
+  for (std::size_t i = 0; i < kSpike; ++i) {
+    requests.push_back({service.OpenSession(), &state});
+  }
+  std::vector<mdp::Action> out(kSpike);
+  service.DecideBatch(requests, out);
+  const std::size_t spike_scratch = service.MemoryStats().scratch_bytes;
+
+  requests.resize(kTrickle);
+  for (std::size_t round = 0; round < 128; ++round) {
+    service.DecideBatch(requests, out);
+  }
+  EXPECT_LT(service.MemoryStats().scratch_bytes, spike_scratch / 2)
+      << "post-spike scratch " << spike_scratch;
 }
 
 TEST(DecisionServiceApi, InvalidConstructionThrows) {

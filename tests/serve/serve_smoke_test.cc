@@ -7,13 +7,19 @@
 // session set - viewers joining and leaving between epochs - while the
 // workers stay parked, exercising the claim that the epoch ticket's
 // release/acquire edge publishes membership changes to the worker that
-// owns the session's shard. Built into its own binary so the sanitize
+// owns the session's shard. The submitter-group scenarios split 3 shards
+// into 2 groups, each driven by its own thread (open / close / decide /
+// per-group memory stats), and check the answers against a serial
+// single-submitter service. Built into its own binary so the sanitize
 // ctest label can select it; under TSan this exercises the claim that
-// shards touch disjoint sessions and output slots and that the ring/
-// ticket handoff is properly ordered.
+// shards touch disjoint sessions and output slots, that groups share no
+// mutable state, and that the ring/ticket handoff is properly ordered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -217,6 +223,144 @@ TEST(ServeSmoke, SessionChurnAcrossEpochs) {
     }
   }
   EXPECT_EQ(parallel.ActiveSessionCount(), serial.ActiveSessionCount());
+}
+
+/// One viewer of the submitter-group scenarios: the same closed-loop
+/// session under its id in the grouped service and in the reference.
+struct GroupViewer {
+  DecisionService::SessionId grouped = 0;
+  DecisionService::SessionId reference = 0;
+  abr::AbrEnvironment env;
+  mdp::State state;
+  mdp::Action action = 0;  // the grouped service's answer this round
+};
+
+/// 3 shards in 2 submitter groups ([0, 2) and [2, 3)), shard 1 on a
+/// persistent worker. Every round each group's thread optionally churns
+/// its own viewers (close a random one / open a fresh one, when `churn`),
+/// submits its slice through DecideBatch and reads its own memory stats,
+/// concurrently with the other group. The main thread then replays the
+/// churn on a serial single-submitter service, decides all viewers there
+/// and requires identical answers.
+void RunGroupSmoke(const SmokeWorld& w, Signal signal, bool churn) {
+  constexpr std::size_t kGroups = 2;
+  DecisionServiceConfig grouped_config;
+  grouped_config.shard_count = 3;
+  grouped_config.submitter_count = kGroups;
+  DecisionService grouped(SmokeModel(w, signal), grouped_config);
+  ASSERT_EQ(grouped.WorkerCount(), 1u);
+  ASSERT_EQ(grouped.GroupBegin(1), 2u);
+  DecisionServiceConfig reference_config;
+  reference_config.shard_count = 3;
+  reference_config.shard_workers = false;
+  DecisionService reference(SmokeModel(w, signal), reference_config);
+
+  std::vector<std::vector<GroupViewer>> viewers(kGroups);
+  std::vector<std::size_t> next_trace(kGroups);
+  const auto join = [&](std::size_t g) {  // grouped side only
+    GroupViewer v{grouped.OpenSession(g), 0,
+                  abr::AbrEnvironment(w.video, abr::AbrEnvironmentConfig{}),
+                  {}};
+    EXPECT_EQ(DecisionService::GroupOfShard(grouped.ShardOfSession(v.grouped),
+                                            3, kGroups),
+              g);
+    // Consecutive traces alternate ID / OOD, so each group gets both.
+    v.env.SetFixedTrace(w.traces[(next_trace[g]++ + 5 * g) % w.traces.size()]);
+    v.state = v.env.Reset();
+    viewers[g].push_back(std::move(v));
+  };
+  for (std::size_t i = 0; i < kSessions; ++i) join(i % kGroups);
+  for (auto& group : viewers) {
+    for (GroupViewer& v : group) v.reference = reference.OpenSession();
+  }
+
+  std::vector<std::vector<DecisionService::SessionId>> closed(kGroups);
+  std::vector<std::size_t> fresh(kGroups, 0);  // joins this round
+  std::vector<std::size_t> peak(kGroups);
+  std::vector<ServiceMemoryStats> group_stats(kGroups);
+  std::vector<std::mt19937> rngs{std::mt19937(11), std::mt19937(23)};
+  for (std::size_t g = 0; g < kGroups; ++g) peak[g] = viewers[g].size();
+
+  const auto run_group = [&](std::size_t g) {
+    std::vector<GroupViewer>& mine = viewers[g];
+    closed[g].clear();
+    fresh[g] = 0;
+    if (churn) {
+      std::mt19937& rng = rngs[g];
+      if (!mine.empty() && rng() % 3 == 0) {
+        const std::size_t leaver = rng() % mine.size();
+        grouped.CloseSession(mine[leaver].grouped);
+        closed[g].push_back(mine[leaver].reference);
+        mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(leaver));
+      }
+      const std::size_t joins = rng() % 3;  // 0..2 viewers join
+      for (std::size_t j = 0; j < joins; ++j) join(g);
+      fresh[g] = joins;
+      peak[g] = std::max(peak[g], mine.size());
+    }
+    std::vector<DecisionService::Request> requests;
+    for (GroupViewer& v : mine) requests.push_back({v.grouped, &v.state});
+    std::vector<mdp::Action> out(requests.size());
+    grouped.DecideBatch(requests, out);
+    for (std::size_t j = 0; j < mine.size(); ++j) mine[j].action = out[j];
+    group_stats[g] = grouped.MemoryStatsOfGroup(g);
+  };
+
+  std::vector<DecisionService::Request> requests;
+  std::vector<mdp::Action> out;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::thread second(run_group, 1);
+    run_group(0);
+    second.join();
+
+    // Replay the churn on the reference, group by group.
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      for (const auto id : closed[g]) reference.CloseSession(id);
+      for (std::size_t j = viewers[g].size() - fresh[g];
+           j < viewers[g].size(); ++j) {
+        viewers[g][j].reference = reference.OpenSession();
+      }
+    }
+    requests.clear();
+    for (auto& group : viewers) {
+      for (GroupViewer& v : group) requests.push_back({v.reference, &v.state});
+    }
+    out.resize(requests.size());
+    reference.DecideBatch(requests, out);
+    std::size_t j = 0;
+    for (auto& group : viewers) {
+      for (GroupViewer& v : group) {
+        ASSERT_EQ(v.action, out[j++]) << "round " << round;
+        ASSERT_EQ(grouped.Defaulted(v.grouped),
+                  reference.Defaulted(v.reference));
+        ASSERT_EQ(grouped.StepCount(v.grouped),
+                  reference.StepCount(v.reference));
+        mdp::StepResult result = v.env.Step(v.action);
+        v.state = std::move(result.next_state);
+        if (result.done) v.state = v.env.Reset();
+      }
+    }
+
+    // Each group's allocator reuses its own freed ids before minting new
+    // ones, so its slots never exceed its peak live population.
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      EXPECT_EQ(group_stats[g].open_sessions, viewers[g].size());
+      EXPECT_LE(group_stats[g].session_slots, peak[g]) << "group " << g;
+    }
+    EXPECT_EQ(grouped.MemoryStats().open_sessions,
+              grouped.ActiveSessionCount());
+  }
+  EXPECT_EQ(grouped.ActiveSessionCount(), reference.ActiveSessionCount());
+}
+
+TEST(ServeSmoke, SubmitterGroupsMatchSerialService) {
+  const SmokeWorld w = MakeSmokeWorld();
+  RunGroupSmoke(w, Signal::kNovelty, /*churn=*/false);
+  RunGroupSmoke(w, Signal::kAgentEnsemble, /*churn=*/false);
+}
+
+TEST(ServeSmoke, SubmitterGroupChurnStaysWithinPeak) {
+  RunGroupSmoke(MakeSmokeWorld(), Signal::kNovelty, /*churn=*/true);
 }
 
 }  // namespace

@@ -69,6 +69,7 @@
 #include "abr/abr_environment.h"
 #include "net/backend.h"
 #include "net/client.h"
+#include "serve/decision_service.h"
 #include "traces/dataset.h"
 #include "util/arg_parser.h"
 #include "util/memory_meter.h"
@@ -138,18 +139,6 @@ std::vector<std::vector<mdp::State>> RecordSequences(
   return sequences;
 }
 
-/// The edge owning `shard` under the service's contiguous group split
-/// (sizes differ by at most one, wider groups first; mirrors
-/// DecisionService::GroupBegin).
-std::size_t EdgeOfShard(std::size_t shard, std::size_t shards,
-                        std::size_t edges) {
-  const std::size_t base = shards / edges;
-  const std::size_t rem = shards % edges;
-  const std::size_t wide = rem * (base + 1);  // shards in base+1 groups
-  return shard < wide ? shard / (base + 1)
-                      : rem + (shard - wide) / base;
-}
-
 /// Redials until `client` holds a connection on `target_edge`, detected
 /// by opening a throwaway probe session and deriving the edge from the
 /// granted id (ids are edge-affine: id % shards lands in the opening
@@ -164,8 +153,8 @@ void AcquireEdge(net::Client& client, const std::string& host,
   for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
     if (!client.Connected()) client.Connect(host, port);
     const std::uint64_t probe = client.OpenSession();
-    const std::size_t edge =
-        EdgeOfShard(static_cast<std::size_t>(probe % shards), shards, edges);
+    const std::size_t edge = serve::DecisionService::GroupOfShard(
+        static_cast<std::size_t>(probe % shards), shards, edges);
     client.CloseSession(probe);
     if (edge == target_edge) return;
     client.Close();  // reconnect re-rolls the 4-tuple hash
