@@ -13,6 +13,8 @@
 //     DecisionService; a round is a single DecideBatch over all N
 //     sessions (per shard: one fused ensemble pass / one OC-SVM scan over
 //     the whole batch + one batched deployed-actor pass).
+//   - BM_ServeServiceDefaulted*: the service round with a chosen share of
+//     the sessions already defaulted (args {sessions, defaulted %}).
 // Args are {sessions} for the sequential arm and {sessions, shards} for
 // the service. decisions_per_s is a REAL-TIME rate (wall clock around the
 // decision loop - the service arm is multi-threaded, so CPU-time rates
@@ -169,6 +171,9 @@ std::shared_ptr<const serve::ServingModel> SharedModel(core::Scheme scheme) {
 }
 
 /// One-session-at-a-time baseline: N private SafeAgents polled in a loop.
+/// Like the service arms (TimeServiceRounds), every session is held live:
+/// an agent that defaults is reset between rounds, so both arms keep
+/// scoring every decision however long the benchmark runs.
 void RunSequential(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
   core::Workbench& bench = SharedBench();
@@ -196,6 +201,9 @@ void RunSequential(benchmark::State& state, core::Scheme scheme) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     ++round;
+    for (auto& agent : agents) {
+      if (agent->Defaulted()) agent->Reset();
+    }
   }
   if (wall_seconds > 0.0) {
     state.counters["decisions_per_s"] =
@@ -204,15 +212,21 @@ void RunSequential(benchmark::State& state, core::Scheme scheme) {
   }
 }
 
-/// Sharded service: one DecideBatch over all N sessions per round.
-void RunService(benchmark::State& state, core::Scheme scheme) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  serve::DecisionServiceConfig cfg;
-  cfg.shard_count = shards;
-  serve::DecisionService service(SharedModel(scheme), cfg);
-  std::vector<serve::DecisionService::SessionId> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
+/// Times DecideBatch rounds of every session in `ids` over the pooled
+/// states, after one untimed warmup round, and reports the round
+/// latency percentiles (p50_us / p99_us) and decisions_per_s. Sessions
+/// [live_begin, n) are held live: one that defaults on the pool's
+/// out-of-distribution states is closed and reopened between rounds
+/// (outside the round clock behind p50_us / p99_us / decisions_per_s),
+/// so the defaulted share stays where the caller set it instead of
+/// drifting up with the iteration count - defaulted sessions skip
+/// scoring, so a drifting share would make the round cost depend on how
+/// long the benchmark ran.
+void TimeServiceRounds(benchmark::State& state,
+                       serve::DecisionService& service,
+                       std::vector<serve::DecisionService::SessionId>& ids,
+                       std::size_t live_begin) {
+  const std::size_t n = ids.size();
   std::vector<serve::DecisionService::Request> requests(n);
   std::vector<mdp::Action> actions(n);
   StatePool();  // materialize outside the timed region
@@ -226,6 +240,11 @@ void RunService(benchmark::State& state, core::Scheme scheme) {
   std::vector<double> round_us;
   std::size_t round = 0;
   for (auto _ : state) {
+    for (std::size_t i = live_begin; i < n; ++i) {
+      if (!service.Defaulted(ids[i])) continue;
+      service.CloseSession(ids[i]);
+      ids[i] = service.OpenSession();
+    }
     for (std::size_t i = 0; i < n; ++i) {
       requests[i] = {ids[i], &PooledState(i, round)};
     }
@@ -247,6 +266,78 @@ void RunService(benchmark::State& state, core::Scheme scheme) {
         static_cast<double>(round_us.size()) * static_cast<double>(n) /
         (wall_us * 1e-6);
   }
+}
+
+/// Sharded service: one DecideBatch over all N sessions per round.
+void RunService(benchmark::State& state, core::Scheme scheme) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  serve::DecisionServiceConfig cfg;
+  cfg.shard_count = static_cast<std::size_t>(state.range(1));
+  serve::DecisionService service(SharedModel(scheme), cfg);
+  std::vector<serve::DecisionService::SessionId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
+  TimeServiceRounds(state, service, ids, 0);
+}
+
+/// Two alternating network extremes (throughput taps at 0.05 Mbps with
+/// 10 s downloads, then 50 Mbps with 1 ms downloads) grafted onto a
+/// pooled state: every signal reads the swing as out-of-distribution -
+/// the OC-SVM flags the throughput window, the ensembles' scores swing
+/// with it and blow up the trigger-window variance.
+const std::vector<mdp::State>& StormStates() {
+  static const std::vector<mdp::State>* storm = [] {
+    const abr::AbrStateLayout& layout = SharedBench().layout();
+    auto* out = new std::vector<mdp::State>();
+    for (const double mbps : {0.05, 50.0}) {
+      mdp::State s = StatePool()[StatePool().size() / 4];
+      for (std::size_t t = 0; t < layout.history; ++t) {
+        s[layout.ThroughputBegin() + t] =
+            mbps / abr::AbrStateLayout::kThroughputNormMbps;
+        s[layout.DownloadTimeBegin() + t] =
+            (mbps < 1.0 ? 10.0 : 0.001) /
+            abr::AbrStateLayout::kDownloadTimeNormSeconds;
+      }
+      out->push_back(std::move(s));
+    }
+    return out;
+  }();
+  return *storm;
+}
+
+/// Defaulted-share axis: the BM_ServeService round ({sessions}, one
+/// shard) with {share}% of the sessions already defaulted. Before timing,
+/// the first sessions*share/100 sessions alone replay StormStates()
+/// until each has defaulted (checked: exactly that share is defaulted,
+/// reported as defaulted_share); then every session takes the timed
+/// rounds over the pooled states, the rest held live. Defaulted sessions
+/// are answered before the shard packs (DESIGN.md §9), so at 90% a U_pi /
+/// U_V round should approach the Buffer-Based cost.
+void RunServiceDefaulted(benchmark::State& state, core::Scheme scheme) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto target = n * static_cast<std::size_t>(state.range(1)) / 100;
+  serve::DecisionService service(SharedModel(scheme));
+  std::vector<serve::DecisionService::SessionId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
+  const std::vector<mdp::State>& storm = StormStates();
+  std::vector<serve::DecisionService::Request> requests;
+  std::vector<mdp::Action> actions(target);
+  for (std::size_t round = 0; round < 256; ++round) {
+    requests.clear();
+    for (std::size_t i = 0; i < target; ++i) {
+      if (service.Defaulted(ids[i])) continue;
+      requests.push_back({ids[i], &storm[round % storm.size()]});
+    }
+    if (requests.empty()) break;
+    service.DecideBatch(requests, actions);
+  }
+  std::size_t defaulted = 0;
+  for (const auto id : ids) defaulted += service.Defaulted(id) ? 1 : 0;
+  OSAP_CHECK_MSG(defaulted == target,
+                 "BM_ServeServiceDefaulted: the storm did not default "
+                 "exactly the requested share");
+  state.counters["defaulted_share"] =
+      static_cast<double>(defaulted) / static_cast<double>(n);
+  TimeServiceRounds(state, service, ids, target);
 }
 
 /// Memory sweep: bytes/session at scale. One iteration builds a service,
@@ -471,6 +562,15 @@ void BM_ServeServiceUpi(benchmark::State& state) {
 void BM_ServeServiceUv(benchmark::State& state) {
   RunService(state, core::Scheme::kValueEnsemble);
 }
+void BM_ServeServiceDefaultedUs(benchmark::State& state) {
+  RunServiceDefaulted(state, core::Scheme::kNoveltyDetection);
+}
+void BM_ServeServiceDefaultedUpi(benchmark::State& state) {
+  RunServiceDefaulted(state, core::Scheme::kAgentEnsemble);
+}
+void BM_ServeServiceDefaultedUv(benchmark::State& state) {
+  RunServiceDefaulted(state, core::Scheme::kValueEnsemble);
+}
 void BM_NetServeUs(benchmark::State& state, net::BackendKind backend) {
   RunNetServe(state, core::Scheme::kNoveltyDetection, backend);
 }
@@ -507,6 +607,17 @@ BENCHMARK(BM_ServeServiceUpi)
 BENCHMARK(BM_ServeServiceUv)
     ->Args({64, 1})->Args({256, 1})->Args({1000, 1})->Args({1000, 4})
     ->Args({1000, 8})->Args({1000, 16})
+    ->Unit(benchmark::kMillisecond);
+// Defaulted-share axis, named BM_ServeServiceDefaulted*/{sessions}/
+// {defaulted %} (one shard).
+BENCHMARK(BM_ServeServiceDefaultedUs)
+    ->ArgsProduct({{64, 1000}, {0, 50, 90}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeServiceDefaultedUpi)
+    ->ArgsProduct({{64, 1000}, {0, 50, 90}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeServiceDefaultedUv)
+    ->ArgsProduct({{64, 1000}, {0, 50, 90}})
     ->Unit(benchmark::kMillisecond);
 // Network-edge arm, named BM_NetServe*/{epoll,uring}/{sessions}/{shards}/
 // {edge_threads}. The single-edge points measure per-round wire overhead

@@ -18,8 +18,12 @@ SafeAgent::SafeAgent(std::shared_ptr<mdp::Policy> learned,
 }
 
 mdp::Action SafeAgent::SelectAction(const mdp::State& state) {
-  // The estimator observes every step (it maintains sliding windows even
-  // while defaulted, which is what makes revocation meaningful).
+  // A kPermanent session that has defaulted answers from the fallback
+  // without scoring: its score can never change a decision again.
+  if (core_.StepDefaulted()) return fallback_->SelectAction(state);
+  // Otherwise the estimator scores this step: every step until a default,
+  // and in kRevocable every step after it too (its sliding windows are
+  // what make revocation meaningful).
   const double score = estimator_->Score(state);
   if (core_.Observe(score)) {
     return fallback_->SelectAction(state);

@@ -163,6 +163,27 @@ inline bool SafetyObserveLive(const SafeAgentConfig& config,
   return false;
 }
 
+/// The defaulted-session short cut both decision paths take before any
+/// scoring work: in kPermanent mode a defaulted session answers from the
+/// default policy for the rest of its life, so its score can never
+/// change a decision again. When `mode == kPermanent && state.defaulted`
+/// this counts the step (steps and defaulted_steps, exactly as
+/// SafetyObserve would) and returns true - the caller answers from the
+/// fallback and skips the estimator, the trigger and any statistic.
+/// Otherwise it touches nothing and returns false, and the caller takes
+/// the full SafetyObserve path (kRevocable always does: revocation needs
+/// the quiet streak). Skipping leaves the trigger window stale, which
+/// nothing reads once a permanent default has happened.
+inline bool SafetyStepDefaulted(const SafeAgentConfig& config,
+                                SafetyState& state) {
+  if (config.mode != DefaultingMode::kPermanent || !state.defaulted) {
+    return false;
+  }
+  ++state.steps;
+  ++state.defaulted_steps;
+  return true;
+}
+
 /// One decision step at the config's own threshold (the fixed 0.5 score
 /// cut for the binary trigger, `config.trigger.alpha` for the variance
 /// trigger). The bit-pinned reference arm every equivalence test runs.
@@ -185,6 +206,10 @@ class SafetyCore {
   bool Observe(double score) {
     return SafetyObserve(config_, state_, cold_, ring_.data(), score);
   }
+
+  /// SafetyStepDefaulted on this session: true (step counted) when a
+  /// kPermanent session has defaulted and needs no score this step.
+  bool StepDefaulted() { return SafetyStepDefaulted(config_, state_); }
 
   void Reset();
 

@@ -389,8 +389,25 @@ void DecisionService::RunShard(std::size_t shard,
                                std::span<const std::size_t> idx) {
   ShardLane& s = *shards_[shard];
   SessionTable& table = s.sessions;
-  const std::size_t count = idx.size();
+  const core::SafeAgentConfig& safety = model_->safety();
+
+  // Compact before packing: a kPermanent session that has defaulted is
+  // answered from the fallback mapping right here (SafetyStepDefaulted
+  // counts its step), so it costs no pack row, no ensemble pass or
+  // extractor push, and no trigger statistic. Everything below runs over
+  // the live requests only; kRevocable sessions are always live.
+  const std::span<std::size_t> live = s.arena.Alloc<std::size_t>(idx.size());
+  std::size_t count = 0;
+  for (const std::size_t i : idx) {
+    const Request& r = requests[i];
+    if (core::SafetyStepDefaulted(safety, table.hot[LocalOf(r.session)])) {
+      out[i] = model_->FallbackAction(*r.state);
+    } else {
+      live[count++] = i;
+    }
+  }
   if (count == 0) return;
+  idx = live.first(count);
 
   const std::size_t input = model_->InputSize();
   const std::span<double> scores = s.arena.Alloc<double>(count);
@@ -450,7 +467,6 @@ void DecisionService::RunShard(std::size_t shard,
   // answering fallback sessions immediately and collecting the rest for
   // one batched deployed-actor pass (unless the scoring pass already
   // produced their actions).
-  const core::SafeAgentConfig& safety = model_->safety();
   const std::span<std::size_t> learned_of = s.arena.Alloc<std::size_t>(count);
   std::size_t learned = 0;
   if (config_.online_calibration) {

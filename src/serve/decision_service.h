@@ -4,7 +4,14 @@
 // requests by micro-batching across sessions. Sessions are assigned to
 // shards round-robin (slot % shard_count); one DecideBatch call routes
 // each pending request to its shard, and each shard
-//   1. packs its pending sessions' states into one contiguous matrix,
+//   0. answers every kPermanent session that has already defaulted from
+//      the Buffer-Based mapping (core::SafetyStepDefaulted counts its
+//      step) - such a session's score can never change a decision again,
+//      so it is never packed, scored or pushed through its trigger;
+//      kRevocable sessions always take steps 1-4 (revocation needs the
+//      quiet streak),
+//   1. packs its remaining (live) sessions' states into one contiguous
+//      matrix,
 //   2. computes every session's uncertainty score with a single fused
 //      pass over the SHARED model weights (EnsembleModel::ScorePacked for
 //      U_pi / U_V; staged feature rows + one OneClassSvm::DecisionValues
@@ -29,6 +36,15 @@
 // disjoint out[] entries, so batched decisions stay bit-identical to the
 // sequential SafeAgent loop for all three signals in both defaulting
 // modes (pinned by equivalence tests).
+//
+// Online calibration (DecisionServiceConfig::online_calibration) learns
+// only from sessions still on the learned policy: a kPermanent session
+// that has defaulted produces no trigger statistic (step 0 above), so it
+// never reaches its lane's P² sketch or the coverage counters
+// (CalibrationObservations / CalibrationExceedances). The live threshold
+// is therefore the quantile of the statistics the trigger actually
+// compared for a decision that could still go either way - the "only
+// learn from trusted traffic" gate (DESIGN.md §11.2).
 //
 // Submitter groups (DecisionServiceConfig::submitter_count): the shard
 // range is partitioned into submitter_count contiguous groups, and every
@@ -130,8 +146,9 @@ struct DecisionServiceConfig {
   /// Bounds the per-shard slice of a DecideBatch, not total sessions.
   std::size_t lane_capacity_bound = 0;
 
-  /// Online conformal calibration (DESIGN.md §11): every decision's
-  /// trigger statistic (the full-window variance) feeds a per-shard
+  /// Online conformal calibration (DESIGN.md §11): every live decision's
+  /// trigger statistic (the full-window variance; defaulted kPermanent
+  /// sessions produce none, see the file comment) feeds a per-shard
   /// windowed P² sketch, and decisions compare against a live threshold
   /// (one lock-free atomic load per shard epoch) instead of the model's
   /// frozen alpha. Each lane publishes its sketch into a shared
@@ -271,7 +288,9 @@ class DecisionService {
   }
   /// Trigger statistics observed / found above the then-live threshold,
   /// as of each lane's last publication (counters advance at the
-  /// calibration_refresh_epochs cadence, not per decision).
+  /// calibration_refresh_epochs cadence, not per decision). Only live
+  /// sessions with a full trigger window contribute; defaulted kPermanent
+  /// sessions never do.
   std::uint64_t CalibrationObservations() const {
     return calibration_observations_.load(std::memory_order_relaxed);
   }

@@ -31,6 +31,7 @@ class ScriptedEstimator final : public UncertaintyEstimator {
     ++resets;
   }
   double Score(const mdp::State&) override {
+    ++score_calls;
     const double s =
         index_ < scores_.size() ? scores_[index_] : scores_.back();
     ++index_;
@@ -39,6 +40,7 @@ class ScriptedEstimator final : public UncertaintyEstimator {
   bool Ready() const override { return true; }
   std::string Name() const override { return "scripted"; }
   int resets = 0;
+  int score_calls = 0;
 
  private:
   std::vector<double> scores_;
@@ -94,6 +96,38 @@ TEST(SafeAgent, PermanentModeNeverRevokes) {
   for (int i = 0; i < 50; ++i) agent.SelectAction(s);
   EXPECT_TRUE(agent.Defaulted());
   EXPECT_EQ(agent.SelectAction(s), 0);
+}
+
+TEST(SafeAgent, PermanentModeStopsScoringAfterDefault) {
+  // Two certain steps, then uncertain for good: with l=2 the agent
+  // defaults at step 3. From then on a kPermanent agent answers from the
+  // fallback without consulting the estimator, while its step counters
+  // keep advancing; a kRevocable agent must keep scoring every step.
+  const std::vector<double> scores = {0.0, 0.0, 1.0, 1.0};
+  for (const DefaultingMode mode :
+       {DefaultingMode::kPermanent, DefaultingMode::kRevocable}) {
+    SCOPED_TRACE(mode == DefaultingMode::kPermanent ? "permanent"
+                                                    : "revocable");
+    auto learned = std::make_shared<FixedPolicy>(5);
+    auto fallback = std::make_shared<FixedPolicy>(0);
+    auto estimator = std::make_shared<ScriptedEstimator>(scores);
+    SafeAgentConfig cfg = BinaryConfig(2);
+    cfg.mode = mode;
+    SafeAgent agent(learned, fallback, estimator, cfg);
+    const mdp::State s;
+    for (std::size_t i = 0; i < scores.size(); ++i) agent.SelectAction(s);
+    ASSERT_TRUE(agent.Defaulted());
+    EXPECT_EQ(agent.DefaultStep(), 3u);
+    EXPECT_EQ(estimator->score_calls, 4);
+
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(agent.SelectAction(s), 0);
+    EXPECT_TRUE(agent.Defaulted());
+    EXPECT_EQ(agent.StepCount(), 14u);
+    // Steps 3..13 defaulted -> 11/14.
+    EXPECT_DOUBLE_EQ(agent.DefaultedFraction(), 11.0 / 14.0);
+    EXPECT_EQ(estimator->score_calls,
+              mode == DefaultingMode::kPermanent ? 4 : 14);
+  }
 }
 
 TEST(SafeAgent, RevocableModeReturnsAfterQuietPeriod) {

@@ -76,8 +76,9 @@ std::shared_ptr<core::UncertaintyEstimator> MakeEstimator(const World& w,
 
 /// Calibrates a variance-trigger threshold from a probe run: drives every
 /// trace with the deployed greedy policy, collects the k-window variances
-/// of the estimator's scores and returns their 40th percentile, so the
-/// trigger fires on some sessions and stays quiet on others.
+/// of the estimator's scores and returns their 90th percentile, so the
+/// trigger fires on some sessions (several mid-session) and stays quiet
+/// on others (pinned by DecisionServiceEquivalenceSanity).
 double CalibratedAlpha(const World& w, Signal signal) {
   auto estimator = MakeEstimator(w, signal);
   policies::PensievePolicy deployed(w.agents.front(),
@@ -98,7 +99,7 @@ double CalibratedAlpha(const World& w, Signal signal) {
     }
   }
   std::sort(variances.begin(), variances.end());
-  return variances[variances.size() * 2 / 5];
+  return variances[variances.size() * 9 / 10];
 }
 
 const World& SharedWorld() {
@@ -189,6 +190,7 @@ struct SessionOutcome {
   std::vector<mdp::Action> actions;
   bool defaulted = false;
   std::size_t steps = 0;
+  std::size_t default_step = 0;
   double defaulted_fraction = 0.0;
 };
 
@@ -216,6 +218,7 @@ std::vector<SessionOutcome> RunSequential(const World& w, Signal signal,
     }
     outcomes[i].defaulted = agent.Defaulted();
     outcomes[i].steps = agent.StepCount();
+    outcomes[i].default_step = agent.DefaultStep();
     outcomes[i].defaulted_fraction = agent.DefaultedFraction();
   }
   return outcomes;
@@ -339,15 +342,28 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DecisionServiceEquivalenceSanity, OutOfDistributionSessionsDefault) {
   // The equivalence runs are only meaningful if the trigger actually
-  // fires somewhere: the Belgium 4G viewers must drive U_S to default
-  // while at least one Norway 3G viewer stays on the learned policy.
+  // fires somewhere, for every signal: some viewers must default while at
+  // least one stays on the learned policy, and at least one must default
+  // mid-session, so the kPermanent arms answer its remaining steps
+  // through the serving path's defaulted-session skip (and the
+  // kRevocable arms keep scoring them).
   const World& w = SharedWorld();
-  const auto outcomes =
-      RunSequential(w, Signal::kNovelty, core::DefaultingMode::kPermanent);
-  std::size_t defaulted = 0;
-  for (const auto& outcome : outcomes) defaulted += outcome.defaulted;
-  EXPECT_GE(defaulted, 1u);
-  EXPECT_LT(defaulted, kSessions);
+  for (const Signal signal : {Signal::kNovelty, Signal::kAgentEnsemble,
+                              Signal::kValueEnsemble}) {
+    SCOPED_TRACE("signal " + std::to_string(static_cast<int>(signal)));
+    const auto outcomes =
+        RunSequential(w, signal, core::DefaultingMode::kPermanent);
+    std::size_t defaulted = 0;
+    std::size_t mid_session = 0;
+    for (const auto& outcome : outcomes) {
+      defaulted += outcome.defaulted;
+      mid_session += outcome.defaulted && outcome.default_step > 0 &&
+                     outcome.default_step + 1 < outcome.steps;
+    }
+    EXPECT_GE(defaulted, 1u);
+    EXPECT_LT(defaulted, kSessions);
+    EXPECT_GE(mid_session, 1u);
+  }
 }
 
 TEST(DecisionServiceApi, DuplicateSessionInOneBatchThrows) {

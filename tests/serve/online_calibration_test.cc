@@ -1,15 +1,19 @@
 // DecisionService online-calibration arm (DESIGN.md §11).
 //
-// Three properties: (1) before the first sketch publication the online
+// Four properties: (1) before the first sketch publication the online
 // arm is BIT-IDENTICAL to the frozen service (the live threshold starts
 // at the model's trigger alpha, and SafetyObserveLive is the same
 // arithmetic SafetyObserve forwards to); (2) once lanes publish at the
 // refresh cadence, the live threshold moves to the sketches' quantile
-// and the coverage counters advance; (3) the config is validated up
-// front (window-variance triggers only, epsilon in (0,1)).
+// and the coverage counters advance; (3) only sessions still on the
+// learned policy feed the sketches - defaulted sessions never do; (4)
+// the config is validated up front (window-variance triggers only,
+// epsilon in (0,1)).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -72,9 +76,12 @@ std::shared_ptr<const ServingModel> UpiModel(const World& w, double alpha) {
 }
 
 /// Streams every session to completion through lockstep DecideBatch
-/// rounds; returns each session's action sequence.
-std::vector<std::vector<mdp::Action>> RunSessions(DecisionService& service,
-                                          const World& w) {
+/// rounds; returns each session's action sequence. `before_round`, when
+/// set, sees each round's requests just before they are decided.
+std::vector<std::vector<mdp::Action>> RunSessions(
+    DecisionService& service, const World& w,
+    const std::function<void(std::span<const DecisionService::Request>)>&
+        before_round = {}) {
   std::vector<DecisionService::SessionId> ids(kSessions);
   std::vector<abr::AbrEnvironment> envs;
   std::vector<mdp::State> states(kSessions);
@@ -99,6 +106,7 @@ std::vector<std::vector<mdp::Action>> RunSessions(DecisionService& service,
     }
     if (requests.empty()) break;
     answers.resize(requests.size());
+    if (before_round) before_round(requests);
     service.DecideBatch(requests, answers);
     for (std::size_t j = 0; j < requests.size(); ++j) {
       const std::size_t i = of[j];
@@ -166,6 +174,40 @@ TEST(OnlineCalibration, PublishesSketchQuantileAndCoverageCounters) {
       static_cast<double>(service.CalibrationObservations());
   EXPECT_GE(rate, 0.0);
   EXPECT_LT(rate, 0.9);
+}
+
+TEST(OnlineCalibration, DefaultedSessionsFeedNoSketch) {
+  // The trust gate (DESIGN.md §11.2): only sessions still on the learned
+  // policy feed the sketches. A kPermanent session that has defaulted is
+  // answered before scoring and yields no trigger statistic; a live one
+  // yields exactly one once its k-window is full. With every lane epoch
+  // publishing, the observation counter after each round is therefore
+  // the running count of (live, window full this step) requests.
+  const World& w = SharedWorld();
+  DecisionServiceConfig cfg;
+  cfg.shard_count = 2;
+  cfg.online_calibration = true;
+  cfg.calibration_miscoverage = 0.25;
+  cfg.calibration_window = 64;
+  cfg.calibration_refresh_epochs = 1;
+  DecisionService service(UpiModel(w, 1e-4), cfg);
+  std::uint64_t expected = 0;
+  std::size_t defaulted_requests = 0;
+  RunSessions(service, w,
+              [&](std::span<const DecisionService::Request> round) {
+                EXPECT_EQ(service.CalibrationObservations(), expected);
+                for (const DecisionService::Request& r : round) {
+                  if (service.Defaulted(r.session)) {
+                    ++defaulted_requests;
+                  } else if (service.StepCount(r.session) + 1 >= kTriggerK) {
+                    ++expected;
+                  }
+                }
+              });
+  EXPECT_EQ(service.CalibrationObservations(), expected);
+  // The rule was exercised: defaulted sessions kept requesting decisions.
+  EXPECT_GT(defaulted_requests, 0u);
+  EXPECT_GT(expected, 0u);
 }
 
 TEST(OnlineCalibration, MemoryStatsCountSketchScratch) {
