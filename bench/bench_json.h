@@ -7,6 +7,8 @@
 // emitted as extra `"name:counter"` entries - except rate counters
 // (`*_per_s`), which are console-only: every sidecar entry must be
 // lower-is-better so bench_diff.py's regression direction stays uniform.
+// Under --benchmark_repetitions=N (N > 1) each benchmark's entries are its
+// median aggregate across the repetitions, under the plain benchmark name.
 // The OSAP_BENCH_JSON environment variable overrides the sidecar path, so
 // several ctest gates can run one binary with different filters without
 // clobbering each other's baselines.
@@ -25,29 +27,34 @@
 
 namespace osap::bench {
 
-/// Console reporter that also accumulates per-iteration timings and, on
+/// Console reporter that also accumulates per-benchmark timings and, on
 /// Finalize, writes them as a flat JSON object (name -> ns/op, plus
-/// name:counter -> value for non-rate counters). Aggregate rows
-/// (mean/median/stddev from --benchmark_repetitions) are excluded so the
-/// map stays one-entry-per-benchmark.
+/// name:counter -> value for non-rate counters). The map stays
+/// one-entry-per-benchmark: without repetitions that entry is the single
+/// iteration row; with --benchmark_repetitions > 1 it is the median
+/// aggregate (keyed by the plain name, without the "_median" suffix), and
+/// the per-repetition rows and the other aggregates are left out.
 class JsonSidecarReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonSidecarReporter(std::string path) : path_(std::move(path)) {}
 
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (!Recorded(run)) continue;
+      const std::string name = run.run_name.str();
+      // An aggregate's accumulated time is rescaled so that dividing by
+      // its iterations (the repetition count) yields the per-op statistic.
       const double ns_per_op =
           run.iterations == 0
               ? 0.0
               : run.real_accumulated_time /
                     static_cast<double>(run.iterations) * 1e9;
-      entries_.emplace_back(run.benchmark_name(), ns_per_op);
+      entries_.emplace_back(name, ns_per_op);
       for (const auto& [counter_name, counter] : run.counters) {
         // Rates invert the bigger-is-worse convention the diff gates
         // assume; keep them out of the gated sidecar.
         if (std::string_view(counter_name).ends_with("_per_s")) continue;
-        entries_.emplace_back(run.benchmark_name() + ":" + counter_name,
+        entries_.emplace_back(name + ":" + counter_name,
                               static_cast<double>(counter.value));
       }
     }
@@ -70,6 +77,16 @@ class JsonSidecarReporter : public benchmark::ConsoleReporter {
   }
 
  private:
+  /// The one row per benchmark the sidecar keeps.
+  static bool Recorded(const Run& run) {
+    if (run.error_occurred) return false;
+    if (run.repetitions > 1) {
+      return run.run_type == Run::RT_Aggregate &&
+             run.aggregate_name == "median";
+    }
+    return run.run_type == Run::RT_Iteration;
+  }
+
   static std::string Escaped(const std::string& s) {
     std::string out;
     for (char c : s) {

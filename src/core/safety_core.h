@@ -76,34 +76,24 @@ inline std::size_t SafetyRingDoubles(const SafeAgentConfig& config) {
              : 0;
 }
 
-/// One decision step of the defaulting state machine with an explicit
-/// trigger threshold: feeds `score` through the trigger
-/// (DefaultTrigger::Update semantics, with the sliding window living in
-/// `ring`) and the defaulting/revocation logic, comparing against
-/// `alpha` instead of the threshold baked into `config` (for the binary
-/// trigger, `alpha` replaces the fixed 0.5 score cut). When
-/// `statistic_out` is non-null, the trigger statistic actually compared
-/// this step (the full-window variance, or the raw score for the binary
-/// trigger) is written to it; it is left untouched on warm-up steps
-/// whose window is not yet full. This is the online-calibration entry
-/// point: the serving path reads `alpha` from an atomic snapshot and
-/// feeds `*statistic_out` to its per-shard quantile sketch
-/// (DESIGN.md §11). `ring` must hold SafetyRingDoubles(config) doubles
-/// (may be null for the binary trigger). Returns true when this step's
-/// action must come from the default policy. `config` must be
-/// validated.
-inline bool SafetyObserveLive(const SafeAgentConfig& config,
-                              SafetyState& state, SafetyCold& cold,
-                              double* ring, double score, double alpha,
-                              double* statistic_out) {
+/// One decision step of the defaulting state machine: feeds `score`
+/// through the trigger (DefaultTrigger::Update semantics, with the
+/// sliding window living in `ring`) and the defaulting/revocation logic.
+/// The threshold is the config's own: the fixed 0.5 score cut for the
+/// binary trigger, `config.trigger.alpha` (the replay bisection's frozen
+/// alpha) for the variance trigger. `ring` must hold
+/// SafetyRingDoubles(config) doubles (may be null for the binary
+/// trigger). Returns true when this step's action must come from the
+/// default policy. `config` must be validated.
+inline bool SafetyObserve(const SafeAgentConfig& config, SafetyState& state,
+                          SafetyCold& cold, double* ring, double score) {
   // Trigger half: replicates DefaultTrigger::Update (and the
   // SlidingWindowStats push/variance arithmetic it wraps) operation for
   // operation - the float story must match the sequential path exactly.
   bool uncertain = false;
   switch (config.trigger.mode) {
     case TriggerMode::kBinary:
-      uncertain = score >= alpha;
-      if (statistic_out != nullptr) *statistic_out = score;
+      uncertain = score >= 0.5;
       break;
     case TriggerMode::kWindowVariance: {
       const auto k = static_cast<std::uint32_t>(config.trigger.k);
@@ -125,8 +115,7 @@ inline bool SafetyObserveLive(const SafeAgentConfig& config,
         const double m = state.win_sum / n;
         // Guard against tiny negative values from cancellation.
         const double variance = std::max(0.0, state.win_sq / n - m * m);
-        uncertain = variance > alpha;
-        if (statistic_out != nullptr) *statistic_out = variance;
+        uncertain = variance > config.trigger.alpha;
       }
       break;
     }
@@ -169,7 +158,7 @@ inline bool SafetyObserveLive(const SafeAgentConfig& config,
 /// change a decision again. When `mode == kPermanent && state.defaulted`
 /// this counts the step (steps and defaulted_steps, exactly as
 /// SafetyObserve would) and returns true - the caller answers from the
-/// fallback and skips the estimator, the trigger and any statistic.
+/// fallback and skips the estimator and the trigger.
 /// Otherwise it touches nothing and returns false, and the caller takes
 /// the full SafetyObserve path (kRevocable always does: revocation needs
 /// the quiet streak). Skipping leaves the trigger window stale, which
@@ -182,18 +171,6 @@ inline bool SafetyStepDefaulted(const SafeAgentConfig& config,
   ++state.steps;
   ++state.defaulted_steps;
   return true;
-}
-
-/// One decision step at the config's own threshold (the fixed 0.5 score
-/// cut for the binary trigger, `config.trigger.alpha` for the variance
-/// trigger). The bit-pinned reference arm every equivalence test runs.
-inline bool SafetyObserve(const SafeAgentConfig& config, SafetyState& state,
-                          SafetyCold& cold, double* ring, double score) {
-  return SafetyObserveLive(
-      config, state, cold, ring, score,
-      config.trigger.mode == TriggerMode::kBinary ? 0.5
-                                                  : config.trigger.alpha,
-      nullptr);
 }
 
 class SafetyCore {

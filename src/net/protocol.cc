@@ -54,10 +54,9 @@ void AppendReplyFrame(std::vector<std::uint8_t>& out, const Reply& reply,
     PutU64(out, stats->epochs);
     PutU64(out, stats->connections);
     PutU64(out, stats->errors);
-    PutU64(out, stats->calibration_active);
-    PutU64(out, stats->calibration_alpha_bits);
-    PutU64(out, stats->calibration_observed);
-    PutU64(out, stats->calibration_exceeded);
+    for (std::size_t i = 0; i < kServerStatsReservedWords; ++i) {
+      PutU64(out, 0);
+    }
   }
 }
 
@@ -127,10 +126,6 @@ DecodeResult DecodeReply(std::span<const std::uint8_t> body, Reply& out,
     stats->epochs = GetU64(s + 48);
     stats->connections = GetU64(s + 56);
     stats->errors = GetU64(s + 64);
-    stats->calibration_active = GetU64(s + 72);
-    stats->calibration_alpha_bits = GetU64(s + 80);
-    stats->calibration_observed = GetU64(s + 88);
-    stats->calibration_exceeded = GetU64(s + 96);
   }
   return DecodeResult::kOk;
 }

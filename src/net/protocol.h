@@ -13,7 +13,8 @@
 //               | [STEP only] u32 state_dim | f64 state[state_dim]
 //   reply    := u32 body_len | u8 version | u8 type | u8 status | u8 flags
 //               | i32 action | u64 request_id | u64 session_id | u64 epoch
-//               | [STATS + kOk only] ServerStats (13 x u64)
+//               | [STATS + kOk only] ServerStats (9 x u64)
+//                 | u64 reserved[4] (always 0)
 //
 // request_id is chosen by the client and echoed verbatim, so a pipelined
 // client can match replies to in-flight requests without assuming FIFO
@@ -38,8 +39,9 @@ namespace osap::net {
 
 /// Protocol version carried in every frame. Bump on any layout change.
 /// v2: ServerStats grew the `errors` counter (kError replies sent).
-/// v3: ServerStats grew the online-calibration block (live threshold,
-///     observation / exceedance counters; DESIGN.md §11).
+/// v3: ServerStats grew a four-word block for a since-removed online
+///     threshold arm; the words are now reserved and always zero
+///     (kServerStatsReservedWords, DESIGN.md §10.1).
 inline constexpr std::uint8_t kProtocolVersion = 3;
 
 /// Frames larger than this are a protocol violation (a STEP carries one
@@ -95,7 +97,8 @@ struct Reply {
   bool Defaulted() const { return (flags & kFlagDefaulted) != 0; }
 };
 
-/// Extended payload of a successful STATS reply.
+/// Extended payload of a successful STATS reply. On the wire it is
+/// followed by kServerStatsReservedWords zero words (v3 layout).
 struct ServerStats {
   std::uint64_t open_sessions = 0;
   std::uint64_t session_bytes = 0;  // ServiceMemoryStats::SessionBytes()
@@ -106,31 +109,6 @@ struct ServerStats {
   std::uint64_t epochs = 0;         // DecideBatch rounds run
   std::uint64_t connections = 0;    // currently accepted connections
   std::uint64_t errors = 0;         // kError replies sent
-  // Online-calibration block (v3, DESIGN.md §11). When calibration is
-  // off, calibration_active is 0, alpha_bits still carries the frozen
-  // trigger threshold, and the counters stay 0.
-  std::uint64_t calibration_active = 0;      // 0/1: online arm enabled
-  std::uint64_t calibration_alpha_bits = 0;  // live threshold, f64 bits
-  std::uint64_t calibration_observed = 0;    // trigger statistics seen
-  std::uint64_t calibration_exceeded = 0;    // statistics above threshold
-
-  /// The live threshold as a double (IEEE-754 bits on the wire).
-  double CalibrationAlpha() const {
-    double v;
-    std::memcpy(&v, &calibration_alpha_bits, sizeof v);
-    return v;
-  }
-  void SetCalibrationAlpha(double v) {
-    std::memcpy(&calibration_alpha_bits, &v, sizeof calibration_alpha_bits);
-  }
-  /// Fraction of observed trigger statistics above the then-live
-  /// threshold — the served miscoverage estimate.
-  double EmpiricalMiscoverage() const {
-    return calibration_observed == 0
-               ? 0.0
-               : static_cast<double>(calibration_exceeded) /
-                     static_cast<double>(calibration_observed);
-  }
 };
 
 // --- byte-level helpers -------------------------------------------------
@@ -187,7 +165,9 @@ inline double GetF64(const std::uint8_t* p) {
 inline constexpr std::size_t kRequestHeaderBytes = 1 + 1 + 2 + 8 + 8;
 /// Fixed reply body size (STATS replies append ServerStats after this).
 inline constexpr std::size_t kReplyBytes = 1 + 1 + 1 + 1 + 4 + 8 + 8 + 8;
+/// STATS payload: ServerStats' nine counters plus the reserved words.
 inline constexpr std::size_t kServerStatsBytes = 13 * 8;
+inline constexpr std::size_t kServerStatsReservedWords = 4;
 /// u32 length prefix.
 inline constexpr std::size_t kLengthPrefixBytes = 4;
 

@@ -795,10 +795,6 @@ ServerStats NetServer::Stats() const {
   }
   stats.in_flight = in_flight_.load(std::memory_order_relaxed);
   stats.connections = open_connections_.load(std::memory_order_relaxed);
-  stats.calibration_active = service_.OnlineCalibration() ? 1 : 0;
-  stats.SetCalibrationAlpha(service_.LiveAlpha());
-  stats.calibration_observed = service_.CalibrationObservations();
-  stats.calibration_exceeded = service_.CalibrationExceedances();
   return stats;
 }
 

@@ -18,27 +18,6 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
                    config_.submitter_count <= config_.shard_count,
                "DecisionService: submitter_count must be in [1, shard_count]");
   core::ValidateSafeAgentConfig(model_->safety());
-  if (config_.online_calibration) {
-    OSAP_REQUIRE(model_->safety().trigger.mode ==
-                     core::TriggerMode::kWindowVariance,
-                 "DecisionService: online calibration needs the "
-                 "window-variance trigger (U_pi / U_V)");
-    OSAP_REQUIRE(config_.calibration_miscoverage > 0.0 &&
-                     config_.calibration_miscoverage < 1.0,
-                 "DecisionService: calibration_miscoverage must be in "
-                 "(0, 1)");
-    OSAP_REQUIRE(config_.calibration_window > 0,
-                 "DecisionService: calibration_window must be > 0");
-    OSAP_REQUIRE(config_.calibration_refresh_epochs > 0,
-                 "DecisionService: calibration_refresh_epochs must be > 0");
-  }
-  // Until the first sketch publication the live threshold is the
-  // model's frozen one, so warm-up decisions match the reference arm.
-  live_alpha_.store(model_->safety().trigger.mode ==
-                            core::TriggerMode::kBinary
-                        ? 0.5
-                        : model_->safety().trigger.alpha,
-                    std::memory_order_relaxed);
   ring_width_ = core::SafetyRingDoubles(model_->safety());
   if (model_->signal() == Signal::kNovelty) {
     extractor_doubles_ = core::NoveltyFeatureExtractor::StorageDoubles(
@@ -61,17 +40,6 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
     if (config_.lane_capacity_bound > 0) {
       shards_.back()->ring.SetBound(config_.lane_capacity_bound);
     }
-    if (config_.online_calibration) {
-      shards_.back()->sketch = util::WindowedP2Quantile(
-          1.0 - config_.calibration_miscoverage,
-          config_.calibration_window);
-    }
-  }
-  if (config_.online_calibration) {
-    sketch_snapshots_.assign(
-        config_.shard_count,
-        util::WindowedP2Quantile(1.0 - config_.calibration_miscoverage,
-                                 config_.calibration_window));
   }
   if (config_.shard_workers) {
     // One persistent worker per shard that is not the first of its group;
@@ -226,39 +194,7 @@ void DecisionService::DrainEpoch(std::size_t shard, const EpochSlot& slot) {
     idx[i] = request_index;
   }
   RunShard(shard, slot.requests, slot.out, idx);
-  if (config_.online_calibration &&
-      ++lane.epochs_since_publish >= config_.calibration_refresh_epochs) {
-    lane.epochs_since_publish = 0;
-    PublishCalibration(shard);
-  }
   MaybeShrinkLane(lane, slot.count);
-}
-
-void DecisionService::PublishCalibration(std::size_t shard) {
-  ShardLane& lane = *shards_[shard];
-  std::lock_guard<std::mutex> lock(calibration_mutex_);
-  // Snapshot slot `shard` is only ever written by this lane's owning
-  // thread; the mutex orders it against concurrent publications from
-  // other lanes and against the merge below.
-  sketch_snapshots_[shard] = lane.sketch;
-  calibration_observations_.fetch_add(lane.calib_observed,
-                                      std::memory_order_relaxed);
-  calibration_exceedances_.fetch_add(lane.calib_exceeded,
-                                     std::memory_order_relaxed);
-  lane.calib_observed = 0;
-  lane.calib_exceeded = 0;
-  merge_scratch_.clear();
-  for (const util::WindowedP2Quantile& snapshot : sketch_snapshots_) {
-    snapshot.CollectArms(merge_scratch_);
-  }
-  if (!merge_scratch_.empty()) {
-    // RCU-style swap: in-flight epochs keep the threshold they loaded;
-    // the next epoch of every shard picks this one up lock-free.
-    live_alpha_.store(
-        util::P2Quantile::MergedQuantile(
-            merge_scratch_, 1.0 - config_.calibration_miscoverage),
-        std::memory_order_release);
-  }
 }
 
 void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
@@ -469,48 +405,18 @@ void DecisionService::RunShard(std::size_t shard,
   // produced their actions).
   const std::span<std::size_t> learned_of = s.arena.Alloc<std::size_t>(count);
   std::size_t learned = 0;
-  if (config_.online_calibration) {
-    // Online-calibration arm: one lock-free threshold load for the whole
-    // epoch, each compared statistic feeds the lane-local sketch (O(1)
-    // marker update, no sharing). Publication happens at the epoch
-    // cadence in DrainEpoch, never here.
-    const double live_alpha = live_alpha_.load(std::memory_order_acquire);
-    for (std::size_t j = 0; j < count; ++j) {
-      const Request& r = requests[idx[j]];
-      const std::size_t local = LocalOf(r.session);
-      double* ring =
-          ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
-      double statistic = -1.0;  // untouched on warm-up steps
-      const bool fallback = core::SafetyObserveLive(
-          safety, table.hot[local], table.cold[local], ring, scores[j],
-          live_alpha, &statistic);
-      if (statistic >= 0.0) {
-        s.sketch.Add(statistic);
-        ++s.calib_observed;
-        if (statistic > live_alpha) ++s.calib_exceeded;
-      }
-      if (fallback) {
-        out[idx[j]] = model_->FallbackAction(*r.state);
-      } else if (!scored_actions.empty()) {
-        out[idx[j]] = scored_actions[j];
-      } else {
-        learned_of[learned++] = j;
-      }
-    }
-  } else {
-    for (std::size_t j = 0; j < count; ++j) {
-      const Request& r = requests[idx[j]];
-      const std::size_t local = LocalOf(r.session);
-      double* ring =
-          ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
-      if (core::SafetyObserve(safety, table.hot[local], table.cold[local],
-                              ring, scores[j])) {
-        out[idx[j]] = model_->FallbackAction(*r.state);
-      } else if (!scored_actions.empty()) {
-        out[idx[j]] = scored_actions[j];
-      } else {
-        learned_of[learned++] = j;
-      }
+  for (std::size_t j = 0; j < count; ++j) {
+    const Request& r = requests[idx[j]];
+    const std::size_t local = LocalOf(r.session);
+    double* ring =
+        ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
+    if (core::SafetyObserve(safety, table.hot[local], table.cold[local],
+                            ring, scores[j])) {
+      out[idx[j]] = model_->FallbackAction(*r.state);
+    } else if (!scored_actions.empty()) {
+      out[idx[j]] = scored_actions[j];
+    } else {
+      learned_of[learned++] = j;
     }
   }
   if (learned > 0) {
@@ -565,11 +471,6 @@ void DecisionService::AccumulateGroup(std::size_t group,
 ServiceMemoryStats DecisionService::MemoryStats() const {
   ServiceMemoryStats stats;
   for (std::size_t g = 0; g < groups_.size(); ++g) AccumulateGroup(g, stats);
-  // Online-calibration writer side (per-lane sketches are members of
-  // ShardLane and already inside its sizeof).
-  stats.scratch_bytes +=
-      sketch_snapshots_.capacity() * sizeof(util::WindowedP2Quantile) +
-      merge_scratch_.capacity() * sizeof(const util::P2Quantile*);
   return stats;
 }
 

@@ -37,14 +37,10 @@
 // sequential SafeAgent loop for all three signals in both defaulting
 // modes (pinned by equivalence tests).
 //
-// Online calibration (DecisionServiceConfig::online_calibration) learns
-// only from sessions still on the learned policy: a kPermanent session
-// that has defaulted produces no trigger statistic (step 0 above), so it
-// never reaches its lane's P² sketch or the coverage counters
-// (CalibrationObservations / CalibrationExceedances). The live threshold
-// is therefore the quantile of the statistics the trigger actually
-// compared for a decision that could still go either way - the "only
-// learn from trusted traffic" gate (DESIGN.md §11.2).
+// Threshold: step 3 compares against the model's own trigger threshold
+// (ServingModel::safety(); for U_pi / U_V the replay bisection's frozen
+// alpha, DESIGN.md §11), the same one the sequential SafeAgent uses.
+// Nothing on the decision path re-derives it.
 //
 // Submitter groups (DecisionServiceConfig::submitter_count): the shard
 // range is partitioned into submitter_count contiguous groups, and every
@@ -114,7 +110,6 @@
 #include "serve/serving_model.h"
 #include "util/arena.h"
 #include "util/memory_meter.h"
-#include "util/p2_quantile.h"
 #include "util/slab_pool.h"
 #include "util/spsc_ring.h"
 
@@ -145,29 +140,6 @@ struct DecisionServiceConfig {
   /// loudly ("shard ring overflow") instead of growing queues silently.
   /// Bounds the per-shard slice of a DecideBatch, not total sessions.
   std::size_t lane_capacity_bound = 0;
-
-  /// Online conformal calibration (DESIGN.md §11): every live decision's
-  /// trigger statistic (the full-window variance; defaulted kPermanent
-  /// sessions produce none, see the file comment) feeds a per-shard
-  /// windowed P² sketch, and decisions compare against a live threshold
-  /// (one lock-free atomic load per shard epoch) instead of the model's
-  /// frozen alpha. Each lane publishes its sketch into a shared
-  /// snapshot every calibration_refresh_epochs of its own epochs (under
-  /// a writer mutex touched only at that cadence) and re-derives the
-  /// merged threshold, so thresholds track gradual drift with zero
-  /// pause for in-flight epochs. Requires the window-variance trigger
-  /// (U_pi / U_V); off by default — the frozen-threshold path is the
-  /// bit-pinned reference arm.
-  bool online_calibration = false;
-  /// Target per-decision miscoverage: the live threshold is the sketch
-  /// union's (1 - miscoverage)-quantile.
-  double calibration_miscoverage = 0.05;
-  /// Observations per sketch generation; a shard's sketch reflects its
-  /// last window..2*window trigger statistics.
-  std::size_t calibration_window = 4096;
-  /// Lane epochs between a shard's sketch publication / threshold
-  /// refresh.
-  std::size_t calibration_refresh_epochs = 16;
 };
 
 /// Exact byte accounting of a service's per-session and scratch memory
@@ -277,27 +249,6 @@ class DecisionService {
   std::size_t StepCount(SessionId id) const;
   double DefaultedFraction(SessionId id) const;
 
-  // --- online calibration ------------------------------------------------
-  bool OnlineCalibration() const { return config_.online_calibration; }
-  /// The threshold the decision path compares against right now: the
-  /// merged-sketch quantile once calibration has warmed up, the model's
-  /// frozen trigger threshold before that (and always, when online
-  /// calibration is off).
-  double LiveAlpha() const {
-    return live_alpha_.load(std::memory_order_relaxed);
-  }
-  /// Trigger statistics observed / found above the then-live threshold,
-  /// as of each lane's last publication (counters advance at the
-  /// calibration_refresh_epochs cadence, not per decision). Only live
-  /// sessions with a full trigger window contribute; defaulted kPermanent
-  /// sessions never do.
-  std::uint64_t CalibrationObservations() const {
-    return calibration_observations_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t CalibrationExceedances() const {
-    return calibration_exceedances_.load(std::memory_order_relaxed);
-  }
-
   /// Exact capacity-byte accounting of the service's own containers.
   /// Call only while EVERY submitter group is parked (walks all lanes).
   ServiceMemoryStats MemoryStats() const;
@@ -353,12 +304,6 @@ class DecisionService {
     SessionTable sessions;
     ExtractorPool extractors;  // U_S per-session extractors
 
-    // --- online calibration (owned by whichever thread runs the shard) ---
-    util::WindowedP2Quantile sketch;  // trigger statistics, local
-    std::uint64_t calib_observed = 0;    // deltas since last publication
-    std::uint64_t calib_exceeded = 0;
-    std::size_t epochs_since_publish = 0;
-
     // --- scratch owned by whichever thread runs the shard ---
     util::Arena arena;        // per-epoch index/score arrays
     nn::Matrix states;        // packed request states
@@ -413,10 +358,6 @@ class DecisionService {
   /// beyond 2x the recent need. Runs on the lane's owning thread at the
   /// end of DrainEpoch.
   void MaybeShrinkLane(ShardLane& lane, std::size_t count);
-  /// Publishes lane `shard`'s sketch + coverage deltas into the shared
-  /// snapshot (writer mutex) and re-derives the merged live threshold.
-  /// Called from the lane's owning thread at the refresh cadence.
-  void PublishCalibration(std::size_t shard);
   std::size_t GroupOf(SessionId id) const {
     return shards_[ShardOf(id)]->group;
   }
@@ -444,20 +385,6 @@ class DecisionService {
   std::size_t ring_width_ = 0;        // trigger-ring doubles per session
   std::size_t extractor_doubles_ = 0;  // slab scratch per U_S session
   std::atomic<std::uint64_t> round_{0};
-
-  // --- online calibration (DESIGN.md §11) ---
-  /// Threshold the decision path compares against (lock-free read once
-  /// per shard epoch). Holds the model's frozen threshold when online
-  /// calibration is off or not yet warmed up.
-  std::atomic<double> live_alpha_{0.0};
-  /// Writer side: per-shard sketch snapshots, merged into live_alpha_
-  /// at each publication. Guarded by calibration_mutex_; each slot is
-  /// only ever written by its shard's owning thread.
-  std::mutex calibration_mutex_;
-  std::vector<util::WindowedP2Quantile> sketch_snapshots_;
-  std::vector<const util::P2Quantile*> merge_scratch_;  // under the mutex
-  std::atomic<std::uint64_t> calibration_observations_{0};
-  std::atomic<std::uint64_t> calibration_exceedances_{0};
 };
 
 }  // namespace osap::serve

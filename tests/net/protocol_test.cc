@@ -135,14 +135,20 @@ TEST(Protocol, StatsReplyRoundTripCarriesPayload) {
   stats.epochs = 7;
   stats.connections = 8;
   stats.errors = 9;
-  stats.calibration_active = 1;
-  stats.SetCalibrationAlpha(0.0375);
-  stats.calibration_observed = 4000;
-  stats.calibration_exceeded = 200;
   std::vector<std::uint8_t> frame;
   AppendReplyFrame(frame, reply, &stats);
   const auto body = Body(frame);
+  // The v3 payload: nine counters then the reserved block, 104 bytes.
+  EXPECT_EQ(kServerStatsBytes, 104u);
   EXPECT_EQ(body.size(), kReplyBytes + kServerStatsBytes);
+  const std::uint8_t* payload = body.data() + kReplyBytes;
+  for (std::size_t w = 0; w < 9; ++w) {
+    EXPECT_EQ(GetU64(payload + 8 * w), w + 1) << "counter word " << w;
+  }
+  for (std::size_t w = 9; w < 9 + kServerStatsReservedWords; ++w) {
+    EXPECT_EQ(GetU64(payload + 8 * w), 0u) << "reserved word " << w;
+  }
+  EXPECT_EQ(8 * (9 + kServerStatsReservedWords), kServerStatsBytes);
   Reply back;
   ServerStats back_stats;
   ASSERT_EQ(DecodeReply(body, back, &back_stats), DecodeResult::kOk);
@@ -155,12 +161,6 @@ TEST(Protocol, StatsReplyRoundTripCarriesPayload) {
   EXPECT_EQ(back_stats.epochs, 7u);
   EXPECT_EQ(back_stats.connections, 8u);
   EXPECT_EQ(back_stats.errors, 9u);
-  EXPECT_EQ(back_stats.calibration_active, 1u);
-  // The live threshold travels as its exact IEEE-754 bits.
-  EXPECT_EQ(back_stats.CalibrationAlpha(), 0.0375);
-  EXPECT_EQ(back_stats.calibration_observed, 4000u);
-  EXPECT_EQ(back_stats.calibration_exceeded, 200u);
-  EXPECT_DOUBLE_EQ(back_stats.EmpiricalMiscoverage(), 0.05);
 }
 
 // The exact bytes of a STEP request are pinned here so an accidental

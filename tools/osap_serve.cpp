@@ -12,28 +12,19 @@
 // Usage:
 //   osap_serve <us|upi|uv> [sessions] [rounds] [shards]
 //              [--sessions N] [--rounds N] [--shards N]
-//              [--open-loop RATE] [--revocable]
+//              [--revocable]
 //   osap_serve <us|upi|uv> --listen PORT [--shards N] [--edge-threads N]
 //              [--backend epoll|uring] [--revocable] [--max-in-flight N]
 //              [--lane-high-water N] [--max-sessions N]
-//   either form: [--online-calibration [--miscoverage EPS]
-//                 [--calibration-window N] [--calibration-refresh N]]
 //
-// Defaults: 1000 sessions, 2000 rounds, 4 shards, permanent defaulting,
-// closed-loop (rounds issue back to back). With --open-loop RATE the tool
-// instead schedules round r at t0 + r * sessions/RATE (an aggregate
-// arrival rate of RATE decisions/s) and measures each round's latency
-// from its SCHEDULED start, so a service that falls behind accrues
-// queueing delay instead of silently slowing the arrival process down
-// (no coordinated omission). Uses the shared ./osap_cache artifacts
-// (trains them on first run - run from the repo root or a directory with
-// an osap_cache of its own).
+// Defaults: 1000 sessions, 2000 rounds, 4 shards, permanent defaulting.
+// The in-process generator is closed-loop (rounds issue back to back);
+// for open-loop arrivals drive --listen with tools/osap_client. Uses the
+// shared ./osap_cache artifacts (trains them on first run - run from the
+// repo root or a directory with an osap_cache of its own).
 //
 // The U_pi / U_V thresholds served are the bundle's frozen alphas from
-// the replay bisection, the workbench's only offline threshold search.
-// With --online-calibration (upi/uv) the service instead re-reads the
-// threshold from streaming per-lane quantile sketches at epoch
-// boundaries (DESIGN.md §11).
+// the replay bisection (DESIGN.md §11), on every path.
 //
 // With --listen PORT the tool is instead the network-edge server
 // (DESIGN.md §10): it binds the port (0 picks an ephemeral one, printed
@@ -57,7 +48,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "abr/abr_environment.h"
@@ -167,7 +157,6 @@ int main(int argc, char** argv) {
   std::size_t sessions = 1000;
   std::size_t rounds = 2000;
   std::size_t shards = 4;
-  double open_loop_rate = 0.0;  // aggregate decisions/s; 0 = closed loop
   bool revocable = false;
   constexpr std::size_t kNoListen = static_cast<std::size_t>(-1);
   std::size_t listen_port = kNoListen;
@@ -176,10 +165,6 @@ int main(int argc, char** argv) {
   std::size_t max_sessions = 1 << 20;
   std::size_t edge_threads = 1;
   std::string backend_name = "epoll";
-  bool online_calibration = false;
-  double miscoverage = 0.05;
-  std::size_t calibration_window = 4096;
-  std::size_t calibration_refresh = 16;
 
   util::ArgParser parser(
       "osap_serve",
@@ -196,10 +181,6 @@ int main(int argc, char** argv) {
   parser.AddOption("--sessions", "N", "concurrent viewers", &sessions);
   parser.AddOption("--rounds", "N", "decision rounds", &rounds);
   parser.AddOption("--shards", "N", "service shards", &shards);
-  parser.AddOption("--open-loop", "RATE",
-                   "schedule rounds at RATE decisions/s and measure latency "
-                   "from the schedule (no coordinated omission)",
-                   &open_loop_rate);
   parser.AddFlag("--revocable", "revocable defaulting (default permanent)",
                  &revocable);
   parser.AddOption("--listen", "PORT",
@@ -223,22 +204,6 @@ int main(int argc, char** argv) {
                    "falls back to epoll with a notice when the kernel "
                    "denies it; default epoll)",
                    &backend_name);
-  parser.AddFlag("--online-calibration",
-                 "maintain the variance threshold online from streaming "
-                 "quantile sketches (upi/uv only; DESIGN.md §11)",
-                 &online_calibration);
-  parser.AddOption("--miscoverage", "EPS",
-                   "online calibration: target per-decision miscoverage "
-                   "(default 0.05)",
-                   &miscoverage);
-  parser.AddOption("--calibration-window", "N",
-                   "online calibration: observations per sketch generation "
-                   "(default 4096)",
-                   &calibration_window);
-  parser.AddOption("--calibration-refresh", "N",
-                   "online calibration: lane epochs between threshold "
-                   "refreshes (default 16)",
-                   &calibration_refresh);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
   const core::Scheme scheme = ParseSignal(signal_name, parser);
@@ -266,19 +231,6 @@ int main(int argc, char** argv) {
                  "(one shard lane per edge minimum)\n");
     return 2;
   }
-  if (online_calibration &&
-      scheme == core::Scheme::kNoveltyDetection) {
-    std::fprintf(stderr,
-                 "osap_serve: --online-calibration needs the "
-                 "window-variance trigger (upi or uv); us serves the "
-                 "paper's fixed binary threshold\n");
-    return 2;
-  }
-  if (online_calibration && (miscoverage <= 0.0 || miscoverage >= 1.0)) {
-    std::fprintf(stderr, "osap_serve: --miscoverage must be in (0, 1)\n");
-    return 2;
-  }
-
   core::WorkbenchConfig cfg;
   cfg.use_cache = true;
   cfg.cache_dir = "osap_cache";
@@ -297,10 +249,6 @@ int main(int argc, char** argv) {
     net_cfg.edge_threads = edge_threads;
     net_cfg.backend = backend_kind;
     net_cfg.service.shard_count = shards;
-    net_cfg.service.online_calibration = online_calibration;
-    net_cfg.service.calibration_miscoverage = miscoverage;
-    net_cfg.service.calibration_window = calibration_window;
-    net_cfg.service.calibration_refresh_epochs = calibration_refresh;
     net::NetServer server(model, net_cfg);
     server.Start();
     g_server = &server;
@@ -339,13 +287,6 @@ int main(int argc, char** argv) {
                                : static_cast<double>(syscalls) /
                                      static_cast<double>(s.decided),
                 vcsw, ivcsw);
-    if (s.calibration_active != 0) {
-      std::printf("online calibration: live alpha %.6g, %llu statistics "
-                  "observed, %.2f%% above threshold (target %.2f%%)\n",
-                  s.CalibrationAlpha(),
-                  static_cast<unsigned long long>(s.calibration_observed),
-                  100.0 * s.EmpiricalMiscoverage(), 100.0 * miscoverage);
-    }
     const std::size_t rss_now = util::CurrentRssBytes();
     const std::size_t rss_peak = std::max(rss_now, util::PeakRssBytes());
     std::printf("process RSS: %.1f MiB now, %.1f MiB peak\n",
@@ -356,10 +297,6 @@ int main(int argc, char** argv) {
 
   serve::DecisionServiceConfig service_cfg;
   service_cfg.shard_count = shards;
-  service_cfg.online_calibration = online_calibration;
-  service_cfg.calibration_miscoverage = miscoverage;
-  service_cfg.calibration_window = calibration_window;
-  service_cfg.calibration_refresh_epochs = calibration_refresh;
   serve::DecisionService service(model, service_cfg);
 
   const std::vector<traces::DatasetId> datasets = traces::AllDatasetIds();
@@ -378,55 +315,26 @@ int main(int argc, char** argv) {
     viewers.push_back(std::move(v));
   }
   std::printf("osap_serve: %s, %zu viewers over %zu datasets, %zu rounds, "
-              "%zu shard(s), %s defaulting",
+              "%zu shard(s), %s defaulting, closed-loop\n",
               signal_name.c_str(), sessions, datasets.size(), rounds, shards,
               mode == core::DefaultingMode::kPermanent ? "permanent"
                                                        : "revocable");
-  // One round presents every viewer once, so RATE decisions/s means one
-  // round every sessions/RATE seconds.
-  const double round_interval_s =
-      open_loop_rate > 0.0 ? static_cast<double>(sessions) / open_loop_rate
-                           : 0.0;
-  if (open_loop_rate > 0.0) {
-    std::printf(", open-loop %.0f decisions/s (round every %.2f ms)\n",
-                open_loop_rate, round_interval_s * 1e3);
-  } else {
-    std::printf(", closed-loop\n");
-  }
 
   std::vector<serve::DecisionService::Request> requests(sessions);
   std::vector<mdp::Action> actions(sessions);
-  std::vector<double> round_us;   // latency from (scheduled) round start
+  std::vector<double> round_us;  // DecideBatch latency per round
   round_us.reserve(rounds);
-  double decide_seconds = 0.0;    // time actually inside DecideBatch
-  std::size_t late_rounds = 0;    // rounds that began past their schedule
+  double decide_seconds = 0.0;
   const auto wall_start = std::chrono::steady_clock::now();
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < sessions; ++i) {
       requests[i] = {viewers[i].session, &viewers[i].state};
     }
-    auto start = std::chrono::steady_clock::now();
-    if (open_loop_rate > 0.0) {
-      // Latency is measured from the scheduled arrival, not from when the
-      // service got around to the round: a backlogged service pays its
-      // queueing delay here instead of stalling the arrival clock.
-      const auto scheduled =
-          wall_start +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(static_cast<double>(round) *
-                                            round_interval_s));
-      if (start < scheduled) {
-        std::this_thread::sleep_until(scheduled);
-      } else if (round > 0) {
-        ++late_rounds;
-      }
-      start = scheduled;
-    }
     const auto t0 = std::chrono::steady_clock::now();
     service.DecideBatch(requests, actions);
     const auto t1 = std::chrono::steady_clock::now();
     round_us.push_back(
-        std::chrono::duration<double, std::micro>(t1 - start).count());
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
     decide_seconds += std::chrono::duration<double>(t1 - t0).count();
 
     for (std::size_t i = 0; i < sessions; ++i) {
@@ -462,42 +370,18 @@ int main(int argc, char** argv) {
               "%.0f/s inside DecideBatch)\n",
               decisions, wall_seconds, decisions / wall_seconds,
               decisions / decide_seconds);
-  const char* basis = open_loop_rate > 0.0
-                          ? "latency from scheduled arrival"
-                          : "DecideBatch latency";
-  std::printf("%s: p50 %.0f us  p99 %.0f us  p999 %.0f us  max %.0f us "
-              "(%zu-session rounds)\n",
-              basis, Quantile(round_us, 0.50), Quantile(round_us, 0.99),
+  std::printf("DecideBatch latency: p50 %.0f us  p99 %.0f us  p999 %.0f us  "
+              "max %.0f us (%zu-session rounds)\n",
+              Quantile(round_us, 0.50), Quantile(round_us, 0.99),
               Quantile(round_us, 0.999), round_us.back(), sessions);
-  if (open_loop_rate > 0.0) {
-    std::printf("schedule: %zu of %zu rounds started late "
-                "(backlog from the previous round)\n",
-                late_rounds, rounds);
-  } else {
-    // Per-decision view of the same distribution: what one viewer pays
-    // for its slice of a round (the population is constant, so this is
-    // the round latency amortized over the batch).
-    const double per_decision = 1.0 / static_cast<double>(sessions);
-    std::printf(
-        "per-decision latency: p50 %.2f us  p99 %.2f us  max %.2f us\n",
-        Quantile(round_us, 0.50) * per_decision,
-        Quantile(round_us, 0.99) * per_decision,
-        round_us.back() * per_decision);
-  }
-
-  if (service.OnlineCalibration()) {
-    const std::uint64_t observed = service.CalibrationObservations();
-    const std::uint64_t exceeded = service.CalibrationExceedances();
-    std::printf("\nonline calibration: frozen alpha %.6g -> live alpha "
-                "%.6g, %llu statistics observed, %.2f%% above threshold "
-                "(target %.2f%%)\n",
-                safety.trigger.alpha, service.LiveAlpha(),
-                static_cast<unsigned long long>(observed),
-                observed == 0 ? 0.0
-                              : 100.0 * static_cast<double>(exceeded) /
-                                    static_cast<double>(observed),
-                100.0 * miscoverage);
-  }
+  // Per-decision view of the same distribution: what one viewer pays for
+  // its slice of a round (the population is constant, so this is the
+  // round latency amortized over the batch).
+  const double per_decision = 1.0 / static_cast<double>(sessions);
+  std::printf("per-decision latency: p50 %.2f us  p99 %.2f us  max %.2f us\n",
+              Quantile(round_us, 0.50) * per_decision,
+              Quantile(round_us, 0.99) * per_decision,
+              round_us.back() * per_decision);
 
   // Exact accounting of the service's own memory next to the process-level
   // view: bytes/session is what the slab/SoA layout controls, RSS is what
