@@ -67,17 +67,28 @@ void BM_Transposed(benchmark::State& state) {
 }
 BENCHMARK(BM_Transposed)->Arg(64)->Arg(256);
 
-/// The old U_pi inner loop: five sequential per-member forwards.
-void BM_EnsembleForwardSequential(benchmark::State& state) {
-  Rng rng(1);
+/// Five untrained Pensieve actor-critic members: the U_pi ensemble shape.
+struct PensieveEnsemble {
   abr::AbrStateLayout layout;
   std::vector<std::unique_ptr<nn::ActorCriticNet>> members;
-  for (int m = 0; m < 5; ++m)
-    members.push_back(std::make_unique<nn::ActorCriticNet>(
-        policies::MakePensieveActorCritic(layout, {}, rng)));
-  const std::vector<double> s(layout.Size(), 0.25);
+  std::vector<const nn::CompositeNet*> actors;
+
+  PensieveEnsemble() {
+    Rng rng(1);
+    for (int m = 0; m < 5; ++m) {
+      members.push_back(std::make_unique<nn::ActorCriticNet>(
+          policies::MakePensieveActorCritic(layout, {}, rng)));
+      actors.push_back(&members.back()->actor());
+    }
+  }
+};
+
+/// The old U_pi inner loop: five sequential per-member forwards.
+void BM_EnsembleForwardSequential(benchmark::State& state) {
+  const PensieveEnsemble ensemble;
+  const std::vector<double> s(ensemble.layout.Size(), 0.25);
   for (auto _ : state) {
-    for (const auto& member : members)
+    for (const auto& member : ensemble.members)
       benchmark::DoNotOptimize(member->ActionProbs(s));
   }
 }
@@ -86,23 +97,39 @@ BENCHMARK(BM_EnsembleForwardSequential)->Unit(benchmark::kMicrosecond);
 /// The new U_pi inner loop: one fused pass over the packed five-member
 /// weights (what AgentEnsembleEstimator::Score runs per decision).
 void BM_EnsembleForwardBatched(benchmark::State& state) {
-  Rng rng(1);
-  abr::AbrStateLayout layout;
-  std::vector<std::unique_ptr<nn::ActorCriticNet>> members;
-  std::vector<const nn::CompositeNet*> actors;
-  for (int m = 0; m < 5; ++m) {
-    members.push_back(std::make_unique<nn::ActorCriticNet>(
-        policies::MakePensieveActorCritic(layout, {}, rng)));
-    actors.push_back(&members.back()->actor());
-  }
-  const nn::BatchedEnsemble batched(actors);
+  const PensieveEnsemble ensemble;
+  const nn::BatchedEnsemble batched(ensemble.actors);
   nn::InferScratch scratch;
-  const std::vector<double> s(layout.Size(), 0.25);
+  const std::vector<double> s(ensemble.layout.Size(), 0.25);
   for (auto _ : state) {
     benchmark::DoNotOptimize(batched.Infer(s, scratch).At(0, 0));
   }
 }
 BENCHMARK(BM_EnsembleForwardBatched)->Unit(benchmark::kMicrosecond);
+
+/// The fused five-member pass over `range(0)` states at once, at the batch
+/// sizes a serving shard's scoring pass sees (1-2 states per round at wire
+/// load; 4 and 8 reach the batch-of-4 kernel). Time is per call, so the
+/// per-state cost is the time over `range(0)`.
+void BM_EnsembleInferBatch(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const PensieveEnsemble ensemble;
+  const nn::BatchedEnsemble batched(ensemble.actors);
+  Rng rng(2);
+  const nn::Matrix states =
+      RandomMatrix(batch, ensemble.layout.Size(), rng);
+  nn::InferScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batched.InferBatch(states, scratch).At(0, 0));
+  }
+}
+BENCHMARK(BM_EnsembleInferBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
 
 /// The backward-pass kernels at the Pensieve trunk's training shapes:
 /// dW = x^T dy (TN, accumulating into the existing grad) and dx = dy W^T

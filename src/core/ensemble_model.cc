@@ -50,10 +50,11 @@ std::span<std::size_t> SurviveInto(std::span<const double> distances,
   return order.first(keep);
 }
 
-/// States scored per fused InferBatch pass in ScoreStates. Bounds the
-/// scratch activations while still amortizing each member's weight
-/// streaming over 32 states (single-state inference is weight-bandwidth
-/// bound).
+/// States scored per fused InferBatch pass in ScoreStates; bounds the
+/// scratch activations. The members' weights stay cache-resident, so a
+/// batched state costs about what a single-state pass does (both are
+/// multiply-add bound; see BM_EnsembleInferBatch) - batching here saves
+/// per-call overhead, not weight traffic.
 constexpr std::size_t kScoreBatch = 32;
 
 /// U_pi steps 2-3 over the n softmaxed member rows sitting in s.probs:

@@ -7,26 +7,90 @@
 #include "nn/simd.h"
 #include "util/check.h"
 
-// Batch-axis SIMD for the packed Linear op. Offline scoring passes hand
-// InferBatch dozens of states at once; states are completely independent,
-// so four of them can ride the four lanes of an AVX2 vector while every
-// output element keeps its own scalar accumulation chain (k-ascending
-// multiply THEN add - the target below deliberately omits FMA, whose
-// fused rounding would change results). That makes the batched path
-// bit-identical to the single-state kernel yet ~several times faster,
-// which the single-state online path structurally cannot match (one
-// state has no batch axis to vectorize over). Guarded by a runtime CPU
-// check; non-x86 or pre-AVX2 hosts just use the scalar loop.
+// AVX2 kernels for the packed Linear and Conv1D ops, in two shapes:
+//   - batch axis (LinearBatch4Avx2): offline scoring passes hand
+//     InferBatch dozens of states at once, so four independent states
+//     ride the four lanes of a vector;
+//   - output axis (LinearRowAvx2, ConvRowAvx2): one state on its own -
+//     every state the batch-of-4 kernel leaves over, which at serving load
+//     means every state - vectorized over Linear output columns or Conv1D
+//     output channels.
+// Either way every output element keeps its own scalar accumulation chain
+// (multiply THEN add in the scalar kernel's order - the target below
+// deliberately omits FMA, whose fused rounding would change results), so
+// the SIMD paths are bit-identical to the scalar loops. Guarded by a
+// runtime CPU check; non-x86 or pre-AVX2 hosts just use the scalar loops.
 #if defined(__x86_64__) && defined(__GNUC__)
-#define OSAP_ENSEMBLE_BATCH_SIMD 1
+#define OSAP_ENSEMBLE_SIMD 1
 #endif
 
 namespace osap::nn {
 
-#ifdef OSAP_ENSEMBLE_BATCH_SIMD
 namespace {
 
+/// One member's Conv1D layer on one state, output channels
+/// [oc_begin, out_channels): the loop of Conv1D::InferBatch over the
+/// member's own (in_channels*kernel) x out_channels weights - acc starts
+/// at the bias, then ic- and k-ascending multiply-adds per (oc, t) output
+/// element - plus the fused clamp.
+void ConvRowScalar(const double* x, const double* w, const double* bias,
+                   std::size_t in_channels, std::size_t out_channels,
+                   std::size_t kernel, std::size_t input_length,
+                   bool fused_relu, std::size_t oc_begin, double* y) {
+  const std::size_t out_len = input_length - kernel + 1;
+  for (std::size_t oc = oc_begin; oc < out_channels; ++oc) {
+    for (std::size_t t = 0; t < out_len; ++t) {
+      double acc = bias[oc];
+      for (std::size_t ic = 0; ic < in_channels; ++ic) {
+        const double* xc = x + ic * input_length + t;
+        for (std::size_t k = 0; k < kernel; ++k) {
+          acc += xc[k] * w[(ic * kernel + k) * out_channels + oc];
+        }
+      }
+      y[oc * out_len + t] = fused_relu ? (acc > 0.0 ? acc : 0.0) : acc;
+    }
+  }
+}
+
+#ifdef OSAP_ENSEMBLE_SIMD
+
 using V4 = double __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) inline V4 Load4(const double* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof(V4));
+  return v;
+}
+
+__attribute__((target("avx2"))) inline void Store4(double* p, V4 v) {
+  std::memcpy(p, &v, sizeof(V4));
+}
+
+/// The fused ReLU: the scalar kernels' `v > 0 ? v : 0`, lane by lane.
+__attribute__((target("avx2"))) inline V4 Clamp4(V4 v, bool fused_relu) {
+  return fused_relu ? ((v > 0.0) ? v : V4{}) : v;
+}
+
+/// Writes the four lanes to y[0], y[stride], y[2*stride], y[3*stride].
+__attribute__((target("avx2"))) inline void Scatter4(V4 v, double* y,
+                                                     std::size_t stride) {
+  y[0] = v[0];
+  y[stride] = v[1];
+  y[2 * stride] = v[2];
+  y[3 * stride] = v[3];
+}
+
+/// Output column j of one member's Linear layer on one state, for the
+/// columns left over after the vector tiles: the scalar chain (from zero,
+/// one k-ascending addition per k, then the bias) and the fused clamp.
+double LinearColumnScalar(const double* x, const double* w,
+                          const double* bias, std::size_t in,
+                          std::size_t out, std::size_t j, bool fused_relu) {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < in; ++k) acc += x[k] * w[k * out + j];
+  acc += bias[j];
+  return fused_relu ? (acc > 0.0 ? acc : 0.0) : acc;
+}
 
 /// One member's Linear layer over four states (x0..x3 -> y0..y3), output
 /// columns tiled 8 wide so the 4x2 vector accumulators stay in registers
@@ -44,10 +108,8 @@ __attribute__((target("avx2"))) void LinearBatch4Avx2(
     V4 acc20{}, acc21{}, acc30{}, acc31{};
     const double* wj = w + j;
     for (std::size_t k = 0; k < in; ++k) {
-      V4 w0;
-      V4 w1;
-      std::memcpy(&w0, wj + k * out, sizeof(V4));
-      std::memcpy(&w1, wj + k * out + 4, sizeof(V4));
+      const V4 w0 = Load4(wj + k * out);
+      const V4 w1 = Load4(wj + k * out + 4);
       const double a0 = x0[k];
       const double a1 = x1[k];
       const double a2 = x2[k];
@@ -61,39 +123,133 @@ __attribute__((target("avx2"))) void LinearBatch4Avx2(
       acc30 = acc30 + w0 * a3;
       acc31 = acc31 + w1 * a3;
     }
-    V4 b0;
-    V4 b1;
-    std::memcpy(&b0, bias + j, sizeof(V4));
-    std::memcpy(&b1, bias + j + 4, sizeof(V4));
-    V4 lo[4] = {acc00 + b0, acc10 + b0, acc20 + b0, acc30 + b0};
-    V4 hi[4] = {acc01 + b1, acc11 + b1, acc21 + b1, acc31 + b1};
-    if (fused_relu) {
-      for (V4& v : lo) v = (v > 0.0) ? v : V4{};
-      for (V4& v : hi) v = (v > 0.0) ? v : V4{};
-    }
-    double* const ys[4] = {y0, y1, y2, y3};
-    for (int s = 0; s < 4; ++s) {
-      std::memcpy(ys[s] + j, &lo[s], sizeof(V4));
-      std::memcpy(ys[s] + j + 4, &hi[s], sizeof(V4));
-    }
+    const V4 b0 = Load4(bias + j);
+    const V4 b1 = Load4(bias + j + 4);
+    Store4(y0 + j, Clamp4(acc00 + b0, fused_relu));
+    Store4(y0 + j + 4, Clamp4(acc01 + b1, fused_relu));
+    Store4(y1 + j, Clamp4(acc10 + b0, fused_relu));
+    Store4(y1 + j + 4, Clamp4(acc11 + b1, fused_relu));
+    Store4(y2 + j, Clamp4(acc20 + b0, fused_relu));
+    Store4(y2 + j + 4, Clamp4(acc21 + b1, fused_relu));
+    Store4(y3 + j, Clamp4(acc30 + b0, fused_relu));
+    Store4(y3 + j + 4, Clamp4(acc31 + b1, fused_relu));
   }
-  // Remaining output columns: scalar, still one k-ascending addition per
-  // element plus the final bias addition (loop nesting does not affect
-  // any element's chain).
   for (; j < out; ++j) {
-    const double* xs[4] = {x0, x1, x2, x3};
-    double* const ys[4] = {y0, y1, y2, y3};
-    for (int s = 0; s < 4; ++s) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < in; ++k) acc += xs[s][k] * w[k * out + j];
-      acc += bias[j];
-      ys[s][j] = fused_relu ? (acc > 0.0 ? acc : 0.0) : acc;
-    }
+    y0[j] = LinearColumnScalar(x0, w, bias, in, out, j, fused_relu);
+    y1[j] = LinearColumnScalar(x1, w, bias, in, out, j, fused_relu);
+    y2[j] = LinearColumnScalar(x2, w, bias, in, out, j, fused_relu);
+    y3[j] = LinearColumnScalar(x3, w, bias, in, out, j, fused_relu);
   }
 }
 
+/// One member's Linear layer on one state, vectorized over output
+/// columns: 32 columns per tile in eight named accumulators, then a
+/// 4-wide tail and a scalar tail. The accumulators must be named
+/// variables: a `V4 acc[8]` array is not unrolled at -O2 and round-trips
+/// every update through the stack (~1.5x slower per pass). Each output
+/// element receives one addition per k, ascending from zero, then the
+/// bias - the scalar kernel's chain - so results match it bit for bit.
+__attribute__((target("avx2"))) void LinearRowAvx2(
+    const double* x, const double* w, const double* bias, std::size_t in,
+    std::size_t out, bool fused_relu, double* y) {
+  std::size_t j = 0;
+  for (; j + 32 <= out; j += 32) {
+    V4 a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
+    const double* wk = w + j;
+    for (std::size_t k = 0; k < in; ++k, wk += out) {
+      const double xk = x[k];
+      a0 = a0 + Load4(wk) * xk;
+      a1 = a1 + Load4(wk + 4) * xk;
+      a2 = a2 + Load4(wk + 8) * xk;
+      a3 = a3 + Load4(wk + 12) * xk;
+      a4 = a4 + Load4(wk + 16) * xk;
+      a5 = a5 + Load4(wk + 20) * xk;
+      a6 = a6 + Load4(wk + 24) * xk;
+      a7 = a7 + Load4(wk + 28) * xk;
+    }
+    const double* bj = bias + j;
+    double* yj = y + j;
+    Store4(yj, Clamp4(a0 + Load4(bj), fused_relu));
+    Store4(yj + 4, Clamp4(a1 + Load4(bj + 4), fused_relu));
+    Store4(yj + 8, Clamp4(a2 + Load4(bj + 8), fused_relu));
+    Store4(yj + 12, Clamp4(a3 + Load4(bj + 12), fused_relu));
+    Store4(yj + 16, Clamp4(a4 + Load4(bj + 16), fused_relu));
+    Store4(yj + 20, Clamp4(a5 + Load4(bj + 20), fused_relu));
+    Store4(yj + 24, Clamp4(a6 + Load4(bj + 24), fused_relu));
+    Store4(yj + 28, Clamp4(a7 + Load4(bj + 28), fused_relu));
+  }
+  for (; j + 4 <= out; j += 4) {
+    V4 a{};
+    const double* wk = w + j;
+    for (std::size_t k = 0; k < in; ++k, wk += out) a = a + Load4(wk) * x[k];
+    Store4(y + j, Clamp4(a + Load4(bias + j), fused_relu));
+  }
+  for (; j < out; ++j) {
+    y[j] = LinearColumnScalar(x, w, bias, in, out, j, fused_relu);
+  }
+}
+
+/// One member's Conv1D layer on one state, vectorized over output
+/// channels: for each output position t, 16 channels per tile in four
+/// named accumulators, then a 4-wide tail and ConvRowScalar for the rest.
+/// A weight row (one (ic, k) tap) is contiguous along the channel axis in
+/// the member's own layout, so no repacking is needed. Each accumulator
+/// lane starts at its channel's bias and adds the taps in ascending
+/// (ic, k) order - ConvRowScalar's chain - so results match it bit for
+/// bit; lanes are then scattered to the channel-major output
+/// (oc * out_len + t).
+__attribute__((target("avx2"))) void ConvRowAvx2(
+    const double* x, const double* w, const double* bias,
+    std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
+    std::size_t input_length, bool fused_relu, double* y) {
+  const std::size_t out_len = input_length - kernel + 1;
+  std::size_t oc = 0;
+  for (; oc + 16 <= out_channels; oc += 16) {
+    const V4 b0 = Load4(bias + oc);
+    const V4 b1 = Load4(bias + oc + 4);
+    const V4 b2 = Load4(bias + oc + 8);
+    const V4 b3 = Load4(bias + oc + 12);
+    double* yo = y + oc * out_len;
+    for (std::size_t t = 0; t < out_len; ++t) {
+      V4 a0 = b0, a1 = b1, a2 = b2, a3 = b3;
+      const double* wr = w + oc;
+      for (std::size_t ic = 0; ic < in_channels; ++ic) {
+        const double* xc = x + ic * input_length + t;
+        for (std::size_t k = 0; k < kernel; ++k, wr += out_channels) {
+          const double xv = xc[k];
+          a0 = a0 + Load4(wr) * xv;
+          a1 = a1 + Load4(wr + 4) * xv;
+          a2 = a2 + Load4(wr + 8) * xv;
+          a3 = a3 + Load4(wr + 12) * xv;
+        }
+      }
+      Scatter4(Clamp4(a0, fused_relu), yo + t, out_len);
+      Scatter4(Clamp4(a1, fused_relu), yo + 4 * out_len + t, out_len);
+      Scatter4(Clamp4(a2, fused_relu), yo + 8 * out_len + t, out_len);
+      Scatter4(Clamp4(a3, fused_relu), yo + 12 * out_len + t, out_len);
+    }
+  }
+  for (; oc + 4 <= out_channels; oc += 4) {
+    const V4 b = Load4(bias + oc);
+    for (std::size_t t = 0; t < out_len; ++t) {
+      V4 a = b;
+      const double* wr = w + oc;
+      for (std::size_t ic = 0; ic < in_channels; ++ic) {
+        const double* xc = x + ic * input_length + t;
+        for (std::size_t k = 0; k < kernel; ++k, wr += out_channels) {
+          a = a + Load4(wr) * xc[k];
+        }
+      }
+      Scatter4(Clamp4(a, fused_relu), y + oc * out_len + t, out_len);
+    }
+  }
+  ConvRowScalar(x, w, bias, in_channels, out_channels, kernel, input_length,
+                fused_relu, oc, y);
+}
+
+#endif  // OSAP_ENSEMBLE_SIMD
+
 }  // namespace
-#endif  // OSAP_ENSEMBLE_BATCH_SIMD
 
 BatchedEnsemble::BatchedEnsemble(std::vector<const CompositeNet*> members) {
   OSAP_REQUIRE(!members.empty(), "BatchedEnsemble: empty ensemble");
@@ -173,8 +329,8 @@ std::vector<BatchedEnsemble::PackedOp> BatchedEnsemble::Pack(
       op.out_channels = conv->out_channels();
       op.kernel = conv->kernel();
       op.input_length = conv->input_length();
-      const std::size_t w_rows = op.in_channels * op.kernel;
-      op.weights.ReshapeUninitialized(k_members * op.out_channels, w_rows);
+      const std::size_t taps = op.in_channels * op.kernel;
+      op.weights.ReshapeUninitialized(k_members * taps, op.out_channels);
       op.bias.ReshapeUninitialized(k_members, op.out_channels);
       for (std::size_t m = 0; m < k_members; ++m) {
         const auto* member = dynamic_cast<const Conv1D*>(&seqs[m]->LayerAt(li));
@@ -184,15 +340,9 @@ std::vector<BatchedEnsemble::PackedOp> BatchedEnsemble::Pack(
                          member->kernel() == op.kernel &&
                          member->input_length() == op.input_length,
                      "BatchedEnsemble: conv shape mismatch across members");
-        // Transpose (w_rows x out_channels) -> (out_channels x w_rows) so
-        // the per-(oc, t) MAC loop reads taps contiguously.
-        const double* src = member->weight().value.data();
-        double* dst = op.weights.data() + m * op.out_channels * w_rows;
-        for (std::size_t r = 0; r < w_rows; ++r) {
-          for (std::size_t oc = 0; oc < op.out_channels; ++oc) {
-            dst[oc * w_rows + r] = src[r * op.out_channels + oc];
-          }
-        }
+        std::copy(member->weight().value.values().begin(),
+                  member->weight().value.values().end(),
+                  op.weights.data() + m * taps * op.out_channels);
         std::copy(member->bias().value.values().begin(),
                   member->bias().value.values().end(),
                   op.bias.data() + m * op.out_channels);
@@ -243,15 +393,17 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
       // exactly where the standalone ReLU pass would have run.
       const std::size_t in = op.in;
       const std::size_t out = op.out;
-#ifdef OSAP_ENSEMBLE_BATCH_SIMD
-      const bool simd = batch >= 4 && UseAvx2();
+#ifdef OSAP_ENSEMBLE_SIMD
+      const bool simd = UseAvx2();
 #endif
       for (std::size_t m = 0; m < k_members; ++m) {
         const double* w = op.weights.data() + m * in * out;
         const double* bias = op.bias.data() + m * out;
         std::size_t b = 0;
-#ifdef OSAP_ENSEMBLE_BATCH_SIMD
+#ifdef OSAP_ENSEMBLE_SIMD
         if (simd) {
+          // Four states per batch-axis call; any leftover states (at
+          // serving load, every state) take the output-axis kernel.
           for (; b + 4 <= batch; b += 4) {
             const double* xr = x + m * x_stride + b * x_batch;
             double* yr = y + m * y_stride + b * y_batch;
@@ -259,6 +411,10 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
                              xr + 3 * x_batch, w, bias, in, out,
                              op.fused_relu, yr, yr + y_batch,
                              yr + 2 * y_batch, yr + 3 * y_batch);
+          }
+          for (; b < batch; ++b) {
+            LinearRowAvx2(x + m * x_stride + b * x_batch, w, bias, in, out,
+                          op.fused_relu, y + m * y_stride + b * y_batch);
           }
         }
 #endif
@@ -303,33 +459,26 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
       break;
     }
     case PackedOp::Kind::kConv1d: {
-      // Mirrors Conv1D::Forward: acc starts at the bias, then ic- and
-      // k-ascending multiply-adds per (oc, t) output element. The packed
-      // weights are transposed so wk[] walks memory linearly.
-      const std::size_t out_len = op.input_length - op.kernel + 1;
-      const std::size_t w_rows = op.in_channels * op.kernel;
+      const std::size_t w_size = op.in_channels * op.kernel * op.out_channels;
+#ifdef OSAP_ENSEMBLE_SIMD
+      const bool simd = UseAvx2();
+#endif
       for (std::size_t m = 0; m < k_members; ++m) {
-        const double* w = op.weights.data() + m * op.out_channels * w_rows;
+        const double* w = op.weights.data() + m * w_size;
         const double* bias = op.bias.data() + m * op.out_channels;
         for (std::size_t b = 0; b < batch; ++b) {
           const double* xr = x + m * x_stride + b * x_batch;
           double* yr = y + m * y_stride + b * y_batch;
-          for (std::size_t oc = 0; oc < op.out_channels; ++oc) {
-            const double bb = bias[oc];
-            const double* woc = w + oc * w_rows;
-            for (std::size_t t = 0; t < out_len; ++t) {
-              double acc = bb;
-              for (std::size_t ic = 0; ic < op.in_channels; ++ic) {
-                const double* xc = xr + ic * op.input_length + t;
-                const double* wk = woc + ic * op.kernel;
-                for (std::size_t k = 0; k < op.kernel; ++k) {
-                  acc += xc[k] * wk[k];
-                }
-              }
-              yr[oc * out_len + t] =
-                  op.fused_relu ? (acc > 0.0 ? acc : 0.0) : acc;
-            }
+#ifdef OSAP_ENSEMBLE_SIMD
+          if (simd) {
+            ConvRowAvx2(xr, w, bias, op.in_channels, op.out_channels,
+                        op.kernel, op.input_length, op.fused_relu, yr);
+            continue;
           }
+#endif
+          ConvRowScalar(xr, w, bias, op.in_channels, op.out_channels,
+                        op.kernel, op.input_length, op.fused_relu,
+                        /*oc_begin=*/0, yr);
         }
       }
       break;

@@ -40,12 +40,11 @@ class BatchedEnsemble {
   /// B x InputSize row-major matrix; wider rows use the leading InputSize
   /// columns). Returns a (B*K) x OutputSize matrix - state b / member m's
   /// output in row b*K + m - referencing `scratch`. Each row is
-  /// bit-identical to Infer on that state alone: batching only hoists the
-  /// per-member weight blocks across states (every output element keeps
-  /// its own accumulation chain), which is the point - single-state
-  /// inference re-streams every member's weights per call and is
-  /// bandwidth-bound, so amortizing the weight traffic over B states is
-  /// where offline scoring passes (replay calibration) win big.
+  /// bit-identical to Infer on that state alone: every output element
+  /// keeps its own accumulation chain. Batching hoists each member's
+  /// weight block across the B states, and on AVX2 hosts each group of
+  /// four states shares one pass of a batch-axis Linear kernel; leftover
+  /// states (and Infer) take the single-state output-axis kernels.
   const Matrix& InferBatch(const Matrix& states, InferScratch& scratch) const;
 
   std::size_t MemberCount() const { return member_count_; }
@@ -59,12 +58,10 @@ class BatchedEnsemble {
     std::size_t in = 0;   // features per member consumed
     std::size_t out = 0;  // features per member produced
     // Linear: weights = K stacked (in x out) blocks, bias = K x out.
-    // Conv1D: weights transposed at pack time to K stacked
-    // (out_channels x (in_channels*kernel)) blocks so the inner MAC loop
-    // reads them contiguously (the member layers store
-    // (in_channels*kernel) x out_channels, which strides by out_channels
-    // between taps); bias = K x out_channels. The accumulation order is
-    // unchanged, so results stay bit-identical.
+    // Conv1D: weights = K stacked ((in_channels*kernel) x out_channels)
+    // blocks, each the member layer's own layout (one row per (ic, k)
+    // tap, contiguous along output channels - the axis the AVX2 kernel
+    // vectorizes); bias = K x out_channels.
     Matrix weights;
     Matrix bias;
     std::size_t in_channels = 0;
@@ -90,9 +87,9 @@ class BatchedEnsemble {
   // outputs at y + m * y_stride + b * y_batch. Member stride zero on x
   // means all members share the state's input row. The member loop is
   // outermost and the batch loop inside it, so member m's weight block
-  // stays hot across all B states; the per-(state, member) kernel is the
-  // single-state one verbatim, keeping every output element's
-  // accumulation chain (and thus the rounding) unchanged.
+  // stays hot across all B states. Every kernel - scalar, batch-axis or
+  // output-axis - keeps every output element's accumulation chain (and
+  // thus the rounding) unchanged.
   void ApplyOp(const PackedOp& op, const double* x, std::size_t x_stride,
                std::size_t x_batch, double* y, std::size_t y_stride,
                std::size_t y_batch, std::size_t batch) const;

@@ -4,7 +4,10 @@
 // the batched ensemble forward must match per-member Forward exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -14,6 +17,7 @@
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/sequential.h"
+#include "nn/simd.h"
 #include "util/rng.h"
 
 namespace osap::nn {
@@ -197,6 +201,147 @@ TEST(BatchedEnsembleRegression, RejectsMismatchedTopology) {
   b.SetTrunk(std::move(trunk));
   EXPECT_THROW(BatchedEnsemble(std::vector<const CompositeNet*>{&a, &b}),
                std::invalid_argument);
+}
+
+/// Replaces every weight and bias with a random draw. Freshly constructed
+/// layers have zero biases, under which a kernel that adds the bias at the
+/// wrong point of an element's chain would still produce the same bits.
+void RandomizeParams(CompositeNet& net, Rng& rng) {
+  for (Param* p : net.Params()) {
+    for (double& v : p->value.values()) v = rng.Normal(0.0, 0.5);
+  }
+}
+
+/// A Pensieve-shaped member (BuildPensieveNet's default config: 16 conv
+/// filters, kernel 4, 32 hidden units, over the 8-chunk history and
+/// 6-level ladder): three 1->16 dense branches, three 16-channel Conv1D
+/// branches, and a 256->32 trunk into `outputs` head units - 6 for the
+/// actor, 1 for a value member. The trunk fills one 32-column Linear
+/// tile and every conv fills one 16-channel tile.
+CompositeNet MakePensieveShapedNet(std::size_t outputs, Rng& rng) {
+  CompositeNet net;
+  const auto dense = [&](std::size_t begin) {
+    Sequential seq;
+    seq.AddLinearReLU(1, 16, rng);
+    net.AddBranch(begin, 1, std::move(seq));
+  };
+  const auto conv = [&](std::size_t begin, std::size_t length) {
+    Sequential seq;
+    seq.Add(std::make_unique<Conv1D>(1, 16, 4, length, rng));
+    seq.Add(std::make_unique<ReLU>(16 * (length - 3)));
+    net.AddBranch(begin, length, std::move(seq));
+  };
+  dense(0);
+  dense(1);
+  conv(2, 8);
+  conv(10, 8);
+  conv(18, 6);
+  dense(24);
+  Sequential trunk;
+  trunk.AddLinearReLU(16 * (3 + 5 + 5 + 3), 32, rng);
+  trunk.Add(std::make_unique<Linear>(32, outputs, rng));
+  net.SetTrunk(std::move(trunk));
+  RandomizeParams(net, rng);
+  return net;
+}
+
+/// Shapes that reach every tail of the single-state kernels: Conv1D with
+/// 2 input channels and 17 (16 + scalar), 35 (2 x 16 + scalar) and 7
+/// (4-wide + scalar) output channels, one of them with output length 1;
+/// Linear with 37 outputs (32-column tile + 4-wide + scalar) and with 5
+/// outputs (4-wide + scalar), with and without a fused ReLU.
+CompositeNet MakeOddShapedNet(Rng& rng) {
+  CompositeNet net;
+  Sequential narrow;
+  narrow.Add(std::make_unique<Conv1D>(2, 17, 3, 3, rng));  // length 1
+  narrow.Add(std::make_unique<ReLU>(17));
+  net.AddBranch(0, 6, std::move(narrow));
+  Sequential wide;
+  wide.Add(std::make_unique<Conv1D>(2, 35, 3, 5, rng));  // 35 x 3
+  wide.Add(std::make_unique<ReLU>(105));
+  wide.Add(std::make_unique<Conv1D>(35, 7, 2, 3, rng));  // 7 x 2, no ReLU
+  net.AddBranch(6, 10, std::move(wide));
+  Sequential trunk;
+  trunk.AddLinearReLU(17 + 14, 37, rng);
+  trunk.Add(std::make_unique<Linear>(37, 5, rng));
+  net.SetTrunk(std::move(trunk));
+  RandomizeParams(net, rng);
+  return net;
+}
+
+/// Infer and InferBatch (batch 1, 2, 3 and 5: single-state kernels only,
+/// then one batch-of-4 group plus a leftover state) must equal each
+/// member's own Forward bit for bit, on both dispatch paths.
+void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
+                                     Rng& rng) {
+  std::vector<const CompositeNet*> views;
+  for (const auto& m : members) views.push_back(&m);
+  const BatchedEnsemble batched(views);
+  const std::size_t k = members.size();
+  const std::size_t outputs = batched.OutputSize();
+  for (const bool avx2 : {false, true}) {
+    ForceSimdForTest(avx2);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{5}}) {
+      const Matrix states = Random(batch, batched.InputSize(), rng);
+      InferScratch scratch;
+      const Matrix& fused = batched.InferBatch(states, scratch);
+      ASSERT_EQ(fused.rows(), batch * k);
+      InferScratch single_scratch;
+      for (std::size_t b = 0; b < batch; ++b) {
+        const Matrix& single = batched.Infer(states.Row(b), single_scratch);
+        Matrix x(1, states.cols());
+        std::copy(states.Row(b).begin(), states.Row(b).end(), x.data());
+        for (std::size_t m = 0; m < k; ++m) {
+          const Matrix ref = members[m].Forward(x);
+          for (std::size_t j = 0; j < outputs; ++j) {
+            EXPECT_EQ(fused.At(b * k + m, j), ref.At(0, j))
+                << "avx2 " << avx2 << " batch " << batch << " state " << b
+                << " member " << m << " output " << j;
+            EXPECT_EQ(single.At(m, j), ref.At(0, j))
+                << "avx2 " << avx2 << " state " << b << " member " << m
+                << " output " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+class BatchedEnsembleTiledShapes : public ::testing::Test {
+ protected:
+  void TearDown() override { ResetSimdForTest(); }
+};
+
+TEST_F(BatchedEnsembleTiledShapes, PensieveActorMembersMatchForward) {
+  Rng rng(31);
+  std::vector<CompositeNet> members;
+  for (int m = 0; m < 5; ++m) members.push_back(MakePensieveShapedNet(6, rng));
+  ExpectFusedMatchesMemberForward(members, rng);
+}
+
+TEST_F(BatchedEnsembleTiledShapes, PensieveValueMembersMatchForward) {
+  Rng rng(37);
+  std::vector<CompositeNet> members;
+  for (int m = 0; m < 5; ++m) members.push_back(MakePensieveShapedNet(1, rng));
+  ExpectFusedMatchesMemberForward(members, rng);
+}
+
+TEST_F(BatchedEnsembleTiledShapes, OddShapesMatchForward) {
+  Rng rng(41);
+  std::vector<CompositeNet> members;
+  for (int m = 0; m < 3; ++m) members.push_back(MakeOddShapedNet(rng));
+  ExpectFusedMatchesMemberForward(members, rng);
+}
+
+// Runs for real only in the nn_tests_no_avx2 ctest entry, which reruns the
+// BatchedEnsemble and SIMD suites in a process started with OSAP_NO_AVX2=1.
+TEST(SimdEnvironment, NoAvx2SelectsScalarPath) {
+  const char* env = std::getenv("OSAP_NO_AVX2");
+  if (env == nullptr || std::strcmp(env, "1") != 0) {
+    GTEST_SKIP() << "needs OSAP_NO_AVX2=1 in the environment";
+  }
+  EXPECT_FALSE(UseAvx2());
 }
 
 }  // namespace
