@@ -15,6 +15,8 @@
 //     the whole batch + one batched deployed-actor pass).
 //   - BM_ServeServiceDefaulted*: the service round with a chosen share of
 //     the sessions already defaulted (args {sessions, defaulted %}).
+//   - BM_ServeServiceSparse*: rounds of 1-2 requests on 2 shards with a
+//     worker, reporting process CPU and wall time per decision.
 // Args are {sessions} for the sequential arm and {sessions, shards} for
 // the service. decisions_per_s is a REAL-TIME rate (wall clock around the
 // decision loop - the service arm is multi-threaded, so CPU-time rates
@@ -36,6 +38,7 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -340,6 +343,69 @@ void RunServiceDefaulted(benchmark::State& state, core::Scheme scheme) {
   TimeServiceRounds(state, service, ids, target);
 }
 
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Sparse rounds, the composition a lightly loaded network edge submits
+/// (one or two requests per round): {sessions} sessions on a {shards}-shard
+/// service with workers, each round deciding 1 or 2 of them (alternating)
+/// drawn by a fixed LCG, so a round may touch either shard alone or both.
+/// One iteration is one round. Reports wall_us_per_decision and
+/// cpu_us_per_decision (process CPU: the submitter, any worker it wakes
+/// and the wake-up itself - the handoff a round on one shard need not
+/// pay). A session that defaults is closed and reopened after its round,
+/// so every decision is scored.
+void RunServiceSparse(benchmark::State& state, core::Scheme scheme) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  serve::DecisionServiceConfig cfg;
+  cfg.shard_count = static_cast<std::size_t>(state.range(1));
+  serve::DecisionService service(SharedModel(scheme), cfg);
+  std::vector<serve::DecisionService::SessionId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
+  StatePool();  // materialize outside the timed region
+  std::vector<serve::DecisionService::Request> requests;
+  std::vector<std::size_t> picked;
+  mdp::Action actions[2] = {};
+  std::uint64_t lcg = 1;
+  std::size_t round = 0, decisions = 0;
+  const double cpu_start = ProcessCpuSeconds();
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    requests.clear();
+    picked.clear();
+    while (picked.size() < 1 + round % 2) {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      const std::size_t i = static_cast<std::size_t>(lcg >> 33) % n;
+      if (!picked.empty() && picked[0] == i) continue;
+      picked.push_back(i);
+      requests.push_back({ids[i], &PooledState(i, round)});
+    }
+    service.DecideBatch(requests, actions);
+    benchmark::DoNotOptimize(actions);
+    for (const std::size_t i : picked) {
+      if (!service.Defaulted(ids[i])) continue;
+      service.CloseSession(ids[i]);
+      ids[i] = service.OpenSession();
+    }
+    decisions += picked.size();
+    ++round;
+  }
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+  const double cpu_s = ProcessCpuSeconds() - cpu_start;
+  if (decisions > 0) {
+    state.counters["cpu_us_per_decision"] =
+        1e6 * cpu_s / static_cast<double>(decisions);
+    state.counters["wall_us_per_decision"] =
+        1e6 * wall_s / static_cast<double>(decisions);
+  }
+}
+
 /// Memory sweep: bytes/session at scale. One iteration builds a service,
 /// opens N sessions, runs a few rounds (so extractor slabs, trigger rings
 /// and shard scratch all materialize) and reports the exact per-session
@@ -571,6 +637,12 @@ void BM_ServeServiceDefaultedUpi(benchmark::State& state) {
 void BM_ServeServiceDefaultedUv(benchmark::State& state) {
   RunServiceDefaulted(state, core::Scheme::kValueEnsemble);
 }
+void BM_ServeServiceSparseUs(benchmark::State& state) {
+  RunServiceSparse(state, core::Scheme::kNoveltyDetection);
+}
+void BM_ServeServiceSparseUpi(benchmark::State& state) {
+  RunServiceSparse(state, core::Scheme::kAgentEnsemble);
+}
 void BM_NetServeUs(benchmark::State& state, net::BackendKind backend) {
   RunNetServe(state, core::Scheme::kNoveltyDetection, backend);
 }
@@ -619,6 +691,15 @@ BENCHMARK(BM_ServeServiceDefaultedUpi)
 BENCHMARK(BM_ServeServiceDefaultedUv)
     ->ArgsProduct({{64, 1000}, {0, 50, 90}})
     ->Unit(benchmark::kMillisecond);
+// Sparse-round axis, named BM_ServeServiceSparse*/{sessions}/{shards}:
+// the edge's 1-2-request rounds on 2 shards with a worker (the
+// BM_ServeService*/1000/{1,4} rows are the dense case, every shard busy).
+BENCHMARK(BM_ServeServiceSparseUs)
+    ->Args({64, 2})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ServeServiceSparseUpi)
+    ->Args({64, 2})
+    ->Unit(benchmark::kMicrosecond);
 // Network-edge arm, named BM_NetServe*/{epoll,uring}/{sessions}/{shards}/
 // {edge_threads}. The single-edge points measure per-round wire overhead
 // vs BM_ServeService; the Us /{1,2,4,8}-edge sweep at fixed shards is

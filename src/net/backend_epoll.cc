@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -31,6 +32,7 @@ EpollBackend::~EpollBackend() {
 }
 
 void EpollBackend::Init() {
+  chunk_ = std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) ThrowErrno("EpollBackend: epoll_create1");
   epoll_event ev{};
@@ -103,17 +105,17 @@ bool EpollBackend::DrainSocket(std::size_t slot) {
   Connection& conn = *edge_.connections[slot];
   // Edge-triggered: drain until EAGAIN, or stop early on pause (the
   // unread bytes close the TCP window - that IS the backpressure).
+  // recv lands in the backend's uninitialized chunk and only the bytes
+  // received are appended: growing conn.in by kReadChunk instead would
+  // zero-fill 64 KiB per call.
   while (!conn.paused) {
-    const std::size_t old = conn.in.size();
-    conn.in.resize(old + kReadChunk);
-    const ssize_t r = ::recv(conn.fd, conn.in.data() + old, kReadChunk, 0);
+    const ssize_t r = ::recv(conn.fd, chunk_.get(), kReadChunk, 0);
     edge_.io_syscalls.fetch_add(1, std::memory_order_relaxed);
     if (r > 0) {
-      conn.in.resize(old + static_cast<std::size_t>(r));
+      conn.in.insert(conn.in.end(), chunk_.get(), chunk_.get() + r);
       if (!server_.ParseBuffered(edge_, slot)) return false;
       continue;
     }
-    conn.in.resize(old);
     if (r == 0) return false;  // EOF
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     if (errno == EINTR) continue;

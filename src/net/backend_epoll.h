@@ -1,14 +1,17 @@
 // The reference arm: edge-triggered epoll, one syscall per socket per
-// operation. This is the original NetServer event loop verbatim, moved
-// behind net::Backend - epoll_wait gathers readiness, accept4 loops to
-// EAGAIN, recv drains to EAGAIN, DirectFlush (sendmsg) pushes replies
-// with EPOLLOUT continuation for partial writes. The uring arm is
+// operation. This is the original NetServer event loop moved behind
+// net::Backend - epoll_wait gathers readiness, accept4 loops to EAGAIN,
+// recv drains to EAGAIN through one backend-owned kReadChunk buffer
+// (appending only the bytes received), DirectFlush (sendmsg) pushes
+// replies with EPOLLOUT continuation for partial writes. The uring arm is
 // measured against this one; the loopback bit-identity pins run both.
 #pragma once
 
 #include <sys/epoll.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/backend.h"
@@ -43,6 +46,8 @@ class EpollBackend final : public Backend {
   Edge& edge_;
   int epoll_fd_ = -1;
   std::vector<epoll_event> events_{256};
+  /// Uninitialized kReadChunk-byte recv target shared by every connection.
+  std::unique_ptr<std::uint8_t[]> chunk_;
 };
 
 }  // namespace osap::net

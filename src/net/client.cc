@@ -124,14 +124,14 @@ bool Client::ReadReply(Reply& reply, ServerStats* stats) {
       in_.clear();
       in_off_ = 0;
     }
-    const std::size_t old = in_.size();
-    in_.resize(old + 16 * 1024);
-    const ssize_t r = ::recv(fd_, in_.data() + old, 16 * 1024, 0);
+    // Append only what arrived: resizing in_ by a chunk per recv would
+    // zero-fill it first.
+    std::uint8_t chunk[16 * 1024];
+    const ssize_t r = ::recv(fd_, chunk, sizeof chunk, 0);
     if (r > 0) {
-      in_.resize(old + static_cast<std::size_t>(r));
+      in_.insert(in_.end(), chunk, chunk + r);
       continue;
     }
-    in_.resize(old);
     if (r == 0) {
       if (in_off_ != in_.size()) {
         throw std::runtime_error("Client: EOF mid-frame");

@@ -42,8 +42,8 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
     }
   }
   if (config_.shard_workers) {
-    // One persistent worker per shard that is not the first of its group;
-    // group-first shards run on their group's submitting thread.
+    // One persistent worker per shard that is not the first of its group:
+    // a non-empty group-first shard is always its round's inline shard.
     for (const auto& group : groups_) {
       for (std::size_t s = group->begin + 1; s < group->end; ++s) {
         worker_shards_.push_back(s);
@@ -279,19 +279,13 @@ void DecisionService::DecideBatch(std::span<const Request> requests,
     OSAP_REQUIRE(pushed, "DecideBatch: shard ring overflow");
   }
 
-  if (!config_.shard_workers) {
-    // Serial mode: run every shard of the group inline in ascending
-    // order - the bit-identity reference path.
-    for (std::size_t s = begin; s < end; ++s) {
-      if (counts[s - begin] == 0) continue;
-      DrainEpoch(s, EpochSlot{requests, out, counts[s - begin]});
-    }
-    return;
-  }
-
-  // Post one epoch ticket per non-empty worker shard. Each ticket touches
-  // only its own lane - there is no shared job object or global barrier.
-  for (std::size_t s = begin + 1; s < end; ++s) {
+  // The first non-empty shard runs on the calling thread; with workers,
+  // every later non-empty shard is posted an epoch ticket first and
+  // overlaps it, so a round on one shard hands nothing off. A ticket
+  // touches only its own lane - no shared job object or global barrier.
+  std::size_t first = begin;
+  while (counts[first - begin] == 0) ++first;
+  for (std::size_t s = first + 1; s < end && config_.shard_workers; ++s) {
     if (counts[s - begin] == 0) continue;
     ShardLane& lane = *shards_[s];
     {
@@ -301,18 +295,19 @@ void DecisionService::DecideBatch(std::span<const Request> requests,
     }
     lane.work_cv.notify_one();
   }
+  DrainEpoch(first, EpochSlot{requests, out, counts[first - begin]});
 
-  // The group's first shard always runs on the calling thread,
-  // overlapping the workers.
-  if (counts[0] > 0) {
-    DrainEpoch(begin, EpochSlot{requests, out, counts[0]});
-  }
-
-  // Collect completions in ascending shard order (deterministic, and the
-  // release/acquire edge on each lane's mutex publishes the worker's
-  // writes to out[] back to the caller).
-  for (std::size_t s = begin + 1; s < end; ++s) {
+  // Serial mode runs the remaining shards inline in ascending order (the
+  // bit-identity reference path). Otherwise collect completions in
+  // ascending shard order: deterministic, and the release/acquire edge on
+  // each lane's mutex publishes the worker's writes to out[] (and its
+  // lane scratch, which this thread may run next round) back here.
+  for (std::size_t s = first + 1; s < end; ++s) {
     if (counts[s - begin] == 0) continue;
+    if (!config_.shard_workers) {
+      DrainEpoch(s, EpochSlot{requests, out, counts[s - begin]});
+      continue;
+    }
     ShardLane& lane = *shards_[s];
     std::unique_lock<std::mutex> lock(lane.mutex);
     lane.done_cv.wait(lock, [&] { return lane.completed == lane.submitted; });

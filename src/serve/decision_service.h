@@ -24,18 +24,21 @@
 // first of its submitter group owns a dedicated worker thread for the
 // service's whole lifetime, fed through a private SPSC ring of request
 // indices plus a double-buffered input slot, and woken by an epoch ticket
-// (a per-shard submitted/completed counter pair). The first shard of each
-// group always runs on the submitting thread. Compared with fanning a
-// thread pool out per round, this removes every piece of shared state
-// from the round path - no global job object, no common mutex, no
+// (a per-shard submitted/completed counter pair). Each round's FIRST
+// NON-EMPTY shard runs on the submitting thread and only the non-empty
+// shards after it get tickets, so a round touching one shard hands
+// nothing off (the sparse rounds of a lightly loaded edge). Compared with
+// fanning a thread pool out per round, this removes every piece of shared
+// state from the round path - no global job object, no common mutex, no
 // pool-wide barrier: posting shard k's ticket touches only shard k's
 // lane, so a slow shard delays the final collection wait but never the
-// staging or execution of its peers (epoch handoff instead of a round
-// barrier). The submitter still collects completions in deterministic
-// shard order before returning, and shards own disjoint sessions and
-// disjoint out[] entries, so batched decisions stay bit-identical to the
-// sequential SafeAgent loop for all three signals in both defaulting
-// modes (pinned by equivalence tests).
+// staging or execution of its peers. A lane's scratch thus alternates
+// between its worker and the submitter, each handover ordered by the
+// lane mutex (ticket post / completion wait). The submitter collects
+// completions in deterministic shard order before returning, and shards
+// own disjoint sessions and disjoint out[] entries, so batched decisions
+// stay bit-identical to the sequential SafeAgent loop for all three
+// signals in both defaulting modes (pinned by equivalence tests).
 //
 // Threshold: step 3 compares against the model's own trigger threshold
 // (ServingModel::safety(); for U_pi / U_V the replay bisection's frozen
@@ -120,10 +123,10 @@ struct DecisionServiceConfig {
   /// of work per DecideBatch call. Must be >= 1.
   std::size_t shard_count = 1;
   /// Spawn one persistent worker thread per shard that is not the first
-  /// of its submitter group (the first shard of each group always runs on
-  /// the submitting thread, so shard_count = submitter_count never
-  /// spawns). false runs every shard of a group inline on its submitter -
-  /// the serial reference arm for the equivalence tests, and the right
+  /// of its submitter group (a round's first non-empty shard runs on the
+  /// submitting thread, so shard_count = submitter_count never spawns).
+  /// false runs every shard of a group inline on its submitter - the
+  /// serial reference arm for the equivalence tests, and the right
   /// choice when the host dedicates a single core to the service.
   bool shard_workers = true;
   /// Concurrent submitter groups (must be in [1, shard_count]). The
@@ -292,7 +295,7 @@ class DecisionService {
   /// Per-shard lane: the shard's session table and extractor pool plus
   /// scratch that persists across DecideBatch calls plus (for shards
   /// that are not the first of their group, under shard_workers) the
-  /// handoff state its pinned worker drains. unique_ptr in shards_
+  /// handoff state its worker drains. unique_ptr in shards_
   /// because the arena and the synchronization members are pinned in
   /// place (non-movable).
   struct ShardLane {
@@ -346,8 +349,8 @@ class DecisionService {
 
   void WorkerLoop(std::size_t shard);
   /// Pops `slot.count` request indices off the shard's ring into arena
-  /// storage and runs the shard on them. Runs on the shard's worker (or
-  /// the group's submitter, for group-first shards / serial mode).
+  /// storage and runs the shard on them. Runs on the shard's worker, or
+  /// on the submitter for the round's first non-empty shard / serial mode.
   void DrainEpoch(std::size_t shard, const EpochSlot& slot);
   /// Scores and answers one shard's slice of the round. `idx` lists the
   /// shard's request indices in caller order.
@@ -355,8 +358,8 @@ class DecisionService {
                 std::span<mdp::Action> out, std::span<const std::size_t> idx);
   /// Periodic scratch diet: tracks the lane's high-water use and, every
   /// kLaneShrinkEpochs epochs, releases arena blocks / packed matrices
-  /// beyond 2x the recent need. Runs on the lane's owning thread at the
-  /// end of DrainEpoch.
+  /// beyond 2x the recent need. Runs at the end of DrainEpoch, on
+  /// whichever thread ran the epoch.
   void MaybeShrinkLane(ShardLane& lane, std::size_t count);
   std::size_t GroupOf(SessionId id) const {
     return shards_[ShardOf(id)]->group;

@@ -18,14 +18,17 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abr/abr_environment.h"
 #include "net/client.h"
+#include "net/edge.h"
 #include "net_test_world.h"
 #include "serve/decision_service.h"
 
@@ -508,6 +511,207 @@ TEST_P(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
   EXPECT_EQ(stats.open_sessions, 1u);
   EXPECT_EQ(stats.connections, 1u);
   polite.CloseSession(session);
+}
+
+/// Open-loop states for the framing tests: viewer v replays trace
+/// v % traces under a fixed action, so its states never depend on the
+/// server's answers and a whole run can be pipelined up front.
+std::vector<std::vector<mdp::State>> FixedActionStates(const NetWorld& w,
+                                                       std::size_t viewers,
+                                                       std::size_t steps) {
+  std::vector<std::vector<mdp::State>> states(viewers);
+  for (std::size_t v = 0; v < viewers; ++v) {
+    abr::AbrEnvironment env(w.video, {});
+    env.SetFixedTrace(w.traces[v % w.traces.size()]);
+    mdp::State state = env.Reset();
+    for (std::size_t k = 0; k < steps; ++k) {
+      states[v].push_back(state);
+      mdp::StepResult result = env.Step(static_cast<mdp::Action>(v % 3));
+      state = result.done ? env.Reset() : std::move(result.next_state);
+    }
+  }
+  return states;
+}
+
+/// The in-process answers to FixedActionStates: viewer v's states in
+/// order through its own session of a serial service.
+std::vector<SessionRun> DecideInProcess(
+    std::shared_ptr<const serve::ServingModel> model,
+    const std::vector<std::vector<mdp::State>>& states) {
+  serve::DecisionServiceConfig cfg;
+  cfg.shard_count = 2;
+  cfg.shard_workers = false;
+  serve::DecisionService service(std::move(model), cfg);
+  std::vector<SessionRun> runs(states.size());
+  for (std::size_t v = 0; v < states.size(); ++v) {
+    const auto id = service.OpenSession();
+    for (const mdp::State& state : states[v]) {
+      runs[v].actions.push_back(service.Decide(id, state));
+      runs[v].defaulted.push_back(service.Defaulted(id));
+    }
+    service.CloseSession(id);
+  }
+  return runs;
+}
+
+/// Bounds every blocking read on `client`, so a reply the server never
+/// sends fails the test instead of hanging it.
+void BoundReplyWait(const Client& client) {
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+}
+
+/// Reply tally for the STATS identity ok + busy + full + error == sent.
+struct Tally {
+  std::size_t ok = 0, busy = 0, full = 0, error = 0;
+  void Add(const Reply& reply) {
+    ok += reply.status == Status::kOk;
+    busy += reply.status == Status::kBusy;
+    full += reply.status == Status::kFull;
+    error += reply.status == Status::kError;
+  }
+  std::size_t Total() const { return ok + busy + full + error; }
+};
+
+// One pipelined burst of STEPs more than twice kReadChunk, so the server
+// needs several reads, and a full kReadChunk read cannot end on a frame
+// boundary (kReadChunk is not a multiple of the frame size): frames
+// straddle reads. Every reply must carry exactly the in-process decision
+// for its viewer's step.
+TEST_P(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
+  const NetWorld& w = SharedNetWorld();
+  constexpr std::size_t kViewers = 8;
+  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
+                                 core::DefaultingMode::kPermanent);
+  const std::size_t frame = StepFrameBytes(model->InputSize());
+  const std::size_t steps = 2 * kReadChunk / (kViewers * frame) + 1;
+  ASSERT_GT(kViewers * steps * frame, 2 * kReadChunk);
+  ASSERT_NE(kReadChunk % frame, 0u);
+  const auto states = FixedActionStates(w, kViewers, steps);
+  const std::vector<SessionRun> reference = DecideInProcess(model, states);
+
+  NetServerConfig cfg = Cfg();
+  cfg.service.shard_count = 2;  // with a worker: sparse rounds run inline
+  ServerRunner server(model, cfg);
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+  Tally tally;
+  std::size_t sent = 0;
+  std::vector<std::uint64_t> session(kViewers);
+  for (std::size_t v = 0; v < kViewers; ++v) client.SendOpen(1 + v);
+  sent += kViewers;
+  client.Flush();
+  for (std::size_t k = 0; k < kViewers; ++k) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply));
+    ASSERT_EQ(reply.status, Status::kOk);
+    tally.Add(reply);
+    session[reply.request_id - 1] = reply.session_id;
+  }
+
+  // Request id (1 << 20) + k * kViewers + v is viewer v's step k.
+  constexpr std::uint64_t kBase = 1 << 20;
+  for (std::size_t k = 0; k < steps; ++k) {
+    for (std::size_t v = 0; v < kViewers; ++v) {
+      client.SendStep(kBase + k * kViewers + v, session[v], states[v][k]);
+    }
+  }
+  sent += steps * kViewers;
+  client.Flush();
+  std::vector<SessionRun> wire(kViewers);
+  for (auto& run : wire) {
+    run.actions.resize(steps);
+    run.defaulted.resize(steps);
+  }
+  for (std::size_t n = 0; n < steps * kViewers; ++n) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply)) << "reply " << n << " missing";
+    tally.Add(reply);
+    ASSERT_EQ(reply.status, Status::kOk);
+    ASSERT_GE(reply.request_id, kBase);
+    const std::uint64_t index = reply.request_id - kBase;
+    ASSERT_LT(index, steps * kViewers);
+    const std::size_t v = index % kViewers;
+    EXPECT_EQ(reply.session_id, session[v]);
+    wire[v].actions[index / kViewers] = reply.action;
+    wire[v].defaulted[index / kViewers] = reply.Defaulted();
+  }
+  for (std::size_t v = 0; v < kViewers; ++v) {
+    EXPECT_EQ(wire[v].actions, reference[v].actions) << "viewer " << v;
+    EXPECT_EQ(wire[v].defaulted, reference[v].defaulted) << "viewer " << v;
+  }
+
+  for (std::size_t v = 0; v < kViewers; ++v) {
+    client.SendClose(1 + v, session[v]);
+  }
+  sent += kViewers;
+  client.Flush();
+  for (std::size_t k = 0; k < kViewers; ++k) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply));
+    tally.Add(reply);
+  }
+  EXPECT_EQ(tally.Total(), sent);
+  EXPECT_EQ(tally.ok, sent);
+  const ServerStats stats = client.Stats();
+  EXPECT_EQ(stats.decided, steps * kViewers);
+  EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors, 0u);
+}
+
+// Frames trickling in one byte per send(): the parser must hold every
+// partial length prefix, header and state payload across reads and
+// answer each frame exactly once, exactly as in process.
+TEST_P(NetServerLoopback, OneBytePerSendReassemblesFrames) {
+  const NetWorld& w = SharedNetWorld();
+  constexpr std::size_t kSteps = 3;
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  const auto states = FixedActionStates(w, 1, kSteps);
+  const std::vector<SessionRun> reference = DecideInProcess(model, states);
+
+  NetServerConfig cfg = Cfg();
+  cfg.service.shard_count = 2;
+  ServerRunner server(model, cfg);
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+  const auto trickle = [&](const RequestHeader& header,
+                           std::span<const double> state) {
+    std::vector<std::uint8_t> frame;
+    AppendRequestFrame(frame, header, state);
+    for (const std::uint8_t byte : frame) {
+      ASSERT_EQ(::send(client.fd(), &byte, 1, MSG_NOSIGNAL), 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  };
+  Tally tally;
+  Reply reply;
+  trickle({kProtocolVersion, MsgType::kOpenSession, 1, 0}, {});
+  ASSERT_TRUE(client.ReadReply(reply));
+  tally.Add(reply);
+  ASSERT_EQ(reply.status, Status::kOk);
+  const std::uint64_t session = reply.session_id;
+  for (std::size_t k = 0; k < kSteps; ++k) {
+    trickle({kProtocolVersion, MsgType::kStep, 2 + k, session}, states[0][k]);
+    ASSERT_TRUE(client.ReadReply(reply));
+    tally.Add(reply);
+    EXPECT_EQ(reply.request_id, 2 + k);
+    EXPECT_EQ(reply.status, Status::kOk);
+    EXPECT_EQ(reply.action, reference[0].actions[k]) << "step " << k;
+    EXPECT_EQ(reply.Defaulted(), reference[0].defaulted[k] != 0);
+  }
+  trickle({kProtocolVersion, MsgType::kCloseSession, 9, session}, {});
+  ASSERT_TRUE(client.ReadReply(reply));
+  tally.Add(reply);
+  EXPECT_EQ(tally.Total(), 2 + kSteps);
+  EXPECT_EQ(tally.ok, 2 + kSteps);
+  const ServerStats stats = client.Stats();
+  EXPECT_EQ(stats.decided, kSteps);
+  EXPECT_EQ(stats.open_sessions, 0u);
 }
 
 // Requesting the uring arm never fails the server: where the kernel

@@ -10,10 +10,14 @@
 // owns the session's shard. The submitter-group scenarios split 3 shards
 // into 2 groups, each driven by its own thread (open / close / decide /
 // per-group memory stats), and check the answers against a serial
-// single-submitter service. Built into its own binary so the sanitize
-// ctest label can select it; under TSan this exercises the claim that
-// shards touch disjoint sessions and output slots, that groups share no
-// mutable state, and that the ring/ticket handoff is properly ordered.
+// single-submitter service. The sparse-round scenario submits 0-3
+// sessions per round, so a worker shard's lane is often run inline by the
+// submitter (a round's first non-empty shard never gets a ticket) and its
+// scratch alternates between the two threads. Built into its own binary
+// so the sanitize ctest label can select it; under TSan this exercises
+// the claim that shards touch disjoint sessions and output slots, that
+// groups share no mutable state, and that the ring/ticket handoff is
+// properly ordered.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,6 +227,124 @@ TEST(ServeSmoke, SessionChurnAcrossEpochs) {
     }
   }
   EXPECT_EQ(parallel.ActiveSessionCount(), serial.ActiveSessionCount());
+}
+
+/// Mirrors DecisionService::kLaneShrinkEpochs: a lane runs its scratch
+/// shrink check on every 64th epoch it drains.
+constexpr std::size_t kShrinkEpochs = 64;
+constexpr std::size_t kSparseRounds = 1200;
+
+/// Sparse rounds on a `shards`-shard service with workers against the
+/// serial service: each round carries 0-3 randomly chosen viewers (every
+/// 150th round carries all of them, so the lanes' scratch grows and the
+/// shrink check has something to release), and every 7th round one
+/// viewer leaves and a fresh one joins. Rounds whose requests all sit on
+/// worker shards run the first of them on the submitting thread, so each
+/// worker lane is drained by both threads; the test counts, from the
+/// round composition, which thread ran each lane's shrink-check epochs
+/// and requires both to have run some. Actions, Defaulted and StepCount
+/// must match the serial service bit for bit.
+void RunSparseSmoke(const SmokeWorld& w, Signal signal, std::size_t shards) {
+  DecisionServiceConfig parallel_config;
+  parallel_config.shard_count = shards;
+  parallel_config.shard_workers = true;
+  DecisionService parallel(SmokeModel(w, signal), parallel_config);
+  ASSERT_EQ(parallel.WorkerCount(), shards - 1);
+  DecisionServiceConfig serial_config;
+  serial_config.shard_count = shards;
+  serial_config.shard_workers = false;
+  DecisionService serial(SmokeModel(w, signal), serial_config);
+
+  struct Viewer {
+    DecisionService::SessionId id = 0;
+    abr::AbrEnvironment env;
+    mdp::State state;
+  };
+  std::vector<Viewer> viewers;
+  std::size_t next_trace = 0;
+  const auto join = [&] {
+    Viewer v{parallel.OpenSession(),
+             abr::AbrEnvironment(w.video, abr::AbrEnvironmentConfig{}),
+             {}};
+    const auto serial_id = serial.OpenSession();
+    ASSERT_EQ(v.id, serial_id);
+    v.env.SetFixedTrace(w.traces[next_trace++ % w.traces.size()]);
+    v.state = v.env.Reset();
+    viewers.push_back(std::move(v));
+  };
+  for (std::size_t i = 0; i < kSessions; ++i) join();
+
+  std::mt19937 rng(static_cast<unsigned>(17 * shards) +
+                   static_cast<unsigned>(signal));
+  std::vector<std::size_t> epochs(shards, 0);  // non-empty rounds per lane
+  std::size_t shrink_inline = 0, shrink_on_worker = 0;
+  std::size_t worker_only_rounds = 0;
+  std::vector<std::size_t> order;
+  std::vector<DecisionService::Request> requests;
+  std::vector<mdp::Action> parallel_out;
+  std::vector<mdp::Action> serial_out;
+  for (std::size_t round = 0; round < kSparseRounds; ++round) {
+    if (round % 7 == 3) {
+      const std::size_t leaver = rng() % viewers.size();
+      parallel.CloseSession(viewers[leaver].id);
+      serial.CloseSession(viewers[leaver].id);
+      viewers.erase(viewers.begin() + static_cast<std::ptrdiff_t>(leaver));
+      join();
+    }
+    order.resize(viewers.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    order.resize(round % 150 == 149 ? viewers.size() : rng() % 4);
+
+    requests.clear();
+    std::vector<bool> touched(shards, false);
+    for (const std::size_t i : order) {
+      requests.push_back({viewers[i].id, &viewers[i].state});
+      touched[parallel.ShardOfSession(viewers[i].id)] = true;
+    }
+    bool inline_taken = false;  // the first non-empty shard runs inline
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (!touched[s]) continue;
+      if (++epochs[s] % kShrinkEpochs == 0 && s > 0) {
+        ++(inline_taken ? shrink_on_worker : shrink_inline);
+      }
+      if (s > 0 && !inline_taken) ++worker_only_rounds;
+      inline_taken = true;
+    }
+
+    parallel_out.resize(requests.size());
+    serial_out.resize(requests.size());
+    parallel.DecideBatch(requests, parallel_out);
+    serial.DecideBatch(requests, serial_out);
+    ASSERT_EQ(parallel_out, serial_out) << "round " << round;
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      Viewer& v = viewers[order[j]];
+      ASSERT_EQ(parallel.Defaulted(v.id), serial.Defaulted(v.id))
+          << "round " << round;
+      ASSERT_EQ(parallel.StepCount(v.id), serial.StepCount(v.id))
+          << "round " << round;
+      mdp::StepResult result = v.env.Step(parallel_out[j]);
+      v.state = std::move(result.next_state);
+      if (result.done) v.state = v.env.Reset();
+    }
+  }
+  for (const Viewer& v : viewers) {
+    EXPECT_EQ(parallel.Defaulted(v.id), serial.Defaulted(v.id));
+    EXPECT_EQ(parallel.StepCount(v.id), serial.StepCount(v.id));
+  }
+  // The scenario must have covered what it claims to.
+  EXPECT_GT(worker_only_rounds, kShrinkEpochs);
+  EXPECT_GT(shrink_inline, 0u) << "no worker lane shrank on the submitter";
+  EXPECT_GT(shrink_on_worker, 0u) << "no worker lane shrank on its worker";
+}
+
+TEST(ServeSmoke, SparseRoundsRunWorkerShardsInline) {
+  const SmokeWorld w = MakeSmokeWorld();
+  for (const std::size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(shards);
+    RunSparseSmoke(w, Signal::kNovelty, shards);
+    RunSparseSmoke(w, Signal::kAgentEnsemble, shards);
+  }
 }
 
 /// One viewer of the submitter-group scenarios: the same closed-loop
