@@ -40,7 +40,6 @@
 #include <chrono>
 #include <ctime>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -467,25 +466,13 @@ void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
 /// connection landed), and the round's wall clock is the slowest edge's
 /// send-flush-collect. Sweeping /{1,2,4,8} edges at fixed shards is the
 /// tentpole scaling curve.
-void RunNetServe(benchmark::State& state, core::Scheme scheme,
-                 net::BackendKind backend) {
+void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const auto edges = static_cast<std::size_t>(state.range(2));
-  if (backend == net::BackendKind::kUring &&
-      !net::UringBackendAvailable()) {
-    // Visible skip, and error_occurred keeps the point out of the JSON
-    // sidecar - the gate diffs only the arms this kernel can run.
-    state.SkipWithError(
-        (std::string("io_uring unavailable: ") +
-         net::UringUnavailableReason())
-            .c_str());
-    return;
-  }
   net::NetServerConfig cfg;
   cfg.service.shard_count = shards;
   cfg.edge_threads = edges;
-  cfg.backend = backend;
   net::NetServer server(SharedModel(scheme), cfg);
   server.Start();
   std::thread loop([&server] { server.Run(); });
@@ -588,9 +575,8 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme,
   for (auto& c : clients) c->Close();
   server.Stop();
   loop.join();
-  // The backend comparison's second axis next to round latency: kernel
-  // crossings per decision (batched SQEs are the uring arm's whole
-  // claim). Counted over the entire run including warmup/probe rounds -
+  // The edge's second axis next to round latency: kernel crossings per
+  // decision. Counted over the entire run including warmup/probe rounds -
   // the ratio, not the absolute count, is the comparable number.
   const net::ServerStats net_stats = server.Stats();
   if (net_stats.decided > 0) {
@@ -643,14 +629,14 @@ void BM_ServeServiceSparseUs(benchmark::State& state) {
 void BM_ServeServiceSparseUpi(benchmark::State& state) {
   RunServiceSparse(state, core::Scheme::kAgentEnsemble);
 }
-void BM_NetServeUs(benchmark::State& state, net::BackendKind backend) {
-  RunNetServe(state, core::Scheme::kNoveltyDetection, backend);
+void BM_NetServeUs(benchmark::State& state) {
+  RunNetServe(state, core::Scheme::kNoveltyDetection);
 }
-void BM_NetServeUpi(benchmark::State& state, net::BackendKind backend) {
-  RunNetServe(state, core::Scheme::kAgentEnsemble, backend);
+void BM_NetServeUpi(benchmark::State& state) {
+  RunNetServe(state, core::Scheme::kAgentEnsemble);
 }
-void BM_NetServeUv(benchmark::State& state, net::BackendKind backend) {
-  RunNetServe(state, core::Scheme::kValueEnsemble, backend);
+void BM_NetServeUv(benchmark::State& state) {
+  RunNetServe(state, core::Scheme::kValueEnsemble);
 }
 void BM_ServeServiceMemUs(benchmark::State& state) {
   RunServiceMem(state, core::Scheme::kNoveltyDetection);
@@ -700,39 +686,24 @@ BENCHMARK(BM_ServeServiceSparseUs)
 BENCHMARK(BM_ServeServiceSparseUpi)
     ->Args({64, 2})
     ->Unit(benchmark::kMicrosecond);
-// Network-edge arm, named BM_NetServe*/{epoll,uring}/{sessions}/{shards}/
+// Network-edge arm, named BM_NetServe*/{sessions}/{shards}/
 // {edge_threads}. The single-edge points measure per-round wire overhead
 // vs BM_ServeService; the Us /{1,2,4,8}-edge sweep at fixed shards is
 // the multi-core edge scaling curve (Us is the cheapest signal, so the
 // wire/edge share of a round is largest and the sweep isolates edge
 // parallelism rather than model cost - upi/uv ride the identical code
-// path). The uring arm mirrors the epoll grid point for point and skips
-// itself (with the reason on the console, excluded from the sidecar)
-// when the kernel denies io_uring; diff the two arms with
-// tools/bench_diff.py --only-backend. Open-loop connection fan-in lives
-// in tools/osap_client against a live server.
-BENCHMARK_CAPTURE(BM_NetServeUs, epoll, net::BackendKind::kEpoll)
+// path). Open-loop connection fan-in lives in tools/osap_client against
+// a live server.
+BENCHMARK(BM_NetServeUs)
     ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
     ->Args({1000, 8, 1})
     ->Args({256, 8, 1})->Args({256, 8, 2})->Args({256, 8, 4})
     ->Args({256, 8, 8})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NetServeUs, uring, net::BackendKind::kUring)
-    ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
-    ->Args({1000, 8, 1})
-    ->Args({256, 8, 1})->Args({256, 8, 2})->Args({256, 8, 4})
-    ->Args({256, 8, 8})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NetServeUpi, epoll, net::BackendKind::kEpoll)
+BENCHMARK(BM_NetServeUpi)
     ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NetServeUpi, uring, net::BackendKind::kUring)
-    ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NetServeUv, epoll, net::BackendKind::kEpoll)
-    ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NetServeUv, uring, net::BackendKind::kUring)
+BENCHMARK(BM_NetServeUv)
     ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
     ->Unit(benchmark::kMillisecond);
 // The 100k memory sweep: one deterministic iteration per point (the

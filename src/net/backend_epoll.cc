@@ -105,9 +105,9 @@ bool EpollBackend::DrainSocket(std::size_t slot) {
   Connection& conn = *edge_.connections[slot];
   // Edge-triggered: drain until EAGAIN, or stop early on pause (the
   // unread bytes close the TCP window - that IS the backpressure).
-  // recv lands in the backend's uninitialized chunk and only the bytes
-  // received are appended: growing conn.in by kReadChunk instead would
-  // zero-fill 64 KiB per call.
+  // recv lands in the uninitialized chunk_ and only the bytes received
+  // are appended: growing conn.in by kReadChunk instead would zero-fill
+  // 64 KiB per call.
   while (!conn.paused) {
     const ssize_t r = ::recv(conn.fd, chunk_.get(), kReadChunk, 0);
     edge_.io_syscalls.fetch_add(1, std::memory_order_relaxed);
@@ -134,15 +134,12 @@ bool EpollBackend::OnConnectionOpened(std::size_t slot) {
 }
 
 void EpollBackend::OnConnectionClosing(std::size_t slot) {
-  // Nothing is in flight on this arm; just stop watching the fd.
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, edge_.connections[slot]->fd,
               nullptr);
   edge_.io_syscalls.fetch_add(1, std::memory_order_relaxed);
 }
 
 void EpollBackend::OnReadsResumed(std::size_t slot) {
-  // The pause may have swallowed an edge: the kernel owes no further
-  // EPOLLIN for bytes that arrived while paused, so drain explicitly.
   if (!DrainSocket(slot)) server_.CloseConnection(edge_, slot);
 }
 

@@ -1,10 +1,8 @@
-// Per-edge server state shared between NetServer and its IO backends
-// (DESIGN.md §10.5). Everything here used to be private to server.cc;
-// the backend split moves the definitions into this internal header so
-// backend_epoll.cc / backend_uring.cc can drive the same connection
-// slabs, pending queues and bookkeeping without a copy. Ownership rules
-// are unchanged: every field is touched by exactly one edge thread
-// except the trailing published atomics.
+// Per-edge server state shared between NetServer and its EpollBackend
+// (DESIGN.md §10.5). The definitions live in this internal header so
+// backend_epoll.cc can drive the same connection slabs, pending queues
+// and bookkeeping as server.cc without a copy. Every field is touched by
+// exactly one edge thread except the trailing published atomics.
 #pragma once
 
 #include <atomic>
@@ -19,14 +17,10 @@
 
 namespace osap::net {
 
-class Backend;
+class EpollBackend;
 
-/// One recv() worth of input growth on the epoll arm (the uring arm
-/// sizes its provided-buffer ring separately in backend_uring.cc).
+/// The most bytes one recv() reads into a connection's input buffer.
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// A vectored send gathers at most this many reply frames per call
-/// (writev/sendmsg on the epoll arm, one SENDMSG SQE on the uring arm).
-constexpr int kMaxIov = 64;
 
 /// Per-connection state. Objects are recycled through a free list - the
 /// input buffer, output frame queue and session list keep their capacity
@@ -40,7 +34,7 @@ struct Connection {
   /// crossed pause_reads_above; bytes stay in the kernel receive buffer
   /// until the backlog halves.
   bool paused = false;
-  bool want_write = false;  // epoll arm: EPOLLOUT armed (partial write)
+  bool want_write = false;  // EPOLLOUT armed (partial write left over)
   bool dirty = false;       // queued replies awaiting a flush this round
   std::uint32_t in_flight = 0;  // admitted STEPs not yet answered
 
@@ -54,7 +48,7 @@ struct Connection {
   std::vector<std::uint64_t> sessions;  // session ids this peer owns
 };
 
-/// One edge thread's whole world: its SO_REUSEPORT listener, IO backend,
+/// One edge thread's whole world: its SO_REUSEPORT listener, epoll loop,
 /// wake eventfd, connection slab, pending queue and per-session
 /// bookkeeping. Everything here is touched by exactly one thread (the
 /// edge's loop); only the trailing atomics are read cross-edge, for
@@ -75,14 +69,14 @@ struct Edge {
 
   int listen_fd = -1;
   int wake_fd = -1;  // eventfd: Stop() -> loop wakeup
-  /// The edge's readiness/IO driver (epoll or io_uring); owns the
-  /// readiness objects, never the sockets or the protocol state.
-  std::unique_ptr<Backend> backend;
+  /// The edge's epoll loop; owns the readiness objects, never the
+  /// sockets or the protocol state.
+  std::unique_ptr<EpollBackend> backend;
   std::exception_ptr failure;
 
   std::vector<std::unique_ptr<Connection>> connections;
   std::vector<std::uint32_t> free_conn_slots;
-  /// Slots closed during the current IO round; they join free_conn_slots
+  /// Slots closed in the current IO round; they join free_conn_slots
   /// only once the round's gathered events are fully processed, so a
   /// stale event for a dead fd can never alias a freshly accepted one.
   std::vector<std::uint32_t> pending_free_slots_swap;
@@ -125,8 +119,8 @@ struct Edge {
   std::atomic<std::uint64_t> errors{0};
   std::atomic<std::uint64_t> session_bytes{0};  // cached group bytes
   /// Every IO syscall the edge loop issues (epoll_wait/epoll_ctl/accept4/
-  /// recv/sendmsg/wake reads/poll/io_uring_enter) - the numerator of the
-  /// shutdown summary's syscalls-per-decision.
+  /// recv/sendmsg/wake reads/poll) - the numerator of the shutdown
+  /// summary's syscalls-per-decision.
   std::atomic<std::uint64_t> io_syscalls{0};
 };
 

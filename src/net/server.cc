@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -19,7 +18,6 @@
 #include <utility>
 
 #include "net/backend_epoll.h"
-#include "net/backend_uring.h"
 #include "net/edge.h"
 #include "util/check.h"
 
@@ -35,6 +33,8 @@ constexpr std::size_t kBytesGateRefresh = 64;
 /// Graceful-shutdown budget: after Stop(), each edge keeps answering and
 /// flushing for at most this long before closing its connections.
 constexpr std::chrono::seconds kDrainDeadline{5};
+/// A vectored send gathers at most this many reply frames per call.
+constexpr int kMaxIov = 64;
 
 constexpr std::uint32_t kNoOwner = 0xffffffffu;
 
@@ -44,30 +44,6 @@ constexpr std::uint32_t kNoOwner = 0xffffffffu;
 }
 
 }  // namespace
-
-const char* BackendKindName(BackendKind kind) {
-  return kind == BackendKind::kUring ? "uring" : "epoll";
-}
-
-bool ParseBackendKind(std::string_view name, BackendKind& out) {
-  if (name == "epoll") {
-    out = BackendKind::kEpoll;
-    return true;
-  }
-  if (name == "uring" || name == "io_uring") {
-    out = BackendKind::kUring;
-    return true;
-  }
-  return false;
-}
-
-std::unique_ptr<Backend> MakeBackend(BackendKind kind, NetServer& server,
-                                     Edge& edge) {
-  if (kind == BackendKind::kUring) {
-    return std::make_unique<UringBackend>(server, edge);
-  }
-  return std::make_unique<EpollBackend>(server, edge);
-}
 
 NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
                      NetServerConfig config)
@@ -96,16 +72,6 @@ NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
             }
             return svc;
           }()) {
-  backend_kind_ = config_.backend;
-  if (backend_kind_ == BackendKind::kUring && !UringBackendAvailable()) {
-    // Runtime fallback (sandboxed CI, old kernels): the server still
-    // comes up, on the reference arm, and says so once.
-    std::fprintf(stderr,
-                 "NetServer: io_uring unavailable (%s); falling back to "
-                 "epoll\n",
-                 UringUnavailableReason());
-    backend_kind_ = BackendKind::kEpoll;
-  }
   edges_.reserve(config_.edge_threads);
   for (std::size_t e = 0; e < config_.edge_threads; ++e) {
     auto edge = std::make_unique<Edge>();
@@ -168,7 +134,7 @@ void NetServer::StartEdge(std::size_t e) {
   edge.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (edge.wake_fd < 0) ThrowErrno("NetServer: eventfd");
 
-  edge.backend = MakeBackend(backend_kind_, *this, edge);
+  edge.backend = std::make_unique<EpollBackend>(*this, edge);
   edge.backend->Init();
 }
 
@@ -225,7 +191,7 @@ void NetServer::RunEdge(Edge& edge) {
   while (!stop_.load(std::memory_order_acquire)) {
     edge.pending_free_slots_swap.clear();
     // Block only when idle; with admitted work pending, gather whatever
-    // arrived during the previous round and run a batch.
+    // arrived in the previous round and run a batch.
     edge.backend->Pump(edge.pending.empty());
     // Flush admission replies (BUSY / FULL / opens) before the decision
     // round so rejected clients hear back without waiting on compute.
@@ -249,9 +215,6 @@ void NetServer::DrainOnStop(Edge& edge) {
   // new is read or accepted once the stop flag is up.
   using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline = Clock::now() + kDrainDeadline;
-  // Quiesce the backend first: cancel and reap every in-flight op so the
-  // direct blocking flush below is the only writer left on the sockets.
-  edge.backend->PrepareDrain();
   // Pipelined duplicates defer one round each, so loop batches until the
   // admitted backlog is empty.
   while (!edge.pending.empty() && Clock::now() < deadline) {
@@ -574,10 +537,10 @@ void NetServer::RunBatch(Edge& edge) {
   edge.pending.resize(write);
 
   // Resume paused connections whose backlog drained: parse what their
-  // buffers already hold, then have the backend deliver reads again
-  // (paused edge-triggered fds / cancelled multishot recvs owe us no
-  // further events for old data). Skipped once stopping - the drain
-  // path answers what is queued but reads nothing new.
+  // buffers already hold, then have the backend drain their sockets (a
+  // paused edge-triggered fd owes us no further EPOLLIN for old data).
+  // Skipped once stopping - the drain path answers what is queued but
+  // reads nothing new.
   if (!stop_.load(std::memory_order_acquire)) {
     for (const std::uint32_t slot : edge.unpaused) {
       Connection& conn = *edge.connections[slot];
@@ -587,7 +550,7 @@ void NetServer::RunBatch(Edge& edge) {
         continue;
       }
       // Parsing buffered frames may re-pause; only a still-unpaused
-      // connection gets its read path re-armed.
+      // connection is drained.
       if (conn.open && !conn.paused) edge.backend->OnReadsResumed(slot);
     }
   }
@@ -661,9 +624,7 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   }
   conn.sessions.clear();
 
-  // The backend forgets / cancels the slot's in-flight IO before the fd
-  // goes away; frames an in-flight send still references are kept alive
-  // by the backend, so recycling the queue below is safe.
+  // Stop watching the fd before it goes away.
   edge.backend->OnConnectionClosing(slot);
   ::close(conn.fd);
   conn.fd = -1;
@@ -711,9 +672,6 @@ void NetServer::FlushDirty(Edge& edge) {
     if (conn.open) edge.backend->FlushWrites(slot);
   }
   edge.dirty.clear();
-  // The uring arm queues SENDMSG SQEs above; submit them now so replies
-  // leave the process before (not after) the next decision round.
-  edge.backend->Kick();
 }
 
 void NetServer::DirectFlush(Edge& edge, std::size_t slot) {
@@ -742,28 +700,22 @@ void NetServer::DirectFlush(Edge& edge, std::size_t slot) {
       CloseConnection(edge, slot);
       return;
     }
-    ConsumeOutput(edge, slot, static_cast<std::size_t>(wrote));
-  }
-}
-
-void NetServer::ConsumeOutput(Edge& edge, std::size_t slot,
-                              std::size_t wrote) {
-  Connection& conn = *edge.connections[slot];
-  // Partial-write continuation: advance (frame, offset) through the
-  // queue; an unfinished head frame resumes at out_head_off.
-  std::size_t remaining = wrote;
-  while (remaining > 0) {
-    std::vector<std::uint8_t>& head = conn.out_q[conn.out_head];
-    const std::size_t left = head.size() - conn.out_head_off;
-    if (remaining >= left) {
-      remaining -= left;
-      head.clear();
-      edge.spare_frames.push_back(std::move(head));
-      ++conn.out_head;
-      conn.out_head_off = 0;
-    } else {
-      conn.out_head_off += remaining;
-      remaining = 0;
+    // Partial-write continuation: advance (frame, offset) through the
+    // queue; an unfinished head frame resumes at out_head_off.
+    auto remaining = static_cast<std::size_t>(wrote);
+    while (remaining > 0) {
+      std::vector<std::uint8_t>& head = conn.out_q[conn.out_head];
+      const std::size_t left = head.size() - conn.out_head_off;
+      if (remaining >= left) {
+        remaining -= left;
+        head.clear();
+        edge.spare_frames.push_back(std::move(head));
+        ++conn.out_head;
+        conn.out_head_off = 0;
+      } else {
+        conn.out_head_off += remaining;
+        remaining = 0;
+      }
     }
   }
   if (conn.out_head == conn.out_q.size()) {

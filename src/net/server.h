@@ -9,10 +9,9 @@
 //
 //   - its OWN SO_REUSEPORT listener on the shared port (the kernel
 //     shards incoming connections across the listeners by 4-tuple hash),
-//   - its own IO backend (net::Backend - the epoll/ET loop or the
-//     io_uring ring, NetServerConfig::backend), wake eventfd, and
-//     slab-recycled connection buffers / pending queues / reply-frame
-//     pools,
+//   - its own edge-triggered epoll loop (EpollBackend), wake eventfd,
+//     and slab-recycled connection buffers / pending queues /
+//     reply-frame pools,
 //   - a contiguous GROUP of the service's shard lanes (submitter group e
 //     of DecisionServiceConfig::submitter_count = edge_threads): the
 //     edge opens its sessions through OpenSession(e), which spreads them
@@ -26,19 +25,17 @@
 // counters summed on STATS). Each edge runs the same loop the
 // single-threaded server ran:
 //
-//   backend->Pump (epoll_wait or io_uring_enter; accept / drain readable
-//   sockets) -> parse frames, admit or reject each request -> when
-//   admitted STEPs are pending, ONE DecideBatch over all of them
-//   (micro-batching across connections and sessions) -> encode replies
-//   into per-connection output queues -> flush with vectored writes,
-//   partial writes continue under EPOLLOUT / send CQEs.
+//   backend->Pump (epoll_wait; accept / drain readable sockets) -> parse
+//   frames, admit or reject each request -> when admitted STEPs are
+//   pending, ONE DecideBatch over all of them (micro-batching across
+//   connections and sessions) -> encode replies into per-connection
+//   output queues -> flush with vectored writes, partial writes continue
+//   under EPOLLOUT.
 //
 // edge_threads = 1 is bit-identical to the classic single-loop server:
 // one group = every shard, ids handed out 0, 1, 2, ..., the same admission
 // arithmetic (the shared budget sees exactly one edge), the same wire
-// bytes. The backend choice never changes the decision stream either -
-// framing, per-round dedup, batching, admission and drain are shared
-// above the Backend interface.
+// bytes.
 //
 // Admission control and backpressure (all per NetServerConfig):
 //   - max_in_flight caps admitted-but-unanswered STEPs process-wide via
@@ -65,11 +62,10 @@
 // silently dropped while a connection lives.
 //
 // Shutdown is graceful: Stop() (thread-safe, one eventfd write per edge)
-// makes every edge stop reading, quiesce its backend, run decision
-// rounds until its admitted backlog is answered, flush every queued
-// reply (blocking-poll bounded by kDrainDeadline), and only then close
-// its connections - a client that stops sending sees every request it
-// managed to send answered before EOF.
+// makes every edge stop reading, run decision rounds until its admitted
+// backlog is answered, flush every queued reply (blocking-poll bounded by
+// kDrainDeadline), and only then close its connections - a client that
+// stops sending sees every request it managed to send answered before EOF.
 //
 // Threading: Start() binds and listens (all edges); Run() blocks running
 // edge 0's loop on the calling thread and the other edges on internal
@@ -85,7 +81,6 @@
 #include <vector>
 
 #include "mdp/types.h"
-#include "net/backend.h"
 #include "net/protocol.h"
 #include "serve/decision_service.h"
 #include "serve/serving_model.h"
@@ -103,10 +98,6 @@ struct NetServerConfig {
   /// be >= 1; service.shard_count must be >= edge_threads (one lane per
   /// edge minimum). 1 = the classic single-loop server.
   std::size_t edge_threads = 1;
-  /// Per-edge IO driver. kUring silently falls back to kEpoll (with one
-  /// stderr notice) when the kernel denies io_uring - backend_kind()
-  /// reports what actually runs.
-  BackendKind backend = BackendKind::kEpoll;
   int listen_backlog = 128;
   /// Cap on concurrently accepted connections, shared across edges.
   std::size_t max_connections = 4096;
@@ -164,33 +155,27 @@ class NetServer {
 
   std::size_t EdgeCount() const { return edges_.size(); }
 
-  /// The backend actually running (after any epoll fallback).
-  BackendKind backend_kind() const { return backend_kind_; }
-  const char* BackendName() const { return BackendKindName(backend_kind_); }
-
   /// Total IO syscalls issued by the edge loops so far (epoll_wait,
-  /// recv, sendmsg, accept4, io_uring_enter, ...). Relaxed sum; the
-  /// denominator for syscalls-per-decision is Stats().decided.
+  /// recv, sendmsg, accept4, ...). Relaxed sum; the denominator for
+  /// syscalls-per-decision is Stats().decided.
   std::uint64_t IoSyscalls() const;
 
   const serve::DecisionService& service() const { return service_; }
 
  private:
   friend class EpollBackend;
-  friend class UringBackend;
 
   /// Creates edge e's listener / wake eventfd / backend (edge 0 resolves
   /// the shared port; the rest bind it via SO_REUSEPORT).
   void StartEdge(std::size_t e);
   /// Edge e's event loop: runs until stop_, then drains gracefully.
   void RunEdge(Edge& edge);
-  /// Post-stop drain: quiesce the backend, answer every admitted STEP,
-  /// flush every queued reply (bounded blocking), then close the edge's
-  /// connections.
+  /// Post-stop drain: answer every admitted STEP, flush every queued
+  /// reply (bounded blocking), then close the edge's connections.
   void DrainOnStop(Edge& edge);
   /// One freshly accepted fd: admission cap, TCP_NODELAY, slot
-  /// assignment, then backend->OnConnectionOpened. Called by both arms'
-  /// accept paths (accept4 loop / multishot-accept CQEs).
+  /// assignment, then backend->OnConnectionOpened. Called by the
+  /// backend's accept4 loop.
   void AdmitConnection(Edge& edge, int fd);
   /// Parses every complete frame in the connection's input buffer
   /// (stops early when the connection pauses). False on protocol error.
@@ -205,17 +190,13 @@ class NetServer {
   void QueueReply(Edge& edge, std::size_t slot, const Reply& reply,
                   const ServerStats* stats = nullptr);
   /// Flushes every connection QueueReply marked dirty this iteration
-  /// through the backend, then kicks queued submissions.
+  /// through the backend.
   void FlushDirty(Edge& edge);
   /// Sends as much of the connection's output queue as the socket
-  /// accepts right now (sendmsg + MSG_NOSIGNAL, EAGAIN stops). The
-  /// epoll arm's flush and both arms' drain path; the uring arm's
-  /// steady-state flush goes through SENDMSG SQEs instead.
+  /// accepts right now (sendmsg + MSG_NOSIGNAL, EAGAIN stops), recycling
+  /// fully sent frames and resuming a partial head frame at
+  /// out_head_off. The backend's flush and the drain path.
   void DirectFlush(Edge& edge, std::size_t slot);
-  /// Partial-write continuation: advances (out_head, out_head_off) by
-  /// `wrote` bytes, recycling fully sent frames; resets the queue when
-  /// drained. Shared by DirectFlush and the uring send-CQE path.
-  void ConsumeOutput(Edge& edge, std::size_t slot, std::size_t wrote);
   /// Refreshes edge's session-bytes cache and sums every edge's
   /// published counters (the STATS reply payload).
   ServerStats BuildStats(Edge& edge);
@@ -228,11 +209,10 @@ class NetServer {
 
   std::shared_ptr<const serve::ServingModel> model_;
   NetServerConfig config_;
-  BackendKind backend_kind_ = BackendKind::kEpoll;  // post-fallback
   serve::DecisionService service_;
 
   std::vector<std::unique_ptr<Edge>> edges_;
-  std::vector<std::thread> edge_runners_;  // edges 1..N-1 during Run()
+  std::vector<std::thread> edge_runners_;  // edges 1..N-1 inside Run()
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
 

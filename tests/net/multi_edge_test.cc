@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,32 +36,6 @@ using testing::NetModelFor;
 using testing::NetWorld;
 using testing::ServerRunner;
 using testing::SharedNetWorld;
-
-/// Both IO backends run the multi-edge properties; the uring arm skips
-/// visibly where the kernel denies io_uring.
-class NetMultiEdge : public ::testing::TestWithParam<BackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == BackendKind::kUring && !UringBackendAvailable()) {
-      GTEST_SKIP() << "io_uring denied by this kernel ("
-                   << UringUnavailableReason()
-                   << "); uring backend arm skipped";
-    }
-  }
-
-  NetServerConfig Cfg() const {
-    NetServerConfig cfg;
-    cfg.backend = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, NetMultiEdge,
-    ::testing::Values(BackendKind::kEpoll, BackendKind::kUring),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string(BackendKindName(info.param));
-    });
 
 bool NodelaySet(int fd) {
   int flag = 0;
@@ -104,11 +77,11 @@ int AcceptedPeerFd(int client_fd) {
 // Small pipelined frames must not wait out Nagle on either direction:
 // both the client socket and the server's accepted socket carry
 // TCP_NODELAY.
-TEST_P(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
+TEST(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
@@ -130,11 +103,11 @@ TEST_P(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
 // reply before closing, so the client reads 8 OK replies and only then a
 // clean EOF. (Pipelined duplicates of one session defer one round each,
 // so the 4x2 burst needs four decision rounds - Stop() lands mid-drain.)
-TEST_P(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
+TEST(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_count = 2;
   cfg.service.shard_workers = false;
   NetServer server(model, cfg);
@@ -175,11 +148,11 @@ TEST_P(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
 // Two-edge accounting, driven deterministically from one thread: every
 // reply status the clients observed shows up in the aggregated per-edge
 // counters exactly, and nothing is dropped or double-counted.
-TEST_P(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
+TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.edge_threads = 2;
   cfg.max_sessions = 4;
   cfg.lane_high_water = 1;  // one admitted STEP per lane per burst

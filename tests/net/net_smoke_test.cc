@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <latch>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,37 +27,11 @@ using testing::NetWorld;
 using testing::ServerRunner;
 using testing::SharedNetWorld;
 
-/// The TSan-checked churn smokes run under both IO backends; the uring
-/// arm skips visibly where the kernel denies io_uring.
-class NetSmoke : public ::testing::TestWithParam<BackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == BackendKind::kUring && !UringBackendAvailable()) {
-      GTEST_SKIP() << "io_uring denied by this kernel ("
-                   << UringUnavailableReason()
-                   << "); uring backend arm skipped";
-    }
-  }
-
-  NetServerConfig Cfg() const {
-    NetServerConfig cfg;
-    cfg.backend = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, NetSmoke,
-    ::testing::Values(BackendKind::kEpoll, BackendKind::kUring),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string(BackendKindName(info.param));
-    });
-
-TEST_P(NetSmoke, ConcurrentClientsWithSessionChurn) {
+TEST(NetSmoke, ConcurrentClientsWithSessionChurn) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kRevocable);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   // Small caps so the churn also exercises the BUSY path under load.
   cfg.max_in_flight = 16;
   cfg.lane_high_water = 8;
@@ -131,11 +104,11 @@ TEST_P(NetSmoke, ConcurrentClientsWithSessionChurn) {
 
 // Abrupt disconnects mid-session: the server must reap the connection's
 // sessions and keep serving everyone else.
-TEST_P(NetSmoke, AbruptDisconnectReapsSessions) {
+TEST(NetSmoke, AbruptDisconnectReapsSessions) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
@@ -170,11 +143,11 @@ TEST_P(NetSmoke, AbruptDisconnectReapsSessions) {
 // per-edge counters match the client-side tallies exactly. The
 // accounting invariant is the point: ok + busy + full + error ==
 // requests sent, nothing dropped, nothing double-counted, across edges.
-TEST_P(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
+TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kRevocable);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.edge_threads = 4;
   cfg.max_sessions = 8;
   cfg.lane_high_water = 2;

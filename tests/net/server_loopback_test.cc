@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,35 +38,6 @@ using testing::NetModelFor;
 using testing::NetWorld;
 using testing::ServerRunner;
 using testing::SharedNetWorld;
-
-/// Every loopback property runs under both IO backends: the epoll
-/// reference arm and the io_uring arm must produce the same wire bytes
-/// and the same decision stream. The uring arm skips (visibly) where
-/// the kernel denies io_uring.
-class NetServerLoopback : public ::testing::TestWithParam<BackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == BackendKind::kUring && !UringBackendAvailable()) {
-      GTEST_SKIP() << "io_uring denied by this kernel ("
-                   << UringUnavailableReason()
-                   << "); uring backend arm skipped";
-    }
-  }
-
-  /// Config preloaded with the arm under test.
-  NetServerConfig Cfg() const {
-    NetServerConfig cfg;
-    cfg.backend = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, NetServerLoopback,
-    ::testing::Values(BackendKind::kEpoll, BackendKind::kUring),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string(BackendKindName(info.param));
-    });
 
 struct SessionRun {
   std::vector<mdp::Action> actions;
@@ -165,7 +135,7 @@ std::vector<SessionRun> RunOverWire(const NetWorld& w, std::uint16_t port) {
   return runs;
 }
 
-TEST_P(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
+TEST(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
   const NetWorld& w = SharedNetWorld();
   for (serve::Signal signal :
        {serve::Signal::kNovelty, serve::Signal::kAgentEnsemble}) {
@@ -173,7 +143,7 @@ TEST_P(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
         NetModelFor(w, signal, core::DefaultingMode::kPermanent);
     const std::vector<SessionRun> reference = RunInProcess(w, model);
 
-    NetServerConfig cfg = Cfg();
+    NetServerConfig cfg;
     cfg.service.shard_count = 2;
     cfg.service.shard_workers = false;  // single-core test host
     ServerRunner server(model, cfg);
@@ -196,11 +166,11 @@ TEST_P(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
   }
 }
 
-TEST_P(NetServerLoopback, ReplyEpochsAreMonotonic) {
+TEST(NetServerLoopback, ReplyEpochsAreMonotonic) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
   Client client;
@@ -224,11 +194,11 @@ TEST_P(NetServerLoopback, ReplyEpochsAreMonotonic) {
 // Acceptance criterion: with the in-flight cap set low, a flooding client
 // gets BUSY replies, lane depth stays <= the high-water mark, and no
 // request is silently dropped (replies exactly match requests sent).
-TEST_P(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
+TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.max_in_flight = 4;
   cfg.lane_high_water = 4;  // rings bounded to 4: deeper = loud abort
   cfg.pause_reads_above = 0;  // keep reading so BUSY is immediate
@@ -284,11 +254,11 @@ TEST_P(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
 // The per-lane high-water mark rejects independently of the global cap:
 // sessions hash to shard id % 2, so flooding only even sessions fills one
 // lane while the global cap stays distant.
-TEST_P(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
+TEST(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.max_in_flight = 1000;  // global cap out of the way
   cfg.lane_high_water = 2;
   cfg.pause_reads_above = 0;
@@ -325,11 +295,11 @@ TEST_P(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
   for (std::uint64_t session : sessions) client.CloseSession(session);
 }
 
-TEST_P(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
+TEST(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.max_sessions = 3;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
@@ -351,11 +321,11 @@ TEST_P(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
   for (std::uint64_t session : sessions) client.CloseSession(session);
 }
 
-TEST_P(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
+TEST(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
@@ -389,11 +359,11 @@ TEST_P(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
 // STEP still gets a reply (kOk if it made a decision round before the
 // CLOSE was parsed, kError if the CLOSE failed it) - never silence - and
 // a STEP after the CLOSE is kError.
-TEST_P(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
+TEST(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
@@ -434,11 +404,11 @@ TEST_P(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
   EXPECT_EQ(answered, 5u);
 }
 
-TEST_P(NetServerLoopback, StatsReflectServiceState) {
+TEST(NetServerLoopback, StatsReflectServiceState) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
@@ -470,12 +440,12 @@ TEST_P(NetServerLoopback, StatsReflectServiceState) {
 // Satellite regression for the send-path signal audit: a peer that
 // RSTs (SO_LINGER abort) with replies still queued must cost the server
 // at most that one connection - never a SIGPIPE (the flush path uses
-// sendmsg + MSG_NOSIGNAL / in-kernel sends) and never a wedged loop.
-TEST_P(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
+// sendmsg + MSG_NOSIGNAL) and never a wedged loop.
+TEST(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
   const NetWorld& w = SharedNetWorld();
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
@@ -576,12 +546,92 @@ struct Tally {
   std::size_t Total() const { return ok + busy + full + error; }
 };
 
+/// Runs viewer v's `states[v]` over ONE connection: opens a session per
+/// viewer, pipelines every STEP in a single flush (step-major, so
+/// consecutive frames belong to different sessions), then closes the
+/// sessions. Every reply must be kOk and carry exactly the in-process
+/// decision for its viewer's step, and ok + busy + full + error == sent.
+void ExpectPipelinedBurstMatchesInProcess(
+    const std::shared_ptr<const serve::ServingModel>& model,
+    const NetServerConfig& cfg,
+    const std::vector<std::vector<mdp::State>>& states) {
+  const std::size_t viewers = states.size();
+  const std::size_t steps = states[0].size();
+  const std::vector<SessionRun> reference = DecideInProcess(model, states);
+
+  ServerRunner server(model, cfg);
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+  Tally tally;
+  std::size_t sent = 0;
+  std::vector<std::uint64_t> session(viewers);
+  for (std::size_t v = 0; v < viewers; ++v) client.SendOpen(1 + v);
+  sent += viewers;
+  client.Flush();
+  for (std::size_t k = 0; k < viewers; ++k) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply));
+    ASSERT_EQ(reply.status, Status::kOk);
+    tally.Add(reply);
+    session[reply.request_id - 1] = reply.session_id;
+  }
+
+  // Request id (1 << 20) + k * viewers + v is viewer v's step k.
+  constexpr std::uint64_t kBase = 1 << 20;
+  for (std::size_t k = 0; k < steps; ++k) {
+    for (std::size_t v = 0; v < viewers; ++v) {
+      client.SendStep(kBase + k * viewers + v, session[v], states[v][k]);
+    }
+  }
+  sent += steps * viewers;
+  client.Flush();
+  std::vector<SessionRun> wire(viewers);
+  for (auto& run : wire) {
+    run.actions.resize(steps);
+    run.defaulted.resize(steps);
+  }
+  for (std::size_t n = 0; n < steps * viewers; ++n) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply)) << "reply " << n << " missing";
+    tally.Add(reply);
+    ASSERT_EQ(reply.status, Status::kOk);
+    ASSERT_GE(reply.request_id, kBase);
+    const std::uint64_t index = reply.request_id - kBase;
+    ASSERT_LT(index, steps * viewers);
+    const std::size_t v = index % viewers;
+    EXPECT_EQ(reply.session_id, session[v]);
+    wire[v].actions[index / viewers] = reply.action;
+    wire[v].defaulted[index / viewers] = reply.Defaulted();
+  }
+  for (std::size_t v = 0; v < viewers; ++v) {
+    EXPECT_EQ(wire[v].actions, reference[v].actions) << "viewer " << v;
+    EXPECT_EQ(wire[v].defaulted, reference[v].defaulted) << "viewer " << v;
+  }
+
+  for (std::size_t v = 0; v < viewers; ++v) {
+    client.SendClose(1 + v, session[v]);
+  }
+  sent += viewers;
+  client.Flush();
+  for (std::size_t k = 0; k < viewers; ++k) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply));
+    tally.Add(reply);
+  }
+  EXPECT_EQ(tally.Total(), sent);
+  EXPECT_EQ(tally.ok, sent);
+  const ServerStats stats = client.Stats();
+  EXPECT_EQ(stats.decided, steps * viewers);
+  EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors, 0u);
+}
+
 // One pipelined burst of STEPs more than twice kReadChunk, so the server
 // needs several reads, and a full kReadChunk read cannot end on a frame
 // boundary (kReadChunk is not a multiple of the frame size): frames
 // straddle reads. Every reply must carry exactly the in-process decision
 // for its viewer's step.
-TEST_P(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
+TEST(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
   const NetWorld& w = SharedNetWorld();
   constexpr std::size_t kViewers = 8;
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
@@ -590,82 +640,41 @@ TEST_P(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
   const std::size_t steps = 2 * kReadChunk / (kViewers * frame) + 1;
   ASSERT_GT(kViewers * steps * frame, 2 * kReadChunk);
   ASSERT_NE(kReadChunk % frame, 0u);
-  const auto states = FixedActionStates(w, kViewers, steps);
-  const std::vector<SessionRun> reference = DecideInProcess(model, states);
 
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_count = 2;  // with a worker: sparse rounds run inline
-  ServerRunner server(model, cfg);
-  Client client;
-  client.Connect("127.0.0.1", server.Port());
-  BoundReplyWait(client);
-  Tally tally;
-  std::size_t sent = 0;
-  std::vector<std::uint64_t> session(kViewers);
-  for (std::size_t v = 0; v < kViewers; ++v) client.SendOpen(1 + v);
-  sent += kViewers;
-  client.Flush();
-  for (std::size_t k = 0; k < kViewers; ++k) {
-    Reply reply;
-    ASSERT_TRUE(client.ReadReply(reply));
-    ASSERT_EQ(reply.status, Status::kOk);
-    tally.Add(reply);
-    session[reply.request_id - 1] = reply.session_id;
-  }
+  ExpectPipelinedBurstMatchesInProcess(model, cfg,
+                                       FixedActionStates(w, kViewers, steps));
+}
 
-  // Request id (1 << 20) + k * kViewers + v is viewer v's step k.
-  constexpr std::uint64_t kBase = 1 << 20;
-  for (std::size_t k = 0; k < steps; ++k) {
-    for (std::size_t v = 0; v < kViewers; ++v) {
-      client.SendStep(kBase + k * kViewers + v, session[v], states[v][k]);
-    }
-  }
-  sent += steps * kViewers;
-  client.Flush();
-  std::vector<SessionRun> wire(kViewers);
-  for (auto& run : wire) {
-    run.actions.resize(steps);
-    run.defaulted.resize(steps);
-  }
-  for (std::size_t n = 0; n < steps * kViewers; ++n) {
-    Reply reply;
-    ASSERT_TRUE(client.ReadReply(reply)) << "reply " << n << " missing";
-    tally.Add(reply);
-    ASSERT_EQ(reply.status, Status::kOk);
-    ASSERT_GE(reply.request_id, kBase);
-    const std::uint64_t index = reply.request_id - kBase;
-    ASSERT_LT(index, steps * kViewers);
-    const std::size_t v = index % kViewers;
-    EXPECT_EQ(reply.session_id, session[v]);
-    wire[v].actions[index / kViewers] = reply.action;
-    wire[v].defaulted[index / kViewers] = reply.Defaulted();
-  }
-  for (std::size_t v = 0; v < kViewers; ++v) {
-    EXPECT_EQ(wire[v].actions, reference[v].actions) << "viewer " << v;
-    EXPECT_EQ(wire[v].defaulted, reference[v].defaulted) << "viewer " << v;
-  }
+// TCP pushback: with pause_reads_above = 2 the connection pauses after
+// every second admitted STEP, so the burst is read a couple of frames
+// per decision round and most of it waits in the kernel receive buffer
+// while paused. Edge-triggered epoll announces those bytes only once, so
+// each resume must drain the socket explicitly (OnReadsResumed); a lost
+// wakeup leaves replies missing and the bounded read fails the test.
+TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
+  const NetWorld& w = SharedNetWorld();
+  constexpr std::size_t kViewers = 8;
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  // More than two read chunks: the paused remainder outlives the bytes
+  // already buffered in user space.
+  const std::size_t frame = StepFrameBytes(model->InputSize());
+  const std::size_t steps = 2 * kReadChunk / (kViewers * frame) + 1;
+  ASSERT_GE(kViewers * steps, 200u);
 
-  for (std::size_t v = 0; v < kViewers; ++v) {
-    client.SendClose(1 + v, session[v]);
-  }
-  sent += kViewers;
-  client.Flush();
-  for (std::size_t k = 0; k < kViewers; ++k) {
-    Reply reply;
-    ASSERT_TRUE(client.ReadReply(reply));
-    tally.Add(reply);
-  }
-  EXPECT_EQ(tally.Total(), sent);
-  EXPECT_EQ(tally.ok, sent);
-  const ServerStats stats = client.Stats();
-  EXPECT_EQ(stats.decided, steps * kViewers);
-  EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors, 0u);
+  NetServerConfig cfg;
+  cfg.pause_reads_above = 2;
+  cfg.service.shard_count = 2;
+  ExpectPipelinedBurstMatchesInProcess(model, cfg,
+                                       FixedActionStates(w, kViewers, steps));
 }
 
 // Frames trickling in one byte per send(): the parser must hold every
 // partial length prefix, header and state payload across reads and
 // answer each frame exactly once, exactly as in process.
-TEST_P(NetServerLoopback, OneBytePerSendReassemblesFrames) {
+TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   const NetWorld& w = SharedNetWorld();
   constexpr std::size_t kSteps = 3;
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
@@ -673,7 +682,7 @@ TEST_P(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   const auto states = FixedActionStates(w, 1, kSteps);
   const std::vector<SessionRun> reference = DecideInProcess(model, states);
 
-  NetServerConfig cfg = Cfg();
+  NetServerConfig cfg;
   cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
   Client client;
@@ -712,40 +721,6 @@ TEST_P(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   const ServerStats stats = client.Stats();
   EXPECT_EQ(stats.decided, kSteps);
   EXPECT_EQ(stats.open_sessions, 0u);
-}
-
-// Requesting the uring arm never fails the server: where the kernel
-// denies io_uring it comes up on epoll and says which arm actually runs.
-TEST(NetServerBackend, UringRequestFallsBackWhenUnavailable) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
-  NetServerConfig cfg;
-  cfg.backend = BackendKind::kUring;
-  cfg.service.shard_workers = false;
-  ServerRunner server(model, cfg);
-  const BackendKind expected = UringBackendAvailable()
-                                   ? BackendKind::kUring
-                                   : BackendKind::kEpoll;
-  EXPECT_EQ(server.server().backend_kind(), expected);
-  Client client;
-  client.Connect("127.0.0.1", server.Port());
-  const auto session = client.OpenSession();
-  std::vector<double> state(model->InputSize(), 0.3);
-  EXPECT_EQ(client.Step(session, state).status, Status::kOk);
-  client.CloseSession(session);
-}
-
-TEST(NetServerBackend, ParseBackendKindRoundTrips) {
-  BackendKind kind = BackendKind::kEpoll;
-  EXPECT_TRUE(ParseBackendKind("uring", kind));
-  EXPECT_EQ(kind, BackendKind::kUring);
-  EXPECT_TRUE(ParseBackendKind("epoll", kind));
-  EXPECT_EQ(kind, BackendKind::kEpoll);
-  EXPECT_FALSE(ParseBackendKind("kqueue", kind));
-  EXPECT_EQ(kind, BackendKind::kEpoll) << "junk leaves the value alone";
-  EXPECT_STREQ(BackendKindName(BackendKind::kEpoll), "epoll");
-  EXPECT_STREQ(BackendKindName(BackendKind::kUring), "uring");
 }
 
 }  // namespace

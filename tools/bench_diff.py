@@ -40,21 +40,6 @@ like timings (lower is better - the reporter deliberately excludes rate
 counters) but are printed without the ns/op unit. --select RegEx
 restricts the diff to matching entry names, so a gate can pin just the
 memory counters of a combined sidecar.
-
-The network-edge sidecar carries each benchmark twice, once per IO
-backend ("BM_NetServeUs/epoll/64/1/1", ".../uring/64/1/1").
---only-backend FRESH[,BASELINE] keeps only the named backend's entries
-on each side and strips the backend token so the keys align; with both
-names it diffs one backend against the other (the uring >= epoll gate
-passes the same sidecar as both files):
-
-    tools/bench_diff.py BENCH_net.json BENCH_net.json \\
-        --only-backend uring,epoll --fail-above 100
-
---skip-if-empty turns an empty fresh selection into success instead of
-an error - on kernels that deny io_uring the uring points skip
-themselves out of the sidecar, and the backend gate should pass
-vacuously rather than fail.
 """
 
 import argparse
@@ -120,24 +105,6 @@ def main() -> int:
         "combined sidecar",
     )
     parser.add_argument(
-        "--only-backend",
-        default=None,
-        metavar="FRESH[,BASELINE]",
-        help="keep only entries carrying the named backend token "
-        "(/epoll/ or /uring/) and strip it so keys align; one name "
-        "filters both sides, two comma-separated names diff FRESH's "
-        "backend against BASELINE's (e.g. uring,epoll pins uring "
-        "against epoll from the same sidecar)",
-    )
-    parser.add_argument(
-        "--skip-if-empty",
-        action="store_true",
-        help="exit 0 when the fresh side has no entries after filtering "
-        "(instead of the no-benchmarks-in-common error); for backend "
-        "gates on kernels whose denied io_uring arm skipped itself out "
-        "of the sidecar",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         help="print the available entry names (after --select filtering) "
@@ -168,29 +135,6 @@ def main() -> int:
             sys.exit(f"bench_diff: bad --select regex: {e}")
         fresh = {k: v for k, v in fresh.items() if pattern.search(k)}
         baseline = {k: v for k, v in baseline.items() if pattern.search(k)}
-
-    if args.only_backend is not None:
-        names = args.only_backend.split(",")
-        if len(names) > 2 or not all(names):
-            sys.exit("bench_diff: --only-backend wants FRESH[,BASELINE]")
-
-        def pick(entries: dict, backend: str) -> dict:
-            # Strip the backend token from the kept keys so epoll and
-            # uring rows of the same grid point compare under one name.
-            token = f"/{backend}/"
-            return {
-                k.replace(token, "/", 1): v
-                for k, v in entries.items()
-                if token in k
-            }
-
-        fresh = pick(fresh, names[0])
-        baseline = pick(baseline, names[-1])
-
-    if args.skip_if_empty and not fresh:
-        print("bench_diff: nothing selected on the fresh side; skipping "
-              "(--skip-if-empty)")
-        return 0
 
     if args.list:
         # Enumeration mode: show what a gate's --select would see. Never

@@ -67,7 +67,6 @@
 #include <vector>
 
 #include "abr/abr_environment.h"
-#include "net/backend.h"
 #include "net/client.h"
 #include "serve/decision_service.h"
 #include "traces/dataset.h"
@@ -207,7 +206,6 @@ int main(int argc, char** argv) {
   bool affinity = false;
   std::size_t shards = 0;  // server shard count (required with --affinity)
   std::size_t edges = 0;   // server edge count (required with --affinity)
-  std::string backend_name;  // annotation only; the server owns the choice
 
   util::ArgParser parser(
       "osap_client",
@@ -249,11 +247,6 @@ int main(int argc, char** argv) {
                    "server's --edge-threads count (required with "
                    "--affinity)",
                    &edges);
-  parser.AddOption("--backend", "NAME",
-                   "annotate this run with the server's IO backend "
-                   "(epoll | uring; validated and echoed - the server "
-                   "side of the protocol is backend-transparent)",
-                   &backend_name);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
   if (port == 0 || port > 65535) {
@@ -272,16 +265,6 @@ int main(int argc, char** argv) {
                  "osap_client: --affinity needs --shards >= --edges >= 1 "
                  "matching the server\n");
     return 2;
-  }
-  if (!backend_name.empty()) {
-    net::BackendKind backend_kind;
-    if (!net::ParseBackendKind(backend_name, backend_kind)) {
-      std::fprintf(stderr,
-                   "osap_client: unknown --backend '%s' (epoll | uring)\n",
-                   backend_name.c_str());
-      return 2;
-    }
-    backend_name = net::BackendKindName(backend_kind);
   }
 
   // Build the datasets once; worker threads only read the trace vectors.
@@ -310,9 +293,6 @@ int main(int argc, char** argv) {
               sessions, connections, host.c_str(), port, rounds, rate,
               round_interval_s * 1e3,
               replay > 0 ? ", replay mode" : "");
-  if (!backend_name.empty()) {
-    std::printf("server backend: %s\n", backend_name.c_str());
-  }
   if (affinity) {
     std::printf("edge affinity: worker w -> edge w %% %zu over %zu "
                 "shards\n",

@@ -14,7 +14,7 @@
 //              [--sessions N] [--rounds N] [--shards N]
 //              [--revocable]
 //   osap_serve <us|upi|uv> --listen PORT [--shards N] [--edge-threads N]
-//              [--backend epoll|uring] [--revocable] [--max-in-flight N]
+//              [--revocable] [--max-in-flight N]
 //              [--lane-high-water N] [--max-sessions N]
 //
 // Defaults: 1000 sessions, 2000 rounds, 4 shards, permanent defaulting.
@@ -164,7 +164,6 @@ int main(int argc, char** argv) {
   std::size_t lane_high_water = 16 * 1024;
   std::size_t max_sessions = 1 << 20;
   std::size_t edge_threads = 1;
-  std::string backend_name = "epoll";
 
   util::ArgParser parser(
       "osap_serve",
@@ -199,11 +198,6 @@ int main(int argc, char** argv) {
                    "server mode: independent SO_REUSEPORT event-loop "
                    "threads, each owning shards/N lanes (default 1)",
                    &edge_threads);
-  parser.AddOption("--backend", "NAME",
-                   "server mode: IO backend, epoll | uring (io_uring "
-                   "falls back to epoll with a notice when the kernel "
-                   "denies it; default epoll)",
-                   &backend_name);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
   const core::Scheme scheme = ParseSignal(signal_name, parser);
@@ -216,13 +210,6 @@ int main(int argc, char** argv) {
   }
   if (listen_port != kNoListen && listen_port > 65535) {
     std::fprintf(stderr, "osap_serve: --listen PORT must be <= 65535\n");
-    return 2;
-  }
-  net::BackendKind backend_kind = net::BackendKind::kEpoll;
-  if (!net::ParseBackendKind(backend_name, backend_kind)) {
-    std::fprintf(stderr,
-                 "osap_serve: unknown --backend '%s' (epoll | uring)\n",
-                 backend_name.c_str());
     return 2;
   }
   if (edge_threads == 0 || edge_threads > shards) {
@@ -247,17 +234,15 @@ int main(int argc, char** argv) {
     net_cfg.lane_high_water = lane_high_water;
     net_cfg.max_sessions = max_sessions;
     net_cfg.edge_threads = edge_threads;
-    net_cfg.backend = backend_kind;
     net_cfg.service.shard_count = shards;
     net::NetServer server(model, net_cfg);
     server.Start();
     g_server = &server;
     std::signal(SIGINT, HandleSignal);
     std::signal(SIGTERM, HandleSignal);
-    std::printf("osap_serve: %s, %zu shard(s), %zu edge(s), %s backend, "
+    std::printf("osap_serve: %s, %zu shard(s), %zu edge(s), "
                 "listening on port %u\n",
-                signal_name.c_str(), shards, edge_threads,
-                server.BackendName(), server.Port());
+                signal_name.c_str(), shards, edge_threads, server.Port());
     std::fflush(stdout);
     struct rusage ru_before {};
     getrusage(RUSAGE_SELF, &ru_before);
@@ -274,14 +259,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.errors),
                 static_cast<unsigned long long>(s.epochs),
                 static_cast<unsigned long long>(s.open_sessions));
-    // The edge's syscall budget: the io_uring backend's whole point is
-    // driving this ratio down versus epoll at the same decision count.
+    // The edge's syscall budget per decision. The "epoll backend" field
+    // stays: perfbench/wire.cc parses this line's full shape.
     const std::uint64_t syscalls = server.IoSyscalls();
     const long vcsw = ru_after.ru_nvcsw - ru_before.ru_nvcsw;
     const long ivcsw = ru_after.ru_nivcsw - ru_before.ru_nivcsw;
-    std::printf("io: %s backend, %llu syscalls (%.2f per decision), "
+    std::printf("io: epoll backend, %llu syscalls (%.2f per decision), "
                 "%ld voluntary + %ld involuntary context switches\n",
-                server.BackendName(),
                 static_cast<unsigned long long>(syscalls),
                 s.decided == 0 ? 0.0
                                : static_cast<double>(syscalls) /

@@ -12,13 +12,10 @@
 #
 # Usage:
 #   wire_sweep.sh SERVE CLIENT [sessions] [rounds] [rate] [edge_threads]
-#                 [shards] [client_threads] [replay] [signal] [backend]
+#                 [shards] [client_threads] [replay] [signal]
 #
-# BACKEND is epoll (default), uring, or both (runs the sweep once per
-# backend; a kernel that denies io_uring makes the uring leg fall back to
-# epoll with a notice, which the sweep surfaces via the server's "io:"
-# summary line). Run from a directory whose ./osap_cache holds the
-# trained bundle (the server trains one there on a cold cache).
+# Run from a directory whose ./osap_cache holds the trained bundle (the
+# server trains one there on a cold cache).
 set -euo pipefail
 
 SERVE=${1:?usage: wire_sweep.sh SERVE CLIENT [sessions] [rounds] ...}
@@ -31,16 +28,6 @@ SHARDS=${7:-4}
 THREADS=${8:-2}
 REPLAY=${9:-96}
 SIGNAL=${10:-us}
-BACKEND=${11:-epoll}
-
-case "$BACKEND" in
-  epoll|uring) BACKENDS="$BACKEND" ;;
-  both) BACKENDS="epoll uring" ;;
-  *)
-    echo "wire_sweep: unknown backend '$BACKEND' (epoll | uring | both)" >&2
-    exit 2
-    ;;
-esac
 
 OUT=$(mktemp -d)
 SERVER_PID=
@@ -50,54 +37,46 @@ cleanup() {
 }
 trap cleanup EXIT
 
-run_sweep() {
-  local backend=$1
-  : >"$OUT/serve.log"
+"$SERVE" "$SIGNAL" --listen 0 --shards "$SHARDS" --edge-threads "$EDGES" \
+  >"$OUT/serve.log" 2>&1 &
+SERVER_PID=$!
 
-  "$SERVE" "$SIGNAL" --listen 0 --shards "$SHARDS" --edge-threads "$EDGES" \
-    --backend "$backend" >"$OUT/serve.log" 2>&1 &
-  SERVER_PID=$!
-
-  # The server prints "listening on port N" once bound (after the model
-  # loads, which can take a while on a cold cache).
-  local port=
-  for _ in $(seq 1 1200); do
-    port=$(sed -n 's/.*listening on port \([0-9][0-9]*\)$/\1/p' \
-           "$OUT/serve.log")
-    [ -n "$port" ] && break
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      cat "$OUT/serve.log" >&2
-      echo "wire_sweep: server exited before listening" >&2
-      exit 1
-    fi
-    sleep 0.5
-  done
-  if [ -z "$port" ]; then
-    echo "wire_sweep: server never printed its port" >&2
+# The server prints "listening on port N" once bound (after the model
+# loads, which can take a while on a cold cache).
+port=
+for _ in $(seq 1 1200); do
+  port=$(sed -n 's/.*listening on port \([0-9][0-9]*\)$/\1/p' \
+         "$OUT/serve.log")
+  [ -n "$port" ] && break
+  if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+    cat "$OUT/serve.log" >&2
+    echo "wire_sweep: server exited before listening" >&2
     exit 1
   fi
-  echo "wire_sweep: $SESSIONS sessions x $ROUNDS rounds -> port $port" \
-       "($EDGES edge(s), $SHARDS shard(s), $THREADS client thread(s)," \
-       "$backend backend)"
-
-  # Nonzero client exit (any protocol error) fails the sweep via pipefail.
-  "$CLIENT" 127.0.0.1 "$port" --threads "$THREADS" --sessions "$SESSIONS" \
-    --rounds "$ROUNDS" --rate "$RATE" --replay "$REPLAY" \
-    --backend "$backend" | tee "$OUT/client.log"
-
-  kill -TERM "$SERVER_PID"
-  wait "$SERVER_PID"
-  SERVER_PID=
-  cat "$OUT/serve.log"
-
-  # Graceful shutdown drained everything: the counter lines printed and
-  # no session outlived its client.
-  grep -q "shutdown:" "$OUT/serve.log"
-  grep -q " 0 sessions open" "$OUT/serve.log"
-  grep -q "^io: " "$OUT/serve.log"
-}
-
-for backend in $BACKENDS; do
-  run_sweep "$backend"
+  sleep 0.5
 done
+if [ -z "$port" ]; then
+  echo "wire_sweep: server never printed its port" >&2
+  exit 1
+fi
+echo "wire_sweep: $SESSIONS sessions x $ROUNDS rounds -> port $port" \
+     "($EDGES edge(s), $SHARDS shard(s), $THREADS client thread(s))"
+
+# Nonzero client exit (any protocol error) fails the sweep via pipefail.
+"$CLIENT" 127.0.0.1 "$port" --threads "$THREADS" --sessions "$SESSIONS" \
+  --rounds "$ROUNDS" --rate "$RATE" --replay "$REPLAY" \
+  | tee "$OUT/client.log"
+
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID"
+SERVER_PID=
+cat "$OUT/serve.log"
+
+# Graceful shutdown drained everything: the counter lines printed and
+# no session outlived its client. The io: line must keep the full shape
+# the wire benchmark parses (perfbench/wire.cc), or its runs fail.
+grep -q "shutdown:" "$OUT/serve.log"
+grep -q " 0 sessions open" "$OUT/serve.log"
+grep -Eq '^io: [a-z]+ backend, [0-9]+ syscalls \([0-9]+\.[0-9]+ per decision\), [0-9]+ voluntary \+ [0-9]+ involuntary context switches$' \
+  "$OUT/serve.log"
 echo "wire_sweep: OK"
