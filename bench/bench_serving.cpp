@@ -15,13 +15,16 @@
 //     the whole batch + one batched deployed-actor pass).
 //   - BM_ServeServiceDefaulted*: the service round with a chosen share of
 //     the sessions already defaulted (args {sessions, defaulted %}).
-//   - BM_ServeServiceSparse*: rounds of 1-2 requests on 2 shards with a
-//     worker, reporting process CPU and wall time per decision.
+//   - BM_ServeServiceSparse*: rounds of 1-2 requests on 2 shards,
+//     reporting process CPU and wall time per decision.
 // Args are {sessions} for the sequential arm and {sessions, shards} for
-// the service. decisions_per_s is a REAL-TIME rate (wall clock around the
-// decision loop - the service arm is multi-threaded, so CPU-time rates
-// would be meaningless); rates stay console-only while the sidecar gates
-// the lower-is-better entries. The service arm additionally reports
+// the service. Every BM_ServeService* row is one submitter: its shards
+// run in order on the benchmark thread, so multi-shard rows measure
+// per-shard batching, not cores; the multi-core row is the BM_NetServe*
+// edge sweep (one thread per edge). decisions_per_s is a REAL-TIME rate
+// (wall clock around the decision loop, comparable with the multi-edge
+// rows); rates stay console-only while the sidecar gates the
+// lower-is-better entries. The service arm additionally reports
 // per-round latency percentiles (p50_us / p99_us).
 //
 // BM_ServeServiceMem* is the memory sweep: it opens {sessions} sessions
@@ -351,13 +354,11 @@ double ProcessCpuSeconds() {
 
 /// Sparse rounds, the composition a lightly loaded network edge submits
 /// (one or two requests per round): {sessions} sessions on a {shards}-shard
-/// service with workers, each round deciding 1 or 2 of them (alternating)
-/// drawn by a fixed LCG, so a round may touch either shard alone or both.
-/// One iteration is one round. Reports wall_us_per_decision and
-/// cpu_us_per_decision (process CPU: the submitter, any worker it wakes
-/// and the wake-up itself - the handoff a round on one shard need not
-/// pay). A session that defaults is closed and reopened after its round,
-/// so every decision is scored.
+/// service, each round deciding 1 or 2 of them (alternating) drawn by a
+/// fixed LCG, so a round may touch either shard alone or both. One
+/// iteration is one round. Reports wall_us_per_decision and
+/// cpu_us_per_decision (process CPU). A session that defaults is closed
+/// and reopened after its round, so every decision is scored.
 void RunServiceSparse(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
   serve::DecisionServiceConfig cfg;
@@ -678,7 +679,7 @@ BENCHMARK(BM_ServeServiceDefaultedUv)
     ->ArgsProduct({{64, 1000}, {0, 50, 90}})
     ->Unit(benchmark::kMillisecond);
 // Sparse-round axis, named BM_ServeServiceSparse*/{sessions}/{shards}:
-// the edge's 1-2-request rounds on 2 shards with a worker (the
+// the edge's 1-2-request rounds on 2 shards (the
 // BM_ServeService*/1000/{1,4} rows are the dense case, every shard busy).
 BENCHMARK(BM_ServeServiceSparseUs)
     ->Args({64, 2})

@@ -90,8 +90,8 @@ struct Reply {
   std::uint64_t request_id = 0;
   std::uint64_t session_id = 0;
   /// The service's decision-round counter when the reply was completed
-  /// (the epoch-ticket round that answered a STEP; the current round for
-  /// the other types).
+  /// (the decision round that answered a STEP; the current round for the
+  /// other types).
   std::uint64_t epoch = 0;
 
   bool Defaulted() const { return (flags & kFlagDefaulted) != 0; }

@@ -63,13 +63,6 @@ NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
             // One submitter group per edge thread: each edge owns its
             // contiguous slice of the shard lanes outright.
             svc.submitter_count = config.edge_threads;
-            // Bound the shard lanes to the admission high-water mark:
-            // admission keeps per-lane pending below the mark, so a ring
-            // overflow can only mean an edge bug - fail loudly instead
-            // of growing silently.
-            if (config.lane_high_water > 0 && svc.lane_capacity_bound == 0) {
-              svc.lane_capacity_bound = config.lane_high_water;
-            }
             return svc;
           }()) {
   edges_.reserve(config_.edge_threads);
@@ -470,10 +463,7 @@ void NetServer::RunBatch(Edge& edge) {
   ++edge.batch_round;
   edge.round_requests.clear();
   edge.round_pending_idx.clear();
-  const std::size_t cap =
-      config_.max_batch > 0 ? config_.max_batch : edge.pending.size();
-  for (std::size_t i = 0;
-       i < edge.pending.size() && edge.round_requests.size() < cap; ++i) {
+  for (std::size_t i = 0; i < edge.pending.size(); ++i) {
     const Edge::PendingStep& step = edge.pending[i];
     // One decision per session per round (the service requires it: a
     // session's next state depends on its previous action). Pipelined

@@ -3,9 +3,9 @@
 //
 // A thin, dumb edge in front of serve::DecisionService, shaped like a
 // control/data-plane split: the edge owns sockets, framing and admission;
-// the decision hot path (DecideBatch's shard lanes and epoch tickets)
-// never touches a file descriptor. The edge is N independent event-loop
-// threads (NetServerConfig::edge_threads); each edge thread owns
+// the decision hot path (DecideBatch's shard lanes) never touches a file
+// descriptor. The edge is N independent event-loop threads
+// (NetServerConfig::edge_threads); each edge thread owns
 //
 //   - its OWN SO_REUSEPORT listener on the shared port (the kernel
 //     shards incoming connections across the listeners by 4-tuple hash),
@@ -16,8 +16,8 @@
 //     of DecisionServiceConfig::submitter_count = edge_threads): the
 //     edge opens its sessions through OpenSession(e), which spreads them
 //     round-robin over the group's shards, and submits its micro-batches
-//     through DecideBatch, so the epoch tickets stay single-submitter per
-//     lane.
+//     through DecideBatch, so every lane has a single submitter and the
+//     edge thread runs its group's shards itself.
 //
 // Nothing mutable is shared between edge threads on the read / decode /
 // decide path; the only cross-edge state is a handful of atomics (the
@@ -44,10 +44,7 @@
 //   - lane_high_water caps pending STEPs per shard lane, so one hot
 //     shard cannot grow the whole queue; STEPs routed to a lane at its
 //     mark get BUSY. Lanes belong to exactly one edge, so this needs no
-//     atomics. The service's SPSC rings are bounded to the same mark
-//     (DecisionServiceConfig::lane_capacity_bound), converting any
-//     admission bug into a loud ring-overflow failure instead of silent
-//     unbounded growth.
+//     atomics.
 //   - pause_reads_above stops READING a connection whose own admitted
 //     backlog passes the threshold: its bytes accumulate in the kernel
 //     receive buffer, the TCP window closes, and the sender blocks - the
@@ -115,9 +112,6 @@ struct NetServerConfig {
   /// OPEN_SESSION gate on ServiceMemoryStats::SessionBytes(), refreshed
   /// every 64 opens (the walk is not free). 0 = unlimited.
   std::size_t max_session_bytes = 0;
-  /// Largest DecideBatch per round and per edge; 0 = bounded by
-  /// max_in_flight only.
-  std::size_t max_batch = 0;
   /// Sharding/backpressure config for the service the server owns.
   /// submitter_count is overwritten with edge_threads.
   serve::DecisionServiceConfig service;

@@ -1,7 +1,7 @@
 #include "serve/decision_service.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "util/check.h"
@@ -35,37 +35,11 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
       groups_.back()->begin = s;
     }
     groups_.back()->end = s + 1;
-    groups_.back()->counts.push_back(0);
     shards_.back()->group = g;
-    if (config_.lane_capacity_bound > 0) {
-      shards_.back()->ring.SetBound(config_.lane_capacity_bound);
-    }
   }
-  if (config_.shard_workers) {
-    // One persistent worker per shard that is not the first of its group:
-    // a non-empty group-first shard is always its round's inline shard.
-    for (const auto& group : groups_) {
-      for (std::size_t s = group->begin + 1; s < group->end; ++s) {
-        worker_shards_.push_back(s);
-      }
-    }
-    workers_.reserve(worker_shards_.size());
-    for (const std::size_t s : worker_shards_) {
-      workers_.emplace_back([this, s] { WorkerLoop(s); });
-    }
+  for (const auto& group : groups_) {
+    group->offsets.resize(group->end - group->begin);
   }
-}
-
-DecisionService::~DecisionService() {
-  for (const std::size_t s : worker_shards_) {
-    ShardLane& lane = *shards_[s];
-    {
-      std::lock_guard<std::mutex> lock(lane.mutex);
-      lane.stop = true;
-    }
-    lane.work_cv.notify_one();
-  }
-  for (std::thread& worker : workers_) worker.join();
 }
 
 DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
@@ -161,42 +135,6 @@ mdp::Action DecisionService::Decide(SessionId id, const mdp::State& state) {
   return action;
 }
 
-void DecisionService::WorkerLoop(std::size_t shard) {
-  ShardLane& lane = *shards_[shard];
-  std::uint64_t epoch = 0;
-  for (;;) {
-    EpochSlot slot;
-    {
-      std::unique_lock<std::mutex> lock(lane.mutex);
-      lane.work_cv.wait(
-          lock, [&] { return lane.stop || lane.submitted > epoch; });
-      if (lane.submitted == epoch) return;  // stop, and no pending epoch
-      ++epoch;
-      slot = lane.slots[epoch & 1];
-    }
-    DrainEpoch(shard, slot);
-    {
-      std::lock_guard<std::mutex> lock(lane.mutex);
-      lane.completed = epoch;
-    }
-    lane.done_cv.notify_one();
-  }
-}
-
-void DecisionService::DrainEpoch(std::size_t shard, const EpochSlot& slot) {
-  ShardLane& lane = *shards_[shard];
-  lane.arena.Reset();
-  const std::span<std::size_t> idx = lane.arena.Alloc<std::size_t>(slot.count);
-  for (std::size_t i = 0; i < slot.count; ++i) {
-    std::uint32_t request_index = 0;
-    const bool popped = lane.ring.Pop(request_index);
-    OSAP_REQUIRE(popped, "DecisionService: shard ring underflow");
-    idx[i] = request_index;
-  }
-  RunShard(shard, slot.requests, slot.out, idx);
-  MaybeShrinkLane(lane, slot.count);
-}
-
 void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
   lane.peak_count = std::max(lane.peak_count, count);
   lane.peak_arena_used =
@@ -235,9 +173,6 @@ void DecisionService::DecideBatch(std::span<const Request> requests,
   OSAP_REQUIRE(out.size() >= requests.size(),
                "DecideBatch: output span too short");
   if (requests.empty()) return;
-  OSAP_REQUIRE(
-      requests.size() <= std::numeric_limits<std::uint32_t>::max(),
-      "DecideBatch: request batch too large for ring indices");
   SubmitterGroup& group = *groups_[GroupOf(requests[0].session)];
   const std::size_t begin = group.begin;
   const std::size_t end = group.end;
@@ -262,55 +197,29 @@ void DecisionService::DecideBatch(std::span<const Request> requests,
     table.last_round[local] = round;
   }
 
-  // Route: one O(R) pass counting per shard, one O(R) pass staging each
-  // request index into its shard's ring (replacing the old O(R x S)
-  // every-shard-scans-every-request partition). Reserve() is safe here
-  // because every worker of THIS group is parked between its epochs and
-  // other groups never touch these lanes.
-  std::vector<std::size_t>& counts = group.counts;
-  counts.assign(end - begin, 0);
-  for (const Request& r : requests) ++counts[ShardOf(r.session) - begin];
-  for (std::size_t s = begin; s < end; ++s) {
-    if (counts[s - begin] > 0) shards_[s]->ring.Reserve(counts[s - begin]);
-  }
+  // Route: a stable counting sort of the request indices by shard, so
+  // each shard's slice of `order` keeps caller order. Then run every
+  // non-empty shard in ascending order on this thread.
+  std::vector<std::size_t>& offsets = group.offsets;
+  std::fill(offsets.begin(), offsets.end(), 0);
+  for (const Request& r : requests) ++offsets[ShardOf(r.session) - begin];
+  std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(),
+                      std::size_t{0});
+  group.order.resize(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const bool pushed = shards_[ShardOf(requests[i].session)]->ring.Push(
-        static_cast<std::uint32_t>(i));
-    OSAP_REQUIRE(pushed, "DecideBatch: shard ring overflow");
+    group.order[offsets[ShardOf(requests[i].session) - begin]++] = i;
   }
-
-  // The first non-empty shard runs on the calling thread; with workers,
-  // every later non-empty shard is posted an epoch ticket first and
-  // overlaps it, so a round on one shard hands nothing off. A ticket
-  // touches only its own lane - no shared job object or global barrier.
-  std::size_t first = begin;
-  while (counts[first - begin] == 0) ++first;
-  for (std::size_t s = first + 1; s < end && config_.shard_workers; ++s) {
-    if (counts[s - begin] == 0) continue;
-    ShardLane& lane = *shards_[s];
-    {
-      std::lock_guard<std::mutex> lock(lane.mutex);
-      const std::uint64_t epoch = ++lane.submitted;
-      lane.slots[epoch & 1] = EpochSlot{requests, out, counts[s - begin]};
-    }
-    lane.work_cv.notify_one();
-  }
-  DrainEpoch(first, EpochSlot{requests, out, counts[first - begin]});
-
-  // Serial mode runs the remaining shards inline in ascending order (the
-  // bit-identity reference path). Otherwise collect completions in
-  // ascending shard order: deterministic, and the release/acquire edge on
-  // each lane's mutex publishes the worker's writes to out[] (and its
-  // lane scratch, which this thread may run next round) back here.
-  for (std::size_t s = first + 1; s < end; ++s) {
-    if (counts[s - begin] == 0) continue;
-    if (!config_.shard_workers) {
-      DrainEpoch(s, EpochSlot{requests, out, counts[s - begin]});
-      continue;
-    }
-    ShardLane& lane = *shards_[s];
-    std::unique_lock<std::mutex> lock(lane.mutex);
-    lane.done_cv.wait(lock, [&] { return lane.completed == lane.submitted; });
+  // The scatter advanced each shard's offset from its slice's start to
+  // its end.
+  std::size_t start = 0;
+  for (std::size_t s = begin; s < end; ++s) {
+    const std::size_t stop = offsets[s - begin];
+    if (stop == start) continue;
+    RunShard(s, requests, out,
+             std::span<const std::size_t>(group.order).subspan(start,
+                                                               stop - start));
+    MaybeShrinkLane(*shards_[s], stop - start);
+    start = stop;
   }
 }
 
@@ -321,6 +230,7 @@ void DecisionService::RunShard(std::size_t shard,
   ShardLane& s = *shards_[shard];
   SessionTable& table = s.sessions;
   const core::SafeAgentConfig& safety = model_->safety();
+  s.arena.Reset();
 
   // Compact before packing: a kPermanent session that has defaulted is
   // answered from the fallback mapping right here (SafetyStepDefaulted
@@ -448,8 +358,7 @@ void DecisionService::AccumulateLane(std::size_t shard,
       lane.states.values().capacity() * sizeof(double) +
       lane.features.values().capacity() * sizeof(double) +
       lane.learned_states.values().capacity() * sizeof(double) +
-      lane.learned_actions.capacity() * sizeof(mdp::Action) +
-      lane.ring.Capacity() * sizeof(std::uint32_t);
+      lane.learned_actions.capacity() * sizeof(mdp::Action);
 }
 
 void DecisionService::AccumulateGroup(std::size_t group,
@@ -459,8 +368,9 @@ void DecisionService::AccumulateGroup(std::size_t group,
   // Every fresh id was opened once; the free list holds the closed ones.
   stats.open_sessions += g.fresh - g.free_ids.size();
   stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
-  stats.scratch_bytes += sizeof(SubmitterGroup) +
-                         g.counts.capacity() * sizeof(std::size_t);
+  stats.scratch_bytes +=
+      sizeof(SubmitterGroup) +
+      (g.offsets.capacity() + g.order.capacity()) * sizeof(std::size_t);
 }
 
 ServiceMemoryStats DecisionService::MemoryStats() const {

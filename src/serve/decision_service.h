@@ -20,25 +20,13 @@
 //   4. emits actions: one batched deployed-actor pass for the
 //      non-defaulted sessions, the Buffer-Based mapping for the rest.
 //
-// Parallelism is persistent, not per-round: every shard that is not the
-// first of its submitter group owns a dedicated worker thread for the
-// service's whole lifetime, fed through a private SPSC ring of request
-// indices plus a double-buffered input slot, and woken by an epoch ticket
-// (a per-shard submitted/completed counter pair). Each round's FIRST
-// NON-EMPTY shard runs on the submitting thread and only the non-empty
-// shards after it get tickets, so a round touching one shard hands
-// nothing off (the sparse rounds of a lightly loaded edge). Compared with
-// fanning a thread pool out per round, this removes every piece of shared
-// state from the round path - no global job object, no common mutex, no
-// pool-wide barrier: posting shard k's ticket touches only shard k's
-// lane, so a slow shard delays the final collection wait but never the
-// staging or execution of its peers. A lane's scratch thus alternates
-// between its worker and the submitter, each handover ordered by the
-// lane mutex (ticket post / completion wait). The submitter collects
-// completions in deterministic shard order before returning, and shards
-// own disjoint sessions and disjoint out[] entries, so batched decisions
-// stay bit-identical to the sequential SafeAgent loop for all three
-// signals in both defaulting modes (pinned by equivalence tests).
+// One thread per submitter: DecideBatch stably sorts the round's request
+// indices by shard (each shard's slice stays in caller order) and runs
+// every non-empty shard of the group in ascending order on the calling
+// thread. Shards own disjoint sessions and disjoint out[] entries, so
+// batched decisions stay bit-identical to the sequential SafeAgent loop
+// for all three signals in both defaulting modes (pinned by equivalence
+// tests). Cores come from submitter groups, not from inside a round.
 //
 // Threshold: step 3 compares against the model's own trigger threshold
 // (ServingModel::safety(); for U_pi / U_V the replay bisection's frozen
@@ -55,13 +43,12 @@
 // DecideBatch / CloseSession on its own shards while the other groups'
 // submitters do the same concurrently, with no shared mutable state
 // between them (the global round counter and active-session count are
-// single atomics). Each lane still has exactly ONE submitter, so the
-// SPSC rings and epoch tickets need no extra locking. A group allocates
-// ids LIFO from its own freed ids, else fresh: its n-th fresh id is
-// (n / width) * shard_count + begin + n % width, spreading the group's
-// sessions round-robin over its shards. The default single group
-// [0, shard_count) therefore hands out 0, 1, 2, ... and recycles the
-// most recently closed id first.
+// single atomics). Each lane has exactly ONE submitter, so it needs no
+// locking. A group allocates ids LIFO from its own freed ids, else
+// fresh: its n-th fresh id is (n / width) * shard_count + begin +
+// n % width, spreading the group's sessions round-robin over its
+// shards. The default single group [0, shard_count) therefore hands out
+// 0, 1, 2, ... and recycles the most recently closed id first.
 //
 // Per-session state is on a strict memory budget (ROADMAP: a million
 // concurrent sessions must fit). Each shard keeps its sessions in a
@@ -82,27 +69,20 @@
 // one-session-at-a-time loop comes from weight de-duplication - N
 // sequential sessions stream N private ~100 KB weight packs through the
 // cache hierarchy per round, the service streams ONE shared pack per
-// shard batch - plus shard parallelism on multi-core hosts.
+// shard batch.
 //
-// Thread-safety: the service synchronizes its own workers; each submitter
-// GROUP is externally synchronized - do not call OpenSession / Close /
+// Thread-safety: the service starts no threads. Each submitter GROUP is
+// externally synchronized - do not call OpenSession / Close /
 // DecideBatch for the same group from multiple threads. Different groups
-// may run concurrently. Open/CloseSession between a group's DecideBatch
-// calls is safe (its workers are parked); the epoch ticket's
-// release/acquire edge publishes the membership change to the worker
-// that owns the session's shard. MemoryStats() walks every group and
-// requires ALL groups quiescent; MemoryStatsOfGroup() needs only its own
-// group parked.
+// may run concurrently. MemoryStats() walks every group and requires ALL
+// groups quiescent; MemoryStatsOfGroup() needs only its own group idle.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "core/novelty_detector.h"
@@ -114,7 +94,6 @@
 #include "util/arena.h"
 #include "util/memory_meter.h"
 #include "util/slab_pool.h"
-#include "util/spsc_ring.h"
 
 namespace osap::serve {
 
@@ -122,13 +101,6 @@ struct DecisionServiceConfig {
   /// Shards sessions are distributed over; each shard is one batched unit
   /// of work per DecideBatch call. Must be >= 1.
   std::size_t shard_count = 1;
-  /// Spawn one persistent worker thread per shard that is not the first
-  /// of its submitter group (a round's first non-empty shard runs on the
-  /// submitting thread, so shard_count = submitter_count never spawns).
-  /// false runs every shard of a group inline on its submitter - the
-  /// serial reference arm for the equivalence tests, and the right
-  /// choice when the host dedicates a single core to the service.
-  bool shard_workers = true;
   /// Concurrent submitter groups (must be in [1, shard_count]). The
   /// shards are split into this many contiguous groups (GroupOfShard);
   /// group g may be driven by its own thread via OpenSession(g) /
@@ -137,12 +109,6 @@ struct DecisionServiceConfig {
   std::size_t submitter_count = 1;
   /// Sessions per slab in the per-shard extractor pool (U_S only).
   std::size_t extractor_slab_slots = 256;
-  /// Hard per-lane SPSC-ring ceiling (util::SpscRing::SetBound); 0 keeps
-  /// the rings unbounded (Reserve grows on demand). The network edge sets
-  /// this to its admission high-water mark so an admission bug fails
-  /// loudly ("shard ring overflow") instead of growing queues silently.
-  /// Bounds the per-shard slice of a DecideBatch, not total sessions.
-  std::size_t lane_capacity_bound = 0;
 };
 
 /// Exact byte accounting of a service's per-session and scratch memory
@@ -157,7 +123,7 @@ struct ServiceMemoryStats {
   std::size_t trigger_ring_bytes = 0;  // packed variance-trigger windows
   std::size_t extractor_bytes = 0;     // U_S slab pools (objects + storage)
   std::size_t registry_bytes = 0;  // slot registry: last-round/open/free
-  std::size_t scratch_bytes = 0;   // shard lanes: arenas, matrices, rings
+  std::size_t scratch_bytes = 0;   // shard lanes and routing scratch
 
   /// Bytes attributable to session state (everything but shard scratch).
   std::size_t SessionBytes() const {
@@ -186,7 +152,6 @@ class DecisionService {
 
   DecisionService(std::shared_ptr<const ServingModel> model,
                   DecisionServiceConfig config = {});
-  ~DecisionService();
 
   /// Registers a new session (fresh defaulting state / novelty window)
   /// on one of `group`'s shards and returns its id. Ids of the group's
@@ -213,9 +178,6 @@ class DecisionService {
 
   const ServingModel& model() const { return *model_; }
   std::size_t ShardCount() const { return shards_.size(); }
-  /// Worker threads currently parked on shard lanes (shard_count -
-  /// submitter_count when shard_workers, else 0).
-  std::size_t WorkerCount() const { return workers_.size(); }
   std::size_t ActiveSessionCount() const {
     return active_count_.load(std::memory_order_relaxed);
   }
@@ -267,14 +229,6 @@ class DecisionService {
   void MeasureMemory(util::MemoryMeter& meter) const;
 
  private:
-  /// One epoch's input for a shard: the round's request/out spans plus
-  /// how many indices the worker must drain from its ring.
-  struct EpochSlot {
-    std::span<const Request> requests;
-    std::span<mdp::Action> out;
-    std::size_t count = 0;
-  };
-
   using ExtractorPool = util::SlabPool<core::NoveltyFeatureExtractor>;
 
   /// Struct-of-arrays session table for one shard, indexed by local slot
@@ -293,11 +247,8 @@ class DecisionService {
   };
 
   /// Per-shard lane: the shard's session table and extractor pool plus
-  /// scratch that persists across DecideBatch calls plus (for shards
-  /// that are not the first of their group, under shard_workers) the
-  /// handoff state its worker drains. unique_ptr in shards_
-  /// because the arena and the synchronization members are pinned in
-  /// place (non-movable).
+  /// scratch that persists across DecideBatch calls. unique_ptr in
+  /// shards_ because the arena is pinned in place (non-movable).
   struct ShardLane {
     ShardLane(std::size_t slab_slots, std::size_t scratch_doubles)
         : extractors(slab_slots, scratch_doubles) {}
@@ -307,25 +258,15 @@ class DecisionService {
     SessionTable sessions;
     ExtractorPool extractors;  // U_S per-session extractors
 
-    // --- scratch owned by whichever thread runs the shard ---
-    util::Arena arena;        // per-epoch index/score arrays
+    // --- scratch reused by every round of the shard ---
+    util::Arena arena;        // per-round index/score arrays
     nn::Matrix states;        // packed request states
     nn::Matrix features;      // U_S staged feature rows
     nn::Matrix learned_states;
     std::vector<mdp::Action> learned_actions;
-    std::size_t peak_count = 0;       // requests/epoch since last shrink
+    std::size_t peak_count = 0;       // requests/round since last shrink
     std::size_t peak_arena_used = 0;  // arena bytes since last shrink
     std::size_t epochs_since_shrink = 0;
-
-    // --- submitter -> worker handoff (workers only) ---
-    util::SpscRing<std::uint32_t> ring;  // request indices for the epoch
-    EpochSlot slots[2];                  // double-buffered, epoch & 1
-    std::mutex mutex;
-    std::condition_variable work_cv;  // worker parks here for its ticket
-    std::condition_variable done_cv;  // submitter waits for completion
-    std::uint64_t submitted = 0;      // epochs posted to this lane
-    std::uint64_t completed = 0;      // epochs the worker has finished
-    bool stop = false;
   };
 
   /// One submitter group's own state: its shard range, its session-id
@@ -340,26 +281,24 @@ class DecisionService {
     /// Fresh ids handed out so far; the n-th is
     /// (n / width) * shard_count + begin + n % width.
     std::size_t fresh = 0;
-    /// counts[s - begin]: shard s's request count in the current round.
-    std::vector<std::size_t> counts;
+    /// offsets[s - begin]: shard s's slice bound in `order` during the
+    /// current round's counting sort.
+    std::vector<std::size_t> offsets;
+    /// The round's request indices stably sorted by shard.
+    std::vector<std::size_t> order;
   };
 
-  /// Epochs between a lane's scratch-shrink checks (MaybeShrinkLane).
+  /// Non-empty rounds between a lane's scratch-shrink checks
+  /// (MaybeShrinkLane).
   static constexpr std::size_t kLaneShrinkEpochs = 64;
 
-  void WorkerLoop(std::size_t shard);
-  /// Pops `slot.count` request indices off the shard's ring into arena
-  /// storage and runs the shard on them. Runs on the shard's worker, or
-  /// on the submitter for the round's first non-empty shard / serial mode.
-  void DrainEpoch(std::size_t shard, const EpochSlot& slot);
   /// Scores and answers one shard's slice of the round. `idx` lists the
   /// shard's request indices in caller order.
   void RunShard(std::size_t shard, std::span<const Request> requests,
                 std::span<mdp::Action> out, std::span<const std::size_t> idx);
   /// Periodic scratch diet: tracks the lane's high-water use and, every
-  /// kLaneShrinkEpochs epochs, releases arena blocks / packed matrices
-  /// beyond 2x the recent need. Runs at the end of DrainEpoch, on
-  /// whichever thread ran the epoch.
+  /// kLaneShrinkEpochs non-empty rounds, releases arena blocks / packed
+  /// matrices beyond 2x the recent need. Runs after each RunShard.
   void MaybeShrinkLane(ShardLane& lane, std::size_t count);
   std::size_t GroupOf(SessionId id) const {
     return shards_[ShardOf(id)]->group;
@@ -380,8 +319,6 @@ class DecisionService {
   std::shared_ptr<const ServingModel> model_;
   DecisionServiceConfig config_;
   std::vector<std::unique_ptr<ShardLane>> shards_;
-  std::vector<std::thread> workers_;
-  std::vector<std::size_t> worker_shards_;  // shard drained by workers_[i]
 
   std::vector<std::unique_ptr<SubmitterGroup>> groups_;
   std::atomic<std::size_t> active_count_{0};

@@ -22,7 +22,7 @@ thread_local std::size_t t_slot = 0;
 ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
-    workers_.emplace_back([this, t] { WorkerLoop(t); });
+    workers_.emplace_back([this, t] { RunWorker(t); });
   }
 }
 
@@ -96,7 +96,7 @@ void ThreadPool::DrainJob(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-void ThreadPool::WorkerLoop(std::size_t worker_index) {
+void ThreadPool::RunWorker(std::size_t worker_index) {
   t_slot = worker_index + 1;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {

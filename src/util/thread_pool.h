@@ -120,7 +120,7 @@ class ThreadPool {
     std::exception_ptr error;
   };
 
-  void WorkerLoop(std::size_t worker_index);
+  void RunWorker(std::size_t worker_index);
   /// Claims and runs index chunks of the current job until none remain.
   void DrainJob(std::unique_lock<std::mutex>& lock);
 

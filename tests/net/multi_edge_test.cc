@@ -82,7 +82,6 @@ TEST(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -109,7 +108,6 @@ TEST(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;
   NetServer server(model, cfg);
   server.Start();
   std::thread loop([&server] { server.Run(); });
@@ -158,7 +156,6 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   cfg.lane_high_water = 1;  // one admitted STEP per lane per burst
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
   ASSERT_EQ(server.server().EdgeCount(), 2u);
 

@@ -36,7 +36,6 @@ TEST(NetSmoke, ConcurrentClientsWithSessionChurn) {
   cfg.max_in_flight = 16;
   cfg.lane_high_water = 8;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;  // single-core host: keep it lean
   ServerRunner server(model, cfg);
 
   constexpr std::size_t kClients = 3;
@@ -109,7 +108,6 @@ TEST(NetSmoke, AbruptDisconnectReapsSessions) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client survivor;
@@ -153,7 +151,6 @@ TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
   cfg.lane_high_water = 2;
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 4;
-  cfg.service.shard_workers = false;  // edges are the parallelism here
   ServerRunner server(model, cfg);
 
   constexpr std::size_t kThreads = 4;

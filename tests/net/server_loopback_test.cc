@@ -50,7 +50,6 @@ std::vector<SessionRun> RunInProcess(
     const NetWorld& w, std::shared_ptr<const serve::ServingModel> model) {
   serve::DecisionServiceConfig cfg;
   cfg.shard_count = 2;
-  cfg.shard_workers = false;
   serve::DecisionService service(model, cfg);
   std::vector<SessionRun> runs;
   for (const traces::Trace& trace : w.traces) {
@@ -145,7 +144,6 @@ TEST(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
 
     NetServerConfig cfg;
     cfg.service.shard_count = 2;
-    cfg.service.shard_workers = false;  // single-core test host
     ServerRunner server(model, cfg);
     const std::vector<SessionRun> wire = RunOverWire(w, server.Port());
 
@@ -171,7 +169,6 @@ TEST(NetServerLoopback, ReplyEpochsAreMonotonic) {
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
   Client client;
   client.Connect("127.0.0.1", server.Port());
@@ -203,7 +200,6 @@ TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
   cfg.lane_high_water = 4;  // rings bounded to 4: deeper = loud abort
   cfg.pause_reads_above = 0;  // keep reading so BUSY is immediate
   cfg.service.shard_count = 1;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -263,7 +259,6 @@ TEST(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
   cfg.lane_high_water = 2;
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -301,7 +296,6 @@ TEST(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.max_sessions = 3;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -326,7 +320,6 @@ TEST(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -364,7 +357,6 @@ TEST(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -409,7 +401,6 @@ TEST(NetServerLoopback, StatsReflectServiceState) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -446,7 +437,6 @@ TEST(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   std::vector<double> state(model->InputSize(), 0.4);
@@ -510,7 +500,6 @@ std::vector<SessionRun> DecideInProcess(
     const std::vector<std::vector<mdp::State>>& states) {
   serve::DecisionServiceConfig cfg;
   cfg.shard_count = 2;
-  cfg.shard_workers = false;
   serve::DecisionService service(std::move(model), cfg);
   std::vector<SessionRun> runs(states.size());
   for (std::size_t v = 0; v < states.size(); ++v) {
@@ -642,7 +631,7 @@ TEST(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
   ASSERT_NE(kReadChunk % frame, 0u);
 
   NetServerConfig cfg;
-  cfg.service.shard_count = 2;  // with a worker: sparse rounds run inline
+  cfg.service.shard_count = 2;
   ExpectPipelinedBurstMatchesInProcess(model, cfg,
                                        FixedActionStates(w, kViewers, steps));
 }
@@ -669,6 +658,78 @@ TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
   cfg.service.shard_count = 2;
   ExpectPipelinedBurstMatchesInProcess(model, cfg,
                                        FixedActionStates(w, kViewers, steps));
+}
+
+// The OPEN_SESSION byte budget: with max_session_bytes = 1, the edge's
+// cached session bytes pass the budget at its first refresh, so a
+// pipelined run of OPENs is answered OK up to some point and FULL from
+// there on, and every OPEN after a STATS refresh is FULL. STATS must
+// count exactly the FULL replies the client saw.
+TEST(NetServerLoopback, OpenPastMaxSessionBytesGetsFull) {
+  const NetWorld& w = SharedNetWorld();
+  constexpr std::size_t kOpens = 200;
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  NetServerConfig cfg;
+  cfg.max_session_bytes = 1;
+  cfg.service.shard_count = 2;
+  ServerRunner server(model, cfg);
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+
+  Tally tally;
+  std::size_t sent = 0;
+  std::vector<std::uint64_t> sessions;
+  for (std::uint64_t r = 1; r <= kOpens; ++r) client.SendOpen(r);
+  sent += kOpens;
+  client.Flush();
+  for (std::size_t k = 0; k < kOpens; ++k) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply)) << "reply " << k << " missing";
+    ASSERT_EQ(reply.request_id, k + 1);
+    // Once the budget is exceeded it stays exceeded: nothing is closed.
+    if (tally.full > 0) {
+      ASSERT_EQ(reply.status, Status::kFull);
+    }
+    tally.Add(reply);
+    if (reply.status == Status::kOk) sessions.push_back(reply.session_id);
+  }
+  EXPECT_GT(tally.ok, 0u);
+  EXPECT_GT(tally.full, 0u);
+
+  // STATS refreshes the cache, so the next OPEN sees the true bytes.
+  ServerStats stats;
+  Reply reply;
+  client.SendStats(kOpens + 1);
+  client.SendOpen(kOpens + 2);
+  sent += 2;
+  client.Flush();
+  ASSERT_TRUE(client.ReadReply(reply, &stats));
+  tally.Add(reply);
+  EXPECT_GE(stats.session_bytes, cfg.max_session_bytes);
+  EXPECT_EQ(stats.open_sessions, sessions.size());
+  ASSERT_TRUE(client.ReadReply(reply));
+  EXPECT_EQ(reply.status, Status::kFull);
+  tally.Add(reply);
+
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    client.SendClose(kOpens + 3 + i, sessions[i]);
+  }
+  client.SendStats(kOpens + 3 + sessions.size());
+  sent += sessions.size() + 1;
+  client.Flush();
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    ASSERT_TRUE(client.ReadReply(reply));
+    EXPECT_EQ(reply.status, Status::kOk);
+    tally.Add(reply);
+  }
+  ASSERT_TRUE(client.ReadReply(reply, &stats));
+  tally.Add(reply);
+  EXPECT_EQ(stats.rejected_opens, tally.full);
+  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(tally.busy + tally.error, 0u);
+  EXPECT_EQ(tally.Total(), sent);
 }
 
 // Frames trickling in one byte per send(): the parser must hold every

@@ -29,6 +29,7 @@
 #include "policies/pensieve_policy.h"
 #include "serve/serving_model.h"
 #include "traces/generators.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace osap::serve {
@@ -224,13 +225,34 @@ std::vector<SessionOutcome> RunSequential(const World& w, Signal signal,
   return outcomes;
 }
 
-/// Serving arm: all sessions advance in lockstep through DecideBatch.
-/// Requests are submitted in REVERSE session order to exercise the
-/// request-index scatter (answer order must follow the request span, not
-/// session ids).
-std::vector<SessionOutcome> RunService(const World& w, Signal signal,
-                                       core::DefaultingMode mode,
-                                       DecisionServiceConfig service_config) {
+/// Which sessions each DecideBatch round of the serving arm carries.
+enum class Schedule {
+  /// Every live session, in REVERSE session order, to exercise the
+  /// request-index scatter (answer order must follow the request span,
+  /// not session ids).
+  kDense,
+  /// 0-3 random live sessions, shuffled; every 150th round carries every
+  /// live session. Yields empty rounds, one-shard rounds, and lanes that
+  /// reach the scratch-shrink check.
+  kSparse,
+};
+
+/// Mirrors DecisionService::kLaneShrinkEpochs: a lane runs its scratch
+/// shrink check on every 64th non-empty round.
+constexpr std::size_t kShrinkEpochs = 64;
+
+struct ServiceRun {
+  std::vector<SessionOutcome> outcomes;
+  std::size_t empty_rounds = 0;
+  std::size_t one_shard_rounds = 0;
+  std::size_t max_lane_rounds = 0;  // non-empty rounds of the busiest lane
+};
+
+/// Serving arm: all sessions advance through DecideBatch rounds chosen
+/// by `schedule` until every session has finished.
+ServiceRun RunService(const World& w, Signal signal, core::DefaultingMode mode,
+                      DecisionServiceConfig service_config,
+                      Schedule schedule) {
   DecisionService service(ModelFor(w, signal, ConfigFor(w, signal, mode)),
                           service_config);
   std::vector<DecisionService::SessionId> ids(kSessions);
@@ -245,45 +267,67 @@ std::vector<SessionOutcome> RunService(const World& w, Signal signal,
     states[i] = envs[i].Reset();
   }
 
-  std::vector<SessionOutcome> outcomes(kSessions);
+  ServiceRun run;
+  run.outcomes.resize(kSessions);
+  Rng rng(41 + service_config.shard_count);
+  std::vector<std::size_t> lane_rounds(service_config.shard_count, 0);
   std::vector<DecisionService::Request> requests;
   std::vector<mdp::Action> answers;
   std::vector<std::size_t> request_session;
-  while (true) {
-    requests.clear();
+  for (std::size_t round = 0;; ++round) {
     request_session.clear();
     for (std::size_t r = kSessions; r-- > 0;) {
-      if (done[r]) continue;
-      requests.push_back({ids[r], &states[r]});
-      request_session.push_back(r);
+      if (!done[r]) request_session.push_back(r);
     }
-    if (requests.empty()) break;
+    if (request_session.empty()) break;
+    if (schedule == Schedule::kSparse && round % 150 != 149) {
+      rng.Shuffle(request_session);
+      request_session.resize(std::min<std::size_t>(request_session.size(),
+                                                   rng.UniformInt(4)));
+    }
+    requests.clear();
+    std::vector<bool> touched(service_config.shard_count, false);
+    for (const std::size_t r : request_session) {
+      requests.push_back({ids[r], &states[r]});
+      touched[service.ShardOfSession(ids[r])] = true;
+    }
+    const auto lanes = static_cast<std::size_t>(
+        std::count(touched.begin(), touched.end(), true));
+    run.empty_rounds += lanes == 0;
+    run.one_shard_rounds += lanes == 1;
+    for (std::size_t s = 0; s < touched.size(); ++s) {
+      lane_rounds[s] += touched[s];
+    }
+
     answers.resize(requests.size());
     service.DecideBatch(requests, answers);
     for (std::size_t j = 0; j < requests.size(); ++j) {
       const std::size_t i = request_session[j];
-      outcomes[i].actions.push_back(answers[j]);
+      run.outcomes[i].actions.push_back(answers[j]);
       mdp::StepResult result = envs[i].Step(answers[j]);
       states[i] = std::move(result.next_state);
       done[i] = result.done;
     }
   }
   for (std::size_t i = 0; i < kSessions; ++i) {
-    outcomes[i].defaulted = service.Defaulted(ids[i]);
-    outcomes[i].steps = service.StepCount(ids[i]);
-    outcomes[i].defaulted_fraction = service.DefaultedFraction(ids[i]);
+    run.outcomes[i].defaulted = service.Defaulted(ids[i]);
+    run.outcomes[i].steps = service.StepCount(ids[i]);
+    run.outcomes[i].defaulted_fraction = service.DefaultedFraction(ids[i]);
   }
-  return outcomes;
+  run.max_lane_rounds =
+      *std::max_element(lane_rounds.begin(), lane_rounds.end());
+  return run;
 }
 
-void ExpectBitIdentical(const World& w, Signal signal,
-                        core::DefaultingMode mode,
-                        DecisionServiceConfig service_config) {
+ServiceRun ExpectBitIdentical(const World& w, Signal signal,
+                              core::DefaultingMode mode,
+                              DecisionServiceConfig service_config,
+                              Schedule schedule) {
   const std::vector<SessionOutcome> expected = RunSequential(w, signal, mode);
-  const std::vector<SessionOutcome> actual =
-      RunService(w, signal, mode, service_config);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
+  ServiceRun run = RunService(w, signal, mode, service_config, schedule);
+  const std::vector<SessionOutcome>& actual = run.outcomes;
+  EXPECT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size() && i < actual.size(); ++i) {
     SCOPED_TRACE("session " + std::to_string(i));
     EXPECT_EQ(expected[i].actions, actual[i].actions);
     EXPECT_EQ(expected[i].defaulted, actual[i].defaulted);
@@ -291,6 +335,7 @@ void ExpectBitIdentical(const World& w, Signal signal,
     // Exact: both fractions are the same integer ratio.
     EXPECT_EQ(expected[i].defaulted_fraction, actual[i].defaulted_fraction);
   }
+  return run;
 }
 
 class DecisionServiceEquivalence
@@ -298,22 +343,26 @@ class DecisionServiceEquivalence
           std::tuple<Signal, core::DefaultingMode>> {};
 
 TEST_P(DecisionServiceEquivalence, MatchesSequentialSafeAgent) {
-  // Serial arm: every shard runs inline on the calling thread.
   const auto [signal, mode] = GetParam();
   DecisionServiceConfig config;
   config.shard_count = 3;
-  config.shard_workers = false;
-  ExpectBitIdentical(SharedWorld(), signal, mode, config);
+  ExpectBitIdentical(SharedWorld(), signal, mode, config, Schedule::kDense);
 }
 
-TEST_P(DecisionServiceEquivalence, MatchesWithPersistentWorkers) {
-  // Same property with shards 1..3 on their persistent pinned workers,
-  // fed through the per-shard rings and epoch tickets.
+TEST_P(DecisionServiceEquivalence, MatchesOnSparseRounds) {
+  // Sparse rounds: most touch no shard or one shard, and the busiest lane
+  // runs enough non-empty rounds to reach its scratch-shrink check.
   const auto [signal, mode] = GetParam();
-  DecisionServiceConfig config;
-  config.shard_count = 4;
-  config.shard_workers = true;
-  ExpectBitIdentical(SharedWorld(), signal, mode, config);
+  for (const std::size_t shards : {2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    DecisionServiceConfig config;
+    config.shard_count = shards;
+    const ServiceRun run = ExpectBitIdentical(SharedWorld(), signal, mode,
+                                              config, Schedule::kSparse);
+    EXPECT_GT(run.empty_rounds, 0u);
+    EXPECT_GT(run.one_shard_rounds, 0u);
+    EXPECT_GE(run.max_lane_rounds, kShrinkEpochs);
+  }
 }
 
 std::string ParamName(
@@ -436,7 +485,6 @@ TEST(DecisionServiceApi, SessionBookkeeping) {
                          core::DefaultingMode::kPermanent)),
       DecisionServiceConfig{.shard_count = 3});
   EXPECT_EQ(service.ShardCount(), 3u);
-  EXPECT_EQ(service.WorkerCount(), 2u);  // shard 0 rides the caller
   const auto a = service.OpenSession();
   const auto b = service.OpenSession();
   const auto c = service.OpenSession();

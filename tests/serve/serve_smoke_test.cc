@@ -1,23 +1,12 @@
-// Thread-sanitizer smoke for the DecisionService persistent shard workers.
+// Thread-sanitizer smoke for DecisionService submitter groups.
 //
-// Runs mixed in-distribution / out-of-distribution viewers through a
-// 4-shard service whose shards 1..3 live on persistent worker threads
-// (epoch-ticket handoff) and checks the answers against a serial service
-// (shard_workers = false) round for round. A second scenario churns the
-// session set - viewers joining and leaving between epochs - while the
-// workers stay parked, exercising the claim that the epoch ticket's
-// release/acquire edge publishes membership changes to the worker that
-// owns the session's shard. The submitter-group scenarios split 3 shards
-// into 2 groups, each driven by its own thread (open / close / decide /
-// per-group memory stats), and check the answers against a serial
-// single-submitter service. The sparse-round scenario submits 0-3
-// sessions per round, so a worker shard's lane is often run inline by the
-// submitter (a round's first non-empty shard never gets a ticket) and its
-// scratch alternates between the two threads. Built into its own binary
-// so the sanitize ctest label can select it; under TSan this exercises
-// the claim that shards touch disjoint sessions and output slots, that
-// groups share no mutable state, and that the ring/ticket handoff is
-// properly ordered.
+// 3 shards split into 2 submitter groups, each driven by its own thread
+// (open / close / decide / per-group memory stats), checked round for
+// round against a single-submitter service. Every group runs its own
+// shards on its own thread, so these scenarios are the service's only
+// cross-thread path. Built into its own binary so the sanitize ctest
+// label can select it; under TSan this exercises the claim that groups
+// share no mutable state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,258 +84,6 @@ std::shared_ptr<const ServingModel> SmokeModel(const SmokeWorld& w,
   return ServingModel::AgentEnsemble(w.agents, 1, w.video, w.layout, safety);
 }
 
-/// Drives the worker-backed and serial services in lockstep over the same
-/// closed-loop sessions and compares every answer.
-void RunSmoke(const SmokeWorld& w, Signal signal) {
-  DecisionServiceConfig parallel_config;
-  parallel_config.shard_count = 4;
-  parallel_config.shard_workers = true;
-  DecisionService parallel(SmokeModel(w, signal), parallel_config);
-  ASSERT_EQ(parallel.WorkerCount(), 3u);
-
-  DecisionServiceConfig serial_config;
-  serial_config.shard_count = 4;
-  serial_config.shard_workers = false;  // all shards on the calling thread
-  DecisionService serial(SmokeModel(w, signal), serial_config);
-  ASSERT_EQ(serial.WorkerCount(), 0u);
-
-  std::vector<DecisionService::SessionId> ids(kSessions);
-  std::vector<abr::AbrEnvironment> envs;
-  envs.reserve(kSessions);
-  std::vector<mdp::State> states(kSessions);
-  std::vector<bool> done(kSessions, false);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    ids[i] = parallel.OpenSession();
-    const auto serial_id = serial.OpenSession();
-    ASSERT_EQ(ids[i], serial_id);
-    envs.emplace_back(w.video, abr::AbrEnvironmentConfig{});
-    envs[i].SetFixedTrace(w.traces[i]);
-    states[i] = envs[i].Reset();
-  }
-
-  std::vector<DecisionService::Request> requests;
-  std::vector<mdp::Action> parallel_out;
-  std::vector<mdp::Action> serial_out;
-  std::vector<std::size_t> request_session;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    requests.clear();
-    request_session.clear();
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      if (done[i]) continue;
-      requests.push_back({ids[i], &states[i]});
-      request_session.push_back(i);
-    }
-    if (requests.empty()) break;
-    parallel_out.resize(requests.size());
-    serial_out.resize(requests.size());
-    parallel.DecideBatch(requests, parallel_out);
-    serial.DecideBatch(requests, serial_out);
-    ASSERT_EQ(parallel_out, serial_out) << "round " << round;
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      const std::size_t i = request_session[j];
-      mdp::StepResult result = envs[i].Step(parallel_out[j]);
-      states[i] = std::move(result.next_state);
-      done[i] = result.done;
-    }
-  }
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    EXPECT_EQ(parallel.Defaulted(ids[i]), serial.Defaulted(ids[i]));
-    EXPECT_EQ(parallel.StepCount(ids[i]), serial.StepCount(ids[i]));
-  }
-}
-
-TEST(ServeSmoke, NoveltyShardsRaceFree) {
-  RunSmoke(MakeSmokeWorld(), Signal::kNovelty);
-}
-
-TEST(ServeSmoke, AgentEnsembleShardsRaceFree) {
-  RunSmoke(MakeSmokeWorld(), Signal::kAgentEnsemble);
-}
-
-/// Session churn between epochs while the workers persist: every few
-/// rounds one viewer leaves (its slot is recycled by a fresh viewer on a
-/// different trace) and an extra viewer joins, so ring sizes grow, shard
-/// membership shifts, and recycled SessionContexts cross the epoch
-/// ticket into the worker threads. Answers must still match the serial
-/// service performing the identical churn.
-TEST(ServeSmoke, SessionChurnAcrossEpochs) {
-  const SmokeWorld w = MakeSmokeWorld();
-  DecisionServiceConfig parallel_config;
-  parallel_config.shard_count = 4;
-  parallel_config.shard_workers = true;
-  DecisionService parallel(SmokeModel(w, Signal::kNovelty), parallel_config);
-  DecisionServiceConfig serial_config;
-  serial_config.shard_count = 4;
-  serial_config.shard_workers = false;
-  DecisionService serial(SmokeModel(w, Signal::kNovelty), serial_config);
-
-  // One live viewer per id; churn keeps both services' id assignments in
-  // lockstep so the comparison stays exact.
-  struct Viewer {
-    DecisionService::SessionId id = 0;
-    abr::AbrEnvironment env;
-    mdp::State state;
-  };
-  std::vector<Viewer> viewers;
-  std::size_t next_trace = 0;
-  const auto join = [&] {
-    Viewer v{parallel.OpenSession(),
-             abr::AbrEnvironment(w.video, abr::AbrEnvironmentConfig{}),
-             {}};
-    const auto serial_id = serial.OpenSession();
-    ASSERT_EQ(v.id, serial_id);
-    v.env.SetFixedTrace(w.traces[next_trace++ % w.traces.size()]);
-    v.state = v.env.Reset();
-    viewers.push_back(std::move(v));
-  };
-  for (std::size_t i = 0; i < 6; ++i) join();
-
-  std::vector<DecisionService::Request> requests;
-  std::vector<mdp::Action> parallel_out;
-  std::vector<mdp::Action> serial_out;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    if (round % 5 == 3 && !viewers.empty()) {
-      // One viewer leaves mid-run; both services retire the same id.
-      const std::size_t leaver = round % viewers.size();
-      parallel.CloseSession(viewers[leaver].id);
-      serial.CloseSession(viewers[leaver].id);
-      viewers.erase(viewers.begin() + static_cast<std::ptrdiff_t>(leaver));
-    }
-    if (round % 4 == 1) join();  // and another joins (may recycle the slot)
-    requests.clear();
-    for (Viewer& v : viewers) requests.push_back({v.id, &v.state});
-    parallel_out.resize(requests.size());
-    serial_out.resize(requests.size());
-    parallel.DecideBatch(requests, parallel_out);
-    serial.DecideBatch(requests, serial_out);
-    ASSERT_EQ(parallel_out, serial_out) << "round " << round;
-    for (std::size_t j = 0; j < viewers.size(); ++j) {
-      mdp::StepResult result = viewers[j].env.Step(parallel_out[j]);
-      viewers[j].state = std::move(result.next_state);
-      if (result.done) viewers[j].state = viewers[j].env.Reset();
-    }
-  }
-  EXPECT_EQ(parallel.ActiveSessionCount(), serial.ActiveSessionCount());
-}
-
-/// Mirrors DecisionService::kLaneShrinkEpochs: a lane runs its scratch
-/// shrink check on every 64th epoch it drains.
-constexpr std::size_t kShrinkEpochs = 64;
-constexpr std::size_t kSparseRounds = 1200;
-
-/// Sparse rounds on a `shards`-shard service with workers against the
-/// serial service: each round carries 0-3 randomly chosen viewers (every
-/// 150th round carries all of them, so the lanes' scratch grows and the
-/// shrink check has something to release), and every 7th round one
-/// viewer leaves and a fresh one joins. Rounds whose requests all sit on
-/// worker shards run the first of them on the submitting thread, so each
-/// worker lane is drained by both threads; the test counts, from the
-/// round composition, which thread ran each lane's shrink-check epochs
-/// and requires both to have run some. Actions, Defaulted and StepCount
-/// must match the serial service bit for bit.
-void RunSparseSmoke(const SmokeWorld& w, Signal signal, std::size_t shards) {
-  DecisionServiceConfig parallel_config;
-  parallel_config.shard_count = shards;
-  parallel_config.shard_workers = true;
-  DecisionService parallel(SmokeModel(w, signal), parallel_config);
-  ASSERT_EQ(parallel.WorkerCount(), shards - 1);
-  DecisionServiceConfig serial_config;
-  serial_config.shard_count = shards;
-  serial_config.shard_workers = false;
-  DecisionService serial(SmokeModel(w, signal), serial_config);
-
-  struct Viewer {
-    DecisionService::SessionId id = 0;
-    abr::AbrEnvironment env;
-    mdp::State state;
-  };
-  std::vector<Viewer> viewers;
-  std::size_t next_trace = 0;
-  const auto join = [&] {
-    Viewer v{parallel.OpenSession(),
-             abr::AbrEnvironment(w.video, abr::AbrEnvironmentConfig{}),
-             {}};
-    const auto serial_id = serial.OpenSession();
-    ASSERT_EQ(v.id, serial_id);
-    v.env.SetFixedTrace(w.traces[next_trace++ % w.traces.size()]);
-    v.state = v.env.Reset();
-    viewers.push_back(std::move(v));
-  };
-  for (std::size_t i = 0; i < kSessions; ++i) join();
-
-  std::mt19937 rng(static_cast<unsigned>(17 * shards) +
-                   static_cast<unsigned>(signal));
-  std::vector<std::size_t> epochs(shards, 0);  // non-empty rounds per lane
-  std::size_t shrink_inline = 0, shrink_on_worker = 0;
-  std::size_t worker_only_rounds = 0;
-  std::vector<std::size_t> order;
-  std::vector<DecisionService::Request> requests;
-  std::vector<mdp::Action> parallel_out;
-  std::vector<mdp::Action> serial_out;
-  for (std::size_t round = 0; round < kSparseRounds; ++round) {
-    if (round % 7 == 3) {
-      const std::size_t leaver = rng() % viewers.size();
-      parallel.CloseSession(viewers[leaver].id);
-      serial.CloseSession(viewers[leaver].id);
-      viewers.erase(viewers.begin() + static_cast<std::ptrdiff_t>(leaver));
-      join();
-    }
-    order.resize(viewers.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    order.resize(round % 150 == 149 ? viewers.size() : rng() % 4);
-
-    requests.clear();
-    std::vector<bool> touched(shards, false);
-    for (const std::size_t i : order) {
-      requests.push_back({viewers[i].id, &viewers[i].state});
-      touched[parallel.ShardOfSession(viewers[i].id)] = true;
-    }
-    bool inline_taken = false;  // the first non-empty shard runs inline
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!touched[s]) continue;
-      if (++epochs[s] % kShrinkEpochs == 0 && s > 0) {
-        ++(inline_taken ? shrink_on_worker : shrink_inline);
-      }
-      if (s > 0 && !inline_taken) ++worker_only_rounds;
-      inline_taken = true;
-    }
-
-    parallel_out.resize(requests.size());
-    serial_out.resize(requests.size());
-    parallel.DecideBatch(requests, parallel_out);
-    serial.DecideBatch(requests, serial_out);
-    ASSERT_EQ(parallel_out, serial_out) << "round " << round;
-    for (std::size_t j = 0; j < order.size(); ++j) {
-      Viewer& v = viewers[order[j]];
-      ASSERT_EQ(parallel.Defaulted(v.id), serial.Defaulted(v.id))
-          << "round " << round;
-      ASSERT_EQ(parallel.StepCount(v.id), serial.StepCount(v.id))
-          << "round " << round;
-      mdp::StepResult result = v.env.Step(parallel_out[j]);
-      v.state = std::move(result.next_state);
-      if (result.done) v.state = v.env.Reset();
-    }
-  }
-  for (const Viewer& v : viewers) {
-    EXPECT_EQ(parallel.Defaulted(v.id), serial.Defaulted(v.id));
-    EXPECT_EQ(parallel.StepCount(v.id), serial.StepCount(v.id));
-  }
-  // The scenario must have covered what it claims to.
-  EXPECT_GT(worker_only_rounds, kShrinkEpochs);
-  EXPECT_GT(shrink_inline, 0u) << "no worker lane shrank on the submitter";
-  EXPECT_GT(shrink_on_worker, 0u) << "no worker lane shrank on its worker";
-}
-
-TEST(ServeSmoke, SparseRoundsRunWorkerShardsInline) {
-  const SmokeWorld w = MakeSmokeWorld();
-  for (const std::size_t shards : {2u, 4u}) {
-    SCOPED_TRACE(shards);
-    RunSparseSmoke(w, Signal::kNovelty, shards);
-    RunSparseSmoke(w, Signal::kAgentEnsemble, shards);
-  }
-}
-
 /// One viewer of the submitter-group scenarios: the same closed-loop
 /// session under its id in the grouped service and in the reference.
 struct GroupViewer {
@@ -357,12 +94,11 @@ struct GroupViewer {
   mdp::Action action = 0;  // the grouped service's answer this round
 };
 
-/// 3 shards in 2 submitter groups ([0, 2) and [2, 3)), shard 1 on a
-/// persistent worker. Every round each group's thread optionally churns
+/// 3 shards in 2 submitter groups ([0, 2) and [2, 3)). Every round each group's thread optionally churns
 /// its own viewers (close a random one / open a fresh one, when `churn`),
 /// submits its slice through DecideBatch and reads its own memory stats,
 /// concurrently with the other group. The main thread then replays the
-/// churn on a serial single-submitter service, decides all viewers there
+/// churn on a single-submitter service, decides all viewers there
 /// and requires identical answers.
 void RunGroupSmoke(const SmokeWorld& w, Signal signal, bool churn) {
   constexpr std::size_t kGroups = 2;
@@ -370,11 +106,9 @@ void RunGroupSmoke(const SmokeWorld& w, Signal signal, bool churn) {
   grouped_config.shard_count = 3;
   grouped_config.submitter_count = kGroups;
   DecisionService grouped(SmokeModel(w, signal), grouped_config);
-  ASSERT_EQ(grouped.WorkerCount(), 1u);
   ASSERT_EQ(grouped.GroupBegin(1), 2u);
   DecisionServiceConfig reference_config;
   reference_config.shard_count = 3;
-  reference_config.shard_workers = false;
   DecisionService reference(SmokeModel(w, signal), reference_config);
 
   std::vector<std::vector<GroupViewer>> viewers(kGroups);

@@ -1,5 +1,5 @@
 // Session churn at scale: 10k+ open/close/recycle cycles through a
-// worker-backed DecisionService, checked against an independent
+// 4-shard DecisionService, checked against an independent
 // sequential mirror (a fresh NoveltyDetector + SafetyCore per session -
 // the pre-serving stack). Pins the slab/SoA bookkeeping the memory diet
 // introduced:
@@ -10,7 +10,7 @@
 //     total number of sessions ever opened, and
 //   - extractor slabs are trimmed once a population spike recedes.
 // Rides in the serve_smoke_tests binary so `ctest -L sanitize` runs it
-// under TSan (epoch-ticket handoff) and ASan (slab lifetime).
+// under TSan and ASan (slab lifetime).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,7 +82,6 @@ TEST(SessionChurnAtScale, TenThousandRecyclesMatchFreshMirrors) {
       ServingModel::Novelty(w.agents, w.novelty, w.video, w.layout, w.safety);
   DecisionServiceConfig config;
   config.shard_count = 4;
-  config.shard_workers = true;
   config.extractor_slab_slots = 64;  // several slabs per shard at peak
   DecisionService service(model, config);
 
