@@ -1,8 +1,10 @@
 // Per-edge server state shared between NetServer and its EpollBackend
 // (DESIGN.md §10.5). The definitions live in this internal header so
-// backend_epoll.cc can drive the same connection slabs, pending queues
-// and bookkeeping as server.cc without a copy. Every field is touched by
-// exactly one edge thread except the trailing published atomics.
+// backend_epoll.cc can drive the same connection slabs and pending queues
+// as server.cc without a copy. Every field is touched by exactly one edge
+// thread except the trailing published atomics. Per-session state is not
+// here: a session's owning connection and queued-STEP count live in its
+// service-side SubmitterTag (DecisionService::TagOf).
 #pragma once
 
 #include <atomic>
@@ -49,23 +51,21 @@ struct Connection {
 };
 
 /// One edge thread's whole world: its SO_REUSEPORT listener, epoll loop,
-/// wake eventfd, connection slab, pending queue and per-session
-/// bookkeeping. Everything here is touched by exactly one thread (the
-/// edge's loop); only the trailing atomics are read cross-edge, for
-/// STATS aggregation and the shutdown summary.
+/// wake eventfd, connection slab and pending queue. Everything here is
+/// touched by exactly one thread (the edge's loop); only the trailing
+/// atomics are read cross-edge, for STATS aggregation and the shutdown
+/// summary.
 struct Edge {
   /// One admitted STEP awaiting its decision round.
   struct PendingStep {
     std::uint32_t conn = 0;
     std::uint64_t request_id = 0;
     std::uint64_t session = 0;
-    std::size_t dense = 0;  // edge-local bookkeeping index of `session`
-    mdp::State state;       // decoded off the wire; storage recycled
+    mdp::State state;  // decoded off the wire; storage recycled
   };
 
   std::size_t index = 0;        // == submitter group in the service
   std::size_t group_begin = 0;  // first service shard this edge owns
-  std::size_t group_width = 0;  // shards [begin, begin + width)
 
   int listen_fd = -1;
   int wake_fd = -1;  // eventfd: Stop() -> loop wakeup
@@ -89,24 +89,10 @@ struct Edge {
   std::vector<std::uint32_t> dirty;     // connections with queued replies
   std::vector<std::uint32_t> unpaused;  // resumed this batch: drain them
 
-  // Per-session edge bookkeeping, indexed by the DENSE edge-local index
-  // (local_slot * group_width + lane: the id's fresh ordinal in the
-  // edge's group allocator, the session id itself for a single-edge
-  // server, so these tables never outgrow the group's peak live
-  // sessions). owner_of[d] is the connection slot (or
-  // kNoOwner), pending_of[d] counts that session's entries in pending,
-  // batch_stamp[d] marks "already in this round" (a session decides at
-  // most once per DecideBatch; duplicates defer to the next round).
-  std::vector<std::uint32_t> owner_of;
-  std::vector<std::uint32_t> pending_of;
-  std::vector<std::uint64_t> batch_stamp;
-  std::uint64_t batch_round = 0;
-
   // Round scratch (persists across batches; steady state allocates
   // nothing).
   std::vector<serve::DecisionService::Request> round_requests;
   std::vector<mdp::Action> round_actions;
-  std::vector<std::size_t> round_pending_idx;
 
   std::size_t opens_since_measure = 0;
 

@@ -36,8 +36,6 @@ constexpr std::chrono::seconds kDrainDeadline{5};
 /// A vectored send gathers at most this many reply frames per call.
 constexpr int kMaxIov = 64;
 
-constexpr std::uint32_t kNoOwner = 0xffffffffu;
-
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
@@ -70,8 +68,7 @@ NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
     auto edge = std::make_unique<Edge>();
     edge->index = e;
     edge->group_begin = service_.GroupBegin(e);
-    edge->group_width = service_.GroupEnd(e) - edge->group_begin;
-    edge->shard_pending.assign(edge->group_width, 0);
+    edge->shard_pending.assign(service_.GroupEnd(e) - edge->group_begin, 0);
     edges_.push_back(std::move(edge));
   }
 }
@@ -299,15 +296,6 @@ bool NetServer::ParseBuffered(Edge& edge, std::size_t slot) {
   return true;
 }
 
-std::size_t NetServer::DenseIndex(const Edge& edge,
-                                  std::uint64_t session) const {
-  const std::size_t shard =
-      static_cast<std::size_t>(session) % service_.ShardCount();
-  return (static_cast<std::size_t>(session) / service_.ShardCount()) *
-             edge.group_width +
-         (shard - edge.group_begin);
-}
-
 void NetServer::HandleRequest(Edge& edge, std::size_t slot,
                               const DecodedRequest& request) {
   Connection& conn = *edge.connections[slot];
@@ -317,16 +305,10 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
   reply.session_id = request.header.session_id;
   reply.epoch = service_.RoundCount();
 
-  // A session is addressable on this edge only if its shard falls in the
-  // edge's group (always true single-edge; a session opened on another
-  // edge's listener is kError here - ids are edge-affine by design).
-  const std::size_t shard_count = service_.ShardCount();
-  const auto on_edge = [&](std::uint64_t id) {
-    const std::size_t shard = static_cast<std::size_t>(id) % shard_count;
-    return shard >= edge.group_begin &&
-           shard < edge.group_begin + edge.group_width;
-  };
-
+  // A session is addressable only by the connection that opened it:
+  // TagOf finds it only if it is open in this edge's group (a session
+  // opened on another edge's listener is kError here - ids are
+  // edge-affine by design), and its tag's owner must be this connection.
   switch (request.header.type) {
     case MsgType::kOpenSession: {
       const std::size_t max_sessions =
@@ -357,15 +339,7 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
         return;
       }
       const std::uint64_t id = service_.OpenSession(edge.index);
-      const std::size_t dense = DenseIndex(edge, id);
-      if (edge.owner_of.size() <= dense) {
-        edge.owner_of.resize(dense + 1, kNoOwner);
-        edge.pending_of.resize(dense + 1, 0);
-        edge.batch_stamp.resize(dense + 1, 0);
-      }
-      edge.owner_of[dense] = static_cast<std::uint32_t>(slot);
-      edge.pending_of[dense] = 0;
-      edge.batch_stamp[dense] = 0;
+      service_.TagOf(edge.index, id)->owner = static_cast<std::uint32_t>(slot);
       conn.sessions.push_back(id);
       ++edge.opens_since_measure;
       reply.status = Status::kOk;
@@ -375,9 +349,8 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
     }
     case MsgType::kCloseSession: {
       const std::uint64_t id = request.header.session_id;
-      const std::size_t dense = on_edge(id) ? DenseIndex(edge, id) : 0;
-      if (!on_edge(id) || dense >= edge.owner_of.size() ||
-          edge.owner_of[dense] != slot) {
+      const auto* tag = service_.TagOf(edge.index, id);
+      if (tag == nullptr || tag->owner != slot) {
         reply.status = Status::kError;
         edge.errors.fetch_add(1, std::memory_order_relaxed);
         QueueReply(edge, slot, reply);
@@ -385,9 +358,8 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
       }
       // A CLOSE overtaking its own pipelined STEPs: answer those with
       // ERROR first (never drop them silently), then tear down.
-      if (edge.pending_of[dense] > 0) FailPendingOf(edge, id, Status::kError);
+      if (tag->queued > 0) FailPendingOf(edge, id);
       service_.CloseSession(id);
-      edge.owner_of[dense] = kNoOwner;
       for (std::size_t i = 0; i < conn.sessions.size(); ++i) {
         if (conn.sessions[i] == id) {
           conn.sessions[i] = conn.sessions.back();
@@ -407,17 +379,15 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
     }
     case MsgType::kStep: {
       const std::uint64_t id = request.header.session_id;
-      const std::size_t dense = on_edge(id) ? DenseIndex(edge, id) : 0;
-      if (!on_edge(id) || dense >= edge.owner_of.size() ||
-          edge.owner_of[dense] != slot ||
+      auto* tag = service_.TagOf(edge.index, id);
+      if (tag == nullptr || tag->owner != slot ||
           request.state_dim != model_->InputSize()) {
         reply.status = Status::kError;
         edge.errors.fetch_add(1, std::memory_order_relaxed);
         QueueReply(edge, slot, reply);
         return;
       }
-      const std::size_t lane =
-          static_cast<std::size_t>(id) % shard_count - edge.group_begin;
+      const std::size_t lane = service_.ShardOfSession(id) - edge.group_begin;
       // Reserve a slot in the shared in-flight budget, then check the
       // edge-local lane mark; release the reservation on any rejection.
       const std::size_t prev =
@@ -444,10 +414,9 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
       step.conn = static_cast<std::uint32_t>(slot);
       step.request_id = request.header.request_id;
       step.session = id;
-      step.dense = dense;
       edge.pending.push_back(std::move(step));
       ++edge.shard_pending[lane];
-      ++edge.pending_of[dense];
+      ++tag->queued;
       ++conn.in_flight;
       if (config_.pause_reads_above > 0 &&
           conn.in_flight >= config_.pause_reads_above) {
@@ -460,43 +429,45 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
 }
 
 void NetServer::RunBatch(Edge& edge) {
-  ++edge.batch_round;
+  // Every pending STEP goes to the service; a session's pipelined repeats
+  // come back deferred (its next state depends on this round's action)
+  // and stay pending for the next round.
   edge.round_requests.clear();
-  edge.round_pending_idx.clear();
-  for (std::size_t i = 0; i < edge.pending.size(); ++i) {
-    const Edge::PendingStep& step = edge.pending[i];
-    // One decision per session per round (the service requires it: a
-    // session's next state depends on its previous action). Pipelined
-    // duplicates stay pending for the next round.
-    if (edge.batch_stamp[step.dense] == edge.batch_round) continue;
-    edge.batch_stamp[step.dense] = edge.batch_round;
+  for (const Edge::PendingStep& step : edge.pending) {
     edge.round_requests.push_back({step.session, &step.state});
-    edge.round_pending_idx.push_back(i);
   }
   edge.round_actions.resize(edge.round_requests.size());
-  service_.DecideBatch(edge.round_requests, edge.round_actions);
+  const std::span<const std::size_t> deferred =
+      service_.DecideBatch(edge.round_requests, edge.round_actions);
   edge.epochs.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t epoch = service_.RoundCount();
 
-  // Complete replies from the collected epoch: encode into the owning
+  // One pass: encode the decided steps' replies into the owning
   // connections' output queues (flushed after the batch - the decision
-  // path itself never touched a socket).
-  const std::size_t shard_count = service_.ShardCount();
-  for (std::size_t t = 0; t < edge.round_pending_idx.size(); ++t) {
-    Edge::PendingStep& step = edge.pending[edge.round_pending_idx[t]];
+  // path itself never touched a socket) and compact the deferred ones to
+  // the front, in arrival order.
+  std::size_t write = 0;
+  std::size_t next_deferred = 0;
+  for (std::size_t i = 0; i < edge.pending.size(); ++i) {
+    Edge::PendingStep& step = edge.pending[i];
+    if (next_deferred < deferred.size() && deferred[next_deferred] == i) {
+      ++next_deferred;
+      if (write != i) edge.pending[write] = std::move(step);
+      ++write;
+      continue;
+    }
     Reply reply;
     reply.type = MsgType::kStep;
     reply.status = Status::kOk;
     reply.flags = service_.Defaulted(step.session) ? kFlagDefaulted : 0;
-    reply.action = static_cast<std::int32_t>(edge.round_actions[t]);
+    reply.action = static_cast<std::int32_t>(edge.round_actions[i]);
     reply.request_id = step.request_id;
     reply.session_id = step.session;
     reply.epoch = epoch;
     QueueReply(edge, step.conn, reply);
-    --edge.shard_pending[static_cast<std::size_t>(step.session) %
-                             shard_count -
+    --edge.shard_pending[service_.ShardOfSession(step.session) -
                          edge.group_begin];
-    --edge.pending_of[step.dense];
+    --service_.TagOf(edge.index, step.session)->queued;
     Connection& conn = *edge.connections[step.conn];
     --conn.in_flight;
     if (conn.paused && config_.pause_reads_above > 0 &&
@@ -506,25 +477,10 @@ void NetServer::RunBatch(Edge& edge) {
     }
     edge.state_pool.push_back(std::move(step.state));
   }
-  edge.decided.fetch_add(edge.round_pending_idx.size(),
-                         std::memory_order_relaxed);
-  in_flight_.fetch_sub(edge.round_pending_idx.size(),
-                       std::memory_order_relaxed);
-
-  // Compact: drop answered entries (ascending indices), keep deferrals
-  // in arrival order.
-  std::size_t write = 0;
-  std::size_t next_answered = 0;
-  for (std::size_t i = 0; i < edge.pending.size(); ++i) {
-    if (next_answered < edge.round_pending_idx.size() &&
-        edge.round_pending_idx[next_answered] == i) {
-      ++next_answered;
-      continue;
-    }
-    if (write != i) edge.pending[write] = std::move(edge.pending[i]);
-    ++write;
-  }
+  const std::size_t answered = edge.pending.size() - write;
   edge.pending.resize(write);
+  edge.decided.fetch_add(answered, std::memory_order_relaxed);
+  in_flight_.fetch_sub(answered, std::memory_order_relaxed);
 
   // Resume paused connections whose backlog drained: parse what their
   // buffers already hold, then have the backend drain their sockets (a
@@ -547,9 +503,7 @@ void NetServer::RunBatch(Edge& edge) {
   edge.unpaused.clear();
 }
 
-void NetServer::FailPendingOf(Edge& edge, std::uint64_t session,
-                              Status status) {
-  const std::size_t shard_count = service_.ShardCount();
+void NetServer::FailPendingOf(Edge& edge, std::uint64_t session) {
   std::size_t write = 0;
   std::size_t failed = 0;
   for (std::size_t i = 0; i < edge.pending.size(); ++i) {
@@ -561,15 +515,13 @@ void NetServer::FailPendingOf(Edge& edge, std::uint64_t session,
     }
     Reply reply;
     reply.type = MsgType::kStep;
-    reply.status = status;
+    reply.status = Status::kError;
     reply.request_id = step.request_id;
     reply.session_id = step.session;
     reply.epoch = service_.RoundCount();
     QueueReply(edge, step.conn, reply);
-    --edge.shard_pending[static_cast<std::size_t>(step.session) %
-                             shard_count -
+    --edge.shard_pending[service_.ShardOfSession(step.session) -
                          edge.group_begin];
-    --edge.pending_of[step.dense];
     --edge.connections[step.conn]->in_flight;
     edge.state_pool.push_back(std::move(step.state));
     ++failed;
@@ -577,9 +529,7 @@ void NetServer::FailPendingOf(Edge& edge, std::uint64_t session,
   edge.pending.resize(write);
   if (failed > 0) {
     in_flight_.fetch_sub(failed, std::memory_order_relaxed);
-    if (status == Status::kError) {
-      edge.errors.fetch_add(failed, std::memory_order_relaxed);
-    }
+    edge.errors.fetch_add(failed, std::memory_order_relaxed);
   }
 }
 
@@ -587,8 +537,8 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   Connection& conn = *edge.connections[slot];
   if (!conn.open) return;
   // Drop this peer's pending steps without replies (the socket is gone);
-  // the shard/session accounting must still come back down.
-  const std::size_t shard_count = service_.ShardCount();
+  // the shard accounting must still come back down (the sessions close
+  // below, taking their queued counts with them).
   std::size_t write = 0;
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < edge.pending.size(); ++i) {
@@ -598,20 +548,15 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
       ++write;
       continue;
     }
-    --edge.shard_pending[static_cast<std::size_t>(step.session) %
-                             shard_count -
+    --edge.shard_pending[service_.ShardOfSession(step.session) -
                          edge.group_begin];
-    --edge.pending_of[step.dense];
     edge.state_pool.push_back(std::move(step.state));
     ++dropped;
   }
   edge.pending.resize(write);
   if (dropped > 0) in_flight_.fetch_sub(dropped, std::memory_order_relaxed);
 
-  for (const std::uint64_t id : conn.sessions) {
-    service_.CloseSession(id);
-    edge.owner_of[DenseIndex(edge, id)] = kNoOwner;
-  }
+  for (const std::uint64_t id : conn.sessions) service_.CloseSession(id);
   conn.sessions.clear();
 
   // Stop watching the fd before it goes away.

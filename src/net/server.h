@@ -107,7 +107,7 @@ struct NetServerConfig {
   /// Stop reading a connection whose admitted backlog exceeds this
   /// (TCP pushback); reads resume once it drains to half. 0 disables.
   std::size_t pause_reads_above = 1024;
-  /// OPEN_SESSION gate: max concurrently open sessions (0 = 1M).
+  /// OPEN_SESSION gate: max concurrently open sessions; 0 = no cap.
   std::size_t max_sessions = 1 << 20;
   /// OPEN_SESSION gate on ServiceMemoryStats::SessionBytes(), refreshed
   /// every 64 opens (the walk is not free). 0 = unlimited.
@@ -177,9 +177,9 @@ class NetServer {
   void HandleRequest(Edge& edge, std::size_t slot,
                      const DecodedRequest& request);
   void RunBatch(Edge& edge);
-  /// Answers and removes every pending STEP of `session` with `status`
+  /// Answers and removes every pending STEP of `session` with kError
   /// (a CLOSE overtaking pipelined STEPs, never the normal path).
-  void FailPendingOf(Edge& edge, std::uint64_t session, Status status);
+  void FailPendingOf(Edge& edge, std::uint64_t session);
   void CloseConnection(Edge& edge, std::size_t slot);
   void QueueReply(Edge& edge, std::size_t slot, const Reply& reply,
                   const ServerStats* stats = nullptr);
@@ -194,10 +194,6 @@ class NetServer {
   /// Refreshes edge's session-bytes cache and sums every edge's
   /// published counters (the STATS reply payload).
   ServerStats BuildStats(Edge& edge);
-  /// Edge-local dense index of a session id (slots for owner/pending/
-  /// stamp bookkeeping): local * group_width + (shard - group_begin).
-  /// With one edge this is the id itself.
-  std::size_t DenseIndex(const Edge& edge, std::uint64_t session) const;
 
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 

@@ -66,6 +66,7 @@ DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
     }
     table.open.resize(local + 1, 0);
     table.last_round.resize(local + 1, 0);
+    table.tags.resize(local + 1);
   }
   // Fresh state either way: a recycled slot still carries its previous
   // occupant. The ring needs no wipe - SafetyObserve never reads slots
@@ -85,6 +86,7 @@ DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
   }
   table.open[local] = 1;
   table.last_round[local] = 0;
+  table.tags[local] = SubmitterTag{};
   active_count_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
@@ -103,6 +105,14 @@ void DecisionService::CloseSession(SessionId id) {
   lane.sessions.open[local] = 0;
   groups_[GroupOf(id)]->free_ids.push_back(id);
   active_count_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+DecisionService::SubmitterTag* DecisionService::TagOf(std::size_t group,
+                                                      SessionId id) {
+  const SubmitterGroup& g = *groups_[group];
+  const std::size_t shard = ShardOf(id);
+  if (shard < g.begin || shard >= g.end || !IsOpen(id)) return nullptr;
+  return &shards_[shard]->sessions.tags[LocalOf(id)];
 }
 
 void DecisionService::CheckOpen(SessionId id) const {
@@ -168,21 +178,27 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
   lane.epochs_since_shrink = 0;
 }
 
-void DecisionService::DecideBatch(std::span<const Request> requests,
-                                  std::span<mdp::Action> out) {
+std::span<const std::size_t> DecisionService::DecideBatch(
+    std::span<const Request> requests, std::span<mdp::Action> out) {
   OSAP_REQUIRE(out.size() >= requests.size(),
                "DecideBatch: output span too short");
-  if (requests.empty()) return;
+  if (requests.empty()) return {};
   SubmitterGroup& group = *groups_[GroupOf(requests[0].session)];
   const std::size_t begin = group.begin;
   const std::size_t end = group.end;
   // Rounds draw from one global counter so reply epochs stay unique
-  // across groups; each session's duplicate stamp lives in its shard's
-  // table, which only this group touches.
+  // across groups; each session's stamp lives in its shard's table,
+  // which only this group touches. A request whose session is already
+  // stamped this round is deferred; the rest are counted per shard for
+  // the routing sort.
   const std::uint64_t round =
       round_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::size_t input = model_->InputSize();
-  for (const Request& r : requests) {
+  std::vector<std::size_t>& offsets = group.offsets;
+  std::fill(offsets.begin(), offsets.end(), 0);
+  group.deferred.clear();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
     const std::size_t shard = ShardOf(r.session);
     OSAP_REQUIRE(shard >= begin && shard < end,
                  "DecideBatch: session outside the submitter group");
@@ -192,21 +208,27 @@ void DecisionService::DecideBatch(std::span<const Request> requests,
                  "DecideBatch: unknown session");
     OSAP_REQUIRE(r.state != nullptr && r.state->size() == input,
                  "DecideBatch: null or mis-sized state");
-    OSAP_REQUIRE(table.last_round[local] != round,
-                 "DecideBatch: a session may appear once per batch");
+    if (table.last_round[local] == round) {
+      group.deferred.push_back(i);
+      continue;
+    }
     table.last_round[local] = round;
+    ++offsets[shard - begin];
   }
 
-  // Route: a stable counting sort of the request indices by shard, so
-  // each shard's slice of `order` keeps caller order. Then run every
-  // non-empty shard in ascending order on this thread.
-  std::vector<std::size_t>& offsets = group.offsets;
-  std::fill(offsets.begin(), offsets.end(), 0);
-  for (const Request& r : requests) ++offsets[ShardOf(r.session) - begin];
+  // Route: a stable counting sort of the decided request indices by
+  // shard, so each shard's slice of `order` keeps caller order. Then run
+  // every non-empty shard in ascending order on this thread.
   std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(),
                       std::size_t{0});
-  group.order.resize(requests.size());
+  group.order.resize(requests.size() - group.deferred.size());
+  std::size_t next_deferred = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (next_deferred < group.deferred.size() &&
+        group.deferred[next_deferred] == i) {
+      ++next_deferred;
+      continue;
+    }
     group.order[offsets[ShardOf(requests[i].session) - begin]++] = i;
   }
   // The scatter advanced each shard's offset from its slice's start to
@@ -221,6 +243,7 @@ void DecisionService::DecideBatch(std::span<const Request> requests,
     MaybeShrinkLane(*shards_[s], stop - start);
     start = stop;
   }
+  return group.deferred;
 }
 
 void DecisionService::RunShard(std::size_t shard,
@@ -351,7 +374,8 @@ void DecisionService::AccumulateLane(std::size_t shard,
   stats.registry_bytes +=
       table.extractor_of.capacity() * sizeof(ExtractorPool::Index) +
       table.open.capacity() * sizeof(std::uint8_t) +
-      table.last_round.capacity() * sizeof(std::uint64_t);
+      table.last_round.capacity() * sizeof(std::uint64_t) +
+      table.tags.capacity() * sizeof(SubmitterTag);
   stats.extractor_bytes += lane.extractors.CapacityBytes();
   stats.scratch_bytes +=
       sizeof(ShardLane) + lane.arena.CapacityBytes() +
@@ -370,7 +394,8 @@ void DecisionService::AccumulateGroup(std::size_t group,
   stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
   stats.scratch_bytes +=
       sizeof(SubmitterGroup) +
-      (g.offsets.capacity() + g.order.capacity()) * sizeof(std::size_t);
+      (g.offsets.capacity() + g.order.capacity() + g.deferred.capacity()) *
+          sizeof(std::size_t);
 }
 
 ServiceMemoryStats DecisionService::MemoryStats() const {

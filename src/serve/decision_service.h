@@ -38,17 +38,25 @@
 // session is opened, decided and closed through its group. Each group
 // owns a separately allocated record - its shard range, its session-id
 // allocator and its routing scratch - and every piece of per-session
-// state (the SoA tables, open flags, duplicate-round stamps) lives inside
-// its shard's lane, so group g's submitter can OpenSession(g) /
-// DecideBatch / CloseSession on its own shards while the other groups'
-// submitters do the same concurrently, with no shared mutable state
-// between them (the global round counter and active-session count are
-// single atomics). Each lane has exactly ONE submitter, so it needs no
-// locking. A group allocates ids LIFO from its own freed ids, else
-// fresh: its n-th fresh id is (n / width) * shard_count + begin +
-// n % width, spreading the group's sessions round-robin over its
-// shards. The default single group [0, shard_count) therefore hands out
-// 0, 1, 2, ... and recycles the most recently closed id first.
+// state (the SoA tables, open flags, duplicate-round stamps, submitter
+// tags) lives inside its shard's lane, so group g's submitter can
+// OpenSession(g) / DecideBatch / CloseSession on its own shards while
+// the other groups' submitters do the same concurrently, with no shared
+// mutable state between them (the global round counter and
+// active-session count are single atomics). Each lane has exactly ONE
+// submitter, so it needs no locking. A group allocates ids LIFO from its
+// own freed ids, else fresh: its n-th fresh id is (n / width) *
+// shard_count + begin + n % width, spreading the group's sessions
+// round-robin over its shards. The default single group
+// [0, shard_count) therefore hands out 0, 1, 2, ... and recycles the
+// most recently closed id first.
+//
+// The lane table is the ONE per-session table of a deployment: a caller
+// that needs its own per-session bookkeeping (the network edge's owning
+// connection and queued-STEP count) keeps it in the session's
+// SubmitterTag (TagOf), so MemoryStats() counts every per-session byte.
+// "One decision per session per round" likewise has one rule:
+// DecideBatch's stamp, which defers a session's repeat requests.
 //
 // Per-session state is on a strict memory budget (ROADMAP: a million
 // concurrent sessions must fit). Each shard keeps its sessions in a
@@ -122,7 +130,7 @@ struct ServiceMemoryStats {
   std::size_t session_cold_bytes = 0;
   std::size_t trigger_ring_bytes = 0;  // packed variance-trigger windows
   std::size_t extractor_bytes = 0;     // U_S slab pools (objects + storage)
-  std::size_t registry_bytes = 0;  // slot registry: last-round/open/free
+  std::size_t registry_bytes = 0;  // slot registry: last-round/open/tag/free
   std::size_t scratch_bytes = 0;   // shard lanes and routing scratch
 
   /// Bytes attributable to session state (everything but shard scratch).
@@ -150,6 +158,14 @@ class DecisionService {
     const mdp::State* state = nullptr;
   };
 
+  /// Per-session word owned by the session's group submitter. OpenSession
+  /// zeroes it; the service itself never reads it. The network edge keeps
+  /// the owning connection slot and the session's queued STEPs here.
+  struct SubmitterTag {
+    std::uint32_t owner = 0;
+    std::uint32_t queued = 0;
+  };
+
   DecisionService(std::shared_ptr<const ServingModel> model,
                   DecisionServiceConfig config = {});
 
@@ -163,15 +179,18 @@ class DecisionService {
   /// the owning group's submitter may close it.
   void CloseSession(SessionId id);
 
-  /// Answers one decision per request. Each session may appear at most
-  /// once per call (a session's next state depends on its previous
-  /// action, so two requests for one session in one batch would be
-  /// ill-defined). out[i] answers requests[i]. The batch belongs to the
-  /// group of requests[0]'s shard; every request's session must live in
-  /// that group. Distinct groups may call this concurrently; within a
-  /// group, calls are externally synchronized.
-  void DecideBatch(std::span<const Request> requests,
-                   std::span<mdp::Action> out);
+  /// Answers one decision per session: out[i] answers requests[i] for a
+  /// session's first request in the call. A session's second and later
+  /// requests are deferred (its next state depends on the action this
+  /// call picks): their out[] entries are left untouched and their
+  /// indices are returned in ascending order, for the caller to submit
+  /// again in a later call. The returned view lives in the group's
+  /// scratch and stays valid until the group's next DecideBatch. The
+  /// batch belongs to the group of requests[0]'s shard; every request's
+  /// session must live in that group. Distinct groups may call this
+  /// concurrently; within a group, calls are externally synchronized.
+  std::span<const std::size_t> DecideBatch(std::span<const Request> requests,
+                                           std::span<mdp::Action> out);
 
   /// Single-session convenience wrapper around DecideBatch.
   mdp::Action Decide(SessionId id, const mdp::State& state);
@@ -209,6 +228,12 @@ class DecisionService {
   }
   std::size_t GroupEnd(std::size_t group) const { return groups_[group]->end; }
 
+  /// `id`'s submitter tag, or nullptr unless `id`'s shard is in `group`
+  /// and the session is open. Reads only `group`'s lanes, so group g's
+  /// submitter may call it while other groups run. The pointer is valid
+  /// until the group's next OpenSession.
+  SubmitterTag* TagOf(std::size_t group, SessionId id);
+
   /// Per-session introspection (id must be open).
   bool Defaulted(SessionId id) const;
   std::size_t StepCount(SessionId id) const;
@@ -234,16 +259,18 @@ class DecisionService {
   /// Struct-of-arrays session table for one shard, indexed by local slot
   /// (id / shard_count). The epoch scan touches hot[] and rings[] only;
   /// open[] / last_round[] are the validation registry (per shard so
-  /// concurrent submitter groups never share registry storage), cold[]
-  /// is introspection, extractor_of[] routes U_S sessions to their
-  /// pooled extractor (empty table for the other signals).
+  /// concurrent submitter groups never share registry storage), tags[]
+  /// is the submitter's own per-session word (counted as registry
+  /// bytes), cold[] is introspection, extractor_of[] routes U_S sessions
+  /// to their pooled extractor (empty table for the other signals).
   struct SessionTable {
     std::vector<core::SafetyState> hot;
     std::vector<core::SafetyCold> cold;
     std::vector<double> rings;  // local slots x ring_width, packed
     std::vector<ExtractorPool::Index> extractor_of;  // U_S only
     std::vector<std::uint8_t> open;
-    std::vector<std::uint64_t> last_round;  // duplicate-request stamps
+    std::vector<std::uint64_t> last_round;  // per-round stamps
+    std::vector<SubmitterTag> tags;
   };
 
   /// Per-shard lane: the shard's session table and extractor pool plus
@@ -284,8 +311,11 @@ class DecisionService {
     /// offsets[s - begin]: shard s's slice bound in `order` during the
     /// current round's counting sort.
     std::vector<std::size_t> offsets;
-    /// The round's request indices stably sorted by shard.
+    /// The round's decided request indices stably sorted by shard.
     std::vector<std::size_t> order;
+    /// The round's deferred request indices, ascending (DecideBatch's
+    /// return value).
+    std::vector<std::size_t> deferred;
   };
 
   /// Non-empty rounds between a lane's scratch-shrink checks

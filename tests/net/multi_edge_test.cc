@@ -11,6 +11,8 @@
 //   - STATS accounting across edges: every per-status client-side count
 //     (ok / busy / full / error) matches the summed per-edge counters
 //     exactly, and ok + busy + full + error == requests sent.
+//   - Session ids are edge-affine: a live session opened on one edge is
+//     kError to a STEP or CLOSE arriving on another edge.
 #include <dirent.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -21,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -242,6 +245,60 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   EXPECT_EQ(stats.connections, 2u);
   c1.Close();
   c2.Close();
+}
+
+// A live session's id presented on the other edge is kError: each edge
+// addresses only its own group's open sessions. The kernel's
+// SO_REUSEPORT hash places connections, so keep connecting until two of
+// them hold sessions in different groups.
+TEST(NetMultiEdge, LiveSessionFromAnotherEdgeIsError) {
+  const NetWorld& w = SharedNetWorld();
+  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
+                                 core::DefaultingMode::kPermanent);
+  NetServerConfig cfg;
+  cfg.edge_threads = 2;
+  cfg.service.shard_count = 2;
+  ServerRunner server(model, cfg);
+
+  std::vector<std::unique_ptr<Client>> clients;
+  Client* holder[2] = {nullptr, nullptr};
+  std::uint64_t session[2] = {0, 0};
+  for (int tries = 0; tries < 64 && (!holder[0] || !holder[1]); ++tries) {
+    auto& c = clients.emplace_back(std::make_unique<Client>());
+    c->Connect("127.0.0.1", server.Port());
+    const std::uint64_t id = c->OpenSession();
+    const std::size_t group = serve::DecisionService::GroupOfShard(
+        id % cfg.service.shard_count, cfg.service.shard_count,
+        cfg.edge_threads);
+    if (holder[group] == nullptr) {
+      holder[group] = c.get();
+      session[group] = id;
+    }
+  }
+  ASSERT_TRUE(holder[0] != nullptr && holder[1] != nullptr)
+      << "64 connections all hashed to one edge";
+
+  abr::AbrEnvironment env(w.video, {});
+  env.SetFixedTrace(w.traces[0]);
+  const mdp::State state = env.Reset();
+  std::uint64_t rid = 1 << 20;
+  for (std::size_t g = 0; g < 2; ++g) {
+    Client& foreign = *holder[1 - g];
+    foreign.SendStep(++rid, session[g], state);
+    foreign.SendClose(++rid, session[g]);
+    foreign.Flush();
+    for (int k = 0; k < 2; ++k) {
+      Reply reply;
+      ASSERT_TRUE(foreign.ReadReply(reply));
+      EXPECT_EQ(reply.status, Status::kError)
+          << "group " << g << "'s session on the other edge";
+    }
+  }
+  // Both sessions still work for their owners.
+  for (std::size_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(holder[g]->Step(session[g], state).status, Status::kOk);
+  }
+  EXPECT_EQ(holder[0]->Stats().errors, 4u);
 }
 
 }  // namespace

@@ -784,5 +784,68 @@ TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   EXPECT_EQ(stats.open_sessions, 0u);
 }
 
+// A session answers only to the connection that opened it: another
+// connection's STEP or CLOSE on it is kError and leaves it working for
+// its owner. The same holds once the id is recycled: after A closes its
+// session, B's OPEN gets the same id (LIFO), and A's STEP on it is
+// kError.
+TEST(NetServerLoopback, ForeignConnectionCannotStepOrCloseASession) {
+  const NetWorld& w = SharedNetWorld();
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  ServerRunner server(model, NetServerConfig{});
+  Client a, b;
+  a.Connect("127.0.0.1", server.Port());
+  b.Connect("127.0.0.1", server.Port());
+  const std::vector<double> state(model->InputSize(), 0.25);
+
+  Tally tally;
+  std::size_t sent = 0;
+  std::uint64_t rid = 0;
+  // Flushes the one request just sent on `c` and reads its reply.
+  const auto reply_to = [&](Client& c) {
+    ++sent;
+    c.Flush();
+    Reply reply;
+    if (!c.ReadReply(reply)) throw std::runtime_error("early EOF");
+    EXPECT_EQ(reply.request_id, rid);
+    tally.Add(reply);
+    return reply;
+  };
+
+  a.SendOpen(++rid);
+  const Reply opened = reply_to(a);
+  ASSERT_EQ(opened.status, Status::kOk);
+  const std::uint64_t id = opened.session_id;
+  b.SendStep(++rid, id, state);
+  EXPECT_EQ(reply_to(b).status, Status::kError);
+  b.SendClose(++rid, id);
+  EXPECT_EQ(reply_to(b).status, Status::kError);
+  a.SendStep(++rid, id, state);
+  EXPECT_EQ(reply_to(a).status, Status::kOk)
+      << "the owner's session survives a foreign STEP and CLOSE";
+  a.SendClose(++rid, id);
+  EXPECT_EQ(reply_to(a).status, Status::kOk);
+
+  b.SendOpen(++rid);
+  const Reply reopened = reply_to(b);
+  ASSERT_EQ(reopened.status, Status::kOk);
+  ASSERT_EQ(reopened.session_id, id)
+      << "ids recycle most recently closed first";
+  a.SendStep(++rid, id, state);
+  EXPECT_EQ(reply_to(a).status, Status::kError)
+      << "a recycled id belongs to its new owner";
+  b.SendStep(++rid, id, state);
+  EXPECT_EQ(reply_to(b).status, Status::kOk);
+  b.SendClose(++rid, id);
+  EXPECT_EQ(reply_to(b).status, Status::kOk);
+
+  EXPECT_EQ(tally.Total(), sent);
+  EXPECT_EQ(tally.error, 3u);
+  const ServerStats stats = a.Stats();
+  EXPECT_EQ(stats.errors, tally.error);
+  EXPECT_EQ(stats.open_sessions, 0u);
+}
+
 }  // namespace
 }  // namespace osap::net

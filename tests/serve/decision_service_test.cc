@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -415,7 +418,10 @@ TEST(DecisionServiceEquivalenceSanity, OutOfDistributionSessionsDefault) {
   }
 }
 
-TEST(DecisionServiceApi, DuplicateSessionInOneBatchThrows) {
+// One decision per session per round: a session's second request in one
+// batch is deferred (left unanswered and returned), not decided, and the
+// caller's re-submission decides it.
+TEST(DecisionServiceApi, DuplicateSessionInOneBatchIsDeferred) {
   const World& w = SharedWorld();
   DecisionService service(ModelFor(
       w, Signal::kAgentEnsemble,
@@ -423,8 +429,19 @@ TEST(DecisionServiceApi, DuplicateSessionInOneBatchThrows) {
   const auto id = service.OpenSession();
   const mdp::State state(w.layout.Size(), 0.0);
   const DecisionService::Request requests[] = {{id, &state}, {id, &state}};
-  mdp::Action out[2];
-  EXPECT_THROW(service.DecideBatch(requests, out), std::invalid_argument);
+  constexpr mdp::Action kUnanswered = -1;
+  mdp::Action out[2] = {kUnanswered, kUnanswered};
+  const std::span<const std::size_t> deferred =
+      service.DecideBatch(requests, out);
+  EXPECT_EQ(std::vector<std::size_t>(deferred.begin(), deferred.end()),
+            std::vector<std::size_t>{1});
+  EXPECT_NE(out[0], kUnanswered);
+  EXPECT_EQ(out[1], kUnanswered);
+  EXPECT_EQ(service.StepCount(id), 1u);
+
+  EXPECT_TRUE(service.DecideBatch({&requests[1], 1}, {&out[1], 1}).empty());
+  EXPECT_NE(out[1], kUnanswered);
+  EXPECT_EQ(service.StepCount(id), 2u);
 }
 
 TEST(DecisionServiceApi, UnknownSessionThrows) {
@@ -534,6 +551,11 @@ TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
   // Every open session owns exactly ring_width doubles of trigger window.
   EXPECT_GE(stats.trigger_ring_bytes, kMany * kTriggerK * sizeof(double));
   EXPECT_GE(stats.session_hot_bytes, kMany * sizeof(core::SafetyState));
+  // The registry counts every open session's submitter tag (the wire
+  // edge's per-session state), open flag and round stamp.
+  EXPECT_GE(stats.registry_bytes,
+            kMany * (sizeof(DecisionService::SubmitterTag) +
+                     sizeof(std::uint8_t) + sizeof(std::uint64_t)));
   EXPECT_LE(stats.BytesPerSession(), 256.0)
       << "hot " << stats.session_hot_bytes << " cold "
       << stats.session_cold_bytes << " rings " << stats.trigger_ring_bytes

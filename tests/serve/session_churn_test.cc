@@ -5,7 +5,8 @@
 // introduced:
 //   - recycled slots start fresh (no stale trigger or extractor state
 //     leaks from the previous occupant - the mirror would diverge),
-//   - the duplicate-request guard (last_round) survives slot recycling,
+//   - the one-decision-per-round stamp (last_round) survives slot
+//     recycling: a repeat in one batch is deferred,
 //   - the slot registry is bounded by the peak live population, not the
 //     total number of sessions ever opened, and
 //   - extractor slabs are trimmed once a population spike recedes.
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -160,15 +162,25 @@ TEST(SessionChurnAtScale, TenThousandRecyclesMatchFreshMirrors) {
   EXPECT_EQ(stats.open_sessions, live.size());
   EXPECT_LE(stats.session_slots, peak_live + kChurnPerRound);
 
-  // The duplicate-request guard survives recycling: close one viewer,
-  // reopen (recycles its slot), and submit the id twice in one batch.
+  // The one-decision-per-round stamp survives recycling: close one
+  // viewer, reopen (recycles its slot), and submit the id twice in one
+  // batch. The repeat is deferred, and its re-submission decides it.
   service.CloseSession(live.back().id);
   const auto recycled = service.OpenSession();
   mdp::State state(w.layout.Size(), 0.0);
   const DecisionService::Request twice[] = {{recycled, &state},
                                             {recycled, &state}};
-  mdp::Action two[2];
-  EXPECT_THROW(service.DecideBatch(twice, two), std::invalid_argument);
+  constexpr mdp::Action kUnanswered = -1;
+  mdp::Action two[2] = {kUnanswered, kUnanswered};
+  const std::span<const std::size_t> deferred =
+      service.DecideBatch(twice, two);
+  EXPECT_EQ(std::vector<std::size_t>(deferred.begin(), deferred.end()),
+            std::vector<std::size_t>{1});
+  EXPECT_EQ(two[1], kUnanswered);
+  EXPECT_EQ(service.StepCount(recycled), 1u);
+  EXPECT_TRUE(service.DecideBatch({&twice[1], 1}, {&two[1], 1}).empty());
+  EXPECT_NE(two[1], kUnanswered);
+  EXPECT_EQ(service.StepCount(recycled), 2u);
 
   // Extractor slabs drain once the population recedes: close everything
   // and the trailing-slab trim should release nearly all extractor bytes.
