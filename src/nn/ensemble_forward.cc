@@ -3,23 +3,28 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 
 #include "nn/simd.h"
 #include "util/check.h"
 
-// AVX2 kernels for the packed Linear and Conv1D ops, in two shapes:
+// Vector kernels for the packed Linear and Conv1D ops, in two shapes:
 //   - batch axis (LinearBatch4Avx2): offline scoring passes hand
 //     InferBatch dozens of states at once, so four independent states
-//     ride the four lanes of a vector;
-//   - output axis (LinearRowAvx2, ConvRowAvx2): one state on its own -
-//     every state the batch-of-4 kernel leaves over, which at serving load
-//     means every state - vectorized over Linear output columns or Conv1D
-//     output channels.
+//     ride the four lanes of an AVX2 vector;
+//   - output axis (LinearRow, ConvRow): one state on its own - every
+//     state the batch-of-4 kernel leaves over, which at serving load
+//     means every state - vectorized over Linear output columns or
+//     Conv1D output channels. Each is one width-generic body, inlined
+//     into a target("avx2") wrapper (4 doubles per vector) and a
+//     target("avx512f") wrapper (8 doubles per vector); util/simd.h's
+//     level picks the widest the host runs.
 // Either way every output element keeps its own scalar accumulation chain
-// (multiply THEN add in the scalar kernel's order - the target below
-// deliberately omits FMA, whose fused rounding would change results), so
-// the SIMD paths are bit-identical to the scalar loops. Guarded by a
-// runtime CPU check; non-x86 or pre-AVX2 hosts just use the scalar loops.
+// (multiply THEN add in the scalar kernel's order; the build passes
+// -ffp-contract=off, so the compiler cannot fuse them into an FMA, whose
+// single rounding would change results and which AVX-512F provides), so
+// every tier is bit-identical to the scalar loops. Guarded by a runtime
+// CPU check; non-x86 or pre-AVX2 hosts just use the scalar loops.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define OSAP_ENSEMBLE_SIMD 1
 #endif
@@ -28,17 +33,25 @@ namespace osap::nn {
 
 namespace {
 
-/// One member's Conv1D layer on one state, output channels
-/// [oc_begin, out_channels): the loop of Conv1D::InferBatch over the
-/// member's own (in_channels*kernel) x out_channels weights - acc starts
-/// at the bias, then ic- and k-ascending multiply-adds per (oc, t) output
-/// element - plus the fused clamp.
+constexpr std::size_t kCacheLineBytes = 64;
+constexpr std::size_t kCacheLineDoubles = kCacheLineBytes / sizeof(double);
+
+std::size_t RoundUpToCacheLine(std::size_t doubles) {
+  return (doubles + kCacheLineDoubles - 1) / kCacheLineDoubles *
+         kCacheLineDoubles;
+}
+
+/// One member's Conv1D layer on one state: the loop of
+/// Conv1D::InferBatch over the member's own (in_channels*kernel) x
+/// out_channels weights - acc starts at the bias, then ic- and
+/// k-ascending multiply-adds per (oc, t) output element - plus the fused
+/// clamp.
 void ConvRowScalar(const double* x, const double* w, const double* bias,
                    std::size_t in_channels, std::size_t out_channels,
                    std::size_t kernel, std::size_t input_length,
-                   bool fused_relu, std::size_t oc_begin, double* y) {
+                   bool fused_relu, double* y) {
   const std::size_t out_len = input_length - kernel + 1;
-  for (std::size_t oc = oc_begin; oc < out_channels; ++oc) {
+  for (std::size_t oc = 0; oc < out_channels; ++oc) {
     for (std::size_t t = 0; t < out_len; ++t) {
       double acc = bias[oc];
       for (std::size_t ic = 0; ic < in_channels; ++ic) {
@@ -54,35 +67,73 @@ void ConvRowScalar(const double* x, const double* w, const double* bias,
 
 #ifdef OSAP_ENSEMBLE_SIMD
 
-using V4 = double __attribute__((vector_size(32)));
+// The generic helpers and bodies below take and return vectors by value
+// without a target of their own. They are always inlined into the target
+// wrappers, so no vector ever crosses a call and -Wpsabi's ABI note does
+// not apply. (GCC reports it at the end of the file, when it emits the
+// instantiations, so the pragma cannot be popped after the kernels.)
+#pragma GCC diagnostic ignored "-Wpsabi"
 
-__attribute__((target("avx2"))) inline V4 Load4(const double* p) {
-  V4 v;
-  std::memcpy(&v, p, sizeof(V4));
+#define OSAP_VECTOR_INLINE inline __attribute__((always_inline))
+
+using V4 = double __attribute__((vector_size(32)));
+using V8 = double __attribute__((vector_size(64)));
+
+template <class V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+// Tile widths of the single-state kernels, in doubles: a Linear tile is
+// four cache lines of each weight row, a Conv1D tile two.
+constexpr std::size_t kLinearTile = 32;
+constexpr std::size_t kConvTile = 16;
+
+template <class V>
+OSAP_VECTOR_INLINE V Load(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
   return v;
 }
 
-__attribute__((target("avx2"))) inline void Store4(double* p, V4 v) {
-  std::memcpy(p, &v, sizeof(V4));
+template <class V>
+OSAP_VECTOR_INLINE void Store(double* p, V v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+/// The whole vector at p with lanes n and above zeroed (AVX-512 compiles
+/// this to one zero-masked load). The whole vector must be readable: the
+/// packed slabs' padding guarantees that for every weight and bias read
+/// of the single-state kernels (see PackedOp::params).
+template <class V>
+OSAP_VECTOR_INLINE V LoadFirst(const double* p, std::size_t n) {
+  V lane{};
+  for (std::size_t i = 0; i < kLanes<V>; ++i) lane[i] = static_cast<double>(i);
+  return lane < static_cast<double>(n) ? Load<V>(p) : V{};
+}
+
+/// Writes lanes [0, n) to p[0], p[stride], ..., p[(n-1)*stride]. A whole
+/// vector is written lane by lane from the register; a partial one goes
+/// through memory.
+template <class V>
+OSAP_VECTOR_INLINE void StoreFirst(V v, std::size_t n, double* p,
+                                   std::size_t stride) {
+  if (n == kLanes<V>) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kLanes<V>; ++i) p[i * stride] = v[i];
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) p[i * stride] = v[i];
 }
 
 /// The fused ReLU: the scalar kernels' `v > 0 ? v : 0`, lane by lane.
-__attribute__((target("avx2"))) inline V4 Clamp4(V4 v, bool fused_relu) {
-  return fused_relu ? ((v > 0.0) ? v : V4{}) : v;
-}
-
-/// Writes the four lanes to y[0], y[stride], y[2*stride], y[3*stride].
-__attribute__((target("avx2"))) inline void Scatter4(V4 v, double* y,
-                                                     std::size_t stride) {
-  y[0] = v[0];
-  y[stride] = v[1];
-  y[2 * stride] = v[2];
-  y[3 * stride] = v[3];
+template <class V>
+OSAP_VECTOR_INLINE V Clamp(V v, bool fused_relu) {
+  return fused_relu ? ((v > 0.0) ? v : V{}) : v;
 }
 
 /// Output column j of one member's Linear layer on one state, for the
-/// columns left over after the vector tiles: the scalar chain (from zero,
-/// one k-ascending addition per k, then the bias) and the fused clamp.
+/// columns LinearBatch4Avx2 leaves after its vector tiles: the scalar
+/// chain (from zero, one k-ascending addition per k, then the bias) and
+/// the fused clamp.
 double LinearColumnScalar(const double* x, const double* w,
                           const double* bias, std::size_t in,
                           std::size_t out, std::size_t j, bool fused_relu) {
@@ -108,8 +159,8 @@ __attribute__((target("avx2"))) void LinearBatch4Avx2(
     V4 acc20{}, acc21{}, acc30{}, acc31{};
     const double* wj = w + j;
     for (std::size_t k = 0; k < in; ++k) {
-      const V4 w0 = Load4(wj + k * out);
-      const V4 w1 = Load4(wj + k * out + 4);
+      const V4 w0 = Load<V4>(wj + k * out);
+      const V4 w1 = Load<V4>(wj + k * out + 4);
       const double a0 = x0[k];
       const double a1 = x1[k];
       const double a2 = x2[k];
@@ -123,16 +174,16 @@ __attribute__((target("avx2"))) void LinearBatch4Avx2(
       acc30 = acc30 + w0 * a3;
       acc31 = acc31 + w1 * a3;
     }
-    const V4 b0 = Load4(bias + j);
-    const V4 b1 = Load4(bias + j + 4);
-    Store4(y0 + j, Clamp4(acc00 + b0, fused_relu));
-    Store4(y0 + j + 4, Clamp4(acc01 + b1, fused_relu));
-    Store4(y1 + j, Clamp4(acc10 + b0, fused_relu));
-    Store4(y1 + j + 4, Clamp4(acc11 + b1, fused_relu));
-    Store4(y2 + j, Clamp4(acc20 + b0, fused_relu));
-    Store4(y2 + j + 4, Clamp4(acc21 + b1, fused_relu));
-    Store4(y3 + j, Clamp4(acc30 + b0, fused_relu));
-    Store4(y3 + j + 4, Clamp4(acc31 + b1, fused_relu));
+    const V4 b0 = Load<V4>(bias + j);
+    const V4 b1 = Load<V4>(bias + j + 4);
+    Store(y0 + j, Clamp(acc00 + b0, fused_relu));
+    Store(y0 + j + 4, Clamp(acc01 + b1, fused_relu));
+    Store(y1 + j, Clamp(acc10 + b0, fused_relu));
+    Store(y1 + j + 4, Clamp(acc11 + b1, fused_relu));
+    Store(y2 + j, Clamp(acc20 + b0, fused_relu));
+    Store(y2 + j + 4, Clamp(acc21 + b1, fused_relu));
+    Store(y3 + j, Clamp(acc30 + b0, fused_relu));
+    Store(y3 + j + 4, Clamp(acc31 + b1, fused_relu));
   }
   for (; j < out; ++j) {
     y0[j] = LinearColumnScalar(x0, w, bias, in, out, j, fused_relu);
@@ -143,108 +194,163 @@ __attribute__((target("avx2"))) void LinearBatch4Avx2(
 }
 
 /// One member's Linear layer on one state, vectorized over output
-/// columns: 32 columns per tile in eight named accumulators, then a
-/// 4-wide tail and a scalar tail. The accumulators must be named
-/// variables: a `V4 acc[8]` array is not unrolled at -O2 and round-trips
-/// every update through the stack (~1.5x slower per pass). Each output
-/// element receives one addition per k, ascending from zero, then the
-/// bias - the scalar kernel's chain - so results match it bit for bit.
-__attribute__((target("avx2"))) void LinearRowAvx2(
-    const double* x, const double* w, const double* bias, std::size_t in,
-    std::size_t out, bool fused_relu, double* y) {
+/// columns: kLinearTile columns per tile in kLinearTile / W vector
+/// accumulators, then one vector at a time, the last one masked to the
+/// columns left. The accumulator array is flattened into registers by
+/// the unroll pragmas (left rolled, it would round-trip the stack on
+/// every update). Each output element receives one addition per k,
+/// ascending from zero, then the bias - the scalar kernel's chain - so
+/// results match it bit for bit.
+template <class V>
+OSAP_VECTOR_INLINE void LinearRow(const double* x, const double* w,
+                                  const double* bias, std::size_t in,
+                                  std::size_t out, bool fused_relu,
+                                  double* y) {
+  constexpr std::size_t kW = kLanes<V>;
+  constexpr std::size_t kVectors = kLinearTile / kW;
   std::size_t j = 0;
-  for (; j + 32 <= out; j += 32) {
-    V4 a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
+  for (; j + kLinearTile <= out; j += kLinearTile) {
+    V acc[kVectors] = {};
     const double* wk = w + j;
     for (std::size_t k = 0; k < in; ++k, wk += out) {
       const double xk = x[k];
-      a0 = a0 + Load4(wk) * xk;
-      a1 = a1 + Load4(wk + 4) * xk;
-      a2 = a2 + Load4(wk + 8) * xk;
-      a3 = a3 + Load4(wk + 12) * xk;
-      a4 = a4 + Load4(wk + 16) * xk;
-      a5 = a5 + Load4(wk + 20) * xk;
-      a6 = a6 + Load4(wk + 24) * xk;
-      a7 = a7 + Load4(wk + 28) * xk;
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < kVectors; ++i) {
+        acc[i] = acc[i] + Load<V>(wk + i * kW) * xk;
+      }
     }
-    const double* bj = bias + j;
-    double* yj = y + j;
-    Store4(yj, Clamp4(a0 + Load4(bj), fused_relu));
-    Store4(yj + 4, Clamp4(a1 + Load4(bj + 4), fused_relu));
-    Store4(yj + 8, Clamp4(a2 + Load4(bj + 8), fused_relu));
-    Store4(yj + 12, Clamp4(a3 + Load4(bj + 12), fused_relu));
-    Store4(yj + 16, Clamp4(a4 + Load4(bj + 16), fused_relu));
-    Store4(yj + 20, Clamp4(a5 + Load4(bj + 20), fused_relu));
-    Store4(yj + 24, Clamp4(a6 + Load4(bj + 24), fused_relu));
-    Store4(yj + 28, Clamp4(a7 + Load4(bj + 28), fused_relu));
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kVectors; ++i) {
+      const std::size_t c = j + i * kW;
+      Store(y + c, Clamp(acc[i] + Load<V>(bias + c), fused_relu));
+    }
   }
-  for (; j + 4 <= out; j += 4) {
-    V4 a{};
+  for (; j < out; j += kW) {
+    const std::size_t n = std::min(out - j, kW);
+    V acc{};
     const double* wk = w + j;
-    for (std::size_t k = 0; k < in; ++k, wk += out) a = a + Load4(wk) * x[k];
-    Store4(y + j, Clamp4(a + Load4(bias + j), fused_relu));
-  }
-  for (; j < out; ++j) {
-    y[j] = LinearColumnScalar(x, w, bias, in, out, j, fused_relu);
+    for (std::size_t k = 0; k < in; ++k, wk += out) {
+      acc = acc + LoadFirst<V>(wk, n) * x[k];
+    }
+    const V v = Clamp(acc + LoadFirst<V>(bias + j, n), fused_relu);
+    if (n == kW) {
+      Store(y + j, v);
+    } else {
+      StoreFirst(v, n, y + j, 1);
+    }
   }
 }
 
 /// One member's Conv1D layer on one state, vectorized over output
-/// channels: for each output position t, 16 channels per tile in four
-/// named accumulators, then a 4-wide tail and ConvRowScalar for the rest.
+/// channels: for each output position t, kConvTile channels per tile,
+/// then one vector at a time, the last one masked to the channels left.
 /// A weight row (one (ic, k) tap) is contiguous along the channel axis in
 /// the member's own layout, so no repacking is needed. Each accumulator
 /// lane starts at its channel's bias and adds the taps in ascending
 /// (ic, k) order - ConvRowScalar's chain - so results match it bit for
 /// bit; lanes are then scattered to the channel-major output
 /// (oc * out_len + t).
-__attribute__((target("avx2"))) void ConvRowAvx2(
-    const double* x, const double* w, const double* bias,
-    std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-    std::size_t input_length, bool fused_relu, double* y) {
+template <class V>
+OSAP_VECTOR_INLINE void ConvRow(const double* x, const double* w,
+                                const double* bias, std::size_t in_channels,
+                                std::size_t out_channels, std::size_t kernel,
+                                std::size_t input_length, bool fused_relu,
+                                double* y) {
+  constexpr std::size_t kW = kLanes<V>;
+  constexpr std::size_t kVectors = kConvTile / kW;
   const std::size_t out_len = input_length - kernel + 1;
   std::size_t oc = 0;
-  for (; oc + 16 <= out_channels; oc += 16) {
-    const V4 b0 = Load4(bias + oc);
-    const V4 b1 = Load4(bias + oc + 4);
-    const V4 b2 = Load4(bias + oc + 8);
-    const V4 b3 = Load4(bias + oc + 12);
-    double* yo = y + oc * out_len;
+  for (; oc + kConvTile <= out_channels; oc += kConvTile) {
+    V b[kVectors];
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < kVectors; ++i) b[i] = Load<V>(bias + oc + i * kW);
     for (std::size_t t = 0; t < out_len; ++t) {
-      V4 a0 = b0, a1 = b1, a2 = b2, a3 = b3;
+      V acc[kVectors];
+#pragma GCC unroll 4
+      for (std::size_t i = 0; i < kVectors; ++i) acc[i] = b[i];
       const double* wr = w + oc;
       for (std::size_t ic = 0; ic < in_channels; ++ic) {
         const double* xc = x + ic * input_length + t;
         for (std::size_t k = 0; k < kernel; ++k, wr += out_channels) {
           const double xv = xc[k];
-          a0 = a0 + Load4(wr) * xv;
-          a1 = a1 + Load4(wr + 4) * xv;
-          a2 = a2 + Load4(wr + 8) * xv;
-          a3 = a3 + Load4(wr + 12) * xv;
+#pragma GCC unroll 4
+          for (std::size_t i = 0; i < kVectors; ++i) {
+            acc[i] = acc[i] + Load<V>(wr + i * kW) * xv;
+          }
         }
       }
-      Scatter4(Clamp4(a0, fused_relu), yo + t, out_len);
-      Scatter4(Clamp4(a1, fused_relu), yo + 4 * out_len + t, out_len);
-      Scatter4(Clamp4(a2, fused_relu), yo + 8 * out_len + t, out_len);
-      Scatter4(Clamp4(a3, fused_relu), yo + 12 * out_len + t, out_len);
+#pragma GCC unroll 4
+      for (std::size_t i = 0; i < kVectors; ++i) {
+        StoreFirst(Clamp(acc[i], fused_relu), kW,
+                   y + (oc + i * kW) * out_len + t, out_len);
+      }
     }
   }
-  for (; oc + 4 <= out_channels; oc += 4) {
-    const V4 b = Load4(bias + oc);
+  for (; oc < out_channels; oc += kW) {
+    const std::size_t n = std::min(out_channels - oc, kW);
+    const V b = LoadFirst<V>(bias + oc, n);
     for (std::size_t t = 0; t < out_len; ++t) {
-      V4 a = b;
+      V acc = b;
       const double* wr = w + oc;
       for (std::size_t ic = 0; ic < in_channels; ++ic) {
         const double* xc = x + ic * input_length + t;
         for (std::size_t k = 0; k < kernel; ++k, wr += out_channels) {
-          a = a + Load4(wr) * xc[k];
+          acc = acc + LoadFirst<V>(wr, n) * xc[k];
         }
       }
-      Scatter4(Clamp4(a, fused_relu), y + oc * out_len + t, out_len);
+      StoreFirst(Clamp(acc, fused_relu), n, y + oc * out_len + t, out_len);
     }
   }
-  ConvRowScalar(x, w, bias, in_channels, out_channels, kernel, input_length,
-                fused_relu, oc, y);
+}
+
+__attribute__((target("avx2"))) void LinearRowAvx2(
+    const double* x, const double* w, const double* bias, std::size_t in,
+    std::size_t out, bool fused_relu, double* y) {
+  LinearRow<V4>(x, w, bias, in, out, fused_relu, y);
+}
+
+__attribute__((target("avx512f"))) void LinearRowAvx512(
+    const double* x, const double* w, const double* bias, std::size_t in,
+    std::size_t out, bool fused_relu, double* y) {
+  LinearRow<V8>(x, w, bias, in, out, fused_relu, y);
+}
+
+__attribute__((target("avx2"))) void ConvRowAvx2(
+    const double* x, const double* w, const double* bias,
+    std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
+    std::size_t input_length, bool fused_relu, double* y) {
+  ConvRow<V4>(x, w, bias, in_channels, out_channels, kernel, input_length,
+              fused_relu, y);
+}
+
+__attribute__((target("avx512f"))) void ConvRowAvx512(
+    const double* x, const double* w, const double* bias,
+    std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
+    std::size_t input_length, bool fused_relu, double* y) {
+  ConvRow<V8>(x, w, bias, in_channels, out_channels, kernel, input_length,
+              fused_relu, y);
+}
+
+/// The single-state kernels of one vector tier.
+struct RowKernels {
+  decltype(&LinearRowAvx2) linear;
+  decltype(&ConvRowAvx2) conv;
+};
+
+/// The widest single-state kernels at or below `level`; nullptr for the
+/// scalar tier.
+const RowKernels* RowKernelsFor(SimdLevel level) {
+  static constexpr RowKernels kAvx2{LinearRowAvx2, ConvRowAvx2};
+  static constexpr RowKernels kAvx512{LinearRowAvx512, ConvRowAvx512};
+  switch (level) {
+    case SimdLevel::kAvx512:
+      return &kAvx512;
+    case SimdLevel::kAvx2:
+      return &kAvx2;
+    case SimdLevel::kScalar:
+      break;
+  }
+  return nullptr;
 }
 
 #endif  // OSAP_ENSEMBLE_SIMD
@@ -301,6 +407,8 @@ std::vector<BatchedEnsemble::PackedOp> BatchedEnsemble::Pack(
   const std::size_t k_members = seqs.size();
   std::vector<PackedOp> ops;
   ops.reserve(first.LayerCount());
+  std::vector<std::span<const double>> weights(k_members);
+  std::vector<std::span<const double>> biases(k_members);
   for (std::size_t li = 0; li < first.LayerCount(); ++li) {
     const Layer& proto = first.LayerAt(li);
     PackedOp op;
@@ -308,30 +416,22 @@ std::vector<BatchedEnsemble::PackedOp> BatchedEnsemble::Pack(
     op.out = proto.OutputSize();
     if (dynamic_cast<const Linear*>(&proto) != nullptr) {
       op.kind = PackedOp::Kind::kLinear;
-      op.weights.ReshapeUninitialized(k_members * op.in, op.out);
-      op.bias.ReshapeUninitialized(k_members, op.out);
       for (std::size_t m = 0; m < k_members; ++m) {
         const auto* member = dynamic_cast<const Linear*>(&seqs[m]->LayerAt(li));
         OSAP_REQUIRE(member != nullptr &&
                          member->InputSize() == op.in &&
                          member->OutputSize() == op.out,
                      "BatchedEnsemble: layer shape mismatch across members");
-        std::copy(member->weight().value.values().begin(),
-                  member->weight().value.values().end(),
-                  op.weights.data() + m * op.in * op.out);
-        std::copy(member->bias().value.values().begin(),
-                  member->bias().value.values().end(),
-                  op.bias.data() + m * op.out);
+        weights[m] = member->weight().value.values();
+        biases[m] = member->bias().value.values();
       }
+      op.PackParams(weights, biases);
     } else if (const auto* conv = dynamic_cast<const Conv1D*>(&proto)) {
       op.kind = PackedOp::Kind::kConv1d;
       op.in_channels = conv->in_channels();
       op.out_channels = conv->out_channels();
       op.kernel = conv->kernel();
       op.input_length = conv->input_length();
-      const std::size_t taps = op.in_channels * op.kernel;
-      op.weights.ReshapeUninitialized(k_members * taps, op.out_channels);
-      op.bias.ReshapeUninitialized(k_members, op.out_channels);
       for (std::size_t m = 0; m < k_members; ++m) {
         const auto* member = dynamic_cast<const Conv1D*>(&seqs[m]->LayerAt(li));
         OSAP_REQUIRE(member != nullptr &&
@@ -340,13 +440,10 @@ std::vector<BatchedEnsemble::PackedOp> BatchedEnsemble::Pack(
                          member->kernel() == op.kernel &&
                          member->input_length() == op.input_length,
                      "BatchedEnsemble: conv shape mismatch across members");
-        std::copy(member->weight().value.values().begin(),
-                  member->weight().value.values().end(),
-                  op.weights.data() + m * taps * op.out_channels);
-        std::copy(member->bias().value.values().begin(),
-                  member->bias().value.values().end(),
-                  op.bias.data() + m * op.out_channels);
+        weights[m] = member->weight().value.values();
+        biases[m] = member->bias().value.values();
       }
+      op.PackParams(weights, biases);
     } else if (dynamic_cast<const ReLU*>(&proto) != nullptr) {
       op.kind = PackedOp::Kind::kRelu;
     } else if (dynamic_cast<const Tanh*>(&proto) != nullptr) {
@@ -377,6 +474,47 @@ std::vector<BatchedEnsemble::PackedOp> BatchedEnsemble::Pack(
   return ops;
 }
 
+void BatchedEnsemble::FreeCacheLines::operator()(double* p) const {
+  ::operator delete[](p, std::align_val_t{kCacheLineBytes});
+}
+
+void BatchedEnsemble::PackedOp::PackParams(
+    const std::vector<std::span<const double>>& weights,
+    const std::vector<std::span<const double>>& biases) {
+  weight_size = weights.front().size();
+  bias_size = biases.front().size();
+  bias_offset = RoundUpToCacheLine(weight_size);
+  member_stride = bias_offset + RoundUpToCacheLine(bias_size);
+  params.reset(static_cast<double*>(::operator new[](
+      weights.size() * member_stride * sizeof(double),
+      std::align_val_t{kCacheLineBytes})));
+  for (std::size_t m = 0; m < weights.size(); ++m) {
+    OSAP_CHECK(weights[m].size() == weight_size &&
+               biases[m].size() == bias_size);
+    double* slab = params.get() + m * member_stride;
+    double* pad = std::copy(weights[m].begin(), weights[m].end(), slab);
+    std::fill(pad, slab + bias_offset, 0.0);
+    pad = std::copy(biases[m].begin(), biases[m].end(), slab + bias_offset);
+    std::fill(pad, slab + member_stride, 0.0);
+  }
+}
+
+std::vector<std::span<const double>> BatchedEnsemble::PackedBlocks() const {
+  std::vector<std::span<const double>> blocks;
+  const auto add = [&](const std::vector<PackedOp>& ops) {
+    for (const PackedOp& op : ops) {
+      if (!op.params) continue;
+      for (std::size_t m = 0; m < member_count_; ++m) {
+        blocks.emplace_back(op.Weights(m), op.weight_size);
+        blocks.emplace_back(op.Bias(m), op.bias_size);
+      }
+    }
+  };
+  for (const PackedBranch& branch : branches_) add(branch.ops);
+  add(trunk_);
+  return blocks;
+}
+
 void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
                               std::size_t x_stride, std::size_t x_batch,
                               double* y, std::size_t y_stride,
@@ -394,14 +532,14 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
       const std::size_t in = op.in;
       const std::size_t out = op.out;
 #ifdef OSAP_ENSEMBLE_SIMD
-      const bool simd = UseAvx2();
+      const RowKernels* rows = RowKernelsFor(ActiveSimdLevel());
 #endif
       for (std::size_t m = 0; m < k_members; ++m) {
-        const double* w = op.weights.data() + m * in * out;
-        const double* bias = op.bias.data() + m * out;
+        const double* w = op.Weights(m);
+        const double* bias = op.Bias(m);
         std::size_t b = 0;
 #ifdef OSAP_ENSEMBLE_SIMD
-        if (simd) {
+        if (rows != nullptr) {
           // Four states per batch-axis call; any leftover states (at
           // serving load, every state) take the output-axis kernel.
           for (; b + 4 <= batch; b += 4) {
@@ -413,8 +551,8 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
                              yr + 2 * y_batch, yr + 3 * y_batch);
           }
           for (; b < batch; ++b) {
-            LinearRowAvx2(x + m * x_stride + b * x_batch, w, bias, in, out,
-                          op.fused_relu, y + m * y_stride + b * y_batch);
+            rows->linear(x + m * x_stride + b * x_batch, w, bias, in, out,
+                         op.fused_relu, y + m * y_stride + b * y_batch);
           }
         }
 #endif
@@ -459,26 +597,24 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
       break;
     }
     case PackedOp::Kind::kConv1d: {
-      const std::size_t w_size = op.in_channels * op.kernel * op.out_channels;
 #ifdef OSAP_ENSEMBLE_SIMD
-      const bool simd = UseAvx2();
+      const RowKernels* rows = RowKernelsFor(ActiveSimdLevel());
 #endif
       for (std::size_t m = 0; m < k_members; ++m) {
-        const double* w = op.weights.data() + m * w_size;
-        const double* bias = op.bias.data() + m * op.out_channels;
+        const double* w = op.Weights(m);
+        const double* bias = op.Bias(m);
         for (std::size_t b = 0; b < batch; ++b) {
           const double* xr = x + m * x_stride + b * x_batch;
           double* yr = y + m * y_stride + b * y_batch;
 #ifdef OSAP_ENSEMBLE_SIMD
-          if (simd) {
-            ConvRowAvx2(xr, w, bias, op.in_channels, op.out_channels,
-                        op.kernel, op.input_length, op.fused_relu, yr);
+          if (rows != nullptr) {
+            rows->conv(xr, w, bias, op.in_channels, op.out_channels,
+                       op.kernel, op.input_length, op.fused_relu, yr);
             continue;
           }
 #endif
           ConvRowScalar(xr, w, bias, op.in_channels, op.out_channels,
-                        op.kernel, op.input_length, op.fused_relu,
-                        /*oc_begin=*/0, yr);
+                        op.kernel, op.input_length, op.fused_relu, yr);
         }
       }
       break;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,19 +52,38 @@ class BatchedEnsemble {
   std::size_t InputSize() const { return input_size_; }
   std::size_t OutputSize() const { return output_size_; }
 
+  /// Every packed weight block and bias block: for each Linear/Conv1D op
+  /// (branches in order, then the trunk), member 0's weights and bias,
+  /// then member 1's, and so on. Each block starts on a 64-byte cache
+  /// line; tests pin that, because the single-state kernels' speed
+  /// depends on it.
+  std::vector<std::span<const double>> PackedBlocks() const;
+
  private:
+  struct FreeCacheLines {
+    void operator()(double* p) const;
+  };
+
   struct PackedOp {
     enum class Kind { kLinear, kConv1d, kRelu, kTanh };
     Kind kind;
     std::size_t in = 0;   // features per member consumed
     std::size_t out = 0;  // features per member produced
-    // Linear: weights = K stacked (in x out) blocks, bias = K x out.
-    // Conv1D: weights = K stacked ((in_channels*kernel) x out_channels)
-    // blocks, each the member layer's own layout (one row per (ic, k)
-    // tap, contiguous along output channels - the axis the AVX2 kernel
-    // vectorizes); bias = K x out_channels.
-    Matrix weights;
-    Matrix bias;
+    // Linear/Conv1D parameters, one slab of member_stride doubles per
+    // member, starting on a 64-byte cache line: the member's weight block
+    // (weight_size values), zero-padded to whole cache lines, then its
+    // bias (bias_size values), padded likewise. Linear weights are the
+    // member's in x out block; Conv1D weights are the member layer's own
+    // (in_channels*kernel) x out_channels layout (one row per (ic, k)
+    // tap, contiguous along output channels - the axis the vector kernels
+    // run over). The padding also lets a vector kernel read a whole
+    // vector at any column of the last row or of the bias without
+    // leaving the slab.
+    std::unique_ptr<double[], FreeCacheLines> params;
+    std::size_t weight_size = 0;
+    std::size_t bias_size = 0;
+    std::size_t bias_offset = 0;
+    std::size_t member_stride = 0;
     std::size_t in_channels = 0;
     std::size_t out_channels = 0;
     std::size_t kernel = 0;
@@ -71,6 +91,18 @@ class BatchedEnsemble {
     // A ReLU layer directly after a Linear/Conv1D is folded into that op
     // (clamp applied as each output is stored): one pass instead of two.
     bool fused_relu = false;
+
+    const double* Weights(std::size_t m) const {
+      return params.get() + m * member_stride;
+    }
+    const double* Bias(std::size_t m) const {
+      return Weights(m) + bias_offset;
+    }
+    // Allocates one slab per member (weights[m] and biases[m] are member
+    // m's values, the same size for every member) and copies them into
+    // place, padding included (see params).
+    void PackParams(const std::vector<std::span<const double>>& weights,
+                    const std::vector<std::span<const double>>& biases);
   };
 
   struct PackedBranch {

@@ -12,8 +12,11 @@
 
 namespace osap::nn {
 
+using util::ActiveSimdLevel;
+using util::CpuSimdLevel;
 using util::ForceSimdForTest;
 using util::ResetSimdForTest;
+using util::SimdLevel;
 using util::UseAvx2;
 
 }  // namespace osap::nn

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "nn/matrix.h"
 #include "nn/sequential.h"
 #include "nn/simd.h"
+#include "testing/simd_tiers.h"
 #include "util/rng.h"
 
 namespace osap::nn {
@@ -246,10 +249,10 @@ CompositeNet MakePensieveShapedNet(std::size_t outputs, Rng& rng) {
 }
 
 /// Shapes that reach every tail of the single-state kernels: Conv1D with
-/// 2 input channels and 17 (16 + scalar), 35 (2 x 16 + scalar) and 7
-/// (4-wide + scalar) output channels, one of them with output length 1;
-/// Linear with 37 outputs (32-column tile + 4-wide + scalar) and with 5
-/// outputs (4-wide + scalar), with and without a fused ReLU.
+/// 2 input channels and 17 (a 16-channel tile + 1), 35 (two tiles + 3)
+/// and 7 (no tile) output channels, one of them with output length 1;
+/// Linear with 37 outputs (a 32-column tile + 5) and with 5 outputs (no
+/// tile), with and without a fused ReLU.
 CompositeNet MakeOddShapedNet(Rng& rng) {
   CompositeNet net;
   Sequential narrow;
@@ -269,9 +272,39 @@ CompositeNet MakeOddShapedNet(Rng& rng) {
   return net;
 }
 
+/// Output widths around the 8-lane tier's masked tails: Linear layers 9
+/// (one vector + 1), 35 (a 32-column tile + 3), 41 (a tile + one vector
+/// + 1), 17 (two vectors + 1), 7 and 6 (a lone masked vector), and Conv1D
+/// layers with 6 and 41 (two 16-channel tiles + one vector + 1) output
+/// channels. No weight block is a multiple of 8 doubles (27, 36, 82,
+/// 3815, ...), so every member's slab carries padding.
+CompositeNet MakeMaskedTailNet(Rng& rng) {
+  CompositeNet net;
+  Sequential dense;
+  dense.AddLinearReLU(3, 9, rng);
+  net.AddBranch(0, 3, std::move(dense));
+  Sequential narrow;
+  narrow.Add(std::make_unique<Conv1D>(2, 6, 3, 5, rng));  // 6 x 3
+  narrow.Add(std::make_unique<ReLU>(18));
+  net.AddBranch(3, 10, std::move(narrow));
+  Sequential wide;
+  wide.Add(std::make_unique<Conv1D>(1, 41, 2, 3, rng));  // 41 x 2, no ReLU
+  net.AddBranch(13, 3, std::move(wide));
+  Sequential trunk;
+  trunk.AddLinearReLU(9 + 18 + 82, 35, rng);
+  trunk.AddLinearReLU(35, 41, rng);
+  trunk.Add(std::make_unique<Linear>(41, 17, rng));
+  trunk.Add(std::make_unique<Tanh>(17));
+  trunk.AddLinearReLU(17, 7, rng);
+  trunk.Add(std::make_unique<Linear>(7, 6, rng));
+  net.SetTrunk(std::move(trunk));
+  RandomizeParams(net, rng);
+  return net;
+}
+
 /// Infer and InferBatch (batch 1, 2, 3 and 5: single-state kernels only,
 /// then one batch-of-4 group plus a leftover state) must equal each
-/// member's own Forward bit for bit, on both dispatch paths.
+/// member's own Forward bit for bit, on every SIMD tier the host runs.
 void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
                                      Rng& rng) {
   std::vector<const CompositeNet*> views;
@@ -279,8 +312,9 @@ void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
   const BatchedEnsemble batched(views);
   const std::size_t k = members.size();
   const std::size_t outputs = batched.OutputSize();
-  for (const bool avx2 : {false, true}) {
-    ForceSimdForTest(avx2);
+  for (const SimdLevel level : osap::testing::AvailableSimdLevels()) {
+    const char* tier = osap::testing::SimdLevelName(level);
+    ForceSimdForTest(level);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
                                     std::size_t{3}, std::size_t{5}}) {
       const Matrix states = Random(batch, batched.InputSize(), rng);
@@ -296,11 +330,11 @@ void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
           const Matrix ref = members[m].Forward(x);
           for (std::size_t j = 0; j < outputs; ++j) {
             EXPECT_EQ(fused.At(b * k + m, j), ref.At(0, j))
-                << "avx2 " << avx2 << " batch " << batch << " state " << b
+                << tier << " batch " << batch << " state " << b
                 << " member " << m << " output " << j;
             EXPECT_EQ(single.At(m, j), ref.At(0, j))
-                << "avx2 " << avx2 << " state " << b << " member " << m
-                << " output " << j;
+                << tier << " state " << b << " member " << m << " output "
+                << j;
           }
         }
       }
@@ -334,14 +368,61 @@ TEST_F(BatchedEnsembleTiledShapes, OddShapesMatchForward) {
   ExpectFusedMatchesMemberForward(members, rng);
 }
 
+TEST_F(BatchedEnsembleTiledShapes, MaskedTailWidthsMatchForward) {
+  Rng rng(43);
+  std::vector<CompositeNet> members;
+  for (int m = 0; m < 3; ++m) members.push_back(MakeMaskedTailNet(rng));
+  ExpectFusedMatchesMemberForward(members, rng);
+}
+
+/// The single-state kernels read each packed row as whole cache lines
+/// only if every member's weight and bias block starts on one; storage
+/// without that guarantee (a plain Matrix, say) must fail here, not just
+/// run slower. The blocks must also hold the members' own values.
+TEST(BatchedEnsemblePacking, EveryBlockStartsOnACacheLine) {
+  Rng rng(47);
+  std::vector<CompositeNet> members;
+  for (int m = 0; m < 3; ++m) members.push_back(MakeMaskedTailNet(rng));
+  std::vector<const CompositeNet*> views;
+  for (const auto& m : members) views.push_back(&m);
+  const BatchedEnsemble batched(views);
+
+  // Per member, the Linear/Conv1D params in packing order (branches,
+  // then the trunk), weight before bias - the order PackedBlocks uses.
+  std::vector<std::vector<Param*>> params;
+  for (CompositeNet& member : members) params.push_back(member.Params());
+  const std::size_t per_member = params.front().size();
+  ASSERT_EQ(per_member % 2, 0u);
+  const std::vector<std::span<const double>> blocks = batched.PackedBlocks();
+  ASSERT_EQ(blocks.size(), per_member * members.size());
+
+  bool saw_unpadded_size = false;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    // Blocks run op by op, and within an op member by member.
+    const std::size_t op = i / (2 * members.size());
+    const std::size_t m = (i / 2) % members.size();
+    const Param& param = *params[m][2 * op + i % 2];
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(blocks[i].data()) % 64, 0u)
+        << "block " << i << " (op " << op << ", member " << m << ")";
+    ASSERT_EQ(blocks[i].size(), param.value.size()) << "block " << i;
+    EXPECT_TRUE(std::equal(blocks[i].begin(), blocks[i].end(),
+                           param.value.values().begin()))
+        << "block " << i;
+    saw_unpadded_size |= blocks[i].size() % 8 != 0;
+  }
+  EXPECT_TRUE(saw_unpadded_size);
+}
+
 // Runs for real only in the nn_tests_no_avx2 ctest entry, which reruns the
 // BatchedEnsemble and SIMD suites in a process started with OSAP_NO_AVX2=1.
+// The variable disables every vector tier, AVX-512 included.
 TEST(SimdEnvironment, NoAvx2SelectsScalarPath) {
   const char* env = std::getenv("OSAP_NO_AVX2");
   if (env == nullptr || std::strcmp(env, "1") != 0) {
     GTEST_SKIP() << "needs OSAP_NO_AVX2=1 in the environment";
   }
   EXPECT_FALSE(UseAvx2());
+  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "nn/matrix.h"
 #include "nn/simd.h"
+#include "testing/simd_tiers.h"
 #include "util/rng.h"
 
 namespace osap::nn {
@@ -101,16 +102,18 @@ TEST(MatrixKernelTest, NTRejectsMismatchedCols) {
   EXPECT_THROW(a.MatMulNTInto(b, out), std::exception);
 }
 
-// Scalar and AVX2 dispatch paths must agree bit for bit; the dispatch (and
-// the OSAP_NO_AVX2 env override that flips it) may only ever change speed.
+// Every SIMD tier must agree with the scalar path bit for bit; the
+// dispatch (and the OSAP_NO_AVX2 env override that flips it) may only ever
+// change speed. The matmul kernels stop at AVX2, so the AVX-512 tier runs
+// them too.
 class SimdDispatchTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetSimdForTest(); }
 };
 
 TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
-  ForceSimdForTest(true);
-  if (!UseAvx2()) GTEST_SKIP() << "CPU lacks AVX2; single-path machine";
+  const std::vector<SimdLevel> levels = osap::testing::AvailableSimdLevels();
+  if (levels.size() == 1) GTEST_SKIP() << "CPU has no vector tier";
 
   Rng rng(0xBEEF04);
   for (const Shape& s : kShapes) {
@@ -119,7 +122,7 @@ TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
     const Matrix w = RandomMatrix(s.m, s.n, rng);
     const Matrix seed = RandomMatrix(s.m, s.n, rng);
 
-    ForceSimdForTest(false);
+    ForceSimdForTest(SimdLevel::kScalar);
     ASSERT_FALSE(UseAvx2());
     Matrix nn_s;
     x.Transposed().MatMulInto(dy, nn_s);  // plain NN product, scalar
@@ -130,21 +133,26 @@ TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
     Matrix nt_s;
     dy.MatMulNTInto(w, nt_s);
 
-    ForceSimdForTest(true);
-    ASSERT_TRUE(UseAvx2());
-    Matrix nn_v;
-    x.Transposed().MatMulInto(dy, nn_v);
-    Matrix tn_v;
-    x.MatMulTNInto(dy, tn_v);
-    Matrix acc_v = seed;
-    x.MatMulTNInto(dy, acc_v, /*accumulate=*/true);
-    Matrix nt_v;
-    dy.MatMulNTInto(w, nt_v);
+    for (const SimdLevel level : levels) {
+      if (level == SimdLevel::kScalar) continue;
+      SCOPED_TRACE(osap::testing::SimdLevelName(level));
+      ForceSimdForTest(level);
+      ASSERT_EQ(ActiveSimdLevel(), level);
+      ASSERT_TRUE(UseAvx2());
+      Matrix nn_v;
+      x.Transposed().MatMulInto(dy, nn_v);
+      Matrix tn_v;
+      x.MatMulTNInto(dy, tn_v);
+      Matrix acc_v = seed;
+      x.MatMulTNInto(dy, acc_v, /*accumulate=*/true);
+      Matrix nt_v;
+      dy.MatMulNTInto(w, nt_v);
 
-    ExpectBitIdentical(nn_s, nn_v);
-    ExpectBitIdentical(tn_s, tn_v);
-    ExpectBitIdentical(acc_s, acc_v);
-    ExpectBitIdentical(nt_s, nt_v);
+      ExpectBitIdentical(nn_s, nn_v);
+      ExpectBitIdentical(tn_s, tn_v);
+      ExpectBitIdentical(acc_s, acc_v);
+      ExpectBitIdentical(nt_s, nt_v);
+    }
   }
 }
 

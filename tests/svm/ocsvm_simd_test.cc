@@ -6,15 +6,17 @@
 // bit-identical to DecisionValue on the same row - across batch sizes that
 // exercise the 4-wide blocking (empty, single, exact multiples, tails) and
 // feature dimensions that are not multiples of any vector width. The
-// ForceSimdForTest hook pins the dispatch to each path so the comparison is
-// meaningful on any host; on non-AVX2 hosts the forced-SIMD arm simply
-// re-runs the scalar scan and the tests degrade to self-consistency.
+// ForceSimdForTest hook pins the dispatch to every tier the host runs in
+// turn (the scan stops at AVX2, so the AVX-512 tier runs it too); on
+// non-AVX2 hosts only the scalar tier runs and the tests degrade to
+// self-consistency.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "svm/ocsvm.h"
+#include "testing/simd_tiers.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -25,6 +27,16 @@ class OcSvmSimdTest : public ::testing::Test {
  protected:
   void TearDown() override { util::ResetSimdForTest(); }
 };
+
+/// Runs `check` once per SIMD tier the host runs, with that tier forced.
+template <class Check>
+void ForEachTier(Check check) {
+  for (const util::SimdLevel level : osap::testing::AvailableSimdLevels()) {
+    SCOPED_TRACE(osap::testing::SimdLevelName(level));
+    util::ForceSimdForTest(level);
+    check();
+  }
+}
 
 /// Fits a small model on `dim`-dimensional clustered rows and returns it
 /// together with a set of probe rows (mixing inliers and far outliers).
@@ -91,53 +103,49 @@ TEST_F(OcSvmSimdTest, EmptyBatchIsANoOp) {
 
 TEST_F(OcSvmSimdTest, SingleRowBatch) {
   // count = 1 never reaches the 4-wide kernel; pure tail path.
-  util::ForceSimdForTest(true);
-  ExpectBatchMatchesSingles(MakeFixture(6, 1, 12));
+  ForEachTier([] { ExpectBatchMatchesSingles(MakeFixture(6, 1, 12)); });
 }
 
 TEST_F(OcSvmSimdTest, CountNotAMultipleOfSimdWidth) {
   // 4-wide blocks plus a 3-sample scalar tail.
-  util::ForceSimdForTest(true);
-  ExpectBatchMatchesSingles(MakeFixture(6, 11, 13));
+  ForEachTier([] { ExpectBatchMatchesSingles(MakeFixture(6, 11, 13)); });
 }
 
 TEST_F(OcSvmSimdTest, CountExactMultipleOfSimdWidth) {
-  util::ForceSimdForTest(true);
-  ExpectBatchMatchesSingles(MakeFixture(6, 12, 14));
+  ForEachTier([] { ExpectBatchMatchesSingles(MakeFixture(6, 12, 14)); });
 }
 
 TEST_F(OcSvmSimdTest, OddFeatureDimension) {
   // dim = 7: not a multiple of any vector width; the kernel vectorizes
   // across samples so dimension never needs padding.
-  util::ForceSimdForTest(true);
-  ExpectBatchMatchesSingles(MakeFixture(7, 10, 15));
+  ForEachTier([] { ExpectBatchMatchesSingles(MakeFixture(7, 10, 15)); });
 }
 
 TEST_F(OcSvmSimdTest, PaperSyntheticDimension) {
   // 2k = 60: the U_S feature width for the synthetic datasets (k = 30).
-  util::ForceSimdForTest(true);
-  ExpectBatchMatchesSingles(MakeFixture(60, 9, 16));
+  ForEachTier([] { ExpectBatchMatchesSingles(MakeFixture(60, 9, 16)); });
 }
 
 TEST_F(OcSvmSimdTest, ForcedScalarStillMatchesSingles) {
   // The OSAP_NO_AVX2 escape hatch routes here; DecisionValue itself is
   // scalar, so this arm must match trivially.
-  util::ForceSimdForTest(false);
+  util::ForceSimdForTest(util::SimdLevel::kScalar);
   ExpectBatchMatchesSingles(MakeFixture(6, 11, 17));
 }
 
 TEST_F(OcSvmSimdTest, Avx2AndScalarPathsBitIdentical) {
-  // The core claim, stated directly: the two dispatch arms produce the
-  // same bits for the same batch.
+  // The core claim, stated directly: every dispatch tier produces the
+  // scalar tier's bits for the same batch.
   const Fixture f = MakeFixture(10, 23, 18);
-  std::vector<double> simd(f.count);
   std::vector<double> scalar(f.count);
-  util::ForceSimdForTest(true);
-  f.model.DecisionValues(f.rows.data(), f.count, simd);
-  util::ForceSimdForTest(false);
+  util::ForceSimdForTest(util::SimdLevel::kScalar);
   f.model.DecisionValues(f.rows.data(), f.count, scalar);
-  EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
-                           f.count * sizeof(double)));
+  ForEachTier([&] {
+    std::vector<double> simd(f.count);
+    f.model.DecisionValues(f.rows.data(), f.count, simd);
+    EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
+                             f.count * sizeof(double)));
+  });
 }
 
 }  // namespace

@@ -40,6 +40,18 @@ like timings (lower is better - the reporter deliberately excludes rate
 counters) but are printed without the ns/op unit. --select RegEx
 restricts the diff to matching entry names, so a gate can pin just the
 memory counters of a combined sidecar.
+
+--ratio 'NUM/DEN<=X' checks an invariant inside the fresh sidecar
+instead of diffing against a baseline: the entry NUM divided by the entry
+DEN must not exceed X. Host speed and load cancel in the ratio of two rows
+from one run, so the bound can be far tighter than --fail-above's 5x:
+
+    tools/bench_diff.py BENCH_hot_paths.json \
+        --ratio 'BM_EnsembleInferBatch/1/BM_EnsembleForwardSequential<=0.6'
+
+Entry names may contain '/', so the expression is split at the one '/'
+whose two sides (spaces trimmed) are both entries of the sidecar. The
+option repeats; with it, no baseline is read.
 """
 
 import argparse
@@ -66,6 +78,48 @@ def load(path: str) -> dict:
     ):
         sys.exit(f"bench_diff: {path} is not a flat name->ns_per_op map")
     return data
+
+
+def parse_ratio(expr: str, entries: dict) -> tuple:
+    """Splits 'NUM/DEN<=X' into (NUM, DEN, X), NUM and DEN being entries."""
+    body, sep, bound = expr.partition("<=")
+    try:
+        limit = float(bound)
+    except ValueError:
+        limit = None
+    if not sep or limit is None:
+        sys.exit(f"bench_diff: bad --ratio {expr!r}: expected 'NUM/DEN<=X'")
+    splits = []
+    for i, ch in enumerate(body):
+        if ch != "/":
+            continue
+        num, den = body[:i].strip(), body[i + 1:].strip()
+        if num in entries and den in entries:
+            splits.append((num, den))
+    if len(splits) != 1:
+        why = "no" if not splits else "more than one"
+        sys.exit(f"bench_diff: bad --ratio {expr!r}: {why} way to split it "
+                 "into two entries of the sidecar")
+    return splits[0] + (limit,)
+
+
+def check_ratios(fresh: dict, exprs: list) -> int:
+    failed = 0
+    for expr in exprs:
+        num, den, limit = parse_ratio(expr, fresh)
+        if fresh[den] <= 0:
+            sys.exit(f"bench_diff: --ratio denominator {den} is "
+                     f"{fresh[den]}, not positive")
+        ratio = fresh[num] / fresh[den]
+        verdict = "ok" if ratio <= limit else "ABOVE BOUND"
+        failed += ratio > limit
+        print(f"{num} / {den} = {fresh[num]:.1f} / {fresh[den]:.1f} = "
+              f"{ratio:.3f} (bound {limit:g}): {verdict}")
+    if failed:
+        print(f"\n{failed} ratio(s) above their bound", file=sys.stderr)
+        return 1
+    print(f"\nOK: {len(exprs)} ratio(s) within their bound")
+    return 0
 
 
 def main() -> int:
@@ -105,6 +159,13 @@ def main() -> int:
         "combined sidecar",
     )
     parser.add_argument(
+        "--ratio",
+        action="append",
+        metavar="'NUM/DEN<=X'",
+        help="check that fresh[NUM] / fresh[DEN] <= X instead of diffing "
+        "against a baseline (repeatable); entry names may contain '/'",
+    )
+    parser.add_argument(
         "--list",
         action="store_true",
         help="print the available entry names (after --select filtering) "
@@ -118,6 +179,9 @@ def main() -> int:
         args.threshold = args.fail_above / 100.0
     if args.threshold < 0:
         sys.exit("bench_diff: --threshold must be >= 0")
+
+    if args.ratio:
+        return check_ratios(load(args.fresh), args.ratio)
 
     if args.baseline is None:
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
