@@ -61,7 +61,7 @@
 #include "policies/pensieve_policy.h"
 #include "serve/decision_service.h"
 #include "serve/serving_model.h"
-#include "util/memory_meter.h"
+#include "util/rss.h"
 
 using namespace osap;
 

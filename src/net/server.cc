@@ -3,11 +3,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -17,14 +19,22 @@
 #include <string>
 #include <utility>
 
-#include "net/backend_epoll.h"
-#include "net/edge.h"
 #include "util/check.h"
 
 namespace osap::net {
 
 namespace {
 
+/// listen() backlog of every edge's listener.
+constexpr int kListenBacklog = 128;
+/// Cap on concurrently accepted connections, shared across edges.
+constexpr std::size_t kMaxConnections = 4096;
+/// Readiness events one epoll_wait gathers at most.
+constexpr std::size_t kMaxEvents = 256;
+/// epoll tags of the listener and the wake eventfd; any other tag is a
+/// connection slot.
+constexpr std::uint64_t kListenTag = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kWakeTag = kListenTag - 1;
 /// Compact the input buffer once this many consumed bytes accumulate.
 constexpr std::size_t kCompactAbove = 64 * 1024;
 /// Refresh the cached ServiceMemoryStats session-bytes gate every this
@@ -42,6 +52,98 @@ constexpr int kMaxIov = 64;
 }
 
 }  // namespace
+
+/// Per-connection state. Objects are recycled through a free list - the
+/// input buffer, output frame queue and session list keep their capacity
+/// across connections, so steady-state accept/close churn touches no
+/// allocator (the frame buffers themselves recycle through the edge's
+/// spare-frame pool).
+struct Connection {
+  int fd = -1;
+  bool open = false;
+  /// Reads deferred (TCP pushback): this connection's admitted backlog
+  /// crossed pause_reads_above; bytes stay in the kernel receive buffer
+  /// until the backlog halves.
+  bool paused = false;
+  bool want_write = false;  // EPOLLOUT armed (partial write left over)
+  bool dirty = false;       // in Edge::dirty: flushed this round
+  std::uint32_t in_flight = 0;  // admitted STEPs not yet answered
+
+  std::vector<std::uint8_t> in;  // unparsed bytes live at [in_off, size)
+  std::size_t in_off = 0;
+
+  std::vector<std::vector<std::uint8_t>> out_q;  // encoded reply frames
+  std::size_t out_head = 0;      // first not-fully-written frame
+  std::size_t out_head_off = 0;  // bytes of out_q[out_head] already sent
+
+  std::vector<std::uint64_t> sessions;  // session ids this peer owns
+};
+
+/// One edge thread's whole world: its SO_REUSEPORT listener, epoll
+/// instance, wake eventfd, connection slab and pending queue. Everything
+/// here is touched by exactly one thread (the edge's loop); only the
+/// trailing atomics are read cross-edge, for STATS aggregation and the
+/// shutdown summary. Per-session state is not here: a session's owning
+/// connection and queued-STEP count live in its service-side
+/// SubmitterTag (DecisionService::TagOf).
+struct Edge {
+  /// One admitted STEP awaiting its decision round.
+  struct PendingStep {
+    std::uint32_t conn = 0;
+    std::uint64_t request_id = 0;
+    std::uint64_t session = 0;
+    mdp::State state;  // decoded off the wire; storage recycled
+  };
+
+  std::size_t index = 0;        // == submitter group in the service
+  std::size_t group_begin = 0;  // first service shard this edge owns
+
+  int listen_fd = -1;
+  int wake_fd = -1;   // eventfd: Stop() -> loop wakeup
+  int epoll_fd = -1;  // watches the listener, the wake fd and every conn
+  std::array<epoll_event, kMaxEvents> events{};
+  /// Uninitialized kReadChunk-byte recv target shared by every
+  /// connection: only the bytes received are appended to a connection's
+  /// input buffer.
+  std::unique_ptr<std::uint8_t[]> read_chunk =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
+  std::exception_ptr failure;
+
+  std::vector<std::unique_ptr<Connection>> connections;
+  std::vector<std::uint32_t> free_conn_slots;
+  /// Slots closed in the current IO round; they join free_conn_slots
+  /// only once the round's gathered events are fully processed, so a
+  /// stale event for a dead fd can never alias a freshly accepted one.
+  std::vector<std::uint32_t> pending_free_slots_swap;
+
+  std::vector<PendingStep> pending;
+  std::vector<std::size_t> shard_pending;  // admitted per owned lane
+  std::vector<mdp::State> state_pool;      // recycled PendingStep storage
+  /// Recycled reply-frame buffers (the slab behind the output queues).
+  std::vector<std::vector<std::uint8_t>> spare_frames;
+  std::vector<std::uint32_t> dirty;     // connections awaiting a flush
+  std::vector<std::uint32_t> unpaused;  // resumed this batch: drain them
+
+  // Round scratch (persists across batches; steady state allocates
+  // nothing).
+  std::vector<serve::DecisionService::Request> round_requests;
+  std::vector<mdp::Action> round_actions;
+
+  std::size_t opens_since_measure = 0;
+
+  // Published counters: written by this edge (relaxed), summed by any
+  // edge answering STATS and by NetServer::Stats().
+  std::atomic<std::uint64_t> decided{0};
+  std::atomic<std::uint64_t> busy{0};
+  std::atomic<std::uint64_t> rejected_opens{0};
+  std::atomic<std::uint64_t> epochs{0};
+  std::atomic<std::uint64_t> errors{0};
+  std::atomic<std::uint64_t> session_bytes{0};  // cached group bytes
+  /// Every IO syscall the edge loop issues (epoll_wait/epoll_ctl/accept4/
+  /// recv/sendmsg/wake reads/poll) - the numerator of the shutdown
+  /// summary's syscalls-per-decision.
+  std::atomic<std::uint64_t> io_syscalls{0};
+};
 
 NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
                      NetServerConfig config)
@@ -80,6 +182,7 @@ NetServer::~NetServer() {
     }
     if (edge->listen_fd >= 0) ::close(edge->listen_fd);
     if (edge->wake_fd >= 0) ::close(edge->wake_fd);
+    if (edge->epoll_fd >= 0) ::close(edge->epoll_fd);
   }
 }
 
@@ -117,15 +220,25 @@ void NetServer::StartEdge(std::size_t e) {
     }
     port_ = ntohs(addr.sin_port);
   }
-  if (::listen(edge.listen_fd, config_.listen_backlog) < 0) {
+  if (::listen(edge.listen_fd, kListenBacklog) < 0) {
     ThrowErrno("NetServer: listen");
   }
 
   edge.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (edge.wake_fd < 0) ThrowErrno("NetServer: eventfd");
 
-  edge.backend = std::make_unique<EpollBackend>(*this, edge);
-  edge.backend->Init();
+  edge.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (edge.epoll_fd < 0) ThrowErrno("NetServer: epoll_create1");
+  epoll_event ev{};
+  ev.events = EPOLLIN;  // level-triggered: accept until EAGAIN anyway
+  ev.data.u64 = kListenTag;
+  if (::epoll_ctl(edge.epoll_fd, EPOLL_CTL_ADD, edge.listen_fd, &ev) < 0) {
+    ThrowErrno("NetServer: epoll_ctl(listen)");
+  }
+  ev.data.u64 = kWakeTag;
+  if (::epoll_ctl(edge.epoll_fd, EPOLL_CTL_ADD, edge.wake_fd, &ev) < 0) {
+    ThrowErrno("NetServer: epoll_ctl(wake)");
+  }
 }
 
 void NetServer::Start() {
@@ -145,7 +258,7 @@ void NetServer::Stop() {
 }
 
 void NetServer::Run() {
-  OSAP_REQUIRE(edges_[0]->backend != nullptr,
+  OSAP_REQUIRE(edges_[0]->epoll_fd >= 0,
                "NetServer::Run: call Start() first");
   edge_runners_.clear();
   edge_runners_.reserve(edges_.size() - 1);
@@ -182,9 +295,10 @@ void NetServer::RunEdge(Edge& edge) {
     edge.pending_free_slots_swap.clear();
     // Block only when idle; with admitted work pending, gather whatever
     // arrived in the previous round and run a batch.
-    edge.backend->Pump(edge.pending.empty());
-    // Flush admission replies (BUSY / FULL / opens) before the decision
-    // round so rejected clients hear back without waiting on compute.
+    Pump(edge, edge.pending.empty());
+    // Flush admission replies (BUSY / FULL / opens) and write
+    // continuations before the decision round so rejected clients hear
+    // back without waiting on compute.
     FlushDirty(edge);
     if (!edge.pending.empty()) RunBatch(edge);
     FlushDirty(edge);
@@ -234,36 +348,117 @@ void NetServer::DrainOnStop(Edge& edge) {
   }
 }
 
-void NetServer::AdmitConnection(Edge& edge, int fd) {
-  // The connection cap is shared across edges: reserve, verify, undo.
-  if (open_connections_.fetch_add(1, std::memory_order_relaxed) >=
-      config_.max_connections) {
-    open_connections_.fetch_sub(1, std::memory_order_relaxed);
-    ::close(fd);  // hard admission: no fd budget to even say BUSY
-    return;
+void NetServer::Pump(Edge& edge, bool block) {
+  int n;
+  for (;;) {
+    n = ::epoll_wait(edge.epoll_fd, edge.events.data(),
+                     static_cast<int>(edge.events.size()), block ? -1 : 0);
+    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+    if (n >= 0) break;
+    if (errno == EINTR) continue;
+    ThrowErrno("NetServer: epoll_wait");
   }
-  // Small pipelined frames must not wait out Nagle on the reply path.
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  for (int i = 0; i < n; ++i) {
+    const std::uint32_t events = edge.events[i].events;
+    const std::uint64_t tag = edge.events[i].data.u64;
+    if (tag == kListenTag) {
+      AcceptReady(edge);
+      continue;
+    }
+    if (tag == kWakeTag) {
+      std::uint64_t drained = 0;
+      [[maybe_unused]] const ssize_t r =
+          ::read(edge.wake_fd, &drained, sizeof drained);
+      edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    const auto slot = static_cast<std::size_t>(tag);
+    Connection& conn = *edge.connections[slot];
+    // A peer closed earlier in this same event array: its slot is not
+    // recycled until the end of the round, so stale events are
+    // recognizable and ignored here.
+    if (!conn.open) continue;
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+      CloseConnection(edge, slot);
+      continue;
+    }
+    // A partial write's continuation joins the round's FlushDirty.
+    if ((events & EPOLLOUT) != 0 && !conn.dirty) {
+      conn.dirty = true;
+      edge.dirty.push_back(static_cast<std::uint32_t>(slot));
+    }
+    if ((events & EPOLLIN) != 0 && !DrainSocket(edge, slot)) {
+      CloseConnection(edge, slot);
+    }
+  }
+}
 
-  std::uint32_t slot;
-  if (!edge.free_conn_slots.empty()) {
-    slot = edge.free_conn_slots.back();
-    edge.free_conn_slots.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(edge.connections.size());
-    edge.connections.push_back(std::make_unique<Connection>());
+void NetServer::AcceptReady(Edge& edge) {
+  for (;;) {
+    const int fd = ::accept4(edge.listen_fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN, or transient accept failure: try next event
+    }
+    // The connection cap is shared across edges: reserve, verify, undo.
+    if (open_connections_.fetch_add(1, std::memory_order_relaxed) >=
+        kMaxConnections) {
+      open_connections_.fetch_sub(1, std::memory_order_relaxed);
+      ::close(fd);  // hard admission: no fd budget to even say BUSY
+      continue;
+    }
+    // Small pipelined frames must not wait out Nagle on the reply path.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+
+    std::uint32_t slot;
+    if (!edge.free_conn_slots.empty()) {
+      slot = edge.free_conn_slots.back();
+      edge.free_conn_slots.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(edge.connections.size());
+      edge.connections.push_back(std::make_unique<Connection>());
+    }
+    Connection& conn = *edge.connections[slot];
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLET;
+    ev.data.u64 = slot;
+    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+    if (::epoll_ctl(edge.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      ::close(fd);
+      edge.free_conn_slots.push_back(slot);
+      open_connections_.fetch_sub(1, std::memory_order_relaxed);
+      continue;
+    }
+    conn.fd = fd;
+    conn.open = true;
   }
+}
+
+bool NetServer::DrainSocket(Edge& edge, std::size_t slot) {
   Connection& conn = *edge.connections[slot];
-  conn.fd = fd;
-  conn.open = true;
-  if (!edge.backend->OnConnectionOpened(slot)) {
-    ::close(fd);
-    conn.fd = -1;
-    conn.open = false;
-    edge.free_conn_slots.push_back(slot);
-    open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  // Edge-triggered: drain until EAGAIN, or stop early on pause (the
+  // unread bytes close the TCP window - that IS the backpressure).
+  // recv lands in the uninitialized read_chunk and only the bytes
+  // received are appended: growing conn.in by kReadChunk instead would
+  // zero-fill 64 KiB per call.
+  std::uint8_t* const chunk = edge.read_chunk.get();
+  while (!conn.paused) {
+    const ssize_t r = ::recv(conn.fd, chunk, kReadChunk, 0);
+    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+    if (r > 0) {
+      conn.in.insert(conn.in.end(), chunk, chunk + r);
+      if (!ParseBuffered(edge, slot)) return false;
+      continue;
+    }
+    if (r == 0) return false;  // EOF
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    if (errno == EINTR) continue;
+    return false;
   }
+  return true;
 }
 
 bool NetServer::ParseBuffered(Edge& edge, std::size_t slot) {
@@ -483,8 +678,9 @@ void NetServer::RunBatch(Edge& edge) {
   in_flight_.fetch_sub(answered, std::memory_order_relaxed);
 
   // Resume paused connections whose backlog drained: parse what their
-  // buffers already hold, then have the backend drain their sockets (a
-  // paused edge-triggered fd owes us no further EPOLLIN for old data).
+  // buffers already hold, then drain their sockets (a paused
+  // edge-triggered fd owes us no further EPOLLIN for bytes that arrived
+  // while paused).
   // Skipped once stopping - the drain path answers what is queued but
   // reads nothing new.
   if (!stop_.load(std::memory_order_acquire)) {
@@ -497,7 +693,9 @@ void NetServer::RunBatch(Edge& edge) {
       }
       // Parsing buffered frames may re-pause; only a still-unpaused
       // connection is drained.
-      if (conn.open && !conn.paused) edge.backend->OnReadsResumed(slot);
+      if (conn.open && !conn.paused && !DrainSocket(edge, slot)) {
+        CloseConnection(edge, slot);
+      }
     }
   }
   edge.unpaused.clear();
@@ -560,7 +758,8 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   conn.sessions.clear();
 
   // Stop watching the fd before it goes away.
-  edge.backend->OnConnectionClosing(slot);
+  ::epoll_ctl(edge.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
+  edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
   ::close(conn.fd);
   conn.fd = -1;
   conn.open = false;
@@ -604,7 +803,18 @@ void NetServer::FlushDirty(Edge& edge) {
   for (const std::uint32_t slot : edge.dirty) {
     Connection& conn = *edge.connections[slot];
     conn.dirty = false;
-    if (conn.open) edge.backend->FlushWrites(slot);
+    if (!conn.open) continue;
+    DirectFlush(edge, slot);
+    if (!conn.open) continue;
+    // Re-arm the interest set only when EPOLLOUT must turn on or off.
+    const bool want_write = conn.out_head < conn.out_q.size();
+    if (want_write == conn.want_write) continue;
+    conn.want_write = want_write;
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLET | (want_write ? EPOLLOUT : 0u);
+    ev.data.u64 = slot;
+    ::epoll_ctl(edge.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
   }
   edge.dirty.clear();
 }

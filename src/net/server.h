@@ -9,7 +9,7 @@
 //
 //   - its OWN SO_REUSEPORT listener on the shared port (the kernel
 //     shards incoming connections across the listeners by 4-tuple hash),
-//   - its own edge-triggered epoll loop (EpollBackend), wake eventfd,
+//   - its own edge-triggered epoll instance, wake eventfd, recv buffer
 //     and slab-recycled connection buffers / pending queues /
 //     reply-frame pools,
 //   - a contiguous GROUP of the service's shard lanes (submitter group e
@@ -25,12 +25,12 @@
 // counters summed on STATS). Each edge runs the same loop the
 // single-threaded server ran:
 //
-//   backend->Pump (epoll_wait; accept / drain readable sockets) -> parse
-//   frames, admit or reject each request -> when admitted STEPs are
-//   pending, ONE DecideBatch over all of them (micro-batching across
-//   connections and sessions) -> encode replies into per-connection
-//   output queues -> flush with vectored writes, partial writes continue
-//   under EPOLLOUT.
+//   Pump (one epoll_wait; accept4 new connections, recv readable sockets
+//   to EAGAIN) -> parse frames, admit or reject each request -> when
+//   admitted STEPs are pending, ONE DecideBatch over all of them
+//   (micro-batching across connections and sessions) -> encode replies
+//   into per-connection output queues -> flush with vectored writes,
+//   partial writes continue under EPOLLOUT.
 //
 // edge_threads = 1 is bit-identical to the classic single-loop server:
 // one group = every shard, ids handed out 0, 1, 2, ..., the same admission
@@ -84,8 +84,10 @@
 
 namespace osap::net {
 
-struct Connection;
 struct Edge;
+
+/// The most bytes one recv() reads into a connection's input buffer.
+inline constexpr std::size_t kReadChunk = 64 * 1024;
 
 struct NetServerConfig {
   /// TCP port to listen on; 0 picks an ephemeral port (see Port()).
@@ -95,9 +97,6 @@ struct NetServerConfig {
   /// be >= 1; service.shard_count must be >= edge_threads (one lane per
   /// edge minimum). 1 = the classic single-loop server.
   std::size_t edge_threads = 1;
-  int listen_backlog = 128;
-  /// Cap on concurrently accepted connections, shared across edges.
-  std::size_t max_connections = 4096;
   /// Process-wide cap on admitted STEPs awaiting a decision, enforced
   /// through one shared atomic budget; 0 = no cap.
   std::size_t max_in_flight = 64 * 1024;
@@ -150,27 +149,32 @@ class NetServer {
   std::size_t EdgeCount() const { return edges_.size(); }
 
   /// Total IO syscalls issued by the edge loops so far (epoll_wait,
-  /// recv, sendmsg, accept4, ...). Relaxed sum; the denominator for
-  /// syscalls-per-decision is Stats().decided.
+  /// recv, sendmsg, accept4, ...). Relaxed sum, safe from any thread;
+  /// the denominator for syscalls-per-decision is Stats().decided.
   std::uint64_t IoSyscalls() const;
 
   const serve::DecisionService& service() const { return service_; }
 
  private:
-  friend class EpollBackend;
-
-  /// Creates edge e's listener / wake eventfd / backend (edge 0 resolves
-  /// the shared port; the rest bind it via SO_REUSEPORT).
+  /// Creates edge e's listener, wake eventfd and epoll instance (edge 0
+  /// resolves the shared port; the rest bind it via SO_REUSEPORT).
   void StartEdge(std::size_t e);
   /// Edge e's event loop: runs until stop_, then drains gracefully.
   void RunEdge(Edge& edge);
   /// Post-stop drain: answer every admitted STEP, flush every queued
   /// reply (bounded blocking), then close the edge's connections.
   void DrainOnStop(Edge& edge);
-  /// One freshly accepted fd: admission cap, TCP_NODELAY, slot
-  /// assignment, then backend->OnConnectionOpened. Called by the
-  /// backend's accept4 loop.
-  void AdmitConnection(Edge& edge, int fd);
+  /// One gather-and-dispatch round: accepts, reads (parsed into pending
+  /// steps as bytes land), write continuations (queued for FlushDirty),
+  /// wake drains. Waits for new IO only when `block`; otherwise collects
+  /// whatever is already ready and returns.
+  void Pump(Edge& edge, bool block);
+  /// accept4 until EAGAIN; each fd passes the shared connection cap,
+  /// gets TCP_NODELAY and a slot, and joins the epoll set.
+  void AcceptReady(Edge& edge);
+  /// Edge-triggered read: recv until EAGAIN (or pause), parsing as
+  /// bytes land. False closes the connection (EOF / protocol error).
+  bool DrainSocket(Edge& edge, std::size_t slot);
   /// Parses every complete frame in the connection's input buffer
   /// (stops early when the connection pauses). False on protocol error.
   bool ParseBuffered(Edge& edge, std::size_t slot);
@@ -183,19 +187,18 @@ class NetServer {
   void CloseConnection(Edge& edge, std::size_t slot);
   void QueueReply(Edge& edge, std::size_t slot, const Reply& reply,
                   const ServerStats* stats = nullptr);
-  /// Flushes every connection QueueReply marked dirty this iteration
-  /// through the backend.
+  /// Flushes every connection marked dirty this round (queued replies or
+  /// an EPOLLOUT continuation) and arms EPOLLOUT while a partial write
+  /// is left over.
   void FlushDirty(Edge& edge);
   /// Sends as much of the connection's output queue as the socket
   /// accepts right now (sendmsg + MSG_NOSIGNAL, EAGAIN stops), recycling
   /// fully sent frames and resuming a partial head frame at
-  /// out_head_off. The backend's flush and the drain path.
+  /// out_head_off. The round's flush and the drain path.
   void DirectFlush(Edge& edge, std::size_t slot);
   /// Refreshes edge's session-bytes cache and sums every edge's
   /// published counters (the STATS reply payload).
   ServerStats BuildStats(Edge& edge);
-
-  bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
   std::shared_ptr<const serve::ServingModel> model_;
   NetServerConfig config_;

@@ -5,8 +5,8 @@
 #include <cstring>
 #include <new>
 
-#include "nn/simd.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 // Vector kernels for the packed Linear and Conv1D ops, in two shapes:
 //   - batch axis (LinearBatch4Avx2): offline scoring passes hand
@@ -339,15 +339,15 @@ struct RowKernels {
 
 /// The widest single-state kernels at or below `level`; nullptr for the
 /// scalar tier.
-const RowKernels* RowKernelsFor(SimdLevel level) {
+const RowKernels* RowKernelsFor(util::SimdLevel level) {
   static constexpr RowKernels kAvx2{LinearRowAvx2, ConvRowAvx2};
   static constexpr RowKernels kAvx512{LinearRowAvx512, ConvRowAvx512};
   switch (level) {
-    case SimdLevel::kAvx512:
+    case util::SimdLevel::kAvx512:
       return &kAvx512;
-    case SimdLevel::kAvx2:
+    case util::SimdLevel::kAvx2:
       return &kAvx2;
-    case SimdLevel::kScalar:
+    case util::SimdLevel::kScalar:
       break;
   }
   return nullptr;
@@ -532,7 +532,7 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
       const std::size_t in = op.in;
       const std::size_t out = op.out;
 #ifdef OSAP_ENSEMBLE_SIMD
-      const RowKernels* rows = RowKernelsFor(ActiveSimdLevel());
+      const RowKernels* rows = RowKernelsFor(util::ActiveSimdLevel());
 #endif
       for (std::size_t m = 0; m < k_members; ++m) {
         const double* w = op.Weights(m);
@@ -598,7 +598,7 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
     }
     case PackedOp::Kind::kConv1d: {
 #ifdef OSAP_ENSEMBLE_SIMD
-      const RowKernels* rows = RowKernelsFor(ActiveSimdLevel());
+      const RowKernels* rows = RowKernelsFor(util::ActiveSimdLevel());
 #endif
       for (std::size_t m = 0; m < k_members; ++m) {
         const double* w = op.Weights(m);

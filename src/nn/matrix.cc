@@ -3,15 +3,16 @@
 #include <cmath>
 #include <cstring>
 
-#include "nn/simd.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 // The matmul kernels below come in scalar and AVX2 flavors selected at
-// runtime (nn::UseAvx2). Both flavors give every output element the exact
-// same scalar accumulation chain - reduction strictly ascending, each term
-// a multiply THEN a separate add (the target("avx2") attribute does not
-// enable FMA, whose fused rounding would change results) - so the AVX2
-// path is bit-identical to the scalar path and to the naive triple loop.
+// runtime (util::UseAvx2). Both flavors give every output element the
+// exact same scalar accumulation chain - reduction strictly ascending,
+// each term a multiply THEN a separate add (the target("avx2") attribute
+// does not enable FMA, whose fused rounding would change results) - so
+// the AVX2 path is bit-identical to the scalar path and to the naive
+// triple loop.
 // AVX2 always vectorizes across a NON-reduction axis: four independent
 // output elements ride the four lanes while each keeps its own chain.
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -385,7 +386,7 @@ void Matrix::MatMulInto(const Matrix& other, Matrix& out) const {
   // cache while it is reused across the rows of `this`.
   constexpr std::size_t kPanel = 64;
 #ifdef OSAP_MATRIX_SIMD
-  if (UseAvx2()) {
+  if (util::UseAvx2()) {
     // Same panel/unroll structure with the j loop vectorized: lanes are
     // output columns, so every element's k-ascending chain is unchanged.
     for (std::size_t kb = 0; kb < cols_; kb += kPanel) {
@@ -456,7 +457,7 @@ void Matrix::MatMulTNInto(const Matrix& other, Matrix& out,
   // so the 8-wide AVX2 tiling and the 4-wide scalar tiling agree bit for
   // bit.
 #ifdef OSAP_MATRIX_SIMD
-  if (UseAvx2()) {
+  if (util::UseAvx2()) {
     const std::size_t q8 = q - q % 8;
     for (std::size_t i = 0; i < p4; i += 4) {
       std::size_t j = 0;
@@ -516,7 +517,7 @@ void Matrix::MatMulNTInto(const Matrix& other, Matrix& out) const {
   const std::size_t n4 = n - n % 4;
   const std::size_t p4 = p - p % 4;
 #ifdef OSAP_MATRIX_SIMD
-  if (UseAvx2()) {
+  if (util::UseAvx2()) {
     const std::size_t p8 = p - p % 8;
     for (std::size_t r = 0; r < n4; r += 4) {
       std::size_t j = 0;

@@ -412,14 +412,4 @@ ServiceMemoryStats DecisionService::MemoryStatsOfGroup(
   return stats;
 }
 
-void DecisionService::MeasureMemory(util::MemoryMeter& meter) const {
-  const ServiceMemoryStats stats = MemoryStats();
-  meter.Add("session.hot", stats.session_hot_bytes);
-  meter.Add("session.cold", stats.session_cold_bytes);
-  meter.Add("session.rings", stats.trigger_ring_bytes);
-  meter.Add("session.extractors", stats.extractor_bytes);
-  meter.Add("session.registry", stats.registry_bytes);
-  meter.Add("shard.scratch", stats.scratch_bytes);
-}
-
 }  // namespace osap::serve

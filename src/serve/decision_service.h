@@ -100,7 +100,6 @@
 #include "nn/sequential.h"
 #include "serve/serving_model.h"
 #include "util/arena.h"
-#include "util/memory_meter.h"
 #include "util/slab_pool.h"
 
 namespace osap::serve {
@@ -247,11 +246,6 @@ class DecisionService {
   /// the session tables, extractors, and scratch). Safe while OTHER
   /// groups run - it reads nothing outside the group's lanes.
   ServiceMemoryStats MemoryStatsOfGroup(std::size_t group) const;
-
-  /// Adds the same accounting to `meter` under "session.hot",
-  /// "session.cold", "session.rings", "session.extractors",
-  /// "session.registry", and "shard.scratch".
-  void MeasureMemory(util::MemoryMeter& meter) const;
 
  private:
   using ExtractorPool = util::SlabPool<core::NoveltyFeatureExtractor>;

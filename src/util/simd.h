@@ -2,8 +2,7 @@
 // the nn batched-inference / backward kernels and the svm batched OC-SVM
 // decision scan. It lives in util so that svm (which, per the CMake
 // layering, must not depend on nn) can share one dispatch decision with
-// the nn kernels; nn/simd.h re-exports these names into osap::nn for the
-// existing call sites.
+// the nn kernels.
 //
 // The tiers form a ladder, narrowest first: scalar, AVX2 (4 doubles per
 // vector), AVX-512F (8 doubles per vector). A kernel runs the widest tier

@@ -27,7 +27,6 @@
 
 #include "abr/abr_environment.h"
 #include "net/client.h"
-#include "net/edge.h"
 #include "net_test_world.h"
 #include "serve/decision_service.h"
 
@@ -640,7 +639,7 @@ TEST(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
 // every second admitted STEP, so the burst is read a couple of frames
 // per decision round and most of it waits in the kernel receive buffer
 // while paused. Edge-triggered epoll announces those bytes only once, so
-// each resume must drain the socket explicitly (OnReadsResumed); a lost
+// each resume must drain the socket explicitly (DrainSocket); a lost
 // wakeup leaves replies missing and the bounded read fails the test.
 TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
   const NetWorld& w = SharedNetWorld();
@@ -845,6 +844,44 @@ TEST(NetServerLoopback, ForeignConnectionCannotStepOrCloseASession) {
   const ServerStats stats = a.Stats();
   EXPECT_EQ(stats.errors, tally.error);
   EXPECT_EQ(stats.open_sessions, 0u);
+}
+
+// The edge's IO syscall budget: one STEP in flight at a time, each sent
+// only after the previous reply arrived, costs exactly one epoll_wait,
+// the recv that reads the frame, the recv that hits EAGAIN and the
+// sendmsg of the reply. An extra epoll_ctl or recv per round fails this.
+// Between rounds the edge sits in its next blocking epoll_wait, which is
+// counted only when it returns; the sendmsg increment is relaxed and can
+// land after the client has the reply, so each end of the window may
+// miss one syscall and the delta is exact within +-1.
+TEST(NetServerLoopback, SequentialStepsStayWithinTheIoSyscallBudget) {
+  constexpr std::uint64_t kSyscallsPerRound = 4;
+  constexpr std::uint64_t kRounds = 256;
+  const NetWorld& w = SharedNetWorld();
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  ServerRunner server(model, NetServerConfig{});
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+  const auto session = client.OpenSession();
+  const std::vector<double> state(model->InputSize(), 0.25);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(client.Step(session, state).status, Status::kOk);
+  }
+
+  // IoSyscalls() only sums the edges' atomics: safe while Run() loops.
+  const std::uint64_t before = server.server().IoSyscalls();
+  for (std::uint64_t k = 0; k < kRounds; ++k) {
+    ASSERT_EQ(client.Step(session, state).status, Status::kOk);
+  }
+  const std::uint64_t used = server.server().IoSyscalls() - before;
+  const std::uint64_t budget = kRounds * kSyscallsPerRound;
+  EXPECT_GE(used + 1, budget) << used << " IO syscalls in " << kRounds
+                              << " rounds";
+  EXPECT_LE(used, budget + 1) << used << " IO syscalls in " << kRounds
+                              << " rounds";
+  client.CloseSession(session);
 }
 
 }  // namespace

@@ -19,9 +19,9 @@
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/sequential.h"
-#include "nn/simd.h"
 #include "testing/simd_tiers.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace osap::nn {
 namespace {
@@ -312,9 +312,9 @@ void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
   const BatchedEnsemble batched(views);
   const std::size_t k = members.size();
   const std::size_t outputs = batched.OutputSize();
-  for (const SimdLevel level : osap::testing::AvailableSimdLevels()) {
+  for (const util::SimdLevel level : osap::testing::AvailableSimdLevels()) {
     const char* tier = osap::testing::SimdLevelName(level);
-    ForceSimdForTest(level);
+    util::ForceSimdForTest(level);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
                                     std::size_t{3}, std::size_t{5}}) {
       const Matrix states = Random(batch, batched.InputSize(), rng);
@@ -344,7 +344,7 @@ void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
 
 class BatchedEnsembleTiledShapes : public ::testing::Test {
  protected:
-  void TearDown() override { ResetSimdForTest(); }
+  void TearDown() override { util::ResetSimdForTest(); }
 };
 
 TEST_F(BatchedEnsembleTiledShapes, PensieveActorMembersMatchForward) {
@@ -421,8 +421,8 @@ TEST(SimdEnvironment, NoAvx2SelectsScalarPath) {
   if (env == nullptr || std::strcmp(env, "1") != 0) {
     GTEST_SKIP() << "needs OSAP_NO_AVX2=1 in the environment";
   }
-  EXPECT_FALSE(UseAvx2());
-  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
+  EXPECT_FALSE(util::UseAvx2());
+  EXPECT_EQ(util::ActiveSimdLevel(), util::SimdLevel::kScalar);
 }
 
 }  // namespace

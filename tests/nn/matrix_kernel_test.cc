@@ -13,9 +13,9 @@
 
 #include "gtest/gtest.h"
 #include "nn/matrix.h"
-#include "nn/simd.h"
 #include "testing/simd_tiers.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace osap::nn {
 namespace {
@@ -108,11 +108,12 @@ TEST(MatrixKernelTest, NTRejectsMismatchedCols) {
 // them too.
 class SimdDispatchTest : public ::testing::Test {
  protected:
-  void TearDown() override { ResetSimdForTest(); }
+  void TearDown() override { util::ResetSimdForTest(); }
 };
 
 TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
-  const std::vector<SimdLevel> levels = osap::testing::AvailableSimdLevels();
+  const std::vector<util::SimdLevel> levels =
+      osap::testing::AvailableSimdLevels();
   if (levels.size() == 1) GTEST_SKIP() << "CPU has no vector tier";
 
   Rng rng(0xBEEF04);
@@ -122,8 +123,8 @@ TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
     const Matrix w = RandomMatrix(s.m, s.n, rng);
     const Matrix seed = RandomMatrix(s.m, s.n, rng);
 
-    ForceSimdForTest(SimdLevel::kScalar);
-    ASSERT_FALSE(UseAvx2());
+    util::ForceSimdForTest(util::SimdLevel::kScalar);
+    ASSERT_FALSE(util::UseAvx2());
     Matrix nn_s;
     x.Transposed().MatMulInto(dy, nn_s);  // plain NN product, scalar
     Matrix tn_s;
@@ -133,12 +134,12 @@ TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
     Matrix nt_s;
     dy.MatMulNTInto(w, nt_s);
 
-    for (const SimdLevel level : levels) {
-      if (level == SimdLevel::kScalar) continue;
+    for (const util::SimdLevel level : levels) {
+      if (level == util::SimdLevel::kScalar) continue;
       SCOPED_TRACE(osap::testing::SimdLevelName(level));
-      ForceSimdForTest(level);
-      ASSERT_EQ(ActiveSimdLevel(), level);
-      ASSERT_TRUE(UseAvx2());
+      util::ForceSimdForTest(level);
+      ASSERT_EQ(util::ActiveSimdLevel(), level);
+      ASSERT_TRUE(util::UseAvx2());
       Matrix nn_v;
       x.Transposed().MatMulInto(dy, nn_v);
       Matrix tn_v;

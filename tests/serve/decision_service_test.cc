@@ -551,6 +551,7 @@ TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
   // Every open session owns exactly ring_width doubles of trigger window.
   EXPECT_GE(stats.trigger_ring_bytes, kMany * kTriggerK * sizeof(double));
   EXPECT_GE(stats.session_hot_bytes, kMany * sizeof(core::SafetyState));
+  EXPECT_GE(stats.session_cold_bytes, kMany * sizeof(core::SafetyCold));
   // The registry counts every open session's submitter tag (the wire
   // edge's per-session state), open flag and round stamp.
   EXPECT_GE(stats.registry_bytes,
@@ -581,23 +582,6 @@ TEST(DecisionServiceMemory, NoveltySessionsFitTheBudget) {
       << "binary-trigger sessions must pay zero ring bytes";
   EXPECT_GT(stats.extractor_bytes, 0u);
   EXPECT_LE(stats.BytesPerSession(), 512.0);
-}
-
-TEST(DecisionServiceMemory, MeterCategoriesMatchTheStats) {
-  const World& w = SharedWorld();
-  DecisionService service(ModelFor(
-      w, Signal::kNovelty,
-      ConfigFor(w, Signal::kNovelty, core::DefaultingMode::kPermanent)));
-  for (std::size_t i = 0; i < 100; ++i) service.OpenSession();
-
-  const ServiceMemoryStats stats = service.MemoryStats();
-  util::MemoryMeter meter;
-  service.MeasureMemory(meter);
-  EXPECT_EQ(meter.Get("session.hot"), stats.session_hot_bytes);
-  EXPECT_EQ(meter.Get("session.rings"), stats.trigger_ring_bytes);
-  EXPECT_EQ(meter.Get("session.extractors"), stats.extractor_bytes);
-  EXPECT_EQ(meter.Get("shard.scratch"), stats.scratch_bytes);
-  EXPECT_EQ(meter.Total(), stats.TotalBytes());
 }
 
 TEST(DecisionServiceMemory, ScratchShrinksAfterASpike) {

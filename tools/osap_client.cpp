@@ -71,7 +71,7 @@
 #include "serve/decision_service.h"
 #include "traces/dataset.h"
 #include "util/arg_parser.h"
-#include "util/memory_meter.h"
+#include "util/rss.h"
 
 using namespace osap;
 

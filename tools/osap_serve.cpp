@@ -57,7 +57,7 @@
 #include "serve/serving_model.h"
 #include "traces/dataset.h"
 #include "util/arg_parser.h"
-#include "util/memory_meter.h"
+#include "util/rss.h"
 
 using namespace osap;
 
