@@ -34,6 +34,11 @@
 // (process RSS growth over the run) and peak_rss_mb. Run it alone with
 // OSAP_BENCH_JSON=BENCH_serving_mem.json to produce the memory baseline.
 //
+// BM_ArtifactLoad* is the serving start-up layer: one iteration builds a
+// fresh Workbench on the cache and loads the full bundle (Bundle, what
+// BundleFor reads) or one scheme's served artifacts (Us / Upi / Uv, what
+// osap_serve reads through LoadServedArtifacts).
+//
 // Uses the shared ./osap_cache artifacts (trains them on first run).
 #include <benchmark/benchmark.h>
 
@@ -43,6 +48,7 @@
 #include <chrono>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -61,6 +67,7 @@
 #include "policies/pensieve_policy.h"
 #include "serve/decision_service.h"
 #include "serve/serving_model.h"
+#include "util/logging.h"
 #include "util/rss.h"
 
 using namespace osap;
@@ -109,27 +116,10 @@ const mdp::State& PooledState(std::size_t session, std::size_t round) {
   return pool[(session * 17 + round) % pool.size()];
 }
 
-/// The deployed trigger configuration for a safety scheme (the mapping
-/// Workbench::TriggerFor applies, with the bundle's calibrated alphas).
+/// The deployed trigger configuration for a safety scheme, with the
+/// bundle's calibrated alphas.
 core::SafeAgentConfig TriggerFor(core::Scheme scheme) {
-  const auto& bundle = SharedBench().BundleFor(kTrain);
-  core::SafeAgentConfig cfg;
-  cfg.trigger.l = SharedBench().config().trigger_l;
-  cfg.trigger.k = SharedBench().config().trigger_k;
-  switch (scheme) {
-    case core::Scheme::kNoveltyDetection:
-      cfg.trigger.mode = core::TriggerMode::kBinary;
-      break;
-    case core::Scheme::kAgentEnsemble:
-      cfg.trigger.mode = core::TriggerMode::kWindowVariance;
-      cfg.trigger.alpha = bundle.alpha_pi;
-      break;
-    default:
-      cfg.trigger.mode = core::TriggerMode::kWindowVariance;
-      cfg.trigger.alpha = bundle.alpha_v;
-      break;
-  }
-  return cfg;
+  return SharedBench().TriggerFor(scheme, SharedBench().BundleFor(kTrain));
 }
 
 /// A private estimator instance - its own packed weight / support-vector
@@ -156,23 +146,8 @@ std::shared_ptr<core::UncertaintyEstimator> PrivateEstimator(
 
 std::shared_ptr<const serve::ServingModel> SharedModel(core::Scheme scheme) {
   core::Workbench& bench = SharedBench();
-  const auto& bundle = bench.BundleFor(kTrain);
-  const std::size_t discard = bench.config().ensemble_discard;
-  const core::SafeAgentConfig safety = TriggerFor(scheme);
-  switch (scheme) {
-    case core::Scheme::kNoveltyDetection:
-      return serve::ServingModel::Novelty(bundle.agents, bundle.novelty,
-                                          bench.eval_video(), bench.layout(),
-                                          safety);
-    case core::Scheme::kAgentEnsemble:
-      return serve::ServingModel::AgentEnsemble(bundle.agents, discard,
-                                                bench.eval_video(),
-                                                bench.layout(), safety);
-    default:
-      return serve::ServingModel::ValueEnsemble(
-          bundle.agents, bundle.value_nets, discard, bench.eval_video(),
-          bench.layout(), safety);
-  }
+  return serve::ServingModel::ForScheme(bench, scheme, bench.BundleFor(kTrain),
+                                        TriggerFor(scheme));
 }
 
 /// One-session-at-a-time baseline: N private SafeAgents polled in a loop.
@@ -597,6 +572,40 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   }
 }
 
+/// Start-up load from the shared cache: a fresh Workbench per iteration
+/// loads the full bundle (no scheme) or the scheme's served artifacts.
+/// Info logging is muted inside the loop, so the row times the reads.
+void RunArtifactLoad(benchmark::State& state,
+                     std::optional<core::Scheme> scheme) {
+  SharedBench().BundleFor(kTrain);  // trains a cold cache, untimed
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarn);
+  for (auto _ : state) {
+    core::Workbench bench(bench::PaperConfig());
+    if (scheme) {
+      const auto served = bench.LoadServedArtifacts(kTrain, *scheme);
+      OSAP_CHECK_MSG(served.has_value(),
+                     "BM_ArtifactLoad: served artifacts not cached");
+      benchmark::DoNotOptimize(served->agents.data());
+    } else {
+      benchmark::DoNotOptimize(&bench.BundleFor(kTrain));
+    }
+  }
+  SetLogLevel(level);
+}
+
+void BM_ArtifactLoadBundle(benchmark::State& state) {
+  RunArtifactLoad(state, std::nullopt);
+}
+void BM_ArtifactLoadUs(benchmark::State& state) {
+  RunArtifactLoad(state, core::Scheme::kNoveltyDetection);
+}
+void BM_ArtifactLoadUpi(benchmark::State& state) {
+  RunArtifactLoad(state, core::Scheme::kAgentEnsemble);
+}
+void BM_ArtifactLoadUv(benchmark::State& state) {
+  RunArtifactLoad(state, core::Scheme::kValueEnsemble);
+}
 void BM_ServeSequentialUs(benchmark::State& state) {
   RunSequential(state, core::Scheme::kNoveltyDetection);
 }
@@ -707,6 +716,10 @@ BENCHMARK(BM_NetServeUpi)
 BENCHMARK(BM_NetServeUv)
     ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArtifactLoadBundle)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArtifactLoadUs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArtifactLoadUpi)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArtifactLoadUv)->Unit(benchmark::kMicrosecond);
 // The 100k memory sweep: one deterministic iteration per point (the
 // accounting does not jitter; timing is not what this measures).
 BENCHMARK(BM_ServeServiceMemUs)

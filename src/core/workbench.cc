@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/normalization.h"
 #include "core/replay_calibration.h"
@@ -175,45 +176,59 @@ abr::AbrEnvironment Workbench::MakeTrainEnvironment(traces::DatasetId id) {
   return env;
 }
 
+namespace {
+
+/// Cache file of ensemble member m: "agent_<m>.bin" / "value_<m>.bin".
+std::string MemberFile(const char* kind, std::size_t m) {
+  return std::string(kind) + "_" + std::to_string(m) + ".bin";
+}
+
+/// Shared shape of every cache load: false without a word when a file is
+/// absent (nothing cached yet), false with a warning when one is present
+/// but unreadable, true when `load` read everything.
+template <typename Load>
+bool LoadCached(traces::DatasetId id, const char* what,
+                const std::vector<std::filesystem::path>& files, Load load) {
+  for (const auto& file : files) {
+    if (!std::filesystem::exists(file)) return false;
+  }
+  try {
+    load();
+  } catch (const std::exception& e) {
+    OSAP_LOG(kWarn) << "[" << traces::DatasetName(id) << "] " << what
+                    << " cache unusable (" << e.what() << ")";
+    return false;
+  }
+  OSAP_LOG(kInfo) << "[" << traces::DatasetName(id) << "] loaded " << what
+                  << " from cache";
+  return true;
+}
+
+}  // namespace
+
+bool Workbench::LoadAgents(TrainedBundle& bundle, std::size_t count) const {
+  std::vector<std::filesystem::path> files;
+  for (std::size_t m = 0; m < count; ++m) {
+    files.push_back(BundleDir(bundle.id) / MemberFile("agent", m));
+  }
+  // Rebuild the topologies and overwrite the weights from the cache.
+  return LoadCached(bundle.id, "agents", files, [&] {
+    Rng dummy(0);
+    for (const auto& file : files) {
+      auto net = std::make_shared<nn::ActorCriticNet>(
+          policies::MakePensieveActorCritic(layout_, config_.net, dummy));
+      nn::LoadParamsFromFile(file, net->AllParams());
+      bundle.agents.push_back(std::move(net));
+    }
+  });
+}
+
 void Workbench::TrainOrLoadAgents(TrainedBundle& bundle) {
-  const auto dir = BundleDir(bundle.id);
+  // A corrupt or stale cache falls back to retraining instead of failing.
+  if (config_.use_cache && LoadAgents(bundle, config_.ensemble_size)) return;
   const rl::ActorCriticFactory factory = [this](Rng& rng) {
     return policies::MakePensieveActorCritic(layout_, config_.net, rng);
   };
-
-  bool all_cached = config_.use_cache;
-  if (all_cached) {
-    for (std::size_t m = 0; m < config_.ensemble_size; ++m) {
-      if (!std::filesystem::exists(dir /
-                                   ("agent_" + std::to_string(m) + ".bin"))) {
-        all_cached = false;
-        break;
-      }
-    }
-  }
-
-  if (all_cached) {
-    // Rebuild the topologies and overwrite the weights from the cache. A
-    // corrupt or stale file falls back to retraining instead of failing.
-    try {
-      Rng dummy(0);
-      for (std::size_t m = 0; m < config_.ensemble_size; ++m) {
-        auto net = std::make_shared<nn::ActorCriticNet>(factory(dummy));
-        nn::LoadParamsFromFile(
-            dir / ("agent_" + std::to_string(m) + ".bin"),
-            net->AllParams());
-        bundle.agents.push_back(std::move(net));
-      }
-      OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id)
-                      << "] loaded agent ensemble from cache";
-      return;
-    } catch (const std::exception& e) {
-      OSAP_LOG(kWarn) << "[" << traces::DatasetName(bundle.id)
-                      << "] agent cache unusable (" << e.what()
-                      << "); retraining";
-      bundle.agents.clear();
-    }
-  }
 
   OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id) << "] training "
                   << config_.ensemble_size << " agents ("
@@ -288,48 +303,33 @@ void Workbench::TrainOrLoadAgents(TrainedBundle& bundle) {
 
   if (config_.use_cache) {
     for (std::size_t m = 0; m < bundle.agents.size(); ++m) {
-      nn::SaveParamsToFile(dir / ("agent_" + std::to_string(m) + ".bin"),
+      nn::SaveParamsToFile(BundleDir(bundle.id) / MemberFile("agent", m),
                            bundle.agents[m]->AllParams());
     }
   }
 }
 
+bool Workbench::LoadValueNets(TrainedBundle& bundle) const {
+  std::vector<std::filesystem::path> files;
+  for (std::size_t m = 0; m < config_.ensemble_size; ++m) {
+    files.push_back(BundleDir(bundle.id) / MemberFile("value", m));
+  }
+  return LoadCached(bundle.id, "value ensemble", files, [&] {
+    Rng dummy(0);
+    for (const auto& file : files) {
+      auto net = std::make_shared<nn::CompositeNet>(
+          policies::BuildPensieveNet(layout_, 1, config_.net, dummy));
+      nn::LoadParamsFromFile(file, net->Params());
+      bundle.value_nets.push_back(std::move(net));
+    }
+  });
+}
+
 void Workbench::TrainOrLoadValueNets(TrainedBundle& bundle) {
-  const auto dir = BundleDir(bundle.id);
+  if (config_.use_cache && LoadValueNets(bundle)) return;
   const rl::ValueNetFactory factory = [this](Rng& rng) {
     return policies::BuildPensieveNet(layout_, 1, config_.net, rng);
   };
-
-  bool all_cached = config_.use_cache;
-  if (all_cached) {
-    for (std::size_t m = 0; m < config_.ensemble_size; ++m) {
-      if (!std::filesystem::exists(dir /
-                                   ("value_" + std::to_string(m) + ".bin"))) {
-        all_cached = false;
-        break;
-      }
-    }
-  }
-
-  if (all_cached) {
-    try {
-      Rng dummy(0);
-      for (std::size_t m = 0; m < config_.ensemble_size; ++m) {
-        auto net = std::make_shared<nn::CompositeNet>(factory(dummy));
-        nn::LoadParamsFromFile(
-            dir / ("value_" + std::to_string(m) + ".bin"), net->Params());
-        bundle.value_nets.push_back(std::move(net));
-      }
-      OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id)
-                      << "] loaded value ensemble from cache";
-      return;
-    } catch (const std::exception& e) {
-      OSAP_LOG(kWarn) << "[" << traces::DatasetName(bundle.id)
-                      << "] value cache unusable (" << e.what()
-                      << "); retraining";
-      bundle.value_nets.clear();
-    }
-  }
 
   OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id) << "] training "
                   << config_.ensemble_size << " value functions";
@@ -370,29 +370,24 @@ void Workbench::TrainOrLoadValueNets(TrainedBundle& bundle) {
   }
   if (config_.use_cache) {
     for (std::size_t m = 0; m < bundle.value_nets.size(); ++m) {
-      nn::SaveParamsToFile(dir / ("value_" + std::to_string(m) + ".bin"),
+      nn::SaveParamsToFile(BundleDir(bundle.id) / MemberFile("value", m),
                            bundle.value_nets[m]->Params());
     }
   }
 }
 
-void Workbench::FitOrLoadNoveltyDetector(TrainedBundle& bundle) {
-  const auto dir = BundleDir(bundle.id);
-  const auto path = dir / "ocsvm.bin";
+bool Workbench::LoadNoveltyDetector(TrainedBundle& bundle) const {
+  const auto path = BundleDir(bundle.id) / "ocsvm.bin";
   bundle.novelty =
       std::make_shared<NoveltyDetector>(NdConfigFor(bundle.id), layout_);
-  if (config_.use_cache && std::filesystem::exists(path)) {
-    try {
-      bundle.novelty->LoadModel(path);
-      OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id)
-                      << "] loaded OC-SVM from cache";
-      return;
-    } catch (const std::exception& e) {
-      OSAP_LOG(kWarn) << "[" << traces::DatasetName(bundle.id)
-                      << "] OC-SVM cache unusable (" << e.what()
-                      << "); refitting";
-    }
-  }
+  return LoadCached(bundle.id, "OC-SVM", {path},
+                    [&] { bundle.novelty->LoadModel(path); });
+}
+
+void Workbench::FitOrLoadNoveltyDetector(TrainedBundle& bundle) {
+  if (config_.use_cache && LoadNoveltyDetector(bundle)) return;
+  bundle.novelty =
+      std::make_shared<NoveltyDetector>(NdConfigFor(bundle.id), layout_);
 
   // Collect per-session chunk-throughput sequences by streaming the
   // training traces with the deployed agent.
@@ -433,7 +428,9 @@ void Workbench::FitOrLoadNoveltyDetector(TrainedBundle& bundle) {
     for (auto& f : session) features.push_back(std::move(f));
   }
   bundle.novelty->Fit(features);
-  if (config_.use_cache) bundle.novelty->Save(path);
+  if (config_.use_cache) {
+    bundle.novelty->Save(BundleDir(bundle.id) / "ocsvm.bin");
+  }
 }
 
 SafeAgentConfig Workbench::TriggerFor(Scheme scheme,
@@ -469,16 +466,18 @@ std::shared_ptr<mdp::Policy> Workbench::MakeBufferBased() const {
   return std::make_shared<policies::BufferBasedPolicy>(eval_video_, layout_);
 }
 
-void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
+bool Workbench::LoadThresholds(TrainedBundle& bundle) const {
   const auto path = BundleDir(bundle.id) / "calibration.txt";
-  if (config_.use_cache && std::filesystem::exists(path)) {
+  return LoadCached(bundle.id, "calibration", {path}, [&] {
     std::ifstream in(path);
-    if (in >> bundle.nd_in_dist_qoe >> bundle.alpha_pi >> bundle.alpha_v) {
-      OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id)
-                      << "] loaded calibration from cache";
-      return;
+    if (!(in >> bundle.nd_in_dist_qoe >> bundle.alpha_pi >> bundle.alpha_v)) {
+      throw std::runtime_error("expected three numbers");
     }
-  }
+  });
+}
+
+void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
+  if (config_.use_cache && LoadThresholds(bundle)) return;
   OSAP_LOG(kInfo) << "[" << traces::DatasetName(bundle.id)
                   << "] calibrating thresholds";
 
@@ -527,8 +526,9 @@ void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
   });
 
   if (config_.use_cache) {
-    std::filesystem::create_directories(BundleDir(bundle.id));
-    std::ofstream out(path, std::ios::trunc);
+    const auto dir = BundleDir(bundle.id);
+    std::filesystem::create_directories(dir);
+    std::ofstream out(dir / "calibration.txt", std::ios::trunc);
     out.precision(17);
     out << bundle.nd_in_dist_qoe << ' ' << bundle.alpha_pi << ' '
         << bundle.alpha_v << '\n';
@@ -545,6 +545,31 @@ const TrainedBundle& Workbench::BundleFor(traces::DatasetId id) {
   FitOrLoadNoveltyDetector(bundle);
   CalibrateOrLoadThresholds(bundle);
   return bundles_.emplace(id, std::move(bundle)).first->second;
+}
+
+std::optional<TrainedBundle> Workbench::LoadServedArtifacts(
+    traces::DatasetId id, Scheme scheme) const {
+  if (!config_.use_cache) return std::nullopt;
+  TrainedBundle bundle;
+  bundle.id = id;
+  bool loaded = false;
+  switch (scheme) {
+    case Scheme::kNoveltyDetection:
+      loaded = LoadAgents(bundle, 1) && LoadNoveltyDetector(bundle);
+      break;
+    case Scheme::kAgentEnsemble:
+      loaded = LoadAgents(bundle, config_.ensemble_size) &&
+               LoadThresholds(bundle);
+      break;
+    case Scheme::kValueEnsemble:
+      loaded = LoadAgents(bundle, 1) && LoadValueNets(bundle) &&
+               LoadThresholds(bundle);
+      break;
+    default:
+      OSAP_CHECK_MSG(false, "LoadServedArtifacts: not a safety scheme");
+  }
+  if (!loaded) return std::nullopt;
+  return bundle;
 }
 
 std::shared_ptr<mdp::Policy> Workbench::MakePolicyFromBundle(

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,17 @@ class Workbench {
   const traces::Dataset& DatasetFor(traces::DatasetId id);
   const TrainedBundle& BundleFor(traces::DatasetId id);
 
+  /// The serving start-up path: loads from a complete cache exactly the
+  /// artifacts `scheme` (a safety scheme) serves -
+  ///   kNoveltyDetection: the deployed agent and the OC-SVM;
+  ///   kAgentEnsemble:    every agent and alpha_pi;
+  ///   kValueEnsemble:    the deployed agent, the value nets and alpha_v.
+  /// Never trains and never memoizes, so a later BundleFor still builds
+  /// the full bundle. Empty when the cache is off or any served file is
+  /// missing or unreadable; the caller then falls back to BundleFor.
+  std::optional<TrainedBundle> LoadServedArtifacts(traces::DatasetId id,
+                                                   Scheme scheme) const;
+
   /// Evaluates a scheme trained on `train` against `test`'s held-out test
   /// traces (memoized). Baseline schemes ignore `train`.
   const EvalResult& Evaluate(Scheme scheme, traces::DatasetId train,
@@ -153,6 +165,11 @@ class Workbench {
   /// estimator and (calibrated) trigger.
   std::shared_ptr<mdp::Policy> MakePolicy(Scheme scheme,
                                           traces::DatasetId train);
+
+  /// The deployed trigger of a safety scheme: l / k from the config, the
+  /// binary trigger for ND, the bundle's calibrated alpha for U_pi / U_V
+  /// (permanent defaulting).
+  SafeAgentConfig TriggerFor(Scheme scheme, const TrainedBundle& bundle) const;
 
   const abr::VideoSpec& eval_video() const { return eval_video_; }
   const abr::AbrStateLayout& layout() const { return layout_; }
@@ -185,6 +202,14 @@ class Workbench {
 
   std::filesystem::path BundleDir(traces::DatasetId id) const;
   NoveltyDetectorConfig NdConfigFor(traces::DatasetId id) const;
+  // Cache-load halves, shared by BundleFor and LoadServedArtifacts: each
+  // fills its bundle field(s) from BundleDir and returns false when a
+  // file is missing or unreadable (the field is then left for the caller
+  // to rebuild). LoadAgents reads members 0..count-1.
+  bool LoadAgents(TrainedBundle& bundle, std::size_t count) const;
+  bool LoadValueNets(TrainedBundle& bundle) const;
+  bool LoadNoveltyDetector(TrainedBundle& bundle) const;
+  bool LoadThresholds(TrainedBundle& bundle) const;
   void TrainOrLoadAgents(TrainedBundle& bundle);
   void TrainOrLoadValueNets(TrainedBundle& bundle);
   void FitOrLoadNoveltyDetector(TrainedBundle& bundle);
@@ -193,7 +218,6 @@ class Workbench {
   std::shared_ptr<mdp::Policy> MakeGreedyPensieve(
       const TrainedBundle& bundle) const;
   std::shared_ptr<mdp::Policy> MakeBufferBased() const;
-  SafeAgentConfig TriggerFor(Scheme scheme, const TrainedBundle& bundle) const;
 };
 
 }  // namespace osap::core

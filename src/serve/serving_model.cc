@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/workbench.h"
 #include "nn/losses.h"
 #include "util/check.h"
 
@@ -101,6 +102,26 @@ std::shared_ptr<const ServingModel> ServingModel::Novelty(
   return std::shared_ptr<const ServingModel>(
       new ServingModel(Signal::kNovelty, std::move(agents), nullptr,
                        std::move(novelty), video, layout, safety));
+}
+
+std::shared_ptr<const ServingModel> ServingModel::ForScheme(
+    const core::Workbench& bench, core::Scheme scheme,
+    const core::TrainedBundle& bundle, core::SafeAgentConfig safety) {
+  const std::size_t discard = bench.config().ensemble_discard;
+  switch (scheme) {
+    case core::Scheme::kNoveltyDetection:
+      return Novelty(bundle.agents, bundle.novelty, bench.eval_video(),
+                     bench.layout(), safety);
+    case core::Scheme::kAgentEnsemble:
+      return AgentEnsemble(bundle.agents, discard, bench.eval_video(),
+                           bench.layout(), safety);
+    case core::Scheme::kValueEnsemble:
+      return ValueEnsemble(bundle.agents, bundle.value_nets, discard,
+                           bench.eval_video(), bench.layout(), safety);
+    default:
+      OSAP_REQUIRE(false, "ServingModel::ForScheme: not a safety scheme");
+      return nullptr;
+  }
 }
 
 void ServingModel::UncertaintyScores(

@@ -40,6 +40,12 @@
 #include "nn/ensemble_forward.h"
 #include "policies/buffer_based.h"
 
+namespace osap::core {
+class Workbench;
+struct TrainedBundle;
+enum class Scheme;
+}  // namespace osap::core
+
 namespace osap::serve {
 
 /// Which uncertainty signal the deployment monitors (paper Section 2.4).
@@ -73,6 +79,15 @@ class ServingModel {
       std::shared_ptr<const core::NoveltyDetector> novelty,
       const abr::VideoSpec& video, const abr::AbrStateLayout& layout,
       core::SafeAgentConfig safety);
+
+  /// The deployment of a workbench safety scheme (ND -> Novelty,
+  /// A-ensemble -> AgentEnsemble, V-ensemble -> ValueEnsemble) over
+  /// `bundle`, with `bench`'s video, layout and ensemble discard. The
+  /// bundle needs only what the scheme serves, e.g. the one from
+  /// Workbench::LoadServedArtifacts.
+  static std::shared_ptr<const ServingModel> ForScheme(
+      const core::Workbench& bench, core::Scheme scheme,
+      const core::TrainedBundle& bundle, core::SafeAgentConfig safety);
 
   Signal signal() const { return signal_; }
   const core::SafeAgentConfig& safety() const { return safety_; }

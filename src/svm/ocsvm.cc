@@ -87,6 +87,13 @@ double ReadF64(std::istream& in) {
   return v;
 }
 
+/// Reads `out.size()` doubles with one stream read.
+void ReadF64s(std::istream& in, std::vector<double>& out) {
+  in.read(reinterpret_cast<char*>(out.data()),
+          static_cast<std::streamsize>(out.size() * sizeof(double)));
+  if (!in) throw std::runtime_error("OneClassSvm::Load: truncated stream");
+}
+
 // RBF kernel over the flattened (scaled) samples, evaluated element-wise in
 // a canonical index order: element (r, c) is always computed as
 //   exp(-gamma (|x_min|^2 - 2 x_min.x_max + |x_max|^2)),  min/max of (r, c),
@@ -672,22 +679,43 @@ OneClassSvm OneClassSvm::Load(const std::filesystem::path& path) {
   model.gamma_ = ReadF64(in);
   model.config_.gamma = model.gamma_;
   model.config_.nu = ReadF64(in);
+  // The header's sizes are bounded by the doubles left in the file before
+  // anything is allocated: the scaler's 2 x dim, then count records of
+  // (alpha, sv[dim]). Divisions, so a corrupt size cannot overflow.
+  const auto here = static_cast<std::uint64_t>(in.tellg());
+  const std::uint64_t size = std::filesystem::file_size(path);
+  std::uint64_t doubles_left =
+      (size > here ? size - here : 0) / sizeof(double);
+  if (dim > doubles_left / 2) {
+    throw std::runtime_error("OneClassSvm::Load: scaler exceeds the file");
+  }
+  doubles_left -= 2 * dim;
+  if (count > doubles_left / (dim + 1)) {
+    throw std::runtime_error(
+        "OneClassSvm::Load: support vectors exceed the file");
+  }
   std::vector<double> mean(dim);
   std::vector<double> stddev(dim);
-  for (auto& m : mean) m = ReadF64(in);
-  for (auto& s : stddev) s = ReadF64(in);
+  ReadF64s(in, mean);
+  ReadF64s(in, stddev);
   model.scaler_.SetState(std::move(mean), std::move(stddev));
+  // The support-vector block in one read, then split into alphas and the
+  // flat SV rows; squared norms accumulate in ascending d exactly as Fit
+  // computes them, so decisions are bit-identical to the saved model.
+  std::vector<double> block(count * (dim + 1));
+  ReadF64s(in, block);
   model.sv_count_ = count;
   model.sv_dim_ = dim;
   model.sv_data_.resize(count * dim);
   model.sv_sq_norms_.resize(count);
   model.alphas_.resize(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    model.alphas_[i] = ReadF64(in);
+    const double* record = block.data() + i * (dim + 1);
+    model.alphas_[i] = record[0];
     double* sv = model.sv_data_.data() + i * dim;
     double s = 0.0;
     for (std::uint64_t d = 0; d < dim; ++d) {
-      sv[d] = ReadF64(in);
+      sv[d] = record[1 + d];
       s += sv[d] * sv[d];
     }
     model.sv_sq_norms_[i] = s;

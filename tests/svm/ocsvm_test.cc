@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "util/rng.h"
 
@@ -146,6 +152,78 @@ TEST(OneClassSvm, SaveLoadRoundTripPreservesDecisions) {
     EXPECT_DOUBLE_EQ(model.DecisionValue(probe),
                      loaded.DecisionValue(probe));
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(OneClassSvm, LoadReproducesFittedDecisionsBitForBit) {
+  // Ten dimensions, the U_S feature width at the paper's k = 5: the
+  // loaded squared norms must sum in Fit's order for every bit to match.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "osap_svm_bits_test";
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "model.bin";
+  Rng rng(41);
+  std::vector<std::vector<double>> data(300, std::vector<double>(10));
+  for (auto& row : data) {
+    for (double& x : row) x = rng.Normal(1.0, 0.7);
+  }
+  OneClassSvm model;
+  model.Fit(data);
+  model.Save(path);
+  const OneClassSvm loaded = OneClassSvm::Load(path);
+  std::vector<double> probes(64 * 10);
+  for (double& x : probes) x = rng.Uniform(-2.0, 4.0);
+  std::vector<double> want(64), got(64);
+  model.DecisionValues(probes.data(), 64, want);
+  loaded.DecisionValues(probes.data(), 64, got);
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), 64 * sizeof(double)), 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(OneClassSvm, LoadRejectsTruncatedOrOversizedFile) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "osap_svm_reject_test";
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "model.bin";
+  OneClassSvm model;
+  model.Fit(MakeBlob(0.0, 0.0, 1.0, 200, 31));
+  model.Save(path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto write = [&](const std::string& content) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  };
+  // Header: magic, count, dim (u64 at offsets 8 and 16).
+  const auto with_u64 = [&](std::size_t offset, std::uint64_t v) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + offset, &v, sizeof(v));
+    return patched;
+  };
+
+  // Cut in the middle of the last support-vector record.
+  write(bytes.substr(0, bytes.size() - 12));
+  EXPECT_THROW(OneClassSvm::Load(path), std::runtime_error);
+  // A valid magic with counts no file could hold must throw before
+  // allocating (a bad_alloc or length_error is not a runtime_error).
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    write(with_u64(8, huge));
+    EXPECT_THROW(OneClassSvm::Load(path), std::runtime_error) << huge;
+    write(with_u64(16, huge));
+    EXPECT_THROW(OneClassSvm::Load(path), std::runtime_error) << huge;
+  }
+  // One record more than the file holds.
+  write(with_u64(8, model.SupportVectorCount() + 1));
+  EXPECT_THROW(OneClassSvm::Load(path), std::runtime_error);
+  // The intact bytes still load.
+  write(bytes);
+  EXPECT_EQ(OneClassSvm::Load(path).SupportVectorCount(),
+            model.SupportVectorCount());
   std::filesystem::remove_all(dir);
 }
 

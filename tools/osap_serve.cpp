@@ -26,6 +26,11 @@
 // The U_pi / U_V thresholds served are the bundle's frozen alphas from
 // the replay bisection (DESIGN.md §11), on every path.
 //
+// Start-up loads only the signal's own artifacts from the cache
+// (Workbench::LoadServedArtifacts) and prints what it loaded and how
+// long that took; when a served file is missing or unreadable it falls
+// back to the full train-or-load bundle and says so.
+//
 // With --listen PORT the tool is instead the network-edge server
 // (DESIGN.md §10): it binds the port (0 picks an ephemeral one, printed
 // on stdout), serves the binary protocol until SIGINT/SIGTERM, then
@@ -47,6 +52,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,49 +86,21 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->Stop();
 }
 
-/// The deployed trigger configuration for a scheme (the Workbench mapping
-/// with the bundle's calibrated alphas).
-core::SafeAgentConfig TriggerFor(core::Workbench& bench, core::Scheme scheme,
-                                 const core::TrainedBundle& bundle,
-                                 core::DefaultingMode mode) {
-  core::SafeAgentConfig cfg;
-  cfg.mode = mode;
-  cfg.trigger.l = bench.config().trigger_l;
-  cfg.trigger.k = bench.config().trigger_k;
-  switch (scheme) {
-    case core::Scheme::kNoveltyDetection:
-      cfg.trigger.mode = core::TriggerMode::kBinary;
-      break;
-    case core::Scheme::kAgentEnsemble:
-      cfg.trigger.mode = core::TriggerMode::kWindowVariance;
-      cfg.trigger.alpha = bundle.alpha_pi;
-      break;
-    default:
-      cfg.trigger.mode = core::TriggerMode::kWindowVariance;
-      cfg.trigger.alpha = bundle.alpha_v;
-      break;
+/// What a bundle holds plus the threshold `scheme` serves from it, e.g.
+/// "1 agent, ocsvm" or "5 agents, alpha_pi".
+std::string DescribeArtifacts(const core::TrainedBundle& bundle,
+                              core::Scheme scheme) {
+  const auto count = [](std::size_t n, const char* what) {
+    return std::to_string(n) + " " + what + (n == 1 ? "" : "s");
+  };
+  std::string out = count(bundle.agents.size(), "agent");
+  if (bundle.novelty != nullptr) out += ", ocsvm";
+  if (!bundle.value_nets.empty()) {
+    out += ", " + count(bundle.value_nets.size(), "value net");
   }
-  return cfg;
-}
-
-std::shared_ptr<const serve::ServingModel> BuildModel(
-    core::Workbench& bench, core::Scheme scheme,
-    const core::TrainedBundle& bundle, core::SafeAgentConfig safety) {
-  const std::size_t discard = bench.config().ensemble_discard;
-  switch (scheme) {
-    case core::Scheme::kNoveltyDetection:
-      return serve::ServingModel::Novelty(bundle.agents, bundle.novelty,
-                                          bench.eval_video(), bench.layout(),
-                                          safety);
-    case core::Scheme::kAgentEnsemble:
-      return serve::ServingModel::AgentEnsemble(bundle.agents, discard,
-                                                bench.eval_video(),
-                                                bench.layout(), safety);
-    default:
-      return serve::ServingModel::ValueEnsemble(
-          bundle.agents, bundle.value_nets, discard, bench.eval_video(),
-          bench.layout(), safety);
-  }
+  if (scheme == core::Scheme::kAgentEnsemble) out += ", alpha_pi";
+  if (scheme == core::Scheme::kValueEnsemble) out += ", alpha_v";
+  return out;
 }
 
 /// One concurrent viewer: an environment streaming one test trace through
@@ -223,9 +201,29 @@ int main(int argc, char** argv) {
   cfg.cache_dir = "osap_cache";
   core::Workbench bench(cfg);
   constexpr auto kTrain = traces::DatasetId::kGamma22;
-  const core::TrainedBundle& bundle = bench.BundleFor(kTrain);
-  const core::SafeAgentConfig safety = TriggerFor(bench, scheme, bundle, mode);
-  auto model = BuildModel(bench, scheme, bundle, safety);
+  // Start-up loads only what the scheme serves; an incomplete or
+  // unreadable cache falls back to the full (train-or-load) bundle.
+  const auto load_start = std::chrono::steady_clock::now();
+  const std::optional<core::TrainedBundle> served =
+      bench.LoadServedArtifacts(kTrain, scheme);
+  const core::TrainedBundle& bundle =
+      served ? *served : bench.BundleFor(kTrain);
+  const double load_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - load_start)
+                             .count();
+  if (served) {
+    std::printf("osap_serve: loaded %s artifacts (%s) in %.1f ms\n",
+                signal_name.c_str(), DescribeArtifacts(bundle, scheme).c_str(),
+                load_ms);
+  } else {
+    std::printf("osap_serve: %s artifacts not all cached; fell back to the "
+                "full bundle (%s) in %.1f ms\n",
+                signal_name.c_str(), DescribeArtifacts(bundle, scheme).c_str(),
+                load_ms);
+  }
+  core::SafeAgentConfig safety = bench.TriggerFor(scheme, bundle);
+  safety.mode = mode;
+  auto model = serve::ServingModel::ForScheme(bench, scheme, bundle, safety);
 
   if (listen_port != kNoListen) {
     net::NetServerConfig net_cfg;
