@@ -34,10 +34,10 @@
 // (process RSS growth over the run) and peak_rss_mb. Run it alone with
 // OSAP_BENCH_JSON=BENCH_serving_mem.json to produce the memory baseline.
 //
-// BM_ArtifactLoad* is the serving start-up layer: one iteration builds a
-// fresh Workbench on the cache and loads the full bundle (Bundle, what
-// BundleFor reads) or one scheme's served artifacts (Us / Upi / Uv, what
-// osap_serve reads through LoadServedArtifacts).
+// BM_ArtifactLoad* is the serving start-up layer: one iteration loads
+// from the cache the full bundle (Bundle: a fresh Workbench's BundleFor)
+// or one scheme's served artifacts (Us / Upi / Uv: a fresh
+// ArtifactCache's LoadServedArtifacts, what osap_serve reads).
 //
 // Uses the shared ./osap_cache artifacts (trains them on first run).
 #include <benchmark/benchmark.h>
@@ -572,22 +572,24 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   }
 }
 
-/// Start-up load from the shared cache: a fresh Workbench per iteration
-/// loads the full bundle (no scheme) or the scheme's served artifacts.
-/// Info logging is muted inside the loop, so the row times the reads.
+/// Start-up load from the shared cache: per iteration a fresh Workbench
+/// loads the full bundle (no scheme), or a fresh ArtifactCache the
+/// scheme's served artifacts. Info logging is muted inside the loop, so
+/// the row times the reads.
 void RunArtifactLoad(benchmark::State& state,
                      std::optional<core::Scheme> scheme) {
   SharedBench().BundleFor(kTrain);  // trains a cold cache, untimed
   const LogLevel level = GetLogLevel();
   SetLogLevel(LogLevel::kWarn);
   for (auto _ : state) {
-    core::Workbench bench(bench::PaperConfig());
     if (scheme) {
-      const auto served = bench.LoadServedArtifacts(kTrain, *scheme);
+      const core::ArtifactCache cache(bench::PaperConfig());
+      const auto served = cache.LoadServedArtifacts(kTrain, *scheme);
       OSAP_CHECK_MSG(served.has_value(),
                      "BM_ArtifactLoad: served artifacts not cached");
       benchmark::DoNotOptimize(served->agents.data());
     } else {
+      core::Workbench bench(bench::PaperConfig());
       benchmark::DoNotOptimize(&bench.BundleFor(kTrain));
     }
   }

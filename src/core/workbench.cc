@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
 
 #include "core/normalization.h"
 #include "core/replay_calibration.h"
@@ -21,16 +19,6 @@ namespace osap::core {
 
 namespace {
 
-/// FNV-1a over the config's behaviour-affecting fields.
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t DatasetSeed(std::uint64_t base, traces::DatasetId id) {
   return base * 0x9E3779B97F4A7C15ULL + 0x243F6A8885A308D3ULL *
          (static_cast<std::uint64_t>(id) + 1);
@@ -38,58 +26,11 @@ std::uint64_t DatasetSeed(std::uint64_t base, traces::DatasetId id) {
 
 }  // namespace
 
-std::string SchemeName(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kPensieve:
-      return "pensieve";
-    case Scheme::kBufferBased:
-      return "buffer_based";
-    case Scheme::kRandom:
-      return "random";
-    case Scheme::kNoveltyDetection:
-      return "nd";
-    case Scheme::kAgentEnsemble:
-      return "a_ensemble";
-    case Scheme::kValueEnsemble:
-      return "v_ensemble";
-  }
-  OSAP_CHECK_MSG(false, "SchemeName: unknown scheme");
-  return {};
-}
-
-std::vector<Scheme> SafetySchemes() {
-  return {Scheme::kNoveltyDetection, Scheme::kAgentEnsemble,
-          Scheme::kValueEnsemble};
-}
-
-WorkbenchConfig FastWorkbenchConfig() {
-  WorkbenchConfig cfg;
-  cfg.dataset.trace_count = 12;
-  cfg.dataset.trace_duration_seconds = 200.0;
-  cfg.train_video_repeats = 1;
-  cfg.eval_video_repeats = 1;
-  cfg.net.conv_filters = 8;
-  cfg.net.hidden = 16;
-  cfg.a2c.episodes = 30;
-  cfg.value_train.rollout_episodes = 6;
-  cfg.value_train.epochs = 5;
-  cfg.ensemble_size = 3;
-  cfg.ensemble_discard = 1;
-  cfg.nd_window = 5;
-  cfg.nd_k_empirical = 3;
-  cfg.nd_k_synthetic = 5;
-  cfg.calibration.max_iterations = 5;
-  cfg.use_cache = false;
-  return cfg;
-}
-
 Workbench::Workbench(WorkbenchConfig config)
-    : config_(std::move(config)),
-      train_video_(abr::MakeEnvivioLikeVideo(config_.train_video_repeats)),
-      eval_video_(abr::MakeEnvivioLikeVideo(config_.eval_video_repeats)) {
+    : ArtifactCache(std::move(config)),
+      train_video_(abr::MakeEnvivioLikeVideo(config_.train_video_repeats)) {
   OSAP_REQUIRE(config_.ensemble_size > config_.ensemble_discard,
                "Workbench: ensemble_discard must leave >= 1 member");
-  layout_.levels = eval_video_.LevelCount();
 }
 
 std::size_t Workbench::ResolvedThreads() const {
@@ -111,35 +52,6 @@ util::ParallelOptions Workbench::EvalOptions() const {
   return options;
 }
 
-std::string Workbench::CacheKey() const {
-  std::ostringstream os;
-  os << config_.dataset.trace_count << '|'
-     << config_.dataset.trace_duration_seconds << '|'
-     << config_.dataset.seed << '|' << config_.train_video_repeats << '|'
-     << config_.eval_video_repeats << '|' << config_.net.conv_filters << '|'
-     << config_.net.conv_kernel << '|' << config_.net.hidden << '|'
-     << config_.a2c.episodes << '|' << config_.a2c.gamma << '|'
-     << config_.a2c.actor_learning_rate << '|'
-     << config_.a2c.critic_learning_rate << '|'
-     << config_.a2c.entropy_coef_start << '|'
-     << config_.a2c.entropy_coef_end << '|'
-     << config_.value_train.rollout_episodes << '|'
-     << config_.value_train.epochs << '|' << config_.ensemble_size << '|'
-     << config_.ensemble_discard << '|' << config_.nd_window << '|'
-     << config_.nd_k_empirical << '|' << config_.nd_k_synthetic << '|'
-     << config_.nd_nu << '|' << config_.trigger_l << '|'
-     << config_.trigger_k << '|' << config_.seed << "|sel1";
-  // Training-schedule switches append only when enabled, so every
-  // previously-cached bundle keeps its key.
-  if (config_.a2c.rollouts_per_update > 1) {
-    os << "|rpu" << config_.a2c.rollouts_per_update;
-  }
-  if (config_.value_train.parallel_collection) os << "|pvc1";
-  std::ostringstream key;
-  key << std::hex << Fnv1a(os.str());
-  return key.str();
-}
-
 const traces::Dataset& Workbench::DatasetFor(traces::DatasetId id) {
   auto it = datasets_.find(id);
   if (it == datasets_.end()) {
@@ -149,78 +61,12 @@ const traces::Dataset& Workbench::DatasetFor(traces::DatasetId id) {
   return it->second;
 }
 
-std::filesystem::path Workbench::BundleDir(traces::DatasetId id) const {
-  return config_.cache_dir / CacheKey() / traces::DatasetName(id);
-}
-
-NoveltyDetectorConfig Workbench::NdConfigFor(traces::DatasetId id) const {
-  NoveltyDetectorConfig cfg;
-  cfg.throughput_window = config_.nd_window;
-  cfg.k = traces::IsSyntheticIid(id) ? config_.nd_k_synthetic
-                                     : config_.nd_k_empirical;
-  cfg.svm.nu = config_.nd_nu;
-  return cfg;
-}
-
-abr::AbrEnvironment Workbench::MakeEvalEnvironment() const {
-  abr::AbrEnvironmentConfig cfg;
-  cfg.layout = layout_;
-  return abr::AbrEnvironment(eval_video_, cfg);
-}
-
 abr::AbrEnvironment Workbench::MakeTrainEnvironment(traces::DatasetId id) {
   abr::AbrEnvironmentConfig cfg;
   cfg.layout = layout_;
   abr::AbrEnvironment env(train_video_, cfg);
   env.SetTracePool(DatasetFor(id).train, DatasetSeed(config_.seed, id) ^ 1);
   return env;
-}
-
-namespace {
-
-/// Cache file of ensemble member m: "agent_<m>.bin" / "value_<m>.bin".
-std::string MemberFile(const char* kind, std::size_t m) {
-  return std::string(kind) + "_" + std::to_string(m) + ".bin";
-}
-
-/// Shared shape of every cache load: false without a word when a file is
-/// absent (nothing cached yet), false with a warning when one is present
-/// but unreadable, true when `load` read everything.
-template <typename Load>
-bool LoadCached(traces::DatasetId id, const char* what,
-                const std::vector<std::filesystem::path>& files, Load load) {
-  for (const auto& file : files) {
-    if (!std::filesystem::exists(file)) return false;
-  }
-  try {
-    load();
-  } catch (const std::exception& e) {
-    OSAP_LOG(kWarn) << "[" << traces::DatasetName(id) << "] " << what
-                    << " cache unusable (" << e.what() << ")";
-    return false;
-  }
-  OSAP_LOG(kInfo) << "[" << traces::DatasetName(id) << "] loaded " << what
-                  << " from cache";
-  return true;
-}
-
-}  // namespace
-
-bool Workbench::LoadAgents(TrainedBundle& bundle, std::size_t count) const {
-  std::vector<std::filesystem::path> files;
-  for (std::size_t m = 0; m < count; ++m) {
-    files.push_back(BundleDir(bundle.id) / MemberFile("agent", m));
-  }
-  // Rebuild the topologies and overwrite the weights from the cache.
-  return LoadCached(bundle.id, "agents", files, [&] {
-    Rng dummy(0);
-    for (const auto& file : files) {
-      auto net = std::make_shared<nn::ActorCriticNet>(
-          policies::MakePensieveActorCritic(layout_, config_.net, dummy));
-      nn::LoadParamsFromFile(file, net->AllParams());
-      bundle.agents.push_back(std::move(net));
-    }
-  });
 }
 
 void Workbench::TrainOrLoadAgents(TrainedBundle& bundle) {
@@ -302,27 +148,11 @@ void Workbench::TrainOrLoadAgents(TrainedBundle& bundle) {
   }
 
   if (config_.use_cache) {
-    for (std::size_t m = 0; m < bundle.agents.size(); ++m) {
-      nn::SaveParamsToFile(BundleDir(bundle.id) / MemberFile("agent", m),
-                           bundle.agents[m]->AllParams());
+    const auto files = MemberFiles(bundle.id, "agent", bundle.agents.size());
+    for (std::size_t m = 0; m < files.size(); ++m) {
+      nn::SaveParamsToFile(files[m], bundle.agents[m]->AllParams());
     }
   }
-}
-
-bool Workbench::LoadValueNets(TrainedBundle& bundle) const {
-  std::vector<std::filesystem::path> files;
-  for (std::size_t m = 0; m < config_.ensemble_size; ++m) {
-    files.push_back(BundleDir(bundle.id) / MemberFile("value", m));
-  }
-  return LoadCached(bundle.id, "value ensemble", files, [&] {
-    Rng dummy(0);
-    for (const auto& file : files) {
-      auto net = std::make_shared<nn::CompositeNet>(
-          policies::BuildPensieveNet(layout_, 1, config_.net, dummy));
-      nn::LoadParamsFromFile(file, net->Params());
-      bundle.value_nets.push_back(std::move(net));
-    }
-  });
 }
 
 void Workbench::TrainOrLoadValueNets(TrainedBundle& bundle) {
@@ -369,19 +199,12 @@ void Workbench::TrainOrLoadValueNets(TrainedBundle& bundle) {
         DatasetSeed(config_.seed, bundle.id) ^ 3, Pool(), EvalOptions());
   }
   if (config_.use_cache) {
-    for (std::size_t m = 0; m < bundle.value_nets.size(); ++m) {
-      nn::SaveParamsToFile(BundleDir(bundle.id) / MemberFile("value", m),
-                           bundle.value_nets[m]->Params());
+    const auto files =
+        MemberFiles(bundle.id, "value", bundle.value_nets.size());
+    for (std::size_t m = 0; m < files.size(); ++m) {
+      nn::SaveParamsToFile(files[m], bundle.value_nets[m]->Params());
     }
   }
-}
-
-bool Workbench::LoadNoveltyDetector(TrainedBundle& bundle) const {
-  const auto path = BundleDir(bundle.id) / "ocsvm.bin";
-  bundle.novelty =
-      std::make_shared<NoveltyDetector>(NdConfigFor(bundle.id), layout_);
-  return LoadCached(bundle.id, "OC-SVM", {path},
-                    [&] { bundle.novelty->LoadModel(path); });
 }
 
 void Workbench::FitOrLoadNoveltyDetector(TrainedBundle& bundle) {
@@ -433,29 +256,6 @@ void Workbench::FitOrLoadNoveltyDetector(TrainedBundle& bundle) {
   }
 }
 
-SafeAgentConfig Workbench::TriggerFor(Scheme scheme,
-                                      const TrainedBundle& bundle) const {
-  SafeAgentConfig cfg;
-  cfg.trigger.l = config_.trigger_l;
-  cfg.trigger.k = config_.trigger_k;
-  switch (scheme) {
-    case Scheme::kNoveltyDetection:
-      cfg.trigger.mode = TriggerMode::kBinary;
-      break;
-    case Scheme::kAgentEnsemble:
-      cfg.trigger.mode = TriggerMode::kWindowVariance;
-      cfg.trigger.alpha = bundle.alpha_pi;
-      break;
-    case Scheme::kValueEnsemble:
-      cfg.trigger.mode = TriggerMode::kWindowVariance;
-      cfg.trigger.alpha = bundle.alpha_v;
-      break;
-    default:
-      OSAP_CHECK_MSG(false, "TriggerFor: not a safety scheme");
-  }
-  return cfg;
-}
-
 std::shared_ptr<mdp::Policy> Workbench::MakeGreedyPensieve(
     const TrainedBundle& bundle) const {
   return std::make_shared<policies::PensievePolicy>(
@@ -464,16 +264,6 @@ std::shared_ptr<mdp::Policy> Workbench::MakeGreedyPensieve(
 
 std::shared_ptr<mdp::Policy> Workbench::MakeBufferBased() const {
   return std::make_shared<policies::BufferBasedPolicy>(eval_video_, layout_);
-}
-
-bool Workbench::LoadThresholds(TrainedBundle& bundle) const {
-  const auto path = BundleDir(bundle.id) / "calibration.txt";
-  return LoadCached(bundle.id, "calibration", {path}, [&] {
-    std::ifstream in(path);
-    if (!(in >> bundle.nd_in_dist_qoe >> bundle.alpha_pi >> bundle.alpha_v)) {
-      throw std::runtime_error("expected three numbers");
-    }
-  });
 }
 
 void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
@@ -547,37 +337,13 @@ const TrainedBundle& Workbench::BundleFor(traces::DatasetId id) {
   return bundles_.emplace(id, std::move(bundle)).first->second;
 }
 
-std::optional<TrainedBundle> Workbench::LoadServedArtifacts(
-    traces::DatasetId id, Scheme scheme) const {
-  if (!config_.use_cache) return std::nullopt;
-  TrainedBundle bundle;
-  bundle.id = id;
-  bool loaded = false;
-  switch (scheme) {
-    case Scheme::kNoveltyDetection:
-      loaded = LoadAgents(bundle, 1) && LoadNoveltyDetector(bundle);
-      break;
-    case Scheme::kAgentEnsemble:
-      loaded = LoadAgents(bundle, config_.ensemble_size) &&
-               LoadThresholds(bundle);
-      break;
-    case Scheme::kValueEnsemble:
-      loaded = LoadAgents(bundle, 1) && LoadValueNets(bundle) &&
-               LoadThresholds(bundle);
-      break;
-    default:
-      OSAP_CHECK_MSG(false, "LoadServedArtifacts: not a safety scheme");
-  }
-  if (!loaded) return std::nullopt;
-  return bundle;
-}
-
 std::shared_ptr<mdp::Policy> Workbench::MakePolicyFromBundle(
     Scheme scheme, const TrainedBundle* bundle) const {
   if (scheme != Scheme::kBufferBased && scheme != Scheme::kRandom) {
     OSAP_CHECK_MSG(bundle != nullptr,
                    "MakePolicyFromBundle: scheme needs a trained bundle");
   }
+  std::shared_ptr<UncertaintyEstimator> estimator;
   switch (scheme) {
     case Scheme::kBufferBased:
       return MakeBufferBased();
@@ -589,29 +355,24 @@ std::shared_ptr<mdp::Policy> Workbench::MakePolicyFromBundle(
     case Scheme::kNoveltyDetection: {
       // Fresh detector per policy (shares the fitted model, owns its own
       // observation window).
-      auto estimator = std::make_shared<NoveltyDetector>(*bundle->novelty);
-      estimator->Reset();
-      return std::make_shared<SafeAgent>(MakeGreedyPensieve(*bundle),
-                                         MakeBufferBased(), estimator,
-                                         TriggerFor(scheme, *bundle));
+      auto detector = std::make_shared<NoveltyDetector>(*bundle->novelty);
+      detector->Reset();
+      estimator = std::move(detector);
+      break;
     }
-    case Scheme::kAgentEnsemble: {
-      auto estimator = std::make_shared<AgentEnsembleEstimator>(
+    case Scheme::kAgentEnsemble:
+      estimator = std::make_shared<AgentEnsembleEstimator>(
           bundle->agents, config_.ensemble_discard);
-      return std::make_shared<SafeAgent>(MakeGreedyPensieve(*bundle),
-                                         MakeBufferBased(), estimator,
-                                         TriggerFor(scheme, *bundle));
-    }
-    case Scheme::kValueEnsemble: {
-      auto estimator = std::make_shared<ValueEnsembleEstimator>(
+      break;
+    case Scheme::kValueEnsemble:
+      estimator = std::make_shared<ValueEnsembleEstimator>(
           bundle->value_nets, config_.ensemble_discard);
-      return std::make_shared<SafeAgent>(MakeGreedyPensieve(*bundle),
-                                         MakeBufferBased(), estimator,
-                                         TriggerFor(scheme, *bundle));
-    }
+      break;
   }
-  OSAP_CHECK_MSG(false, "MakePolicy: unknown scheme");
-  return nullptr;
+  OSAP_CHECK_MSG(estimator != nullptr, "MakePolicy: unknown scheme");
+  return std::make_shared<SafeAgent>(MakeGreedyPensieve(*bundle),
+                                     MakeBufferBased(), std::move(estimator),
+                                     TriggerFor(scheme, *bundle));
 }
 
 std::shared_ptr<mdp::Policy> Workbench::MakePolicy(Scheme scheme,
@@ -665,20 +426,6 @@ double Workbench::NormalizedMean(Scheme scheme, traces::DatasetId train,
   const double random_qoe = Evaluate(Scheme::kRandom, test, test).MeanQoe();
   const double bb_qoe = Evaluate(Scheme::kBufferBased, test, test).MeanQoe();
   return NormalizedScore(qoe, random_qoe, bb_qoe);
-}
-
-std::vector<double> Workbench::NormalizedPerTrace(Scheme scheme,
-                                                  traces::DatasetId train,
-                                                  traces::DatasetId test) {
-  const EvalResult& result = Evaluate(scheme, train, test);
-  const double random_qoe = Evaluate(Scheme::kRandom, test, test).MeanQoe();
-  const double bb_qoe = Evaluate(Scheme::kBufferBased, test, test).MeanQoe();
-  std::vector<double> scores;
-  scores.reserve(result.per_trace_qoe.size());
-  for (double qoe : result.per_trace_qoe) {
-    scores.push_back(NormalizedScore(qoe, random_qoe, bb_qoe));
-  }
-  return scores;
 }
 
 }  // namespace osap::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/workbench.h"
+#include "core/artifacts.h"
 #include "nn/losses.h"
 #include "util/check.h"
 
@@ -49,16 +49,16 @@ ActionScratch& LocalActionScratch() {
 }  // namespace
 
 ServingModel::ServingModel(
-    Signal signal, std::vector<std::shared_ptr<nn::ActorCriticNet>> agents,
+    Signal signal,
+    const std::vector<std::shared_ptr<nn::ActorCriticNet>>& agents,
     std::shared_ptr<const core::EnsembleModel> uncertainty,
     std::shared_ptr<const core::NoveltyDetector> novelty,
     const abr::VideoSpec& video, const abr::AbrStateLayout& layout,
     core::SafeAgentConfig safety)
     : signal_(signal),
-      agents_(std::move(agents)),
       uncertainty_(std::move(uncertainty)),
       novelty_(std::move(novelty)),
-      actor_(DeployedActorView(agents_)),
+      actor_(DeployedActorView(agents)),
       fallback_(video, layout),
       layout_(layout),
       safety_(safety) {
@@ -73,9 +73,8 @@ std::shared_ptr<const ServingModel> ServingModel::AgentEnsemble(
   auto uncertainty = std::make_shared<const core::EnsembleModel>(
       core::EnsembleModel::Kind::kPolicyKl, ActorViews(agents), discard);
   return std::shared_ptr<const ServingModel>(
-      new ServingModel(Signal::kAgentEnsemble, std::move(agents),
-                       std::move(uncertainty), nullptr, video, layout,
-                       safety));
+      new ServingModel(Signal::kAgentEnsemble, agents, std::move(uncertainty),
+                       nullptr, video, layout, safety));
 }
 
 std::shared_ptr<const ServingModel> ServingModel::ValueEnsemble(
@@ -87,9 +86,8 @@ std::shared_ptr<const ServingModel> ServingModel::ValueEnsemble(
       core::EnsembleModel::Kind::kValueDeviation, NetViews(value_nets),
       discard);
   return std::shared_ptr<const ServingModel>(
-      new ServingModel(Signal::kValueEnsemble, std::move(agents),
-                       std::move(uncertainty), nullptr, video, layout,
-                       safety));
+      new ServingModel(Signal::kValueEnsemble, agents, std::move(uncertainty),
+                       nullptr, video, layout, safety));
 }
 
 std::shared_ptr<const ServingModel> ServingModel::Novelty(
@@ -100,24 +98,24 @@ std::shared_ptr<const ServingModel> ServingModel::Novelty(
   OSAP_REQUIRE(novelty != nullptr && novelty->Fitted(),
                "ServingModel::Novelty: detector must be fitted");
   return std::shared_ptr<const ServingModel>(
-      new ServingModel(Signal::kNovelty, std::move(agents), nullptr,
-                       std::move(novelty), video, layout, safety));
+      new ServingModel(Signal::kNovelty, agents, nullptr, std::move(novelty),
+                       video, layout, safety));
 }
 
 std::shared_ptr<const ServingModel> ServingModel::ForScheme(
-    const core::Workbench& bench, core::Scheme scheme,
+    const core::ArtifactCache& cache, core::Scheme scheme,
     const core::TrainedBundle& bundle, core::SafeAgentConfig safety) {
-  const std::size_t discard = bench.config().ensemble_discard;
+  const std::size_t discard = cache.config().ensemble_discard;
   switch (scheme) {
     case core::Scheme::kNoveltyDetection:
-      return Novelty(bundle.agents, bundle.novelty, bench.eval_video(),
-                     bench.layout(), safety);
+      return Novelty(bundle.agents, bundle.novelty, cache.eval_video(),
+                     cache.layout(), safety);
     case core::Scheme::kAgentEnsemble:
-      return AgentEnsemble(bundle.agents, discard, bench.eval_video(),
-                           bench.layout(), safety);
+      return AgentEnsemble(bundle.agents, discard, cache.eval_video(),
+                           cache.layout(), safety);
     case core::Scheme::kValueEnsemble:
       return ValueEnsemble(bundle.agents, bundle.value_nets, discard,
-                           bench.eval_video(), bench.layout(), safety);
+                           cache.eval_video(), cache.layout(), safety);
     default:
       OSAP_REQUIRE(false, "ServingModel::ForScheme: not a safety scheme");
       return nullptr;

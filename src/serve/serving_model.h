@@ -41,7 +41,7 @@
 #include "policies/buffer_based.h"
 
 namespace osap::core {
-class Workbench;
+class ArtifactCache;
 struct TrainedBundle;
 enum class Scheme;
 }  // namespace osap::core
@@ -82,11 +82,11 @@ class ServingModel {
 
   /// The deployment of a workbench safety scheme (ND -> Novelty,
   /// A-ensemble -> AgentEnsemble, V-ensemble -> ValueEnsemble) over
-  /// `bundle`, with `bench`'s video, layout and ensemble discard. The
-  /// bundle needs only what the scheme serves, e.g. the one from
-  /// Workbench::LoadServedArtifacts.
+  /// `bundle`, with `cache`'s eval video, layout and ensemble discard.
+  /// The bundle needs only what the scheme serves, e.g. the one from
+  /// ArtifactCache::LoadServedArtifacts.
   static std::shared_ptr<const ServingModel> ForScheme(
-      const core::Workbench& bench, core::Scheme scheme,
+      const core::ArtifactCache& cache, core::Scheme scheme,
       const core::TrainedBundle& bundle, core::SafeAgentConfig safety);
 
   Signal signal() const { return signal_; }
@@ -139,15 +139,13 @@ class ServingModel {
 
  private:
   ServingModel(Signal signal,
-               std::vector<std::shared_ptr<nn::ActorCriticNet>> agents,
+               const std::vector<std::shared_ptr<nn::ActorCriticNet>>& agents,
                std::shared_ptr<const core::EnsembleModel> uncertainty,
                std::shared_ptr<const core::NoveltyDetector> novelty,
                const abr::VideoSpec& video, const abr::AbrStateLayout& layout,
                core::SafeAgentConfig safety);
 
   Signal signal_;
-  // Keeps the member nets alive behind the packed weight snapshots.
-  std::vector<std::shared_ptr<nn::ActorCriticNet>> agents_;
   std::shared_ptr<const core::EnsembleModel> uncertainty_;  // U_pi / U_V
   std::shared_ptr<const core::NoveltyDetector> novelty_;    // U_S
   nn::BatchedEnsemble actor_;  // deployed actor packed alone (1 member)

@@ -219,10 +219,18 @@ class ServedArtifactsTest : public ::testing::Test {
   /// defaulted flag, then the raw uncertainty scores of every state (U_pi
   /// / U_V) or the OC-SVM decision values of fixed feature rows (U_S),
   /// as raw bits.
-  static std::vector<std::uint64_t> Answers(Workbench& bench, Scheme scheme,
+  static std::vector<std::uint64_t> Answers(const ArtifactCache& cache,
+                                            Scheme scheme,
                                             const TrainedBundle& bundle) {
-    const auto model = serve::ServingModel::ForScheme(
-        bench, scheme, bundle, bench.TriggerFor(scheme, bundle));
+    return Answers(ModelFor(cache, scheme, bundle));
+  }
+  static std::shared_ptr<const serve::ServingModel> ModelFor(
+      const ArtifactCache& cache, Scheme scheme, const TrainedBundle& bundle) {
+    return serve::ServingModel::ForScheme(cache, scheme, bundle,
+                                          cache.TriggerFor(scheme, bundle));
+  }
+  static std::vector<std::uint64_t> Answers(
+      const std::shared_ptr<const serve::ServingModel>& model) {
     const auto recorded = RecordedSessions();
     serve::DecisionService service(model);
     std::vector<serve::DecisionService::SessionId> ids;
@@ -248,7 +256,7 @@ class ServedArtifactsTest : public ::testing::Test {
     }
     std::vector<double> values;
     if (model->signal() == serve::Signal::kNovelty) {
-      const std::size_t dim = bundle.novelty->model().Dimension();
+      const std::size_t dim = 2 * model->NoveltyConfig().k;
       std::vector<double> rows(64 * dim);
       Rng rng(5);
       for (double& x : rows) x = rng.Uniform(0.0, 4.0);
@@ -309,24 +317,25 @@ class ServedArtifactsTest : public ::testing::Test {
 
 TEST_F(ServedArtifactsTest, EachSchemeLoadsExactlyItsArtifacts) {
   Workbench bench(TrainedCache());
+  const ArtifactCache cache(TrainedCache());
   const std::size_t members = bench.config().ensemble_size;
   const TrainedBundle& full = bench.BundleFor(kTrain);
 
-  const auto us = bench.LoadServedArtifacts(kTrain, Scheme::kNoveltyDetection);
+  const auto us = cache.LoadServedArtifacts(kTrain, Scheme::kNoveltyDetection);
   ASSERT_TRUE(us.has_value());
   EXPECT_EQ(us->agents.size(), 1u);
   ASSERT_NE(us->novelty, nullptr);
   EXPECT_TRUE(us->novelty->Fitted());
   EXPECT_TRUE(us->value_nets.empty());
 
-  const auto upi = bench.LoadServedArtifacts(kTrain, Scheme::kAgentEnsemble);
+  const auto upi = cache.LoadServedArtifacts(kTrain, Scheme::kAgentEnsemble);
   ASSERT_TRUE(upi.has_value());
   EXPECT_EQ(upi->agents.size(), members);
   EXPECT_EQ(upi->novelty, nullptr);
   EXPECT_TRUE(upi->value_nets.empty());
   EXPECT_EQ(upi->alpha_pi, full.alpha_pi);
 
-  const auto uv = bench.LoadServedArtifacts(kTrain, Scheme::kValueEnsemble);
+  const auto uv = cache.LoadServedArtifacts(kTrain, Scheme::kValueEnsemble);
   ASSERT_TRUE(uv.has_value());
   EXPECT_EQ(uv->agents.size(), 1u);
   EXPECT_EQ(uv->value_nets.size(), members);
@@ -334,17 +343,17 @@ TEST_F(ServedArtifactsTest, EachSchemeLoadsExactlyItsArtifacts) {
   EXPECT_EQ(uv->alpha_v, full.alpha_v);
 
   // Without a cache there is nothing to serve from.
-  EXPECT_FALSE(Workbench(FastWorkbenchConfig())
+  EXPECT_FALSE(ArtifactCache(FastWorkbenchConfig())
                    .LoadServedArtifacts(kTrain, Scheme::kNoveltyDetection)
                    .has_value());
 }
 
 TEST_F(ServedArtifactsTest, ServedModelsAnswerLikeBundleFor) {
   for (const Scheme scheme : SafetySchemes()) {
-    Workbench bench(TrainedCache());
-    const auto served = bench.LoadServedArtifacts(kTrain, scheme);
+    const ArtifactCache cache(TrainedCache());
+    const auto served = cache.LoadServedArtifacts(kTrain, scheme);
     ASSERT_TRUE(served.has_value()) << SchemeName(scheme);
-    EXPECT_EQ(Answers(bench, scheme, *served), ReferenceAnswers(scheme))
+    EXPECT_EQ(Answers(cache, scheme, *served), ReferenceAnswers(scheme))
         << SchemeName(scheme);
   }
 }
@@ -371,13 +380,13 @@ TEST_F(ServedArtifactsTest, MissingOrCorruptServedFileFallsBackToBundleFor) {
   };
   for (const Scheme scheme : SafetySchemes()) {
     const WorkbenchConfig cfg = CopiedCache(SchemeName(scheme));
-    Workbench bench(cfg);
-    damage(cfg.cache_dir / bench.CacheKey() / traces::DatasetName(kTrain),
-           scheme);
-    const auto served = bench.LoadServedArtifacts(kTrain, scheme);
+    const ArtifactCache cache(cfg);
+    damage(cache.BundleDir(kTrain), scheme);
+    const auto served = cache.LoadServedArtifacts(kTrain, scheme);
     EXPECT_FALSE(served.has_value()) << SchemeName(scheme);
-    // The fallback osap_serve takes: the full bundle, which retrains or
-    // refits the damaged artifact deterministically.
+    // The loader rejects the damaged file (osap_serve then exits); the
+    // full bundle retrains or refits it deterministically.
+    Workbench bench(cfg);
     const TrainedBundle& bundle = served ? *served : bench.BundleFor(kTrain);
     EXPECT_EQ(Answers(bench, scheme, bundle), ReferenceAnswers(scheme))
         << SchemeName(scheme);
@@ -386,14 +395,36 @@ TEST_F(ServedArtifactsTest, MissingOrCorruptServedFileFallsBackToBundleFor) {
 
 TEST_F(ServedArtifactsTest, BundleForStillReturnsEveryArtifact) {
   Workbench bench(TrainedCache());
+  const ArtifactCache cache(TrainedCache());
   for (const Scheme scheme : SafetySchemes()) {
-    ASSERT_TRUE(bench.LoadServedArtifacts(kTrain, scheme).has_value());
+    ASSERT_TRUE(cache.LoadServedArtifacts(kTrain, scheme).has_value());
   }
   const TrainedBundle& bundle = bench.BundleFor(kTrain);
   EXPECT_EQ(bundle.agents.size(), bench.config().ensemble_size);
   EXPECT_EQ(bundle.value_nets.size(), bench.config().ensemble_size);
   ASSERT_NE(bundle.novelty, nullptr);
   EXPECT_TRUE(bundle.novelty->Fitted());
+}
+
+TEST_F(ServedArtifactsTest, ModelOutlivesTheNetsItWasBuiltFrom) {
+  // A ServingModel packs its own copy of every weight, so it holds no
+  // agent or value net alive and answers bit-identically without them.
+  for (const Scheme scheme : SafetySchemes()) {
+    std::shared_ptr<const serve::ServingModel> model;
+    std::vector<std::weak_ptr<const void>> nets;
+    {
+      Workbench bench(TrainedCache());
+      const TrainedBundle& bundle = bench.BundleFor(kTrain);
+      model = ModelFor(bench, scheme, bundle);
+      for (const auto& agent : bundle.agents) nets.emplace_back(agent);
+      for (const auto& value : bundle.value_nets) nets.emplace_back(value);
+    }
+    ASSERT_FALSE(nets.empty());
+    for (const auto& net : nets) {
+      EXPECT_TRUE(net.expired()) << SchemeName(scheme);
+    }
+    EXPECT_EQ(Answers(model), ReferenceAnswers(scheme)) << SchemeName(scheme);
+  }
 }
 
 }  // namespace

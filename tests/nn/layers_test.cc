@@ -5,7 +5,7 @@
 #include <cmath>
 #include <memory>
 
-#include "nn/gradcheck.h"
+#include "testing/gradcheck.h"
 #include "nn/sequential.h"
 
 namespace osap::nn {

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "nn/gradcheck.h"
+#include "testing/gradcheck.h"
 #include "nn/sequential.h"
 
 namespace osap::nn {

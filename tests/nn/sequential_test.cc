@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "nn/actor_critic_net.h"
-#include "nn/gradcheck.h"
+#include "testing/gradcheck.h"
 #include "nn/losses.h"
 
 namespace osap::nn {

@@ -4,7 +4,7 @@
 // scatter/gather, so we verify it end to end against finite differences.
 #include <gtest/gtest.h>
 
-#include "nn/gradcheck.h"
+#include "testing/gradcheck.h"
 #include "nn/losses.h"
 #include "policies/pensieve_net.h"
 

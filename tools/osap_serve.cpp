@@ -19,17 +19,15 @@
 //
 // Defaults: 1000 sessions, 2000 rounds, 4 shards, permanent defaulting.
 // The in-process generator is closed-loop (rounds issue back to back);
-// for open-loop arrivals drive --listen with tools/osap_client. Uses the
-// shared ./osap_cache artifacts (trains them on first run - run from the
-// repo root or a directory with an osap_cache of its own).
+// for open-loop arrivals drive --listen with tools/osap_client.
+//
+// The server never trains: start-up loads only the signal's own artifacts
+// from ./osap_cache (ArtifactCache::LoadServedArtifacts) and prints what
+// it loaded and how long that took. A missing or unreadable served file
+// prints the cache directory and the command that fills it, and exits 1.
 //
 // The U_pi / U_V thresholds served are the bundle's frozen alphas from
 // the replay bisection (DESIGN.md §11), on every path.
-//
-// Start-up loads only the signal's own artifacts from the cache
-// (Workbench::LoadServedArtifacts) and prints what it loaded and how
-// long that took; when a served file is missing or unreadable it falls
-// back to the full train-or-load bundle and says so.
 //
 // With --listen PORT the tool is instead the network-edge server
 // (DESIGN.md §10): it binds the port (0 picks an ephemeral one, printed
@@ -52,12 +50,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "abr/abr_environment.h"
-#include "core/workbench.h"
+#include "core/artifacts.h"
 #include "net/server.h"
 #include "serve/decision_service.h"
 #include "serve/serving_model.h"
@@ -196,34 +195,30 @@ int main(int argc, char** argv) {
                  "(one shard lane per edge minimum)\n");
     return 2;
   }
-  core::WorkbenchConfig cfg;
-  cfg.use_cache = true;
-  cfg.cache_dir = "osap_cache";
-  core::Workbench bench(cfg);
+  const core::ArtifactCache cache{core::WorkbenchConfig{}};  // ./osap_cache
   constexpr auto kTrain = traces::DatasetId::kGamma22;
-  // Start-up loads only what the scheme serves; an incomplete or
-  // unreadable cache falls back to the full (train-or-load) bundle.
   const auto load_start = std::chrono::steady_clock::now();
-  const std::optional<core::TrainedBundle> served =
-      bench.LoadServedArtifacts(kTrain, scheme);
-  const core::TrainedBundle& bundle =
-      served ? *served : bench.BundleFor(kTrain);
+  auto bundle = cache.LoadServedArtifacts(kTrain, scheme);
   const double load_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - load_start)
                              .count();
-  if (served) {
-    std::printf("osap_serve: loaded %s artifacts (%s) in %.1f ms\n",
-                signal_name.c_str(), DescribeArtifacts(bundle, scheme).c_str(),
-                load_ms);
-  } else {
-    std::printf("osap_serve: %s artifacts not all cached; fell back to the "
-                "full bundle (%s) in %.1f ms\n",
-                signal_name.c_str(), DescribeArtifacts(bundle, scheme).c_str(),
-                load_ms);
+  if (!bundle) {
+    std::fprintf(stderr,
+                 "osap_serve: %s artifacts missing or unreadable in %s\n"
+                 "osap_serve: fill the cache from this directory with "
+                 "`osap_train gamma_2_2 <out.bin> ... --calibrate` or "
+                 "`perfbench_replay --prepare`\n",
+                 signal_name.c_str(),
+                 std::filesystem::absolute(cache.BundleDir(kTrain)).c_str());
+    return 1;
   }
-  core::SafeAgentConfig safety = bench.TriggerFor(scheme, bundle);
+  std::printf("osap_serve: loaded %s artifacts (%s) in %.1f ms\n",
+              signal_name.c_str(), DescribeArtifacts(*bundle, scheme).c_str(),
+              load_ms);
+  core::SafeAgentConfig safety = cache.TriggerFor(scheme, *bundle);
   safety.mode = mode;
-  auto model = serve::ServingModel::ForScheme(bench, scheme, bundle, safety);
+  auto model = serve::ServingModel::ForScheme(cache, scheme, *bundle, safety);
+  bundle.reset();  // the model holds its own copy of every weight
 
   if (listen_port != kNoListen) {
     net::NetServerConfig net_cfg;
@@ -282,19 +277,28 @@ int main(int argc, char** argv) {
   serve::DecisionService service(model, service_cfg);
 
   const std::vector<traces::DatasetId> datasets = traces::AllDatasetIds();
+  std::vector<traces::Dataset> splits;
+  for (traces::DatasetId id : datasets) {
+    splits.push_back(traces::BuildDataset(id, cache.config().dataset));
+  }
+  const abr::AbrEnvironment eval_env = cache.MakeEvalEnvironment();
+  // Opens a session for `v` on its dataset's next test trace.
+  const auto start_session = [&](Viewer& v) {
+    const auto& tests = splits[v.dataset].test;
+    v.env.SetFixedTrace(tests[v.next_trace]);
+    v.next_trace = (v.next_trace + 1) % tests.size();
+    v.state = v.env.Reset();
+    v.qoe = 0.0;
+    v.session = service.OpenSession();
+  };
   std::vector<DatasetStats> stats(datasets.size());
   std::vector<Viewer> viewers;
   viewers.reserve(sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
-    Viewer v(bench.MakeEvalEnvironment());
+    Viewer& v = viewers.emplace_back(eval_env);
     v.dataset = i % datasets.size();
-    const auto& tests = bench.DatasetFor(datasets[v.dataset]).test;
-    v.next_trace = (i / datasets.size()) % tests.size();
-    v.env.SetFixedTrace(tests[v.next_trace]);
-    v.next_trace = (v.next_trace + 1) % tests.size();
-    v.state = v.env.Reset();
-    v.session = service.OpenSession();
-    viewers.push_back(std::move(v));
+    v.next_trace = (i / datasets.size()) % splits[v.dataset].test.size();
+    start_session(v);
   }
   std::printf("osap_serve: %s, %zu viewers over %zu datasets, %zu rounds, "
               "%zu shard(s), %s defaulting, closed-loop\n",
@@ -332,12 +336,7 @@ int main(int argc, char** argv) {
       d.defaulted += service.Defaulted(v.session) ? 1 : 0;
       d.qoe_sum += v.qoe;
       service.CloseSession(v.session);
-      v.session = service.OpenSession();  // recycles the freed slot
-      const auto& tests = bench.DatasetFor(datasets[v.dataset]).test;
-      v.env.SetFixedTrace(tests[v.next_trace]);
-      v.next_trace = (v.next_trace + 1) % tests.size();
-      v.state = v.env.Reset();
-      v.qoe = 0.0;
+      start_session(v);  // recycles the freed slot
     }
   }
   const double wall_seconds =

@@ -10,8 +10,8 @@
 //
 // With --calibrate the tool follows training with the deploy pipeline's
 // threshold-calibration step: it trains/loads the Workbench bundle for
-// the dataset (shared ./osap_cache artifacts, exactly like osap_serve)
-// and prints the calibrated alpha_pi / alpha_v next to the ND target.
+// the dataset into ./osap_cache (what osap_serve serves from there) and
+// prints the calibrated alpha_pi / alpha_v next to the ND target.
 // The alphas come from the replay bisection, the workbench's only
 // threshold search (DESIGN.md §11).
 #include <algorithm>
@@ -146,11 +146,8 @@ int main(int argc, char** argv) {
   if (calibrate) {
     // The deploy pipeline's threshold step: train/load the Workbench
     // bundle for this dataset (ensemble + detectors + calibrated alphas)
-    // from the shared cache, exactly as osap_serve would before serving.
-    core::WorkbenchConfig bench_cfg;
-    bench_cfg.use_cache = true;
-    bench_cfg.cache_dir = "osap_cache";
-    core::Workbench bench(bench_cfg);
+    // in ./osap_cache, where osap_serve (which never trains) reads it.
+    core::Workbench bench{core::WorkbenchConfig{}};
     const core::TrainedBundle& bundle = bench.BundleFor(id);
     std::printf("calibrated thresholds for %s:\n",
                 traces::DatasetLabel(id).c_str());

@@ -15,7 +15,7 @@
 #                 [shards] [client_threads] [replay] [signal]
 #
 # Run from a directory whose ./osap_cache holds the trained bundle (the
-# server trains one there on a cold cache).
+# server exits on a cold cache; `osap_train ... --calibrate` fills it).
 set -euo pipefail
 
 SERVE=${1:?usage: wire_sweep.sh SERVE CLIENT [sessions] [rounds] ...}
@@ -41,8 +41,8 @@ trap cleanup EXIT
   >"$OUT/serve.log" 2>&1 &
 SERVER_PID=$!
 
-# The server prints "listening on port N" once bound (after the model
-# loads, which can take a while on a cold cache).
+# The server prints "listening on port N" once bound, after the model
+# loads.
 port=
 for _ in $(seq 1 1200); do
   port=$(sed -n 's/.*listening on port \([0-9][0-9]*\)$/\1/p' \
