@@ -95,22 +95,24 @@ void BM_EnsembleForwardSequential(benchmark::State& state) {
 BENCHMARK(BM_EnsembleForwardSequential)->Unit(benchmark::kMicrosecond);
 
 /// The new U_pi inner loop: one fused pass over the packed five-member
-/// weights (what AgentEnsembleEstimator::Score runs per decision).
+/// weights for one state (what AgentEnsembleEstimator::Score runs per
+/// decision).
 void BM_EnsembleForwardBatched(benchmark::State& state) {
   const PensieveEnsemble ensemble;
   const nn::BatchedEnsemble batched(ensemble.actors);
   nn::InferScratch scratch;
-  const std::vector<double> s(ensemble.layout.Size(), 0.25);
+  const nn::Matrix s(1, ensemble.layout.Size(),
+                     std::vector<double>(ensemble.layout.Size(), 0.25));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batched.Infer(s, scratch).At(0, 0));
+    benchmark::DoNotOptimize(batched.InferBatch(s, scratch).At(0, 0));
   }
 }
 BENCHMARK(BM_EnsembleForwardBatched)->Unit(benchmark::kMicrosecond);
 
 /// The fused five-member pass over `range(0)` states at once, at the batch
 /// sizes a serving shard's scoring pass sees (1-2 states per round at wire
-/// load; 4 and 8 reach the batch-of-4 kernel). Time is per call, so the
-/// per-state cost is the time over `range(0)`.
+/// load; 4 and 8 in offline scoring and saturated rounds). Time is per
+/// call, so the per-state cost is the time over `range(0)`.
 void BM_EnsembleInferBatch(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const PensieveEnsemble ensemble;

@@ -7,6 +7,7 @@
 //                  exponential (default gamma_2_2)
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "core/evaluation.h"
@@ -20,23 +21,16 @@
 
 using namespace osap;
 
-namespace {
-
-traces::DatasetId ParseDataset(const std::string& name) {
-  for (traces::DatasetId id : traces::AllDatasetIds()) {
-    if (traces::DatasetName(id) == name) return id;
-  }
-  std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::size_t episodes =
       argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 300;
-  const traces::DatasetId train_id =
-      argc > 2 ? ParseDataset(argv[2]) : traces::DatasetId::kGamma22;
+  const std::optional<traces::DatasetId> found =
+      argc > 2 ? traces::DatasetFromName(argv[2]) : traces::DatasetId::kGamma22;
+  if (!found) {
+    std::fprintf(stderr, "unknown dataset '%s'\n", argv[2]);
+    return 1;
+  }
+  const traces::DatasetId train_id = *found;
 
   std::printf("== building datasets ==\n");
   const traces::Dataset train_ds = traces::BuildDataset(train_id);

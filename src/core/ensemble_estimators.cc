@@ -53,7 +53,9 @@ AgentEnsembleEstimator::AgentEnsembleEstimator(
           EnsembleModel::Kind::kPolicyKl, ActorViews(members_), discard)) {}
 
 double AgentEnsembleEstimator::Score(const mdp::State& state) {
-  return model_->ScoreOne(state);
+  double score = 0.0;
+  model_->ScoreStates({&state, 1}, {&score, 1});
+  return score;
 }
 
 void AgentEnsembleEstimator::ScoreBatch(std::span<const mdp::State> states,
@@ -70,7 +72,9 @@ ValueEnsembleEstimator::ValueEnsembleEstimator(
           discard)) {}
 
 double ValueEnsembleEstimator::Score(const mdp::State& state) {
-  return model_->ScoreOne(state);
+  double score = 0.0;
+  model_->ScoreStates({&state, 1}, {&score, 1});
+  return score;
 }
 
 void ValueEnsembleEstimator::ScoreBatch(std::span<const mdp::State> states,

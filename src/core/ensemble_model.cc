@@ -50,17 +50,13 @@ std::span<std::size_t> SurviveInto(std::span<const double> distances,
   return order.first(keep);
 }
 
-/// States scored per fused InferBatch pass in ScoreStates; bounds the
-/// scratch activations. The members' weights stay cache-resident, so a
-/// batched state costs about what a single-state pass does (both are
-/// multiply-add bound; see BM_EnsembleInferBatch) - batching here saves
-/// per-call overhead, not weight traffic.
+/// States packed per ScorePacked call in ScoreStates; bounds the scratch
+/// activations.
 constexpr std::size_t kScoreBatch = 32;
 
 /// U_pi steps 2-3 over the n softmaxed member rows sitting in s.probs:
 /// distances from the full-ensemble mean, drop the farthest, sum KL from
-/// the survivors' mean. Shared verbatim by every scoring entry so all
-/// produce identical bits for a given probs block.
+/// the survivors' mean.
 double TrimmedKlScore(DecisionScratch& s, std::size_t n, std::size_t keep) {
   const std::size_t dim = s.probs.cols();
   s.arena.Reset();
@@ -98,7 +94,7 @@ double TrimmedKlScore(DecisionScratch& s, std::size_t n, std::size_t keep) {
 
 /// U_V trimming over member values in rows [first_row, first_row + n) of
 /// an inference result: mean, drop the farthest, sum absolute deviations
-/// from the survivors' mean. Shared verbatim by every scoring entry.
+/// from the survivors' mean.
 double TrimmedValueScore(DecisionScratch& s, const nn::Matrix& out,
                          std::size_t first_row, std::size_t n,
                          std::size_t keep) {
@@ -124,18 +120,6 @@ double TrimmedValueScore(DecisionScratch& s, const nn::Matrix& out,
   return score;
 }
 
-/// Packs states[done .. done+batch) into s.batch_states rows (the
-/// leading `input` columns of each state, as Infer would read them).
-void PackStates(std::span<const mdp::State> states, std::size_t done,
-                std::size_t batch, std::size_t input, DecisionScratch& s) {
-  s.batch_states.ReshapeUninitialized(batch, input);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const mdp::State& st = states[done + b];
-    OSAP_REQUIRE(st.size() >= input, "ScoreStates: state too narrow");
-    std::copy(st.data(), st.data() + input, s.batch_states.Row(b).data());
-  }
-}
-
 }  // namespace
 
 EnsembleModel::EnsembleModel(Kind kind,
@@ -151,47 +135,21 @@ EnsembleModel::EnsembleModel(Kind kind,
   keep_ = batched_.MemberCount() - discard;
 }
 
-double EnsembleModel::ScoreOne(std::span<const double> state) const {
-  DecisionScratch& s = LocalDecisionScratch();
-  const std::size_t n = MemberCount();
-  const nn::Matrix& out = batched_.Infer(state, s.infer);
-  if (kind_ == Kind::kValueDeviation) {
-    return TrimmedValueScore(s, out, 0, n, keep_);
-  }
-  // U_pi: per-member action distributions from the fused logits, then
-  // trim the farthest members and sum KL from the survivors' mean. All
-  // short-lived arrays come from the arena (pointer bumps after warm-up);
-  // the accumulation order matches MeanDistribution (member-major sums,
-  // then one divide) so scores are unchanged.
-  s.probs.ReshapeUninitialized(n, out.cols());
-  for (std::size_t m = 0; m < n; ++m) {
-    nn::SoftmaxInto(out.Row(m), s.probs.Row(m));
-  }
-  return TrimmedKlScore(s, n, keep_);
-}
-
 void EnsembleModel::ScoreStates(std::span<const mdp::State> states,
                                 std::span<double> out) const {
   OSAP_REQUIRE(out.size() >= states.size(),
                "ScoreStates: output span too short");
-  DecisionScratch& s = LocalDecisionScratch();
-  const std::size_t n = MemberCount();
+  nn::Matrix& packed = LocalDecisionScratch().batch_states;
   const std::size_t input = InputSize();
   for (std::size_t done = 0; done < states.size(); done += kScoreBatch) {
     const std::size_t batch = std::min(kScoreBatch, states.size() - done);
-    PackStates(states, done, batch, input, s);
-    const nn::Matrix& result = batched_.InferBatch(s.batch_states, s.infer);
+    packed.ReshapeUninitialized(batch, input);
     for (std::size_t b = 0; b < batch; ++b) {
-      if (kind_ == Kind::kValueDeviation) {
-        out[done + b] = TrimmedValueScore(s, result, b * n, n, keep_);
-      } else {
-        s.probs.ReshapeUninitialized(n, result.cols());
-        for (std::size_t m = 0; m < n; ++m) {
-          nn::SoftmaxInto(result.Row(b * n + m), s.probs.Row(m));
-        }
-        out[done + b] = TrimmedKlScore(s, n, keep_);
-      }
+      const mdp::State& st = states[done + b];
+      OSAP_REQUIRE(st.size() >= input, "ScoreStates: state too narrow");
+      std::copy(st.data(), st.data() + input, packed.Row(b).data());
     }
+    ScorePacked(packed, out.subspan(done, batch));
   }
 }
 
@@ -207,14 +165,18 @@ void EnsembleModel::ScorePacked(const nn::Matrix& states,
   DecisionScratch& s = LocalDecisionScratch();
   const std::size_t n = MemberCount();
   // One fused pass over the whole pack: member weights stream exactly once
-  // per op for the entire shard batch. Per-row numerics are unchanged
-  // (InferBatch rows are bit-identical to Infer), so batch grouping is
-  // invisible in the scores.
+  // per op for the entire shard batch. Every InferBatch row depends on its
+  // own state alone, so batch grouping is invisible in the scores.
   const nn::Matrix& result = batched_.InferBatch(states, s.infer);
   for (std::size_t b = 0; b < batch; ++b) {
     if (kind_ == Kind::kValueDeviation) {
       out[b] = TrimmedValueScore(s, result, b * n, n, keep_);
     } else {
+      // U_pi: per-member action distributions from the fused logits, then
+      // trim the farthest members and sum KL from the survivors' mean. All
+      // short-lived arrays come from the arena (pointer bumps after
+      // warm-up); the accumulation order matches MeanDistribution
+      // (member-major sums, then one divide).
       s.probs.ReshapeUninitialized(n, result.cols());
       for (std::size_t m = 0; m < n; ++m) {
         nn::SoftmaxInto(result.Row(b * n + m), s.probs.Row(m));

@@ -4,13 +4,16 @@
 // number of concurrent sessions - the ensemble signals are memoryless, so
 // the per-session "context" of these estimators is empty and a serving
 // shard can pack every pending session's state into one contiguous batch
-// (ScorePacked) and make a single fused pass over the member weights
-// instead of one weight-streaming pass per session.
+// and make a single fused pass over the member weights instead of one
+// weight-streaming pass per session.
 //
-// Every entry point is const and thread-safe (scratch is thread-local);
-// scores are bit-identical across ScoreOne / ScoreStates / ScorePacked for
-// a given state, which is what lets the sharded decision service reproduce
-// the sequential SafeAgent loop exactly (pinned by equivalence tests).
+// Every state is scored by one path: ScorePacked's fused InferBatch pass,
+// then one per-row loop (softmax and trimmed KL for U_pi, trimmed absolute
+// deviation for U_V). ScoreStates only packs its states into that path, so
+// a state's score is the same bits whichever entry and batch it came
+// through, which is what lets the sharded decision service reproduce the
+// sequential SafeAgent loop exactly (pinned by equivalence tests). Every
+// entry point is const and thread-safe (scratch is thread-local).
 #pragma once
 
 #include <cstddef>
@@ -34,20 +37,18 @@ class EnsembleModel {
   EnsembleModel(Kind kind, std::vector<const nn::CompositeNet*> members,
                 std::size_t discard);
 
-  /// Scores a single state via the fused single-state inference path
-  /// (what the streaming estimators run per decision).
-  double ScoreOne(std::span<const double> state) const;
-
-  /// Scores `states` in kScoreBatch-sized blocks; out[i] is bit-identical
-  /// to ScoreOne(states[i]). This is the offline-scoring entry (replay
-  /// calibration) - blocking bounds the scratch activations.
+  /// Packs `states` (each at least InputSize wide) into ScorePacked in
+  /// blocks of up to 32 rows, which bounds the scratch activations; out[i]
+  /// is states[i]'s score. The estimators' entry: Score is a one-state
+  /// call, ScoreBatch (replay calibration) a whole session's states.
   void ScoreStates(std::span<const mdp::State> states,
                    std::span<double> out) const;
 
   /// Scores B pre-packed state rows (B x InputSize; wider rows use the
   /// leading InputSize columns) with ONE fused InferBatch pass over the
   /// whole pack - the serving hot path, where B is a shard's entire
-  /// pending-session batch. out[b] is bit-identical to ScoreOne(row b).
+  /// pending-session batch. out[b] depends on row b alone: every row
+  /// takes the single-state kernels and the same scoring loop.
   ///
   /// kPolicyKl only: a non-empty `greedy_first` (>= B) additionally
   /// receives member 0's greedy action per row - softmax the logits, take

@@ -8,19 +8,15 @@
 #include "util/check.h"
 #include "util/simd.h"
 
-// Vector kernels for the packed Linear and Conv1D ops, in two shapes:
-//   - batch axis (LinearBatch4Avx2): offline scoring passes hand
-//     InferBatch dozens of states at once, so four independent states
-//     ride the four lanes of an AVX2 vector;
-//   - output axis (LinearRow, ConvRow): one state on its own - every
-//     state the batch-of-4 kernel leaves over, which at serving load
-//     means every state - vectorized over Linear output columns or
-//     Conv1D output channels. Each is one width-generic body, inlined
-//     into a target("avx2") wrapper (4 doubles per vector) and a
-//     target("avx512f") wrapper (8 doubles per vector); util/simd.h's
-//     level picks the widest the host runs.
-// Either way every output element keeps its own scalar accumulation chain
-// (multiply THEN add in the scalar kernel's order; the build passes
+// Every packed Linear and Conv1D op runs one kernel shape: one member on
+// one state, vectorized along the output axis (LinearRow over Linear
+// output columns, ConvRow over Conv1D output channels). A batch of states
+// is that kernel per state. Each is one width-generic body, inlined into a
+// target("avx2") wrapper (4 doubles per vector) and a target("avx512f")
+// wrapper (8 doubles per vector); util/simd.h's level picks the widest the
+// host runs, and the scalar loops (LinearRowScalar, ConvRowScalar) are the
+// tier below. Every output element keeps the scalar loop's accumulation
+// chain (multiply THEN add in the same order; the build passes
 // -ffp-contract=off, so the compiler cannot fuse them into an FMA, whose
 // single rounding would change results and which AVX-512F provides), so
 // every tier is bit-identical to the scalar loops. Guarded by a runtime
@@ -39,6 +35,52 @@ constexpr std::size_t kCacheLineDoubles = kCacheLineBytes / sizeof(double);
 std::size_t RoundUpToCacheLine(std::size_t doubles) {
   return (doubles + kCacheLineDoubles - 1) / kCacheLineDoubles *
          kCacheLineDoubles;
+}
+
+/// One member's Linear layer on one state, mirroring Linear::Forward:
+/// k-ascending accumulation from zero, the bias added as one final
+/// rounded addition per output. The k loop is unrolled by 4 exactly like
+/// Matrix::MatMulInto - four separate ascending-k additions per output
+/// element - so the rounding order (and result) is unchanged while each y
+/// element stays in a register across four updates. A fused ReLU clamps
+/// after the bias addition, exactly where the standalone ReLU pass would
+/// have run.
+void LinearRowScalar(const double* x, const double* w, const double* bias,
+                     std::size_t in, std::size_t out, bool fused_relu,
+                     double* y) {
+  std::fill(y, y + out, 0.0);
+  std::size_t k = 0;
+  for (; k + 4 <= in; k += 4) {
+    const double a0 = x[k];
+    const double a1 = x[k + 1];
+    const double a2 = x[k + 2];
+    const double a3 = x[k + 3];
+    const double* w0 = w + k * out;
+    const double* w1 = w0 + out;
+    const double* w2 = w1 + out;
+    const double* w3 = w2 + out;
+    for (std::size_t j = 0; j < out; ++j) {
+      double acc = y[j];
+      acc += a0 * w0[j];
+      acc += a1 * w1[j];
+      acc += a2 * w2[j];
+      acc += a3 * w3[j];
+      y[j] = acc;
+    }
+  }
+  for (; k < in; ++k) {
+    const double a = x[k];
+    const double* wr = w + k * out;
+    for (std::size_t j = 0; j < out; ++j) y[j] += a * wr[j];
+  }
+  if (fused_relu) {
+    for (std::size_t j = 0; j < out; ++j) {
+      const double v = y[j] + bias[j];
+      y[j] = v > 0.0 ? v : 0.0;
+    }
+  } else {
+    for (std::size_t j = 0; j < out; ++j) y[j] += bias[j];
+  }
 }
 
 /// One member's Conv1D layer on one state: the loop of
@@ -128,69 +170,6 @@ OSAP_VECTOR_INLINE void StoreFirst(V v, std::size_t n, double* p,
 template <class V>
 OSAP_VECTOR_INLINE V Clamp(V v, bool fused_relu) {
   return fused_relu ? ((v > 0.0) ? v : V{}) : v;
-}
-
-/// Output column j of one member's Linear layer on one state, for the
-/// columns LinearBatch4Avx2 leaves after its vector tiles: the scalar
-/// chain (from zero, one k-ascending addition per k, then the bias) and
-/// the fused clamp.
-double LinearColumnScalar(const double* x, const double* w,
-                          const double* bias, std::size_t in,
-                          std::size_t out, std::size_t j, bool fused_relu) {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < in; ++k) acc += x[k] * w[k * out + j];
-  acc += bias[j];
-  return fused_relu ? (acc > 0.0 ? acc : 0.0) : acc;
-}
-
-/// One member's Linear layer over four states (x0..x3 -> y0..y3), output
-/// columns tiled 8 wide so the 4x2 vector accumulators stay in registers
-/// across the whole k loop. Each y element receives one addition per k,
-/// ascending, then one bias addition - the exact chain of the scalar
-/// kernel (whose 4-way k unroll is order-preserving), so results match
-/// bit for bit.
-__attribute__((target("avx2"))) void LinearBatch4Avx2(
-    const double* x0, const double* x1, const double* x2, const double* x3,
-    const double* w, const double* bias, std::size_t in, std::size_t out,
-    bool fused_relu, double* y0, double* y1, double* y2, double* y3) {
-  std::size_t j = 0;
-  for (; j + 8 <= out; j += 8) {
-    V4 acc00{}, acc01{}, acc10{}, acc11{};
-    V4 acc20{}, acc21{}, acc30{}, acc31{};
-    const double* wj = w + j;
-    for (std::size_t k = 0; k < in; ++k) {
-      const V4 w0 = Load<V4>(wj + k * out);
-      const V4 w1 = Load<V4>(wj + k * out + 4);
-      const double a0 = x0[k];
-      const double a1 = x1[k];
-      const double a2 = x2[k];
-      const double a3 = x3[k];
-      acc00 = acc00 + w0 * a0;
-      acc01 = acc01 + w1 * a0;
-      acc10 = acc10 + w0 * a1;
-      acc11 = acc11 + w1 * a1;
-      acc20 = acc20 + w0 * a2;
-      acc21 = acc21 + w1 * a2;
-      acc30 = acc30 + w0 * a3;
-      acc31 = acc31 + w1 * a3;
-    }
-    const V4 b0 = Load<V4>(bias + j);
-    const V4 b1 = Load<V4>(bias + j + 4);
-    Store(y0 + j, Clamp(acc00 + b0, fused_relu));
-    Store(y0 + j + 4, Clamp(acc01 + b1, fused_relu));
-    Store(y1 + j, Clamp(acc10 + b0, fused_relu));
-    Store(y1 + j + 4, Clamp(acc11 + b1, fused_relu));
-    Store(y2 + j, Clamp(acc20 + b0, fused_relu));
-    Store(y2 + j + 4, Clamp(acc21 + b1, fused_relu));
-    Store(y3 + j, Clamp(acc30 + b0, fused_relu));
-    Store(y3 + j + 4, Clamp(acc31 + b1, fused_relu));
-  }
-  for (; j < out; ++j) {
-    y0[j] = LinearColumnScalar(x0, w, bias, in, out, j, fused_relu);
-    y1[j] = LinearColumnScalar(x1, w, bias, in, out, j, fused_relu);
-    y2[j] = LinearColumnScalar(x2, w, bias, in, out, j, fused_relu);
-    y3[j] = LinearColumnScalar(x3, w, bias, in, out, j, fused_relu);
-  }
 }
 
 /// One member's Linear layer on one state, vectorized over output
@@ -331,29 +310,33 @@ __attribute__((target("avx512f"))) void ConvRowAvx512(
               fused_relu, y);
 }
 
-/// The single-state kernels of one vector tier.
+#endif  // OSAP_ENSEMBLE_SIMD
+
+/// The single-state kernels of one tier.
 struct RowKernels {
-  decltype(&LinearRowAvx2) linear;
-  decltype(&ConvRowAvx2) conv;
+  decltype(&LinearRowScalar) linear;
+  decltype(&ConvRowScalar) conv;
 };
 
-/// The widest single-state kernels at or below `level`; nullptr for the
-/// scalar tier.
-const RowKernels* RowKernelsFor(util::SimdLevel level) {
+/// The widest single-state kernels at or below `level`.
+const RowKernels& RowKernelsFor(util::SimdLevel level) {
+  static constexpr RowKernels kScalar{LinearRowScalar, ConvRowScalar};
+#ifdef OSAP_ENSEMBLE_SIMD
   static constexpr RowKernels kAvx2{LinearRowAvx2, ConvRowAvx2};
   static constexpr RowKernels kAvx512{LinearRowAvx512, ConvRowAvx512};
   switch (level) {
     case util::SimdLevel::kAvx512:
-      return &kAvx512;
+      return kAvx512;
     case util::SimdLevel::kAvx2:
-      return &kAvx2;
+      return kAvx2;
     case util::SimdLevel::kScalar:
       break;
   }
-  return nullptr;
+#else
+  (void)level;
+#endif
+  return kScalar;
 }
-
-#endif  // OSAP_ENSEMBLE_SIMD
 
 }  // namespace
 
@@ -521,100 +504,21 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
                               std::size_t y_batch, std::size_t batch) const {
   const std::size_t k_members = member_count_;
   switch (op.kind) {
-    case PackedOp::Kind::kLinear: {
-      // Mirrors Linear::Forward: k-ascending accumulation from zero, bias
-      // added as one final rounded addition per output. The k loop is
-      // unrolled by 4 exactly like Matrix::MatMulInto - four separate
-      // ascending-k additions per output element - so the rounding order
-      // (and result) is unchanged while each y element stays in a register
-      // across four updates. A fused ReLU clamps after the bias addition,
-      // exactly where the standalone ReLU pass would have run.
-      const std::size_t in = op.in;
-      const std::size_t out = op.out;
-#ifdef OSAP_ENSEMBLE_SIMD
-      const RowKernels* rows = RowKernelsFor(util::ActiveSimdLevel());
-#endif
-      for (std::size_t m = 0; m < k_members; ++m) {
-        const double* w = op.Weights(m);
-        const double* bias = op.Bias(m);
-        std::size_t b = 0;
-#ifdef OSAP_ENSEMBLE_SIMD
-        if (rows != nullptr) {
-          // Four states per batch-axis call; any leftover states (at
-          // serving load, every state) take the output-axis kernel.
-          for (; b + 4 <= batch; b += 4) {
-            const double* xr = x + m * x_stride + b * x_batch;
-            double* yr = y + m * y_stride + b * y_batch;
-            LinearBatch4Avx2(xr, xr + x_batch, xr + 2 * x_batch,
-                             xr + 3 * x_batch, w, bias, in, out,
-                             op.fused_relu, yr, yr + y_batch,
-                             yr + 2 * y_batch, yr + 3 * y_batch);
-          }
-          for (; b < batch; ++b) {
-            rows->linear(x + m * x_stride + b * x_batch, w, bias, in, out,
-                         op.fused_relu, y + m * y_stride + b * y_batch);
-          }
-        }
-#endif
-        for (; b < batch; ++b) {
-          const double* xr = x + m * x_stride + b * x_batch;
-          double* yr = y + m * y_stride + b * y_batch;
-          std::fill(yr, yr + out, 0.0);
-          std::size_t k = 0;
-          for (; k + 4 <= in; k += 4) {
-            const double a0 = xr[k];
-            const double a1 = xr[k + 1];
-            const double a2 = xr[k + 2];
-            const double a3 = xr[k + 3];
-            const double* w0 = w + k * out;
-            const double* w1 = w0 + out;
-            const double* w2 = w1 + out;
-            const double* w3 = w2 + out;
-            for (std::size_t j = 0; j < out; ++j) {
-              double acc = yr[j];
-              acc += a0 * w0[j];
-              acc += a1 * w1[j];
-              acc += a2 * w2[j];
-              acc += a3 * w3[j];
-              yr[j] = acc;
-            }
-          }
-          for (; k < in; ++k) {
-            const double a = xr[k];
-            const double* wr = w + k * out;
-            for (std::size_t j = 0; j < out; ++j) yr[j] += a * wr[j];
-          }
-          if (op.fused_relu) {
-            for (std::size_t j = 0; j < out; ++j) {
-              const double v = yr[j] + bias[j];
-              yr[j] = v > 0.0 ? v : 0.0;
-            }
-          } else {
-            for (std::size_t j = 0; j < out; ++j) yr[j] += bias[j];
-          }
-        }
-      }
-      break;
-    }
+    case PackedOp::Kind::kLinear:
     case PackedOp::Kind::kConv1d: {
-#ifdef OSAP_ENSEMBLE_SIMD
-      const RowKernels* rows = RowKernelsFor(util::ActiveSimdLevel());
-#endif
+      const RowKernels& rows = RowKernelsFor(util::ActiveSimdLevel());
       for (std::size_t m = 0; m < k_members; ++m) {
         const double* w = op.Weights(m);
         const double* bias = op.Bias(m);
         for (std::size_t b = 0; b < batch; ++b) {
           const double* xr = x + m * x_stride + b * x_batch;
           double* yr = y + m * y_stride + b * y_batch;
-#ifdef OSAP_ENSEMBLE_SIMD
-          if (rows != nullptr) {
-            rows->conv(xr, w, bias, op.in_channels, op.out_channels,
-                       op.kernel, op.input_length, op.fused_relu, yr);
-            continue;
+          if (op.kind == PackedOp::Kind::kLinear) {
+            rows.linear(xr, w, bias, op.in, op.out, op.fused_relu, yr);
+          } else {
+            rows.conv(xr, w, bias, op.in_channels, op.out_channels,
+                      op.kernel, op.input_length, op.fused_relu, yr);
           }
-#endif
-          ConvRowScalar(xr, w, bias, op.in_channels, op.out_channels,
-                        op.kernel, op.input_length, op.fused_relu, yr);
         }
       }
       break;
@@ -668,31 +572,6 @@ void BatchedEnsemble::RunOps(const std::vector<PackedOp>& ops,
           batch);
 }
 
-const Matrix& BatchedEnsemble::Infer(std::span<const double> state,
-                                     InferScratch& scratch) const {
-  OSAP_REQUIRE(state.size() >= input_size_,
-               "BatchedEnsemble: state too narrow");
-  scratch.concat.ReshapeUninitialized(member_count_, concat_width_);
-  std::size_t offset = 0;
-  for (const PackedBranch& branch : branches_) {
-    // All members read the same state columns, so the branch input is the
-    // shared row with member-stride zero; members diverge after the first
-    // weighted layer. Each branch's final op writes its member rows
-    // directly into the concat columns (stride concat_width_) - no
-    // per-branch copy.
-    RunOps(branch.ops, state.data() + branch.begin,
-           /*x_stride=*/0, /*x_batch=*/0, scratch.a, scratch.b,
-           scratch.concat.data() + offset, concat_width_,
-           /*out_batch=*/0, /*batch=*/1);
-    offset += branch.out_width;
-  }
-  scratch.slice.ReshapeUninitialized(member_count_, output_size_);
-  RunOps(trunk_, scratch.concat.data(), concat_width_, /*x_batch=*/0,
-         scratch.a, scratch.b, scratch.slice.data(), output_size_,
-         /*out_batch=*/0, /*batch=*/1);
-  return scratch.slice;
-}
-
 const Matrix& BatchedEnsemble::InferBatch(const Matrix& states,
                                           InferScratch& scratch) const {
   OSAP_REQUIRE(states.cols() >= input_size_,
@@ -701,10 +580,12 @@ const Matrix& BatchedEnsemble::InferBatch(const Matrix& states,
   scratch.concat.ReshapeUninitialized(batch * member_count_, concat_width_);
   std::size_t offset = 0;
   for (const PackedBranch& branch : branches_) {
-    // As in Infer: member stride zero shares each state's input row
-    // across members; the batch stride walks the state rows. Branch
-    // outputs land straight in their concat columns, one (batch*K)-row
-    // block.
+    // All members read the same state columns, so member stride zero
+    // shares each state's input row across members (members diverge after
+    // the first weighted layer); the batch stride walks the state rows.
+    // Each branch's final op writes its member rows straight into the
+    // concat columns (stride concat_width_), one (batch*K)-row block, with
+    // no per-branch copy.
     RunOps(branch.ops, states.data() + branch.begin,
            /*x_stride=*/0, /*x_batch=*/states.cols(), scratch.a, scratch.b,
            scratch.concat.data() + offset, concat_width_,

@@ -31,21 +31,14 @@ class BatchedEnsemble {
   /// (same branches, layer kinds, and shapes); duplicates are allowed.
   explicit BatchedEnsemble(std::vector<const CompositeNet*> members);
 
-  /// Evaluates every member on one state. Returns a K x OutputSize matrix
-  /// (member m's output in row m) referencing `scratch`; valid until the
-  /// next Infer call with the same scratch.
-  const Matrix& Infer(std::span<const double> state,
-                      InferScratch& scratch) const;
-
   /// Evaluates every member on each of the B states in `states` (a
   /// B x InputSize row-major matrix; wider rows use the leading InputSize
   /// columns). Returns a (B*K) x OutputSize matrix - state b / member m's
-  /// output in row b*K + m - referencing `scratch`. Each row is
-  /// bit-identical to Infer on that state alone: every output element
-  /// keeps its own accumulation chain. Batching hoists each member's
-  /// weight block across the B states, and on AVX2 hosts each group of
-  /// four states shares one pass of a batch-axis Linear kernel; leftover
-  /// states (and Infer) take the single-state output-axis kernels.
+  /// output in row b*K + m - referencing `scratch`; valid until the next
+  /// call with the same scratch. A single state is a one-row matrix. Each
+  /// state takes the single-state kernels on its own, so every row is
+  /// bit-identical whatever B is; batching hoists each member's weight
+  /// block across the B states.
   const Matrix& InferBatch(const Matrix& states, InferScratch& scratch) const;
 
   std::size_t MemberCount() const { return member_count_; }
@@ -119,9 +112,8 @@ class BatchedEnsemble {
   // outputs at y + m * y_stride + b * y_batch. Member stride zero on x
   // means all members share the state's input row. The member loop is
   // outermost and the batch loop inside it, so member m's weight block
-  // stays hot across all B states. Every kernel - scalar, batch-axis or
-  // output-axis - keeps every output element's accumulation chain (and
-  // thus the rounding) unchanged.
+  // stays hot across all B states. Every kernel tier keeps every output
+  // element's accumulation chain (and thus the rounding) unchanged.
   void ApplyOp(const PackedOp& op, const double* x, std::size_t x_stride,
                std::size_t x_batch, double* y, std::size_t y_stride,
                std::size_t y_batch, std::size_t batch) const;

@@ -31,6 +31,13 @@ std::string DatasetName(DatasetId id) {
   return {};
 }
 
+std::optional<DatasetId> DatasetFromName(std::string_view name) {
+  for (const DatasetId id : AllDatasetIds()) {
+    if (DatasetName(id) == name) return id;
+  }
+  return std::nullopt;
+}
+
 std::string DatasetLabel(DatasetId id) {
   switch (id) {
     case DatasetId::kNorway3g:

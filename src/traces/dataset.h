@@ -4,7 +4,9 @@
 // evaluates; BuildDataset deterministically materializes one from a seed.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "traces/generators.h"
@@ -27,6 +29,9 @@ std::vector<DatasetId> AllDatasetIds();
 
 /// Short stable name, e.g. "norway", "gamma_2_2".
 std::string DatasetName(DatasetId id);
+
+/// The id whose DatasetName is `name`; nullopt for any other name.
+std::optional<DatasetId> DatasetFromName(std::string_view name);
 
 /// Human-readable label, e.g. "Norway 3G/HSDPA", "Gamma(2,2)".
 std::string DatasetLabel(DatasetId id);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "abr/state.h"
 #include "policies/pensieve_net.h"
 
@@ -142,8 +145,8 @@ TEST(ValueEnsembleEstimator, TrimmingDropsFarthestValues) {
   EXPECT_LT(trimmed.Score(state), untrimmed.Score(state));
 }
 
-/// A spread of pseudo-random states covering more than one ScoreBatch
-/// chunk (kScoreBatch = 32 internally).
+/// A spread of pseudo-random states covering more than one ScoreStates
+/// pack (kScoreBatch = 32 internally).
 std::vector<mdp::State> MakeStates(std::size_t count) {
   Rng rng(77);
   std::vector<mdp::State> states;
@@ -155,24 +158,51 @@ std::vector<mdp::State> MakeStates(std::size_t count) {
   return states;
 }
 
-TEST(AgentEnsembleEstimator, ScoreBatchMatchesSequentialScoreBitForBit) {
-  AgentEnsembleEstimator estimator(MakeAgents(5, 500), 2);
-  const auto states = MakeStates(71);  // 2 full chunks + a partial one
+/// Packs states[begin, begin + count) as rows of one matrix.
+nn::Matrix Pack(const std::vector<mdp::State>& states, std::size_t begin,
+                std::size_t count) {
+  nn::Matrix packed(count, states.front().size());
+  for (std::size_t b = 0; b < count; ++b) {
+    std::copy(states[begin + b].begin(), states[begin + b].end(),
+              packed.Row(b).data());
+  }
+  return packed;
+}
+
+/// ScoreBatch and ScorePacked - all 71 states in one pack, and in packs
+/// of 4 (the last one partial) - must give each state Score's bits.
+/// `greedy` asks ScorePacked for member 0's greedy actions too, which
+/// must not change a score.
+void ExpectEntriesAgree(UncertaintyEstimator& estimator,
+                        const EnsembleModel& model, bool greedy) {
+  const auto states = MakeStates(71);
   std::vector<double> batched(states.size());
   estimator.ScoreBatch(states, batched);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    EXPECT_EQ(batched[i], estimator.Score(states[i])) << "state " << i;
+  std::vector<double> one_pack(states.size());
+  std::vector<mdp::Action> actions(greedy ? states.size() : 0);
+  model.ScorePacked(Pack(states, 0, states.size()), one_pack, actions);
+  std::vector<double> packs_of_4(states.size());
+  for (std::size_t begin = 0; begin < states.size(); begin += 4) {
+    const std::size_t count = std::min<std::size_t>(4, states.size() - begin);
+    model.ScorePacked(Pack(states, begin, count),
+                      std::span(packs_of_4).subspan(begin, count));
   }
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const double score = estimator.Score(states[i]);
+    EXPECT_EQ(batched[i], score) << "ScoreBatch, state " << i;
+    EXPECT_EQ(one_pack[i], score) << "ScorePacked, state " << i;
+    EXPECT_EQ(packs_of_4[i], score) << "ScorePacked by 4, state " << i;
+  }
+}
+
+TEST(AgentEnsembleEstimator, ScoreBatchMatchesSequentialScoreBitForBit) {
+  AgentEnsembleEstimator estimator(MakeAgents(5, 500), 2);
+  ExpectEntriesAgree(estimator, *estimator.model(), /*greedy=*/true);
 }
 
 TEST(ValueEnsembleEstimator, ScoreBatchMatchesSequentialScoreBitForBit) {
   ValueEnsembleEstimator estimator(MakeValueNets(5, 600), 2);
-  const auto states = MakeStates(71);
-  std::vector<double> batched(states.size());
-  estimator.ScoreBatch(states, batched);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    EXPECT_EQ(batched[i], estimator.Score(states[i])) << "state " << i;
-  }
+  ExpectEntriesAgree(estimator, *estimator.model(), /*greedy=*/false);
 }
 
 TEST(ValueEnsembleEstimator, RejectsMultiOutputMembers) {

@@ -61,13 +61,14 @@ TEST(ParallelSmoke, SharedNetConcurrentInference) {
   }
   const nn::BatchedEnsemble batched(actors);
   const std::vector<double> state(layout.Size(), 0.25);
+  const nn::Matrix packed(1, state.size(), state);
 
   const std::vector<double> reference = members[0]->ActionProbs(state);
   util::ThreadPool pool(3);
   std::atomic<int> mismatches{0};
   pool.ParallelFor(0, 64, [&](std::size_t) {
     nn::InferScratch scratch;
-    (void)batched.Infer(state, scratch);
+    (void)batched.InferBatch(packed, scratch);
     const std::vector<double> probs = members[0]->ActionProbs(state);
     if (probs != reference) mismatches.fetch_add(1);
   });

@@ -127,13 +127,10 @@ TEST(BatchedEnsembleRegression, MatchesPerMemberForwardBitForBit) {
 
   InferScratch scratch;
   for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> state(11);
-    for (double& v : state) v = rng.Normal(0.0, 1.0);
-    const Matrix& out = batched.Infer(state, scratch);
+    const Matrix x = Random(1, 11, rng);
+    const Matrix& out = batched.InferBatch(x, scratch);
     ASSERT_EQ(out.rows(), 3u);
     ASSERT_EQ(out.cols(), 5u);
-    Matrix x(1, state.size());
-    for (std::size_t j = 0; j < state.size(); ++j) x.At(0, j) = state[j];
     for (std::size_t m = 0; m < members.size(); ++m) {
       const Matrix ref = members[m].Forward(x);
       for (std::size_t j = 0; j < 5; ++j) {
@@ -161,13 +158,13 @@ TEST(BatchedEnsembleRegression, InferBatchMatchesPerStateInferBitForBit) {
     const Matrix& out = batched.InferBatch(states, scratch);
     ASSERT_EQ(out.rows(), batch * 3u);
     ASSERT_EQ(out.cols(), 5u);
-    InferScratch single;
     for (std::size_t b = 0; b < batch; ++b) {
-      const Matrix& ref =
-          batched.Infer(states.Row(b).first(batched.InputSize()), single);
+      Matrix x(1, batched.InputSize());
+      std::copy_n(states.Row(b).begin(), x.cols(), x.data());
       for (std::size_t m = 0; m < 3; ++m) {
+        const Matrix ref = members[m].Forward(x);
         for (std::size_t j = 0; j < 5; ++j) {
-          EXPECT_EQ(out.At(b * 3 + m, j), ref.At(m, j))
+          EXPECT_EQ(out.At(b * 3 + m, j), ref.At(0, j))
               << "state " << b << " member " << m << " output " << j;
         }
       }
@@ -302,9 +299,9 @@ CompositeNet MakeMaskedTailNet(Rng& rng) {
   return net;
 }
 
-/// Infer and InferBatch (batch 1, 2, 3 and 5: single-state kernels only,
-/// then one batch-of-4 group plus a leftover state) must equal each
-/// member's own Forward bit for bit, on every SIMD tier the host runs.
+/// InferBatch must equal each member's own Forward bit for bit, on every
+/// SIMD tier the host runs, at batch sizes from one state to past the
+/// old batch-of-4 groupings (4, 8 and 9).
 void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
                                      Rng& rng) {
   std::vector<const CompositeNet*> views;
@@ -315,15 +312,14 @@ void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
   for (const util::SimdLevel level : osap::testing::AvailableSimdLevels()) {
     const char* tier = osap::testing::SimdLevelName(level);
     util::ForceSimdForTest(level);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{5}}) {
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+          std::size_t{5}, std::size_t{8}, std::size_t{9}}) {
       const Matrix states = Random(batch, batched.InputSize(), rng);
       InferScratch scratch;
       const Matrix& fused = batched.InferBatch(states, scratch);
       ASSERT_EQ(fused.rows(), batch * k);
-      InferScratch single_scratch;
       for (std::size_t b = 0; b < batch; ++b) {
-        const Matrix& single = batched.Infer(states.Row(b), single_scratch);
         Matrix x(1, states.cols());
         std::copy(states.Row(b).begin(), states.Row(b).end(), x.data());
         for (std::size_t m = 0; m < k; ++m) {
@@ -332,9 +328,6 @@ void ExpectFusedMatchesMemberForward(std::vector<CompositeNet>& members,
             EXPECT_EQ(fused.At(b * k + m, j), ref.At(0, j))
                 << tier << " batch " << batch << " state " << b
                 << " member " << m << " output " << j;
-            EXPECT_EQ(single.At(m, j), ref.At(0, j))
-                << tier << " state " << b << " member " << m << " output "
-                << j;
           }
         }
       }

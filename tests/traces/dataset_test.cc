@@ -15,6 +15,15 @@ TEST(Dataset, AllSixPaperDatasetsEnumerated) {
   EXPECT_EQ(names.size(), 6u);
 }
 
+TEST(Dataset, NameLookupRoundTripsEveryId) {
+  for (const DatasetId id : AllDatasetIds()) {
+    EXPECT_EQ(DatasetFromName(DatasetName(id)), id) << DatasetName(id);
+  }
+  EXPECT_EQ(DatasetFromName("gamma"), std::nullopt);
+  EXPECT_EQ(DatasetFromName("Gamma_2_2"), std::nullopt);
+  EXPECT_EQ(DatasetFromName(""), std::nullopt);
+}
+
 TEST(Dataset, SyntheticFlagMatchesPaper) {
   EXPECT_FALSE(IsSyntheticIid(DatasetId::kNorway3g));
   EXPECT_FALSE(IsSyntheticIid(DatasetId::kBelgium4g));

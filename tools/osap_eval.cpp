@@ -25,18 +25,6 @@
 
 using namespace osap;
 
-namespace {
-
-traces::DatasetId ParseDataset(const std::string& name) {
-  for (traces::DatasetId id : traces::AllDatasetIds()) {
-    if (traces::DatasetName(id) == name) return id;
-  }
-  std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::string weights_path;
   std::string train_dataset;
@@ -62,8 +50,13 @@ int main(int argc, char** argv) {
   if (parser.HelpRequested()) parser.ExitWithHelp();
 
   const std::filesystem::path weights = weights_path;
-  const traces::DatasetId train_id = ParseDataset(train_dataset);
-  const traces::DatasetId test_id = ParseDataset(test_dataset);
+  const auto train_id = traces::DatasetFromName(train_dataset);
+  const auto test_id = traces::DatasetFromName(test_dataset);
+  if (!train_id || !test_id) {
+    std::fprintf(stderr, "unknown dataset '%s'\n",
+                 (train_id ? test_dataset : train_dataset).c_str());
+    return 2;
+  }
 
   abr::AbrEnvironmentConfig env_cfg;
   Rng init_rng(1);
@@ -73,15 +66,15 @@ int main(int argc, char** argv) {
   auto pensieve = std::make_shared<policies::PensievePolicy>(
       net, policies::ActionSelection::kGreedy, 0);
 
-  const traces::Dataset test_ds = traces::BuildDataset(test_id);
+  const traces::Dataset test_ds = traces::BuildDataset(*test_id);
   abr::AbrEnvironment env(abr::MakeEnvivioLikeVideo(5), env_cfg);
 
   std::shared_ptr<mdp::Policy> policy = pensieve;
   if (safe) {
     // Fit U_S on the agent's own training-distribution sessions.
-    const traces::Dataset train_ds = traces::BuildDataset(train_id);
+    const traces::Dataset train_ds = traces::BuildDataset(*train_id);
     core::NoveltyDetectorConfig nd_cfg;
-    nd_cfg.k = traces::IsSyntheticIid(train_id) ? 30 : 5;
+    nd_cfg.k = traces::IsSyntheticIid(*train_id) ? 30 : 5;
     auto detector =
         std::make_shared<core::NoveltyDetector>(nd_cfg, env_cfg.layout);
     std::vector<std::vector<double>> features;
@@ -122,7 +115,7 @@ int main(int argc, char** argv) {
   const Summary s = result.Summarize();
   std::printf("%s on %s test split (%zu sessions):\n",
               safe ? "pensieve+ND" : "pensieve",
-              traces::DatasetLabel(test_id).c_str(), s.count);
+              traces::DatasetLabel(*test_id).c_str(), s.count);
   std::printf("  QoE mean %.1f  median %.1f  min %.1f  max %.1f\n", s.mean,
               s.median, s.min, s.max);
 

@@ -11,6 +11,7 @@
 // MahiMahi packet-opportunity files usable with the real link emulator.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "traces/dataset.h"
@@ -36,25 +37,17 @@ namespace {
   std::exit(2);
 }
 
-traces::DatasetId ParseDataset(const std::string& name) {
-  for (traces::DatasetId id : traces::AllDatasetIds()) {
-    if (traces::DatasetName(id) == name) return id;
-  }
-  std::fprintf(stderr, "unknown dataset '%s'; try `osap_traces list`\n",
-               name.c_str());
-  std::exit(2);
-}
-
 /// One ArgParser per subcommand (parsed from argv[2] on), sharing the
 /// generation knobs: [count] [duration] [seed] optional positionals.
 struct SubcommandArgs {
-  std::string dataset;
+  traces::DatasetId id{};
   std::string dir;  // export/mahimahi only
   traces::DatasetConfig config;
 
   void Parse(int argc, char** argv, const char* command,
              const char* summary, bool wants_dir) {
     util::ArgParser parser(std::string("osap_traces ") + command, summary);
+    std::string dataset;
     parser.AddPositional("dataset", "dataset name (see `osap_traces list`)",
                          &dataset);
     if (wants_dir) {
@@ -70,6 +63,14 @@ struct SubcommandArgs {
     if (parser.HelpRequested()) parser.ExitWithHelp();
     if (count_ != 0) config.trace_count = count_;
     config.seed = seed_;
+    const std::optional<traces::DatasetId> found =
+        traces::DatasetFromName(dataset);
+    if (!found) {
+      std::fprintf(stderr, "unknown dataset '%s'; try `osap_traces list`\n",
+                   dataset.c_str());
+      std::exit(2);
+    }
+    id = *found;
   }
 
  private:
@@ -100,15 +101,14 @@ int main(int argc, char** argv) {
                "Generate a dataset and print its split sizes and "
                "throughput statistics.",
                /*wants_dir=*/false);
-    const traces::DatasetId id = ParseDataset(args.dataset);
-    const traces::Dataset ds = traces::BuildDataset(id, args.config);
+    const traces::Dataset ds = traces::BuildDataset(args.id, args.config);
     RunningStats all;
     for (const auto* split : {&ds.train, &ds.validation, &ds.test}) {
       for (const auto& t : *split) {
         for (double v : t.samples()) all.Add(v);
       }
     }
-    std::printf("dataset:    %s\n", traces::DatasetLabel(id).c_str());
+    std::printf("dataset:    %s\n", traces::DatasetLabel(args.id).c_str());
     std::printf("traces:     %zu (train %zu / validation %zu / test %zu)\n",
                 ds.TotalTraces(), ds.train.size(), ds.validation.size(),
                 ds.test.size());
@@ -126,9 +126,8 @@ int main(int argc, char** argv) {
                    : "Write MahiMahi packet-opportunity files for the real "
                      "link emulator.",
                /*wants_dir=*/true);
-    const traces::DatasetId id = ParseDataset(args.dataset);
     const std::filesystem::path dir = args.dir;
-    const traces::Dataset ds = traces::BuildDataset(id, args.config);
+    const traces::Dataset ds = traces::BuildDataset(args.id, args.config);
     std::size_t written = 0;
     for (const auto& [split, traces_ptr] :
          {std::pair{"train", &ds.train},

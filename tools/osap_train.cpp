@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "core/evaluation.h"
@@ -30,18 +31,6 @@
 #include "util/arg_parser.h"
 
 using namespace osap;
-
-namespace {
-
-traces::DatasetId ParseDataset(const std::string& name) {
-  for (traces::DatasetId id : traces::AllDatasetIds()) {
-    if (traces::DatasetName(id) == name) return id;
-  }
-  std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string dataset;
@@ -74,12 +63,16 @@ int main(int argc, char** argv) {
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
 
-  const traces::DatasetId id = ParseDataset(dataset);
+  const std::optional<traces::DatasetId> id = traces::DatasetFromName(dataset);
+  if (!id) {
+    std::fprintf(stderr, "unknown dataset '%s'\n", dataset.c_str());
+    return 2;
+  }
   const std::filesystem::path out = out_path;
   if (episodes == 0) episodes = 1;
   if (rollouts_per_update == 0) rollouts_per_update = 1;
 
-  const traces::Dataset ds = traces::BuildDataset(id);
+  const traces::Dataset ds = traces::BuildDataset(*id);
   abr::AbrEnvironmentConfig env_cfg;
   abr::AbrEnvironment env(abr::MakeEnvivioLikeVideo(5), env_cfg);
   env.SetTracePool(ds.train, seed ^ 0x5EED);
@@ -89,7 +82,7 @@ int main(int argc, char** argv) {
       policies::MakePensieveActorCritic(env_cfg.layout, {}, init_rng));
 
   std::printf("training on %s: %zu episodes, seed %llu\n",
-              traces::DatasetLabel(id).c_str(), episodes,
+              traces::DatasetLabel(*id).c_str(), episodes,
               static_cast<unsigned long long>(seed));
   // Train in 10 slices so we can narrate progress without a callback API.
   rl::A2cConfig cfg;
@@ -148,9 +141,9 @@ int main(int argc, char** argv) {
     // bundle for this dataset (ensemble + detectors + calibrated alphas)
     // in ./osap_cache, where osap_serve (which never trains) reads it.
     core::Workbench bench{core::WorkbenchConfig{}};
-    const core::TrainedBundle& bundle = bench.BundleFor(id);
+    const core::TrainedBundle& bundle = bench.BundleFor(*id);
     std::printf("calibrated thresholds for %s:\n",
-                traces::DatasetLabel(id).c_str());
+                traces::DatasetLabel(*id).c_str());
     std::printf("  ND target QoE %.2f  alpha_pi %.6g  alpha_v %.6g\n",
                 bundle.nd_in_dist_qoe, bundle.alpha_pi, bundle.alpha_v);
   }
