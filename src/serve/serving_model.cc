@@ -34,8 +34,8 @@ std::vector<const nn::CompositeNet*> NetViews(
   return views;
 }
 
-/// Per-thread batched-action scratch (shards run on distinct pool
-/// threads; one thread runs one shard job at a time).
+/// Per-thread batched-action scratch (each submitter group runs its
+/// shards one at a time on its own calling thread).
 struct ActionScratch {
   nn::InferScratch infer;
   std::vector<double> probs;

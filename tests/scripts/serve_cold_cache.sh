@@ -13,7 +13,7 @@ serve=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 cd "$dir" || exit 2
-out=$("$serve" us --sessions 6 --rounds 2 2>&1)
+out=$("$serve" us --listen 0 2>&1)
 rc=$?
 printf '%s\n' "$out"
 fail() {

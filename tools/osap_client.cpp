@@ -1,9 +1,9 @@
 // osap_client: open-loop load generator for the network edge.
 //
-// Drives an `osap_serve --listen` server over N TCP connections (one
-// worker thread each - with a SO_REUSEPORT multi-edge server every
-// connection lands on some edge's listener), each carrying an equal
-// share of the session population.
+// Drives an `osap_serve` server over N TCP connections (one worker
+// thread each - with a SO_REUSEPORT multi-edge server every connection
+// lands on some edge's listener), each carrying an equal share of the
+// session population.
 //
 // Two session modes:
 //
@@ -14,7 +14,12 @@
 //                  forward, and finished sessions reopen on the next
 //                  trace (after the round's last reply) so the
 //                  population stays constant. ~6 KB of client memory
-//                  per session.
+//                  per session. Each finished session adds its QoE and
+//                  its last reply's defaulted flag to its dataset's row
+//                  of the closing table: sessions, defaulted share and
+//                  mean QoE per dataset - the OOD rows defaulting while
+//                  the ID rows stay learned is the paper's safety story
+//                  served over the wire.
 //
 //   --replay K     The million-session mode: K state SEQUENCES are
 //                  recorded up front from real environments (same
@@ -53,10 +58,13 @@
 // even when the hash would have piled all connections onto one listener.
 // Requires --shards and --edges to match the server.
 //
+// Datasets, the eval video and the state layout come from the default
+// WorkbenchConfig through core::ArtifactCache, the same derivation the
+// server's model is built for; the client reads no cached file.
+//
 // Usage:
-//   osap_client <host> <port> [--threads N | --connections N]
-//               [--sessions N] [--rate RATE] [--rounds N] [--replay K]
-//               [--affinity --shards N --edges N]
+//   osap_client <host> <port> [--threads N] [--sessions N] [--rate RATE]
+//               [--rounds N] [--replay K] [--affinity --shards N --edges N]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -67,6 +75,7 @@
 #include <vector>
 
 #include "abr/abr_environment.h"
+#include "core/artifacts.h"
 #include "net/client.h"
 #include "serve/decision_service.h"
 #include "traces/dataset.h"
@@ -87,6 +96,15 @@ struct Viewer {
   mdp::State state;
   std::size_t dataset = 0;
   std::size_t next_trace = 0;
+  double qoe = 0.0;        // reward accumulated this session
+  bool defaulted = false;  // the last OK reply's kFlagDefaulted
+};
+
+/// Finished default-mode sessions of one dataset.
+struct DatasetStats {
+  std::uint64_t completed = 0;
+  std::uint64_t defaulted = 0;  // sessions whose last reply was defaulted
+  double qoe_sum = 0.0;
 };
 
 struct WorkerResult {
@@ -94,8 +112,8 @@ struct WorkerResult {
   std::uint64_t ok = 0;
   std::uint64_t busy = 0;
   std::uint64_t errors = 0;
-  std::uint64_t completed_sessions = 0;
   std::uint64_t open_sessions = 0;  // replay mode: opened on this conn
+  std::vector<DatasetStats> datasets;  // default mode, by dataset index
 };
 
 double Quantile(const std::vector<double>& sorted, double q) {
@@ -109,15 +127,15 @@ double Quantile(const std::vector<double>& sorted, double q) {
 /// (the recorded states are well-formed inputs; what the server decides
 /// about them never feeds back). Read-only after construction.
 std::vector<std::vector<mdp::State>> RecordSequences(
-    const std::vector<traces::Dataset>& datasets, std::size_t k,
-    std::size_t len) {
+    const std::vector<traces::Dataset>& datasets,
+    const abr::AbrEnvironment& eval_env, std::size_t k, std::size_t len) {
   std::vector<std::vector<mdp::State>> sequences;
   sequences.reserve(k);
   for (std::size_t s = 0; s < k; ++s) {
     const traces::Dataset& dataset = datasets[s % datasets.size()];
     const auto& tests = dataset.test;
     std::size_t trace = (s / datasets.size()) % tests.size();
-    abr::AbrEnvironment env(abr::MakeEnvivioLikeVideo(5), {});
+    abr::AbrEnvironment env = eval_env;
     env.SetFixedTrace(tests[trace]);
     std::vector<mdp::State> seq;
     seq.reserve(len);
@@ -209,16 +227,14 @@ int main(int argc, char** argv) {
 
   util::ArgParser parser(
       "osap_client",
-      "Open-loop load generator for the osap_serve --listen network edge: "
+      "Open-loop load generator for the osap_serve network edge: "
       "scheduled arrivals over N connections, latency measured from the "
       "scheduled send (no coordinated omission).");
   parser.AddPositional("host", "server address (e.g. 127.0.0.1)", &host);
   parser.AddPositional("port", "server port", &port);
-  parser.AddOption("--connections", "N", "TCP connections (default 4)",
-                   &connections);
   parser.AddOption("--threads", "N",
-                   "worker threads, one connection each (synonym for "
-                   "--connections; pairs with the server's --edge-threads)",
+                   "worker threads, one TCP connection each (default 4; "
+                   "pairs with the server's --edge-threads)",
                    &connections);
   parser.AddOption("--sessions", "N",
                    "total concurrent sessions across all connections "
@@ -236,7 +252,7 @@ int main(int argc, char** argv) {
                    "session mode); 0 = full environments (default)",
                    &replay);
   parser.AddFlag("--affinity",
-                 "pin worker w's connection to edge w %% edges by probe-"
+                 "pin worker w's connection to edge w % edges by probe-"
                  "and-redial (multi-edge servers; needs --shards/--edges "
                  "matching the server)",
                  &affinity);
@@ -256,8 +272,8 @@ int main(int argc, char** argv) {
   if (connections == 0 || sessions < connections || rounds == 0 ||
       !(rate > 0.0)) {
     std::fprintf(stderr,
-                 "osap_client: need connections >= 1, sessions >= "
-                 "connections, rounds >= 1, rate > 0\n");
+                 "osap_client: need threads >= 1, sessions >= threads, "
+                 "rounds >= 1, rate > 0\n");
     return 2;
   }
   if (affinity && (shards == 0 || edges == 0 || shards < edges)) {
@@ -267,20 +283,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Build the datasets once; worker threads only read the trace vectors.
+  // Build the datasets and the eval environment once, from the config
+  // the server's model is built for; worker threads only read them.
+  const core::ArtifactCache cache{core::WorkbenchConfig{}};
   const std::vector<traces::DatasetId> dataset_ids = traces::AllDatasetIds();
   std::vector<traces::Dataset> datasets;
   datasets.reserve(dataset_ids.size());
   for (traces::DatasetId id : dataset_ids) {
-    datasets.push_back(traces::BuildDataset(id));
+    datasets.push_back(traces::BuildDataset(id, cache.config().dataset));
   }
+  const abr::AbrEnvironment eval_env = cache.MakeEvalEnvironment();
 
   // Replay pool: recorded once, shared read-only by every worker. Long
   // runs cycle the sequences (round r sends state r % length).
   std::vector<std::vector<mdp::State>> sequences;
   if (replay > 0) {
-    sequences = RecordSequences(datasets, replay, std::min<std::size_t>(
-                                                      rounds, 256));
+    sequences = RecordSequences(datasets, eval_env, replay,
+                                std::min<std::size_t>(rounds, 256));
   }
 
   // One round steps every session once: with an aggregate arrival rate of
@@ -395,14 +414,13 @@ int main(int argc, char** argv) {
       }
 
       // --- default mode: one real environment per session --------------
-      abr::AbrEnvironmentConfig env_cfg;
+      res.datasets.resize(datasets.size());
       std::vector<Viewer> viewers;
       viewers.reserve(local_count);
       try {
         for (std::size_t v = 0; v < local_count; ++v) {
           const std::size_t global = w + v * connections;
-          Viewer viewer(abr::AbrEnvironment(abr::MakeEnvivioLikeVideo(5),
-                                            env_cfg));
+          Viewer viewer(eval_env);
           viewer.dataset = global % datasets.size();
           const auto& tests = datasets[viewer.dataset].test;
           viewer.next_trace = (global / datasets.size()) % tests.size();
@@ -463,25 +481,33 @@ int main(int argc, char** argv) {
               continue;
             }
             ++res.ok;
+            viewer.defaulted = reply.Defaulted();
             mdp::StepResult r = viewer.env.Step(
                 static_cast<mdp::Action>(reply.action));
+            viewer.qoe += r.reward;
             if (!r.done) {
               viewer.state = std::move(r.next_state);
               continue;
             }
-            ++res.completed_sessions;
             finished.push_back(seq % viewers.size());
           }
-          // Reopen finished viewers only after the round's last reply:
-          // a blocking round trip issued mid-round would read one of
-          // the round's pipelined STEP replies as its own.
+          // Tally and reopen finished viewers only after the round's last
+          // reply (a blocking round trip issued mid-round would read one
+          // of the round's pipelined STEP replies as its own), in viewer
+          // order, so the QoE sums do not depend on reply arrival order.
+          std::sort(finished.begin(), finished.end());
           for (const std::size_t v : finished) {
             Viewer& viewer = viewers[v];
+            DatasetStats& d = res.datasets[viewer.dataset];
+            ++d.completed;
+            d.defaulted += viewer.defaulted ? 1 : 0;
+            d.qoe_sum += viewer.qoe;
             client.CloseSession(viewer.session);
             const auto& tests = datasets[viewer.dataset].test;
             viewer.env.SetFixedTrace(tests[viewer.next_trace]);
             viewer.next_trace = (viewer.next_trace + 1) % tests.size();
             viewer.state = viewer.env.Reset();
+            viewer.qoe = 0.0;
             viewer.session = client.OpenSession();
           }
           finished.clear();
@@ -503,14 +529,20 @@ int main(int argc, char** argv) {
   std::uint64_t errors = 0;
   std::uint64_t completed = 0;
   std::uint64_t opened = 0;
+  std::vector<DatasetStats> stats(datasets.size());
   for (const WorkerResult& res : results) {
     latency.insert(latency.end(), res.latency_us.begin(),
                    res.latency_us.end());
     ok += res.ok;
     busy += res.busy;
     errors += res.errors;
-    completed += res.completed_sessions;
     opened += res.open_sessions;
+    for (std::size_t d = 0; d < res.datasets.size(); ++d) {
+      stats[d].completed += res.datasets[d].completed;
+      stats[d].defaulted += res.datasets[d].defaulted;
+      stats[d].qoe_sum += res.datasets[d].qoe_sum;
+      completed += res.datasets[d].completed;
+    }
   }
   if (latency.empty()) {
     std::fprintf(stderr, "osap_client: no replies received\n");
@@ -537,5 +569,23 @@ int main(int argc, char** argv) {
   const std::size_t rss_now = util::CurrentRssBytes();
   std::printf("client RSS: %.1f MiB\n",
               static_cast<double>(rss_now) / (1024.0 * 1024.0));
+
+  if (replay == 0) {
+    std::printf("\n%-28s %10s %10s %10s\n", "dataset", "sessions",
+                "defaulted", "mean QoE");
+    for (std::size_t d = 0; d < dataset_ids.size(); ++d) {
+      const DatasetStats& s = stats[d];
+      const std::string label = traces::DatasetLabel(dataset_ids[d]);
+      if (s.completed == 0) {
+        std::printf("%-28s %10s %10s %10s\n", label.c_str(), "-", "-", "-");
+        continue;
+      }
+      const double n = static_cast<double>(s.completed);
+      std::printf("%-28s %10llu %9.0f%% %10.1f\n", label.c_str(),
+                  static_cast<unsigned long long>(s.completed),
+                  100.0 * static_cast<double>(s.defaulted) / n,
+                  s.qoe_sum / n);
+    }
+  }
   return errors == 0 ? 0 : 1;
 }

@@ -6,9 +6,11 @@
 # open-session configuration; REPLAY 0 selects the client's default mode,
 # one real environment per viewer - then SIGTERMs the server and checks the
 # graceful-shutdown accounting: the client saw zero protocol errors and
-# the server drained to zero open sessions. The ctest `-L net` entry runs
-# this in a fast smoke config (100k sessions, few rounds) so the sweep
-# path cannot rot between the full EXPERIMENTS.md runs.
+# the server drained to zero open sessions. In default mode it also checks
+# that the client printed its per-dataset table (header and six rows).
+# The ctest `-L net` entry runs this in a fast smoke config (100k
+# sessions, few rounds) so the sweep path cannot rot between the full
+# EXPERIMENTS.md runs.
 #
 # Usage:
 #   wire_sweep.sh SERVE CLIENT [sessions] [rounds] [rate] [edge_threads]
@@ -79,4 +81,19 @@ grep -q "shutdown:" "$OUT/serve.log"
 grep -q " 0 sessions open" "$OUT/serve.log"
 grep -Eq '^io: [a-z]+ backend, [0-9]+ syscalls \([0-9]+\.[0-9]+ per decision\), [0-9]+ voluntary \+ [0-9]+ involuntary context switches$' \
   "$OUT/serve.log"
+if [ "$REPLAY" = 0 ]; then
+  # One row per dataset below the header: counts ("200 26% 854.2"), or
+  # dashes when none of the dataset's sessions finished.
+  if ! grep -Eq '^dataset +sessions +defaulted +mean QoE$' "$OUT/client.log"
+  then
+    echo "wire_sweep: client printed no per-dataset table" >&2
+    exit 1
+  fi
+  rows=$(sed -n '/^dataset  *sessions/,$p' "$OUT/client.log" |
+         grep -Ec ' ([0-9]+ +[0-9]+% +-?[0-9]+\.[0-9]|- +- +-)$' || true)
+  if [ "$rows" -ne 6 ]; then
+    echo "wire_sweep: client table has $rows dataset rows, want 6" >&2
+    exit 1
+  fi
+fi
 echo "wire_sweep: OK"
