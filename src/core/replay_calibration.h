@@ -36,7 +36,7 @@
 // real SlidingWindowStats (its variance comes from incremental sums, so
 // the values are history-dependent and must repeat the same update
 // sequence). Each candidate alpha then (a) finds its first trigger step T
-// by scanning the scored series with the exact DefaultTrigger update
+// by scanning the scored series with the exact SafetyObserve trigger
 // rule, and (b) resumes the session from resume point T under the
 // fallback policy - only the post-default suffix is ever simulated, with
 // no network inference at all. The prefix QoE is the recorded running sum
@@ -100,7 +100,7 @@ inline constexpr std::size_t kReplayNoTrigger =
 
 /// First step at which a window-variance trigger with threshold `alpha`
 /// fires on the recorded series, or kReplayNoTrigger. Replicates
-/// DefaultTrigger::Update exactly: uncertain once the k-window is full
+/// SafetyObserve's trigger exactly: uncertain once the k-window is full
 /// and its variance exceeds alpha; fires after l consecutive uncertain
 /// steps.
 inline std::size_t FirstTriggerStep(const ReplaySession& session,

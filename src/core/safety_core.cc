@@ -5,12 +5,12 @@
 namespace osap::core {
 
 void ValidateSafeAgentConfig(const SafeAgentConfig& config) {
-  OSAP_REQUIRE(config.trigger.l >= 1, "DefaultTrigger: l must be >= 1");
+  OSAP_REQUIRE(config.trigger.l >= 1, "SafeAgentConfig: l must be >= 1");
   if (config.trigger.mode == TriggerMode::kWindowVariance) {
     OSAP_REQUIRE(config.trigger.k >= 2,
-                 "DefaultTrigger: variance mode needs k >= 2");
+                 "SafeAgentConfig: variance mode needs k >= 2");
     OSAP_REQUIRE(config.trigger.alpha >= 0.0,
-                 "DefaultTrigger: alpha must be >= 0");
+                 "SafeAgentConfig: alpha must be >= 0");
   }
   if (config.mode == DefaultingMode::kRevocable) {
     OSAP_REQUIRE(config.revoke_after >= 1,

@@ -37,11 +37,11 @@ struct SafeAgentConfig {
   std::size_t revoke_after = 15;
 };
 
-/// Validates the requirements DefaultTrigger and SafetyCore enforce
-/// (l >= 1; variance mode: k >= 2 and alpha >= 0; revocable:
-/// revoke_after >= 1). Throws std::invalid_argument on violation. Callers
-/// that bypass the SafetyCore constructor (the serving path's dense
-/// tables) validate through this instead.
+/// Validates a defaulting config (l >= 1; variance mode: k >= 2 and
+/// alpha >= 0; revocable: revoke_after >= 1). Throws
+/// std::invalid_argument on violation. The SafetyCore constructor calls
+/// it; callers that bypass SafetyCore (the serving path's dense tables)
+/// call it themselves.
 void ValidateSafeAgentConfig(const SafeAgentConfig& config);
 
 /// Hot per-session defaulting state: everything one SafetyObserve step
@@ -77,8 +77,8 @@ inline std::size_t SafetyRingDoubles(const SafeAgentConfig& config) {
 }
 
 /// One decision step of the defaulting state machine: feeds `score`
-/// through the trigger (DefaultTrigger::Update semantics, with the
-/// sliding window living in `ring`) and the defaulting/revocation logic.
+/// through the trigger (trigger.h semantics, with the sliding window
+/// living in `ring`) and the defaulting/revocation logic.
 /// The threshold is the config's own: the fixed 0.5 score cut for the
 /// binary trigger, `config.trigger.alpha` (the replay bisection's frozen
 /// alpha) for the variance trigger. `ring` must hold
@@ -87,9 +87,10 @@ inline std::size_t SafetyRingDoubles(const SafeAgentConfig& config) {
 /// default policy. `config` must be validated.
 inline bool SafetyObserve(const SafeAgentConfig& config, SafetyState& state,
                           SafetyCold& cold, double* ring, double score) {
-  // Trigger half: replicates DefaultTrigger::Update (and the
-  // SlidingWindowStats push/variance arithmetic it wraps) operation for
-  // operation - the float story must match the sequential path exactly.
+  // Trigger half: the SlidingWindowStats push/variance arithmetic,
+  // operation for operation, so replay calibration's variance series
+  // (replay_calibration.h) sees the same floats. The tests' reference
+  // (tests/testing/reference_trigger.h) runs it a second time.
   bool uncertain = false;
   switch (config.trigger.mode) {
     case TriggerMode::kBinary:

@@ -1,5 +1,6 @@
-// The defaulting trigger (paper Section 2.5): converts the per-step
-// uncertainty score into the decision to abandon the learned policy.
+// The defaulting trigger's configuration (paper Section 2.5): how the
+// per-step uncertainty score becomes the decision to abandon the learned
+// policy. core::SafetyObserve (safety_core.h) runs it.
 //
 // Two thresholding modes cover the paper's schemes:
 //  - kBinary (U_S): a step is uncertain when the score is 1 (the OC-SVM
@@ -13,8 +14,6 @@
 #pragma once
 
 #include <cstddef>
-
-#include "util/stats.h"
 
 namespace osap::core {
 
@@ -31,30 +30,6 @@ struct TriggerConfig {
   std::size_t l = 3;
   /// Variance threshold for kWindowVariance (ignored by kBinary).
   double alpha = 0.0;
-};
-
-class DefaultTrigger {
- public:
-  explicit DefaultTrigger(TriggerConfig config);
-
-  /// Consumes one uncertainty score; returns true when the defaulting
-  /// condition is met at this step (the caller latches the decision).
-  bool Update(double score);
-
-  /// Uncertain-step streak length so far.
-  std::size_t ConsecutiveUncertain() const { return consecutive_; }
-
-  /// Variance of the current score window (kWindowVariance diagnostics).
-  double WindowVariance() const { return window_.Variance(); }
-
-  void Reset();
-
-  const TriggerConfig& config() const { return config_; }
-
- private:
-  TriggerConfig config_;
-  SlidingWindowStats window_;
-  std::size_t consecutive_ = 0;
 };
 
 }  // namespace osap::core

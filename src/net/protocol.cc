@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <cmath>
+
 #include "util/check.h"
 
 namespace osap::net {
@@ -60,12 +62,15 @@ void AppendReplyFrame(std::vector<std::uint8_t>& out, const Reply& reply,
   }
 }
 
-void DecodedRequest::CopyState(std::span<double> out) const {
+bool DecodedRequest::CopyState(std::span<double> out) const {
   OSAP_REQUIRE(out.size() == state_dim,
                "DecodedRequest::CopyState: size mismatch");
+  bool finite = true;
   for (std::size_t i = 0; i < state_dim; ++i) {
     out[i] = GetF64(state + 8 * i);
+    finite &= std::isfinite(out[i]);
   }
+  return finite;
 }
 
 DecodeResult DecodeRequest(std::span<const std::uint8_t> body,

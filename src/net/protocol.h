@@ -66,8 +66,8 @@ enum class Status : std::uint8_t {
   /// session-memory budget). No session was created.
   kFull = 2,
   /// Malformed or inapplicable request (unknown session, wrong state
-  /// width, unknown type). The connection stays up; the client should
-  /// treat its own state as suspect.
+  /// width, a NaN or infinite state value, unknown type). The connection
+  /// stays up; the client should treat its own state as suspect.
   kError = 3,
 };
 
@@ -199,8 +199,11 @@ struct DecodedRequest {
   std::uint32_t state_dim = 0;
   const std::uint8_t* state = nullptr;
 
-  /// Decodes the STEP state payload into `out` (size must be state_dim).
-  void CopyState(std::span<double> out) const;
+  /// Decodes the STEP state payload into `out` (size must be state_dim)
+  /// bit for bit. Returns false when any value is NaN or infinite: the
+  /// wire carries every bit pattern, the decision path takes finite
+  /// states only.
+  bool CopyState(std::span<double> out) const;
 };
 
 enum class DecodeResult {

@@ -605,7 +605,16 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
         edge.state_pool.pop_back();
       }
       step.state.resize(request.state_dim);
-      request.CopyState(step.state);
+      if (!request.CopyState(step.state)) {
+        // A NaN or infinite state would reach the fallback's buffer
+        // mapping or score NaN and never default: refuse it.
+        in_flight_.fetch_sub(1, std::memory_order_relaxed);
+        edge.state_pool.push_back(std::move(step.state));
+        reply.status = Status::kError;
+        edge.errors.fetch_add(1, std::memory_order_relaxed);
+        QueueReply(edge, slot, reply);
+        return;
+      }
       step.conn = static_cast<std::uint32_t>(slot);
       step.request_id = request.header.request_id;
       step.session = id;

@@ -10,12 +10,12 @@ namespace osap::serve {
 
 DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
                                  DecisionServiceConfig config)
-    : model_(std::move(model)), config_(config) {
+    : model_(std::move(model)) {
   OSAP_REQUIRE(model_ != nullptr, "DecisionService: null model");
-  OSAP_REQUIRE(config_.shard_count >= 1,
+  OSAP_REQUIRE(config.shard_count >= 1,
                "DecisionService: shard_count must be >= 1");
-  OSAP_REQUIRE(config_.submitter_count >= 1 &&
-                   config_.submitter_count <= config_.shard_count,
+  OSAP_REQUIRE(config.submitter_count >= 1 &&
+                   config.submitter_count <= config.shard_count,
                "DecisionService: submitter_count must be in [1, shard_count]");
   core::ValidateSafeAgentConfig(model_->safety());
   ring_width_ = core::SafetyRingDoubles(model_->safety());
@@ -23,13 +23,13 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
     extractor_doubles_ = core::NoveltyFeatureExtractor::StorageDoubles(
         model_->NoveltyConfig());
   }
-  shards_.reserve(config_.shard_count);
-  for (std::size_t s = 0; s < config_.shard_count; ++s) {
+  shards_.reserve(config.shard_count);
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
     shards_.push_back(std::make_unique<ShardLane>(
-        config_.extractor_slab_slots, extractor_doubles_));
+        config.extractor_slab_slots, extractor_doubles_));
     // Groups are contiguous, so a new group starts at its first shard.
     const std::size_t g =
-        GroupOfShard(s, config_.shard_count, config_.submitter_count);
+        GroupOfShard(s, config.shard_count, config.submitter_count);
     if (g == groups_.size()) {
       groups_.push_back(std::make_unique<SubmitterGroup>());
       groups_.back()->begin = s;
@@ -127,22 +127,6 @@ bool DecisionService::Defaulted(SessionId id) const {
 std::size_t DecisionService::StepCount(SessionId id) const {
   CheckOpen(id);
   return shards_[ShardOf(id)]->sessions.hot[LocalOf(id)].steps;
-}
-
-double DecisionService::DefaultedFraction(SessionId id) const {
-  CheckOpen(id);
-  const core::SafetyState& hot =
-      shards_[ShardOf(id)]->sessions.hot[LocalOf(id)];
-  if (hot.steps == 0) return 0.0;
-  return static_cast<double>(hot.defaulted_steps) /
-         static_cast<double>(hot.steps);
-}
-
-mdp::Action DecisionService::Decide(SessionId id, const mdp::State& state) {
-  const Request request{id, &state};
-  mdp::Action action = 0;
-  DecideBatch({&request, 1}, {&action, 1});
-  return action;
 }
 
 void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {

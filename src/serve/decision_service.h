@@ -25,8 +25,9 @@
 // every non-empty shard of the group in ascending order on the calling
 // thread. Shards own disjoint sessions and disjoint out[] entries, so
 // batched decisions stay bit-identical to the sequential SafeAgent loop
-// for all three signals in both defaulting modes (pinned by equivalence
-// tests). Cores come from submitter groups, not from inside a round.
+// for all three signals in both defaulting modes (pinned by the
+// differential oracle, tests/testing/defaulting_oracle.h). Cores come
+// from submitter groups, not from inside a round.
 //
 // Threshold: step 3 compares against the model's own trigger threshold
 // (ServingModel::safety(); for U_pi / U_V the replay bisection's frozen
@@ -191,11 +192,6 @@ class DecisionService {
   std::span<const std::size_t> DecideBatch(std::span<const Request> requests,
                                            std::span<mdp::Action> out);
 
-  /// Single-session convenience wrapper around DecideBatch.
-  mdp::Action Decide(SessionId id, const mdp::State& state);
-
-  const ServingModel& model() const { return *model_; }
-  std::size_t ShardCount() const { return shards_.size(); }
   std::size_t ActiveSessionCount() const {
     return active_count_.load(std::memory_order_relaxed);
   }
@@ -209,7 +205,6 @@ class DecisionService {
   }
 
   // --- submitter groups --------------------------------------------------
-  std::size_t SubmitterCount() const { return config_.submitter_count; }
   /// The group owning `shard` when `shard_count` shards are split into
   /// `groups` contiguous groups whose sizes differ by at most one, wider
   /// groups first. The one partition formula: the network edge and its
@@ -236,7 +231,6 @@ class DecisionService {
   /// Per-session introspection (id must be open).
   bool Defaulted(SessionId id) const;
   std::size_t StepCount(SessionId id) const;
-  double DefaultedFraction(SessionId id) const;
 
   /// Exact capacity-byte accounting of the service's own containers.
   /// Call only while EVERY submitter group is parked (walks all lanes).
@@ -341,7 +335,6 @@ class DecisionService {
   void AccumulateGroup(std::size_t group, ServiceMemoryStats& stats) const;
 
   std::shared_ptr<const ServingModel> model_;
-  DecisionServiceConfig config_;
   std::vector<std::unique_ptr<ShardLane>> shards_;
 
   std::vector<std::unique_ptr<SubmitterGroup>> groups_;

@@ -2,8 +2,8 @@
 // sequential SafeAgent, the serving shards and the replay all run. Each
 // scripted score stream is driven side by side through
 //   - SafetyObserve on a bare SafetyState / SafetyCold / score ring,
-//   - an independent reference: DefaultTrigger (the SlidingWindowStats
-//     trigger) feeding a defaulting latch written out below, and
+//   - an independent reference: testing::ReferenceMachine, the
+//     SlidingWindowStats trigger feeding a defaulting latch, and
 //   - the SafetyCore wrapper,
 // and all three must agree on the fallback decision, steps,
 // defaulted_steps and default_step at every step. The scripts also pin
@@ -18,50 +18,12 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/trigger.h"
+#include "testing/reference_trigger.h"
 
 namespace osap::core {
 namespace {
 
-/// DefaultTrigger plus the documented defaulting rules: latch on a fired
-/// trigger; under kRevocable, hand control back after revoke_after
-/// consecutive steps on which the trigger neither fired nor has an open
-/// uncertain streak.
-struct ReferenceMachine {
-  explicit ReferenceMachine(const SafeAgentConfig& c)
-      : config(c), trigger(c.trigger) {}
-
-  bool Step(double score) {
-    const bool fired = trigger.Update(score);
-    if (!defaulted) {
-      if (fired) {
-        defaulted = true;
-        default_step = steps;
-        quiet = 0;
-      }
-    } else if (config.mode == DefaultingMode::kRevocable) {
-      if (!fired && trigger.ConsecutiveUncertain() == 0) {
-        if (++quiet >= config.revoke_after) {
-          defaulted = false;
-          quiet = 0;
-        }
-      } else {
-        quiet = 0;
-      }
-    }
-    ++steps;
-    if (defaulted) ++defaulted_steps;
-    return defaulted;
-  }
-
-  SafeAgentConfig config;
-  DefaultTrigger trigger;
-  bool defaulted = false;
-  std::size_t quiet = 0;
-  std::size_t steps = 0;
-  std::size_t defaulted_steps = 0;
-  std::size_t default_step = 0;
-};
+using osap::testing::ReferenceMachine;
 
 struct ScriptStep {
   double score;

@@ -1,15 +1,17 @@
-// Property-based sweeps over the defaulting trigger: for every (k, l)
-// combination, the firing semantics promised by the paper's thresholding
-// description must hold exactly.
+// Property-based sweeps over the tests' reference trigger: for every
+// (k, l) combination, the firing semantics promised by the paper's
+// thresholding description must hold exactly.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "core/trigger.h"
+#include "testing/reference_trigger.h"
 #include "util/rng.h"
 
 namespace osap::core {
 namespace {
+
+using osap::testing::DefaultTrigger;
 
 using Params = std::tuple<std::size_t /*k*/, std::size_t /*l*/>;
 

@@ -1,9 +1,11 @@
-#include "core/trigger.h"
+#include "testing/reference_trigger.h"
 
 #include <gtest/gtest.h>
 
 namespace osap::core {
 namespace {
+
+using osap::testing::DefaultTrigger;
 
 TriggerConfig Binary(std::size_t l) {
   TriggerConfig cfg;

@@ -30,15 +30,15 @@
 #include "abr/abr_environment.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "net_test_world.h"
+#include "testing/defaulting_oracle.h"
 
 namespace osap::net {
 namespace {
 
-using testing::NetModelFor;
-using testing::NetWorld;
+using testing::ModelFor;
 using testing::ServerRunner;
-using testing::SharedNetWorld;
+using testing::ServeWorld;
+using testing::SharedServeWorld;
 
 bool NodelaySet(int fd) {
   int flag = 0;
@@ -81,9 +81,9 @@ int AcceptedPeerFd(int client_fd) {
 // both the client socket and the server's accepted socket carry
 // TCP_NODELAY.
 TEST(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
 
@@ -106,9 +106,9 @@ TEST(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
 // clean EOF. (Pipelined duplicates of one session defer one round each,
 // so the 4x2 burst needs four decision rounds - Stop() lands mid-drain.)
 TEST(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.service.shard_count = 2;
   NetServer server(model, cfg);
@@ -150,9 +150,9 @@ TEST(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
 // reply status the clients observed shows up in the aggregated per-edge
 // counters exactly, and nothing is dropped or double-counted.
 TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.edge_threads = 2;
   cfg.max_sessions = 4;
@@ -249,34 +249,26 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
 
 // A live session's id presented on the other edge is kError: each edge
 // addresses only its own group's open sessions. The kernel's
-// SO_REUSEPORT hash places connections, so keep connecting until two of
-// them hold sessions in different groups.
+// SO_REUSEPORT hash places connections, so ConnectToEdge keeps
+// connecting until one lands on each edge.
 TEST(NetMultiEdge, LiveSessionFromAnotherEdgeIsError) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.edge_threads = 2;
   cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
 
-  std::vector<std::unique_ptr<Client>> clients;
-  Client* holder[2] = {nullptr, nullptr};
+  std::unique_ptr<Client> holder[2];
   std::uint64_t session[2] = {0, 0};
-  for (int tries = 0; tries < 64 && (!holder[0] || !holder[1]); ++tries) {
-    auto& c = clients.emplace_back(std::make_unique<Client>());
-    c->Connect("127.0.0.1", server.Port());
-    const std::uint64_t id = c->OpenSession();
-    const std::size_t group = serve::DecisionService::GroupOfShard(
-        id % cfg.service.shard_count, cfg.service.shard_count,
-        cfg.edge_threads);
-    if (holder[group] == nullptr) {
-      holder[group] = c.get();
-      session[group] = id;
-    }
+  for (std::size_t g = 0; g < 2; ++g) {
+    holder[g] = testing::ConnectToEdge(server.Port(), g,
+                                       cfg.service.shard_count,
+                                       cfg.edge_threads);
+    ASSERT_NE(holder[g], nullptr);
+    session[g] = holder[g]->OpenSession();
   }
-  ASSERT_TRUE(holder[0] != nullptr && holder[1] != nullptr)
-      << "64 connections all hashed to one edge";
 
   abr::AbrEnvironment env(w.video, {});
   env.SetFixedTrace(w.traces[0]);

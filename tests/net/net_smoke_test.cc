@@ -17,20 +17,20 @@
 #include "abr/abr_environment.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "net_test_world.h"
+#include "testing/defaulting_oracle.h"
 
 namespace osap::net {
 namespace {
 
-using testing::NetModelFor;
-using testing::NetWorld;
+using testing::ModelFor;
 using testing::ServerRunner;
-using testing::SharedNetWorld;
+using testing::ServeWorld;
+using testing::SharedServeWorld;
 
 TEST(NetSmoke, ConcurrentClientsWithSessionChurn) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kRevocable);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kRevocable);
   NetServerConfig cfg;
   // Small caps so the churn also exercises the BUSY path under load.
   cfg.max_in_flight = 16;
@@ -104,9 +104,9 @@ TEST(NetSmoke, ConcurrentClientsWithSessionChurn) {
 // Abrupt disconnects mid-session: the server must reap the connection's
 // sessions and keep serving everyone else.
 TEST(NetSmoke, AbruptDisconnectReapsSessions) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
 
@@ -142,9 +142,9 @@ TEST(NetSmoke, AbruptDisconnectReapsSessions) {
 // accounting invariant is the point: ok + busy + full + error ==
 // requests sent, nothing dropped, nothing double-counted, across edges.
 TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kRevocable);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kRevocable);
   NetServerConfig cfg;
   cfg.edge_threads = 4;
   cfg.max_sessions = 8;

@@ -1,12 +1,11 @@
 // NetServer loopback tests: the acceptance criteria of the network edge.
 //
-// The load-bearing property is end-to-end bit-identity: a session driven
-// over the wire (state doubles encoded as IEEE-754 bit patterns, decisions
-// computed by the server's micro-batched DecisionService, replies read
-// back over TCP) must pick exactly the action sequence the in-process
-// DecisionService picks for the same trace. Batching composition is
-// already pinned by the serve equivalence tests, so any divergence here
-// is a wire bug (lossy encoding, reply misrouting, state corruption).
+// Wire decisions match the in-process ones bit for bit; the differential
+// oracle (testing/defaulting_oracle.h) pins that for every signal, mode
+// and edge count. The framing tests here (bursts that straddle reads,
+// paused reads, one byte per send) take their expected answers from the
+// oracle's SafeAgent reference, so a framing bug shows up as a wrong
+// decision.
 //
 // The admission tests pin the other acceptance criterion: a flooding
 // client gets BUSY, lane depth stays at or below the high-water mark (the
@@ -21,152 +20,28 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "abr/abr_environment.h"
 #include "net/client.h"
-#include "net_test_world.h"
-#include "serve/decision_service.h"
+#include "testing/defaulting_oracle.h"
 
 namespace osap::net {
 namespace {
 
-using testing::NetModelFor;
-using testing::NetWorld;
+using testing::BoundReplyWait;
+using testing::ModelFor;
 using testing::ServerRunner;
-using testing::SharedNetWorld;
-
-struct SessionRun {
-  std::vector<mdp::Action> actions;
-  std::vector<char> defaulted;  // per-step defaulted flag
-};
-
-/// Reference arm: each trace runs alone through an in-process
-/// DecisionService (serial config), start to finish.
-std::vector<SessionRun> RunInProcess(
-    const NetWorld& w, std::shared_ptr<const serve::ServingModel> model) {
-  serve::DecisionServiceConfig cfg;
-  cfg.shard_count = 2;
-  serve::DecisionService service(model, cfg);
-  std::vector<SessionRun> runs;
-  for (const traces::Trace& trace : w.traces) {
-    SessionRun run;
-    const auto id = service.OpenSession();
-    abr::AbrEnvironment env(w.video, {});
-    env.SetFixedTrace(trace);
-    mdp::State state = env.Reset();
-    bool done = false;
-    while (!done) {
-      const mdp::Action action = service.Decide(id, state);
-      run.actions.push_back(action);
-      run.defaulted.push_back(service.Defaulted(id));
-      mdp::StepResult result = env.Step(action);
-      state = std::move(result.next_state);
-      done = result.done;
-    }
-    service.CloseSession(id);
-    runs.push_back(std::move(run));
-  }
-  return runs;
-}
-
-/// Wire arm: all traces run CONCURRENTLY over one pipelined connection,
-/// so every decision round micro-batches across sessions - the
-/// composition an edge in production sees.
-std::vector<SessionRun> RunOverWire(const NetWorld& w, std::uint16_t port) {
-  Client client;
-  client.Connect("127.0.0.1", port);
-
-  const std::size_t n = w.traces.size();
-  std::vector<SessionRun> runs(n);
-  std::vector<std::uint64_t> session(n);
-  std::vector<abr::AbrEnvironment> envs;
-  std::vector<mdp::State> states(n);
-  std::vector<bool> done(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    envs.emplace_back(w.video, abr::AbrEnvironmentConfig{});
-    envs[i].SetFixedTrace(w.traces[i]);
-    states[i] = envs[i].Reset();
-    session[i] = client.OpenSession();
-  }
-
-  std::size_t live = n;
-  // High base so explicit ids never collide with the ids the Client's
-  // convenience calls (OpenSession / CloseSession) pick internally.
-  std::uint64_t next_request = 1 << 20;
-  while (live > 0) {
-    // One pipelined round: a STEP for every live session, one flush.
-    std::map<std::uint64_t, std::size_t> viewer_of;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i]) continue;
-      const std::uint64_t rid = next_request++;
-      viewer_of[rid] = i;
-      client.SendStep(rid, session[i], states[i]);
-    }
-    client.Flush();
-    std::vector<std::size_t> finished;
-    for (std::size_t k = 0; k < viewer_of.size(); ++k) {
-      Reply reply;
-      if (!client.ReadReply(reply)) throw std::runtime_error("early EOF");
-      const auto it = viewer_of.find(reply.request_id);
-      if (it == viewer_of.end()) throw std::runtime_error("unknown id");
-      const std::size_t i = it->second;
-      EXPECT_EQ(reply.status, Status::kOk);
-      EXPECT_EQ(reply.session_id, session[i]);
-      runs[i].actions.push_back(reply.action);
-      runs[i].defaulted.push_back(reply.Defaulted());
-      mdp::StepResult result = envs[i].Step(reply.action);
-      states[i] = std::move(result.next_state);
-      if (result.done) {
-        done[i] = true;
-        --live;
-        finished.push_back(i);
-      }
-    }
-    // Close only once the burst is fully drained: CloseSession is its own
-    // round trip and must not race the burst's outstanding replies.
-    for (std::size_t i : finished) client.CloseSession(session[i]);
-  }
-  client.Close();
-  return runs;
-}
-
-TEST(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
-  const NetWorld& w = SharedNetWorld();
-  for (serve::Signal signal :
-       {serve::Signal::kNovelty, serve::Signal::kAgentEnsemble}) {
-    const auto model =
-        NetModelFor(w, signal, core::DefaultingMode::kPermanent);
-    const std::vector<SessionRun> reference = RunInProcess(w, model);
-
-    NetServerConfig cfg;
-    cfg.service.shard_count = 2;
-    ServerRunner server(model, cfg);
-    const std::vector<SessionRun> wire = RunOverWire(w, server.Port());
-
-    ASSERT_EQ(wire.size(), reference.size());
-    std::size_t defaulted_steps = 0, learned_steps = 0;
-    for (std::size_t i = 0; i < wire.size(); ++i) {
-      EXPECT_EQ(wire[i].actions, reference[i].actions)
-          << "session " << i << " diverged over the wire";
-      EXPECT_EQ(wire[i].defaulted, reference[i].defaulted)
-          << "session " << i << " defaulted flags diverged";
-      for (char d : reference[i].defaulted) (d ? defaulted_steps
-                                               : learned_steps)++;
-    }
-    // The comparison only means something if both decision paths ran:
-    // some steps defaulted to the fallback, some used the learned actor.
-    EXPECT_GT(defaulted_steps, 0u);
-    EXPECT_GT(learned_steps, 0u);
-  }
-}
+using testing::ServeWorld;
+using testing::SharedServeWorld;
 
 TEST(NetServerLoopback, ReplyEpochsAreMonotonic) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
   Client client;
@@ -191,9 +66,9 @@ TEST(NetServerLoopback, ReplyEpochsAreMonotonic) {
 // gets BUSY replies, lane depth stays <= the high-water mark, and no
 // request is silently dropped (replies exactly match requests sent).
 TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.max_in_flight = 4;
   cfg.lane_high_water = 4;  // rings bounded to 4: deeper = loud abort
@@ -250,9 +125,9 @@ TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
 // sessions hash to shard id % 2, so flooding only even sessions fills one
 // lane while the global cap stays distant.
 TEST(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.max_in_flight = 1000;  // global cap out of the way
   cfg.lane_high_water = 2;
@@ -290,9 +165,9 @@ TEST(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
 }
 
 TEST(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.max_sessions = 3;
   ServerRunner server(model, cfg);
@@ -315,9 +190,9 @@ TEST(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
 }
 
 TEST(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
 
@@ -352,9 +227,9 @@ TEST(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
 // CLOSE was parsed, kError if the CLOSE failed it) - never silence - and
 // a STEP after the CLOSE is kError.
 TEST(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
 
@@ -396,9 +271,9 @@ TEST(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
 }
 
 TEST(NetServerLoopback, StatsReflectServiceState) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
 
@@ -432,9 +307,9 @@ TEST(NetServerLoopback, StatsReflectServiceState) {
 // at most that one connection - never a SIGPIPE (the flush path uses
 // sendmsg + MSG_NOSIGNAL) and never a wedged loop.
 TEST(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   ServerRunner server(model, cfg);
 
@@ -472,54 +347,18 @@ TEST(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
   polite.CloseSession(session);
 }
 
-/// Open-loop states for the framing tests: viewer v replays trace
-/// v % traces under a fixed action, so its states never depend on the
-/// server's answers and a whole run can be pipelined up front.
-std::vector<std::vector<mdp::State>> FixedActionStates(const NetWorld& w,
-                                                       std::size_t viewers,
-                                                       std::size_t steps) {
-  std::vector<std::vector<mdp::State>> states(viewers);
+/// The framing tests' sessions and their expected answers: viewer v
+/// streams trace v % traces (ID and OOD alternate) through its own
+/// SafeAgent for `steps` decisions - the oracle's reference.
+std::vector<testing::ReferenceSession> ReferenceViewers(
+    serve::Signal signal, std::size_t viewers, std::size_t steps) {
+  const ServeWorld& w = SharedServeWorld();
+  std::vector<testing::SessionScript> scripts(viewers, {.steps = steps});
   for (std::size_t v = 0; v < viewers; ++v) {
-    abr::AbrEnvironment env(w.video, {});
-    env.SetFixedTrace(w.traces[v % w.traces.size()]);
-    mdp::State state = env.Reset();
-    for (std::size_t k = 0; k < steps; ++k) {
-      states[v].push_back(state);
-      mdp::StepResult result = env.Step(static_cast<mdp::Action>(v % 3));
-      state = result.done ? env.Reset() : std::move(result.next_state);
-    }
+    scripts[v].id_trace = v % w.traces.size();
   }
-  return states;
-}
-
-/// The in-process answers to FixedActionStates: viewer v's states in
-/// order through its own session of a serial service.
-std::vector<SessionRun> DecideInProcess(
-    std::shared_ptr<const serve::ServingModel> model,
-    const std::vector<std::vector<mdp::State>>& states) {
-  serve::DecisionServiceConfig cfg;
-  cfg.shard_count = 2;
-  serve::DecisionService service(std::move(model), cfg);
-  std::vector<SessionRun> runs(states.size());
-  for (std::size_t v = 0; v < states.size(); ++v) {
-    const auto id = service.OpenSession();
-    for (const mdp::State& state : states[v]) {
-      runs[v].actions.push_back(service.Decide(id, state));
-      runs[v].defaulted.push_back(service.Defaulted(id));
-    }
-    service.CloseSession(id);
-  }
-  return runs;
-}
-
-/// Bounds every blocking read on `client`, so a reply the server never
-/// sends fails the test instead of hanging it.
-void BoundReplyWait(const Client& client) {
-  timeval timeout{};
-  timeout.tv_sec = 10;
-  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                         sizeof timeout),
-            0);
+  return testing::RunReference(w, scripts, signal,
+                               core::DefaultingMode::kPermanent);
 }
 
 /// Reply tally for the STATS identity ok + busy + full + error == sent.
@@ -534,19 +373,18 @@ struct Tally {
   std::size_t Total() const { return ok + busy + full + error; }
 };
 
-/// Runs viewer v's `states[v]` over ONE connection: opens a session per
+/// Runs each reference viewer over ONE connection: opens a session per
 /// viewer, pipelines every STEP in a single flush (step-major, so
 /// consecutive frames belong to different sessions), then closes the
-/// sessions. Every reply must be kOk and carry exactly the in-process
-/// decision for its viewer's step, and ok + busy + full + error == sent.
-void ExpectPipelinedBurstMatchesInProcess(
+/// sessions. Every reply must be kOk and carry exactly the reference's
+/// action and defaulted flag for its viewer's step, and
+/// ok + busy + full + error == sent.
+void ExpectPipelinedBurstMatchesReference(
     const std::shared_ptr<const serve::ServingModel>& model,
     const NetServerConfig& cfg,
-    const std::vector<std::vector<mdp::State>>& states) {
-  const std::size_t viewers = states.size();
-  const std::size_t steps = states[0].size();
-  const std::vector<SessionRun> reference = DecideInProcess(model, states);
-
+    const std::vector<testing::ReferenceSession>& reference) {
+  const std::size_t viewers = reference.size();
+  const std::size_t steps = reference[0].states.size();
   ServerRunner server(model, cfg);
   Client client;
   client.Connect("127.0.0.1", server.Port());
@@ -569,16 +407,12 @@ void ExpectPipelinedBurstMatchesInProcess(
   constexpr std::uint64_t kBase = 1 << 20;
   for (std::size_t k = 0; k < steps; ++k) {
     for (std::size_t v = 0; v < viewers; ++v) {
-      client.SendStep(kBase + k * viewers + v, session[v], states[v][k]);
+      client.SendStep(kBase + k * viewers + v, session[v],
+                      reference[v].states[k]);
     }
   }
   sent += steps * viewers;
   client.Flush();
-  std::vector<SessionRun> wire(viewers);
-  for (auto& run : wire) {
-    run.actions.resize(steps);
-    run.defaulted.resize(steps);
-  }
   for (std::size_t n = 0; n < steps * viewers; ++n) {
     Reply reply;
     ASSERT_TRUE(client.ReadReply(reply)) << "reply " << n << " missing";
@@ -588,13 +422,12 @@ void ExpectPipelinedBurstMatchesInProcess(
     const std::uint64_t index = reply.request_id - kBase;
     ASSERT_LT(index, steps * viewers);
     const std::size_t v = index % viewers;
+    const std::size_t k = index / viewers;
     EXPECT_EQ(reply.session_id, session[v]);
-    wire[v].actions[index / viewers] = reply.action;
-    wire[v].defaulted[index / viewers] = reply.Defaulted();
-  }
-  for (std::size_t v = 0; v < viewers; ++v) {
-    EXPECT_EQ(wire[v].actions, reference[v].actions) << "viewer " << v;
-    EXPECT_EQ(wire[v].defaulted, reference[v].defaulted) << "viewer " << v;
+    EXPECT_EQ(reply.action, reference[v].actions[k])
+        << "viewer " << v << " step " << k;
+    EXPECT_EQ(reply.Defaulted(), reference[v].defaulted[k] != 0)
+        << "viewer " << v << " step " << k;
   }
 
   for (std::size_t v = 0; v < viewers; ++v) {
@@ -614,25 +447,67 @@ void ExpectPipelinedBurstMatchesInProcess(
   EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors, 0u);
 }
 
+// Non-finite states never reach the decision path: a NaN in the buffer
+// slot would feed the fallback's buffer-to-level cast, and a NaN or
+// infinity elsewhere would score NaN and never default. Each gets kError,
+// the connection keeps working, and STATS counts every reply.
+TEST(NetServerLoopback, NonFiniteStatesGetErrorReplies) {
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
+  ServerRunner server(model, NetServerConfig{});
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+  const std::uint64_t session = client.OpenSession();
+  std::vector<std::vector<double>> states(
+      3, std::vector<double>(model->InputSize(), 0.25));
+  states[0][w.layout.BufferIndex()] = std::numeric_limits<double>::quiet_NaN();
+  states[1][w.layout.ThroughputBegin()] =
+      std::numeric_limits<double>::infinity();
+
+  Tally tally;
+  for (std::uint64_t rid = 1; rid <= 3; ++rid) {
+    client.SendStep(rid, session, states[rid - 1]);
+  }
+  client.Flush();
+  for (std::uint64_t rid = 1; rid <= 3; ++rid) {
+    Reply reply;
+    ASSERT_TRUE(client.ReadReply(reply));
+    EXPECT_EQ(reply.request_id, rid);
+    EXPECT_EQ(reply.status, rid < 3 ? Status::kError : Status::kOk);
+    tally.Add(reply);
+  }
+  EXPECT_EQ(tally.error, 2u);
+  const ServerStats stats = client.Stats();
+  EXPECT_EQ(stats.decided, tally.ok);
+  EXPECT_EQ(stats.errors, tally.error);
+  EXPECT_EQ(stats.busy + stats.rejected_opens, tally.busy + tally.full);
+  EXPECT_EQ(tally.Total(), 3u);
+  client.CloseSession(session);
+}
+
 // One pipelined burst of STEPs more than twice kReadChunk, so the server
 // needs several reads, and a full kReadChunk read cannot end on a frame
 // boundary (kReadChunk is not a multiple of the frame size): frames
-// straddle reads. Every reply must carry exactly the in-process decision
+// straddle reads. Every reply must carry exactly the reference's decision
 // for its viewer's step.
 TEST(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
-  const NetWorld& w = SharedNetWorld();
-  constexpr std::size_t kViewers = 8;
-  const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  constexpr std::size_t kViewers = 16;
+  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
+                              core::DefaultingMode::kPermanent);
   const std::size_t frame = StepFrameBytes(model->InputSize());
   const std::size_t steps = 2 * kReadChunk / (kViewers * frame) + 1;
   ASSERT_GT(kViewers * steps * frame, 2 * kReadChunk);
   ASSERT_NE(kReadChunk % frame, 0u);
+  ASSERT_LE(steps, w.video.ChunkCount());
 
   NetServerConfig cfg;
   cfg.service.shard_count = 2;
-  ExpectPipelinedBurstMatchesInProcess(model, cfg,
-                                       FixedActionStates(w, kViewers, steps));
+  ExpectPipelinedBurstMatchesReference(
+      model, cfg,
+      ReferenceViewers(serve::Signal::kAgentEnsemble, kViewers, steps));
 }
 
 // TCP pushback: with pause_reads_above = 2 the connection pauses after
@@ -642,21 +517,22 @@ TEST(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
 // each resume must drain the socket explicitly (DrainSocket); a lost
 // wakeup leaves replies missing and the bounded read fails the test.
 TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
-  const NetWorld& w = SharedNetWorld();
-  constexpr std::size_t kViewers = 8;
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  constexpr std::size_t kViewers = 16;
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   // More than two read chunks: the paused remainder outlives the bytes
   // already buffered in user space.
   const std::size_t frame = StepFrameBytes(model->InputSize());
   const std::size_t steps = 2 * kReadChunk / (kViewers * frame) + 1;
   ASSERT_GE(kViewers * steps, 200u);
+  ASSERT_LE(steps, w.video.ChunkCount());
 
   NetServerConfig cfg;
   cfg.pause_reads_above = 2;
   cfg.service.shard_count = 2;
-  ExpectPipelinedBurstMatchesInProcess(model, cfg,
-                                       FixedActionStates(w, kViewers, steps));
+  ExpectPipelinedBurstMatchesReference(
+      model, cfg, ReferenceViewers(serve::Signal::kNovelty, kViewers, steps));
 }
 
 // The OPEN_SESSION byte budget: with max_session_bytes = 1, the edge's
@@ -665,10 +541,10 @@ TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
 // there on, and every OPEN after a STATS refresh is FULL. STATS must
 // count exactly the FULL replies the client saw.
 TEST(NetServerLoopback, OpenPastMaxSessionBytesGetsFull) {
-  const NetWorld& w = SharedNetWorld();
+  const ServeWorld& w = SharedServeWorld();
   constexpr std::size_t kOpens = 200;
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.max_session_bytes = 1;
   cfg.service.shard_count = 2;
@@ -733,14 +609,13 @@ TEST(NetServerLoopback, OpenPastMaxSessionBytesGetsFull) {
 
 // Frames trickling in one byte per send(): the parser must hold every
 // partial length prefix, header and state payload across reads and
-// answer each frame exactly once, exactly as in process.
+// answer each frame exactly once, exactly as the reference.
 TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
-  const NetWorld& w = SharedNetWorld();
+  const ServeWorld& w = SharedServeWorld();
   constexpr std::size_t kSteps = 3;
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
-  const auto states = FixedActionStates(w, 1, kSteps);
-  const std::vector<SessionRun> reference = DecideInProcess(model, states);
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
+  const auto reference = ReferenceViewers(serve::Signal::kNovelty, 1, kSteps);
 
   NetServerConfig cfg;
   cfg.service.shard_count = 2;
@@ -765,7 +640,7 @@ TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   ASSERT_EQ(reply.status, Status::kOk);
   const std::uint64_t session = reply.session_id;
   for (std::size_t k = 0; k < kSteps; ++k) {
-    trickle({kProtocolVersion, MsgType::kStep, 2 + k, session}, states[0][k]);
+    trickle({kProtocolVersion, MsgType::kStep, 2 + k, session}, reference[0].states[k]);
     ASSERT_TRUE(client.ReadReply(reply));
     tally.Add(reply);
     EXPECT_EQ(reply.request_id, 2 + k);
@@ -789,9 +664,9 @@ TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
 // session, B's OPEN gets the same id (LIFO), and A's STEP on it is
 // kError.
 TEST(NetServerLoopback, ForeignConnectionCannotStepOrCloseASession) {
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   ServerRunner server(model, NetServerConfig{});
   Client a, b;
   a.Connect("127.0.0.1", server.Port());
@@ -857,9 +732,9 @@ TEST(NetServerLoopback, ForeignConnectionCannotStepOrCloseASession) {
 TEST(NetServerLoopback, SequentialStepsStayWithinTheIoSyscallBudget) {
   constexpr std::uint64_t kSyscallsPerRound = 4;
   constexpr std::uint64_t kRounds = 256;
-  const NetWorld& w = SharedNetWorld();
-  const auto model = NetModelFor(w, serve::Signal::kNovelty,
-                                 core::DefaultingMode::kPermanent);
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
   ServerRunner server(model, NetServerConfig{});
   Client client;
   client.Connect("127.0.0.1", server.Port());
