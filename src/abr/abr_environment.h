@@ -35,8 +35,10 @@ class AbrEnvironment final : public mdp::Environment {
   /// The traces must outlive the environment.
   void SetTracePool(std::span<const traces::Trace> pool, std::uint64_t seed);
 
-  /// Evaluation mode: Reset() always replays this trace.
+  /// Evaluation mode: Reset() always replays this trace. The environment
+  /// keeps a pointer, so `trace` must outlive it; a temporary cannot.
   void SetFixedTrace(const traces::Trace& trace);
+  void SetFixedTrace(const traces::Trace&&) = delete;
 
   /// Advances the trace-pool RNG as if `episodes` episodes had been Reset
   /// (one pool draw each) without running them. Lets per-member environment

@@ -90,8 +90,10 @@ class CcEnvironment final : public mdp::Environment {
   /// Training mode: Reset() picks a capacity trace uniformly per episode.
   void SetTracePool(std::span<const traces::Trace> pool, std::uint64_t seed);
 
-  /// Evaluation mode: Reset() always replays this trace.
+  /// Evaluation mode: Reset() always replays this trace. The environment
+  /// keeps a pointer, so `trace` must outlive it; a temporary cannot.
   void SetFixedTrace(const traces::Trace& trace);
+  void SetFixedTrace(const traces::Trace&&) = delete;
 
   // mdp::Environment
   mdp::State Reset() override;

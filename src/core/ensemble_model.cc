@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nn/losses.h"
 #include "nn/matrix.h"
@@ -169,7 +170,12 @@ void EnsembleModel::ScorePacked(const nn::Matrix& states,
   // own state alone, so batch grouping is invisible in the scores.
   const nn::Matrix& result = batched_.InferBatch(states, s.infer);
   for (std::size_t b = 0; b < batch; ++b) {
-    if (kind_ == Kind::kValueDeviation) {
+    const double* first = result.Row(b * n).data();
+    if (!std::all_of(first, first + n * result.cols(),
+                     [](double v) { return std::isfinite(v); })) {
+      out[b] = std::numeric_limits<double>::infinity();
+      if (!greedy_first.empty()) greedy_first[b] = 0;
+    } else if (kind_ == Kind::kValueDeviation) {
       out[b] = TrimmedValueScore(s, result, b * n, n, keep_);
     } else {
       // U_pi: per-member action distributions from the fused logits, then

@@ -56,6 +56,10 @@ class EnsembleModel {
   /// The member-0 distributions are already computed for the KL score, so
   /// a U_pi serving shard gets its deployed-actor actions for free instead
   /// of paying a second inference pass over the same weights.
+  ///
+  /// A row whose member outputs are not all finite (an extreme but finite
+  /// state can overflow them) scores +inf, with greedy action 0: the
+  /// trigger then fails closed on it, and nothing throws.
   void ScorePacked(const nn::Matrix& states, std::span<double> out,
                    std::span<mdp::Action> greedy_first = {}) const;
 

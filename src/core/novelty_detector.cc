@@ -1,131 +1,58 @@
 #include "core/novelty_detector.h"
 
+#include <cmath>
+
 #include "util/check.h"
 
 namespace osap::core {
 
-namespace {
-
-void ValidateExtractorConfig(const NoveltyDetectorConfig& config) {
-  OSAP_REQUIRE(config.throughput_window >= 2,
-               "NoveltyDetector: throughput window must be >= 2");
+NoveltyFeatureExtractor::NoveltyFeatureExtractor(
+    const NoveltyDetectorConfig& config)
+    : config_(config), storage_(StorageDoubles(config)) {
+  OSAP_REQUIRE(config.throughput_window >= 2 &&
+                   config.throughput_window <= kMaxWindowCapacity,
+               "NoveltyDetector: throughput window must be in [2, 65535]");
   OSAP_REQUIRE(config.k >= 1, "NoveltyDetector: k must be >= 1");
 }
 
-/// Validates config + storage and returns the window's slice of it.
-std::span<double> WindowSlice(const NoveltyDetectorConfig& config,
-                              std::span<double> storage) {
-  ValidateExtractorConfig(config);
-  OSAP_REQUIRE(
-      storage.size() >= NoveltyFeatureExtractor::StorageDoubles(config),
-      "NoveltyFeatureExtractor: storage too small");
-  return storage.first(config.throughput_window);
-}
-
-}  // namespace
-
-NoveltyFeatureExtractor::NoveltyFeatureExtractor(
-    const NoveltyDetectorConfig& config)
-    : window_((ValidateExtractorConfig(config), config.throughput_window)),
-      owned_pairs_(new double[2 * config.k]),
-      k_(static_cast<std::uint32_t>(config.k)) {
-  pairs_ = owned_pairs_.get();
-}
-
-NoveltyFeatureExtractor::NoveltyFeatureExtractor(
-    const NoveltyDetectorConfig& config, std::span<double> storage)
-    : window_(WindowSlice(config, storage)),
-      pairs_(storage.data() + config.throughput_window),
-      k_(static_cast<std::uint32_t>(config.k)) {}
-
-NoveltyFeatureExtractor::~NoveltyFeatureExtractor() = default;
-
-NoveltyFeatureExtractor::NoveltyFeatureExtractor(
-    const NoveltyFeatureExtractor& other)
-    : window_(other.window_),  // deep copy into owned storage
-      owned_pairs_(new double[2 * other.k_]),
-      k_(other.k_),
-      head_(other.head_),
-      count_(other.count_) {
-  pairs_ = owned_pairs_.get();
-  // Only the populated region is meaningful (head_ stays 0 until the ring
-  // fills, so the valid pairs are the first count_ when warming up and
-  // all k_ once full).
-  const std::uint32_t valid = 2 * (count_ < k_ ? count_ : k_);
-  for (std::uint32_t i = 0; i < valid; ++i) pairs_[i] = other.pairs_[i];
-}
-
-NoveltyFeatureExtractor& NoveltyFeatureExtractor::operator=(
-    const NoveltyFeatureExtractor& other) {
-  if (this == &other) return *this;
-  NoveltyFeatureExtractor copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-NoveltyFeatureExtractor::NoveltyFeatureExtractor(
-    NoveltyFeatureExtractor&& other) noexcept
-    : window_(std::move(other.window_)),
-      pairs_(other.pairs_),
-      owned_pairs_(std::move(other.owned_pairs_)),
-      k_(other.k_),
-      head_(other.head_),
-      count_(other.count_) {
-  other.pairs_ = nullptr;
-  other.k_ = other.head_ = other.count_ = 0;
-}
-
-NoveltyFeatureExtractor& NoveltyFeatureExtractor::operator=(
-    NoveltyFeatureExtractor&& other) noexcept {
-  if (this == &other) return *this;
-  window_ = std::move(other.window_);
-  owned_pairs_ = std::move(other.owned_pairs_);
-  pairs_ = other.pairs_;
-  k_ = other.k_;
-  head_ = other.head_;
-  count_ = other.count_;
-  other.pairs_ = nullptr;
-  other.k_ = other.head_ = other.count_ = 0;
-  return *this;
-}
-
-std::optional<std::vector<double>> NoveltyFeatureExtractor::Push(
-    double throughput_mbps) {
-  std::vector<double> feature(2 * static_cast<std::size_t>(k_));
-  if (!Push(throughput_mbps, feature)) return std::nullopt;
-  return feature;
-}
-
-bool NoveltyFeatureExtractor::Push(double throughput_mbps,
+bool NoveltyFeatureExtractor::Push(const NoveltyDetectorConfig& config,
+                                   NoveltyFeatureState& state,
+                                   std::span<double> storage,
+                                   double throughput_mbps,
                                    std::span<double> out) {
-  OSAP_REQUIRE(out.size() >= 2 * static_cast<std::size_t>(k_),
-               "NoveltyFeatureExtractor::Push: output span too short");
-  window_.Push(throughput_mbps);
-  if (!window_.Full()) return false;
+  const auto k = static_cast<std::uint32_t>(config.k);
+  OSAP_REQUIRE(storage.size() >= StorageDoubles(config) &&
+                   out.size() >= 2 * static_cast<std::size_t>(k),
+               "NoveltyFeatureExtractor::Push: storage or output too short");
+  const std::span<double> ring = storage.first(config.throughput_window);
+  double* pairs = storage.data() + config.throughput_window;
+  state.window.Push(ring, throughput_mbps);
+  if (state.window.size < ring.size()) return false;
   // Overwrite the oldest slot; until the ring fills, the oldest slot is
   // simply the next unused one.
-  const std::uint32_t slot = (head_ + count_) % k_;
-  pairs_[2 * slot] = window_.Mean();
-  pairs_[2 * slot + 1] = window_.StdDev();
-  if (count_ < k_) {
-    ++count_;
+  const std::uint32_t slot = (state.head + state.count) % k;
+  pairs[2 * slot] = state.window.Mean();
+  pairs[2 * slot + 1] = std::sqrt(state.window.Variance());
+  if (state.count < k) {
+    ++state.count;
   } else {
-    head_ = (head_ + 1) % k_;
+    state.head = (state.head + 1) % k;
   }
-  if (count_ < k_) return false;
+  if (state.count < k) return false;
   std::size_t i = 0;
-  for (std::uint32_t p = 0; p < k_; ++p) {
-    const std::uint32_t source = (head_ + p) % k_;
-    out[i++] = pairs_[2 * source];
-    out[i++] = pairs_[2 * source + 1];
+  for (std::uint32_t p = 0; p < k; ++p) {
+    const std::uint32_t source = (state.head + p) % k;
+    out[i++] = pairs[2 * source];
+    out[i++] = pairs[2 * source + 1];
   }
   return true;
 }
 
-void NoveltyFeatureExtractor::Reset() {
-  window_.Reset();
-  head_ = 0;
-  count_ = 0;
+std::optional<std::vector<double>> NoveltyFeatureExtractor::Push(
+    double throughput_mbps) {
+  std::vector<double> feature(FeatureSize());
+  if (!Push(throughput_mbps, feature)) return std::nullopt;
+  return feature;
 }
 
 NoveltyDetector::NoveltyDetector(NoveltyDetectorConfig config,

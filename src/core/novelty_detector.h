@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,31 +33,28 @@ struct NoveltyDetectorConfig {
   svm::OcSvmConfig svm;
 };
 
+/// One extractor's streaming state: the throughput window's moments and
+/// the cursors of the ring of k [mean, stddev] pairs. Plain data; the
+/// window ring and the pairs live in StorageDoubles(config) doubles the
+/// caller keeps (an owning NoveltyFeatureExtractor, or a shard slab on the
+/// serving path). Zero-initialization is the fresh state.
+struct NoveltyFeatureState {
+  SlidingWindow window;
+  std::uint32_t head = 0;   // oldest pair once the ring is full
+  std::uint32_t count = 0;  // pairs held (< k during warm-up)
+};
+
 /// Streams throughput observations into OC-SVM feature vectors; shared by
 /// online detection and offline training-set extraction so both see
-/// identical features.
+/// identical features. It owns its storage; the serving path runs the
+/// same static Push over slab-placed state instead.
 ///
-/// All variable state (the throughput window plus the [mean, stddev] pair
-/// ring) fits in StorageDoubles(config) doubles. The config constructor
-/// allocates it privately; the placement constructor carves it from
-/// caller-owned memory, which is how the serving path packs thousands of
-/// per-session extractors into shard slabs with zero private
-/// allocations. Copies are deep into owned storage; moves steal it.
+/// The window fails closed (util SlidingWindow): while a non-finite
+/// throughput is in it, its pair is [NaN, +inf], and so is every feature
+/// that pair is part of, which the OC-SVM cannot call an inlier.
 class NoveltyFeatureExtractor {
  public:
   explicit NoveltyFeatureExtractor(const NoveltyDetectorConfig& config);
-
-  /// Places the extractor's variable state into `storage` (>=
-  /// StorageDoubles(config) doubles, uninitialized is fine). The caller
-  /// keeps the memory alive and in place for the extractor's lifetime.
-  NoveltyFeatureExtractor(const NoveltyDetectorConfig& config,
-                          std::span<double> storage);
-
-  ~NoveltyFeatureExtractor();
-  NoveltyFeatureExtractor(const NoveltyFeatureExtractor& other);
-  NoveltyFeatureExtractor& operator=(const NoveltyFeatureExtractor& other);
-  NoveltyFeatureExtractor(NoveltyFeatureExtractor&& other) noexcept;
-  NoveltyFeatureExtractor& operator=(NoveltyFeatureExtractor&& other) noexcept;
 
   /// Doubles of backing storage an extractor for `config` needs: the
   /// throughput window plus k interleaved [mean, stddev] pairs.
@@ -66,34 +62,32 @@ class NoveltyFeatureExtractor {
     return config.throughput_window + 2 * config.k;
   }
 
-  /// Pushes one throughput observation (Mbps). Returns the feature vector
-  /// (2k dims: k x [mean, stddev], oldest pair first) once enough history
-  /// has accumulated, std::nullopt during warm-up.
+  /// The one push: streams one throughput observation (Mbps) through
+  /// `state` over `storage` (>= StorageDoubles(config) doubles). Writes
+  /// the feature (2k dims: k x [mean, stddev], oldest pair first) into
+  /// `out` and returns true once enough history has accumulated; returns
+  /// false during warm-up with `out` untouched. `config` must be valid.
+  static bool Push(const NoveltyDetectorConfig& config,
+                   NoveltyFeatureState& state, std::span<double> storage,
+                   double throughput_mbps, std::span<double> out);
+
+  /// Push on this extractor's own state; std::nullopt during warm-up.
   std::optional<std::vector<double>> Push(double throughput_mbps);
 
-  /// Allocation-free overload: writes the feature into `out` (>= 2k dims)
-  /// and returns true, or returns false during warm-up with `out`
-  /// untouched. Same streaming state and values as the optional overload;
-  /// this is what the serving path stages shard batches through.
-  bool Push(double throughput_mbps, std::span<double> out);
+  /// Allocation-free overload: writes the feature into `out` (>= 2k dims).
+  bool Push(double throughput_mbps, std::span<double> out) {
+    return Push(config_, state_, storage_, throughput_mbps, out);
+  }
 
   /// Feature dimensionality (2k).
-  std::size_t FeatureSize() const { return 2 * k_; }
+  std::size_t FeatureSize() const { return 2 * config_.k; }
 
-  void Reset();
+  void Reset() { state_ = NoveltyFeatureState{}; }
 
  private:
-  SlidingWindowStats window_;
-  // k latest [mean, stddev] pairs, interleaved in a fixed-capacity ring
-  // (head_ indexes the oldest). A deque here would hit the allocator on
-  // every eviction; the serving path pushes one pair per session per
-  // round, so the pair history is hot state and must stay
-  // allocation-free after warm-up.
-  double* pairs_ = nullptr;
-  std::unique_ptr<double[]> owned_pairs_;  // set iff pairs_ is private
-  std::uint32_t k_ = 0;
-  std::uint32_t head_ = 0;   // index of oldest pair once the ring is full
-  std::uint32_t count_ = 0;  // pairs currently held (< k during warm-up)
+  NoveltyDetectorConfig config_;
+  std::vector<double> storage_;
+  NoveltyFeatureState state_;
 };
 
 class NoveltyDetector final : public UncertaintyEstimator {

@@ -5,23 +5,27 @@
 // machine over dense per-shard arrays.
 //
 // The machine itself is the free function SafetyObserve over two PODs:
-// SafetyState packs the hot fields an epoch scan touches (trigger window
-// moments + ring cursors + streaks, 48 bytes) and SafetyCold the fields
-// only introspection reads. The variance trigger's score ring lives in
+// SafetyState packs the hot fields an epoch scan touches (the trigger's
+// util SlidingWindow + streaks, 40 bytes) and SafetyCold the fields only
+// introspection reads. The variance trigger's score ring lives in
 // caller-provided memory - SafetyCore gives it a private heap buffer, a
 // serving shard packs all its sessions' rings into one contiguous array -
 // so one session costs tens of bytes, not an allocation. Both callers run
-// literally the same arithmetic in the same order, which is how the
-// service's batched decisions stay bit-identical to the sequential
-// SafeAgent (pinned by equivalence tests).
+// literally the same code, and the window arithmetic is the one
+// SlidingWindow routine calibration also runs, which is how the service's
+// batched decisions stay bit-identical to the sequential SafeAgent
+// (pinned by equivalence tests) and replay calibration sees the same
+// variances. A non-finite score fails closed (see SafetyObserve).
 #pragma once
 
-#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/trigger.h"
+#include "util/stats.h"
 
 namespace osap::core {
 
@@ -37,8 +41,8 @@ struct SafeAgentConfig {
   std::size_t revoke_after = 15;
 };
 
-/// Validates a defaulting config (l >= 1; variance mode: k >= 2 and
-/// alpha >= 0; revocable: revoke_after >= 1). Throws
+/// Validates a defaulting config (l >= 1; variance mode: k in [2,
+/// kMaxWindowCapacity] and alpha >= 0; revocable: revoke_after >= 1). Throws
 /// std::invalid_argument on violation. The SafetyCore constructor calls
 /// it; callers that bypass SafetyCore (the serving path's dense tables)
 /// call it themselves.
@@ -47,18 +51,17 @@ void ValidateSafeAgentConfig(const SafeAgentConfig& config);
 /// Hot per-session defaulting state: everything one SafetyObserve step
 /// reads and writes except the score ring. Plain data so a serving shard
 /// keeps its sessions in one dense array (struct-of-arrays session
-/// table); zero-initialization is the fresh-session state.
+/// table); zero-initialization is the fresh-session state. How many steps
+/// were answered from the fallback is SafetyCore's count, not a field
+/// here: the serving path never reads it.
 struct SafetyState {
-  double win_sum = 0.0;              // variance-trigger window moments
-  double win_sq = 0.0;
-  std::uint32_t win_size = 0;        // scores currently in the ring
-  std::uint32_t win_head = 0;        // oldest ring slot once full
+  SlidingWindow window;              // variance trigger over the ring
   std::uint32_t consecutive = 0;     // uncertain-step streak
   std::uint32_t certain_streak = 0;  // kRevocable bookkeeping
   std::uint32_t steps = 0;           // decisions made this session
-  std::uint32_t defaulted_steps = 0;
   bool defaulted = false;
 };
+static_assert(sizeof(SafetyState) == 40);
 
 /// Cold per-session fields: written at most once per defaulting episode,
 /// read only by introspection - split out so the epoch scan's cache lines
@@ -85,38 +88,28 @@ inline std::size_t SafetyRingDoubles(const SafeAgentConfig& config) {
 /// SafetyRingDoubles(config) doubles (may be null for the binary
 /// trigger). Returns true when this step's action must come from the
 /// default policy. `config` must be validated.
+///
+/// Fails closed on non-finite scores: NaN counts as uncertain for the
+/// binary cut; in the variance window a non-finite score (or one whose
+/// square overflows) makes every step it stays in the window uncertain,
+/// even before the window has filled; and a step whose own score is not
+/// finite is answered from the default policy whether or not the trigger
+/// fires.
 inline bool SafetyObserve(const SafeAgentConfig& config, SafetyState& state,
                           SafetyCold& cold, double* ring, double score) {
-  // Trigger half: the SlidingWindowStats push/variance arithmetic,
-  // operation for operation, so replay calibration's variance series
-  // (replay_calibration.h) sees the same floats. The tests' reference
-  // (tests/testing/reference_trigger.h) runs it a second time.
   bool uncertain = false;
   switch (config.trigger.mode) {
     case TriggerMode::kBinary:
-      uncertain = score >= 0.5;
+      uncertain = !(score < 0.5);
       break;
     case TriggerMode::kWindowVariance: {
-      const auto k = static_cast<std::uint32_t>(config.trigger.k);
-      if (state.win_size < k) {
-        ring[state.win_size++] = score;
-      } else {
-        const double old = ring[state.win_head];
-        state.win_sum -= old;
-        state.win_sq -= old * old;
-        ring[state.win_head] = score;
-        state.win_head = (state.win_head + 1) % k;
-      }
-      state.win_sum += score;
-      state.win_sq += score * score;
-      // Not uncertain until the window is populated: variance over a
-      // partial window would compare incomparable quantities.
-      if (state.win_size == k) {
-        const double n = static_cast<double>(k);
-        const double m = state.win_sum / n;
-        // Guard against tiny negative values from cancellation.
-        const double variance = std::max(0.0, state.win_sq / n - m * m);
-        uncertain = variance > config.trigger.alpha;
+      const std::span<double> window(ring, config.trigger.k);
+      state.window.Push(window, score);
+      // Not uncertain until the window is populated (variance over a
+      // partial window would compare incomparable quantities), unless
+      // it holds a non-finite value.
+      if (state.window.size == window.size() || state.window.Poisoned()) {
+        uncertain = state.window.Variance() > config.trigger.alpha;
       }
       break;
     }
@@ -146,19 +139,15 @@ inline bool SafetyObserve(const SafeAgentConfig& config, SafetyState& state,
   }
 
   ++state.steps;
-  if (state.defaulted) {
-    ++state.defaulted_steps;
-    return true;
-  }
-  return false;
+  return state.defaulted || !std::isfinite(score);
 }
 
 /// The defaulted-session short cut both decision paths take before any
 /// scoring work: in kPermanent mode a defaulted session answers from the
 /// default policy for the rest of its life, so its score can never
 /// change a decision again. When `mode == kPermanent && state.defaulted`
-/// this counts the step (steps and defaulted_steps, exactly as
-/// SafetyObserve would) and returns true - the caller answers from the
+/// this counts the step (exactly as SafetyObserve would) and returns
+/// true - the caller answers from the
 /// fallback and skips the estimator and the trigger.
 /// Otherwise it touches nothing and returns false, and the caller takes
 /// the full SafetyObserve path (kRevocable always does: revocation needs
@@ -170,7 +159,6 @@ inline bool SafetyStepDefaulted(const SafeAgentConfig& config,
     return false;
   }
   ++state.steps;
-  ++state.defaulted_steps;
   return true;
 }
 
@@ -182,12 +170,19 @@ class SafetyCore {
   /// trigger and the defaulting/revocation state machine. Returns true
   /// when this step's action must come from the default policy.
   bool Observe(double score) {
-    return SafetyObserve(config_, state_, cold_, ring_.data(), score);
+    const bool fallback =
+        SafetyObserve(config_, state_, cold_, ring_.data(), score);
+    defaulted_steps_ += fallback;
+    return fallback;
   }
 
   /// SafetyStepDefaulted on this session: true (step counted) when a
   /// kPermanent session has defaulted and needs no score this step.
-  bool StepDefaulted() { return SafetyStepDefaulted(config_, state_); }
+  bool StepDefaulted() {
+    const bool fallback = SafetyStepDefaulted(config_, state_);
+    defaulted_steps_ += fallback;
+    return fallback;
+  }
 
   void Reset();
 
@@ -201,6 +196,9 @@ class SafetyCore {
   /// Defaulted() has ever been true this session; 0 otherwise).
   std::size_t DefaultStep() const { return cold_.default_step; }
 
+  /// Decisions of this session made by the default policy.
+  std::size_t DefaultedSteps() const { return defaulted_steps_; }
+
   /// Fraction of this session's decisions made by the default policy.
   double DefaultedFraction() const;
 
@@ -209,6 +207,7 @@ class SafetyCore {
   std::vector<double> ring_;  // variance-trigger score window (k doubles)
   SafetyState state_;
   SafetyCold cold_;
+  std::size_t defaulted_steps_ = 0;
 };
 
 }  // namespace osap::core

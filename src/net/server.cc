@@ -641,8 +641,16 @@ void NetServer::RunBatch(Edge& edge) {
     edge.round_requests.push_back({step.session, &step.state});
   }
   edge.round_actions.resize(edge.round_requests.size());
-  const std::span<const std::size_t> deferred =
-      service_.DecideBatch(edge.round_requests, edge.round_actions);
+  // A round that throws is answered ERROR as a whole (DESIGN.md 10.1):
+  // one bad batch must not end the process, and with it every other
+  // session on every edge.
+  std::span<const std::size_t> deferred;
+  bool failed = false;
+  try {
+    deferred = service_.DecideBatch(edge.round_requests, edge.round_actions);
+  } catch (const std::exception&) {
+    failed = true;
+  }
   edge.epochs.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t epoch = service_.RoundCount();
 
@@ -662,9 +670,13 @@ void NetServer::RunBatch(Edge& edge) {
     }
     Reply reply;
     reply.type = MsgType::kStep;
-    reply.status = Status::kOk;
-    reply.flags = service_.Defaulted(step.session) ? kFlagDefaulted : 0;
-    reply.action = static_cast<std::int32_t>(edge.round_actions[i]);
+    if (failed) {
+      reply.status = Status::kError;
+    } else {
+      reply.status = Status::kOk;
+      reply.flags = service_.Defaulted(step.session) ? kFlagDefaulted : 0;
+      reply.action = static_cast<std::int32_t>(edge.round_actions[i]);
+    }
     reply.request_id = step.request_id;
     reply.session_id = step.session;
     reply.epoch = epoch;
@@ -683,7 +695,8 @@ void NetServer::RunBatch(Edge& edge) {
   }
   const std::size_t answered = edge.pending.size() - write;
   edge.pending.resize(write);
-  edge.decided.fetch_add(answered, std::memory_order_relaxed);
+  (failed ? edge.errors : edge.decided)
+      .fetch_add(answered, std::memory_order_relaxed);
   in_flight_.fetch_sub(answered, std::memory_order_relaxed);
 
   // Resume paused connections whose backlog drained: parse what their

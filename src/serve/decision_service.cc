@@ -69,19 +69,16 @@ DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
     table.tags.resize(local + 1);
   }
   // Fresh state either way: a recycled slot still carries its previous
-  // occupant. The ring needs no wipe - SafetyObserve never reads slots
-  // past win_size.
+  // occupant. The ring needs no wipe - the window never reads slots
+  // past its size.
   table.hot[local] = core::SafetyState{};
   table.cold[local] = core::SafetyCold{};
   if (extractor_doubles_ > 0) {
-    const ExtractorPool::Index slot =
-        lane.extractors.Acquire([this](std::span<double> storage) {
-          return core::NoveltyFeatureExtractor(model_->NoveltyConfig(),
-                                               storage);
-        });
+    const ExtractorPool::Index slot = lane.extractors.Acquire(
+        [](std::span<double>) { return core::NoveltyFeatureState{}; });
     // Recycled pool slots keep the previous session's streaming state;
     // reset unconditionally (fresh slots are already reset - cheap).
-    lane.extractors[slot].Reset();
+    lane.extractors[slot] = core::NoveltyFeatureState{};
     table.extractor_of[local] = slot;
   }
   table.open[local] = 1;
@@ -271,7 +268,8 @@ void DecisionService::RunShard(std::size_t shard,
     // NoveltyDetector::Score exactly: non-positive observations skip the
     // extractor entirely, incomplete windows score 0.
     const core::NoveltyDetector::Probe& probe = model_->NoveltyProbe();
-    const std::size_t fdim = 2 * model_->NoveltyConfig().k;
+    const core::NoveltyDetectorConfig& novelty = model_->NoveltyConfig();
+    const std::size_t fdim = 2 * novelty.k;
     s.features.ReshapeUninitialized(count, fdim);
     const std::span<std::size_t> staged_of = s.arena.Alloc<std::size_t>(count);
     std::size_t staged = 0;
@@ -280,9 +278,10 @@ void DecisionService::RunShard(std::size_t shard,
       scores[j] = 0.0;
       const double observation = probe(*r.state);
       if (observation <= 0.0) continue;
-      core::NoveltyFeatureExtractor& extractor =
-          s.extractors[table.extractor_of[LocalOf(r.session)]];
-      if (extractor.Push(observation, s.features.Row(staged))) {
+      const ExtractorPool::Index slot = table.extractor_of[LocalOf(r.session)];
+      if (core::NoveltyFeatureExtractor::Push(
+              novelty, s.extractors[slot], s.extractors.Scratch(slot),
+              observation, s.features.Row(staged))) {
         staged_of[staged] = j;
         ++staged;
       }

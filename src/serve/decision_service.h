@@ -67,8 +67,8 @@
 // objects, so the epoch scan walks cache lines, an open/close touches no
 // allocator in steady state (slots recycle through a free list), and a
 // session costs tens of bytes. U_S deployments add a per-shard
-// util::SlabPool of NoveltyFeatureExtractors whose window/pair storage is
-// carved from the slab; U_pi / U_V sessions hold no extractor index and
+// util::SlabPool of NoveltyFeatureStates whose window/pair storage is the
+// slot's slab scratch; U_pi / U_V sessions hold no extractor index and
 // pay zero extractor bytes. MemoryStats() reports the exact breakdown.
 //
 // Per-shard scratch (index/score arrays, packed matrices, a util::Arena)
@@ -242,7 +242,7 @@ class DecisionService {
   ServiceMemoryStats MemoryStatsOfGroup(std::size_t group) const;
 
  private:
-  using ExtractorPool = util::SlabPool<core::NoveltyFeatureExtractor>;
+  using ExtractorPool = util::SlabPool<core::NoveltyFeatureState>;
 
   /// Struct-of-arrays session table for one shard, indexed by local slot
   /// (id / shard_count). The epoch scan touches hot[] and rings[] only;

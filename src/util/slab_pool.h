@@ -11,9 +11,10 @@
 // no allocator and no constructor.
 //
 // Each slot optionally carries a fixed `scratch_doubles` span carved from
-// the same slab, passed to the factory on first construction. This is how
-// the serving path places each U_S session's novelty-extractor ring
-// inside the shard's slab instead of a private heap buffer.
+// the same slab, passed to the factory on first construction and found
+// again through Scratch(index). This is how the serving path places each
+// U_S session's novelty-extractor rings inside the shard's slab instead of
+// a private heap buffer.
 //
 // Slot references are stable: slabs never move. Trim() releases wholly
 // free trailing slabs (destroying their slots) so a population spike does
@@ -78,14 +79,19 @@ class SlabPool {
     Slab& slab = slabs_.back();
     const Index index = static_cast<Index>(
         (slabs_.size() - 1) * slots_per_slab_ + slab.constructed);
-    double* scratch =
-        scratch_doubles_ == 0
-            ? nullptr
-            : slab.scratch.get() +
-                  slab.constructed * scratch_doubles_;
-    new (SlotPtr(index)) T(make(std::span<double>(scratch, scratch_doubles_)));
+    new (SlotPtr(index)) T(make(Scratch(index)));
     ++slab.constructed;
     return index;
+  }
+
+  /// Slot `index`'s scratch_doubles span (empty without scratch): the
+  /// same memory its factory call received, for slot types that keep
+  /// only plain state and find their storage by index.
+  std::span<double> Scratch(Index index) {
+    if (scratch_doubles_ == 0) return {};
+    return {slabs_[index / slots_per_slab_].scratch.get() +
+                (index % slots_per_slab_) * scratch_doubles_,
+            scratch_doubles_};
   }
 
   /// Returns a slot to the free list. The object is NOT destroyed (it is

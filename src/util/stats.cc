@@ -35,117 +35,28 @@ void RunningStats::Reset() {
   mean_ = m2_ = min_ = max_ = 0.0;
 }
 
-SlidingWindowStats::SlidingWindowStats(std::size_t capacity)
-    : data_(nullptr),
-      capacity_(static_cast<std::uint32_t>(capacity)),
-      owns_(true) {
-  OSAP_REQUIRE(capacity > 0, "SlidingWindowStats capacity must be > 0");
-  data_ = new double[capacity_];
-}
-
-SlidingWindowStats::SlidingWindowStats(std::span<double> storage)
-    : data_(storage.data()),
-      capacity_(static_cast<std::uint32_t>(storage.size())),
-      owns_(false) {
-  OSAP_REQUIRE(!storage.empty(), "SlidingWindowStats capacity must be > 0");
-}
-
-SlidingWindowStats::~SlidingWindowStats() {
-  if (owns_) delete[] data_;
-}
-
-SlidingWindowStats::SlidingWindowStats(const SlidingWindowStats& other)
-    : sum_(other.sum_),
-      sum_sq_(other.sum_sq_),
-      capacity_(other.capacity_),
-      size_(other.size_),
-      head_(other.head_),
-      owns_(true) {
-  // Copies always own their storage (a placement-backed source stays tied
-  // to its slab; its copy must not).
-  data_ = new double[capacity_];
-  for (std::uint32_t i = 0; i < size_; ++i) data_[i] = other.data_[i];
-}
-
-SlidingWindowStats& SlidingWindowStats::operator=(
-    const SlidingWindowStats& other) {
-  if (this == &other) return *this;
-  SlidingWindowStats copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-SlidingWindowStats::SlidingWindowStats(SlidingWindowStats&& other) noexcept
-    : data_(other.data_),
-      sum_(other.sum_),
-      sum_sq_(other.sum_sq_),
-      capacity_(other.capacity_),
-      size_(other.size_),
-      head_(other.head_),
-      owns_(other.owns_) {
-  other.data_ = nullptr;
-  other.capacity_ = other.size_ = other.head_ = 0;
-  other.owns_ = false;
-}
-
-SlidingWindowStats& SlidingWindowStats::operator=(
-    SlidingWindowStats&& other) noexcept {
-  if (this == &other) return *this;
-  if (owns_) delete[] data_;
-  data_ = other.data_;
-  sum_ = other.sum_;
-  sum_sq_ = other.sum_sq_;
-  capacity_ = other.capacity_;
-  size_ = other.size_;
-  head_ = other.head_;
-  owns_ = other.owns_;
-  other.data_ = nullptr;
-  other.capacity_ = other.size_ = other.head_ = 0;
-  other.owns_ = false;
-  return *this;
-}
-
-void SlidingWindowStats::Push(double x) {
-  if (size_ < capacity_) {
-    data_[size_++] = x;
-  } else {
-    const double old = data_[head_];
-    sum_ -= old;
-    sum_sq_ -= old * old;
-    data_[head_] = x;
-    head_ = (head_ + 1) % capacity_;
+void SlidingWindow::Rebuild(std::span<const double> ring) {
+  sum = sum_sq = 0.0;
+  for (std::uint16_t i = 0; i < size; ++i) {
+    const double x = ring[(head + i) % ring.size()];
+    sum += x;
+    sum_sq += x * x;
   }
-  sum_ += x;
-  sum_sq_ += x * x;
 }
 
-double SlidingWindowStats::Mean() const {
-  return size_ == 0 ? 0.0 : sum_ / static_cast<double>(size_);
+SlidingWindowStats::SlidingWindowStats(std::size_t capacity)
+    : ring_(capacity) {
+  OSAP_REQUIRE(capacity > 0 && capacity <= kMaxWindowCapacity,
+               "SlidingWindowStats capacity must be in [1, 65535]");
 }
-
-double SlidingWindowStats::Variance() const {
-  if (size_ < 2) return 0.0;
-  const double n = static_cast<double>(size_);
-  const double m = sum_ / n;
-  // Guard against tiny negative values from cancellation.
-  return std::max(0.0, sum_sq_ / n - m * m);
-}
-
-double SlidingWindowStats::StdDev() const { return std::sqrt(Variance()); }
 
 std::vector<double> SlidingWindowStats::Values() const {
   std::vector<double> out;
-  out.reserve(size_);
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    out.push_back(data_[(head_ + i) % size_]);
+  out.reserve(window_.size);
+  for (std::size_t i = 0; i < window_.size; ++i) {
+    out.push_back(ring_[(window_.head + i) % window_.size]);
   }
   return out;
-}
-
-void SlidingWindowStats::Reset() {
-  size_ = 0;
-  head_ = 0;
-  sum_ = sum_sq_ = 0.0;
 }
 
 Summary Summarize(std::span<const double> xs) {

@@ -1,12 +1,17 @@
-// Descriptive statistics used across the library: Welford running moments
-// (for the U_pi/U_V sliding-variance trigger and for feature scaling), batch
-// summaries (for the Figure 4 min/max/mean/median rows), quantiles and
-// empirical CDFs (Figure 5), and simple vector helpers.
+// Descriptive statistics used across the library: the one sliding window
+// (the U_pi/U_V variance trigger and the ND features), Welford running
+// moments (feature scaling), batch summaries (for the Figure 4
+// min/max/mean/median rows), quantiles and empirical CDFs (Figure 5), and
+// simple vector helpers.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace osap {
@@ -47,65 +52,121 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Fixed-capacity sliding window with O(1) mean/variance queries, used by
-/// the defaulting trigger ("variance of the uncertainty signal across the
-/// last k time steps", paper Section 2.5) and by the ND feature extractor
-/// ("mean and standard deviation of the 10 most recent network
-/// throughputs", Section 3.1).
+/// Largest ring a SlidingWindow indexes (its cursors are 16-bit).
+inline constexpr std::size_t kMaxWindowCapacity = 0xffff;
+
+/// The one sliding-window routine: O(1) mean/variance over the last
+/// `capacity` pushed values. It runs the defaulting trigger ("variance of
+/// the uncertainty signal across the last k time steps", paper Section
+/// 2.5, through core::SafetyObserve), the ND feature extractor ("mean and
+/// standard deviation of the 10 most recent network throughputs",
+/// Section 3.1), calibration and the tests' reference trigger.
 ///
-/// The ring storage either lives in a private heap allocation (the
-/// capacity constructor) or is placed into caller-owned memory (the span
-/// constructor) - the serving path carves per-session windows out of a
-/// shard slab so a session costs no private allocation. Copies are always
-/// deep into a fresh owned buffer; moves steal the source's storage.
+/// The state is plain data (24 bytes, trivially copyable); the ring is
+/// always caller memory: `ring.size()` is the capacity (1 to
+/// kMaxWindowCapacity), its contents need no initialization, and every
+/// call for one window must pass the same ring. Zero-initialization is the
+/// empty window.
+///
+/// Fails closed. A value whose square is not finite never enters the
+/// running sums; while such a value, or a sum that overflowed, is in the
+/// window, Poisoned() holds, Variance() reads +inf and Mean() NaN, so any
+/// threshold on either counts the window as uncertain. Once it has left,
+/// the sums are rebuilt from the ring, so a window never remembers a value
+/// it no longer holds. A finite stream whose sums stay finite never takes
+/// the poison path, so its floats are those of the plain running sums.
+struct SlidingWindow {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  std::uint16_t size = 0;      // values in the ring
+  std::uint16_t head = 0;      // oldest slot once full
+  std::uint16_t poisoned = 0;  // pushes until the sums describe the ring
+
+  /// Pushes `x`, evicting the oldest value when the ring is full.
+  void Push(std::span<double> ring, double x) {
+    const auto capacity = static_cast<std::uint16_t>(ring.size());
+    const double x_sq = x * x;
+    const bool clean = poisoned == 0;
+    if (size < capacity) {
+      ring[size++] = x;
+    } else {
+      const double old = ring[head];
+      if (clean) {
+        sum -= old;
+        sum_sq -= old * old;
+      }
+      ring[head] = x;
+      head = static_cast<std::uint16_t>((head + 1) % capacity);
+    }
+    const bool finite = std::isfinite(x_sq);
+    if (clean && finite) {
+      sum += x;
+      sum_sq += x_sq;
+    } else if (!clean && --poisoned == 0) {
+      Rebuild(ring);
+    }
+    // While poisoned the sums are stale: only a new non-finite value
+    // extends the poison then.
+    if (!finite || (poisoned == 0 && !std::isfinite(sum_sq))) {
+      poisoned = capacity;
+    }
+  }
+
+  bool Poisoned() const { return poisoned != 0; }
+
+  /// Mean over current contents; 0 when empty, NaN while poisoned.
+  double Mean() const {
+    if (poisoned != 0) return std::numeric_limits<double>::quiet_NaN();
+    return size == 0 ? 0.0 : sum / static_cast<double>(size);
+  }
+
+  /// Population variance over current contents; 0 when fewer than 2,
+  /// +inf while poisoned.
+  double Variance() const {
+    if (poisoned != 0) return std::numeric_limits<double>::infinity();
+    if (size < 2) return 0.0;
+    const double n = static_cast<double>(size);
+    const double m = sum / n;
+    // Guard against tiny negative values from cancellation.
+    return std::max(0.0, sum_sq / n - m * m);
+  }
+
+ private:
+  /// Recomputes the sums from the ring, oldest first.
+  void Rebuild(std::span<const double> ring);
+};
+static_assert(sizeof(SlidingWindow) == 24 &&
+              std::is_trivially_copyable_v<SlidingWindow>);
+
+/// A SlidingWindow with its own ring, for callers that keep one window
+/// per object (calibration, tests).
 class SlidingWindowStats {
  public:
-  /// Window of the given capacity with owned storage; capacity must be
-  /// > 0.
+  /// Capacity must be in [1, kMaxWindowCapacity].
   explicit SlidingWindowStats(std::size_t capacity);
 
-  /// Window placed into `storage` (capacity = storage.size(), must be
-  /// > 0). The caller keeps `storage` alive and in place for the
-  /// window's lifetime; contents need not be initialized.
-  explicit SlidingWindowStats(std::span<double> storage);
-
-  ~SlidingWindowStats();
-  SlidingWindowStats(const SlidingWindowStats& other);
-  SlidingWindowStats& operator=(const SlidingWindowStats& other);
-  SlidingWindowStats(SlidingWindowStats&& other) noexcept;
-  SlidingWindowStats& operator=(SlidingWindowStats&& other) noexcept;
-
   /// Pushes an observation, evicting the oldest when full.
-  void Push(double x);
+  void Push(double x) { window_.Push(ring_, x); }
 
   /// True once capacity observations have been pushed.
-  bool Full() const { return size_ == capacity_; }
+  bool Full() const { return window_.size == ring_.size(); }
+  bool Poisoned() const { return window_.Poisoned(); }
 
-  std::size_t Size() const { return size_; }
-  std::size_t Capacity() const { return capacity_; }
+  std::size_t Size() const { return window_.size; }
+  std::size_t Capacity() const { return ring_.size(); }
 
-  /// Mean over current contents; 0 when empty.
-  double Mean() const;
-
-  /// Population variance over current contents; 0 when fewer than 2.
-  double Variance() const;
-
-  /// Population standard deviation.
-  double StdDev() const;
+  double Mean() const { return window_.Mean(); }
+  double Variance() const { return window_.Variance(); }
+  double StdDev() const { return std::sqrt(Variance()); }
 
   /// Contents oldest-first (copies; window is small by construction).
   std::vector<double> Values() const;
 
-  void Reset();
+  void Reset() { window_ = SlidingWindow{}; }
 
  private:
-  double* data_ = nullptr;  // ring buffer (owned iff owns_)
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  std::uint32_t capacity_ = 0;
-  std::uint32_t size_ = 0;
-  std::uint32_t head_ = 0;  // index of oldest element once full
-  bool owns_ = false;
+  std::vector<double> ring_;
+  SlidingWindow window_;
 };
 
 /// Batch summary of a sample: the exact statistics Figure 4 reports.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "mdp/rollout.h"
 #include "policies/random_policy.h"
@@ -18,6 +19,15 @@ traces::Trace FlatTrace(double mbps = 8.0, std::size_t seconds = 2000) {
 AbrEnvironment MakeEnv(std::size_t repeats = 1) {
   return AbrEnvironment(MakeEnvivioLikeVideo(repeats), {});
 }
+
+// SetFixedTrace keeps a pointer to its trace, so a temporary (which
+// would dangle after the call) must not compile; an lvalue must.
+template <typename Trace>
+constexpr bool kSetFixedTraceAccepts =
+    requires(AbrEnvironment& env) { env.SetFixedTrace(std::declval<Trace>()); };
+static_assert(kSetFixedTraceAccepts<const traces::Trace&>);
+static_assert(!kSetFixedTraceAccepts<traces::Trace>);
+static_assert(!kSetFixedTraceAccepts<const traces::Trace>);
 
 TEST(AbrEnvironment, ResetRequiresATrace) {
   AbrEnvironment env = MakeEnv();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mdp/rollout.h"
 #include "policies/random_policy.h"
 
@@ -17,6 +19,15 @@ CcEnvironmentConfig SmallConfig() {
   cfg.episode_mis = 50;
   return cfg;
 }
+
+// SetFixedTrace keeps a pointer to its trace, so a temporary (which
+// would dangle after the call) must not compile; an lvalue must.
+template <typename Trace>
+constexpr bool kSetFixedTraceAccepts =
+    requires(CcEnvironment& env) { env.SetFixedTrace(std::declval<Trace>()); };
+static_assert(kSetFixedTraceAccepts<const traces::Trace&>);
+static_assert(!kSetFixedTraceAccepts<traces::Trace>);
+static_assert(!kSetFixedTraceAccepts<const traces::Trace>);
 
 TEST(CcEnvironment, ResetRequiresATrace) {
   CcEnvironment env(SmallConfig());

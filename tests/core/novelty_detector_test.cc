@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <filesystem>
 
@@ -122,24 +123,26 @@ TEST(NoveltyFeatureExtractor, RingMatchesDequeReferenceBitForBit) {
 }
 
 TEST(NoveltyFeatureExtractor, PlacementStorageMatchesOwningBitForBit) {
-  // The serving path carves each extractor's window + pair ring out of a
-  // shard slab; the span-backed extractor must stream exactly the owning
-  // one's features, including across a Reset over recycled storage.
+  // The serving path keeps only each session's NoveltyFeatureState and
+  // finds its window + pair storage in a shard slab; the static Push over
+  // them must stream exactly the owning extractor's features, including
+  // across a reset over recycled storage.
   const auto cfg = SmallConfig();
   NoveltyFeatureExtractor owning(cfg);
   std::vector<double> storage(NoveltyFeatureExtractor::StorageDoubles(cfg),
                               -7.0);  // deliberately dirty
-  NoveltyFeatureExtractor placed(cfg, std::span<double>(storage));
+  NoveltyFeatureState placed;
   const auto seq = ThroughputSequence(3.0, 1.0, 200, 9);
   std::vector<double> owning_out(2 * cfg.k);
   std::vector<double> placed_out(2 * cfg.k);
   for (std::size_t i = 0; i < seq.size(); ++i) {
     if (i == 100) {
       owning.Reset();
-      placed.Reset();
+      placed = NoveltyFeatureState{};
     }
     const bool a = owning.Push(seq[i], owning_out);
-    const bool b = placed.Push(seq[i], placed_out);
+    const bool b = NoveltyFeatureExtractor::Push(cfg, placed, storage, seq[i],
+                                                 placed_out);
     ASSERT_EQ(a, b) << "push " << i;
     if (!a) continue;
     for (std::size_t d = 0; d < owning_out.size(); ++d) {
@@ -152,28 +155,57 @@ TEST(NoveltyFeatureExtractor, PlacementRejectsTooSmallStorage) {
   const auto cfg = SmallConfig();
   std::vector<double> storage(NoveltyFeatureExtractor::StorageDoubles(cfg) -
                               1);
-  EXPECT_THROW(NoveltyFeatureExtractor(cfg, std::span<double>(storage)),
-               std::invalid_argument);
+  NoveltyFeatureState state;
+  std::vector<double> out(2 * cfg.k);
+  EXPECT_THROW(
+      NoveltyFeatureExtractor::Push(cfg, state, storage, 1.0, out),
+      std::invalid_argument);
 }
 
-TEST(NoveltyFeatureExtractor, CopyOfPlacedExtractorOwnsItsStorage) {
+TEST(NoveltyFeatureExtractor, CopyIsDeepAndIndependent) {
   const auto cfg = SmallConfig();
-  std::vector<double> storage(NoveltyFeatureExtractor::StorageDoubles(cfg));
-  NoveltyFeatureExtractor placed(cfg, std::span<double>(storage));
-  for (int i = 0; i < 6; ++i) placed.Push(2.0 + i);
+  NoveltyFeatureExtractor original(cfg);
+  for (int i = 0; i < 6; ++i) original.Push(2.0 + i);
 
-  NoveltyFeatureExtractor copy = placed;
-  const std::vector<double> snapshot = storage;
+  NoveltyFeatureExtractor copy = original;
   std::vector<double> out(2 * cfg.k);
   for (int i = 0; i < 6; ++i) copy.Push(9.0 + i, out);
-  EXPECT_EQ(storage, snapshot)
-      << "pushes into the copy must not touch the original's slab storage";
 
-  // And the two streams now evolve independently but deterministically.
-  std::vector<double> placed_out(2 * cfg.k);
-  ASSERT_TRUE(placed.Push(8.0, placed_out));
+  // Pushes into the copy left the original's history alone: it still
+  // emits exactly what a fresh replay of its own stream emits.
+  NoveltyFeatureExtractor replay(cfg);
+  for (int i = 0; i < 6; ++i) replay.Push(2.0 + i);
+  std::vector<double> original_out(2 * cfg.k);
+  std::vector<double> replay_out(2 * cfg.k);
+  ASSERT_TRUE(original.Push(8.0, original_out));
+  ASSERT_TRUE(replay.Push(8.0, replay_out));
+  EXPECT_EQ(original_out, replay_out);
   ASSERT_TRUE(copy.Push(8.0, out));
-  EXPECT_NE(placed_out, out);  // different histories, different features
+  EXPECT_NE(original_out, out);  // different histories, different features
+}
+
+TEST(NoveltyFeatureExtractor, NonFiniteThroughputPoisonsEveryFeatureItReaches) {
+  // window 4, k 3: a poisoned window yields a [NaN, +inf] pair, and the
+  // pair stays in the feature for k pushes after the window heals.
+  const auto cfg = SmallConfig();
+  NoveltyFeatureExtractor extractor(cfg);
+  std::vector<double> out(2 * cfg.k);
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(extractor.Push(2.0, out), i >= 5);
+  const auto finite = [&] {
+    return std::all_of(out.begin(), out.end(),
+                       [](double v) { return std::isfinite(v); });
+  };
+  ASSERT_TRUE(finite());
+  ASSERT_TRUE(extractor.Push(1.7e308, out));
+  for (int i = 0; i < 4 + 3 - 1; ++i) {
+    // A NaN mean makes the OC-SVM decision value NaN: never an inlier.
+    EXPECT_TRUE(std::any_of(out.begin(), out.end(),
+                            [](double v) { return std::isnan(v); }))
+        << "push " << i;
+    ASSERT_TRUE(extractor.Push(2.0, out));
+  }
+  EXPECT_TRUE(finite());
+  EXPECT_EQ(out, std::vector<double>({2.0, 0.0, 2.0, 0.0, 2.0, 0.0}));
 }
 
 TEST(NoveltyDetector, ExtractFeaturesCountsMatchWindowAndK) {

@@ -5,11 +5,11 @@
 //   - an independent reference: testing::ReferenceMachine, the
 //     SlidingWindowStats trigger feeding a defaulting latch, and
 //   - the SafetyCore wrapper,
-// and all three must agree on the fallback decision, steps,
-// defaulted_steps and default_step at every step. The scripts also pin
-// the expected decision per step, so the threshold semantics (binary cut
-// `score >= 0.5`, variance cut `variance > alpha`, silence while the
-// window fills) cannot drift together in all three.
+// and all three must agree on the fallback decision, steps, the count of
+// fallback-answered steps (SafetyCore's) and default_step at every step.
+// The scripts also pin the expected decision per step, so the threshold
+// semantics (binary cut `score >= 0.5`, variance cut `variance > alpha`,
+// silence while the window fills) cannot drift together in all three.
 #include "core/safety_core.h"
 
 #include <gtest/gtest.h>
@@ -51,7 +51,7 @@ void RunScript(const SafeAgentConfig& config,
     EXPECT_EQ(state.consecutive, reference.trigger.ConsecutiveUncertain())
         << "step " << i;
     EXPECT_EQ(state.steps, reference.steps) << "step " << i;
-    EXPECT_EQ(state.defaulted_steps, reference.defaulted_steps)
+    EXPECT_EQ(core.DefaultedSteps(), reference.defaulted_steps)
         << "step " << i;
     EXPECT_EQ(cold.default_step, reference.default_step) << "step " << i;
     EXPECT_EQ(core.StepCount(), reference.steps) << "step " << i;

@@ -1,10 +1,16 @@
-// Property-based sweeps over the tests' reference trigger: for every
-// (k, l) combination, the firing semantics promised by the paper's
-// thresholding description must hold exactly.
+// Property-based sweeps over the tests' reference trigger (and, for the
+// fail-closed case, core::SafetyObserve): for every (k, l) combination,
+// the firing semantics promised by the paper's thresholding description
+// must hold exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
+#include "core/safety_core.h"
 #include "testing/reference_trigger.h"
 #include "util/rng.h"
 
@@ -114,6 +120,77 @@ TEST_P(TriggerProperties, ResetIsEquivalentToFreshTrigger) {
     const double b = rng_b.Uniform(0.0, 10.0);
     ASSERT_EQ(used.Update(a), fresh.Update(b)) << "diverged at step " << i;
   }
+}
+
+// Fail closed, and local: with inf, NaN and overflowing scores injected,
+// the decision at step t depends only on scores t-k+1..t and the streak.
+// A window holding a score whose square is not finite is uncertain; any
+// other window is uncertain iff it is full and its variance, computed
+// afresh from those k scores, exceeds alpha. The finite scores are
+// quarter-integers in [0, 16), so every running sum is exact and a
+// window's variance has the same bits however it is reached. Checked on
+// the reference trigger and on SafetyObserve's streak alike.
+TEST_P(TriggerProperties, NonFiniteScoresFailClosedAndStayLocal) {
+  const auto [k, l] = GetParam();
+  if (k < 2) GTEST_SKIP() << "variance mode requires k >= 2";
+  SafeAgentConfig config;
+  config.trigger.mode = TriggerMode::kWindowVariance;
+  config.trigger.k = k;
+  config.trigger.l = l;
+  config.trigger.alpha = 4.0;
+  DefaultTrigger trigger(config.trigger);
+  SafetyState state;
+  SafetyCold cold;
+  std::vector<double> ring(SafetyRingDoubles(config));
+  const double bad[] = {std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN(), 1e200,
+                        -1.7e308};
+  Rng rng(k * 131 + l);
+  std::vector<double> scores;
+  std::size_t streak = 0, poisoned_steps = 0, fired_steps = 0;
+  for (std::size_t t = 0; t < 2000; ++t) {
+    // Calm (variance < 1) and wild (variance ~ 21) stretches of 25 steps,
+    // one score in 12 non-finite.
+    const bool wild = (t / 25) % 2 == 1;
+    double score = wild ? 0.25 * static_cast<double>(rng.UniformInt(64))
+                        : 8.0 + 0.25 * static_cast<double>(rng.UniformInt(8));
+    if (rng.UniformInt(12) == 0) score = bad[rng.UniformInt(5)];
+    scores.push_back(score);
+
+    const std::size_t first = t + 1 >= k ? t + 1 - k : 0;
+    bool poisoned = false;
+    double sum = 0.0, sum_sq = 0.0;
+    for (std::size_t i = first; i <= t; ++i) {
+      poisoned |= !std::isfinite(scores[i] * scores[i]);
+      sum += scores[i];
+      sum_sq += scores[i] * scores[i];
+    }
+    bool uncertain = poisoned;
+    if (!poisoned && t + 1 >= k) {
+      const double n = static_cast<double>(k);
+      const double m = sum / n;
+      uncertain = std::max(0.0, sum_sq / n - m * m) > config.trigger.alpha;
+    }
+    streak = uncertain ? streak + 1 : 0;
+    poisoned_steps += poisoned;
+
+    const bool fired = trigger.Update(score);
+    ASSERT_EQ(trigger.ConsecutiveUncertain(), streak) << "step " << t;
+    ASSERT_EQ(fired, streak >= l) << "step " << t;
+    fired_steps += fired;
+    const bool fallback =
+        SafetyObserve(config, state, cold, ring.data(), score);
+    ASSERT_EQ(state.consecutive, streak) << "SafetyObserve, step " << t;
+    if (!std::isfinite(score)) {
+      ASSERT_TRUE(fallback) << "a non-finite score is answered by the "
+                               "default policy, step "
+                            << t;
+    }
+  }
+  EXPECT_GT(poisoned_steps, 0u);
+  EXPECT_GT(fired_steps, 0u);
+  EXPECT_LT(fired_steps, 2000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

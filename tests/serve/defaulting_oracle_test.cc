@@ -38,6 +38,7 @@ TEST_P(DefaultingOracle, Dense) { Check(Profile::kDense, {1, 2}); }
 TEST_P(DefaultingOracle, Sparse) { Check(Profile::kSparse, {1, 2}); }
 TEST_P(DefaultingOracle, Churn) { Check(Profile::kChurn, {1}); }
 TEST_P(DefaultingOracle, Burst) { Check(Profile::kBurst, {1, 2}); }
+TEST_P(DefaultingOracle, Extreme) { Check(Profile::kExtreme, {1, 2}); }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSignalsBothModes, DefaultingOracle,

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -400,6 +401,10 @@ std::vector<ReferenceSession> RunReference(
     env.SetFixedTrace(trace);  // keeps a pointer
     mdp::State state = env.Reset();
     for (std::size_t t = 0; t < scripts[s].steps; ++t) {
+      if (t == scripts[s].extreme_step) {
+        state = ExtremeState(state.size(), scripts[s].extreme_value,
+                             scripts[s].extreme_alternates);
+      }
       ref.states.push_back(state);
       ref.actions.push_back(agent.SelectAction(state));
       ref.defaulted.push_back(agent.Defaulted());
@@ -423,12 +428,15 @@ void CheckSchedule(const ServeWorld& w, const Schedule& schedule,
   const Answers service = RunService(w, schedule, reference, signal, mode);
   const Answers wire = RunWire(w, schedule, reference, signal, mode);
 
-  std::size_t defaulted = 0, mid_session = 0;
+  std::size_t defaulted = 0, mid_session = 0, poisoned = 0;
   for (std::uint32_t s = 0; s < reference.size(); ++s) {
     const ReferenceSession& ref = reference[s];
     ReferenceMachine machine(config);
     std::vector<char> flags;
-    for (const double score : ref.scores) flags.push_back(machine.Step(score));
+    for (const double score : ref.scores) {
+      machine.Step(score);
+      flags.push_back(machine.defaulted);
+    }
     // A kPermanent session is not scored once it has defaulted.
     flags.resize(ref.actions.size(), machine.defaulted);
     const std::vector<std::size_t> defaults = DefaultSteps(flags);
@@ -445,6 +453,24 @@ void CheckSchedule(const ServeWorld& w, const Schedule& schedule,
     defaulted += !defaults.empty();
     mid_session += !defaults.empty() && defaults.front() > 0 &&
                    defaults.front() + 1 < flags.size();
+    // Fail closed, checked against the contract rather than the window
+    // routine: a score whose square is not finite keeps every step it
+    // spends in the window (k >= l of them) uncertain, so the session is
+    // defaulted l - 1 steps later. (Scores stop at a kPermanent default,
+    // so scores[t] is step t's.)
+    for (std::size_t t = 0; t < ref.scores.size(); ++t) {
+      if (std::isfinite(ref.scores[t] * ref.scores[t])) continue;
+      ++poisoned;
+      const std::size_t by =
+          std::min(t + config.trigger.l - 1, flags.size() - 1);
+      EXPECT_TRUE(flags[by]) << "session " << s << " scored "
+                             << ref.scores[t] << " at step " << t
+                             << " and had not defaulted by step " << by;
+    }
+  }
+  if (schedule.profile == Profile::kExtreme &&
+      signal != serve::Signal::kNovelty) {
+    EXPECT_GE(poisoned, 1u) << "no extreme state poisoned a score";
   }
   // The comparison means something only if the trigger fires somewhere:
   // some sessions default, at least one mid-session, others never do.

@@ -9,12 +9,15 @@
 // answered step must carry the same action and defaulted flag, and every
 // path must default exactly where the tests' own trigger
 // (reference_trigger.h, not core::SafetyObserve) puts it when it replays
-// the recorded scores. It also checks the invariants the schedule
-// exercises (deferred duplicates, step counts, slots within the peak
-// population, slabs trimmed after a mass close, exact STATS) and the
-// coverage that gives the comparison meaning (sessions that default,
-// mid-session and never; empty, one-shard and busy rounds; >= 10k
-// recycled ids under churn).
+// the recorded scores, and every session that scored a value whose square
+// is not finite must be defaulted l - 1 steps later (the fail-closed
+// contract, which does not trust the shared window routine). It also
+// checks the invariants the schedule exercises (deferred duplicates, step
+// counts, slots within the peak population, slabs trimmed after a mass
+// close, exact STATS) and the coverage that gives the comparison meaning
+// (sessions that default, mid-session and never; empty, one-shard and
+// busy rounds; >= 10k recycled ids under churn; a poisoned score in the
+// extreme profile).
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 // The two trigger modes are documented in core/trigger.h.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #include "core/safety_core.h"
@@ -29,11 +30,14 @@ class DefaultTrigger {
     bool uncertain = false;
     switch (config_.mode) {
       case core::TriggerMode::kBinary:
-        uncertain = score >= 0.5;
+        uncertain = !(score < 0.5);  // NaN is uncertain
         break;
       case core::TriggerMode::kWindowVariance:
+        // A window holding a non-finite value is uncertain even before
+        // it fills (its variance reads +inf).
         window_.Push(score);
-        uncertain = window_.Full() && window_.Variance() > config_.alpha;
+        uncertain = (window_.Full() || window_.Poisoned()) &&
+                    window_.Variance() > config_.alpha;
         break;
     }
     consecutive_ = uncertain ? consecutive_ + 1 : 0;
@@ -61,7 +65,8 @@ class DefaultTrigger {
 /// DefaultTrigger plus the documented defaulting rules: latch on a fired
 /// trigger; under kRevocable, hand control back after revoke_after
 /// consecutive steps on which the trigger neither fired nor has an open
-/// uncertain streak.
+/// uncertain streak. Step returns the fallback decision: defaulted, or a
+/// step whose own score is not finite.
 struct ReferenceMachine {
   explicit ReferenceMachine(const core::SafeAgentConfig& c)
       : config(c), trigger(c.trigger) {}
@@ -85,8 +90,9 @@ struct ReferenceMachine {
       }
     }
     ++steps;
-    if (defaulted) ++defaulted_steps;
-    return defaulted;
+    const bool fallback = defaulted || !std::isfinite(score);
+    if (fallback) ++defaulted_steps;
+    return fallback;
   }
 
   core::SafeAgentConfig config;
@@ -94,7 +100,7 @@ struct ReferenceMachine {
   bool defaulted = false;
   std::size_t quiet = 0;
   std::size_t steps = 0;
-  std::size_t defaulted_steps = 0;
+  std::size_t defaulted_steps = 0;  // fallback-answered steps
   std::size_t default_step = 0;
 };
 

@@ -1,6 +1,9 @@
 #include "testing/schedule.h"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -147,6 +150,23 @@ void Churn(Builder& b) {
   }
 }
 
+/// Dense, and the state of every session that is not ID throughout
+/// becomes, at one step in [4, 16), in turn: +-1e154 or +-1e300
+/// alternating, all +DBL_MAX or all -DBL_MAX.
+void Extreme(Builder& b) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr std::pair<double, bool> kStates[] = {
+      {1e154, true}, {1e300, true}, {kMax, false}, {-kMax, false}};
+  Dense(b);
+  std::size_t next = 0;
+  for (SessionScript& script : b.out.sessions) {
+    if (script.switch_sample == kNoSwitch) continue;
+    script.extreme_step = 4 + b.rng.UniformInt(12);
+    std::tie(script.extreme_value, script.extreme_alternates) =
+        kStates[next++ % 4];
+  }
+}
+
 void Burst(Builder& b) {
   Round opens, burst;
   b.OpenRoundRobin(opens, kSessionsPerGroup * b.out.groups);
@@ -159,6 +179,14 @@ void Burst(Builder& b) {
 
 }  // namespace
 
+std::vector<double> ExtremeState(std::size_t dim, double v, bool alternate) {
+  std::vector<double> state(dim, v);
+  if (alternate) {
+    for (std::size_t i = 1; i < dim; i += 2) state[i] = -v;
+  }
+  return state;
+}
+
 Schedule MakeSchedule(Profile profile, std::uint64_t seed, std::size_t groups,
                       std::size_t trace_count, std::size_t max_steps) {
   Builder b(profile, seed, groups, trace_count, max_steps);
@@ -167,6 +195,7 @@ Schedule MakeSchedule(Profile profile, std::uint64_t seed, std::size_t groups,
     case Profile::kSparse: Sparse(b); break;
     case Profile::kChurn: Churn(b); break;
     case Profile::kBurst: Burst(b); break;
+    case Profile::kExtreme: Extreme(b); break;
   }
   return std::move(b.out);
 }

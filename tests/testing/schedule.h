@@ -5,12 +5,14 @@
 //
 // Each session streams one trace of ServeWorld::traces: in-distribution
 // (an even index), out-of-distribution (an odd index), or the ID trace
-// spliced onto an OOD one mid-session. Sessions are spread round-robin
-// over the schedule's submitter groups (one network edge each). Within a
-// round, per group: opens first, then the steps in listed order (a
-// session listed k times pipelines its next k steps; all but the first
-// wait for later decision rounds), then closes, then resets (the group's
-// connection drops, ending its live sessions without a CLOSE).
+// spliced onto an OOD one mid-session. In the extreme profile some
+// sessions also see one finite but extreme state mid-session. Sessions
+// are spread round-robin over the schedule's submitter groups (one
+// network edge each). Within a round, per group: opens first, then the
+// steps in listed order (a session listed k times pipelines its next k
+// steps; all but the first wait for later decision rounds), then closes,
+// then resets (the group's connection drops, ending its live sessions
+// without a CLOSE).
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,7 @@ enum class Profile {
   kSparse,  // 0-3 random sessions a round, every 150th round all of them
   kChurn,   // 1000 live, 250 closes and opens a round: >= 10k recycles
   kBurst,   // one open-loop round pipelining every step of every session
+  kExtreme,  // dense; sessions not ID throughout see one extreme state
 };
 
 /// SessionScript::switch_sample for a session that stays in-distribution.
@@ -39,7 +42,16 @@ struct SessionScript {
   /// trace from the start, kNoSwitch never switches.
   std::size_t switch_sample = kNoSwitch;
   std::size_t steps = 0;  // decisions the session asks for
+  /// The step whose state is replaced by ExtremeState(dim,
+  /// extreme_value, extreme_alternates) (kNoSwitch: none).
+  std::size_t extreme_step = kNoSwitch;
+  double extreme_value = 0.0;
+  bool extreme_alternates = false;
 };
+
+/// A finite state no trace produces: `dim` copies of v, or values
+/// alternating +v, -v.
+std::vector<double> ExtremeState(std::size_t dim, double v, bool alternate);
 
 struct Round {
   std::vector<std::uint32_t> opens;   // sessions

@@ -95,12 +95,16 @@ TEST_F(SlabPoolTest, ScratchIsCarvedFromTheSlabPerSlot) {
   pool[a].scratch_data[kDoubles - 1] = 1.0;
   pool[b].scratch_data[0] = 2.0;
   EXPECT_EQ(pool[a].scratch_data[kDoubles - 1], 1.0);
+  // Scratch(index) finds the same carving again.
+  EXPECT_EQ(pool.Scratch(b).data(), pool[b].scratch_data);
+  EXPECT_EQ(pool.Scratch(b).size(), kDoubles);
 }
 
 TEST_F(SlabPoolTest, NoScratchPoolPassesEmptySpan) {
   SlabPool<Probe> pool(2);
   const auto a = pool.Acquire([](std::span<double> s) { return Probe(s); });
   EXPECT_EQ(pool[a].scratch_size, 0u);
+  EXPECT_TRUE(pool.Scratch(a).empty());
 }
 
 TEST_F(SlabPoolTest, TrimReleasesWhollyFreeTrailingSlabsOnly) {

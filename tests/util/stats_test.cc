@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/rng.h"
@@ -124,43 +125,75 @@ TEST(SlidingWindowStats, ResetEmptiesWindow) {
 }
 
 TEST(SlidingWindowStats, PlacementStorageMatchesOwningWindow) {
-  // The serving path carves window storage from shard slabs; the
-  // span-backed window must be bit-identical to the owning one.
+  // The serving path keeps a bare SlidingWindow over ring memory it owns;
+  // it must be bit-identical to the owning window.
   Rng rng(7);
-  std::vector<double> storage(6, -1.0);
+  std::vector<double> ring(6, -1.0);  // contents need no initialization
+  SlidingWindow placed;
   SlidingWindowStats owning(6);
-  SlidingWindowStats placed{std::span<double>(storage)};
   for (int i = 0; i < 100; ++i) {
     const double x = rng.Uniform(0.0, 9.0);
     owning.Push(x);
-    placed.Push(x);
-    ASSERT_EQ(placed.Size(), owning.Size());
-    ASSERT_EQ(placed.Full(), owning.Full());
+    placed.Push(ring, x);
+    ASSERT_EQ(placed.size, owning.Size());
     ASSERT_EQ(placed.Mean(), owning.Mean()) << "step " << i;
     ASSERT_EQ(placed.Variance(), owning.Variance()) << "step " << i;
   }
-  EXPECT_EQ(placed.Values(), owning.Values());
 }
 
-TEST(SlidingWindowStats, PlacementRejectsEmptyStorage) {
-  std::vector<double> storage;
-  EXPECT_THROW(SlidingWindowStats{std::span<double>(storage)},
+TEST(SlidingWindowStats, RejectsCapacityAboveTheCursorRange) {
+  EXPECT_THROW(SlidingWindowStats(kMaxWindowCapacity + 1),
                std::invalid_argument);
+  EXPECT_EQ(SlidingWindowStats(kMaxWindowCapacity).Capacity(),
+            kMaxWindowCapacity);
 }
 
 TEST(SlidingWindowStats, CopyIsDeepAndIndependent) {
-  std::vector<double> storage(3);
-  SlidingWindowStats placed{std::span<double>(storage)};
-  placed.Push(1.0);
-  placed.Push(2.0);
+  SlidingWindowStats original(3);
+  original.Push(1.0);
+  original.Push(2.0);
 
-  SlidingWindowStats copy = placed;  // copies always own their storage
+  SlidingWindowStats copy = original;
   copy.Push(3.0);
   copy.Push(4.0);  // wraps in the copy only
-  EXPECT_EQ(storage[0], 1.0) << "copy must not write the original storage";
-  EXPECT_EQ(placed.Size(), 2u);
+  EXPECT_EQ(original.Values(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(original.Size(), 2u);
   EXPECT_DOUBLE_EQ(copy.Mean(), 3.0);
-  EXPECT_DOUBLE_EQ(placed.Mean(), 1.5);
+  EXPECT_DOUBLE_EQ(original.Mean(), 1.5);
+}
+
+TEST(SlidingWindowStats, NonFiniteValueFailsClosedUntilItLeaves) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {inf, -inf, std::nan(""), 1e200, -1.7e308}) {
+    SCOPED_TRACE(bad);
+    SlidingWindowStats w(3);
+    w.Push(1.0);
+    w.Push(bad);
+    EXPECT_TRUE(w.Poisoned());
+    EXPECT_EQ(w.Variance(), inf);
+    EXPECT_TRUE(std::isnan(w.Mean()));
+    w.Push(2.0);
+    w.Push(4.0);  // evicts 1.0; `bad` still in
+    EXPECT_EQ(w.Variance(), inf);
+    w.Push(8.0);  // evicts `bad`: the sums describe {2, 4, 8} exactly
+    EXPECT_FALSE(w.Poisoned());
+    EXPECT_DOUBLE_EQ(w.Mean(), 14.0 / 3.0);
+    EXPECT_DOUBLE_EQ(w.Variance(), 84.0 / 3.0 - (14.0 / 3.0) * (14.0 / 3.0));
+  }
+}
+
+TEST(SlidingWindowStats, OverflowingSumFailsClosedUntilTheValuesLeave) {
+  // Each square is finite; their sum is not.
+  SlidingWindowStats w(2);
+  w.Push(1e154);
+  EXPECT_FALSE(w.Poisoned());
+  w.Push(1e154);
+  EXPECT_EQ(w.Variance(), std::numeric_limits<double>::infinity());
+  w.Push(1.0);
+  EXPECT_TRUE(w.Poisoned());  // conservatively until the overflow's push leaves
+  w.Push(3.0);
+  EXPECT_FALSE(w.Poisoned());
+  EXPECT_DOUBLE_EQ(w.Variance(), 1.0);
 }
 
 TEST(Median, OddAndEvenLengths) {
