@@ -16,7 +16,6 @@ void AppendRequestFrame(std::vector<std::uint8_t>& out,
                                 ? 4 + 8 * state.size()
                                 : 0);
   OSAP_REQUIRE(body <= kMaxFrameBody, "AppendRequestFrame: frame too large");
-  out.reserve(out.size() + kLengthPrefixBytes + body);
   PutU32(out, static_cast<std::uint32_t>(body));
   out.push_back(header.version);
   out.push_back(static_cast<std::uint8_t>(header.type));
@@ -36,7 +35,6 @@ void AppendReplyFrame(std::vector<std::uint8_t>& out, const Reply& reply,
                           reply.status == Status::kOk;
   const std::size_t body =
       kReplyBytes + (with_stats ? kServerStatsBytes : 0);
-  out.reserve(out.size() + kLengthPrefixBytes + body);
   PutU32(out, static_cast<std::uint32_t>(body));
   out.push_back(reply.version);
   out.push_back(static_cast<std::uint8_t>(reply.type));

@@ -59,11 +59,11 @@ enum class MsgType : std::uint8_t {
 enum class Status : std::uint8_t {
   kOk = 0,
   /// Admission control: the request was read and understood but the
-  /// server is at its in-flight cap or the session's shard lane is past
-  /// its high-water mark. The request was NOT queued - retry later.
+  /// server is at its in-flight cap. The request was NOT queued - retry
+  /// later.
   kBusy = 1,
-  /// OPEN_SESSION only: the session table is at max_sessions (or past the
-  /// session-memory budget). No session was created.
+  /// OPEN_SESSION only: the session table is at max_sessions. No session
+  /// was created.
   kFull = 2,
   /// Malformed or inapplicable request (unknown session, wrong state
   /// width, a NaN or infinite state value, unknown type). The connection

@@ -35,35 +35,42 @@ constexpr std::size_t kMaxEvents = 256;
 /// connection slot.
 constexpr std::uint64_t kListenTag = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint64_t kWakeTag = kListenTag - 1;
-/// Compact the input buffer once this many consumed bytes accumulate.
+/// Compact a connection buffer once this many consumed bytes accumulate.
 constexpr std::size_t kCompactAbove = 64 * 1024;
-/// Refresh the cached ServiceMemoryStats session-bytes gate every this
-/// many admitted opens (the walk touches every lane of the edge's group).
-constexpr std::size_t kBytesGateRefresh = 64;
 /// Graceful-shutdown budget: after Stop(), each edge keeps answering and
 /// flushing for at most this long before closing its connections.
 constexpr std::chrono::seconds kDrainDeadline{5};
-/// A vectored send gathers at most this many reply frames per call.
-constexpr int kMaxIov = 64;
 
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
 }
 
+/// Drops the consumed prefix [0, off) of a connection buffer: all of it
+/// once everything is consumed, otherwise only past kCompactAbove.
+void Compact(std::vector<std::uint8_t>& buf, std::size_t& off) {
+  if (off == buf.size()) {
+    buf.clear();
+    off = 0;
+  } else if (off >= kCompactAbove) {
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+    off = 0;
+  }
+}
+
 }  // namespace
 
 /// Per-connection state. Objects are recycled through a free list - the
-/// input buffer, output frame queue and session list keep their capacity
+/// input and output buffers and the session list keep their capacity
 /// across connections, so steady-state accept/close churn touches no
-/// allocator (the frame buffers themselves recycle through the edge's
-/// spare-frame pool).
+/// allocator.
 struct Connection {
   int fd = -1;
   bool open = false;
-  /// Reads deferred (TCP pushback): this connection's admitted backlog
-  /// crossed pause_reads_above; bytes stay in the kernel receive buffer
-  /// until the backlog halves.
+  /// Reads deferred (TCP pushback): the admitted backlog reached
+  /// pause_reads_above or the unsent reply bytes reached
+  /// kPauseUnsentBytes; bytes stay in the kernel receive buffer until
+  /// both halve.
   bool paused = false;
   bool want_write = false;  // EPOLLOUT armed (partial write left over)
   bool dirty = false;       // in Edge::dirty: flushed this round
@@ -72,9 +79,8 @@ struct Connection {
   std::vector<std::uint8_t> in;  // unparsed bytes live at [in_off, size)
   std::size_t in_off = 0;
 
-  std::vector<std::vector<std::uint8_t>> out_q;  // encoded reply frames
-  std::size_t out_head = 0;      // first not-fully-written frame
-  std::size_t out_head_off = 0;  // bytes of out_q[out_head] already sent
+  std::vector<std::uint8_t> out;  // unsent reply bytes live at [out_off, size)
+  std::size_t out_off = 0;
 
   std::vector<std::uint64_t> sessions;  // session ids this peer owns
 };
@@ -95,8 +101,7 @@ struct Edge {
     mdp::State state;  // decoded off the wire; storage recycled
   };
 
-  std::size_t index = 0;        // == submitter group in the service
-  std::size_t group_begin = 0;  // first service shard this edge owns
+  std::size_t index = 0;  // == submitter group in the service
 
   int listen_fd = -1;
   int wake_fd = -1;   // eventfd: Stop() -> loop wakeup
@@ -117,19 +122,14 @@ struct Edge {
   std::vector<std::uint32_t> pending_free_slots_swap;
 
   std::vector<PendingStep> pending;
-  std::vector<std::size_t> shard_pending;  // admitted per owned lane
-  std::vector<mdp::State> state_pool;      // recycled PendingStep storage
-  /// Recycled reply-frame buffers (the slab behind the output queues).
-  std::vector<std::vector<std::uint8_t>> spare_frames;
+  std::vector<mdp::State> state_pool;   // recycled PendingStep storage
   std::vector<std::uint32_t> dirty;     // connections awaiting a flush
-  std::vector<std::uint32_t> unpaused;  // resumed this batch: drain them
+  std::vector<std::uint32_t> unpaused;  // resumed this round: drain them
 
   // Round scratch (persists across batches; steady state allocates
   // nothing).
   std::vector<serve::DecisionService::Request> round_requests;
   std::vector<mdp::Action> round_actions;
-
-  std::size_t opens_since_measure = 0;
 
   // Published counters: written by this edge (relaxed), summed by any
   // edge answering STATS and by NetServer::Stats().
@@ -138,7 +138,7 @@ struct Edge {
   std::atomic<std::uint64_t> rejected_opens{0};
   std::atomic<std::uint64_t> epochs{0};
   std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> session_bytes{0};  // cached group bytes
+  std::atomic<std::uint64_t> session_bytes{0};  // group bytes at last STATS
   /// Every IO syscall the edge loop issues (epoll_wait/epoll_ctl/accept4/
   /// recv/sendmsg/wake reads/poll) - the numerator of the shutdown
   /// summary's syscalls-per-decision.
@@ -167,11 +167,8 @@ NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
           }()) {
   edges_.reserve(config_.edge_threads);
   for (std::size_t e = 0; e < config_.edge_threads; ++e) {
-    auto edge = std::make_unique<Edge>();
-    edge->index = e;
-    edge->group_begin = service_.GroupBegin(e);
-    edge->shard_pending.assign(service_.GroupEnd(e) - edge->group_begin, 0);
-    edges_.push_back(std::move(edge));
+    edges_.push_back(std::make_unique<Edge>());
+    edges_.back()->index = e;
   }
 }
 
@@ -293,15 +290,16 @@ void NetServer::Run() {
 void NetServer::RunEdge(Edge& edge) {
   while (!stop_.load(std::memory_order_acquire)) {
     edge.pending_free_slots_swap.clear();
-    // Block only when idle; with admitted work pending, gather whatever
-    // arrived in the previous round and run a batch.
-    Pump(edge, edge.pending.empty());
+    // Block only when idle; with admitted work pending or replies queued
+    // by the last resume, gather whatever arrived and carry on.
+    Pump(edge, edge.pending.empty() && edge.dirty.empty());
     // Flush admission replies (BUSY / FULL / opens) and write
     // continuations before the decision round so rejected clients hear
     // back without waiting on compute.
     FlushDirty(edge);
     if (!edge.pending.empty()) RunBatch(edge);
     FlushDirty(edge);
+    ResumeReads(edge);
     // Slots freed this iteration become reusable only now (stale events
     // for a dead fd must never alias a fresh connection).
     for (const std::uint32_t slot : edge.pending_free_slots_swap) {
@@ -328,7 +326,7 @@ void NetServer::DrainOnStop(Edge& edge) {
   for (std::size_t slot = 0; slot < edge.connections.size(); ++slot) {
     Connection* conn = edge.connections[slot].get();
     if (conn == nullptr || !conn->open) continue;
-    while (conn->open && conn->out_head < conn->out_q.size()) {
+    while (conn->open && conn->out_off < conn->out.size()) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - Clock::now());
       if (left.count() <= 0) break;
@@ -480,14 +478,7 @@ bool NetServer::ParseBuffered(Edge& edge, std::size_t slot) {
     conn.in_off += kLengthPrefixBytes + body;
     HandleRequest(edge, slot, request);
   }
-  if (conn.in_off == conn.in.size()) {
-    conn.in.clear();
-    conn.in_off = 0;
-  } else if (conn.in_off >= kCompactAbove) {
-    conn.in.erase(conn.in.begin(),
-                  conn.in.begin() + static_cast<std::ptrdiff_t>(conn.in_off));
-    conn.in_off = 0;
-  }
+  Compact(conn.in, conn.in_off);
   return true;
 }
 
@@ -506,28 +497,8 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
   // edge-affine by design), and its tag's owner must be this connection.
   switch (request.header.type) {
     case MsgType::kOpenSession: {
-      const std::size_t max_sessions =
-          config_.max_sessions > 0
-              ? config_.max_sessions
-              : std::numeric_limits<std::size_t>::max();
-      bool over_bytes = false;
-      if (config_.max_session_bytes > 0) {
-        if (edge.opens_since_measure >= kBytesGateRefresh) {
-          edge.session_bytes.store(
-              service_.MemoryStatsOfGroup(edge.index).SessionBytes(),
-              std::memory_order_relaxed);
-          edge.opens_since_measure = 0;
-        }
-        // Own cache just refreshed; other edges' caches may lag by up to
-        // kBytesGateRefresh opens each - the gate is a budget, not an
-        // invariant.
-        std::uint64_t total_bytes = 0;
-        for (const auto& e : edges_) {
-          total_bytes += e->session_bytes.load(std::memory_order_relaxed);
-        }
-        over_bytes = total_bytes >= config_.max_session_bytes;
-      }
-      if (service_.ActiveSessionCount() >= max_sessions || over_bytes) {
+      if (config_.max_sessions > 0 &&
+          service_.ActiveSessionCount() >= config_.max_sessions) {
         reply.status = Status::kFull;
         edge.rejected_opens.fetch_add(1, std::memory_order_relaxed);
         QueueReply(edge, slot, reply);
@@ -536,7 +507,6 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
       const std::uint64_t id = service_.OpenSession(edge.index);
       service_.TagOf(edge.index, id)->owner = static_cast<std::uint32_t>(slot);
       conn.sessions.push_back(id);
-      ++edge.opens_since_measure;
       reply.status = Status::kOk;
       reply.session_id = id;
       QueueReply(edge, slot, reply);
@@ -582,17 +552,11 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
         QueueReply(edge, slot, reply);
         return;
       }
-      const std::size_t lane = service_.ShardOfSession(id) - edge.group_begin;
-      // Reserve a slot in the shared in-flight budget, then check the
-      // edge-local lane mark; release the reservation on any rejection.
+      // Reserve a slot in the shared in-flight budget; release the
+      // reservation on any rejection.
       const std::size_t prev =
           in_flight_.fetch_add(1, std::memory_order_relaxed);
-      const bool over_budget =
-          config_.max_in_flight > 0 && prev >= config_.max_in_flight;
-      const bool over_lane =
-          config_.lane_high_water > 0 &&
-          edge.shard_pending[lane] >= config_.lane_high_water;
-      if (over_budget || over_lane) {
+      if (config_.max_in_flight > 0 && prev >= config_.max_in_flight) {
         in_flight_.fetch_sub(1, std::memory_order_relaxed);
         reply.status = Status::kBusy;
         edge.busy.fetch_add(1, std::memory_order_relaxed);
@@ -619,7 +583,6 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
       step.request_id = request.header.request_id;
       step.session = id;
       edge.pending.push_back(std::move(step));
-      ++edge.shard_pending[lane];
       ++tag->queued;
       ++conn.in_flight;
       if (config_.pause_reads_above > 0 &&
@@ -655,7 +618,7 @@ void NetServer::RunBatch(Edge& edge) {
   const std::uint64_t epoch = service_.RoundCount();
 
   // One pass: encode the decided steps' replies into the owning
-  // connections' output queues (flushed after the batch - the decision
+  // connections' output buffers (flushed after the batch - the decision
   // path itself never touched a socket) and compact the deferred ones to
   // the front, in arrival order.
   std::size_t write = 0;
@@ -681,16 +644,8 @@ void NetServer::RunBatch(Edge& edge) {
     reply.session_id = step.session;
     reply.epoch = epoch;
     QueueReply(edge, step.conn, reply);
-    --edge.shard_pending[service_.ShardOfSession(step.session) -
-                         edge.group_begin];
     --service_.TagOf(edge.index, step.session)->queued;
-    Connection& conn = *edge.connections[step.conn];
-    --conn.in_flight;
-    if (conn.paused && config_.pause_reads_above > 0 &&
-        conn.in_flight <= config_.pause_reads_above / 2) {
-      conn.paused = false;
-      edge.unpaused.push_back(step.conn);
-    }
+    --edge.connections[step.conn]->in_flight;
     edge.state_pool.push_back(std::move(step.state));
   }
   const std::size_t answered = edge.pending.size() - write;
@@ -698,13 +653,13 @@ void NetServer::RunBatch(Edge& edge) {
   (failed ? edge.errors : edge.decided)
       .fetch_add(answered, std::memory_order_relaxed);
   in_flight_.fetch_sub(answered, std::memory_order_relaxed);
+}
 
-  // Resume paused connections whose backlog drained: parse what their
-  // buffers already hold, then drain their sockets (a paused
-  // edge-triggered fd owes us no further EPOLLIN for bytes that arrived
-  // while paused).
-  // Skipped once stopping - the drain path answers what is queued but
-  // reads nothing new.
+void NetServer::ResumeReads(Edge& edge) {
+  // Parse what the resumed connections' buffers already hold, then drain
+  // their sockets (a paused edge-triggered fd owes us no further EPOLLIN
+  // for bytes that arrived while paused). Skipped once stopping - the
+  // drain path answers what is queued but reads nothing new.
   if (!stop_.load(std::memory_order_acquire)) {
     for (const std::uint32_t slot : edge.unpaused) {
       Connection& conn = *edge.connections[slot];
@@ -740,8 +695,6 @@ void NetServer::FailPendingOf(Edge& edge, std::uint64_t session) {
     reply.session_id = step.session;
     reply.epoch = service_.RoundCount();
     QueueReply(edge, step.conn, reply);
-    --edge.shard_pending[service_.ShardOfSession(step.session) -
-                         edge.group_begin];
     --edge.connections[step.conn]->in_flight;
     edge.state_pool.push_back(std::move(step.state));
     ++failed;
@@ -757,7 +710,7 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   Connection& conn = *edge.connections[slot];
   if (!conn.open) return;
   // Drop this peer's pending steps without replies (the socket is gone);
-  // the shard accounting must still come back down (the sessions close
+  // the in-flight budget must still come back down (the sessions close
   // below, taking their queued counts with them).
   std::size_t write = 0;
   std::size_t dropped = 0;
@@ -768,8 +721,6 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
       ++write;
       continue;
     }
-    --edge.shard_pending[service_.ShardOfSession(step.session) -
-                         edge.group_begin];
     edge.state_pool.push_back(std::move(step.state));
     ++dropped;
   }
@@ -791,13 +742,8 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   conn.in_flight = 0;
   conn.in.clear();
   conn.in_off = 0;
-  for (auto& frame : conn.out_q) {
-    frame.clear();
-    edge.spare_frames.push_back(std::move(frame));
-  }
-  conn.out_q.clear();
-  conn.out_head = 0;
-  conn.out_head_off = 0;
+  conn.out.clear();
+  conn.out_off = 0;
   open_connections_.fetch_sub(1, std::memory_order_relaxed);
   // Recycle the slot only after the current IO round is fully processed
   // (RunEdge moves these into free_conn_slots), so stale events for the
@@ -808,13 +754,8 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
 void NetServer::QueueReply(Edge& edge, std::size_t slot, const Reply& reply,
                            const ServerStats* stats) {
   Connection& conn = *edge.connections[slot];
-  std::vector<std::uint8_t> frame;
-  if (!edge.spare_frames.empty()) {
-    frame = std::move(edge.spare_frames.back());
-    edge.spare_frames.pop_back();
-  }
-  AppendReplyFrame(frame, reply, stats);
-  conn.out_q.push_back(std::move(frame));
+  AppendReplyFrame(conn.out, reply, stats);
+  if (conn.out.size() - conn.out_off >= kPauseUnsentBytes) conn.paused = true;
   if (!conn.dirty) {
     conn.dirty = true;
     edge.dirty.push_back(static_cast<std::uint32_t>(slot));
@@ -828,8 +769,17 @@ void NetServer::FlushDirty(Edge& edge) {
     if (!conn.open) continue;
     DirectFlush(edge, slot);
     if (!conn.open) continue;
+    // Every reply that lowers the backlog or the unsent bytes marks its
+    // connection dirty, so this is the one place a pause ends.
+    const std::size_t unsent = conn.out.size() - conn.out_off;
+    if (conn.paused && unsent <= kPauseUnsentBytes / 2 &&
+        (config_.pause_reads_above == 0 ||
+         conn.in_flight <= config_.pause_reads_above / 2)) {
+      conn.paused = false;
+      edge.unpaused.push_back(slot);
+    }
     // Re-arm the interest set only when EPOLLOUT must turn on or off.
-    const bool want_write = conn.out_head < conn.out_q.size();
+    const bool want_write = unsent > 0;
     if (want_write == conn.want_write) continue;
     conn.want_write = want_write;
     epoll_event ev{};
@@ -843,60 +793,30 @@ void NetServer::FlushDirty(Edge& edge) {
 
 void NetServer::DirectFlush(Edge& edge, std::size_t slot) {
   Connection& conn = *edge.connections[slot];
-  while (conn.out_head < conn.out_q.size()) {
-    iovec iov[kMaxIov];
-    int iov_count = 0;
-    for (std::size_t i = conn.out_head;
-         i < conn.out_q.size() && iov_count < kMaxIov; ++i) {
-      const std::size_t off = i == conn.out_head ? conn.out_head_off : 0;
-      iov[iov_count].iov_base =
-          const_cast<std::uint8_t*>(conn.out_q[i].data() + off);
-      iov[iov_count].iov_len = conn.out_q[i].size() - off;
-      ++iov_count;
-    }
-    // sendmsg, not writev: MSG_NOSIGNAL turns a peer reset mid-reply
-    // into EPIPE instead of a process-fatal SIGPIPE.
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(iov_count);
-    const ssize_t wrote = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+  if (conn.out_off == conn.out.size()) return;
+  iovec iov{conn.out.data() + conn.out_off, conn.out.size() - conn.out_off};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  // sendmsg, not write: MSG_NOSIGNAL turns a peer reset mid-reply into
+  // EPIPE instead of a process-fatal SIGPIPE.
+  ssize_t wrote;
+  do {
+    wrote = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConnection(edge, slot);
-      return;
-    }
-    // Partial-write continuation: advance (frame, offset) through the
-    // queue; an unfinished head frame resumes at out_head_off.
-    auto remaining = static_cast<std::size_t>(wrote);
-    while (remaining > 0) {
-      std::vector<std::uint8_t>& head = conn.out_q[conn.out_head];
-      const std::size_t left = head.size() - conn.out_head_off;
-      if (remaining >= left) {
-        remaining -= left;
-        head.clear();
-        edge.spare_frames.push_back(std::move(head));
-        ++conn.out_head;
-        conn.out_head_off = 0;
-      } else {
-        conn.out_head_off += remaining;
-        remaining = 0;
-      }
-    }
+  } while (wrote < 0 && errno == EINTR);
+  if (wrote < 0) {
+    if (errno != EAGAIN && errno != EWOULDBLOCK) CloseConnection(edge, slot);
+    return;
   }
-  if (conn.out_head == conn.out_q.size()) {
-    conn.out_q.clear();
-    conn.out_head = 0;
-    conn.out_head_off = 0;
-  }
+  conn.out_off += static_cast<std::size_t>(wrote);
+  Compact(conn.out, conn.out_off);
 }
 
 ServerStats NetServer::BuildStats(Edge& edge) {
   edge.session_bytes.store(
       service_.MemoryStatsOfGroup(edge.index).SessionBytes(),
       std::memory_order_relaxed);
-  edge.opens_since_measure = 0;
   return Stats();
 }
 

@@ -10,8 +10,8 @@
 //   - its OWN SO_REUSEPORT listener on the shared port (the kernel
 //     shards incoming connections across the listeners by 4-tuple hash),
 //   - its own edge-triggered epoll instance, wake eventfd, recv buffer
-//     and slab-recycled connection buffers / pending queues /
-//     reply-frame pools,
+//     and slab-recycled connections (one input and one output byte
+//     buffer each) and pending queue,
 //   - a contiguous GROUP of the service's shard lanes (submitter group e
 //     of DecisionServiceConfig::submitter_count = edge_threads): the
 //     edge opens its sessions through OpenSession(e), which spreads them
@@ -29,7 +29,7 @@
 //   to EAGAIN) -> parse frames, admit or reject each request -> when
 //   admitted STEPs are pending, ONE DecideBatch over all of them
 //   (micro-batching across connections and sessions) -> encode replies
-//   into per-connection output queues -> flush with vectored writes,
+//   into per-connection output buffers -> flush each with one sendmsg,
 //   partial writes continue under EPOLLOUT.
 //
 // edge_threads = 1 is bit-identical to the classic single-loop server:
@@ -37,24 +37,20 @@
 // arithmetic (the shared budget sees exactly one edge), the same wire
 // bytes.
 //
-// Admission control and backpressure (all per NetServerConfig):
+// Admission control and backpressure, one cap per request kind:
 //   - max_in_flight caps admitted-but-unanswered STEPs process-wide via
 //     one shared atomic budget (reserve on admit, release on reply);
 //     past it, new STEPs get an immediate BUSY reply instead of queueing.
-//   - lane_high_water caps pending STEPs per shard lane, so one hot
-//     shard cannot grow the whole queue; STEPs routed to a lane at its
-//     mark get BUSY. Lanes belong to exactly one edge, so this needs no
-//     atomics.
-//   - pause_reads_above stops READING a connection whose own admitted
-//     backlog passes the threshold: its bytes accumulate in the kernel
-//     receive buffer, the TCP window closes, and the sender blocks - the
-//     transport-level pushback behind the BUSY vocabulary. Reads resume
-//     (and missed edge-triggered data is drained explicitly) once the
-//     connection's backlog halves.
-//   - max_sessions / max_session_bytes gate OPEN_SESSION on the session
-//     table size and the service's exact ServiceMemoryStats accounting
-//     (each edge caches its own group's bytes; STATS sums the caches);
-//     past either, opens get FULL.
+//   - max_sessions gates OPEN_SESSION on the session table size; past
+//     it, opens get FULL.
+//   - A connection stops being READ while its own admitted backlog
+//     reaches pause_reads_above or its unsent reply bytes reach
+//     kPauseUnsentBytes: its bytes accumulate in the kernel receive
+//     buffer, the TCP window closes, and the sender blocks - the
+//     transport-level pushback behind the BUSY vocabulary, which also
+//     bounds what a peer that never reads can make the edge hold. Reads
+//     resume (and missed edge-triggered data is drained explicitly) once
+//     both have halved.
 // Every rejected request is answered (BUSY / FULL / ERROR) - nothing is
 // silently dropped while a connection lives.
 //
@@ -88,6 +84,9 @@ struct Edge;
 
 /// The most bytes one recv() reads into a connection's input buffer.
 inline constexpr std::size_t kReadChunk = 64 * 1024;
+/// A connection whose unsent reply bytes reach this stops being read
+/// until they drain to half (the slow-reader bound).
+inline constexpr std::size_t kPauseUnsentBytes = 256 * 1024;
 
 struct NetServerConfig {
   /// TCP port to listen on; 0 picks an ephemeral port (see Port()).
@@ -100,17 +99,11 @@ struct NetServerConfig {
   /// Process-wide cap on admitted STEPs awaiting a decision, enforced
   /// through one shared atomic budget; 0 = no cap.
   std::size_t max_in_flight = 64 * 1024;
-  /// Pending-STEP cap per shard lane (BUSY past it); 0 disables the
-  /// per-lane mark (only max_in_flight applies).
-  std::size_t lane_high_water = 16 * 1024;
   /// Stop reading a connection whose admitted backlog exceeds this
   /// (TCP pushback); reads resume once it drains to half. 0 disables.
   std::size_t pause_reads_above = 1024;
   /// OPEN_SESSION gate: max concurrently open sessions; 0 = no cap.
   std::size_t max_sessions = 1 << 20;
-  /// OPEN_SESSION gate on ServiceMemoryStats::SessionBytes(), refreshed
-  /// every 64 opens (the walk is not free). 0 = unlimited.
-  std::size_t max_session_bytes = 0;
   /// Sharding/backpressure config for the service the server owns.
   /// submitter_count is overwritten with edge_threads.
   serve::DecisionServiceConfig service;
@@ -181,6 +174,10 @@ class NetServer {
   void HandleRequest(Edge& edge, std::size_t slot,
                      const DecodedRequest& request);
   void RunBatch(Edge& edge);
+  /// Parses and drains every connection FlushDirty un-paused this round
+  /// (a paused edge-triggered socket announces no new bytes). Skipped
+  /// once stopping.
+  void ResumeReads(Edge& edge);
   /// Answers and removes every pending STEP of `session` with kError
   /// (a CLOSE overtaking pipelined STEPs, never the normal path).
   void FailPendingOf(Edge& edge, std::uint64_t session);
@@ -188,15 +185,15 @@ class NetServer {
   void QueueReply(Edge& edge, std::size_t slot, const Reply& reply,
                   const ServerStats* stats = nullptr);
   /// Flushes every connection marked dirty this round (queued replies or
-  /// an EPOLLOUT continuation) and arms EPOLLOUT while a partial write
-  /// is left over.
+  /// an EPOLLOUT continuation), un-pauses those whose backlog and unsent
+  /// bytes have halved, and arms EPOLLOUT while a partial write is left
+  /// over.
   void FlushDirty(Edge& edge);
-  /// Sends as much of the connection's output queue as the socket
-  /// accepts right now (sendmsg + MSG_NOSIGNAL, EAGAIN stops), recycling
-  /// fully sent frames and resuming a partial head frame at
-  /// out_head_off. The round's flush and the drain path.
+  /// One sendmsg (MSG_NOSIGNAL) of the connection's unsent output bytes;
+  /// a short write leaves the rest for EPOLLOUT. The round's flush and
+  /// the drain path.
   void DirectFlush(Edge& edge, std::size_t slot);
-  /// Refreshes edge's session-bytes cache and sums every edge's
+  /// Refreshes edge's session-bytes figure and sums every edge's
   /// published counters (the STATS reply payload).
   ServerStats BuildStats(Edge& edge);
 

@@ -44,7 +44,8 @@ std::size_t RoundUpToCacheLine(std::size_t doubles) {
 /// element - so the rounding order (and result) is unchanged while each y
 /// element stays in a register across four updates. A fused ReLU clamps
 /// after the bias addition, exactly where the standalone ReLU pass would
-/// have run.
+/// have run. Every ReLU here is `v <= 0 ? 0 : v`: NaN passes through, so
+/// an activation that overflowed cannot come out as a confident score.
 void LinearRowScalar(const double* x, const double* w, const double* bias,
                      std::size_t in, std::size_t out, bool fused_relu,
                      double* y) {
@@ -76,7 +77,7 @@ void LinearRowScalar(const double* x, const double* w, const double* bias,
   if (fused_relu) {
     for (std::size_t j = 0; j < out; ++j) {
       const double v = y[j] + bias[j];
-      y[j] = v > 0.0 ? v : 0.0;
+      y[j] = v <= 0.0 ? 0.0 : v;
     }
   } else {
     for (std::size_t j = 0; j < out; ++j) y[j] += bias[j];
@@ -102,7 +103,7 @@ void ConvRowScalar(const double* x, const double* w, const double* bias,
           acc += xc[k] * w[(ic * kernel + k) * out_channels + oc];
         }
       }
-      y[oc * out_len + t] = fused_relu ? (acc > 0.0 ? acc : 0.0) : acc;
+      y[oc * out_len + t] = fused_relu ? (acc <= 0.0 ? 0.0 : acc) : acc;
     }
   }
 }
@@ -166,10 +167,10 @@ OSAP_VECTOR_INLINE void StoreFirst(V v, std::size_t n, double* p,
   for (std::size_t i = 0; i < n; ++i) p[i * stride] = v[i];
 }
 
-/// The fused ReLU: the scalar kernels' `v > 0 ? v : 0`, lane by lane.
+/// The fused ReLU: the scalar kernels' `v <= 0 ? 0 : v`, lane by lane.
 template <class V>
 OSAP_VECTOR_INLINE V Clamp(V v, bool fused_relu) {
-  return fused_relu ? ((v > 0.0) ? v : V{}) : v;
+  return fused_relu ? ((v <= 0.0) ? V{} : v) : v;
 }
 
 /// One member's Linear layer on one state, vectorized over output
@@ -529,7 +530,7 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
           const double* xr = x + m * x_stride + b * x_batch;
           double* yr = y + m * y_stride + b * y_batch;
           for (std::size_t j = 0; j < op.out; ++j) {
-            yr[j] = xr[j] > 0.0 ? xr[j] : 0.0;
+            yr[j] = xr[j] <= 0.0 ? 0.0 : xr[j];
           }
         }
       }

@@ -100,8 +100,10 @@ void ReLU::InferBatch(const Matrix& x, Matrix& y) const {
   y.ReshapeUninitialized(x.rows(), x.cols());
   const double* in = x.data();
   double* out = y.data();
+  // NaN passes through, as in the packed ensemble kernels: inference
+  // must not turn an overflowed activation into a finite one.
   for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = in[i] > 0.0 ? in[i] : 0.0;
+    out[i] = in[i] <= 0.0 ? 0.0 : in[i];
   }
 }
 

@@ -216,10 +216,7 @@ class DecisionService {
     const std::size_t wide = rem * (base + 1);  // shards in wider groups
     return shard < wide ? shard / (base + 1) : rem + (shard - wide) / base;
   }
-  /// Shards [GroupBegin(g), GroupEnd(g)) belong to group g.
-  std::size_t GroupBegin(std::size_t group) const {
-    return groups_[group]->begin;
-  }
+  /// One past the last shard of group g.
   std::size_t GroupEnd(std::size_t group) const { return groups_[group]->end; }
 
   /// `id`'s submitter tag, or nullptr unless `id`'s shard is in `group`

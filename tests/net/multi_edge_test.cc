@@ -10,7 +10,8 @@
 //     undecided answers every request before the client sees EOF.
 //   - STATS accounting across edges: every per-status client-side count
 //     (ok / busy / full / error) matches the summed per-edge counters
-//     exactly, and ok + busy + full + error == requests sent.
+//     exactly, and ok + busy + full + error == requests sent, with one
+//     session cap and one in-flight budget shared by both edges.
 //   - Session ids are edge-affine: a live session opened on one edge is
 //     kError to a STEP or CLOSE arriving on another edge.
 #include <dirent.h>
@@ -146,9 +147,11 @@ TEST(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
   loop.join();
 }
 
-// Two-edge accounting, driven deterministically from one thread: every
-// reply status the clients observed shows up in the aggregated per-edge
-// counters exactly, and nothing is dropped or double-counted.
+// Two-edge accounting, driven from one thread: every reply status the
+// clients observed shows up in the aggregated per-edge counters exactly,
+// and nothing is dropped or double-counted. Each connection sits on its
+// own edge, and both edges draw on one session cap and one in-flight
+// budget.
 TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   const ServeWorld& w = SharedServeWorld();
   const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
@@ -156,18 +159,20 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   NetServerConfig cfg;
   cfg.edge_threads = 2;
   cfg.max_sessions = 4;
-  cfg.lane_high_water = 1;  // one admitted STEP per lane per burst
+  cfg.max_in_flight = 1;  // one admitted STEP across both edges
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
   ASSERT_EQ(server.server().EdgeCount(), 2u);
 
-  // Two connections; the kernel's SO_REUSEPORT hash decides which edge
-  // each lands on (possibly the same one - the invariants hold
-  // regardless).
-  Client c1, c2;
-  c1.Connect("127.0.0.1", server.Port());
-  c2.Connect("127.0.0.1", server.Port());
+  const std::unique_ptr<Client> on_edge0 = testing::ConnectToEdge(
+      server.Port(), 0, cfg.service.shard_count, cfg.edge_threads);
+  const std::unique_ptr<Client> on_edge1 = testing::ConnectToEdge(
+      server.Port(), 1, cfg.service.shard_count, cfg.edge_threads);
+  ASSERT_NE(on_edge0, nullptr);
+  ASSERT_NE(on_edge1, nullptr);
+  Client& c1 = *on_edge0;
+  Client& c2 = *on_edge1;
   abr::AbrEnvironment env(w.video, {});
   env.SetFixedTrace(w.traces[0]);
   const mdp::State state = env.Reset();
@@ -200,20 +205,28 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
     ++ok_steps;
   }
 
-  // A pipelined burst of duplicates against lane_high_water = 1: the
-  // burst parses in one go, so past the first STEP per lane the rest
-  // BUSY. (A split read can admit more as rounds drain between chunks,
-  // so assert the invariant sum, not exact counts.)
-  auto& [bc, bs] = sessions.front();
-  for (int i = 0; i < 6; ++i) bc->SendStep(++rid, bs, state);
-  bc->Flush();
-  for (int i = 0; i < 6; ++i) {
-    Reply reply;
-    ASSERT_TRUE(bc->ReadReply(reply));
-    ASSERT_TRUE(reply.status == Status::kOk || reply.status == Status::kBusy);
-    if (reply.status == Status::kOk) ++ok_steps; else ++busy;
+  // A pipelined burst of duplicates on each edge at once, against the
+  // one shared budget of 1: a burst that parses in one go admits its
+  // first STEP at most, and the rest BUSY. (A split read can admit more
+  // as rounds drain between chunks, so assert the invariant sum, not
+  // exact counts.) Sessions alternate c1, c2, so sessions[0] lives on
+  // edge 0 and sessions[1] on edge 1.
+  for (std::size_t e = 0; e < 2; ++e) {
+    auto& [bc, bs] = sessions[e];
+    for (int i = 0; i < 6; ++i) bc->SendStep(++rid, bs, state);
   }
-  EXPECT_GT(busy, 0u) << "6 duplicates against a lane mark of 1 must BUSY";
+  c1.Flush();
+  c2.Flush();
+  for (Client* c : {&c1, &c2}) {
+    for (int i = 0; i < 6; ++i) {
+      Reply reply;
+      ASSERT_TRUE(c->ReadReply(reply));
+      ASSERT_TRUE(reply.status == Status::kOk ||
+                  reply.status == Status::kBusy);
+      if (reply.status == Status::kOk) ++ok_steps; else ++busy;
+    }
+  }
+  EXPECT_GT(busy, 0u) << "12 duplicates against a budget of 1 must BUSY";
 
   // Deterministic errors: STEPs and a CLOSE on a session that does not
   // exist (id far past anything allocated).
@@ -243,8 +256,6 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   EXPECT_EQ(stats.open_sessions, 0u);
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.connections, 2u);
-  c1.Close();
-  c2.Close();
 }
 
 // A live session's id presented on the other edge is kError: each edge

@@ -34,7 +34,6 @@ TEST(NetSmoke, ConcurrentClientsWithSessionChurn) {
   NetServerConfig cfg;
   // Small caps so the churn also exercises the BUSY path under load.
   cfg.max_in_flight = 16;
-  cfg.lane_high_water = 8;
   cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
 
@@ -134,13 +133,14 @@ TEST(NetSmoke, AbruptDisconnectReapsSessions) {
 }
 
 // Four SO_REUSEPORT edge threads under concurrent client flood (the
-// --edge-threads 4 TSan smoke): every status path fires - OK, BUSY (lane
-// marks against pipelined duplicate bursts), FULL (more opens than
-// max_sessions, held open across a latch so the attempts overlap) and
-// ERROR (steps on bogus sessions) - and afterwards the aggregated
-// per-edge counters match the client-side tallies exactly. The
-// accounting invariant is the point: ok + busy + full + error ==
-// requests sent, nothing dropped, nothing double-counted, across edges.
+// --edge-threads 4 TSan smoke): every status path fires - OK, BUSY (the
+// one in-flight budget all four edges share, against pipelined duplicate
+// bursts), FULL (more opens than max_sessions, held open across a latch
+// so the attempts overlap) and ERROR (steps on bogus sessions) - and
+// afterwards the aggregated per-edge counters match the client-side
+// tallies exactly. The accounting invariant is the point: ok + busy +
+// full + error == requests sent, nothing dropped, nothing double-counted,
+// across edges.
 TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
   const ServeWorld& w = SharedServeWorld();
   const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
@@ -148,7 +148,7 @@ TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
   NetServerConfig cfg;
   cfg.edge_threads = 4;
   cfg.max_sessions = 8;
-  cfg.lane_high_water = 2;
+  cfg.max_in_flight = 2;
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 4;
   ServerRunner server(model, cfg);
@@ -189,7 +189,7 @@ TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
         }
         opens_done.arrive_and_wait();
 
-        // Pipelined duplicate bursts per session: the per-lane mark of 2
+        // Pipelined duplicate bursts per session: the shared budget of 2
         // BUSYs the tail of each burst when it parses in one chunk.
         for (std::uint64_t session : sessions) {
           for (int round = 0; round < 2; ++round) {

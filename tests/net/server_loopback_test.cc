@@ -8,18 +8,20 @@
 // decision.
 //
 // The admission tests pin the other acceptance criterion: a flooding
-// client gets BUSY, lane depth stays at or below the high-water mark (the
-// service's rings are bounded to it, so a violation aborts the server
-// loop and the test), and every request gets exactly one reply - nothing
+// client gets BUSY past the in-flight budget, a client that never reads
+// is stopped by TCP, and every request gets exactly one reply - nothing
 // is silently dropped.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -63,15 +65,14 @@ TEST(NetServerLoopback, ReplyEpochsAreMonotonic) {
 }
 
 // Acceptance criterion: with the in-flight cap set low, a flooding client
-// gets BUSY replies, lane depth stays <= the high-water mark, and no
-// request is silently dropped (replies exactly match requests sent).
+// gets BUSY replies and no request is silently dropped (replies exactly
+// match requests sent).
 TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
   const ServeWorld& w = SharedServeWorld();
   const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
                               core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.max_in_flight = 4;
-  cfg.lane_high_water = 4;  // rings bounded to 4: deeper = loud abort
   cfg.pause_reads_above = 0;  // keep reading so BUSY is immediate
   cfg.service.shard_count = 1;
   ServerRunner server(model, cfg);
@@ -118,49 +119,6 @@ TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
   EXPECT_EQ(stats.decided, ok);
   EXPECT_EQ(stats.busy, busy);
   EXPECT_EQ(stats.in_flight, 0u);  // all drained by now
-  for (std::uint64_t session : sessions) client.CloseSession(session);
-}
-
-// The per-lane high-water mark rejects independently of the global cap:
-// sessions hash to shard id % 2, so flooding only even sessions fills one
-// lane while the global cap stays distant.
-TEST(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
-  const ServeWorld& w = SharedServeWorld();
-  const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
-                              core::DefaultingMode::kPermanent);
-  NetServerConfig cfg;
-  cfg.max_in_flight = 1000;  // global cap out of the way
-  cfg.lane_high_water = 2;
-  cfg.pause_reads_above = 0;
-  cfg.service.shard_count = 2;
-  ServerRunner server(model, cfg);
-
-  Client client;
-  client.Connect("127.0.0.1", server.Port());
-  std::vector<std::uint64_t> sessions;
-  for (std::size_t i = 0; i < 6; ++i) sessions.push_back(client.OpenSession());
-  abr::AbrEnvironment env(w.video, {});
-  env.SetFixedTrace(w.traces[0]);
-  const mdp::State state = env.Reset();
-
-  // One pipelined STEP per session, all in one TCP burst. Sessions split
-  // 3/3 over the two lanes; with a mark of 2, exactly one per lane BUSYs
-  // if the burst is parsed in one go (a split read can admit more as
-  // earlier rounds drain, so assert bounds, not exact counts).
-  std::uint64_t rid = 0;
-  for (std::uint64_t session : sessions) {
-    client.SendStep(++rid, session, state);
-  }
-  client.Flush();
-  std::size_t ok = 0, busy = 0;
-  for (std::uint64_t k = 0; k < rid; ++k) {
-    Reply reply;
-    ASSERT_TRUE(client.ReadReply(reply));
-    ok += reply.status == Status::kOk;
-    busy += reply.status == Status::kBusy;
-  }
-  EXPECT_EQ(ok + busy, rid) << "every request answered";
-  EXPECT_GE(ok, 4u) << "2 lanes x mark 2 admit at least 4";
   for (std::uint64_t session : sessions) client.CloseSession(session);
 }
 
@@ -535,76 +493,98 @@ TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
       model, cfg, ReferenceViewers(serve::Signal::kNovelty, kViewers, steps));
 }
 
-// The OPEN_SESSION byte budget: with max_session_bytes = 1, the edge's
-// cached session bytes pass the budget at its first refresh, so a
-// pipelined run of OPENs is answered OK up to some point and FULL from
-// there on, and every OPEN after a STATS refresh is FULL. STATS must
-// count exactly the FULL replies the client saw.
-TEST(NetServerLoopback, OpenPastMaxSessionBytesGetsFull) {
+/// The most bytes TCP autotuning gives one socket buffer: the third
+/// field of /proc/sys/net/ipv4/tcp_rmem or tcp_wmem (0 if unreadable).
+std::size_t TcpBufferMax(const char* path) {
+  std::ifstream in(path);
+  std::size_t min = 0, initial = 0, max = 0;
+  in >> min >> initial >> max;
+  return max;
+}
+
+// A client that sends STATS requests and never reads a reply (each reply
+// is six times its request). The edge stops reading it once its unsent
+// replies reach kPauseUnsentBytes, the kernel buffers fill, and TCP
+// blocks the sender: what the client gets out before that is bounded by
+// the socket buffers on both ends plus the edge's own buffers. The client
+// then reads every reply exactly once, in order, and the STATS identity
+// ok + busy + full + error == sent holds.
+TEST(NetServerLoopback, ClientThatNeverReadsIsStoppedByTcp) {
   const ServeWorld& w = SharedServeWorld();
-  constexpr std::size_t kOpens = 200;
   const auto model = ModelFor(w, serve::Signal::kNovelty,
                               core::DefaultingMode::kPermanent);
-  NetServerConfig cfg;
-  cfg.max_session_bytes = 1;
-  cfg.service.shard_count = 2;
-  ServerRunner server(model, cfg);
+  ServerRunner server(model, NetServerConfig{});
   Client client;
   client.Connect("127.0.0.1", server.Port());
   BoundReplyWait(client);
+  const int fd = client.fd();
+  // The client's own buffers are fixed (the kernel doubles the value);
+  // the server's autotune up to this host's maxima.
+  constexpr int kClientBuffer = 64 * 1024;
+  for (const int option : {SO_SNDBUF, SO_RCVBUF}) {
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, option, &kClientBuffer,
+                           sizeof kClientBuffer),
+              0);
+  }
+  const std::size_t rmem_max = TcpBufferMax("/proc/sys/net/ipv4/tcp_rmem");
+  const std::size_t wmem_max = TcpBufferMax("/proc/sys/net/ipv4/tcp_wmem");
+  ASSERT_GT(rmem_max, 0u);
+  ASSERT_GT(wmem_max, 0u);
+  // Unread requests sit in the client's send buffer, the server's
+  // receive buffer and one read chunk of the edge; answered ones are
+  // counted at reply size (an over-count) in the edge's unsent bytes, the
+  // server's send buffer and the client's receive buffer.
+  const std::size_t bound = 2 * kClientBuffer + rmem_max + kReadChunk +
+                            kPauseUnsentBytes + wmem_max + 2 * kClientBuffer;
 
+  constexpr std::size_t kFrame = kLengthPrefixBytes + kRequestHeaderBytes;
+  std::vector<std::uint8_t> chunk;
+  std::size_t off = 0, sent = 0;
+  std::uint64_t framed = 0;
+  while (sent <= bound) {
+    if (off == chunk.size()) {
+      chunk.clear();
+      off = 0;
+      for (int i = 0; i < 512; ++i) {
+        AppendRequestFrame(chunk,
+                           {kProtocolVersion, MsgType::kStats, ++framed, 0});
+      }
+    }
+    const ssize_t n = ::send(fd, chunk.data() + off, chunk.size() - off,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 1000) == 0) break;  // blocked for 1 s
+  }
+  ASSERT_LE(sent, bound) << "the server kept reading a client that never "
+                            "reads (bound from tcp_rmem/tcp_wmem maxima)";
+
+  // Every whole frame is answered without the cut one's tail; once those
+  // replies are read the edge drains, resumes, and takes the tail.
   Tally tally;
-  std::size_t sent = 0;
-  std::vector<std::uint64_t> sessions;
-  for (std::uint64_t r = 1; r <= kOpens; ++r) client.SendOpen(r);
-  sent += kOpens;
-  client.Flush();
-  for (std::size_t k = 0; k < kOpens; ++k) {
+  const std::uint64_t frames = (sent + kFrame - 1) / kFrame;
+  for (std::uint64_t k = 1; k <= frames; ++k) {
+    if (k == frames && sent % kFrame != 0) {
+      const std::size_t rest = frames * kFrame - sent;
+      ASSERT_EQ(::send(fd, chunk.data() + off, rest, MSG_NOSIGNAL),
+                static_cast<ssize_t>(rest));
+    }
     Reply reply;
     ASSERT_TRUE(client.ReadReply(reply)) << "reply " << k << " missing";
-    ASSERT_EQ(reply.request_id, k + 1);
-    // Once the budget is exceeded it stays exceeded: nothing is closed.
-    if (tally.full > 0) {
-      ASSERT_EQ(reply.status, Status::kFull);
-    }
-    tally.Add(reply);
-    if (reply.status == Status::kOk) sessions.push_back(reply.session_id);
-  }
-  EXPECT_GT(tally.ok, 0u);
-  EXPECT_GT(tally.full, 0u);
-
-  // STATS refreshes the cache, so the next OPEN sees the true bytes.
-  ServerStats stats;
-  Reply reply;
-  client.SendStats(kOpens + 1);
-  client.SendOpen(kOpens + 2);
-  sent += 2;
-  client.Flush();
-  ASSERT_TRUE(client.ReadReply(reply, &stats));
-  tally.Add(reply);
-  EXPECT_GE(stats.session_bytes, cfg.max_session_bytes);
-  EXPECT_EQ(stats.open_sessions, sessions.size());
-  ASSERT_TRUE(client.ReadReply(reply));
-  EXPECT_EQ(reply.status, Status::kFull);
-  tally.Add(reply);
-
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    client.SendClose(kOpens + 3 + i, sessions[i]);
-  }
-  client.SendStats(kOpens + 3 + sessions.size());
-  sent += sessions.size() + 1;
-  client.Flush();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    ASSERT_TRUE(client.ReadReply(reply));
-    EXPECT_EQ(reply.status, Status::kOk);
+    ASSERT_EQ(reply.request_id, k);
     tally.Add(reply);
   }
-  ASSERT_TRUE(client.ReadReply(reply, &stats));
-  tally.Add(reply);
-  EXPECT_EQ(stats.rejected_opens, tally.full);
-  EXPECT_EQ(stats.open_sessions, 0u);
-  EXPECT_EQ(tally.busy + tally.error, 0u);
-  EXPECT_EQ(tally.Total(), sent);
+  const ServerStats stats = client.Stats();
+  EXPECT_EQ(tally.Total(), frames);
+  EXPECT_EQ(tally.ok, frames);
+  EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors,
+            tally.busy + tally.full + tally.error);
+  EXPECT_EQ(stats.connections, 1u);
 }
 
 // Frames trickling in one byte per send(): the parser must hold every

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -366,6 +368,68 @@ TEST_F(BatchedEnsembleTiledShapes, MaskedTailWidthsMatchForward) {
   std::vector<CompositeNet> members;
   for (int m = 0; m < 3; ++m) members.push_back(MakeMaskedTailNet(rng));
   ExpectFusedMatchesMemberForward(members, rng);
+}
+
+/// Every ReLU the packed kernels run - fused after a tiled Linear (a
+/// 32-column tile and a 5-column tail) and after a Conv1D (a 16-channel
+/// tile and a tail), and standalone - passes NaN through on every tier.
+/// With every weight and bias 2, a state alternating +-DBL_MAX makes each
+/// first-layer sum inf - inf = NaN; were a ReLU to map it to 0, the
+/// trunk would output its finite bias. A finite state in the same batch
+/// stays finite, and each member's own inference pass (CompositeNet::
+/// Infer, the one the sequential SafeAgent's policy runs) agrees.
+TEST_F(BatchedEnsembleTiledShapes, NanActivationsPropagateThroughEveryRelu) {
+  Rng rng(53);
+  std::vector<CompositeNet> members(2);
+  for (CompositeNet& net : members) {
+    Sequential dense;
+    dense.AddLinearReLU(2, 37, rng);
+    dense.Add(std::make_unique<ReLU>(37));
+    net.AddBranch(0, 2, std::move(dense));
+    Sequential conv;
+    conv.Add(std::make_unique<Conv1D>(1, 17, 2, 6, rng));  // 17 x 5
+    conv.Add(std::make_unique<ReLU>(85));
+    net.AddBranch(2, 6, std::move(conv));
+    Sequential trunk;
+    trunk.Add(std::make_unique<Linear>(37 + 85, 3, rng));
+    net.SetTrunk(std::move(trunk));
+    for (Param* p : net.Params()) {
+      std::fill(p->value.values().begin(), p->value.values().end(), 2.0);
+    }
+  }
+  std::vector<const CompositeNet*> views;
+  for (const auto& m : members) views.push_back(&m);
+  const BatchedEnsemble batched(views);
+
+  constexpr double kMax = std::numeric_limits<double>::max();
+  Matrix states(2, batched.InputSize());
+  for (std::size_t j = 0; j < states.cols(); ++j) {
+    states.At(0, j) = j % 2 == 0 ? kMax : -kMax;
+    states.At(1, j) = 0.5;
+  }
+  Matrix extreme(1, states.cols());
+  std::copy(states.Row(0).begin(), states.Row(0).end(), extreme.data());
+  for (const CompositeNet& member : members) {
+    InferScratch scratch;
+    for (const double v : member.Infer(extreme, scratch).values()) {
+      EXPECT_TRUE(std::isnan(v)) << "CompositeNet::Infer read " << v;
+    }
+  }
+  for (const util::SimdLevel level : osap::testing::AvailableSimdLevels()) {
+    const char* tier = osap::testing::SimdLevelName(level);
+    util::ForceSimdForTest(level);
+    InferScratch scratch;
+    const Matrix& out = batched.InferBatch(states, scratch);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      for (std::size_t j = 0; j < out.cols(); ++j) {
+        EXPECT_TRUE(std::isnan(out.At(m, j)))
+            << tier << " member " << m << " output " << j << " read "
+            << out.At(m, j);
+        EXPECT_TRUE(std::isfinite(out.At(members.size() + m, j)))
+            << tier << " finite state, member " << m << " output " << j;
+      }
+    }
+  }
 }
 
 /// The single-state kernels read each packed row as whole cache lines

@@ -1,6 +1,7 @@
 #include "testing/schedule.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -151,19 +152,20 @@ void Churn(Builder& b) {
 }
 
 /// Dense, and the state of every session that is not ID throughout
-/// becomes, at one step in [4, 16), in turn: +-1e154 or +-1e300
-/// alternating, all +DBL_MAX or all -DBL_MAX.
+/// becomes, at one step in [4, 16), in turn: +-1e154, +-1e300 or
+/// +-DBL_MAX alternating, all +DBL_MAX or all -DBL_MAX.
 void Extreme(Builder& b) {
   constexpr double kMax = std::numeric_limits<double>::max();
   constexpr std::pair<double, bool> kStates[] = {
-      {1e154, true}, {1e300, true}, {kMax, false}, {-kMax, false}};
+      {1e154, true}, {1e300, true}, {kMax, true}, {kMax, false},
+      {-kMax, false}};
   Dense(b);
   std::size_t next = 0;
   for (SessionScript& script : b.out.sessions) {
     if (script.switch_sample == kNoSwitch) continue;
     script.extreme_step = 4 + b.rng.UniformInt(12);
     std::tie(script.extreme_value, script.extreme_alternates) =
-        kStates[next++ % 4];
+        kStates[next++ % std::size(kStates)];
   }
 }
 

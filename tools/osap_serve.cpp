@@ -3,15 +3,19 @@
 //
 // Usage:
 //   osap_serve <us|upi|uv> [--listen PORT] [--shards N] [--edge-threads N]
-//              [--revocable] [--max-in-flight N]
-//              [--lane-high-water N] [--max-sessions N]
+//              [--revocable] [--max-in-flight N] [--max-sessions N]
 //
 // Binds PORT (default 0: an ephemeral port, printed on stdout), serves
 // until SIGINT/SIGTERM, then prints the edge counters, the IO syscall
 // budget and the process RSS. Defaults: 4 shards, 1 edge, permanent
 // defaulting. --edge-threads N runs N independent SO_REUSEPORT event
 // loops, each owning a contiguous group of the service's shards
-// (requires shards >= N). tools/osap_client is the load generator: its
+// (requires shards >= N). Overload gets answers, not queues: a STEP past
+// --max-in-flight admitted, undecided STEPs is answered BUSY, an OPEN past
+// --max-sessions open sessions FULL, and a connection whose admitted
+// backlog or unsent replies pile up stops being read until they halve, so
+// TCP blocks a client that sends without reading. tools/osap_client is
+// the load generator: its
 // default mode streams the six datasets' test traces as viewers and
 // prints the per-dataset defaulted / mean-QoE table.
 //
@@ -85,7 +89,6 @@ int main(int argc, char** argv) {
   bool revocable = false;
   std::size_t listen_port = 0;
   std::size_t max_in_flight = 64 * 1024;
-  std::size_t lane_high_water = 16 * 1024;
   std::size_t max_sessions = 1 << 20;
   std::size_t edge_threads = 1;
 
@@ -104,9 +107,6 @@ int main(int argc, char** argv) {
                    &listen_port);
   parser.AddOption("--max-in-flight", "N",
                    "BUSY past N admitted undecided STEPs", &max_in_flight);
-  parser.AddOption("--lane-high-water", "N",
-                   "BUSY past N pending STEPs on one shard lane",
-                   &lane_high_water);
   parser.AddOption("--max-sessions", "N", "FULL past N open sessions",
                    &max_sessions);
   parser.AddOption("--edge-threads", "N",
@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
   net::NetServerConfig net_cfg;
   net_cfg.port = static_cast<std::uint16_t>(listen_port);
   net_cfg.max_in_flight = max_in_flight;
-  net_cfg.lane_high_water = lane_high_water;
   net_cfg.max_sessions = max_sessions;
   net_cfg.edge_threads = edge_threads;
   net_cfg.service.shard_count = shards;
