@@ -535,6 +535,10 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
     round.fetch_add(1, std::memory_order_relaxed);
   };
   run_round();  // one untimed warmup round (scratch growth, see RunService)
+  // The syscall ratio counts the timed rounds only: connection probing,
+  // OPENs and the warmup round would otherwise dominate short runs.
+  const std::uint64_t syscalls_before = server.IoSyscalls();
+  const std::uint64_t decided_before = server.Stats().decided;
 
   std::vector<double> round_us;
   for (auto _ : state) {
@@ -544,6 +548,8 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
     round_us.push_back(
         std::chrono::duration<double, std::micro>(stop - start).count());
   }
+  const std::uint64_t syscalls = server.IoSyscalls() - syscalls_before;
+  const std::uint64_t decided = server.Stats().decided - decided_before;
 
   done.store(true, std::memory_order_release);
   sync.arrive_and_wait();  // release the workers into the exit check
@@ -552,13 +558,10 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   server.Stop();
   loop.join();
   // The edge's second axis next to round latency: kernel crossings per
-  // decision. Counted over the entire run including warmup/probe rounds -
-  // the ratio, not the absolute count, is the comparable number.
-  const net::ServerStats net_stats = server.Stats();
-  if (net_stats.decided > 0) {
+  // decision of the timed rounds.
+  if (decided > 0) {
     state.counters["syscalls_per_decision"] =
-        static_cast<double>(server.IoSyscalls()) /
-        static_cast<double>(net_stats.decided);
+        static_cast<double>(syscalls) / static_cast<double>(decided);
   }
   std::sort(round_us.begin(), round_us.end());
   if (!round_us.empty()) {

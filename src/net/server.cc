@@ -461,11 +461,16 @@ bool NetServer::DrainSocket(Edge& edge, std::size_t slot) {
 
 bool NetServer::ParseBuffered(Edge& edge, std::size_t slot) {
   Connection& conn = *edge.connections[slot];
+  // The largest legal request is a STEP carrying the model's state: a
+  // longer length prefix closes the connection before its body arrives,
+  // so a peer holds at most one such frame of partial input.
+  const std::size_t max_body =
+      StepFrameBytes(model_->InputSize()) - kLengthPrefixBytes;
   while (!conn.paused) {
     const std::size_t avail = conn.in.size() - conn.in_off;
     if (avail < kLengthPrefixBytes) break;
     const std::uint32_t body = GetU32(conn.in.data() + conn.in_off);
-    if (body > kMaxFrameBody || body < kRequestHeaderBytes) {
+    if (body > max_body || body < kRequestHeaderBytes) {
       return false;  // unframeable stream: no way to resynchronize
     }
     if (avail < kLengthPrefixBytes + body) break;

@@ -169,7 +169,8 @@ class NetServer {
   /// bytes land. False closes the connection (EOF / protocol error).
   bool DrainSocket(Edge& edge, std::size_t slot);
   /// Parses every complete frame in the connection's input buffer
-  /// (stops early when the connection pauses). False on protocol error.
+  /// (stops early when the connection pauses). False on protocol error,
+  /// which includes a length prefix above the largest legal request.
   bool ParseBuffered(Edge& edge, std::size_t slot);
   void HandleRequest(Edge& edge, std::size_t slot,
                      const DecodedRequest& request);

@@ -1,12 +1,25 @@
 #include "serve/decision_service.h"
 
 #include <algorithm>
+#include <new>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
 
 namespace osap::serve {
+
+namespace {
+
+// U_S spans hold the extractor's NoveltyFeatureState as whole doubles.
+static_assert(sizeof(core::NoveltyFeatureState) % sizeof(double) == 0 &&
+              alignof(core::NoveltyFeatureState) <= alignof(double) &&
+              std::is_trivially_copyable_v<core::NoveltyFeatureState>);
+constexpr std::size_t kNoveltyStateDoubles =
+    sizeof(core::NoveltyFeatureState) / sizeof(double);
+
+}  // namespace
 
 DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
                                  DecisionServiceConfig config)
@@ -19,14 +32,15 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
                "DecisionService: submitter_count must be in [1, shard_count]");
   core::ValidateSafeAgentConfig(model_->safety());
   ring_width_ = core::SafetyRingDoubles(model_->safety());
+  span_doubles_ = ring_width_;
   if (model_->signal() == Signal::kNovelty) {
-    extractor_doubles_ = core::NoveltyFeatureExtractor::StorageDoubles(
-        model_->NoveltyConfig());
+    span_doubles_ += kNoveltyStateDoubles +
+                     core::NoveltyFeatureExtractor::StorageDoubles(
+                         model_->NoveltyConfig());
   }
   shards_.reserve(config.shard_count);
   for (std::size_t s = 0; s < config.shard_count; ++s) {
-    shards_.push_back(std::make_unique<ShardLane>(
-        config.extractor_slab_slots, extractor_doubles_));
+    shards_.push_back(std::make_unique<ShardLane>(span_doubles_));
     // Groups are contiguous, so a new group starts at its first shard.
     const std::size_t g =
         GroupOfShard(s, config.shard_count, config.submitter_count);
@@ -56,50 +70,25 @@ DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
   }
   ShardLane& lane = *shards_[ShardOf(id)];
   const std::size_t local = LocalOf(id);
-  SessionTable& table = lane.sessions;
-  if (table.hot.size() <= local) {
-    table.hot.resize(local + 1);
-    table.cold.resize(local + 1);
-    if (ring_width_ > 0) table.rings.resize((local + 1) * ring_width_);
-    if (extractor_doubles_ > 0) {
-      table.extractor_of.resize(local + 1, ExtractorPool::kInvalid);
-    }
-    table.open.resize(local + 1, 0);
-    table.last_round.resize(local + 1, 0);
-    table.tags.resize(local + 1);
+  // Fresh state either way: a recycled slot keeps its previous occupant
+  // while its slab stays held. The trigger ring and the extractor storage
+  // need no wipe - neither window reads slots past its size.
+  SessionRecord& session = lane.sessions.Claim(local);
+  session = SessionRecord{};
+  session.open = true;
+  if (model_->signal() == Signal::kNovelty) {
+    new (&NoveltyOf(lane.sessions.Scratch(local))) core::NoveltyFeatureState{};
   }
-  // Fresh state either way: a recycled slot still carries its previous
-  // occupant. The ring needs no wipe - the window never reads slots
-  // past its size.
-  table.hot[local] = core::SafetyState{};
-  table.cold[local] = core::SafetyCold{};
-  if (extractor_doubles_ > 0) {
-    const ExtractorPool::Index slot = lane.extractors.Acquire(
-        [](std::span<double>) { return core::NoveltyFeatureState{}; });
-    // Recycled pool slots keep the previous session's streaming state;
-    // reset unconditionally (fresh slots are already reset - cheap).
-    lane.extractors[slot] = core::NoveltyFeatureState{};
-    table.extractor_of[local] = slot;
-  }
-  table.open[local] = 1;
-  table.last_round[local] = 0;
-  table.tags[local] = SubmitterTag{};
   active_count_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
 void DecisionService::CloseSession(SessionId id) {
-  OSAP_REQUIRE(IsOpen(id), "CloseSession: unknown session");
-  ShardLane& lane = *shards_[ShardOf(id)];
-  const std::size_t local = LocalOf(id);
-  if (extractor_doubles_ > 0) {
-    lane.extractors.Release(lane.sessions.extractor_of[local]);
-    lane.sessions.extractor_of[local] = ExtractorPool::kInvalid;
-    // Give back whole trailing slabs once a population spike recedes
-    // (no-op unless the newest slab is entirely free).
-    lane.extractors.Trim();
-  }
-  lane.sessions.open[local] = 0;
+  SessionRecord* session = FindOpen(id);
+  OSAP_REQUIRE(session != nullptr, "CloseSession: unknown session");
+  session->open = false;
+  // The slab goes back to the allocator with its last open session.
+  shards_[ShardOf(id)]->sessions.Vacate(LocalOf(id));
   groups_[GroupOf(id)]->free_ids.push_back(id);
   active_count_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -108,22 +97,24 @@ DecisionService::SubmitterTag* DecisionService::TagOf(std::size_t group,
                                                       SessionId id) {
   const SubmitterGroup& g = *groups_[group];
   const std::size_t shard = ShardOf(id);
-  if (shard < g.begin || shard >= g.end || !IsOpen(id)) return nullptr;
-  return &shards_[shard]->sessions.tags[LocalOf(id)];
+  if (shard < g.begin || shard >= g.end) return nullptr;
+  SessionRecord* session = FindOpen(id);
+  return session == nullptr ? nullptr : &session->tag;
 }
 
-void DecisionService::CheckOpen(SessionId id) const {
-  OSAP_REQUIRE(IsOpen(id), "DecisionService: unknown session");
+const DecisionService::SessionRecord& DecisionService::CheckOpen(
+    SessionId id) const {
+  const SessionRecord* session = FindOpen(id);
+  OSAP_REQUIRE(session != nullptr, "DecisionService: unknown session");
+  return *session;
 }
 
 bool DecisionService::Defaulted(SessionId id) const {
-  CheckOpen(id);
-  return shards_[ShardOf(id)]->sessions.hot[LocalOf(id)].defaulted;
+  return CheckOpen(id).state.defaulted;
 }
 
 std::size_t DecisionService::StepCount(SessionId id) const {
-  CheckOpen(id);
-  return shards_[ShardOf(id)]->sessions.hot[LocalOf(id)].steps;
+  return CheckOpen(id).state.steps;
 }
 
 void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
@@ -143,7 +134,7 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
   const std::size_t input = model_->InputSize();
   maybe_release(lane.states, lane.peak_count * input);
   maybe_release(lane.learned_states, lane.peak_count * input);
-  if (extractor_doubles_ > 0) {
+  if (model_->signal() == Signal::kNovelty) {
     const std::size_t fdim = 2 * model_->NoveltyConfig().k;
     maybe_release(lane.features, lane.peak_count * fdim);
   }
@@ -168,7 +159,7 @@ std::span<const std::size_t> DecisionService::DecideBatch(
   const std::size_t begin = group.begin;
   const std::size_t end = group.end;
   // Rounds draw from one global counter so reply epochs stay unique
-  // across groups; each session's stamp lives in its shard's table,
+  // across groups; each session's stamp lives in its record,
   // which only this group touches. A request whose session is already
   // stamped this round is deferred; the rest are counted per shard for
   // the routing sort.
@@ -183,17 +174,15 @@ std::span<const std::size_t> DecisionService::DecideBatch(
     const std::size_t shard = ShardOf(r.session);
     OSAP_REQUIRE(shard >= begin && shard < end,
                  "DecideBatch: session outside the submitter group");
-    SessionTable& table = shards_[shard]->sessions;
-    const std::size_t local = LocalOf(r.session);
-    OSAP_REQUIRE(local < table.open.size() && table.open[local] != 0,
-                 "DecideBatch: unknown session");
+    SessionRecord* session = FindOpen(r.session);
+    OSAP_REQUIRE(session != nullptr, "DecideBatch: unknown session");
     OSAP_REQUIRE(r.state != nullptr && r.state->size() == input,
                  "DecideBatch: null or mis-sized state");
-    if (table.last_round[local] == round) {
+    if (session->last_round == round) {
       group.deferred.push_back(i);
       continue;
     }
-    table.last_round[local] = round;
+    session->last_round = round;
     ++offsets[shard - begin];
   }
 
@@ -232,7 +221,6 @@ void DecisionService::RunShard(std::size_t shard,
                                std::span<mdp::Action> out,
                                std::span<const std::size_t> idx) {
   ShardLane& s = *shards_[shard];
-  SessionTable& table = s.sessions;
   const core::SafeAgentConfig& safety = model_->safety();
   s.arena.Reset();
 
@@ -245,7 +233,8 @@ void DecisionService::RunShard(std::size_t shard,
   std::size_t count = 0;
   for (const std::size_t i : idx) {
     const Request& r = requests[i];
-    if (core::SafetyStepDefaulted(safety, table.hot[LocalOf(r.session)])) {
+    if (core::SafetyStepDefaulted(safety,
+                                  s.sessions[LocalOf(r.session)].state)) {
       out[i] = model_->FallbackAction(*r.state);
     } else {
       live[count++] = i;
@@ -262,11 +251,12 @@ void DecisionService::RunShard(std::size_t shard,
 
   if (model_->signal() == Signal::kNovelty) {
     // U_S: stream each session's observation through ITS OWN extractor
-    // (pooled per shard), staging completed feature vectors as rows of
-    // one contiguous matrix; a single batched OC-SVM scan then replaces
-    // per-session DecisionValue calls. Warm-up semantics replicate
-    // NoveltyDetector::Score exactly: non-positive observations skip the
-    // extractor entirely, incomplete windows score 0.
+    // (the state and storage in its span), staging completed feature
+    // vectors as rows of one contiguous matrix; a single batched OC-SVM
+    // scan then replaces per-session DecisionValue calls. Warm-up
+    // semantics replicate NoveltyDetector::Score exactly: non-positive
+    // observations skip the extractor entirely, incomplete windows
+    // score 0.
     const core::NoveltyDetector::Probe& probe = model_->NoveltyProbe();
     const core::NoveltyDetectorConfig& novelty = model_->NoveltyConfig();
     const std::size_t fdim = 2 * novelty.k;
@@ -278,10 +268,11 @@ void DecisionService::RunShard(std::size_t shard,
       scores[j] = 0.0;
       const double observation = probe(*r.state);
       if (observation <= 0.0) continue;
-      const ExtractorPool::Index slot = table.extractor_of[LocalOf(r.session)];
+      const std::span<double> span = s.sessions.Scratch(LocalOf(r.session));
       if (core::NoveltyFeatureExtractor::Push(
-              novelty, s.extractors[slot], s.extractors.Scratch(slot),
-              observation, s.features.Row(staged))) {
+              novelty, NoveltyOf(span),
+              span.subspan(ring_width_ + kNoveltyStateDoubles), observation,
+              s.features.Row(staged))) {
         staged_of[staged] = j;
         ++staged;
       }
@@ -309,8 +300,8 @@ void DecisionService::RunShard(std::size_t shard,
     model_->UncertaintyScores(s.states, scores, scored_actions);
   }
 
-  // Advance each session's defaulting state machine over the dense SoA
-  // table (the same core::SafetyObserve the sequential SafetyCore runs),
+  // Advance each session's defaulting state machine in its record and
+  // ring (the same core::SafetyObserve the sequential SafetyCore runs),
   // answering fallback sessions immediately and collecting the rest for
   // one batched deployed-actor pass (unless the scoring pass already
   // produced their actions).
@@ -319,10 +310,10 @@ void DecisionService::RunShard(std::size_t shard,
   for (std::size_t j = 0; j < count; ++j) {
     const Request& r = requests[idx[j]];
     const std::size_t local = LocalOf(r.session);
-    double* ring =
-        ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
-    if (core::SafetyObserve(safety, table.hot[local], table.cold[local],
-                            ring, scores[j])) {
+    SessionRecord& session = s.sessions[local];
+    double* ring = ring_width_ > 0 ? s.sessions.Scratch(local).data() : nullptr;
+    if (core::SafetyObserve(safety, session.state, session.cold, ring,
+                            scores[j])) {
       out[idx[j]] = model_->FallbackAction(*r.state);
     } else if (!scored_actions.empty()) {
       out[idx[j]] = scored_actions[j];
@@ -348,18 +339,11 @@ void DecisionService::RunShard(std::size_t shard,
 void DecisionService::AccumulateLane(std::size_t shard,
                                      ServiceMemoryStats& stats) const {
   const ShardLane& lane = *shards_[shard];
-  const SessionTable& table = lane.sessions;
-  stats.session_slots += table.hot.size();
-  stats.session_hot_bytes += table.hot.capacity() * sizeof(core::SafetyState);
-  stats.session_cold_bytes +=
-      table.cold.capacity() * sizeof(core::SafetyCold);
-  stats.trigger_ring_bytes += table.rings.capacity() * sizeof(double);
-  stats.registry_bytes +=
-      table.extractor_of.capacity() * sizeof(ExtractorPool::Index) +
-      table.open.capacity() * sizeof(std::uint8_t) +
-      table.last_round.capacity() * sizeof(std::uint64_t) +
-      table.tags.capacity() * sizeof(SubmitterTag);
-  stats.extractor_bytes += lane.extractors.CapacityBytes();
+  const std::size_t slots = lane.sessions.SlabCount() * kSlabSlots;
+  stats.slab_slots += slots;
+  stats.record_bytes += slots * sizeof(SessionRecord);
+  stats.span_bytes += slots * span_doubles_ * sizeof(double);
+  stats.registry_bytes += lane.sessions.TableBytes();
   stats.scratch_bytes +=
       sizeof(ShardLane) + lane.arena.CapacityBytes() +
       lane.states.values().capacity() * sizeof(double) +
@@ -373,6 +357,7 @@ void DecisionService::AccumulateGroup(std::size_t group,
   const SubmitterGroup& g = *groups_[group];
   for (std::size_t s = g.begin; s < g.end; ++s) AccumulateLane(s, stats);
   // Every fresh id was opened once; the free list holds the closed ones.
+  stats.session_slots += g.fresh;
   stats.open_sessions += g.fresh - g.free_ids.size();
   stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
   stats.scratch_bytes +=

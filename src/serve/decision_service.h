@@ -39,37 +39,37 @@
 // session is opened, decided and closed through its group. Each group
 // owns a separately allocated record - its shard range, its session-id
 // allocator and its routing scratch - and every piece of per-session
-// state (the SoA tables, open flags, duplicate-round stamps, submitter
-// tags) lives inside its shard's lane, so group g's submitter can
-// OpenSession(g) / DecideBatch / CloseSession on its own shards while
-// the other groups' submitters do the same concurrently, with no shared
-// mutable state between them (the global round counter and
-// active-session count are single atomics). Each lane has exactly ONE
-// submitter, so it needs no locking. A group allocates ids LIFO from its
-// own freed ids, else fresh: its n-th fresh id is (n / width) *
-// shard_count + begin + n % width, spreading the group's sessions
-// round-robin over its shards. The default single group
+// state (the session record with its open flag, duplicate-round stamp
+// and submitter tag, and its span) lives inside its shard's lane, so
+// group g's submitter can OpenSession(g) / DecideBatch / CloseSession on
+// its own shards while the other groups' submitters do the same
+// concurrently, with no shared mutable state between them (the global
+// round counter and active-session count are single atomics). Each lane
+// has exactly ONE submitter, so it needs no locking. A group allocates
+// ids LIFO from its own freed ids, else fresh: its n-th fresh id is
+// (n / width) * shard_count + begin + n % width, spreading the group's
+// sessions round-robin over its shards. The default single group
 // [0, shard_count) therefore hands out 0, 1, 2, ... and recycles the
 // most recently closed id first.
 //
-// The lane table is the ONE per-session table of a deployment: a caller
-// that needs its own per-session bookkeeping (the network edge's owning
-// connection and queued-STEP count) keeps it in the session's
+// The lane's slot pool is the ONE per-session table of a deployment: a
+// caller that needs its own per-session bookkeeping (the network edge's
+// owning connection and queued-STEP count) keeps it in the session's
 // SubmitterTag (TagOf), so MemoryStats() counts every per-session byte.
 // "One decision per session per round" likewise has one rule:
 // DecideBatch's stamp, which defers a session's repeat requests.
 //
 // Per-session state is on a strict memory budget (ROADMAP: a million
-// concurrent sessions must fit). Each shard keeps its sessions in a
-// struct-of-arrays table - dense core::SafetyState records (hot), their
-// variance-trigger score rings packed into one contiguous array, and the
-// cold introspection fields split out - instead of per-session heap
-// objects, so the epoch scan walks cache lines, an open/close touches no
-// allocator in steady state (slots recycle through a free list), and a
-// session costs tens of bytes. U_S deployments add a per-shard
-// util::SlabPool of NoveltyFeatureStates whose window/pair storage is the
-// slot's slab scratch; U_pi / U_V sessions hold no extractor index and
-// pay zero extractor bytes. MemoryStats() reports the exact breakdown.
+// concurrent sessions must fit). Each lane keeps its sessions in one
+// util::SlabPool indexed by the session's local slot (id / shard_count):
+// a slot is one 64-byte SessionRecord (SafetyState, SafetyCold, round
+// stamp, SubmitterTag, open flag) followed by a span of doubles - the
+// variance trigger's score ring (U_pi / U_V), or the NoveltyFeatureState
+// and the extractor's window/pair storage (U_S). Slabs of kSlabSlots
+// slots are allocated when their first session opens and released when
+// their last one closes, so capacity tracks the live population and an
+// open/close reuses the slot its recycled id names. A STEP reads one
+// record plus its span. MemoryStats() reports the exact breakdown.
 //
 // Per-shard scratch (index/score arrays, packed matrices, a util::Arena)
 // persists across calls, so the steady state is allocation-free; after a
@@ -91,6 +91,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -115,8 +116,6 @@ struct DecisionServiceConfig {
   /// DecideBatch concurrently with the other groups. 1 = one submitter
   /// driving every shard.
   std::size_t submitter_count = 1;
-  /// Sessions per slab in the per-shard extractor pool (U_S only).
-  std::size_t extractor_slab_slots = 256;
 };
 
 /// Exact byte accounting of a service's per-session and scratch memory
@@ -125,18 +124,16 @@ struct DecisionServiceConfig {
 /// session count).
 struct ServiceMemoryStats {
   std::size_t open_sessions = 0;
-  std::size_t session_slots = 0;      // table rows incl. free-listed
-  std::size_t session_hot_bytes = 0;  // SafetyState SoA arrays
-  std::size_t session_cold_bytes = 0;
-  std::size_t trigger_ring_bytes = 0;  // packed variance-trigger windows
-  std::size_t extractor_bytes = 0;     // U_S slab pools (objects + storage)
-  std::size_t registry_bytes = 0;  // slot registry: last-round/open/tag/free
+  std::size_t session_slots = 0;  // ids minted, incl. free-listed
+  std::size_t slab_slots = 0;     // slots in held slabs, open or not
+  std::size_t record_bytes = 0;   // their SessionRecords
+  std::size_t span_bytes = 0;     // their trigger rings / U_S extractors
+  std::size_t registry_bytes = 0;  // free ids and slab tables
   std::size_t scratch_bytes = 0;   // shard lanes and routing scratch
 
   /// Bytes attributable to session state (everything but shard scratch).
   std::size_t SessionBytes() const {
-    return session_hot_bytes + session_cold_bytes + trigger_ring_bytes +
-           extractor_bytes + registry_bytes;
+    return record_bytes + span_bytes + registry_bytes;
   }
   std::size_t TotalBytes() const { return SessionBytes() + scratch_bytes; }
   /// Session bytes amortized over the open sessions (0 when none).
@@ -222,7 +219,7 @@ class DecisionService {
   /// `id`'s submitter tag, or nullptr unless `id`'s shard is in `group`
   /// and the session is open. Reads only `group`'s lanes, so group g's
   /// submitter may call it while other groups run. The pointer is valid
-  /// until the group's next OpenSession.
+  /// while the session stays open.
   SubmitterTag* TagOf(std::size_t group, SessionId id);
 
   /// Per-session introspection (id must be open).
@@ -234,41 +231,37 @@ class DecisionService {
   ServiceMemoryStats MemoryStats() const;
 
   /// The same accounting restricted to one group's shards (its share of
-  /// the session tables, extractors, and scratch). Safe while OTHER
-  /// groups run - it reads nothing outside the group's lanes.
+  /// the session slots and scratch). Safe while OTHER groups run - it
+  /// reads nothing outside the group's lanes.
   ServiceMemoryStats MemoryStatsOfGroup(std::size_t group) const;
 
  private:
-  using ExtractorPool = util::SlabPool<core::NoveltyFeatureState>;
-
-  /// Struct-of-arrays session table for one shard, indexed by local slot
-  /// (id / shard_count). The epoch scan touches hot[] and rings[] only;
-  /// open[] / last_round[] are the validation registry (per shard so
-  /// concurrent submitter groups never share registry storage), tags[]
-  /// is the submitter's own per-session word (counted as registry
-  /// bytes), cold[] is introspection, extractor_of[] routes U_S sessions
-  /// to their pooled extractor (empty table for the other signals).
-  struct SessionTable {
-    std::vector<core::SafetyState> hot;
-    std::vector<core::SafetyCold> cold;
-    std::vector<double> rings;  // local slots x ring_width, packed
-    std::vector<ExtractorPool::Index> extractor_of;  // U_S only
-    std::vector<std::uint8_t> open;
-    std::vector<std::uint64_t> last_round;  // per-round stamps
-    std::vector<SubmitterTag> tags;
+  /// One session's slot in its lane's pool; the pool places the session's
+  /// span of doubles right after it: [trigger ring (ring_width_)]
+  /// [NoveltyFeatureState + extractor storage (U_S only)].
+  struct SessionRecord {
+    core::SafetyState state;
+    std::uint64_t last_round = 0;  // DecideBatch's per-round stamp
+    SubmitterTag tag;
+    core::SafetyCold cold;
+    bool open = false;
   };
+  static_assert(sizeof(SessionRecord) == 64);
 
-  /// Per-shard lane: the shard's session table and extractor pool plus
-  /// scratch that persists across DecideBatch calls. unique_ptr in
-  /// shards_ because the arena is pinned in place (non-movable).
+  /// Slots per slab. A lane rounds its population up to whole slabs, so
+  /// 16 keeps that slack under 2% from 750 sessions per lane up, while a
+  /// slab's table entry costs one byte per slot.
+  static constexpr std::size_t kSlabSlots = 16;
+
+  /// Per-shard lane: the shard's session slots plus scratch that persists
+  /// across DecideBatch calls. unique_ptr in shards_ because the arena is
+  /// pinned in place (non-movable).
   struct ShardLane {
-    ShardLane(std::size_t slab_slots, std::size_t scratch_doubles)
-        : extractors(slab_slots, scratch_doubles) {}
+    explicit ShardLane(std::size_t span_doubles)
+        : sessions(kSlabSlots, span_doubles) {}
 
-    // --- session state owned by this shard ---
     std::size_t group = 0;  // the submitter group owning this shard
-    SessionTable sessions;
-    ExtractorPool extractors;  // U_S per-session extractors
+    util::SlabPool<SessionRecord> sessions;
 
     // --- scratch reused by every round of the shard ---
     util::Arena arena;        // per-round index/score arrays
@@ -320,12 +313,17 @@ class DecisionService {
   }
   std::size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   std::size_t LocalOf(SessionId id) const { return id / shards_.size(); }
-  bool IsOpen(SessionId id) const {
-    const SessionTable& table = shards_[ShardOf(id)]->sessions;
-    const std::size_t local = LocalOf(id);
-    return local < table.open.size() && table.open[local] != 0;
+  /// `id`'s record if the session is open, else nullptr.
+  SessionRecord* FindOpen(SessionId id) const {
+    SessionRecord* session = shards_[ShardOf(id)]->sessions.Find(LocalOf(id));
+    return session != nullptr && session->open ? session : nullptr;
   }
-  void CheckOpen(SessionId id) const;
+  const SessionRecord& CheckOpen(SessionId id) const;
+  /// U_S: the NoveltyFeatureState at the head of a slot's extractor span.
+  core::NoveltyFeatureState& NoveltyOf(std::span<double> span) const {
+    return *std::launder(reinterpret_cast<core::NoveltyFeatureState*>(
+        span.data() + ring_width_));
+  }
   /// Accumulates lane `shard`'s containers into `stats`.
   void AccumulateLane(std::size_t shard, ServiceMemoryStats& stats) const;
   /// Accumulates group `group`'s lanes and allocator into `stats`.
@@ -336,8 +334,8 @@ class DecisionService {
 
   std::vector<std::unique_ptr<SubmitterGroup>> groups_;
   std::atomic<std::size_t> active_count_{0};
-  std::size_t ring_width_ = 0;        // trigger-ring doubles per session
-  std::size_t extractor_doubles_ = 0;  // slab scratch per U_S session
+  std::size_t ring_width_ = 0;     // trigger-ring doubles per session
+  std::size_t span_doubles_ = 0;   // ring + U_S extractor per session
   std::atomic<std::uint64_t> round_{0};
 };
 

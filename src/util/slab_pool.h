@@ -1,36 +1,29 @@
-// Slab pool for per-session serving state.
+// Slab-grown slot array for per-session serving state.
 //
-// A serving shard opens and closes sessions for the lifetime of the
-// process; allocating each session's state with make_unique scatters it
-// across the heap (pointer-chasing on the epoch scan) and pays the
-// allocator on every open/close. SlabPool instead carves fixed-capacity
-// slabs: Acquire() pops a free-list index or constructs the next
-// never-used slot in the newest slab, Release() pushes the index back.
-// Recycled slots are handed out WITHOUT destroying or reconstructing the
-// object - the caller resets it in place - so steady-state churn touches
-// no allocator and no constructor.
+// A serving lane addresses its sessions by the dense local index its id
+// allocator hands out (and recycles). SlabPool maps each index to one
+// fixed-stride slot: a T record followed by a span of `scratch_doubles`
+// doubles, both carved from the same fixed-capacity slab. Allocating each
+// session with make_unique would scatter it across the heap and pay the
+// allocator on every open/close; growing one vector per field would pin
+// the growth slack and the high-water mark forever. Here a slab is
+// allocated when the first slot in it is claimed and released when the
+// last claimed slot in it is vacated, so capacity tracks the population
+// in steps of one slab, after a spike as well as during one.
 //
-// Each slot optionally carries a fixed `scratch_doubles` span carved from
-// the same slab, passed to the factory on first construction and found
-// again through Scratch(index). This is how the serving path places each
-// U_S session's novelty-extractor rings inside the shard's slab instead of
-// a private heap buffer.
+// Claim() does not reset the slot: a slot vacated and claimed again while
+// its slab stays held keeps the previous occupant's record and scratch -
+// the caller resets what it reads. A newly allocated slab's records are
+// value-initialized and its scratch zeroed. Slot references are stable
+// while their slab is held.
 //
-// Slot references are stable: slabs never move. Trim() releases wholly
-// free trailing slabs (destroying their slots) so a population spike does
-// not pin its high-water mark forever.
-//
-// Not thread-safe; each shard owns its own pool (sessions are sharded, so
-// cross-shard sharing never happens by construction).
+// Not thread-safe; each shard lane owns its own pool.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <new>
 #include <span>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -40,15 +33,14 @@ namespace osap::util {
 template <typename T>
 class SlabPool {
  public:
-  using Index = std::uint32_t;
-  /// Sentinel for "no slot" (a session without an extractor).
-  static constexpr Index kInvalid = 0xffffffffu;
-
-  explicit SlabPool(std::size_t slots_per_slab = 256,
-                    std::size_t scratch_doubles = 0)
-      : slots_per_slab_(slots_per_slab), scratch_doubles_(scratch_doubles) {
-    static_assert(alignof(T) <= alignof(std::max_align_t),
-                  "SlabPool: over-aligned slot types are not supported");
+  explicit SlabPool(std::size_t slots_per_slab, std::size_t scratch_doubles = 0)
+      : slots_per_slab_(slots_per_slab),
+        scratch_doubles_(scratch_doubles),
+        record_bytes_((sizeof(T) + sizeof(double) - 1) / sizeof(double) *
+                      sizeof(double)),
+        stride_(record_bytes_ + scratch_doubles * sizeof(double)) {
+    static_assert(alignof(T) <= alignof(double),
+                  "SlabPool: slot records align to at most a double");
     OSAP_REQUIRE(slots_per_slab_ >= 1,
                  "SlabPool: slots_per_slab must be >= 1");
   }
@@ -57,137 +49,95 @@ class SlabPool {
   SlabPool& operator=(const SlabPool&) = delete;
 
   ~SlabPool() {
-    for (std::size_t s = 0; s < slabs_.size(); ++s) DestroySlab(s);
+    for (Slab& slab : slabs_) {
+      if (slab.bytes != nullptr) Release(slab);
+    }
   }
 
-  /// Returns a slot index. Recycled slots come back as-is (the previous
-  /// occupant's state intact - reset it); never-used slots are
-  /// constructed from make(scratch), where scratch is this slot's
-  /// scratch_doubles span (empty when the pool was built without
-  /// scratch).
-  template <typename Factory>
-  Index Acquire(Factory&& make) {
-    if (!free_.empty()) {
-      const Index index = free_.back();
-      free_.pop_back();
-      --slab_free_[index / slots_per_slab_];
-      return index;
+  /// Counts slot `index` as claimed and returns its record, allocating its
+  /// slab first when the slab is not held. Claiming a claimed slot
+  /// corrupts the count - callers guard liveness themselves (the service's
+  /// open flag).
+  T& Claim(std::size_t index) {
+    const std::size_t s = index / slots_per_slab_;
+    if (s >= slabs_.size()) slabs_.resize(s + 1);
+    Slab& slab = slabs_[s];
+    if (slab.bytes == nullptr) {
+      slab.bytes = std::make_unique<std::byte[]>(slots_per_slab_ * stride_);
+      for (std::size_t i = 0; i < slots_per_slab_; ++i) {
+        new (slab.bytes.get() + i * stride_) T{};
+      }
+      ++held_;
     }
-    if (slabs_.empty() || slabs_.back().constructed == slots_per_slab_) {
-      AddSlab();
-    }
-    Slab& slab = slabs_.back();
-    const Index index = static_cast<Index>(
-        (slabs_.size() - 1) * slots_per_slab_ + slab.constructed);
-    new (SlotPtr(index)) T(make(Scratch(index)));
-    ++slab.constructed;
-    return index;
+    ++slab.claimed;
+    return (*this)[index];
   }
 
-  /// Slot `index`'s scratch_doubles span (empty without scratch): the
-  /// same memory its factory call received, for slot types that keep
-  /// only plain state and find their storage by index.
-  std::span<double> Scratch(Index index) {
-    if (scratch_doubles_ == 0) return {};
-    return {slabs_[index / slots_per_slab_].scratch.get() +
-                (index % slots_per_slab_) * scratch_doubles_,
+  /// Un-claims slot `index`; the last claimed slot of a slab takes the
+  /// slab (its records destroyed) with it.
+  void Vacate(std::size_t index) {
+    const std::size_t s = index / slots_per_slab_;
+    OSAP_REQUIRE(s < slabs_.size() && slabs_[s].claimed > 0,
+                 "SlabPool::Vacate: slot not claimed");
+    if (--slabs_[s].claimed == 0) Release(slabs_[s]);
+  }
+
+  /// Slot `index`'s record, or nullptr when its slab is not held.
+  T* Find(std::size_t index) {
+    const std::size_t s = index / slots_per_slab_;
+    return s < slabs_.size() && slabs_[s].bytes != nullptr ? &(*this)[index]
+                                                           : nullptr;
+  }
+
+  /// Slot `index`'s record; its slab must be held.
+  T& operator[](std::size_t index) {
+    return *std::launder(reinterpret_cast<T*>(SlotBytes(index)));
+  }
+
+  /// Slot `index`'s scratch_doubles span (empty without scratch), right
+  /// after its record in the slab; its slab must be held.
+  std::span<double> Scratch(std::size_t index) {
+    return {reinterpret_cast<double*>(SlotBytes(index) + record_bytes_),
             scratch_doubles_};
   }
 
-  /// Returns a slot to the free list. The object is NOT destroyed (it is
-  /// recycled by a later Acquire, or destroyed by Trim/destruction).
-  /// Releasing an index twice corrupts the free list - callers guard
-  /// liveness themselves (the service's open_ flags).
-  void Release(Index index) {
-    OSAP_REQUIRE(index < SlotCount(), "SlabPool::Release: bad index");
-    free_.push_back(index);
-    ++slab_free_[index / slots_per_slab_];
-  }
+  /// Slabs held (each holding at least one claimed slot).
+  std::size_t SlabCount() const { return held_; }
 
-  T& operator[](Index index) { return *SlotPtr(index); }
-  const T& operator[](Index index) const {
-    return *const_cast<SlabPool*>(this)->SlotPtr(index);
-  }
+  /// Bytes of the slab table: one entry per slab index up to the highest
+  /// ever claimed, held or not.
+  std::size_t TableBytes() const { return slabs_.capacity() * sizeof(Slab); }
 
-  /// Slots constructed so far (live + free-listed).
-  std::size_t SlotCount() const {
-    if (slabs_.empty()) return 0;
-    return (slabs_.size() - 1) * slots_per_slab_ + slabs_.back().constructed;
-  }
-
-  std::size_t ActiveCount() const { return SlotCount() - free_.size(); }
-  std::size_t FreeCount() const { return free_.size(); }
-  std::size_t SlabCount() const { return slabs_.size(); }
-
-  /// Backing bytes: slab object + scratch storage plus free-list capacity.
+  /// Held slabs (records + scratch) plus the slab table.
   std::size_t CapacityBytes() const {
-    return slabs_.size() * SlabBytes() + free_.capacity() * sizeof(Index) +
-           slab_free_.capacity() * sizeof(std::size_t);
-  }
-
-  /// Destroys and releases wholly free trailing slabs; returns the bytes
-  /// released. O(free-list) only when a slab is actually reclaimed.
-  std::size_t Trim() {
-    std::size_t released = 0;
-    while (!slabs_.empty()) {
-      const std::size_t last = slabs_.size() - 1;
-      if (slabs_[last].constructed == 0 ||
-          slab_free_[last] != slabs_[last].constructed) {
-        break;
-      }
-      const Index first = static_cast<Index>(last * slots_per_slab_);
-      std::erase_if(free_, [first](Index i) { return i >= first; });
-      DestroySlab(last);
-      slabs_.pop_back();
-      slab_free_.pop_back();
-      released += SlabBytes();
-    }
-    return released;
+    return held_ * slots_per_slab_ * stride_ + TableBytes();
   }
 
  private:
   struct Slab {
-    std::unique_ptr<std::byte[]> objects;   // slots_per_slab x sizeof(T)
-    std::unique_ptr<double[]> scratch;      // slots_per_slab x scratch_doubles
-    std::size_t constructed = 0;            // slots built, in order
+    std::unique_ptr<std::byte[]> bytes;  // slots_per_slab x stride; or null
+    std::size_t claimed = 0;
   };
 
-  std::size_t SlabBytes() const {
-    return slots_per_slab_ * sizeof(T) +
-           slots_per_slab_ * scratch_doubles_ * sizeof(double);
+  std::byte* SlotBytes(std::size_t index) {
+    return slabs_[index / slots_per_slab_].bytes.get() +
+           (index % slots_per_slab_) * stride_;
   }
 
-  T* SlotPtr(Index index) {
-    Slab& slab = slabs_[index / slots_per_slab_];
-    return std::launder(reinterpret_cast<T*>(
-        slab.objects.get() + (index % slots_per_slab_) * sizeof(T)));
-  }
-
-  void AddSlab() {
-    Slab slab;
-    slab.objects =
-        std::make_unique<std::byte[]>(slots_per_slab_ * sizeof(T));
-    if (scratch_doubles_ > 0) {
-      slab.scratch =
-          std::make_unique<double[]>(slots_per_slab_ * scratch_doubles_);
+  void Release(Slab& slab) {
+    for (std::size_t i = 0; i < slots_per_slab_; ++i) {
+      std::launder(reinterpret_cast<T*>(slab.bytes.get() + i * stride_))->~T();
     }
-    slabs_.push_back(std::move(slab));
-    slab_free_.push_back(0);
-  }
-
-  void DestroySlab(std::size_t s) {
-    Slab& slab = slabs_[s];
-    for (std::size_t i = slab.constructed; i-- > 0;) {
-      SlotPtr(static_cast<Index>(s * slots_per_slab_ + i))->~T();
-    }
-    slab.constructed = 0;
+    slab.bytes.reset();
+    --held_;
   }
 
   std::size_t slots_per_slab_;
   std::size_t scratch_doubles_;
+  std::size_t record_bytes_;  // sizeof(T) rounded up to a double
+  std::size_t stride_;        // record_bytes_ + the scratch doubles
   std::vector<Slab> slabs_;
-  std::vector<std::size_t> slab_free_;  // free slots per slab (Trim guard)
-  std::vector<Index> free_;
+  std::size_t held_ = 0;
 };
 
 }  // namespace osap::util

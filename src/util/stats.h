@@ -73,8 +73,11 @@ inline constexpr std::size_t kMaxWindowCapacity = 0xffff;
 /// window, Poisoned() holds, Variance() reads +inf and Mean() NaN, so any
 /// threshold on either counts the window as uncertain. Once it has left,
 /// the sums are rebuilt from the ring, so a window never remembers a value
-/// it no longer holds. A finite stream whose sums stay finite never takes
-/// the poison path, so its floats are those of the plain running sums.
+/// it no longer holds. They are rebuilt too when an evicted value dwarfed
+/// the rest of the window by more than the double precision (its square
+/// absorbed theirs in the sums). Any other finite stream whose sums stay
+/// finite takes neither path, so its floats are those of the plain
+/// running sums.
 struct SlidingWindow {
   double sum = 0.0;
   double sum_sq = 0.0;
@@ -87,22 +90,27 @@ struct SlidingWindow {
     const auto capacity = static_cast<std::uint16_t>(ring.size());
     const double x_sq = x * x;
     const bool clean = poisoned == 0;
+    bool absorbed = false;
     if (size < capacity) {
       ring[size++] = x;
     } else {
       const double old = ring[head];
       if (clean) {
+        const double old_sq = old * old;
         sum -= old;
-        sum_sq -= old * old;
+        sum_sq -= old_sq;
+        // An evicted value that dwarfed the rest by more than the double
+        // precision took their share of the sums with it.
+        absorbed = sum_sq < old_sq * std::numeric_limits<double>::epsilon();
       }
       ring[head] = x;
       head = static_cast<std::uint16_t>((head + 1) % capacity);
     }
     const bool finite = std::isfinite(x_sq);
-    if (clean && finite) {
+    if (clean && finite && !absorbed) {
       sum += x;
       sum_sq += x_sq;
-    } else if (!clean && --poisoned == 0) {
+    } else if (clean ? finite : --poisoned == 0) {
       Rebuild(ring);
     }
     // While poisoned the sums are stale: only a new non-finite value

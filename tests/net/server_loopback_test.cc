@@ -638,6 +638,56 @@ TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   EXPECT_EQ(stats.open_sessions, 0u);
 }
 
+// A length prefix above the largest legal request (a STEP carrying the
+// model's state) closes the connection as soon as the prefix and a valid
+// header are in, without waiting for a body that would pin a partial
+// frame per peer. Everything the peer sent before it was answered, and
+// its session is reaped.
+TEST(NetServerLoopback, OversizedLengthPrefixClosesAtOnce) {
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
+  ServerRunner server(model, NetServerConfig{});
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(client);
+  Tally tally;
+  const auto session = client.OpenSession();
+  tally.ok += 1;
+  const std::vector<double> state(model->InputSize(), 0.5);
+  tally.Add(client.Step(session, state));
+
+  constexpr std::uint32_t kBody = 4096;
+  ASSERT_GT(kBody, StepFrameBytes(model->InputSize()));
+  std::vector<std::uint8_t> frame;
+  AppendRequestFrame(frame, {kProtocolVersion, MsgType::kStep, 3, session},
+                     state);
+  std::vector<std::uint8_t> bytes;
+  PutU32(bytes, kBody);
+  bytes.insert(bytes.end(), frame.begin() + kLengthPrefixBytes,
+               frame.begin() + kLengthPrefixBytes + kRequestHeaderBytes);
+  ASSERT_EQ(::send(client.fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  // The server closes its end: the socket reads EOF (or a reset) well
+  // within the wait, with no reply before it.
+  pollfd pfd{client.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1) << "server still waits for the body";
+  std::uint8_t byte = 0;
+  EXPECT_LE(::recv(client.fd(), &byte, 1, 0), 0);
+
+  Client observer;
+  observer.Connect("127.0.0.1", server.Port());
+  const ServerStats stats = observer.Stats();
+  EXPECT_EQ(tally.Total(), 2u);
+  EXPECT_EQ(tally.ok, 2u);
+  EXPECT_EQ(stats.decided, 1u);
+  EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors, 0u);
+  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(stats.connections, 1u);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 // A session answers only to the connection that opened it: another
 // connection's STEP or CLOSE on it is kError and leaves it working for
 // its owner. The same holds once the id is recycled: after A closes its

@@ -123,10 +123,11 @@ TEST(DecisionServiceApi, SingleSubmitterIdsRecycleMostRecentFirst) {
 }
 
 TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
-  // The memory-diet contract: a U_pi session is SafetyState + its
-  // variance-trigger ring + a few registry bytes - no extractor, no
-  // per-session heap objects. 256 B/session leaves room for vector
-  // capacity slack (growth doubling) on top of the ~100 B of state.
+  // The memory-diet contract: a U_pi session is one slot - its record
+  // (SafetyState, cold fields, round stamp, submitter tag, open flag)
+  // and its variance-trigger ring - plus a few registry bytes: no
+  // extractor, no per-session heap objects. 256 B/session leaves room
+  // for slab rounding on top of the ~100 B of state.
   DecisionService service(PermanentModel(Signal::kAgentEnsemble),
                           DecisionServiceConfig{.shard_count = 4});
   constexpr std::size_t kMany = 10000;
@@ -134,38 +135,42 @@ TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
 
   const ServiceMemoryStats stats = service.MemoryStats();
   EXPECT_EQ(stats.open_sessions, kMany);
-  EXPECT_EQ(stats.extractor_bytes, 0u)
-      << "U_pi sessions must pay zero extractor bytes";
-  // Every open session owns exactly ring_width doubles of trigger window.
-  EXPECT_GE(stats.trigger_ring_bytes,
-            kMany * testing::kWorldTriggerK * sizeof(double));
-  EXPECT_GE(stats.session_hot_bytes, kMany * sizeof(core::SafetyState));
-  EXPECT_GE(stats.session_cold_bytes, kMany * sizeof(core::SafetyCold));
-  // The registry counts every open session's submitter tag (the wire
-  // edge's per-session state), open flag and round stamp.
-  EXPECT_GE(stats.registry_bytes,
-            kMany * (sizeof(DecisionService::SubmitterTag) +
-                     sizeof(std::uint8_t) + sizeof(std::uint64_t)));
+  EXPECT_EQ(stats.session_slots, kMany);
+  EXPECT_GE(stats.slab_slots, kMany);
+  // The span is exactly the trigger ring: U_pi pays zero extractor bytes.
+  EXPECT_EQ(stats.span_bytes,
+            stats.slab_slots * testing::kWorldTriggerK * sizeof(double));
+  // The record counts every open session's state, cold fields, submitter
+  // tag (the wire edge's per-session state), open flag and round stamp.
+  EXPECT_GE(stats.record_bytes,
+            stats.slab_slots *
+                (sizeof(core::SafetyState) + sizeof(core::SafetyCold) +
+                 sizeof(DecisionService::SubmitterTag) + sizeof(bool) +
+                 sizeof(std::uint64_t)));
   EXPECT_LE(stats.BytesPerSession(), 256.0)
-      << "hot " << stats.session_hot_bytes << " cold "
-      << stats.session_cold_bytes << " rings " << stats.trigger_ring_bytes
+      << "records " << stats.record_bytes << " spans " << stats.span_bytes
       << " registry " << stats.registry_bytes;
 }
 
 TEST(DecisionServiceMemory, NoveltySessionsFitTheBudget) {
-  // U_S adds the slab-pooled extractor (window + pair ring carved from
-  // the slab) but drops the trigger ring (binary trigger): the budget is
-  // 512 B/session including slab rounding and capacity slack.
-  DecisionService service(PermanentModel(Signal::kNovelty),
-                          DecisionServiceConfig{.shard_count = 4});
+  // U_S spans hold the extractor (its state plus window + pair storage)
+  // and no trigger ring (binary trigger): the budget is 512 B/session
+  // including slab rounding.
+  const auto model = PermanentModel(Signal::kNovelty);
+  DecisionService service(model, DecisionServiceConfig{.shard_count = 4});
   constexpr std::size_t kMany = 10000;
   for (std::size_t i = 0; i < kMany; ++i) service.OpenSession();
 
   const ServiceMemoryStats stats = service.MemoryStats();
   EXPECT_EQ(stats.open_sessions, kMany);
-  EXPECT_EQ(stats.trigger_ring_bytes, 0u)
+  EXPECT_GE(stats.slab_slots, kMany);
+  EXPECT_EQ(stats.span_bytes,
+            stats.slab_slots *
+                (sizeof(core::NoveltyFeatureState) +
+                 core::NoveltyFeatureExtractor::StorageDoubles(
+                     model->NoveltyConfig()) *
+                     sizeof(double)))
       << "binary-trigger sessions must pay zero ring bytes";
-  EXPECT_GT(stats.extractor_bytes, 0u);
   EXPECT_LE(stats.BytesPerSession(), 512.0);
 }
 

@@ -113,7 +113,7 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
   std::vector<char> recycled(schedule.sessions.size(), 0);
   std::unordered_set<DecisionService::SessionId> ever;
   std::vector<std::uint32_t> live;
-  std::size_t peak = 0, extractor_peak = 0;
+  std::size_t peak = 0, session_bytes_peak = 0;
   const auto retire = [&](std::uint32_t s) {
     service.CloseSession(id_of[s]);
     std::erase(live, s);
@@ -216,12 +216,17 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                     << peak << ")";
       return;
     }
-    extractor_peak = std::max(extractor_peak, stats.extractor_bytes);
+    session_bytes_peak = std::max(session_bytes_peak, stats.SessionBytes());
   }
-  // Only U_S sessions hold extractors.
-  if (schedule.profile == Profile::kChurn && extractor_peak > 0 &&
-      service.MemoryStatsOfGroup(g).extractor_bytes >= extractor_peak / 4) {
-    ADD_FAILURE() << "group " << g << " kept its slabs after a mass close";
+  // Every signal's slabs go back with their last session; what stays is
+  // the id free list and the slab table.
+  const std::size_t session_bytes =
+      service.MemoryStatsOfGroup(g).SessionBytes();
+  if (schedule.profile == Profile::kChurn &&
+      session_bytes >= session_bytes_peak / 4) {
+    ADD_FAILURE() << "group " << g << " kept " << session_bytes
+                  << " session bytes after a mass close (peak "
+                  << session_bytes_peak << ")";
   }
 }
 
@@ -233,7 +238,6 @@ Answers RunService(const ServeWorld& w, const Schedule& schedule,
   serve::DecisionServiceConfig config;
   config.shard_count = groups + 2;  // uneven groups at 4
   config.submitter_count = groups;
-  if (churn) config.extractor_slab_slots = 64;  // several slabs per shard
   DecisionService service(ModelFor(w, signal, mode), config);
 
   Answers answers(schedule);

@@ -2,26 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 namespace osap::util {
 namespace {
 
-// A slot type that records construction/destruction and remembers its
-// scratch span, so tests can observe recycle-without-reconstruct and
-// slab-carved storage.
+// A slot type that counts constructions and destructions, so tests can
+// observe when a slab's records are built and torn down.
 struct Probe {
-  explicit Probe(std::span<double> scratch)
-      : scratch_data(scratch.data()), scratch_size(scratch.size()) {
+  Probe() {
     ++live;
     ++constructed;
   }
   ~Probe() { --live; }
 
-  double* scratch_data;
-  std::size_t scratch_size;
   int value = 0;
 
   static int live;
@@ -39,113 +35,91 @@ struct ProbeFixture : ::testing::Test {
 };
 using SlabPoolTest = ProbeFixture;
 
-TEST_F(SlabPoolTest, AcquireConstructsReleaseDoesNot) {
-  SlabPool<Probe> pool(/*slots_per_slab=*/2);
-  const auto make = [](std::span<double> s) { return Probe(s); };
-  const auto a = pool.Acquire(make);
-  const auto b = pool.Acquire(make);
-  EXPECT_EQ(pool.ActiveCount(), 2u);
-  EXPECT_EQ(Probe::live, 2);
-  pool.Release(a);
-  EXPECT_EQ(Probe::live, 2) << "Release must not destroy the slot";
-  EXPECT_EQ(pool.ActiveCount(), 1u);
-  EXPECT_EQ(pool.FreeCount(), 1u);
-  pool.Release(b);
-}
-
 TEST_F(SlabPoolTest, RecycledSlotKeepsPreviousState) {
   SlabPool<Probe> pool(4);
-  const auto make = [](std::span<double> s) { return Probe(s); };
-  const auto a = pool.Acquire(make);
-  pool[a].value = 42;
-  pool.Release(a);
-  const auto again = pool.Acquire(make);
-  EXPECT_EQ(again, a) << "free list must hand the slot back";
-  EXPECT_EQ(pool[again].value, 42) << "recycle must not reconstruct";
-  EXPECT_EQ(Probe::constructed, 1) << "only the first Acquire constructs";
+  pool.Claim(0).value = 42;
+  pool.Claim(1);  // keeps the slab held
+  pool.Vacate(0);
+  EXPECT_EQ(pool.Claim(0).value, 42) << "claiming must not reconstruct";
+  EXPECT_EQ(Probe::constructed, 4) << "only the slab allocation constructs";
 }
 
 TEST_F(SlabPoolTest, GrowsSlabBySlabWithStableReferences) {
   SlabPool<Probe> pool(2);
-  const auto make = [](std::span<double> s) { return Probe(s); };
-  std::vector<SlabPool<Probe>::Index> indices;
-  for (int i = 0; i < 5; ++i) {
-    const auto index = pool.Acquire(make);
-    pool[index].value = i;
-    indices.push_back(index);
-  }
+  for (int i = 0; i < 5; ++i) pool.Claim(i).value = i;
   EXPECT_EQ(pool.SlabCount(), 3u);  // ceil(5 / 2)
-  Probe* first = &pool[indices[0]];
+  EXPECT_EQ(Probe::live, 6);
+  Probe* first = &pool[0];
+  pool.Claim(7);  // grows the slab table
+  EXPECT_EQ(pool.SlabCount(), 4u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(pool[indices[i]].value, i);
+    EXPECT_EQ(pool[i].value, i);
   }
-  EXPECT_EQ(first, &pool[indices[0]]) << "slots must never move";
+  EXPECT_EQ(first, &pool[0]) << "slots must never move";
 }
 
 TEST_F(SlabPoolTest, ScratchIsCarvedFromTheSlabPerSlot) {
   constexpr std::size_t kDoubles = 7;
   SlabPool<Probe> pool(3, kDoubles);
-  const auto make = [](std::span<double> s) { return Probe(s); };
-  const auto a = pool.Acquire(make);
-  const auto b = pool.Acquire(make);
-  ASSERT_EQ(pool[a].scratch_size, kDoubles);
-  ASSERT_EQ(pool[b].scratch_size, kDoubles);
-  // Adjacent slots of one slab get adjacent, non-overlapping carvings.
-  EXPECT_EQ(pool[b].scratch_data, pool[a].scratch_data + kDoubles);
-  pool[a].scratch_data[kDoubles - 1] = 1.0;
-  pool[b].scratch_data[0] = 2.0;
-  EXPECT_EQ(pool[a].scratch_data[kDoubles - 1], 1.0);
-  // Scratch(index) finds the same carving again.
-  EXPECT_EQ(pool.Scratch(b).data(), pool[b].scratch_data);
-  EXPECT_EQ(pool.Scratch(b).size(), kDoubles);
+  pool.Claim(0);
+  pool.Claim(1);
+  const std::span<double> a = pool.Scratch(0);
+  const std::span<double> b = pool.Scratch(1);
+  ASSERT_EQ(a.size(), kDoubles);
+  ASSERT_EQ(b.size(), kDoubles);
+  EXPECT_EQ(a[0], 0.0) << "a new slab's scratch is zeroed";
+  // Each slot is its record then its scratch, at a fixed stride: the
+  // next slot's record sits between two carvings.
+  const auto* after_a = reinterpret_cast<const std::byte*>(a.data() + kDoubles);
+  EXPECT_EQ(reinterpret_cast<const std::byte*>(&pool[1]), after_a);
+  EXPECT_EQ(reinterpret_cast<const std::byte*>(b.data()),
+            after_a + sizeof(double));  // sizeof(Probe) rounds to 8
+  a[kDoubles - 1] = 1.0;
+  b[0] = 2.0;
+  EXPECT_EQ(a[kDoubles - 1], 1.0);
+  EXPECT_EQ(pool[1].value, 0) << "scratch writes stay out of the records";
 }
 
 TEST_F(SlabPoolTest, NoScratchPoolPassesEmptySpan) {
   SlabPool<Probe> pool(2);
-  const auto a = pool.Acquire([](std::span<double> s) { return Probe(s); });
-  EXPECT_EQ(pool[a].scratch_size, 0u);
-  EXPECT_TRUE(pool.Scratch(a).empty());
+  pool.Claim(0);
+  EXPECT_TRUE(pool.Scratch(0).empty());
 }
 
-TEST_F(SlabPoolTest, TrimReleasesWhollyFreeTrailingSlabsOnly) {
+TEST_F(SlabPoolTest, VacatingTheLastSlotReleasesItsSlab) {
   SlabPool<Probe> pool(2);
-  const auto make = [](std::span<double> s) { return Probe(s); };
-  std::vector<SlabPool<Probe>::Index> indices;
-  for (int i = 0; i < 6; ++i) indices.push_back(pool.Acquire(make));
+  for (int i = 0; i < 6; ++i) pool.Claim(i);
   ASSERT_EQ(pool.SlabCount(), 3u);
+  const std::size_t full = pool.CapacityBytes();
 
-  // Free the middle slab only: nothing trailing is wholly free.
-  pool.Release(indices[2]);
-  pool.Release(indices[3]);
-  EXPECT_EQ(pool.Trim(), 0u);
+  // Half of the middle slab: it stays held, its records untouched.
+  pool.Vacate(2);
   EXPECT_EQ(pool.SlabCount(), 3u);
+  EXPECT_EQ(Probe::live, 6) << "vacating must not destroy a held slab";
 
-  // Free the last slab too: Trim drops it, which makes the (also wholly
-  // free) middle slab trailing, so both go in one call.
-  pool.Release(indices[4]);
-  pool.Release(indices[5]);
-  EXPECT_GT(pool.Trim(), 0u);
-  EXPECT_EQ(pool.SlabCount(), 1u);
-  EXPECT_EQ(Probe::live, 2);
-  EXPECT_EQ(pool.FreeCount(), 0u) << "freed indices of dropped slabs purged";
-
-  // The survivors are untouched and the pool still works.
-  const auto fresh = pool.Acquire(make);
+  // The rest of it: the middle slab goes although it is not the last one.
+  pool.Vacate(3);
   EXPECT_EQ(pool.SlabCount(), 2u);
-  pool.Release(fresh);
-  pool.Release(indices[0]);
-  pool.Release(indices[1]);
+  EXPECT_EQ(Probe::live, 4);
+  EXPECT_EQ(pool.Find(2), nullptr);
+  EXPECT_NE(pool.Find(4), nullptr);
+  EXPECT_LT(pool.CapacityBytes(), full);
+
+  // Claiming into a released slab builds it afresh.
+  pool.Claim(3).value = 5;
+  EXPECT_EQ(pool.SlabCount(), 3u);
+  EXPECT_EQ(pool[2].value, 0);
+  EXPECT_EQ(Probe::constructed, 8);
 }
 
 TEST_F(SlabPoolTest, DestructorDestroysConstructedSlots) {
   {
     SlabPool<Probe> pool(2);
-    const auto make = [](std::span<double> s) { return Probe(s); };
-    pool.Acquire(make);
-    const auto b = pool.Acquire(make);
-    pool.Acquire(make);
-    pool.Release(b);  // free-listed slots are destroyed exactly once too
-    EXPECT_EQ(Probe::live, 3);
+    pool.Claim(0);
+    pool.Claim(1);
+    pool.Claim(2);
+    pool.Vacate(1);  // vacated slots of held slabs are destroyed once too
+    EXPECT_EQ(Probe::live, 4);
   }
   EXPECT_EQ(Probe::live, 0);
 }
@@ -153,16 +127,21 @@ TEST_F(SlabPoolTest, DestructorDestroysConstructedSlots) {
 TEST_F(SlabPoolTest, ValidatesArguments) {
   EXPECT_THROW(SlabPool<Probe>(0), std::invalid_argument);
   SlabPool<Probe> pool(2);
-  EXPECT_THROW(pool.Release(0), std::invalid_argument);  // never acquired
+  EXPECT_THROW(pool.Vacate(0), std::invalid_argument);  // never claimed
+  pool.Claim(0);
+  pool.Vacate(0);
+  EXPECT_THROW(pool.Vacate(0), std::invalid_argument);  // slab released
 }
 
 TEST_F(SlabPoolTest, CapacityBytesCoversSlabsAndScratch) {
   constexpr std::size_t kDoubles = 4;
   SlabPool<Probe> pool(8, kDoubles);
   EXPECT_EQ(pool.CapacityBytes(), 0u);
-  pool.Acquire([](std::span<double> s) { return Probe(s); });
+  pool.Claim(0);
   EXPECT_GE(pool.CapacityBytes(),
             8 * sizeof(Probe) + 8 * kDoubles * sizeof(double));
+  EXPECT_EQ(pool.CapacityBytes() - pool.TableBytes(),
+            8 * (sizeof(double) + kDoubles * sizeof(double)));
 }
 
 }  // namespace

@@ -196,6 +196,17 @@ TEST(SlidingWindowStats, OverflowingSumFailsClosedUntilTheValuesLeave) {
   EXPECT_DOUBLE_EQ(w.Variance(), 1.0);
 }
 
+TEST(SlidingWindowStats, DwarfingValueIsForgottenWhenItLeaves) {
+  // 6e153 squares to a finite 3.6e307 that absorbs every later square;
+  // once it leaves, the window must read the values it holds.
+  SlidingWindowStats w(4);
+  w.Push(6e153);
+  for (int i = 0; i < 12; ++i) w.Push(1.0 + i % 4);
+  EXPECT_FALSE(w.Poisoned());
+  EXPECT_DOUBLE_EQ(w.Mean(), 2.5);
+  EXPECT_DOUBLE_EQ(w.Variance(), 1.25);
+}
+
 TEST(Median, OddAndEvenLengths) {
   const std::vector<double> odd = {5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(Median(odd), 3.0);
