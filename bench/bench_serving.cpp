@@ -435,13 +435,11 @@ void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
 /// stays console-only (rate); the gated sidecar entries are the
 /// round-trip percentiles.
 ///
-/// The third arg is edge_threads: with E > 1 SO_REUSEPORT edges the
-/// round fans out over E client threads, one connection pinned per edge
-/// (connections are probed until every edge's listener holds one -
-/// session ids are edge-affine, so id % shards reveals where a
-/// connection landed), and the round's wall clock is the slowest edge's
-/// send-flush-collect. Sweeping /{1,2,4,8} edges at fixed shards is the
-/// tentpole scaling curve.
+/// The third arg is edge_threads: with E > 1 edges the round fans out
+/// over E client threads, one connection per edge (the server places
+/// sequential connections on a fresh server one per edge, in order), and
+/// the round's wall clock is the slowest edge's send-flush-collect.
+/// Sweeping /{1,2,4,8} edges at fixed shards is the scaling curve.
 void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
@@ -453,26 +451,11 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   server.Start();
   std::thread loop([&server] { server.Run(); });
 
-  // One connection per edge: the kernel hashes connections across the
-  // SO_REUSEPORT listeners by 4-tuple, so probe (open a session, read
-  // its edge, close it) until every edge holds exactly one connection.
+  // Client e is the server's e-th connection, so it lands on edge e.
   std::vector<std::unique_ptr<net::Client>> clients(edges);
-  std::size_t covered = 0, attempts = 0;
-  while (covered < edges) {
-    OSAP_CHECK_MSG(++attempts < 4096, "BM_NetServe: edge probing stuck");
-    auto c = std::make_unique<net::Client>();
+  for (auto& c : clients) {
+    c = std::make_unique<net::Client>();
     c->Connect("127.0.0.1", server.Port());
-    const std::uint64_t probe = c->OpenSession();
-    // Edge e is submitter group e: the group of the session's shard.
-    const std::size_t e = serve::DecisionService::GroupOfShard(
-        static_cast<std::size_t>(probe) % shards, shards, edges);
-    c->CloseSession(probe);
-    if (clients[e] == nullptr) {
-      clients[e] = std::move(c);
-      ++covered;
-    } else {
-      c->Close();
-    }
   }
 
   // Edge e owns sessions [offset, offset + count) of the population.
@@ -535,7 +518,7 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
     round.fetch_add(1, std::memory_order_relaxed);
   };
   run_round();  // one untimed warmup round (scratch growth, see RunService)
-  // The syscall ratio counts the timed rounds only: connection probing,
+  // The syscall ratio counts the timed rounds only: connection setup,
   // OPENs and the warmup round would otherwise dominate short runs.
   const std::uint64_t syscalls_before = server.IoSyscalls();
   const std::uint64_t decided_before = server.Stats().decided;

@@ -5,16 +5,19 @@
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,9 +28,10 @@ namespace osap::net {
 
 namespace {
 
-/// listen() backlog of every edge's listener.
+/// listen() backlog of the listener.
 constexpr int kListenBacklog = 128;
-/// Cap on concurrently accepted connections, shared across edges.
+/// Cap on concurrently open connections, shared across edges (Start()
+/// lowers it to what RLIMIT_NOFILE leaves).
 constexpr std::size_t kMaxConnections = 4096;
 /// Readiness events one epoll_wait gathers at most.
 constexpr std::size_t kMaxEvents = 256;
@@ -44,6 +48,14 @@ constexpr std::chrono::seconds kDrainDeadline{5};
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
+}
+
+/// Adds `fd` to `epoll_fd`'s interest set under `tag`.
+bool Watch(int epoll_fd, int fd, std::uint32_t events, std::uint64_t tag) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = tag;
+  return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
 /// Drops the consumed prefix [0, off) of a connection buffer: all of it
@@ -85,12 +97,12 @@ struct Connection {
   std::vector<std::uint64_t> sessions;  // session ids this peer owns
 };
 
-/// One edge thread's whole world: its SO_REUSEPORT listener, epoll
-/// instance, wake eventfd, connection slab and pending queue. Everything
-/// here is touched by exactly one thread (the edge's loop); only the
-/// trailing atomics are read cross-edge, for STATS aggregation and the
-/// shutdown summary. Per-session state is not here: a session's owning
-/// connection and queued-STEP count live in its service-side
+/// One edge thread's whole world: its epoll instance, wake eventfd,
+/// connection slab and pending queue. Everything here is touched by
+/// exactly one thread (the edge's loop) except the inbox, which edge 0
+/// fills, and the trailing atomics, read cross-edge for placement, STATS
+/// aggregation and the shutdown summary. Per-session state is not here:
+/// a session's owning connection and queued-STEP count live in its service-side
 /// SubmitterTag (DecisionService::TagOf).
 struct Edge {
   /// One admitted STEP awaiting its decision round.
@@ -103,9 +115,10 @@ struct Edge {
 
   std::size_t index = 0;  // == submitter group in the service
 
-  int listen_fd = -1;
-  int wake_fd = -1;   // eventfd: Stop() -> loop wakeup
-  int epoll_fd = -1;  // watches the listener, the wake fd and every conn
+  int wake_fd = -1;   // eventfd: Stop() or a handoff -> loop wakeup
+  int epoll_fd = -1;  // watches the wake fd, every conn (edge 0: listener)
+  std::mutex inbox_mutex;
+  std::vector<int> inbox;  // placed here by edge 0, not adopted yet
   std::array<epoll_event, kMaxEvents> events{};
   /// Uninitialized kReadChunk-byte recv target shared by every
   /// connection: only the bytes received are appended to a connection's
@@ -131,6 +144,9 @@ struct Edge {
   std::vector<serve::DecisionService::Request> round_requests;
   std::vector<mdp::Action> round_actions;
 
+  /// Open connections placed here: edge 0 counts one when it places it,
+  /// this edge uncounts it when it closes. Placement reads every edge's.
+  std::atomic<std::size_t> open_connections{0};
   // Published counters: written by this edge (relaxed), summed by any
   // edge answering STATS and by NetServer::Stats().
   std::atomic<std::uint64_t> decided{0};
@@ -177,70 +193,62 @@ NetServer::~NetServer() {
     for (auto& conn : edge->connections) {
       if (conn && conn->open && conn->fd >= 0) ::close(conn->fd);
     }
-    if (edge->listen_fd >= 0) ::close(edge->listen_fd);
     if (edge->wake_fd >= 0) ::close(edge->wake_fd);
     if (edge->epoll_fd >= 0) ::close(edge->epoll_fd);
   }
-}
-
-void NetServer::StartEdge(std::size_t e) {
-  Edge& edge = *edges_[e];
-  edge.listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                         SOCK_CLOEXEC,
-                            0);
-  if (edge.listen_fd < 0) ThrowErrno("NetServer: socket");
-  int one = 1;
-  ::setsockopt(edge.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  // Every edge (including the first) binds its own listener to the same
-  // port under SO_REUSEPORT; the kernel hashes each incoming 4-tuple to
-  // one listener, sharding accepts across the edge threads with no
-  // shared accept lock.
-  if (::setsockopt(edge.listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                   sizeof one) < 0) {
-    ThrowErrno("NetServer: setsockopt(SO_REUSEPORT)");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  // Edge 0 resolves the configured port (possibly 0 -> ephemeral); the
-  // rest bind the resolved one.
-  addr.sin_port = htons(e == 0 ? config_.port : port_);
-  if (::bind(edge.listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) < 0) {
-    ThrowErrno("NetServer: bind");
-  }
-  if (e == 0) {
-    socklen_t len = sizeof addr;
-    if (::getsockname(edge.listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                      &len) < 0) {
-      ThrowErrno("NetServer: getsockname");
-    }
-    port_ = ntohs(addr.sin_port);
-  }
-  if (::listen(edge.listen_fd, kListenBacklog) < 0) {
-    ThrowErrno("NetServer: listen");
-  }
-
-  edge.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (edge.wake_fd < 0) ThrowErrno("NetServer: eventfd");
-
-  edge.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (edge.epoll_fd < 0) ThrowErrno("NetServer: epoll_create1");
-  epoll_event ev{};
-  ev.events = EPOLLIN;  // level-triggered: accept until EAGAIN anyway
-  ev.data.u64 = kListenTag;
-  if (::epoll_ctl(edge.epoll_fd, EPOLL_CTL_ADD, edge.listen_fd, &ev) < 0) {
-    ThrowErrno("NetServer: epoll_ctl(listen)");
-  }
-  ev.data.u64 = kWakeTag;
-  if (::epoll_ctl(edge.epoll_fd, EPOLL_CTL_ADD, edge.wake_fd, &ev) < 0) {
-    ThrowErrno("NetServer: epoll_ctl(wake)");
-  }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 void NetServer::Start() {
-  OSAP_REQUIRE(edges_[0]->listen_fd < 0, "NetServer::Start: already started");
-  for (std::size_t e = 0; e < edges_.size(); ++e) StartEdge(e);
+  OSAP_REQUIRE(listen_fd_ < 0, "NetServer::Start: already started");
+  // One plain listener: a second server on the port fails to bind
+  // (EADDRINUSE) instead of sharing its connections.
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0);
+  if (listen_fd_ < 0) ThrowErrno("NetServer: socket");
+  int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_port = htons(config_.port);
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
+      0) {
+    ThrowErrno("NetServer: bind");
+  }
+  socklen_t len = sizeof addr;
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
+      0) {
+    ThrowErrno("NetServer: getsockname");
+  }
+  port_ = ntohs(addr.sin_port);
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
+    ThrowErrno("NetServer: listen");
+  }
+
+  for (auto& edge : edges_) {
+    edge->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (edge->wake_fd < 0) ThrowErrno("NetServer: eventfd");
+    edge->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (edge->epoll_fd < 0) ThrowErrno("NetServer: epoll_create1");
+    if (!Watch(edge->epoll_fd, edge->wake_fd, EPOLLIN, kWakeTag)) {
+      ThrowErrno("NetServer: epoll_ctl(wake)");
+    }
+  }
+  // Level-triggered: AcceptReady accepts until EAGAIN anyway.
+  if (!Watch(edges_[0]->epoll_fd, listen_fd_, EPOLLIN, kListenTag)) {
+    ThrowErrno("NetServer: epoll_ctl(listen)");
+  }
+
+  // Connections get what the soft fd limit leaves above the server's own
+  // fds (the last one made stands in for the count of those open).
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) < 0) {
+    ThrowErrno("NetServer: getrlimit");
+  }
+  const auto used = static_cast<rlim_t>(edges_.back()->epoll_fd) + 1;
+  max_connections_ = std::min<rlim_t>(
+      kMaxConnections, limit.rlim_cur > used ? limit.rlim_cur - used : 0);
 }
 
 void NetServer::Stop() {
@@ -278,6 +286,13 @@ void NetServer::Run() {
   }
   for (std::thread& runner : edge_runners_) runner.join();
   edge_runners_.clear();
+  // Fds placed on an edge after it stopped looking at its inbox.
+  for (auto& edge : edges_) {
+    for (const int fd : edge->inbox) ::close(fd);
+    edge->open_connections.fetch_sub(edge->inbox.size(),
+                                     std::memory_order_relaxed);
+    edge->inbox.clear();
+  }
   for (auto& edge : edges_) {
     if (edge->failure != nullptr) {
       const std::exception_ptr failure = edge->failure;
@@ -368,6 +383,12 @@ void NetServer::Pump(Edge& edge, bool block) {
       [[maybe_unused]] const ssize_t r =
           ::read(edge.wake_fd, &drained, sizeof drained);
       edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+      std::vector<int> placed;
+      {
+        const std::lock_guard<std::mutex> lock(edge.inbox_mutex);
+        placed.swap(edge.inbox);
+      }
+      for (const int fd : placed) Adopt(edge, fd);
       continue;
     }
     const auto slot = static_cast<std::size_t>(tag);
@@ -392,47 +413,98 @@ void NetServer::Pump(Edge& edge, bool block) {
 }
 
 void NetServer::AcceptReady(Edge& edge) {
+  bool paused = false;
   for (;;) {
-    const int fd = ::accept4(edge.listen_fd, nullptr, nullptr,
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      const bool out_of_fds = errno == EMFILE || errno == ENFILE;
+      if (out_of_fds && !paused) {
+        // The level-triggered listener would spin the loop: it leaves the
+        // epoll set until a connection closes (ResumeAccepts). A close
+        // before the flag went up resumed nothing: accept once more.
+        ::epoll_ctl(edge.epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+        edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+        accept_paused_.store(true);
+        paused = true;
+        continue;
+      }
+      if (paused && !out_of_fds) ResumeAccepts(edge);
       return;  // EAGAIN, or transient accept failure: try next event
     }
-    // The connection cap is shared across edges: reserve, verify, undo.
-    if (open_connections_.fetch_add(1, std::memory_order_relaxed) >=
-        kMaxConnections) {
-      open_connections_.fetch_sub(1, std::memory_order_relaxed);
+    if (paused) {
+      ResumeAccepts(edge);
+      paused = false;
+    }
+    // Placement: the edge with the fewest open connections, the lowest
+    // index on a tie. The cap counts every edge's.
+    std::size_t open = 0;
+    std::size_t owner = 0;
+    std::size_t fewest = std::numeric_limits<std::size_t>::max();
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+      const std::size_t n =
+          edges_[e]->open_connections.load(std::memory_order_acquire);
+      open += n;
+      if (n < fewest) {
+        fewest = n;
+        owner = e;
+      }
+    }
+    if (open >= max_connections_) {
       ::close(fd);  // hard admission: no fd budget to even say BUSY
       continue;
     }
-    // Small pipelined frames must not wait out Nagle on the reply path.
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-
-    std::uint32_t slot;
-    if (!edge.free_conn_slots.empty()) {
-      slot = edge.free_conn_slots.back();
-      edge.free_conn_slots.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(edge.connections.size());
-      edge.connections.push_back(std::make_unique<Connection>());
-    }
-    Connection& conn = *edge.connections[slot];
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLET;
-    ev.data.u64 = slot;
-    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
-    if (::epoll_ctl(edge.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      edge.free_conn_slots.push_back(slot);
-      open_connections_.fetch_sub(1, std::memory_order_relaxed);
+    Edge& target = *edges_[owner];
+    target.open_connections.fetch_add(1, std::memory_order_relaxed);
+    if (&target == &edge) {
+      Adopt(edge, fd);
       continue;
     }
-    conn.fd = fd;
-    conn.open = true;
+    {
+      const std::lock_guard<std::mutex> lock(target.inbox_mutex);
+      target.inbox.push_back(fd);
+    }
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t w =
+        ::write(target.wake_fd, &one, sizeof one);
+    edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void NetServer::Adopt(Edge& edge, int fd) {
+  // Small pipelined frames must not wait out Nagle on the reply path.
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+
+  std::uint32_t slot;
+  if (!edge.free_conn_slots.empty()) {
+    slot = edge.free_conn_slots.back();
+    edge.free_conn_slots.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(edge.connections.size());
+    edge.connections.push_back(std::make_unique<Connection>());
+  }
+  // Bytes that arrived before this ADD are reported by it.
+  edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
+  if (!Watch(edge.epoll_fd, fd, EPOLLIN | EPOLLET, slot)) {
+    ::close(fd);
+    edge.free_conn_slots.push_back(slot);
+    edge.open_connections.fetch_sub(1, std::memory_order_release);
+    ResumeAccepts(edge);
+    return;
+  }
+  Connection& conn = *edge.connections[slot];
+  conn.fd = fd;
+  conn.open = true;
+}
+
+void NetServer::ResumeAccepts(Edge& edge) {
+  if (!accept_paused_.exchange(false)) return;
+  // epoll_ctl on edge 0's set is safe from any thread.
+  Watch(edges_[0]->epoll_fd, listen_fd_, EPOLLIN, kListenTag);
+  edge.io_syscalls.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool NetServer::DrainSocket(Edge& edge, std::size_t slot) {
@@ -749,7 +821,8 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   conn.in_off = 0;
   conn.out.clear();
   conn.out_off = 0;
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  edge.open_connections.fetch_sub(1, std::memory_order_release);
+  ResumeAccepts(edge);
   // Recycle the slot only after the current IO round is fully processed
   // (RunEdge moves these into free_conn_slots), so stale events for the
   // old fd cannot alias a fresh connection.
@@ -836,9 +909,9 @@ ServerStats NetServer::Stats() const {
         e->rejected_opens.load(std::memory_order_relaxed);
     stats.epochs += e->epochs.load(std::memory_order_relaxed);
     stats.errors += e->errors.load(std::memory_order_relaxed);
+    stats.connections += e->open_connections.load(std::memory_order_relaxed);
   }
   stats.in_flight = in_flight_.load(std::memory_order_relaxed);
-  stats.connections = open_connections_.load(std::memory_order_relaxed);
   return stats;
 }
 

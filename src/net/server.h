@@ -5,13 +5,16 @@
 // control/data-plane split: the edge owns sockets, framing and admission;
 // the decision hot path (DecideBatch's shard lanes) never touches a file
 // descriptor. The edge is N independent event-loop threads
-// (NetServerConfig::edge_threads); each edge thread owns
+// (NetServerConfig::edge_threads). Edge 0 accepts every connection on the
+// one listener and places it on the edge with the fewest open
+// connections, the lowest index on a tie; another edge gets it through
+// its mutex-guarded inbox and wake eventfd. Session ids are edge-affine,
+// so on a fresh server the k-th connection's sessions live on edge
+// k % edge_threads. Each edge thread owns
 //
-//   - its OWN SO_REUSEPORT listener on the shared port (the kernel
-//     shards incoming connections across the listeners by 4-tuple hash),
-//   - its own edge-triggered epoll instance, wake eventfd, recv buffer
-//     and slab-recycled connections (one input and one output byte
-//     buffer each) and pending queue,
+//   - its own edge-triggered epoll instance, wake eventfd, inbox, recv
+//     buffer and slab-recycled connections (one input and one output
+//     byte buffer each) and pending queue,
 //   - a contiguous GROUP of the service's shard lanes (submitter group e
 //     of DecisionServiceConfig::submitter_count = edge_threads): the
 //     edge opens its sessions through OpenSession(e), which spreads them
@@ -20,17 +23,17 @@
 //     edge thread runs its group's shards itself.
 //
 // Nothing mutable is shared between edge threads on the read / decode /
-// decide path; the only cross-edge state is a handful of atomics (the
-// global in-flight admission budget, the stop flag, per-edge stats
-// counters summed on STATS). Each edge runs the same loop the
-// single-threaded server ran:
+// decide path; the only cross-edge state is the inboxes and a handful of
+// atomics (the global in-flight admission budget, the stop flag, per-edge
+// connection counts and stats counters summed on STATS). Each edge runs
+// the same loop the single-threaded server ran:
 //
-//   Pump (one epoll_wait; accept4 new connections, recv readable sockets
-//   to EAGAIN) -> parse frames, admit or reject each request -> when
-//   admitted STEPs are pending, ONE DecideBatch over all of them
-//   (micro-batching across connections and sessions) -> encode replies
-//   into per-connection output buffers -> flush each with one sendmsg,
-//   partial writes continue under EPOLLOUT.
+//   Pump (one epoll_wait; accept4 or adopt new connections, recv
+//   readable sockets to EAGAIN) -> parse frames, admit or reject each
+//   request -> when admitted STEPs are pending, ONE DecideBatch over all
+//   of them (micro-batching across connections and sessions) -> encode
+//   replies into per-connection output buffers -> flush each with one
+//   sendmsg, partial writes continue under EPOLLOUT.
 //
 // edge_threads = 1 is bit-identical to the classic single-loop server:
 // one group = every shard, ids handed out 0, 1, 2, ..., the same admission
@@ -51,6 +54,9 @@
 //     bounds what a peer that never reads can make the edge hold. Reads
 //     resume (and missed edge-triggered data is drained explicitly) once
 //     both have halved.
+//   - Connections are capped at the smaller of 4096 and what
+//     RLIMIT_NOFILE leaves at Start(). Out of fds (EMFILE / ENFILE),
+//     edge 0 stops polling the listener until any edge closes one.
 // Every rejected request is answered (BUSY / FULL / ERROR) - nothing is
 // silently dropped while a connection lives.
 //
@@ -60,7 +66,7 @@
 // kDrainDeadline), and only then close its connections - a client that
 // stops sending sees every request it managed to send answered before EOF.
 //
-// Threading: Start() binds and listens (all edges); Run() blocks running
+// Threading: Start() binds and listens; Run() blocks running
 // edge 0's loop on the calling thread and the other edges on internal
 // threads until Stop(); tests and `osap_serve --listen` run Run() on
 // whatever thread they like. Stats() is safe from any thread.
@@ -91,9 +97,9 @@ inline constexpr std::size_t kPauseUnsentBytes = 256 * 1024;
 struct NetServerConfig {
   /// TCP port to listen on; 0 picks an ephemeral port (see Port()).
   std::uint16_t port = 0;
-  /// Independent event-loop threads, each with its own SO_REUSEPORT
-  /// listener and its own contiguous group of service shard lanes. Must
-  /// be >= 1; service.shard_count must be >= edge_threads (one lane per
+  /// Independent event-loop threads, each with its own contiguous group
+  /// of service shard lanes; edge 0 places every connection. Must be
+  /// >= 1; service.shard_count must be >= edge_threads (one lane per
   /// edge minimum). 1 = the classic single-loop server.
   std::size_t edge_threads = 1;
   /// Process-wide cap on admitted STEPs awaiting a decision, enforced
@@ -118,12 +124,12 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds + listens every edge's SO_REUSEPORT listener (throws
-  /// std::runtime_error on socket failure). Call once before Run().
+  /// Binds + listens the one listener and sets up every edge (throws
+  /// std::runtime_error on socket failure, EADDRINUSE included: one
+  /// server per port). Call once before Run().
   void Start();
 
-  /// The bound TCP port (valid after Start(); resolves port 0). All
-  /// edges share it.
+  /// The bound TCP port (valid after Start(); resolves port 0).
   std::uint16_t Port() const { return port_; }
 
   /// Runs the edge loops until Stop(): edge 0 on the calling thread,
@@ -149,9 +155,6 @@ class NetServer {
   const serve::DecisionService& service() const { return service_; }
 
  private:
-  /// Creates edge e's listener, wake eventfd and epoll instance (edge 0
-  /// resolves the shared port; the rest bind it via SO_REUSEPORT).
-  void StartEdge(std::size_t e);
   /// Edge e's event loop: runs until stop_, then drains gracefully.
   void RunEdge(Edge& edge);
   /// Post-stop drain: answer every admitted STEP, flush every queued
@@ -162,9 +165,16 @@ class NetServer {
   /// wake drains. Waits for new IO only when `block`; otherwise collects
   /// whatever is already ready and returns.
   void Pump(Edge& edge, bool block);
-  /// accept4 until EAGAIN; each fd passes the shared connection cap,
-  /// gets TCP_NODELAY and a slot, and joins the epoll set.
+  /// Edge 0: accept4 until EAGAIN; each fd passes the shared connection
+  /// cap and is placed on the edge with the fewest open connections
+  /// (adopted here, or handed off through that edge's inbox). Out of
+  /// fds, the listener leaves the epoll set.
   void AcceptReady(Edge& edge);
+  /// Gives `fd` TCP_NODELAY and a slot, and adds it to edge's epoll set.
+  void Adopt(Edge& edge, int fd);
+  /// Puts the listener back into edge 0's epoll set if AcceptReady took
+  /// it out; called on `edge`'s thread after each connection close.
+  void ResumeAccepts(Edge& edge);
   /// Edge-triggered read: recv until EAGAIN (or pause), parsing as
   /// bytes land. False closes the connection (EOF / protocol error).
   bool DrainSocket(Edge& edge, std::size_t slot);
@@ -204,13 +214,16 @@ class NetServer {
 
   std::vector<std::unique_ptr<Edge>> edges_;
   std::vector<std::thread> edge_runners_;  // edges 1..N-1 inside Run()
+  int listen_fd_ = -1;  // in edge 0's epoll set
   std::uint16_t port_ = 0;
+  std::size_t max_connections_ = 0;  // set by Start()
   std::atomic<bool> stop_{false};
+  /// The listener is out of edge 0's epoll set (accept4 ran out of fds).
+  std::atomic<bool> accept_paused_{false};
 
-  // Shared admission budget and connection count (the only cross-edge
-  // mutable state on the request path).
+  // Shared admission budget (the only cross-edge mutable state on the
+  // request path).
   std::atomic<std::size_t> in_flight_{0};
-  std::atomic<std::size_t> open_connections_{0};
 };
 
 }  // namespace osap::net

@@ -204,8 +204,8 @@ class DecisionService {
   // --- submitter groups --------------------------------------------------
   /// The group owning `shard` when `shard_count` shards are split into
   /// `groups` contiguous groups whose sizes differ by at most one, wider
-  /// groups first. The one partition formula: the network edge and its
-  /// clients use it to map a session id (id % shard_count) to its edge.
+  /// groups first. The one partition formula: session id `id` lives in
+  /// group GroupOfShard(id % shard_count, ...), i.e. on that network edge.
   static std::size_t GroupOfShard(std::size_t shard, std::size_t shard_count,
                                   std::size_t groups) {
     const std::size_t base = shard_count / groups;

@@ -1,6 +1,7 @@
-// Multi-edge NetServer tests: the properties the SO_REUSEPORT-sharded
-// edge adds on top of the single-loop server (which the loopback tests
-// keep pinning at edge_threads = 1).
+// Multi-edge NetServer tests: the properties several edges add on top of
+// the single-loop server (which the loopback tests keep pinning at
+// edge_threads = 1). On a fresh server the k-th connection lands on edge
+// k (placement_test.cc pins that).
 //
 //   - TCP_NODELAY is actually set on both ends of a connection: the
 //     client socket (the Client promises it) and the server's accepted
@@ -165,12 +166,8 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   ServerRunner server(model, cfg);
   ASSERT_EQ(server.server().EdgeCount(), 2u);
 
-  const std::unique_ptr<Client> on_edge0 = testing::ConnectToEdge(
-      server.Port(), 0, cfg.service.shard_count, cfg.edge_threads);
-  const std::unique_ptr<Client> on_edge1 = testing::ConnectToEdge(
-      server.Port(), 1, cfg.service.shard_count, cfg.edge_threads);
-  ASSERT_NE(on_edge0, nullptr);
-  ASSERT_NE(on_edge1, nullptr);
+  const std::unique_ptr<Client> on_edge0 = testing::Connect(server.Port());
+  const std::unique_ptr<Client> on_edge1 = testing::Connect(server.Port());
   Client& c1 = *on_edge0;
   Client& c2 = *on_edge1;
   abr::AbrEnvironment env(w.video, {});
@@ -259,9 +256,7 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
 }
 
 // A live session's id presented on the other edge is kError: each edge
-// addresses only its own group's open sessions. The kernel's
-// SO_REUSEPORT hash places connections, so ConnectToEdge keeps
-// connecting until one lands on each edge.
+// addresses only its own group's open sessions.
 TEST(NetMultiEdge, LiveSessionFromAnotherEdgeIsError) {
   const ServeWorld& w = SharedServeWorld();
   const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
@@ -271,13 +266,10 @@ TEST(NetMultiEdge, LiveSessionFromAnotherEdgeIsError) {
   cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
 
-  std::unique_ptr<Client> holder[2];
+  std::unique_ptr<Client> holder[2];  // holder[g] is on edge g
   std::uint64_t session[2] = {0, 0};
   for (std::size_t g = 0; g < 2; ++g) {
-    holder[g] = testing::ConnectToEdge(server.Port(), g,
-                                       cfg.service.shard_count,
-                                       cfg.edge_threads);
-    ASSERT_NE(holder[g], nullptr);
+    holder[g] = testing::Connect(server.Port());
     session[g] = holder[g]->OpenSession();
   }
 

@@ -132,7 +132,7 @@ TEST(NetSmoke, AbruptDisconnectReapsSessions) {
   survivor.CloseSession(session);
 }
 
-// Four SO_REUSEPORT edge threads under concurrent client flood (the
+// Four edge threads under concurrent client flood (the
 // --edge-threads 4 TSan smoke): every status path fires - OK, BUSY (the
 // one in-flight budget all four edges share, against pipelined duplicate
 // bursts), FULL (more opens than max_sessions, held open across a latch

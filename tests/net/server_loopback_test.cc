@@ -14,9 +14,13 @@
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstddef>
@@ -787,6 +791,117 @@ TEST(NetServerLoopback, SequentialStepsStayWithinTheIoSyscallBudget) {
   EXPECT_LE(used, budget + 1) << used << " IO syscalls in " << kRounds
                               << " rounds";
   client.CloseSession(session);
+}
+
+/// Client sockets made up front (a socket needs no new fd to connect),
+/// then the process's soft RLIMIT_NOFILE lowered to `room` fds above
+/// them. The destructor restores the limit and closes the sockets.
+class FdStarvedClients {
+ public:
+  FdStarvedClients(std::size_t count, rlim_t room) {
+    for (std::size_t i = 0; i < count; ++i) {
+      fds.push_back(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+      EXPECT_GE(fds.back(), 0);
+    }
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    const int lowest_free = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit low = saved_;
+    low.rlim_cur = static_cast<rlim_t>(lowest_free) + room;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  }
+  ~FdStarvedClients() {
+    RestoreLimit();
+    for (const int fd : fds) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  FdStarvedClients(const FdStarvedClients&) = delete;
+  FdStarvedClients& operator=(const FdStarvedClients&) = delete;
+
+  void RestoreLimit() const { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  std::vector<int> fds;  // -1 once closed
+
+ private:
+  rlimit saved_{};
+};
+
+// fd exhaustion: with the process's soft RLIMIT_NOFILE lowered so the
+// server has room for a few of 40 pending connections, accept4 fails
+// with EMFILE. Edge 0 takes its level-triggered listener out of the epoll
+// set instead of spinning on it, so a second past the limit costs a
+// bounded number of IO syscalls. Every connection the test closes frees
+// an fd and lets a pending one in (the closes happen on both edges, so
+// the resume crosses threads), until each has been answered:
+// ok + busy + full + error == sent.
+TEST(NetServerLoopback, FdExhaustionWaitsForACloseInsteadOfSpinning) {
+  constexpr std::size_t kClients = 40;
+  const ServeWorld& w = SharedServeWorld();
+  const auto model = ModelFor(w, serve::Signal::kNovelty,
+                              core::DefaultingMode::kPermanent);
+  NetServerConfig cfg;
+  cfg.edge_threads = 2;
+  cfg.service.shard_count = 2;
+  ServerRunner server(model, cfg);
+  FdStarvedClients clients(kClients, 6);
+
+  std::vector<std::uint8_t> open;
+  AppendRequestFrame(open, {kProtocolVersion, MsgType::kOpenSession, 1, 0});
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.Port());
+  for (const int fd : clients.fds) {
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    ASSERT_EQ(::send(fd, open.data(), open.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(open.size()));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::uint64_t before = server.server().IoSyscalls();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const std::uint64_t spent = server.server().IoSyscalls() - before;
+  EXPECT_LT(spent, 1000u) << "IO syscalls in 1 s past the fd limit";
+
+  // Read each answered connection's reply, then close it.
+  Tally tally;
+  std::vector<pollfd> waiting;
+  while (tally.Total() < kClients) {
+    waiting.clear();
+    for (const int fd : clients.fds) {
+      if (fd >= 0) waiting.push_back({fd, POLLIN, 0});
+    }
+    ASSERT_GT(::poll(waiting.data(), waiting.size(), 5000), 0)
+        << waiting.size() << " connections never accepted";
+    for (const pollfd& p : waiting) {
+      if (p.revents == 0) continue;
+      std::uint8_t frame[kLengthPrefixBytes + kReplyBytes];
+      ASSERT_EQ(::recv(p.fd, frame, sizeof frame, MSG_WAITALL),
+                static_cast<ssize_t>(sizeof frame));
+      Reply reply;
+      ASSERT_EQ(DecodeReply({frame + kLengthPrefixBytes, kReplyBytes}, reply),
+                DecodeResult::kOk);
+      tally.Add(reply);
+      ::close(p.fd);
+      std::replace(clients.fds.begin(), clients.fds.end(), p.fd, -1);
+    }
+  }
+  EXPECT_EQ(tally.ok, kClients);
+
+  clients.RestoreLimit();
+  Client observer;
+  observer.Connect("127.0.0.1", server.Port());
+  BoundReplyWait(observer);
+  ServerStats stats = observer.Stats();
+  for (int polls = 0; stats.connections != 1; ++polls) {
+    ASSERT_LT(polls, 100000) << stats.connections << " connections left";
+    stats = observer.Stats();
+  }
+  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(stats.busy + stats.rejected_opens + stats.errors, 0u);
 }
 
 }  // namespace

@@ -103,7 +103,6 @@ struct Coverage {
 void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                      const std::vector<ReferenceSession>& reference,
                      std::size_t g, Answers& answers, Coverage& coverage) {
-  const std::size_t groups = schedule.groups;
   const std::size_t shards = coverage.lane_rounds.size();
   const auto mine = [&](std::uint32_t s) {
     return schedule.sessions[s].group == g;
@@ -127,9 +126,8 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
     for (const std::uint32_t s : round.opens) {
       if (!mine(s)) continue;
       const auto id = service.OpenSession(g);
-      if (DecisionService::GroupOfShard(service.ShardOfSession(id), shards,
-                                        groups) != g ||
-          service.StepCount(id) != 0 || service.Defaulted(id)) {
+      if (service.TagOf(g, id) == nullptr || service.StepCount(id) != 0 ||
+          service.Defaulted(id)) {
         ADD_FAILURE() << "session " << s << " opened elsewhere or not fresh";
         return;
       }
@@ -280,13 +278,9 @@ Answers RunWire(const ServeWorld& w, const Schedule& schedule,
   net::NetServerConfig config;
   config.edge_threads = edges;
   config.service.shard_count = edges + 2;
-  const std::size_t shards = config.service.shard_count;
   ServerRunner server(ModelFor(w, signal, mode), config);
-  std::vector<std::unique_ptr<net::Client>> home(edges);
-  for (std::size_t g = 0; g < edges; ++g) {
-    home[g] = ConnectToEdge(server.Port(), g, shards, edges);
-    if (home[g] == nullptr) return Answers(schedule);
-  }
+  std::vector<std::unique_ptr<net::Client>> home(edges);  // on edge g
+  for (auto& client : home) client = Connect(server.Port());
 
   Answers answers(schedule);
   std::vector<std::uint64_t> wire_id(schedule.sessions.size());
@@ -323,9 +317,6 @@ Answers RunWire(const ServeWorld& w, const Schedule& schedule,
         const auto [s, t] = owner[reply.request_id];
         if (kind == net::MsgType::kOpenSession) {
           wire_id[s] = reply.session_id;
-          EXPECT_EQ(DecisionService::GroupOfShard(reply.session_id % shards,
-                                                  shards, edges),
-                    g);
         } else if (kind == net::MsgType::kStep) {
           EXPECT_EQ(reply.session_id, wire_id[s]);
           answers.actions[s][t] = reply.action;
@@ -347,8 +338,17 @@ Answers RunWire(const ServeWorld& w, const Schedule& schedule,
       linger hard{1, 0};
       ::setsockopt(home[g]->fd(), SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
       home[g]->Close();
-      home[g] = ConnectToEdge(server.Port(), g, shards, edges);
-      if (home[g] == nullptr) return answers;
+      // Once edge g reaps the connection it alone has the fewest, so the
+      // reconnect lands on it.
+      for (std::size_t polls = 0;
+           edges > 1 && home[(g + 1) % edges]->Stats().connections == edges;
+           ++polls) {
+        if (polls == 100000) {
+          ADD_FAILURE() << "edge " << g << " never reaped its connection";
+          return answers;
+        }
+      }
+      home[g] = Connect(server.Port());
     }
   }
   std::size_t steps = 0;
@@ -491,22 +491,11 @@ void BoundReplyWait(const net::Client& client) {
             0);
 }
 
-std::unique_ptr<net::Client> ConnectToEdge(std::uint16_t port,
-                                           std::size_t edge,
-                                           std::size_t shards,
-                                           std::size_t edges) {
-  for (int tries = 0; tries < 256; ++tries) {
-    auto client = std::make_unique<net::Client>();
-    client->Connect("127.0.0.1", port);
-    BoundReplyWait(*client);
-    const std::uint64_t probe = client->OpenSession();
-    client->CloseSession(probe);
-    if (DecisionService::GroupOfShard(probe % shards, shards, edges) == edge) {
-      return client;
-    }
-  }
-  ADD_FAILURE() << "256 connections missed edge " << edge;
-  return nullptr;
+std::unique_ptr<net::Client> Connect(std::uint16_t port) {
+  auto client = std::make_unique<net::Client>();
+  client->Connect("127.0.0.1", port);
+  BoundReplyWait(*client);
+  return client;
 }
 
 }  // namespace osap::testing

@@ -86,13 +86,8 @@ class ServerRunner {
 /// never sends fails the test instead of hanging it.
 void BoundReplyWait(const net::Client& client);
 
-/// A connection (reads bounded) whose sessions live on edge `edge` of a
-/// server with `shards` shards over `edges` edges: connects until the
-/// kernel's SO_REUSEPORT hash places one there. Records a test failure
-/// and returns null after 256 misses.
-std::unique_ptr<net::Client> ConnectToEdge(std::uint16_t port,
-                                           std::size_t edge,
-                                           std::size_t shards,
-                                           std::size_t edges);
+/// A loopback connection to `port` with bounded reads. On a fresh server
+/// the k-th connection lands on edge k % edge_threads.
+std::unique_ptr<net::Client> Connect(std::uint16_t port);
 
 }  // namespace osap::testing

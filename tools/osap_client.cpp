@@ -1,9 +1,8 @@
 // osap_client: open-loop load generator for the network edge.
 //
 // Drives an `osap_serve` server over N TCP connections (one worker
-// thread each - with a SO_REUSEPORT multi-edge server every connection
-// lands on some edge's listener), each carrying an equal share of the
-// session population.
+// thread each - a multi-edge server places each connection on its least
+// loaded edge), each carrying an equal share of the session population.
 //
 // Two session modes:
 //
@@ -45,26 +44,13 @@
 // status or transport failure counts as a protocol error. Exit status is
 // nonzero when any protocol error occurred.
 //
-// With --affinity (pairs with the server's --edge-threads) each worker
-// PINS its connection to one edge: session ids are edge-affine on the
-// server (id % shards -> lane -> contiguous group -> edge), so a session
-// must be stepped on a connection owned by its edge, and which edge a
-// fresh connection lands on is the kernel's 4-tuple hash. The worker
-// dials, opens a throwaway probe session, derives the edge from the
-// granted id, and redials until it holds a connection on its target edge
-// (worker w -> edge w % edges, a coupon-collector loop). Every session
-// the worker then opens is granted BY that edge, so its OPEN/STEP/CLOSE
-// traffic is edge-affine by construction and every edge carries load
-// even when the hash would have piled all connections onto one listener.
-// Requires --shards and --edges to match the server.
-//
 // Datasets, the eval video and the state layout come from the default
 // WorkbenchConfig through core::ArtifactCache, the same derivation the
 // server's model is built for; the client reads no cached file.
 //
 // Usage:
 //   osap_client <host> <port> [--threads N] [--sessions N] [--rate RATE]
-//               [--rounds N] [--replay K] [--affinity --shards N --edges N]
+//               [--rounds N] [--replay K]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -77,7 +63,6 @@
 #include "abr/abr_environment.h"
 #include "core/artifacts.h"
 #include "net/client.h"
-#include "serve/decision_service.h"
 #include "traces/dataset.h"
 #include "util/arg_parser.h"
 #include "util/rss.h"
@@ -156,31 +141,6 @@ std::vector<std::vector<mdp::State>> RecordSequences(
   return sequences;
 }
 
-/// Redials until `client` holds a connection on `target_edge`, detected
-/// by opening a throwaway probe session and deriving the edge from the
-/// granted id (ids are edge-affine: id % shards lands in the opening
-/// edge's group). Each redial gets a fresh ephemeral port, so the
-/// kernel's 4-tuple hash re-rolls - a coupon-collector loop that needs
-/// ~edges * ln(edges) attempts in expectation. Throws after `attempts`
-/// misses.
-void AcquireEdge(net::Client& client, const std::string& host,
-                 std::uint16_t port, std::size_t target_edge,
-                 std::size_t shards, std::size_t edges,
-                 std::size_t attempts = 512) {
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    if (!client.Connected()) client.Connect(host, port);
-    const std::uint64_t probe = client.OpenSession();
-    const std::size_t edge = serve::DecisionService::GroupOfShard(
-        static_cast<std::size_t>(probe % shards), shards, edges);
-    client.CloseSession(probe);
-    if (edge == target_edge) return;
-    client.Close();  // reconnect re-rolls the 4-tuple hash
-  }
-  throw std::runtime_error(
-      "edge affinity: target edge not reached (do --shards/--edges match "
-      "the server?)");
-}
-
 /// Pipelined burst of OPEN_SESSIONs; non-OK opens count as errors and
 /// leave the population smaller. Returns the granted session ids.
 std::vector<std::uint64_t> OpenBurst(net::Client& client, std::size_t count,
@@ -221,9 +181,6 @@ int main(int argc, char** argv) {
   double rate = 1000.0;  // aggregate decisions/s over the population
   std::size_t rounds = 200;
   std::size_t replay = 0;  // 0 = full per-session environments
-  bool affinity = false;
-  std::size_t shards = 0;  // server shard count (required with --affinity)
-  std::size_t edges = 0;   // server edge count (required with --affinity)
 
   util::ArgParser parser(
       "osap_client",
@@ -251,18 +208,6 @@ int main(int argc, char** argv) {
                    "instead of one environment per session (the 100k-1M "
                    "session mode); 0 = full environments (default)",
                    &replay);
-  parser.AddFlag("--affinity",
-                 "pin worker w's connection to edge w % edges by probe-"
-                 "and-redial (multi-edge servers; needs --shards/--edges "
-                 "matching the server)",
-                 &affinity);
-  parser.AddOption("--shards", "N",
-                   "server's shard count (required with --affinity)",
-                   &shards);
-  parser.AddOption("--edges", "N",
-                   "server's --edge-threads count (required with "
-                   "--affinity)",
-                   &edges);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
   if (port == 0 || port > 65535) {
@@ -274,12 +219,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "osap_client: need threads >= 1, sessions >= threads, "
                  "rounds >= 1, rate > 0\n");
-    return 2;
-  }
-  if (affinity && (shards == 0 || edges == 0 || shards < edges)) {
-    std::fprintf(stderr,
-                 "osap_client: --affinity needs --shards >= --edges >= 1 "
-                 "matching the server\n");
     return 2;
   }
 
@@ -312,11 +251,6 @@ int main(int argc, char** argv) {
               sessions, connections, host.c_str(), port, rounds, rate,
               round_interval_s * 1e3,
               replay > 0 ? ", replay mode" : "");
-  if (affinity) {
-    std::printf("edge affinity: worker w -> edge w %% %zu over %zu "
-                "shards\n",
-                edges, shards);
-  }
 
   std::vector<WorkerResult> results(connections);
   const auto t0 = Clock::now() + std::chrono::milliseconds(50);
@@ -332,13 +266,6 @@ int main(int argc, char** argv) {
       net::Client client;
       try {
         client.Connect(host, static_cast<std::uint16_t>(port));
-        if (affinity) {
-          // Sessions are edge-affine on the server; pin this worker's
-          // connection to its target edge so the sessions it opens (and
-          // every STEP/CLOSE they send) belong there by construction.
-          AcquireEdge(client, host, static_cast<std::uint16_t>(port),
-                      w % edges, shards, edges);
-        }
       } catch (const std::exception& e) {
         std::fprintf(stderr, "osap_client: %s\n", e.what());
         res.errors += local_count * rounds;

@@ -7,10 +7,12 @@
 //
 // Binds PORT (default 0: an ephemeral port, printed on stdout), serves
 // until SIGINT/SIGTERM, then prints the edge counters, the IO syscall
-// budget and the process RSS. Defaults: 4 shards, 1 edge, permanent
-// defaulting. --edge-threads N runs N independent SO_REUSEPORT event
-// loops, each owning a contiguous group of the service's shards
-// (requires shards >= N). Overload gets answers, not queues: a STEP past
+// budget and the process RSS. A PORT another process listens on is an
+// error (exit 1). Defaults: 4 shards, 1 edge, permanent defaulting.
+// --edge-threads N runs N independent event loops, each owning a
+// contiguous group of the service's shards (requires shards >= N); edge 0
+// accepts every connection and places it on the edge with the fewest
+// open connections. Overload gets answers, not queues: a STEP past
 // --max-in-flight admitted, undecided STEPs is answered BUSY, an OPEN past
 // --max-sessions open sessions FULL, and a connection whose admitted
 // backlog or unsent replies pile up stops being read until they halve, so
@@ -33,6 +35,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <string>
 
@@ -110,8 +113,9 @@ int main(int argc, char** argv) {
   parser.AddOption("--max-sessions", "N", "FULL past N open sessions",
                    &max_sessions);
   parser.AddOption("--edge-threads", "N",
-                   "independent SO_REUSEPORT event-loop threads, each "
-                   "owning shards/N lanes (default 1)",
+                   "independent event-loop threads, each owning "
+                   "shards/N lanes; connections go to the least loaded "
+                   "(default 1)",
                    &edge_threads);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
@@ -159,7 +163,12 @@ int main(int argc, char** argv) {
   net_cfg.edge_threads = edge_threads;
   net_cfg.service.shard_count = shards;
   net::NetServer server(model, net_cfg);
-  server.Start();
+  try {
+    server.Start();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "osap_serve: %s\n", e.what());
+    return 1;
+  }
   g_server = &server;
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
