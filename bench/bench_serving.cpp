@@ -11,8 +11,9 @@
 //     copies of identical weights through the cache hierarchy.
 //   - BM_ServeService*: one shared ServingModel behind a sharded
 //     DecisionService; a round is a single DecideBatch over all N
-//     sessions (per shard: one fused ensemble pass / one OC-SVM scan over
-//     the whole batch + one batched deployed-actor pass).
+//     sessions (per shard tile of up to core::kRowTile live requests: one
+//     fused ensemble pass / one OC-SVM scan + one batched deployed-actor
+//     pass).
 //   - BM_ServeServiceDefaulted*: the service round with a chosen share of
 //     the sessions already defaulted (args {sessions, defaulted %}).
 //   - BM_ServeServiceSparse*: rounds of 1-2 requests on 2 shards,
@@ -210,9 +211,9 @@ void TimeServiceRounds(benchmark::State& state,
   std::vector<serve::DecisionService::Request> requests(n);
   std::vector<mdp::Action> actions(n);
   StatePool();  // materialize outside the timed region
-  // One untimed warmup round: the first DecideBatch grows the shard
-  // scratch (arenas, packed-state matrices) and would otherwise dominate
-  // the p99 counter in short smoke runs.
+  // One untimed warmup round: the first DecideBatch grows the group's
+  // routing arrays and warms the caches, and would otherwise dominate the
+  // p99 counter in short smoke runs.
   for (std::size_t i = 0; i < n; ++i) {
     requests[i] = {ids[i], &PooledState(i, 0)};
   }
@@ -517,7 +518,7 @@ void RunNetServe(benchmark::State& state, core::Scheme scheme) {
                    "BM_NetServe: lost or rejected replies");
     round.fetch_add(1, std::memory_order_relaxed);
   };
-  run_round();  // one untimed warmup round (scratch growth, see RunService)
+  run_round();  // one untimed warmup round (see TimeServiceRounds)
   // The syscall ratio counts the timed rounds only: connection setup,
   // OPENs and the warmup round would otherwise dominate short runs.
   const std::uint64_t syscalls_before = server.IoSyscalls();

@@ -54,13 +54,13 @@ AgentEnsembleEstimator::AgentEnsembleEstimator(
 
 double AgentEnsembleEstimator::Score(const mdp::State& state) {
   double score = 0.0;
-  model_->ScoreStates({&state, 1}, {&score, 1});
+  model_->ScoreStates({&state, 1}, {&score, 1}, scratch_);
   return score;
 }
 
 void AgentEnsembleEstimator::ScoreBatch(std::span<const mdp::State> states,
                                         std::span<double> out) {
-  model_->ScoreStates(states, out);
+  model_->ScoreStates(states, out, scratch_);
 }
 
 ValueEnsembleEstimator::ValueEnsembleEstimator(
@@ -73,13 +73,13 @@ ValueEnsembleEstimator::ValueEnsembleEstimator(
 
 double ValueEnsembleEstimator::Score(const mdp::State& state) {
   double score = 0.0;
-  model_->ScoreStates({&state, 1}, {&score, 1});
+  model_->ScoreStates({&state, 1}, {&score, 1}, scratch_);
   return score;
 }
 
 void ValueEnsembleEstimator::ScoreBatch(std::span<const mdp::State> states,
                                         std::span<double> out) {
-  model_->ScoreStates(states, out);
+  model_->ScoreStates(states, out, scratch_);
 }
 
 }  // namespace osap::core

@@ -13,7 +13,8 @@
 //
 // The scoring math and packed member weights live in the shared, immutable
 // core::EnsembleModel (one per ensemble per process); these classes are
-// thin stateless adapters onto the UncertaintyEstimator interface. The
+// thin adapters onto the UncertaintyEstimator interface (their only state
+// is scoring scratch). The
 // serving path skips the adapter and batches states from many sessions
 // straight through the model (see src/serve/).
 #pragma once
@@ -58,6 +59,7 @@ class AgentEnsembleEstimator final : public UncertaintyEstimator {
  private:
   std::vector<std::shared_ptr<nn::ActorCriticNet>> members_;
   std::shared_ptr<const EnsembleModel> model_;
+  EnsembleModel::Scratch scratch_;
 };
 
 /// U_V: sum of absolute deviations of surviving members' values from the
@@ -83,6 +85,7 @@ class ValueEnsembleEstimator final : public UncertaintyEstimator {
  private:
   std::vector<std::shared_ptr<nn::CompositeNet>> members_;
   std::shared_ptr<const EnsembleModel> model_;
+  EnsembleModel::Scratch scratch_;
 };
 
 }  // namespace osap::core

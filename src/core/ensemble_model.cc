@@ -6,28 +6,12 @@
 
 #include "nn/losses.h"
 #include "nn/matrix.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/kl.h"
 
 namespace osap::core {
 
 namespace {
-
-/// Per-thread per-decision scratch: the whole scoring call is allocation-
-/// free once these are warm (ensembles are queried once per ABR decision,
-/// so this is the hot path the paper's online-cost claim rests on).
-struct DecisionScratch {
-  nn::InferScratch infer;
-  nn::Matrix probs;         // K x ActionCount softmax rows (U_pi only)
-  nn::Matrix batch_states;  // B x InputSize state rows (ScoreStates only)
-  util::Arena arena;
-};
-
-DecisionScratch& LocalDecisionScratch() {
-  thread_local DecisionScratch scratch;
-  return scratch;
-}
 
 /// Allocation-free SurvivingMembers over caller-provided index storage:
 /// stable insertion sort by distance (same permutation as the stable_sort
@@ -51,17 +35,13 @@ std::span<std::size_t> SurviveInto(std::span<const double> distances,
   return order.first(keep);
 }
 
-/// States packed per ScorePacked call in ScoreStates; bounds the scratch
-/// activations.
-constexpr std::size_t kScoreBatch = 32;
-
 /// U_pi steps 2-3 over the n softmaxed member rows sitting in s.probs:
 /// distances from the full-ensemble mean, drop the farthest, sum KL from
 /// the survivors' mean.
-double TrimmedKlScore(DecisionScratch& s, std::size_t n, std::size_t keep) {
+double TrimmedKlScore(EnsembleModel::Scratch& s, std::size_t n, std::size_t keep) {
   const std::size_t dim = s.probs.cols();
-  s.arena.Reset();
-  const std::span<double> mean = s.arena.Alloc<double>(dim);
+  s.trim.Reset();
+  const std::span<double> mean = s.trim.Alloc<double>(dim);
   std::fill(mean.begin(), mean.end(), 0.0);
   for (std::size_t m = 0; m < n; ++m) {
     const double* d = s.probs.data() + m * dim;
@@ -70,14 +50,14 @@ double TrimmedKlScore(DecisionScratch& s, std::size_t n, std::size_t keep) {
   for (std::size_t i = 0; i < dim; ++i) {
     mean[i] /= static_cast<double>(n);
   }
-  const std::span<double> distances = s.arena.Alloc<double>(n);
+  const std::span<double> distances = s.trim.Alloc<double>(n);
   for (std::size_t m = 0; m < n; ++m) {
     distances[m] = KlDivergence(s.probs.Row(m), mean);
   }
   const std::span<std::size_t> survivors =
-      SurviveInto(distances, keep, s.arena.Alloc<std::size_t>(n));
+      SurviveInto(distances, keep, s.trim.Alloc<std::size_t>(n));
 
-  const std::span<double> kept_mean = s.arena.Alloc<double>(dim);
+  const std::span<double> kept_mean = s.trim.Alloc<double>(dim);
   std::fill(kept_mean.begin(), kept_mean.end(), 0.0);
   for (const std::size_t idx : survivors) {
     const double* d = s.probs.data() + idx * dim;
@@ -96,21 +76,21 @@ double TrimmedKlScore(DecisionScratch& s, std::size_t n, std::size_t keep) {
 /// U_V trimming over member values in rows [first_row, first_row + n) of
 /// an inference result: mean, drop the farthest, sum absolute deviations
 /// from the survivors' mean.
-double TrimmedValueScore(DecisionScratch& s, const nn::Matrix& out,
+double TrimmedValueScore(EnsembleModel::Scratch& s, const nn::Matrix& out,
                          std::size_t first_row, std::size_t n,
                          std::size_t keep) {
-  s.arena.Reset();
-  const std::span<double> values = s.arena.Alloc<double>(n);
+  s.trim.Reset();
+  const std::span<double> values = s.trim.Alloc<double>(n);
   for (std::size_t m = 0; m < n; ++m) values[m] = out.At(first_row + m, 0);
   double mean = 0.0;
   for (const double v : values) mean += v;
   mean /= static_cast<double>(n);
-  const std::span<double> distances = s.arena.Alloc<double>(n);
+  const std::span<double> distances = s.trim.Alloc<double>(n);
   for (std::size_t m = 0; m < n; ++m) {
     distances[m] = std::abs(values[m] - mean);
   }
   const std::span<std::size_t> survivors =
-      SurviveInto(distances, keep, s.arena.Alloc<std::size_t>(n));
+      SurviveInto(distances, keep, s.trim.Alloc<std::size_t>(n));
   double kept_mean = 0.0;
   for (const std::size_t idx : survivors) kept_mean += values[idx];
   kept_mean /= static_cast<double>(survivors.size());
@@ -137,37 +117,38 @@ EnsembleModel::EnsembleModel(Kind kind,
 }
 
 void EnsembleModel::ScoreStates(std::span<const mdp::State> states,
-                                std::span<double> out) const {
+                                std::span<double> out,
+                                Scratch& scratch) const {
   OSAP_REQUIRE(out.size() >= states.size(),
                "ScoreStates: output span too short");
-  nn::Matrix& packed = LocalDecisionScratch().batch_states;
+  nn::Matrix& packed = scratch.packed;
   const std::size_t input = InputSize();
-  for (std::size_t done = 0; done < states.size(); done += kScoreBatch) {
-    const std::size_t batch = std::min(kScoreBatch, states.size() - done);
+  for (std::size_t done = 0; done < states.size(); done += kRowTile) {
+    const std::size_t batch = std::min(kRowTile, states.size() - done);
     packed.ReshapeUninitialized(batch, input);
     for (std::size_t b = 0; b < batch; ++b) {
       const mdp::State& st = states[done + b];
       OSAP_REQUIRE(st.size() >= input, "ScoreStates: state too narrow");
       std::copy(st.data(), st.data() + input, packed.Row(b).data());
     }
-    ScorePacked(packed, out.subspan(done, batch));
+    ScorePacked(packed, out.subspan(done, batch), {}, scratch);
   }
 }
 
 void EnsembleModel::ScorePacked(const nn::Matrix& states,
                                 std::span<double> out,
-                                std::span<mdp::Action> greedy_first) const {
+                                std::span<mdp::Action> greedy_first,
+                                Scratch& s) const {
   const std::size_t batch = states.rows();
   if (batch == 0) return;
   OSAP_REQUIRE(out.size() >= batch, "ScorePacked: output span too short");
   OSAP_REQUIRE(greedy_first.empty() || (kind_ == Kind::kPolicyKl &&
                                         greedy_first.size() >= batch),
                "ScorePacked: greedy_first needs kPolicyKl and >= B slots");
-  DecisionScratch& s = LocalDecisionScratch();
   const std::size_t n = MemberCount();
   // One fused pass over the whole pack: member weights stream exactly once
-  // per op for the entire shard batch. Every InferBatch row depends on its
-  // own state alone, so batch grouping is invisible in the scores.
+  // per op for the entire pack. Every InferBatch row depends on its own
+  // state alone, so batch grouping is invisible in the scores.
   const nn::Matrix& result = batched_.InferBatch(states, s.infer);
   for (std::size_t b = 0; b < batch; ++b) {
     const double* first = result.Row(b * n).data();
@@ -180,8 +161,8 @@ void EnsembleModel::ScorePacked(const nn::Matrix& states,
     } else {
       // U_pi: per-member action distributions from the fused logits, then
       // trim the farthest members and sum KL from the survivors' mean. All
-      // short-lived arrays come from the arena (pointer bumps after
-      // warm-up); the accumulation order matches MeanDistribution
+      // short-lived arrays come from the trim arena (pointer bumps after
+      // the first row); the accumulation order matches MeanDistribution
       // (member-major sums, then one divide).
       s.probs.ReshapeUninitialized(n, result.cols());
       for (std::size_t m = 0; m < n; ++m) {

@@ -13,7 +13,8 @@
 // a state's score is the same bits whichever entry and batch it came
 // through, which is what lets the sharded decision service reproduce the
 // sequential SafeAgent loop exactly (pinned by equivalence tests). Every
-// entry point is const and thread-safe (scratch is thread-local).
+// entry point is const and thread-safe: a pass writes only the caller's
+// Scratch (one per estimator instance or serving submitter group).
 #pragma once
 
 #include <cstddef>
@@ -22,8 +23,14 @@
 
 #include "mdp/types.h"
 #include "nn/ensemble_forward.h"
+#include "util/arena.h"
 
 namespace osap::core {
+
+/// The most rows one pass sees (ScoreStates, DecisionService's tiles), so
+/// its activations stay in cache and its scratch is bounded (DESIGN.md §9;
+/// picked from a 16/32/64/128 sweep, EXPERIMENTS.md "One row tile").
+inline constexpr std::size_t kRowTile = 64;
 
 class EnsembleModel {
  public:
@@ -32,23 +39,38 @@ class EnsembleModel {
     kValueDeviation,  // U_V: trimmed absolute deviation over scalar values
   };
 
+  /// The buffers a pass writes, owned by its caller; a pass over B rows
+  /// grows them to B rows once.
+  struct Scratch {
+    nn::InferScratch infer;
+    nn::Matrix probs;   // K x OutputSize softmax rows (U_pi)
+    nn::Matrix packed;  // ScoreStates' tile of packed states
+    util::Arena trim;   // one row's trim arrays, rewound per row
+
+    /// Capacity bytes of every buffer.
+    std::size_t Bytes() const {
+      return infer.Bytes() + trim.CapacityBytes() +
+             (probs.values().capacity() + packed.values().capacity()) *
+                 sizeof(double);
+    }
+  };
+
   /// Packs the members' weights (snapshot; rebuild after retraining). All
   /// members must share one topology; `discard` must leave >= 1 member.
   EnsembleModel(Kind kind, std::vector<const nn::CompositeNet*> members,
                 std::size_t discard);
 
-  /// Packs `states` (each at least InputSize wide) into ScorePacked in
-  /// blocks of up to 32 rows, which bounds the scratch activations; out[i]
-  /// is states[i]'s score. The estimators' entry: Score is a one-state
-  /// call, ScoreBatch (replay calibration) a whole session's states.
-  void ScoreStates(std::span<const mdp::State> states,
-                   std::span<double> out) const;
+  /// Packs `states` (each at least InputSize wide) into ScorePacked
+  /// kRowTile rows at a time; out[i] is states[i]'s score. The estimators'
+  /// entry: Score is a one-state call, ScoreBatch a session's states.
+  void ScoreStates(std::span<const mdp::State> states, std::span<double> out,
+                   Scratch& scratch) const;
 
   /// Scores B pre-packed state rows (B x InputSize; wider rows use the
   /// leading InputSize columns) with ONE fused InferBatch pass over the
-  /// whole pack - the serving hot path, where B is a shard's entire
-  /// pending-session batch. out[b] depends on row b alone: every row
-  /// takes the single-state kernels and the same scoring loop.
+  /// whole pack - on the serving path B is one tile of a shard's live
+  /// requests. out[b] depends on row b alone: every row takes the
+  /// single-state kernels and the same scoring loop.
   ///
   /// kPolicyKl only: a non-empty `greedy_first` (>= B) additionally
   /// receives member 0's greedy action per row - softmax the logits, take
@@ -61,7 +83,14 @@ class EnsembleModel {
   /// state can overflow them) scores +inf, with greedy action 0: the
   /// trigger then fails closed on it, and nothing throws.
   void ScorePacked(const nn::Matrix& states, std::span<double> out,
-                   std::span<mdp::Action> greedy_first = {}) const;
+                   std::span<mdp::Action> greedy_first,
+                   Scratch& scratch) const;
+  /// One-off form for tests and tools: allocates its own scratch.
+  void ScorePacked(const nn::Matrix& states, std::span<double> out,
+                   std::span<mdp::Action> greedy_first = {}) const {
+    Scratch scratch;
+    ScorePacked(states, out, greedy_first, scratch);
+  }
 
   Kind kind() const { return kind_; }
   std::size_t MemberCount() const { return batched_.MemberCount(); }

@@ -18,6 +18,13 @@ struct InferScratch {
   Matrix b;       // ping-pong activation buffer
   Matrix slice;   // branch input column slice
   Matrix concat;  // concatenated branch outputs feeding the trunk
+
+  /// Capacity bytes of the four buffers.
+  std::size_t Bytes() const {
+    return (a.values().capacity() + b.values().capacity() +
+            slice.values().capacity() + concat.values().capacity()) *
+           sizeof(double);
+  }
 };
 
 /// A stack of layers applied in order. Owns its layers.

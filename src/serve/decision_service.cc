@@ -117,45 +117,26 @@ std::size_t DecisionService::StepCount(SessionId id) const {
   return CheckOpen(id).state.steps;
 }
 
-void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
-  lane.peak_count = std::max(lane.peak_count, count);
-  lane.peak_arena_used =
-      std::max(lane.peak_arena_used, lane.arena.UsedBytes());
-  if (++lane.epochs_since_shrink < kLaneShrinkEpochs) return;
-
-  // Release anything allocated for more than 2x the period's high-water
-  // need; the next spike simply regrows it. Matrices are released whole
-  // (ReshapeUninitialized will re-allocate exactly the working-set size
-  // next epoch), the arena down to its recent use.
-  const auto maybe_release = [](nn::Matrix& matrix,
-                                std::size_t needed_elems) {
-    if (matrix.values().capacity() > 2 * needed_elems) matrix = nn::Matrix();
-  };
-  const std::size_t input = model_->InputSize();
-  maybe_release(lane.states, lane.peak_count * input);
-  maybe_release(lane.learned_states, lane.peak_count * input);
-  if (model_->signal() == Signal::kNovelty) {
-    const std::size_t fdim = 2 * model_->NoveltyConfig().k;
-    maybe_release(lane.features, lane.peak_count * fdim);
-  }
-  if (lane.learned_actions.capacity() > 2 * lane.peak_count) {
-    lane.learned_actions.clear();
-    lane.learned_actions.shrink_to_fit();
-  }
-  if (lane.arena.CapacityBytes() > 2 * lane.peak_arena_used) {
-    lane.arena.ShrinkTo(lane.peak_arena_used);
-  }
-  lane.peak_count = 0;
-  lane.peak_arena_used = 0;
-  lane.epochs_since_shrink = 0;
-}
-
 std::span<const std::size_t> DecisionService::DecideBatch(
     std::span<const Request> requests, std::span<mdp::Action> out) {
   OSAP_REQUIRE(out.size() >= requests.size(),
                "DecideBatch: output span too short");
   if (requests.empty()) return {};
   SubmitterGroup& group = *groups_[GroupOf(requests[0].session)];
+  TileScratch& tile = group.tile;
+  if (tile.states.values().empty()) {
+    // First round: one full tile of zero states through the round's passes
+    // sizes the scratch for good, off the start-up path.
+    const nn::Matrix zeros(core::kRowTile, model_->InputSize());
+    tile.states = zeros;
+    if (model_->signal() == Signal::kNovelty) {
+      tile.features.ReshapeUninitialized(core::kRowTile,
+                                         2 * model_->NoveltyConfig().k);
+    } else {
+      model_->UncertaintyScores(zeros, tile.scores, {}, tile.model);
+    }
+    model_->GreedyActions(zeros, tile.actions, tile.model);
+  }
   const std::size_t begin = group.begin;
   const std::size_t end = group.end;
   // Rounds draw from one global counter so reply epochs stay unique
@@ -207,44 +188,48 @@ std::span<const std::size_t> DecisionService::DecideBatch(
   for (std::size_t s = begin; s < end; ++s) {
     const std::size_t stop = offsets[s - begin];
     if (stop == start) continue;
-    RunShard(s, requests, out,
+    RunShard(s, tile, requests, out,
              std::span<const std::size_t>(group.order).subspan(start,
                                                                stop - start));
-    MaybeShrinkLane(*shards_[s], stop - start);
     start = stop;
   }
   return group.deferred;
 }
 
-void DecisionService::RunShard(std::size_t shard,
+void DecisionService::RunShard(std::size_t shard, TileScratch& tile,
                                std::span<const Request> requests,
                                std::span<mdp::Action> out,
                                std::span<const std::size_t> idx) {
-  ShardLane& s = *shards_[shard];
+  ShardLane& lane = *shards_[shard];
   const core::SafeAgentConfig& safety = model_->safety();
-  s.arena.Reset();
-
-  // Compact before packing: a kPermanent session that has defaulted is
+  // Triage as the tile fills: a kPermanent session that has defaulted is
   // answered from the fallback mapping right here (SafetyStepDefaulted
-  // counts its step), so it costs no pack row, no ensemble pass or
-  // extractor push, and no trigger statistic. Everything below runs over
-  // the live requests only; kRevocable sessions are always live.
-  const std::span<std::size_t> live = s.arena.Alloc<std::size_t>(idx.size());
+  // counts its step) and costs no tile row; kRevocable sessions are always
+  // live. A session appears once per round, so tile order changes nothing.
   std::size_t count = 0;
   for (const std::size_t i : idx) {
     const Request& r = requests[i];
     if (core::SafetyStepDefaulted(safety,
-                                  s.sessions[LocalOf(r.session)].state)) {
+                                  lane.sessions[LocalOf(r.session)].state)) {
       out[i] = model_->FallbackAction(*r.state);
-    } else {
-      live[count++] = i;
+      continue;
+    }
+    tile.live[count++] = i;
+    if (count == core::kRowTile) {
+      RunTile(lane, tile, requests, out, count);
+      count = 0;
     }
   }
-  if (count == 0) return;
-  idx = live.first(count);
+  if (count > 0) RunTile(lane, tile, requests, out, count);
+}
 
+void DecisionService::RunTile(ShardLane& lane, TileScratch& tile,
+                              std::span<const Request> requests,
+                              std::span<mdp::Action> out, std::size_t count) {
+  const core::SafeAgentConfig& safety = model_->safety();
   const std::size_t input = model_->InputSize();
-  const std::span<double> scores = s.arena.Alloc<double>(count);
+  const std::span<const std::size_t> live(tile.live.data(), count);
+  const std::span<double> scores(tile.scores.data(), count);
   // U_pi only: per-request deployed-actor actions emitted by the scoring
   // pass itself (empty for the other signals).
   std::span<mdp::Action> scored_actions;
@@ -259,45 +244,42 @@ void DecisionService::RunShard(std::size_t shard,
     // score 0.
     const core::NoveltyDetector::Probe& probe = model_->NoveltyProbe();
     const core::NoveltyDetectorConfig& novelty = model_->NoveltyConfig();
-    const std::size_t fdim = 2 * novelty.k;
-    s.features.ReshapeUninitialized(count, fdim);
-    const std::span<std::size_t> staged_of = s.arena.Alloc<std::size_t>(count);
+    tile.features.ReshapeUninitialized(count, 2 * novelty.k);
     std::size_t staged = 0;
     for (std::size_t j = 0; j < count; ++j) {
-      const Request& r = requests[idx[j]];
+      const Request& r = requests[live[j]];
       scores[j] = 0.0;
       const double observation = probe(*r.state);
       if (observation <= 0.0) continue;
-      const std::span<double> span = s.sessions.Scratch(LocalOf(r.session));
+      const std::span<double> span = lane.sessions.Scratch(LocalOf(r.session));
       if (core::NoveltyFeatureExtractor::Push(
               novelty, NoveltyOf(span),
               span.subspan(ring_width_ + kNoveltyStateDoubles), observation,
-              s.features.Row(staged))) {
-        staged_of[staged] = j;
-        ++staged;
+              tile.features.Row(staged))) {
+        tile.staged_of[staged++] = j;
       }
     }
     if (staged > 0) {
-      const std::span<double> values = s.arena.Alloc<double>(staged);
-      model_->NoveltyDecisionValues(s.features.data(), staged, values);
+      const std::span<double> values(tile.values.data(), staged);
+      model_->NoveltyDecisionValues(tile.features.data(), staged, values);
       for (std::size_t t = 0; t < staged; ++t) {
-        scores[staged_of[t]] = values[t] >= 0.0 ? 0.0 : 1.0;
+        scores[tile.staged_of[t]] = values[t] >= 0.0 ? 0.0 : 1.0;
       }
     }
   } else {
-    // U_pi / U_V: pack every pending state and score the whole shard with
-    // one fused pass over the shared ensemble weights. For U_pi the same
-    // pass also yields every session's deployed-actor action (the actor is
-    // ensemble member 0), eliminating the separate actor pass below.
-    s.states.ReshapeUninitialized(count, input);
+    // U_pi / U_V: pack the tile's states and score them with one fused
+    // pass over the shared ensemble weights. For U_pi the same pass also
+    // yields every session's deployed-actor action (the actor is ensemble
+    // member 0), eliminating the separate actor pass below.
+    tile.states.ReshapeUninitialized(count, input);
     for (std::size_t j = 0; j < count; ++j) {
-      const mdp::State& st = *requests[idx[j]].state;
-      std::copy(st.data(), st.data() + input, s.states.Row(j).data());
+      const mdp::State& st = *requests[live[j]].state;
+      std::copy(st.data(), st.data() + input, tile.states.Row(j).data());
     }
     if (model_->ScoresYieldActions()) {
-      scored_actions = s.arena.Alloc<mdp::Action>(count);
+      scored_actions = std::span<mdp::Action>(tile.actions.data(), count);
     }
-    model_->UncertaintyScores(s.states, scores, scored_actions);
+    model_->UncertaintyScores(tile.states, scores, scored_actions, tile.model);
   }
 
   // Advance each session's defaulting state machine in its record and
@@ -305,33 +287,34 @@ void DecisionService::RunShard(std::size_t shard,
   // answering fallback sessions immediately and collecting the rest for
   // one batched deployed-actor pass (unless the scoring pass already
   // produced their actions).
-  const std::span<std::size_t> learned_of = s.arena.Alloc<std::size_t>(count);
   std::size_t learned = 0;
   for (std::size_t j = 0; j < count; ++j) {
-    const Request& r = requests[idx[j]];
+    const Request& r = requests[live[j]];
     const std::size_t local = LocalOf(r.session);
-    SessionRecord& session = s.sessions[local];
-    double* ring = ring_width_ > 0 ? s.sessions.Scratch(local).data() : nullptr;
+    SessionRecord& session = lane.sessions[local];
+    double* ring =
+        ring_width_ > 0 ? lane.sessions.Scratch(local).data() : nullptr;
     if (core::SafetyObserve(safety, session.state, session.cold, ring,
                             scores[j])) {
-      out[idx[j]] = model_->FallbackAction(*r.state);
+      out[live[j]] = model_->FallbackAction(*r.state);
     } else if (!scored_actions.empty()) {
-      out[idx[j]] = scored_actions[j];
+      out[live[j]] = scored_actions[j];
     } else {
-      learned_of[learned++] = j;
+      tile.learned_of[learned++] = j;
     }
   }
   if (learned > 0) {
-    s.learned_states.ReshapeUninitialized(learned, input);
+    // The scoring pass is done with the packed states: repack the
+    // learned rows in their place.
+    tile.states.ReshapeUninitialized(learned, input);
     for (std::size_t t = 0; t < learned; ++t) {
-      const mdp::State& st = *requests[idx[learned_of[t]]].state;
-      std::copy(st.data(), st.data() + input,
-                s.learned_states.Row(t).data());
+      const mdp::State& st = *requests[live[tile.learned_of[t]]].state;
+      std::copy(st.data(), st.data() + input, tile.states.Row(t).data());
     }
-    s.learned_actions.resize(learned);
-    model_->GreedyActions(s.learned_states, s.learned_actions);
+    const std::span<mdp::Action> actions(tile.actions.data(), learned);
+    model_->GreedyActions(tile.states, actions, tile.model);
     for (std::size_t t = 0; t < learned; ++t) {
-      out[idx[learned_of[t]]] = s.learned_actions[t];
+      out[live[tile.learned_of[t]]] = actions[t];
     }
   }
 }
@@ -344,12 +327,7 @@ void DecisionService::AccumulateLane(std::size_t shard,
   stats.record_bytes += slots * sizeof(SessionRecord);
   stats.span_bytes += slots * span_doubles_ * sizeof(double);
   stats.registry_bytes += lane.sessions.TableBytes();
-  stats.scratch_bytes +=
-      sizeof(ShardLane) + lane.arena.CapacityBytes() +
-      lane.states.values().capacity() * sizeof(double) +
-      lane.features.values().capacity() * sizeof(double) +
-      lane.learned_states.values().capacity() * sizeof(double) +
-      lane.learned_actions.capacity() * sizeof(mdp::Action);
+  stats.scratch_bytes += sizeof(ShardLane);
 }
 
 void DecisionService::AccumulateGroup(std::size_t group,
@@ -360,10 +338,15 @@ void DecisionService::AccumulateGroup(std::size_t group,
   stats.session_slots += g.fresh;
   stats.open_sessions += g.fresh - g.free_ids.size();
   stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
+  const TileScratch& tile = g.tile;
   stats.scratch_bytes +=
       sizeof(SubmitterGroup) +
+      (tile.states.values().capacity() + tile.features.values().capacity()) *
+          sizeof(double) +
+      tile.model.Bytes();
+  stats.routing_bytes +=
       (g.offsets.capacity() + g.order.capacity() + g.deferred.capacity()) *
-          sizeof(std::size_t);
+      sizeof(std::size_t);
 }
 
 ServiceMemoryStats DecisionService::MemoryStats() const {

@@ -10,14 +10,14 @@
 //      so it is never packed, scored or pushed through its trigger;
 //      kRevocable sessions always take steps 1-4 (revocation needs the
 //      quiet streak),
-//   1. packs its remaining (live) sessions' states into one contiguous
-//      matrix,
-//   2. computes every session's uncertainty score with a single fused
-//      pass over the SHARED model weights (EnsembleModel::ScorePacked for
+//   1. packs a tile of up to core::kRowTile remaining (live) sessions'
+//      states into one contiguous matrix,
+//   2. computes the tile's uncertainty scores with a single fused pass
+//      over the SHARED model weights (EnsembleModel::ScorePacked for
 //      U_pi / U_V; staged feature rows + one OneClassSvm::DecisionValues
 //      scan for U_S),
 //   3. advances each session's defaulting state machine on its score, and
-//   4. emits actions: one batched deployed-actor pass for the
+//   4. emits actions: one batched deployed-actor pass for the tile's
 //      non-defaulted sessions, the Buffer-Based mapping for the rest.
 //
 // One thread per submitter: DecideBatch stably sorts the round's request
@@ -71,14 +71,14 @@
 // open/close reuses the slot its recycled id names. A STEP reads one
 // record plus its span. MemoryStats() reports the exact breakdown.
 //
-// Per-shard scratch (index/score arrays, packed matrices, a util::Arena)
-// persists across calls, so the steady state is allocation-free; after a
-// population spike, lanes shrink scratch back to the recent working set
-// (every kLaneShrinkEpochs epochs). The throughput win over the
-// one-session-at-a-time loop comes from weight de-duplication - N
-// sequential sessions stream N private ~100 KB weight packs through the
-// cache hierarchy per round, the service streams ONE shared pack per
-// shard batch.
+// Every buffer a pass touches holds at most kRowTile rows: each group
+// owns one TileScratch (its shards run one at a time on its thread),
+// sized on its first round, so the steady state is allocation-free and a
+// spike leaves nothing behind; only the group's routing arrays follow the
+// largest round. The throughput win over the one-session-at-a-time loop
+// comes from weight de-duplication - N sequential sessions stream N
+// private ~100 KB weight packs through the cache per round, the service
+// streams ONE shared pack per tile, whose activations stay in cache.
 //
 // Thread-safety: the service starts no threads. Each submitter GROUP is
 // externally synchronized - do not call OpenSession / Close /
@@ -87,6 +87,7 @@
 // groups quiescent; MemoryStatsOfGroup() needs only its own group idle.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -101,7 +102,6 @@
 #include "nn/matrix.h"
 #include "nn/sequential.h"
 #include "serve/serving_model.h"
-#include "util/arena.h"
 #include "util/slab_pool.h"
 
 namespace osap::serve {
@@ -129,13 +129,16 @@ struct ServiceMemoryStats {
   std::size_t record_bytes = 0;   // their SessionRecords
   std::size_t span_bytes = 0;     // their trigger rings / U_S extractors
   std::size_t registry_bytes = 0;  // free ids and slab tables
-  std::size_t scratch_bytes = 0;   // shard lanes and routing scratch
+  std::size_t scratch_bytes = 0;   // lanes, groups and their tile scratch
+  std::size_t routing_bytes = 0;   // per-request index arrays
 
-  /// Bytes attributable to session state (everything but shard scratch).
+  /// Bytes attributable to session state (everything but scratch).
   std::size_t SessionBytes() const {
     return record_bytes + span_bytes + registry_bytes;
   }
-  std::size_t TotalBytes() const { return SessionBytes() + scratch_bytes; }
+  std::size_t TotalBytes() const {
+    return SessionBytes() + scratch_bytes + routing_bytes;
+  }
   /// Session bytes amortized over the open sessions (0 when none).
   double BytesPerSession() const {
     return open_sessions == 0 ? 0.0
@@ -253,25 +256,30 @@ class DecisionService {
   /// slab's table entry costs one byte per slot.
   static constexpr std::size_t kSlabSlots = 16;
 
-  /// Per-shard lane: the shard's session slots plus scratch that persists
-  /// across DecideBatch calls. unique_ptr in shards_ because the arena is
-  /// pinned in place (non-movable).
+  /// Per-shard lane: the shard's session slots (allocated separately, so
+  /// lanes of different groups never share a cache line).
   struct ShardLane {
     explicit ShardLane(std::size_t span_doubles)
         : sessions(kSlabSlots, span_doubles) {}
 
     std::size_t group = 0;  // the submitter group owning this shard
     util::SlabPool<SessionRecord> sessions;
+  };
 
-    // --- scratch reused by every round of the shard ---
-    util::Arena arena;        // per-round index/score arrays
-    nn::Matrix states;        // packed request states
-    nn::Matrix features;      // U_S staged feature rows
-    nn::Matrix learned_states;
-    std::vector<mdp::Action> learned_actions;
-    std::size_t peak_count = 0;       // requests/round since last shrink
-    std::size_t peak_arena_used = 0;  // arena bytes since last shrink
-    std::size_t epochs_since_shrink = 0;
+  /// The buffers of one tile's pass, core::kRowTile rows each (row j is
+  /// the tile's j-th live request).
+  struct TileScratch {
+    std::array<std::size_t, core::kRowTile> live;  // request index of row j
+    std::array<double, core::kRowTile> scores;
+    /// U_pi: the scoring pass's actions by row; otherwise the actor
+    /// pass's, by learned row.
+    std::array<mdp::Action, core::kRowTile> actions;
+    std::array<std::size_t, core::kRowTile> learned_of;  // row of learned row t
+    std::array<std::size_t, core::kRowTile> staged_of;   // U_S: row of feature t
+    std::array<double, core::kRowTile> values;           // U_S decision values
+    nn::Matrix states;    // packed live states, then the learned ones
+    nn::Matrix features;  // U_S staged feature rows
+    ServingModel::Scratch model;
   };
 
   /// One submitter group's own state: its shard range, its session-id
@@ -294,20 +302,19 @@ class DecisionService {
     /// The round's deferred request indices, ascending (DecideBatch's
     /// return value).
     std::vector<std::size_t> deferred;
+    /// The one tile the group's shards run through, one at a time.
+    TileScratch tile;
   };
 
-  /// Non-empty rounds between a lane's scratch-shrink checks
-  /// (MaybeShrinkLane).
-  static constexpr std::size_t kLaneShrinkEpochs = 64;
-
-  /// Scores and answers one shard's slice of the round. `idx` lists the
-  /// shard's request indices in caller order.
-  void RunShard(std::size_t shard, std::span<const Request> requests,
-                std::span<mdp::Action> out, std::span<const std::size_t> idx);
-  /// Periodic scratch diet: tracks the lane's high-water use and, every
-  /// kLaneShrinkEpochs non-empty rounds, releases arena blocks / packed
-  /// matrices beyond 2x the recent need. Runs after each RunShard.
-  void MaybeShrinkLane(ShardLane& lane, std::size_t count);
+  /// Answers one shard's slice of the round, one tile of live requests
+  /// at a time. `idx` lists the shard's request indices in caller order.
+  void RunShard(std::size_t shard, TileScratch& tile,
+                std::span<const Request> requests, std::span<mdp::Action> out,
+                std::span<const std::size_t> idx);
+  /// Scores, observes and acts the `count` live requests of `tile`.
+  void RunTile(ShardLane& lane, TileScratch& tile,
+               std::span<const Request> requests, std::span<mdp::Action> out,
+               std::size_t count);
   std::size_t GroupOf(SessionId id) const {
     return shards_[ShardOf(id)]->group;
   }

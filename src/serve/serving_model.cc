@@ -34,18 +34,6 @@ std::vector<const nn::CompositeNet*> NetViews(
   return views;
 }
 
-/// Per-thread batched-action scratch (each submitter group runs its
-/// shards one at a time on its own calling thread).
-struct ActionScratch {
-  nn::InferScratch infer;
-  std::vector<double> probs;
-};
-
-ActionScratch& LocalActionScratch() {
-  thread_local ActionScratch scratch;
-  return scratch;
-}
-
 }  // namespace
 
 ServingModel::ServingModel(
@@ -122,14 +110,15 @@ std::shared_ptr<const ServingModel> ServingModel::ForScheme(
   }
 }
 
-void ServingModel::UncertaintyScores(
-    const nn::Matrix& states, std::span<double> out,
-    std::span<mdp::Action> greedy_actions) const {
+void ServingModel::UncertaintyScores(const nn::Matrix& states,
+                                     std::span<double> out,
+                                     std::span<mdp::Action> greedy_actions,
+                                     Scratch& scratch) const {
   OSAP_REQUIRE(uncertainty_ != nullptr,
                "UncertaintyScores: not an ensemble deployment");
   OSAP_REQUIRE(greedy_actions.empty() || ScoresYieldActions(),
                "UncertaintyScores: only U_pi yields actions");
-  uncertainty_->ScorePacked(states, out, greedy_actions);
+  uncertainty_->ScorePacked(states, out, greedy_actions, scratch);
 }
 
 void ServingModel::NoveltyDecisionValues(const double* rows,
@@ -153,23 +142,24 @@ const core::NoveltyDetector::Probe& ServingModel::NoveltyProbe() const {
 }
 
 void ServingModel::GreedyActions(const nn::Matrix& states,
-                                 std::span<mdp::Action> out) const {
+                                 std::span<mdp::Action> out,
+                                 Scratch& scratch) const {
   const std::size_t batch = states.rows();
   if (batch == 0) return;
   OSAP_REQUIRE(out.size() >= batch, "GreedyActions: output span too short");
-  ActionScratch& s = LocalActionScratch();
-  s.probs.resize(ActionCount());
+  scratch.probs.ReshapeUninitialized(1, ActionCount());
+  const std::span<double> probs = scratch.probs.Row(0);
   // One batched pass over the deployed actor's weights, then per row the
   // exact greedy selection PensievePolicy runs: softmax the logits and
   // take the FIRST maximal probability. Argmax over raw logits could
   // disagree bitwise (softmax rounding can map distinct logits to equal
   // probabilities, shifting which index max_element picks), so the
   // softmax is replicated rather than skipped.
-  const nn::Matrix& logits = actor_.InferBatch(states, s.infer);
+  const nn::Matrix& logits = actor_.InferBatch(states, scratch.actor);
   for (std::size_t b = 0; b < batch; ++b) {
-    nn::SoftmaxInto(logits.Row(b), s.probs);
+    nn::SoftmaxInto(logits.Row(b), probs);
     out[b] = static_cast<mdp::Action>(std::distance(
-        s.probs.begin(), std::max_element(s.probs.begin(), s.probs.end())));
+        probs.begin(), std::max_element(probs.begin(), probs.end())));
   }
 }
 

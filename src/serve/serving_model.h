@@ -89,6 +89,15 @@ class ServingModel {
       const core::ArtifactCache& cache, core::Scheme scheme,
       const core::TrainedBundle& bundle, core::SafeAgentConfig safety);
 
+  /// The buffers UncertaintyScores and GreedyActions write. The actor
+  /// pass has its own activations, so alternating passes regrow nothing.
+  struct Scratch : core::EnsembleModel::Scratch {
+    nn::InferScratch actor;
+    std::size_t Bytes() const {
+      return core::EnsembleModel::Scratch::Bytes() + actor.Bytes();
+    }
+  };
+
   Signal signal() const { return signal_; }
   const core::SafeAgentConfig& safety() const { return safety_; }
   const abr::AbrStateLayout& layout() const { return layout_; }
@@ -108,7 +117,14 @@ class ServingModel {
   /// the packed weights, same softmax-then-first-max). U_V deployments
   /// must pass an empty span (their value members are not the actor).
   void UncertaintyScores(const nn::Matrix& states, std::span<double> out,
-                         std::span<mdp::Action> greedy_actions = {}) const;
+                         std::span<mdp::Action> greedy_actions,
+                         Scratch& scratch) const;
+  /// One-off form for tests and tools: allocates its own scratch.
+  void UncertaintyScores(const nn::Matrix& states, std::span<double> out,
+                         std::span<mdp::Action> greedy_actions = {}) const {
+    Scratch scratch;
+    UncertaintyScores(states, out, greedy_actions, scratch);
+  }
 
   /// True when UncertaintyScores can emit deployed-actor actions as a
   /// by-product (U_pi: the deployed actor is ensemble member 0).
@@ -130,8 +146,14 @@ class ServingModel {
   /// Deployed-policy actions for B pre-packed state rows via one batched
   /// actor pass. out[b] replicates PensievePolicy's greedy selection
   /// (softmax then first-argmax) bit for bit.
+  void GreedyActions(const nn::Matrix& states, std::span<mdp::Action> out,
+                     Scratch& scratch) const;
+  /// One-off form for tests and tools: allocates its own scratch.
   void GreedyActions(const nn::Matrix& states,
-                     std::span<mdp::Action> out) const;
+                     std::span<mdp::Action> out) const {
+    Scratch scratch;
+    GreedyActions(states, out, scratch);
+  }
 
   /// The Buffer-Based default action for one state (pure buffer->level
   /// mapping; no batching needed - it is a few compares).

@@ -51,29 +51,6 @@ class Arena {
     return total;
   }
 
-  /// Bytes handed out since the last Reset() (including alignment
-  /// padding) - the high-water mark shrink decisions compare against.
-  std::size_t UsedBytes() const {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.used;
-    return total;
-  }
-
-  /// Rewinds like Reset(), then drops whole trailing blocks until the
-  /// backing capacity is <= budget_bytes (possibly releasing everything).
-  /// Previously returned spans become invalid; subsequent allocations
-  /// regrow on demand, so an idle shard lane can return a transient
-  /// high-water mark to the allocator without changing steady-state
-  /// behaviour.
-  void ShrinkTo(std::size_t budget_bytes) {
-    Reset();
-    std::size_t capacity = CapacityBytes();
-    while (!blocks_.empty() && capacity > budget_bytes) {
-      capacity -= blocks_.back().size;
-      blocks_.pop_back();
-    }
-  }
-
  private:
   struct Block {
     std::unique_ptr<std::byte[]> data;

@@ -146,7 +146,7 @@ TEST(ValueEnsembleEstimator, TrimmingDropsFarthestValues) {
 }
 
 /// A spread of pseudo-random states covering more than one ScoreStates
-/// pack (kScoreBatch = 32 internally).
+/// pack (kRowTile rows each).
 std::vector<mdp::State> MakeStates(std::size_t count) {
   Rng rng(77);
   std::vector<mdp::State> states;

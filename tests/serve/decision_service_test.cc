@@ -174,29 +174,31 @@ TEST(DecisionServiceMemory, NoveltySessionsFitTheBudget) {
   EXPECT_LE(stats.BytesPerSession(), 512.0);
 }
 
-TEST(DecisionServiceMemory, ScratchShrinksAfterASpike) {
-  // The scratch diet: one 4096-session round grows every lane's packed
-  // matrices and arena; two shrink periods of 8-session rounds later the
-  // lanes must have handed most of it back.
-  DecisionService service(PermanentModel(Signal::kAgentEnsemble),
-                          DecisionServiceConfig{.shard_count = 2});
-  constexpr std::size_t kSpike = 4096;
-  constexpr std::size_t kTrickle = 8;
-  const mdp::State state(StateSize(), 0.0);
-  std::vector<DecisionService::Request> requests;
-  for (std::size_t i = 0; i < kSpike; ++i) {
-    requests.push_back({service.OpenSession(), &state});
-  }
-  std::vector<mdp::Action> out(kSpike);
-  service.DecideBatch(requests, out);
-  const std::size_t spike_scratch = service.MemoryStats().scratch_bytes;
+TEST(DecisionServiceMemory, ScratchIsBoundedByTheTile) {
+  // Every pass runs one tile of at most kRowTile live requests, so a
+  // 4096-session round leaves the scratch exactly as an 8-session round
+  // left it; only the group's per-request routing arrays follow the round.
+  for (const Signal signal : {Signal::kNovelty, Signal::kAgentEnsemble,
+                              Signal::kValueEnsemble}) {
+    SCOPED_TRACE(static_cast<int>(signal));
+    DecisionService service(PermanentModel(signal),
+                            DecisionServiceConfig{.shard_count = 2});
+    constexpr std::size_t kSpike = 4096;
+    constexpr std::size_t kTrickle = 8;
+    const mdp::State state(StateSize(), 0.5);
+    std::vector<DecisionService::Request> requests;
+    for (std::size_t i = 0; i < kSpike; ++i) {
+      requests.push_back({service.OpenSession(), &state});
+    }
+    std::vector<mdp::Action> out(kSpike);
+    service.DecideBatch(std::span(requests).first(kTrickle), out);
+    const ServiceMemoryStats trickle = service.MemoryStats();
 
-  requests.resize(kTrickle);
-  for (std::size_t round = 0; round < 128; ++round) {
     service.DecideBatch(requests, out);
+    const ServiceMemoryStats spike = service.MemoryStats();
+    EXPECT_EQ(spike.scratch_bytes, trickle.scratch_bytes);
+    EXPECT_GE(spike.routing_bytes, kSpike * sizeof(std::size_t));
   }
-  EXPECT_LT(service.MemoryStats().scratch_bytes, spike_scratch / 2)
-      << "post-spike scratch " << spike_scratch;
 }
 
 TEST(DecisionServiceApi, InvalidConstructionThrows) {

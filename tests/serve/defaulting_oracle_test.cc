@@ -39,6 +39,7 @@ TEST_P(DefaultingOracle, Sparse) { Check(Profile::kSparse, {1, 2}); }
 TEST_P(DefaultingOracle, Churn) { Check(Profile::kChurn, {1}); }
 TEST_P(DefaultingOracle, Burst) { Check(Profile::kBurst, {1, 2}); }
 TEST_P(DefaultingOracle, Extreme) { Check(Profile::kExtreme, {1, 2}); }
+TEST_P(DefaultingOracle, TileEdges) { Check(Profile::kTileEdges, {1}); }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSignalsBothModes, DefaultingOracle,

@@ -25,9 +25,9 @@ namespace {
 
 using serve::DecisionService;
 
-/// A lane must reach this many non-empty rounds in the sparse profile:
-/// DecisionService runs its scratch-shrink check every 64th.
-constexpr std::size_t kShrinkEpochs = 64;
+/// A lane must reach this many non-empty rounds in the sparse profile, so
+/// one group's tile scratch serves many rounds of 1-3 requests.
+constexpr std::size_t kBusyLaneRounds = 64;
 constexpr std::size_t kChurnRecycles = 10000;
 
 /// Forwards to the sequential estimator and records every score.
@@ -113,6 +113,8 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
   std::unordered_set<DecisionService::SessionId> ever;
   std::vector<std::uint32_t> live;
   std::size_t peak = 0, session_bytes_peak = 0;
+  // Per shard, every request count a DecideBatch call sent it.
+  std::vector<std::unordered_set<std::size_t>> sent(shards);
   const auto retire = [&](std::uint32_t s) {
     service.CloseSession(id_of[s]);
     std::erase(live, s);
@@ -152,12 +154,12 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
           service.DecideBatch(requests, out);
       std::vector<std::size_t> expected;
       std::unordered_set<DecisionService::SessionId> in_call;
-      std::vector<char> touched(shards, 0);
+      std::vector<std::size_t> per_shard(shards, 0);
       for (std::size_t i = 0; i < requests.size(); ++i) {
         if (!in_call.insert(requests[i].session).second) {
           expected.push_back(i);
         } else {
-          touched[service.ShardOfSession(requests[i].session)] = 1;
+          ++per_shard[service.ShardOfSession(requests[i].session)];
         }
       }
       if (!std::equal(deferred.begin(), deferred.end(), expected.begin(),
@@ -166,11 +168,13 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                       << Join(deferred) << "instead of " << Join(expected);
         return;
       }
-      const auto lanes = std::count(touched.begin(), touched.end(), 1);
+      const auto lanes = shards - static_cast<std::size_t>(std::count(
+                                       per_shard.begin(), per_shard.end(), 0));
       coverage.empty_rounds += lanes == 0;
       coverage.one_shard_rounds += lanes == 1;
       for (std::size_t k = 0; k < shards; ++k) {
-        coverage.lane_rounds[k] += touched[k];
+        coverage.lane_rounds[k] += per_shard[k] > 0;
+        sent[k].insert(per_shard[k]);
       }
       std::size_t kept = 0;  // deferred requests move to the front
       for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -226,6 +230,18 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                   << " session bytes after a mass close (peak "
                   << session_bytes_peak << ")";
   }
+  if (schedule.profile != Profile::kTileEdges) return;
+  for (std::size_t k = 0; k < shards; ++k) {
+    if (DecisionService::GroupOfShard(k, shards, schedule.groups) != g) {
+      continue;
+    }
+    for (const std::size_t count : kTileEdgeRequests) {
+      if (!sent[k].contains(count)) {
+        ADD_FAILURE() << "shard " << k << " never got a round of " << count
+                      << " requests";
+      }
+    }
+  }
 }
 
 Answers RunService(const ServeWorld& w, const Schedule& schedule,
@@ -234,7 +250,7 @@ Answers RunService(const ServeWorld& w, const Schedule& schedule,
   const std::size_t groups = schedule.groups;
   const bool churn = schedule.profile == Profile::kChurn;
   serve::DecisionServiceConfig config;
-  config.shard_count = groups + 2;  // uneven groups at 4
+  config.shard_count = schedule.shards;
   config.submitter_count = groups;
   DecisionService service(ModelFor(w, signal, mode), config);
 
@@ -262,7 +278,7 @@ Answers RunService(const ServeWorld& w, const Schedule& schedule,
     for (const auto& lane : coverage.lane_rounds) {
       busiest = std::max(busiest, lane.load());
     }
-    EXPECT_GE(busiest, kShrinkEpochs);
+    EXPECT_GE(busiest, kBusyLaneRounds);
   }
   if (churn) {
     EXPECT_GE(coverage.recycles.load(), kChurnRecycles);
@@ -277,7 +293,7 @@ Answers RunWire(const ServeWorld& w, const Schedule& schedule,
   const std::size_t edges = schedule.groups;
   net::NetServerConfig config;
   config.edge_threads = edges;
-  config.service.shard_count = edges + 2;
+  config.service.shard_count = schedule.shards;
   ServerRunner server(ModelFor(w, signal, mode), config);
   std::vector<std::unique_ptr<net::Client>> home(edges);  // on edge g
   for (auto& client : home) client = Connect(server.Port());

@@ -17,7 +17,8 @@
 // close, exact STATS) and the coverage that gives the comparison meaning
 // (sessions that default, mid-session and never; empty, one-shard and
 // busy rounds; >= 10k recycled ids under churn; a poisoned score in the
-// extreme profile).
+// extreme profile; every kTileEdgeRequests count on every shard in the
+// tile-edges profile).
 #pragma once
 
 #include <cstdint>

@@ -15,10 +15,13 @@
 // without a CLOSE).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "core/ensemble_model.h"
 
 namespace osap::testing {
 
@@ -28,7 +31,14 @@ enum class Profile {
   kChurn,   // 1000 live, 250 closes and opens a round: >= 10k recycles
   kBurst,   // one open-loop round pipelining every step of every session
   kExtreme,  // dense; sessions not ID throughout see one extreme state
+  kTileEdges,  // every shard's rounds cycle through kTileEdgeRequests
 };
+
+/// The requests per shard a kTileEdges round sends, in turn: both sides
+/// of one row tile, and three full tiles plus a partial one.
+inline constexpr std::array<std::size_t, 4> kTileEdgeRequests = {
+    core::kRowTile - 1, core::kRowTile, core::kRowTile + 1,
+    3 * core::kRowTile + 5};
 
 /// SessionScript::switch_sample for a session that stays in-distribution.
 inline constexpr std::size_t kNoSwitch =
@@ -64,6 +74,9 @@ struct Schedule {
   Profile profile = Profile::kDense;
   std::uint64_t seed = 0;
   std::size_t groups = 1;
+  /// The shard count every path runs the schedule on: groups + 2, so the
+  /// groups are uneven at 4.
+  std::size_t shards = 3;
   std::vector<SessionScript> sessions;
   std::vector<Round> rounds;
 };

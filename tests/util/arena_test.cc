@@ -70,53 +70,5 @@ TEST(Arena, SingleAllocationLargerThanBlockSize) {
   EXPECT_EQ(s[99], 99.0);
 }
 
-TEST(Arena, UsedBytesTracksAllocationsAndReset) {
-  Arena arena(1024);
-  EXPECT_EQ(arena.UsedBytes(), 0u);
-  arena.Alloc<double>(10);
-  EXPECT_GE(arena.UsedBytes(), 10u * sizeof(double));
-  EXPECT_LE(arena.UsedBytes(), arena.CapacityBytes());
-  arena.Reset();
-  EXPECT_EQ(arena.UsedBytes(), 0u);
-  EXPECT_GT(arena.CapacityBytes(), 0u);  // Reset keeps capacity
-}
-
-TEST(Arena, ShrinkToDropsTrailingBlocksDownToBudget) {
-  Arena arena(64);
-  // Grow through several doubling blocks.
-  for (int round = 0; round < 6; ++round) arena.Alloc<double>(64);
-  const std::size_t grown = arena.CapacityBytes();
-  ASSERT_GT(grown, 512u);
-
-  arena.ShrinkTo(512);
-  EXPECT_LE(arena.CapacityBytes(), 512u);
-  EXPECT_LT(arena.CapacityBytes(), grown);
-  EXPECT_EQ(arena.UsedBytes(), 0u) << "ShrinkTo rewinds like Reset";
-
-  // The arena still serves allocations afterwards (regrows on demand).
-  auto s = arena.Alloc<double>(256);
-  ASSERT_EQ(s.size(), 256u);
-  s[255] = 1.0;
-  EXPECT_EQ(s[255], 1.0);
-}
-
-TEST(Arena, ShrinkToZeroReleasesEverything) {
-  Arena arena(64);
-  arena.Alloc<double>(100);
-  arena.ShrinkTo(0);
-  EXPECT_EQ(arena.CapacityBytes(), 0u);
-  auto s = arena.Alloc<double>(4);  // still usable
-  ASSERT_EQ(s.size(), 4u);
-}
-
-TEST(Arena, ShrinkToAboveCapacityIsJustAReset) {
-  Arena arena(64);
-  arena.Alloc<double>(32);
-  const std::size_t capacity = arena.CapacityBytes();
-  arena.ShrinkTo(capacity + 1024);
-  EXPECT_EQ(arena.CapacityBytes(), capacity);
-  EXPECT_EQ(arena.UsedBytes(), 0u);
-}
-
 }  // namespace
 }  // namespace osap::util
