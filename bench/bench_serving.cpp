@@ -10,22 +10,22 @@
 //     weight copy, polled one session at a time. Every round streams N
 //     copies of identical weights through the cache hierarchy.
 //   - BM_ServeService*: one shared ServingModel behind a sharded
-//     DecisionService; a round is a single DecideBatch over all N
-//     sessions (per shard tile of up to core::kRowTile live requests: one
-//     fused ensemble pass / one OC-SVM scan + one batched deployed-actor
-//     pass).
+//     DecisionService; the N sessions are opened round-robin over the
+//     shards and a round is one DecideBatch per shard over its sessions
+//     (tiles of up to core::kRowTile live requests: one fused ensemble
+//     pass / one OC-SVM scan + one batched deployed-actor pass).
 //   - BM_ServeServiceDefaulted*: the service round with a chosen share of
 //     the sessions already defaulted (args {sessions, defaulted %}).
 //   - BM_ServeServiceSparse*: rounds of 1-2 requests on 2 shards,
 //     reporting process CPU and wall time per decision.
 // Args are {sessions} for the sequential arm and {sessions, shards} for
-// the service. Every BM_ServeService* row is one submitter: its shards
-// run in order on the benchmark thread, so multi-shard rows measure
-// per-shard batching, not cores; the multi-core row is the BM_NetServe*
-// edge sweep (one thread per edge). decisions_per_s is a REAL-TIME rate
-// (wall clock around the decision loop, comparable with the multi-edge
-// rows); rates stay console-only while the sidecar gates the
-// lower-is-better entries. The service arm additionally reports
+// the service. Every BM_ServeService* row runs its shards one after the
+// other on the benchmark thread, so multi-shard rows measure per-shard
+// batch size, not cores; the multi-core row is the BM_NetServe* edge
+// sweep (one thread and one shard per edge). decisions_per_s is a
+// REAL-TIME rate (wall clock around the decision loop, comparable with
+// the multi-edge rows); rates stay console-only while the sidecar gates
+// the lower-is-better entries. The service arm additionally reports
 // per-round latency percentiles (p50_us / p99_us).
 //
 // BM_ServeServiceMem* is the memory sweep: it opens {sessions} sessions
@@ -193,9 +193,64 @@ void RunSequential(benchmark::State& state, core::Scheme scheme) {
   }
 }
 
-/// Times DecideBatch rounds of every session in `ids` over the pooled
-/// states, after one untimed warmup round, and reports the round
-/// latency percentiles (p50_us / p99_us) and decisions_per_s. Sessions
+/// Round-robin sessions and their rounds: session i is the i-th open, on
+/// shard i % shards, and request i / shards of that shard's batch.
+class ShardRounds {
+ public:
+  /// Allocates everything `n` sessions' rounds need; Open() opens them.
+  ShardRounds(std::size_t n, std::size_t shards)
+      : ids_(n), batches_(shards), actions_(shards) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::size_t count = n / shards + (s < n % shards ? 1 : 0);
+      batches_[s].resize(count);
+      actions_[s].resize(count);
+    }
+  }
+
+  void Open(serve::DecisionService& service) {
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      ids_[i] = service.OpenSession(i % batches_.size());
+    }
+  }
+
+  const std::vector<serve::DecisionService::SessionId>& ids() const {
+    return ids_;
+  }
+
+  /// Closes and reopens (on its shard) every session in [live_begin, n)
+  /// that has defaulted.
+  void ReopenDefaulted(serve::DecisionService& service,
+                       std::size_t live_begin) {
+    for (std::size_t i = live_begin; i < ids_.size(); ++i) {
+      if (!service.Defaulted(ids_[i])) continue;
+      service.CloseSession(ids_[i]);
+      ids_[i] = service.OpenSession(i % batches_.size());
+    }
+  }
+  /// Points every session's request at its pooled state for `round`.
+  void Fill(std::size_t round) {
+    const std::size_t shards = batches_.size();
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      batches_[i % shards][i / shards] = {ids_[i], &PooledState(i, round)};
+    }
+  }
+  /// One DecideBatch per shard.
+  void Decide(serve::DecisionService& service) {
+    for (std::size_t s = 0; s < batches_.size(); ++s) {
+      service.DecideBatch(batches_[s], actions_[s]);
+      benchmark::DoNotOptimize(actions_[s].data());
+    }
+  }
+
+ private:
+  std::vector<serve::DecisionService::SessionId> ids_;  // by session
+  std::vector<std::vector<serve::DecisionService::Request>> batches_;
+  std::vector<std::vector<mdp::Action>> actions_;  // by shard, as batches_
+};
+
+/// Times rounds of every session in `rounds` over the pooled states,
+/// after one untimed warmup round, and reports the round latency
+/// percentiles (p50_us / p99_us) and decisions_per_s. Sessions
 /// [live_begin, n) are held live: one that defaults on the pool's
 /// out-of-distribution states is closed and reopened between rounds
 /// (outside the round clock behind p50_us / p99_us / decisions_per_s),
@@ -204,37 +259,25 @@ void RunSequential(benchmark::State& state, core::Scheme scheme) {
 /// scoring, so a drifting share would make the round cost depend on how
 /// long the benchmark ran.
 void TimeServiceRounds(benchmark::State& state,
-                       serve::DecisionService& service,
-                       std::vector<serve::DecisionService::SessionId>& ids,
+                       serve::DecisionService& service, ShardRounds& rounds,
                        std::size_t live_begin) {
-  const std::size_t n = ids.size();
-  std::vector<serve::DecisionService::Request> requests(n);
-  std::vector<mdp::Action> actions(n);
+  const std::size_t n = rounds.ids().size();
   StatePool();  // materialize outside the timed region
-  // One untimed warmup round: the first DecideBatch grows the group's
-  // routing arrays and warms the caches, and would otherwise dominate the
-  // p99 counter in short smoke runs.
-  for (std::size_t i = 0; i < n; ++i) {
-    requests[i] = {ids[i], &PooledState(i, 0)};
-  }
-  service.DecideBatch(requests, actions);
+  // One untimed warmup round: the first DecideBatch of each shard sizes
+  // its tile and warms the caches, and would otherwise dominate the p99
+  // counter in short smoke runs.
+  rounds.Fill(0);
+  rounds.Decide(service);
   std::vector<double> round_us;
   std::size_t round = 0;
   for (auto _ : state) {
-    for (std::size_t i = live_begin; i < n; ++i) {
-      if (!service.Defaulted(ids[i])) continue;
-      service.CloseSession(ids[i]);
-      ids[i] = service.OpenSession();
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      requests[i] = {ids[i], &PooledState(i, round)};
-    }
+    rounds.ReopenDefaulted(service, live_begin);
+    rounds.Fill(round);
     const auto start = std::chrono::steady_clock::now();
-    service.DecideBatch(requests, actions);
+    rounds.Decide(service);
     const auto stop = std::chrono::steady_clock::now();
     round_us.push_back(
         std::chrono::duration<double, std::micro>(stop - start).count());
-    benchmark::DoNotOptimize(actions.data());
     ++round;
   }
   std::sort(round_us.begin(), round_us.end());
@@ -249,15 +292,15 @@ void TimeServiceRounds(benchmark::State& state,
   }
 }
 
-/// Sharded service: one DecideBatch over all N sessions per round.
+/// Sharded service: one DecideBatch per shard per round, over every
+/// session.
 void RunService(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  serve::DecisionServiceConfig cfg;
-  cfg.shard_count = static_cast<std::size_t>(state.range(1));
-  serve::DecisionService service(SharedModel(scheme), cfg);
-  std::vector<serve::DecisionService::SessionId> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
-  TimeServiceRounds(state, service, ids, 0);
+  const auto shards = static_cast<std::size_t>(state.range(1));
+  serve::DecisionService service(SharedModel(scheme), {.shard_count = shards});
+  ShardRounds rounds(n, shards);
+  rounds.Open(service);
+  TimeServiceRounds(state, service, rounds, 0);
 }
 
 /// Two alternating network extremes (throughput taps at 0.05 Mbps with
@@ -297,8 +340,9 @@ void RunServiceDefaulted(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto target = n * static_cast<std::size_t>(state.range(1)) / 100;
   serve::DecisionService service(SharedModel(scheme));
-  std::vector<serve::DecisionService::SessionId> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
+  ShardRounds rounds(n, 1);
+  rounds.Open(service);
+  const std::vector<serve::DecisionService::SessionId>& ids = rounds.ids();
   const std::vector<mdp::State>& storm = StormStates();
   std::vector<serve::DecisionService::Request> requests;
   std::vector<mdp::Action> actions(target);
@@ -318,7 +362,7 @@ void RunServiceDefaulted(benchmark::State& state, core::Scheme scheme) {
                  "exactly the requested share");
   state.counters["defaulted_share"] =
       static_cast<double>(defaulted) / static_cast<double>(n);
-  TimeServiceRounds(state, service, ids, target);
+  TimeServiceRounds(state, service, rounds, target);
 }
 
 double ProcessCpuSeconds() {
@@ -329,19 +373,19 @@ double ProcessCpuSeconds() {
 }
 
 /// Sparse rounds, the composition a lightly loaded network edge submits
-/// (one or two requests per round): {sessions} sessions on a {shards}-shard
-/// service, each round deciding 1 or 2 of them (alternating) drawn by a
-/// fixed LCG, so a round may touch either shard alone or both. One
-/// iteration is one round. Reports wall_us_per_decision and
-/// cpu_us_per_decision (process CPU). A session that defaults is closed
-/// and reopened after its round, so every decision is scored.
+/// (one or two requests per round): {sessions} sessions opened
+/// round-robin on a {shards}-shard service, each round deciding 1 or 2 of
+/// them (alternating) drawn by a fixed LCG, one DecideBatch per shard the
+/// round touches. One iteration is one round. Reports
+/// wall_us_per_decision and cpu_us_per_decision (process CPU). A session
+/// that defaults is closed and reopened after its round, so every
+/// decision is scored.
 void RunServiceSparse(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  serve::DecisionServiceConfig cfg;
-  cfg.shard_count = static_cast<std::size_t>(state.range(1));
-  serve::DecisionService service(SharedModel(scheme), cfg);
+  const auto shards = static_cast<std::size_t>(state.range(1));
+  serve::DecisionService service(SharedModel(scheme), {.shard_count = shards});
   std::vector<serve::DecisionService::SessionId> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
+  for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession(i % shards);
   StatePool();  // materialize outside the timed region
   std::vector<serve::DecisionService::Request> requests;
   std::vector<std::size_t> picked;
@@ -358,14 +402,20 @@ void RunServiceSparse(benchmark::State& state, core::Scheme scheme) {
       const std::size_t i = static_cast<std::size_t>(lcg >> 33) % n;
       if (!picked.empty() && picked[0] == i) continue;
       picked.push_back(i);
-      requests.push_back({ids[i], &PooledState(i, round)});
     }
-    service.DecideBatch(requests, actions);
+    for (std::size_t s = 0; s < shards; ++s) {
+      requests.clear();
+      for (const std::size_t i : picked) {
+        if (i % shards != s) continue;
+        requests.push_back({ids[i], &PooledState(i, round)});
+      }
+      service.DecideBatch(requests, actions);
+    }
     benchmark::DoNotOptimize(actions);
     for (const std::size_t i : picked) {
       if (!service.Defaulted(ids[i])) continue;
       service.CloseSession(ids[i]);
-      ids[i] = service.OpenSession();
+      ids[i] = service.OpenSession(i % shards);
     }
     decisions += picked.size();
     ++round;
@@ -383,9 +433,11 @@ void RunServiceSparse(benchmark::State& state, core::Scheme scheme) {
 }
 
 /// Memory sweep: bytes/session at scale. One iteration builds a service,
-/// opens N sessions, runs a few rounds (so extractor slabs, trigger rings
-/// and shard scratch all materialize) and reports the exact per-session
-/// accounting plus the kernel's view of the process.
+/// opens N sessions round-robin over its shards, runs a few rounds (so
+/// extractor slabs, trigger rings and every shard's tile materialize) and
+/// reports the exact per-session accounting plus the kernel's view of the
+/// process. The bench's own id and request arrays are allocated before
+/// the first RSS reading, so rss_mb counts the service alone.
 void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
@@ -399,19 +451,13 @@ void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
     // the committed rss_mb baseline order-dependent.
     malloc_trim(0);
 #endif
+    ShardRounds rounds(n, shards);
     const std::size_t rss_before = util::CurrentRssBytes();
-    serve::DecisionServiceConfig cfg;
-    cfg.shard_count = shards;
-    serve::DecisionService service(model, cfg);
-    std::vector<serve::DecisionService::SessionId> ids(n);
-    for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
-    std::vector<serve::DecisionService::Request> requests(n);
-    std::vector<mdp::Action> actions(n);
+    serve::DecisionService service(model, {.shard_count = shards});
+    rounds.Open(service);
     for (std::size_t round = 0; round < 2; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        requests[i] = {ids[i], &PooledState(i, round)};
-      }
-      service.DecideBatch(requests, actions);
+      rounds.Fill(round);
+      rounds.Decide(service);
     }
     const serve::ServiceMemoryStats stats = service.MemoryStats();
     const std::size_t rss_after = util::CurrentRssBytes();
@@ -427,8 +473,8 @@ void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
   }
 }
 
-/// Network-edge arm: the same {sessions, shards} round as RunService, but
-/// over real loopback TCP through the epoll NetServer - one pipelined
+/// Network-edge arm: the same {sessions} round as RunService, but over
+/// real loopback TCP through the epoll NetServer - one pipelined
 /// STEP per session, one flush, read every reply. A round's wall clock
 /// therefore includes frame encoding, both kernel socket stacks, the
 /// server's parse/admit/batch/flush cycle and the reply decode, so the
@@ -436,17 +482,15 @@ void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
 /// stays console-only (rate); the gated sidecar entries are the
 /// round-trip percentiles.
 ///
-/// The third arg is edge_threads: with E > 1 edges the round fans out
-/// over E client threads, one connection per edge (the server places
-/// sequential connections on a fresh server one per edge, in order), and
-/// the round's wall clock is the slowest edge's send-flush-collect.
-/// Sweeping /{1,2,4,8} edges at fixed shards is the scaling curve.
+/// The second arg is edge_threads (one service shard each): with E > 1
+/// edges the round fans out over E client threads, one connection per
+/// edge (the server places sequential connections on a fresh server one
+/// per edge, in order), and the round's wall clock is the slowest edge's
+/// send-flush-collect. Sweeping /{1,2,4,8} edges is the scaling curve.
 void RunNetServe(benchmark::State& state, core::Scheme scheme) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  const auto edges = static_cast<std::size_t>(state.range(2));
+  const auto edges = static_cast<std::size_t>(state.range(1));
   net::NetServerConfig cfg;
-  cfg.service.shard_count = shards;
   cfg.edge_threads = edges;
   net::NetServer server(SharedModel(scheme), cfg);
   server.Start();
@@ -685,25 +729,22 @@ BENCHMARK(BM_ServeServiceSparseUs)
 BENCHMARK(BM_ServeServiceSparseUpi)
     ->Args({64, 2})
     ->Unit(benchmark::kMicrosecond);
-// Network-edge arm, named BM_NetServe*/{sessions}/{shards}/
-// {edge_threads}. The single-edge points measure per-round wire overhead
-// vs BM_ServeService; the Us /{1,2,4,8}-edge sweep at fixed shards is
-// the multi-core edge scaling curve (Us is the cheapest signal, so the
-// wire/edge share of a round is largest and the sweep isolates edge
-// parallelism rather than model cost - upi/uv ride the identical code
-// path). Open-loop connection fan-in lives in tools/osap_client against
-// a live server.
+// Network-edge arm, named BM_NetServe*/{sessions}/{edge_threads}. The
+// single-edge points measure per-round wire overhead vs BM_ServeService;
+// the Us /256/{1,2,4,8}-edge sweep is the multi-core edge scaling curve
+// (Us is the cheapest signal, so the wire/edge share of a round is
+// largest and the sweep isolates edge parallelism rather than model cost
+// - upi/uv ride the identical code path). Open-loop connection fan-in
+// lives in tools/osap_client against a live server.
 BENCHMARK(BM_NetServeUs)
-    ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
-    ->Args({1000, 8, 1})
-    ->Args({256, 8, 1})->Args({256, 8, 2})->Args({256, 8, 4})
-    ->Args({256, 8, 8})
+    ->Args({64, 1})->Args({256, 1})->Args({1000, 1})
+    ->Args({256, 2})->Args({256, 4})->Args({256, 8})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NetServeUpi)
-    ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
+    ->Args({64, 1})->Args({256, 1})->Args({1000, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NetServeUv)
-    ->Args({64, 1, 1})->Args({256, 1, 1})->Args({1000, 1, 1})
+    ->Args({64, 1})->Args({256, 1})->Args({1000, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ArtifactLoadBundle)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArtifactLoadUs)->Unit(benchmark::kMicrosecond);

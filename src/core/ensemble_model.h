@@ -14,7 +14,7 @@
 // through, which is what lets the sharded decision service reproduce the
 // sequential SafeAgent loop exactly (pinned by equivalence tests). Every
 // entry point is const and thread-safe: a pass writes only the caller's
-// Scratch (one per estimator instance or serving submitter group).
+// Scratch (one per estimator instance or serving shard).
 #pragma once
 
 #include <cstddef>

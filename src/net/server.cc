@@ -113,7 +113,7 @@ struct Edge {
     mdp::State state;  // decoded off the wire; storage recycled
   };
 
-  std::size_t index = 0;  // == submitter group in the service
+  std::size_t index = 0;  // == its shard in the service
 
   int wake_fd = -1;   // eventfd: Stop() or a handoff -> loop wakeup
   int epoll_fd = -1;  // watches the wake fd, every conn (edge 0: listener)
@@ -154,7 +154,7 @@ struct Edge {
   std::atomic<std::uint64_t> rejected_opens{0};
   std::atomic<std::uint64_t> epochs{0};
   std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> session_bytes{0};  // group bytes at last STATS
+  std::atomic<std::uint64_t> session_bytes{0};  // shard bytes at last STATS
   /// Every IO syscall the edge loop issues (epoll_wait/epoll_ctl/accept4/
   /// recv/sendmsg/wake reads/poll) - the numerator of the shutdown
   /// summary's syscalls-per-decision.
@@ -165,22 +165,15 @@ NetServer::NetServer(std::shared_ptr<const serve::ServingModel> model,
                      NetServerConfig config)
     : model_(std::move(model)),
       config_(config),
+      // One shard per edge thread: edge e owns shard e outright.
       service_(
           [&]() -> std::shared_ptr<const serve::ServingModel> {
             OSAP_REQUIRE(model_ != nullptr, "NetServer: null model");
-            return model_;
-          }(),
-          [&] {
             OSAP_REQUIRE(config.edge_threads >= 1,
                          "NetServer: edge_threads must be >= 1");
-            serve::DecisionServiceConfig svc = config.service;
-            OSAP_REQUIRE(svc.shard_count >= config.edge_threads,
-                         "NetServer: shard_count must be >= edge_threads");
-            // One submitter group per edge thread: each edge owns its
-            // contiguous slice of the shard lanes outright.
-            svc.submitter_count = config.edge_threads;
-            return svc;
-          }()) {
+            return model_;
+          }(),
+          {.shard_count = config.edge_threads}) {
   edges_.reserve(config_.edge_threads);
   for (std::size_t e = 0; e < config_.edge_threads; ++e) {
     edges_.push_back(std::make_unique<Edge>());
@@ -569,7 +562,7 @@ void NetServer::HandleRequest(Edge& edge, std::size_t slot,
   reply.epoch = service_.RoundCount();
 
   // A session is addressable only by the connection that opened it:
-  // TagOf finds it only if it is open in this edge's group (a session
+  // TagOf finds it only if it is open on this edge's shard (a session
   // opened on another edge's listener is kError here - ids are
   // edge-affine by design), and its tag's owner must be this connection.
   switch (request.header.type) {
@@ -893,7 +886,7 @@ void NetServer::DirectFlush(Edge& edge, std::size_t slot) {
 
 ServerStats NetServer::BuildStats(Edge& edge) {
   edge.session_bytes.store(
-      service_.MemoryStatsOfGroup(edge.index).SessionBytes(),
+      service_.MemoryStatsOfShard(edge.index).SessionBytes(),
       std::memory_order_relaxed);
   return Stats();
 }

@@ -15,12 +15,11 @@
 //   - its own edge-triggered epoll instance, wake eventfd, inbox, recv
 //     buffer and slab-recycled connections (one input and one output
 //     byte buffer each) and pending queue,
-//   - a contiguous GROUP of the service's shard lanes (submitter group e
-//     of DecisionServiceConfig::submitter_count = edge_threads): the
-//     edge opens its sessions through OpenSession(e), which spreads them
-//     round-robin over the group's shards, and submits its micro-batches
-//     through DecideBatch, so every lane has a single submitter and the
-//     edge thread runs its group's shards itself.
+//   - one shard of the service (the service has shard_count =
+//     edge_threads, and edge e owns shard e): the edge opens its sessions
+//     through OpenSession(e) and submits its micro-batches through
+//     DecideBatch, so every shard has a single submitter and the edge
+//     thread runs its shard itself. A session's edge is id % edge_threads.
 //
 // Nothing mutable is shared between edge threads on the read / decode /
 // decide path; the only cross-edge state is the inboxes and a handful of
@@ -36,7 +35,7 @@
 //   sendmsg, partial writes continue under EPOLLOUT.
 //
 // edge_threads = 1 is bit-identical to the classic single-loop server:
-// one group = every shard, ids handed out 0, 1, 2, ..., the same admission
+// one shard, ids handed out 0, 1, 2, ..., the same admission
 // arithmetic (the shared budget sees exactly one edge), the same wire
 // bytes.
 //
@@ -97,10 +96,9 @@ inline constexpr std::size_t kPauseUnsentBytes = 256 * 1024;
 struct NetServerConfig {
   /// TCP port to listen on; 0 picks an ephemeral port (see Port()).
   std::uint16_t port = 0;
-  /// Independent event-loop threads, each with its own contiguous group
-  /// of service shard lanes; edge 0 places every connection. Must be
-  /// >= 1; service.shard_count must be >= edge_threads (one lane per
-  /// edge minimum). 1 = the classic single-loop server.
+  /// Independent event-loop threads, each owning one shard of the
+  /// service; edge 0 places every connection. Must be >= 1. 1 = the
+  /// classic single-loop server.
   std::size_t edge_threads = 1;
   /// Process-wide cap on admitted STEPs awaiting a decision, enforced
   /// through one shared atomic budget; 0 = no cap.
@@ -110,9 +108,6 @@ struct NetServerConfig {
   std::size_t pause_reads_above = 1024;
   /// OPEN_SESSION gate: max concurrently open sessions; 0 = no cap.
   std::size_t max_sessions = 1 << 20;
-  /// Sharding/backpressure config for the service the server owns.
-  /// submitter_count is overwritten with edge_threads.
-  serve::DecisionServiceConfig service;
 };
 
 class NetServer {

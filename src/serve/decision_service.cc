@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <new>
-#include <numeric>
 #include <type_traits>
 #include <utility>
 
@@ -27,9 +26,6 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
   OSAP_REQUIRE(model_ != nullptr, "DecisionService: null model");
   OSAP_REQUIRE(config.shard_count >= 1,
                "DecisionService: shard_count must be >= 1");
-  OSAP_REQUIRE(config.submitter_count >= 1 &&
-                   config.submitter_count <= config.shard_count,
-               "DecisionService: submitter_count must be in [1, shard_count]");
   core::ValidateSafeAgentConfig(model_->safety());
   ring_width_ = core::SafetyRingDoubles(model_->safety());
   span_doubles_ = ring_width_;
@@ -41,34 +37,19 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
   shards_.reserve(config.shard_count);
   for (std::size_t s = 0; s < config.shard_count; ++s) {
     shards_.push_back(std::make_unique<ShardLane>(span_doubles_));
-    // Groups are contiguous, so a new group starts at its first shard.
-    const std::size_t g =
-        GroupOfShard(s, config.shard_count, config.submitter_count);
-    if (g == groups_.size()) {
-      groups_.push_back(std::make_unique<SubmitterGroup>());
-      groups_.back()->begin = s;
-    }
-    groups_.back()->end = s + 1;
-    shards_.back()->group = g;
-  }
-  for (const auto& group : groups_) {
-    group->offsets.resize(group->end - group->begin);
   }
 }
 
-DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
-  OSAP_REQUIRE(group < groups_.size(), "OpenSession: bad group");
-  SubmitterGroup& g = *groups_[group];
+DecisionService::SessionId DecisionService::OpenSession(std::size_t shard) {
+  OSAP_REQUIRE(shard < shards_.size(), "OpenSession: bad shard");
+  ShardLane& lane = *shards_[shard];
   SessionId id;
-  if (!g.free_ids.empty()) {
-    id = g.free_ids.back();
-    g.free_ids.pop_back();
+  if (!lane.free_ids.empty()) {
+    id = lane.free_ids.back();
+    lane.free_ids.pop_back();
   } else {
-    const std::size_t width = g.end - g.begin;
-    id = (g.fresh / width) * shards_.size() + g.begin + g.fresh % width;
-    ++g.fresh;
+    id = lane.fresh++ * shards_.size() + shard;
   }
-  ShardLane& lane = *shards_[ShardOf(id)];
   const std::size_t local = LocalOf(id);
   // Fresh state either way: a recycled slot keeps its previous occupant
   // while its slab stays held. The trigger ring and the extractor storage
@@ -88,16 +69,15 @@ void DecisionService::CloseSession(SessionId id) {
   OSAP_REQUIRE(session != nullptr, "CloseSession: unknown session");
   session->open = false;
   // The slab goes back to the allocator with its last open session.
-  shards_[ShardOf(id)]->sessions.Vacate(LocalOf(id));
-  groups_[GroupOf(id)]->free_ids.push_back(id);
+  ShardLane& lane = *shards_[ShardOf(id)];
+  lane.sessions.Vacate(LocalOf(id));
+  lane.free_ids.push_back(id);
   active_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-DecisionService::SubmitterTag* DecisionService::TagOf(std::size_t group,
+DecisionService::SubmitterTag* DecisionService::TagOf(std::size_t shard,
                                                       SessionId id) {
-  const SubmitterGroup& g = *groups_[group];
-  const std::size_t shard = ShardOf(id);
-  if (shard < g.begin || shard >= g.end) return nullptr;
+  if (ShardOf(id) != shard) return nullptr;
   SessionRecord* session = FindOpen(id);
   return session == nullptr ? nullptr : &session->tag;
 }
@@ -122,8 +102,9 @@ std::span<const std::size_t> DecisionService::DecideBatch(
   OSAP_REQUIRE(out.size() >= requests.size(),
                "DecideBatch: output span too short");
   if (requests.empty()) return {};
-  SubmitterGroup& group = *groups_[GroupOf(requests[0].session)];
-  TileScratch& tile = group.tile;
+  const std::size_t shard = ShardOf(requests[0].session);
+  ShardLane& lane = *shards_[shard];
+  TileScratch& tile = lane.tile;
   if (tile.states.values().empty()) {
     // First round: one full tile of zero states through the round's passes
     // sizes the scratch for good, off the start-up path.
@@ -137,95 +118,50 @@ std::span<const std::size_t> DecisionService::DecideBatch(
     }
     model_->GreedyActions(zeros, tile.actions, tile.model);
   }
-  const std::size_t begin = group.begin;
-  const std::size_t end = group.end;
   // Rounds draw from one global counter so reply epochs stay unique
-  // across groups; each session's stamp lives in its record,
-  // which only this group touches. A request whose session is already
-  // stamped this round is deferred; the rest are counted per shard for
-  // the routing sort.
+  // across shards; each session's stamp lives in its record, which only
+  // this shard touches. In caller order: a request whose session is
+  // already stamped this round is deferred; a kPermanent session that has
+  // defaulted is answered from the fallback mapping right here
+  // (SafetyStepDefaulted counts its step) and costs no tile row; the rest
+  // (kRevocable sessions always) fill the tile, which runs whenever full.
   const std::uint64_t round =
       round_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::size_t input = model_->InputSize();
-  std::vector<std::size_t>& offsets = group.offsets;
-  std::fill(offsets.begin(), offsets.end(), 0);
-  group.deferred.clear();
+  const core::SafeAgentConfig& safety = model_->safety();
+  lane.deferred.clear();
+  std::size_t count = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
-    const std::size_t shard = ShardOf(r.session);
-    OSAP_REQUIRE(shard >= begin && shard < end,
-                 "DecideBatch: session outside the submitter group");
+    OSAP_REQUIRE(ShardOf(r.session) == shard,
+                 "DecideBatch: sessions of more than one shard");
     SessionRecord* session = FindOpen(r.session);
     OSAP_REQUIRE(session != nullptr, "DecideBatch: unknown session");
     OSAP_REQUIRE(r.state != nullptr && r.state->size() == input,
                  "DecideBatch: null or mis-sized state");
     if (session->last_round == round) {
-      group.deferred.push_back(i);
+      lane.deferred.push_back(i);
       continue;
     }
     session->last_round = round;
-    ++offsets[shard - begin];
-  }
-
-  // Route: a stable counting sort of the decided request indices by
-  // shard, so each shard's slice of `order` keeps caller order. Then run
-  // every non-empty shard in ascending order on this thread.
-  std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(),
-                      std::size_t{0});
-  group.order.resize(requests.size() - group.deferred.size());
-  std::size_t next_deferred = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (next_deferred < group.deferred.size() &&
-        group.deferred[next_deferred] == i) {
-      ++next_deferred;
-      continue;
-    }
-    group.order[offsets[ShardOf(requests[i].session) - begin]++] = i;
-  }
-  // The scatter advanced each shard's offset from its slice's start to
-  // its end.
-  std::size_t start = 0;
-  for (std::size_t s = begin; s < end; ++s) {
-    const std::size_t stop = offsets[s - begin];
-    if (stop == start) continue;
-    RunShard(s, tile, requests, out,
-             std::span<const std::size_t>(group.order).subspan(start,
-                                                               stop - start));
-    start = stop;
-  }
-  return group.deferred;
-}
-
-void DecisionService::RunShard(std::size_t shard, TileScratch& tile,
-                               std::span<const Request> requests,
-                               std::span<mdp::Action> out,
-                               std::span<const std::size_t> idx) {
-  ShardLane& lane = *shards_[shard];
-  const core::SafeAgentConfig& safety = model_->safety();
-  // Triage as the tile fills: a kPermanent session that has defaulted is
-  // answered from the fallback mapping right here (SafetyStepDefaulted
-  // counts its step) and costs no tile row; kRevocable sessions are always
-  // live. A session appears once per round, so tile order changes nothing.
-  std::size_t count = 0;
-  for (const std::size_t i : idx) {
-    const Request& r = requests[i];
-    if (core::SafetyStepDefaulted(safety,
-                                  lane.sessions[LocalOf(r.session)].state)) {
+    if (core::SafetyStepDefaulted(safety, session->state)) {
       out[i] = model_->FallbackAction(*r.state);
       continue;
     }
     tile.live[count++] = i;
     if (count == core::kRowTile) {
-      RunTile(lane, tile, requests, out, count);
+      RunTile(lane, requests, out, count);
       count = 0;
     }
   }
-  if (count > 0) RunTile(lane, tile, requests, out, count);
+  if (count > 0) RunTile(lane, requests, out, count);
+  return lane.deferred;
 }
 
-void DecisionService::RunTile(ShardLane& lane, TileScratch& tile,
+void DecisionService::RunTile(ShardLane& lane,
                               std::span<const Request> requests,
                               std::span<mdp::Action> out, std::size_t count) {
+  TileScratch& tile = lane.tile;
   const core::SafeAgentConfig& safety = model_->safety();
   const std::size_t input = model_->InputSize();
   const std::span<const std::size_t> live(tile.live.data(), count);
@@ -326,40 +262,31 @@ void DecisionService::AccumulateLane(std::size_t shard,
   stats.slab_slots += slots;
   stats.record_bytes += slots * sizeof(SessionRecord);
   stats.span_bytes += slots * span_doubles_ * sizeof(double);
-  stats.registry_bytes += lane.sessions.TableBytes();
-  stats.scratch_bytes += sizeof(ShardLane);
-}
-
-void DecisionService::AccumulateGroup(std::size_t group,
-                                      ServiceMemoryStats& stats) const {
-  const SubmitterGroup& g = *groups_[group];
-  for (std::size_t s = g.begin; s < g.end; ++s) AccumulateLane(s, stats);
+  stats.registry_bytes += lane.sessions.TableBytes() +
+                          lane.free_ids.capacity() * sizeof(SessionId);
   // Every fresh id was opened once; the free list holds the closed ones.
-  stats.session_slots += g.fresh;
-  stats.open_sessions += g.fresh - g.free_ids.size();
-  stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
-  const TileScratch& tile = g.tile;
+  stats.session_slots += lane.fresh;
+  stats.open_sessions += lane.fresh - lane.free_ids.size();
+  const TileScratch& tile = lane.tile;
   stats.scratch_bytes +=
-      sizeof(SubmitterGroup) +
+      sizeof(ShardLane) +
       (tile.states.values().capacity() + tile.features.values().capacity()) *
           sizeof(double) +
       tile.model.Bytes();
-  stats.routing_bytes +=
-      (g.offsets.capacity() + g.order.capacity() + g.deferred.capacity()) *
-      sizeof(std::size_t);
+  stats.deferred_bytes += lane.deferred.capacity() * sizeof(std::size_t);
 }
 
 ServiceMemoryStats DecisionService::MemoryStats() const {
   ServiceMemoryStats stats;
-  for (std::size_t g = 0; g < groups_.size(); ++g) AccumulateGroup(g, stats);
+  for (std::size_t s = 0; s < shards_.size(); ++s) AccumulateLane(s, stats);
   return stats;
 }
 
-ServiceMemoryStats DecisionService::MemoryStatsOfGroup(
-    std::size_t group) const {
-  OSAP_REQUIRE(group < groups_.size(), "MemoryStatsOfGroup: bad group");
+ServiceMemoryStats DecisionService::MemoryStatsOfShard(
+    std::size_t shard) const {
+  OSAP_REQUIRE(shard < shards_.size(), "MemoryStatsOfShard: bad shard");
   ServiceMemoryStats stats;
-  AccumulateGroup(group, stats);
+  AccumulateLane(shard, stats);
   return stats;
 }
 

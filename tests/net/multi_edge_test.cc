@@ -112,7 +112,6 @@ TEST(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
   const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
                               core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
-  cfg.service.shard_count = 2;
   NetServer server(model, cfg);
   server.Start();
   std::thread loop([&server] { server.Run(); });
@@ -162,7 +161,6 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   cfg.max_sessions = 4;
   cfg.max_in_flight = 1;  // one admitted STEP across both edges
   cfg.pause_reads_above = 0;
-  cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
   ASSERT_EQ(server.server().EdgeCount(), 2u);
 
@@ -256,14 +254,13 @@ TEST(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
 }
 
 // A live session's id presented on the other edge is kError: each edge
-// addresses only its own group's open sessions.
+// addresses only its own shard's open sessions.
 TEST(NetMultiEdge, LiveSessionFromAnotherEdgeIsError) {
   const ServeWorld& w = SharedServeWorld();
   const auto model = ModelFor(w, serve::Signal::kAgentEnsemble,
                               core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.edge_threads = 2;
-  cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
 
   std::unique_ptr<Client> holder[2];  // holder[g] is on edge g
@@ -286,7 +283,7 @@ TEST(NetMultiEdge, LiveSessionFromAnotherEdgeIsError) {
       Reply reply;
       ASSERT_TRUE(foreign.ReadReply(reply));
       EXPECT_EQ(reply.status, Status::kError)
-          << "group " << g << "'s session on the other edge";
+          << "edge " << g << "'s session on the other edge";
     }
   }
   // Both sessions still work for their owners.

@@ -34,7 +34,6 @@ TEST(NetSmoke, ConcurrentClientsWithSessionChurn) {
   NetServerConfig cfg;
   // Small caps so the churn also exercises the BUSY path under load.
   cfg.max_in_flight = 16;
-  cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
 
   constexpr std::size_t kClients = 3;
@@ -150,7 +149,6 @@ TEST(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
   cfg.max_sessions = 8;
   cfg.max_in_flight = 2;
   cfg.pause_reads_above = 0;
-  cfg.service.shard_count = 4;
   ServerRunner server(model, cfg);
 
   constexpr std::size_t kThreads = 4;

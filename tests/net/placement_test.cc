@@ -3,7 +3,7 @@
 // places it on the edge with the fewest open connections, the lowest
 // index on a tie; the owning edge uncounts it when it closes. Session ids
 // are edge-affine, so a connection's edge is read from the id its OPEN is
-// granted: the submitter group of the id's shard.
+// granted: id % edge_threads, the shard the edge owns.
 //
 // One listener also means one server per port: a second server on a
 // bound port fails to start instead of sharing its connections.
@@ -17,7 +17,6 @@
 
 #include "net/client.h"
 #include "net/server.h"
-#include "serve/decision_service.h"
 #include "testing/defaulting_oracle.h"
 
 namespace osap::net {
@@ -33,14 +32,12 @@ std::shared_ptr<const serve::ServingModel> Model() {
                   core::DefaultingMode::kPermanent);
 }
 
-/// The edge that granted `client` a session: opens one, reads the group
-/// of its shard, and closes it again.
+/// The edge that granted `client` a session: opens one, reads its shard,
+/// and closes it again.
 std::size_t EdgeOf(Client& client, const NetServerConfig& cfg) {
   const std::uint64_t id = client.OpenSession();
   client.CloseSession(id);
-  const std::size_t shards = cfg.service.shard_count;
-  return serve::DecisionService::GroupOfShard(id % shards, shards,
-                                              cfg.edge_threads);
+  return id % cfg.edge_threads;
 }
 
 /// Polls STATS on `observer` until the server counts `open` connections.
@@ -58,7 +55,6 @@ void AwaitConnections(Client& observer, std::size_t open) {
 TEST(NetPlacement, FewestOpenConnectionsWinsLowestIndexOnATie) {
   NetServerConfig cfg;
   cfg.edge_threads = 4;
-  cfg.service.shard_count = 8;
   ServerRunner server(Model(), cfg);
 
   std::vector<std::unique_ptr<Client>> conns;
@@ -83,7 +79,6 @@ TEST(NetPlacement, FewestOpenConnectionsWinsLowestIndexOnATie) {
 // out 0, 1, 2, ... across connections, as from the single-loop server.
 TEST(NetPlacement, OneEdgeHandsOutIdsInOrder) {
   NetServerConfig cfg;
-  cfg.service.shard_count = 4;
   ServerRunner server(Model(), cfg);
   std::vector<std::unique_ptr<Client>> conns;
   for (int k = 0; k < 3; ++k) conns.push_back(Connect(server.Port()));
@@ -98,7 +93,6 @@ TEST(NetPlacement, OneEdgeHandsOutIdsInOrder) {
 TEST(NetPlacement, SecondServerOnABoundPortFailsToStart) {
   NetServerConfig cfg;
   cfg.edge_threads = 2;
-  cfg.service.shard_count = 2;
   ServerRunner first(Model(), cfg);
   cfg.port = first.Port();
   NetServer second(Model(), cfg);

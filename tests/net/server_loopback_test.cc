@@ -78,7 +78,6 @@ TEST(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
   NetServerConfig cfg;
   cfg.max_in_flight = 4;
   cfg.pause_reads_above = 0;  // keep reading so BUSY is immediate
-  cfg.service.shard_count = 1;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -466,7 +465,6 @@ TEST(NetServerLoopback, BurstLargerThanReadChunkDecodesExactly) {
   ASSERT_LE(steps, w.video.ChunkCount());
 
   NetServerConfig cfg;
-  cfg.service.shard_count = 2;
   ExpectPipelinedBurstMatchesReference(
       model, cfg,
       ReferenceViewers(serve::Signal::kAgentEnsemble, kViewers, steps));
@@ -492,7 +490,6 @@ TEST(NetServerLoopback, PausedConnectionResumesAndAnswersEverything) {
 
   NetServerConfig cfg;
   cfg.pause_reads_above = 2;
-  cfg.service.shard_count = 2;
   ExpectPipelinedBurstMatchesReference(
       model, cfg, ReferenceViewers(serve::Signal::kNovelty, kViewers, steps));
 }
@@ -602,7 +599,6 @@ TEST(NetServerLoopback, OneBytePerSendReassemblesFrames) {
   const auto reference = ReferenceViewers(serve::Signal::kNovelty, 1, kSteps);
 
   NetServerConfig cfg;
-  cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
   Client client;
   client.Connect("127.0.0.1", server.Port());
@@ -843,7 +839,6 @@ TEST(NetServerLoopback, FdExhaustionWaitsForACloseInsteadOfSpinning) {
                               core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.edge_threads = 2;
-  cfg.service.shard_count = 2;
   ServerRunner server(model, cfg);
   FdStarvedClients clients(kClients, 6);
 

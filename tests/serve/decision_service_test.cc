@@ -97,7 +97,6 @@ TEST(DecisionServiceApi, RecycledSlotStartsFresh) {
 TEST(DecisionServiceApi, SessionBookkeeping) {
   DecisionService service(PermanentModel(Signal::kValueEnsemble),
                           DecisionServiceConfig{.shard_count = 3});
-  EXPECT_EQ(service.GroupEnd(0), 3u);
   const auto a = service.OpenSession();
   const auto b = service.OpenSession();
   const auto c = service.OpenSession();
@@ -107,19 +106,72 @@ TEST(DecisionServiceApi, SessionBookkeeping) {
   EXPECT_NE(a, c);
 }
 
-TEST(DecisionServiceApi, SingleSubmitterIdsRecycleMostRecentFirst) {
-  // One submitter group hands out ids 0, 1, 2, ... across the shards and
-  // recycles the most recently closed id first.
+TEST(DecisionServiceApi, ShardFreshIdsStrideByShardCount) {
+  // Shard s hands out its n-th fresh id as n * shard_count + s, so a
+  // session's shard is id % shard_count.
   DecisionService service(PermanentModel(Signal::kAgentEnsemble),
                           DecisionServiceConfig{.shard_count = 3});
-  for (DecisionService::SessionId id = 0; id < 5; ++id) {
-    EXPECT_EQ(service.OpenSession(), id);
+  for (std::size_t n = 0; n < 3; ++n) {
+    for (std::size_t s = 0; s < 3; ++s) {
+      const auto id = service.OpenSession(s);
+      EXPECT_EQ(id, n * 3 + s) << "shard " << s << ", fresh id " << n;
+      EXPECT_EQ(service.ShardOfSession(id), s);
+    }
+  }
+  EXPECT_EQ(service.ActiveSessionCount(), 9u);
+}
+
+TEST(DecisionServiceApi, ShardIdsRecycleMostRecentFirst) {
+  // Each shard recycles its own closed ids, most recently closed first,
+  // and mints a fresh one only once its free list is empty.
+  DecisionService service(PermanentModel(Signal::kAgentEnsemble),
+                          DecisionServiceConfig{.shard_count = 3});
+  for (std::size_t n = 0; n < 3; ++n) {
+    for (std::size_t s = 0; s < 3; ++s) service.OpenSession(s);
   }
   service.CloseSession(1);
-  service.CloseSession(3);
-  EXPECT_EQ(service.OpenSession(), 3u);
-  EXPECT_EQ(service.OpenSession(), 1u);
-  EXPECT_EQ(service.OpenSession(), 5u);
+  service.CloseSession(7);
+  service.CloseSession(2);
+  EXPECT_EQ(service.OpenSession(1), 7u);
+  EXPECT_EQ(service.OpenSession(1), 1u);
+  EXPECT_EQ(service.OpenSession(1), 10u);
+  EXPECT_EQ(service.OpenSession(2), 2u);
+  EXPECT_EQ(service.OpenSession(2), 11u);
+  EXPECT_EQ(service.OpenSession(0), 9u);
+}
+
+TEST(DecisionServiceApi, TagOfAnotherShardsSessionIsNull) {
+  DecisionService service(PermanentModel(Signal::kAgentEnsemble),
+                          DecisionServiceConfig{.shard_count = 3});
+  const auto a = service.OpenSession(0);
+  const auto b = service.OpenSession(1);
+  ASSERT_NE(service.TagOf(0, a), nullptr);
+  ASSERT_NE(service.TagOf(1, b), nullptr);
+  EXPECT_EQ(service.TagOf(1, a), nullptr);
+  EXPECT_EQ(service.TagOf(2, a), nullptr);
+  EXPECT_EQ(service.TagOf(0, b), nullptr);
+  service.CloseSession(a);
+  EXPECT_EQ(service.TagOf(0, a), nullptr);
+}
+
+TEST(DecisionServiceApi, BatchMixingShardsThrows) {
+  // A batch belongs to requests[0]'s shard: a session of another shard
+  // anywhere in it is a caller error, not a silent cross-shard decision.
+  DecisionService service(PermanentModel(Signal::kAgentEnsemble),
+                          DecisionServiceConfig{.shard_count = 2});
+  const auto a = service.OpenSession(0);
+  const auto b = service.OpenSession(1);
+  const mdp::State state(StateSize(), 0.0);
+  const DecisionService::Request requests[] = {{a, &state}, {b, &state}};
+  mdp::Action out[2] = {};
+  EXPECT_THROW(service.DecideBatch(requests, out), std::invalid_argument);
+  const DecisionService::Request reversed[] = {{b, &state}, {a, &state}};
+  EXPECT_THROW(service.DecideBatch(reversed, out), std::invalid_argument);
+  // Each shard's own batch still decides.
+  DecideOne(service, a, state);
+  DecideOne(service, b, state);
+  EXPECT_EQ(service.StepCount(a), 1u);
+  EXPECT_EQ(service.StepCount(b), 1u);
 }
 
 TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
@@ -177,7 +229,7 @@ TEST(DecisionServiceMemory, NoveltySessionsFitTheBudget) {
 TEST(DecisionServiceMemory, ScratchIsBoundedByTheTile) {
   // Every pass runs one tile of at most kRowTile live requests, so a
   // 4096-session round leaves the scratch exactly as an 8-session round
-  // left it; only the group's per-request routing arrays follow the round.
+  // left it; with no repeat requests the deferred list stays empty too.
   for (const Signal signal : {Signal::kNovelty, Signal::kAgentEnsemble,
                               Signal::kValueEnsemble}) {
     SCOPED_TRACE(static_cast<int>(signal));
@@ -197,7 +249,7 @@ TEST(DecisionServiceMemory, ScratchIsBoundedByTheTile) {
     service.DecideBatch(requests, out);
     const ServiceMemoryStats spike = service.MemoryStats();
     EXPECT_EQ(spike.scratch_bytes, trickle.scratch_bytes);
-    EXPECT_GE(spike.routing_bytes, kSpike * sizeof(std::size_t));
+    EXPECT_EQ(spike.deferred_bytes, trickle.deferred_bytes);
   }
 }
 

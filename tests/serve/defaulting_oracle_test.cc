@@ -1,6 +1,6 @@
 // Each named seed of each schedule profile, through SafeAgent, 1/2/4
-// submitter groups and 1/2/4 edges, for every signal and both defaulting
-// modes (testing/defaulting_oracle.h). One ctest entry per (profile,
+// shards (one thread each) and 1/2/4 edges, for every signal and both
+// defaulting modes (testing/defaulting_oracle.h). One ctest entry per (profile,
 // signal, mode) keeps each well inside the timeout under the sanitizers.
 #include <gtest/gtest.h>
 

@@ -25,8 +25,8 @@ namespace {
 
 using serve::DecisionService;
 
-/// A lane must reach this many non-empty rounds in the sparse profile, so
-/// one group's tile scratch serves many rounds of 1-3 requests.
+/// A shard must reach this many non-empty rounds in the sparse profile,
+/// so one shard's tile scratch serves many rounds of 1-3 requests.
 constexpr std::size_t kBusyLaneRounds = 64;
 constexpr std::size_t kChurnRecycles = 10000;
 
@@ -90,20 +90,18 @@ struct Answers {
 struct Coverage {
   explicit Coverage(std::size_t shards) : lane_rounds(shards) {}
   std::atomic<std::size_t> empty_rounds{0};
-  std::atomic<std::size_t> one_shard_rounds{0};
   std::atomic<std::size_t> recycles{0};
   std::atomic<std::size_t> recycled_duplicates_deferred{0};
   std::vector<std::atomic<std::size_t>> lane_rounds;  // non-empty rounds
 };
 
-/// Group g's share of the schedule, on the calling thread: opens through
-/// OpenSession(g), one DecideBatch per round plus one per deferred
-/// duplicate, closes, resets as closes. Stops at the first broken
-/// invariant (gtest failures are thread-safe).
+/// Group g's share of the schedule on shard g, on the calling thread:
+/// opens through OpenSession(g), one DecideBatch per round plus one per
+/// deferred duplicate, closes, resets as closes. Stops at the first
+/// broken invariant (gtest failures are thread-safe).
 void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                      const std::vector<ReferenceSession>& reference,
                      std::size_t g, Answers& answers, Coverage& coverage) {
-  const std::size_t shards = coverage.lane_rounds.size();
   const auto mine = [&](std::uint32_t s) {
     return schedule.sessions[s].group == g;
   };
@@ -113,8 +111,8 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
   std::unordered_set<DecisionService::SessionId> ever;
   std::vector<std::uint32_t> live;
   std::size_t peak = 0, session_bytes_peak = 0;
-  // Per shard, every request count a DecideBatch call sent it.
-  std::vector<std::unordered_set<std::size_t>> sent(shards);
+  // Every request count a DecideBatch call sent the shard.
+  std::unordered_set<std::size_t> sent;
   const auto retire = [&](std::uint32_t s) {
     service.CloseSession(id_of[s]);
     std::erase(live, s);
@@ -154,12 +152,9 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
           service.DecideBatch(requests, out);
       std::vector<std::size_t> expected;
       std::unordered_set<DecisionService::SessionId> in_call;
-      std::vector<std::size_t> per_shard(shards, 0);
       for (std::size_t i = 0; i < requests.size(); ++i) {
         if (!in_call.insert(requests[i].session).second) {
           expected.push_back(i);
-        } else {
-          ++per_shard[service.ShardOfSession(requests[i].session)];
         }
       }
       if (!std::equal(deferred.begin(), deferred.end(), expected.begin(),
@@ -168,14 +163,10 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                       << Join(deferred) << "instead of " << Join(expected);
         return;
       }
-      const auto lanes = shards - static_cast<std::size_t>(std::count(
-                                       per_shard.begin(), per_shard.end(), 0));
-      coverage.empty_rounds += lanes == 0;
-      coverage.one_shard_rounds += lanes == 1;
-      for (std::size_t k = 0; k < shards; ++k) {
-        coverage.lane_rounds[k] += per_shard[k] > 0;
-        sent[k].insert(per_shard[k]);
-      }
+      const std::size_t decided = requests.size() - expected.size();
+      coverage.empty_rounds += decided == 0;
+      coverage.lane_rounds[g] += decided > 0;
+      sent.insert(decided);
       std::size_t kept = 0;  // deferred requests move to the front
       for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto [s, t] = owner[i];
@@ -210,7 +201,7 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
     }
     // Freed ids are reused before fresh ones are minted, so the group's
     // table never outgrows its peak live population.
-    const serve::ServiceMemoryStats stats = service.MemoryStatsOfGroup(g);
+    const serve::ServiceMemoryStats stats = service.MemoryStatsOfShard(g);
     if (stats.open_sessions != live.size() || stats.session_slots > peak) {
       ADD_FAILURE() << "round " << r << " group " << g << ": "
                     << stats.open_sessions << " open (" << live.size()
@@ -223,7 +214,7 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
   // Every signal's slabs go back with their last session; what stays is
   // the id free list and the slab table.
   const std::size_t session_bytes =
-      service.MemoryStatsOfGroup(g).SessionBytes();
+      service.MemoryStatsOfShard(g).SessionBytes();
   if (schedule.profile == Profile::kChurn &&
       session_bytes >= session_bytes_peak / 4) {
     ADD_FAILURE() << "group " << g << " kept " << session_bytes
@@ -231,15 +222,10 @@ void RunServiceGroup(DecisionService& service, const Schedule& schedule,
                   << session_bytes_peak << ")";
   }
   if (schedule.profile != Profile::kTileEdges) return;
-  for (std::size_t k = 0; k < shards; ++k) {
-    if (DecisionService::GroupOfShard(k, shards, schedule.groups) != g) {
-      continue;
-    }
-    for (const std::size_t count : kTileEdgeRequests) {
-      if (!sent[k].contains(count)) {
-        ADD_FAILURE() << "shard " << k << " never got a round of " << count
-                      << " requests";
-      }
+  for (const std::size_t count : kTileEdgeRequests) {
+    if (!sent.contains(count)) {
+      ADD_FAILURE() << "shard " << g << " never got a round of " << count
+                    << " requests";
     }
   }
 }
@@ -249,13 +235,10 @@ Answers RunService(const ServeWorld& w, const Schedule& schedule,
                    serve::Signal signal, core::DefaultingMode mode) {
   const std::size_t groups = schedule.groups;
   const bool churn = schedule.profile == Profile::kChurn;
-  serve::DecisionServiceConfig config;
-  config.shard_count = schedule.shards;
-  config.submitter_count = groups;
-  DecisionService service(ModelFor(w, signal, mode), config);
+  DecisionService service(ModelFor(w, signal, mode), {.shard_count = groups});
 
   Answers answers(schedule);
-  Coverage coverage(config.shard_count);
+  Coverage coverage(groups);
   const auto run = [&](std::size_t g) {
     try {
       RunServiceGroup(service, schedule, reference, g, answers, coverage);
@@ -273,7 +256,6 @@ Answers RunService(const ServeWorld& w, const Schedule& schedule,
 
   if (schedule.profile == Profile::kSparse) {
     EXPECT_GT(coverage.empty_rounds.load(), 0u);
-    EXPECT_GT(coverage.one_shard_rounds.load(), 0u);
     std::size_t busiest = 0;
     for (const auto& lane : coverage.lane_rounds) {
       busiest = std::max(busiest, lane.load());
@@ -293,7 +275,6 @@ Answers RunWire(const ServeWorld& w, const Schedule& schedule,
   const std::size_t edges = schedule.groups;
   net::NetServerConfig config;
   config.edge_threads = edges;
-  config.service.shard_count = schedule.shards;
   ServerRunner server(ModelFor(w, signal, mode), config);
   std::vector<std::unique_ptr<net::Client>> home(edges);  // on edge g
   for (auto& client : home) client = Connect(server.Port());

@@ -4,8 +4,8 @@
 //
 // CheckSchedule runs one generated schedule (schedule.h) through a
 // per-session SafeAgent (the reference, its scores recorded), a
-// DecisionService with one submitter group per schedule group, each on
-// its own thread, and a loopback NetServer with one edge per group. Every
+// DecisionService with one shard per schedule group, each on its own
+// thread, and a loopback NetServer with one edge per group. Every
 // answered step must carry the same action and defaulted flag, and every
 // path must default exactly where the tests' own trigger
 // (reference_trigger.h, not core::SafetyObserve) puts it when it replays
@@ -15,9 +15,9 @@
 // checks the invariants the schedule exercises (deferred duplicates, step
 // counts, slots within the peak population, slabs trimmed after a mass
 // close, exact STATS) and the coverage that gives the comparison meaning
-// (sessions that default, mid-session and never; empty, one-shard and
-// busy rounds; >= 10k recycled ids under churn; a poisoned score in the
-// extreme profile; every kTileEdgeRequests count on every shard in the
+// (sessions that default, mid-session and never; empty and busy rounds;
+// >= 10k recycled ids under churn; a poisoned score in the extreme
+// profile; every kTileEdgeRequests count on every shard in the
 // tile-edges profile).
 #pragma once
 

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "serve/decision_service.h"
 #include "util/rng.h"
 
 namespace osap::testing {
@@ -23,7 +22,6 @@ struct Builder {
     out.profile = profile;
     out.seed = seed;
     out.groups = groups;
-    out.shards = groups + 2;
   }
 
   /// Opens a session in `round`: by index, a third stay ID, a third are
@@ -181,29 +179,21 @@ void Burst(Builder& b) {
   b.out.rounds = {std::move(opens), std::move(burst)};
 }
 
-/// Each group opens kTileEdgeRequests.back() sessions per shard; round r
-/// steps the group's first kTileEdgeRequests[r % 4] * width sessions in
-/// opening order. A group hands its n-th fresh id to its shard
-/// n % width, so every shard of the group gets exactly that many.
+/// Each group opens kTileEdgeRequests.back() sessions; round r steps the
+/// group's first kTileEdgeRequests[r % 4] sessions in opening order.
 void TileEdges(Builder& b) {
   std::vector<std::vector<std::uint32_t>> opened(b.out.groups);
   Round round;
   for (std::size_t g = 0; g < b.out.groups; ++g) {
-    std::size_t width = 0;
-    for (std::size_t s = 0; s < b.out.shards; ++s) {
-      width += serve::DecisionService::GroupOfShard(s, b.out.shards,
-                                                    b.out.groups) == g;
-    }
-    for (std::size_t i = 0; i < kTileEdgeRequests.back() * width; ++i) {
+    for (std::size_t i = 0; i < kTileEdgeRequests.back(); ++i) {
       opened[g].push_back(static_cast<std::uint32_t>(b.out.sessions.size()));
       b.Open(round, g);
     }
   }
   for (std::size_t r = 0; r < b.max_steps; ++r, round = {}) {
     for (const std::vector<std::uint32_t>& sessions : opened) {
-      const std::size_t width = sessions.size() / kTileEdgeRequests.back();
       for (std::size_t i = 0;
-           i < kTileEdgeRequests[r % kTileEdgeRequests.size()] * width; ++i) {
+           i < kTileEdgeRequests[r % kTileEdgeRequests.size()]; ++i) {
         b.Step(round, sessions[i]);
       }
     }

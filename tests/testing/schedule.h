@@ -7,8 +7,8 @@
 // (an even index), out-of-distribution (an odd index), or the ID trace
 // spliced onto an OOD one mid-session. In the extreme profile some
 // sessions also see one finite but extreme state mid-session. Sessions
-// are spread round-robin over the schedule's submitter groups (one
-// network edge each). Within a round, per group: opens first, then the
+// are spread round-robin over the schedule's groups (one service shard
+// and one network edge each). Within a round, per group: opens first, then the
 // steps in listed order (a session listed k times pipelines its next k
 // steps; all but the first wait for later decision rounds), then closes,
 // then resets (the group's connection drops, ending its live sessions
@@ -31,10 +31,10 @@ enum class Profile {
   kChurn,   // 1000 live, 250 closes and opens a round: >= 10k recycles
   kBurst,   // one open-loop round pipelining every step of every session
   kExtreme,  // dense; sessions not ID throughout see one extreme state
-  kTileEdges,  // every shard's rounds cycle through kTileEdgeRequests
+  kTileEdges,  // every group's rounds cycle through kTileEdgeRequests
 };
 
-/// The requests per shard a kTileEdges round sends, in turn: both sides
+/// The requests per group a kTileEdges round sends, in turn: both sides
 /// of one row tile, and three full tiles plus a partial one.
 inline constexpr std::array<std::size_t, 4> kTileEdgeRequests = {
     core::kRowTile - 1, core::kRowTile, core::kRowTile + 1,
@@ -73,10 +73,8 @@ struct Round {
 struct Schedule {
   Profile profile = Profile::kDense;
   std::uint64_t seed = 0;
+  /// Submitters: service shards on their own threads, and edges.
   std::size_t groups = 1;
-  /// The shard count every path runs the schedule on: groups + 2, so the
-  /// groups are uneven at 4.
-  std::size_t shards = 3;
   std::vector<SessionScript> sessions;
   std::vector<Round> rounds;
 };

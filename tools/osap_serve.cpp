@@ -2,21 +2,22 @@
 // decision service (DESIGN.md §10).
 //
 // Usage:
-//   osap_serve <us|upi|uv> [--listen PORT] [--shards N] [--edge-threads N]
+//   osap_serve <us|upi|uv> [--listen PORT] [--edge-threads N]
 //              [--revocable] [--max-in-flight N] [--max-sessions N]
 //
 // Binds PORT (default 0: an ephemeral port, printed on stdout), serves
 // until SIGINT/SIGTERM, then prints the edge counters, the IO syscall
 // budget and the process RSS. A PORT another process listens on is an
-// error (exit 1). Defaults: 4 shards, 1 edge, permanent defaulting.
-// --edge-threads N runs N independent event loops, each owning a
-// contiguous group of the service's shards (requires shards >= N); edge 0
-// accepts every connection and places it on the edge with the fewest
-// open connections. Overload gets answers, not queues: a STEP past
-// --max-in-flight admitted, undecided STEPs is answered BUSY, an OPEN past
-// --max-sessions open sessions FULL, and a connection whose admitted
-// backlog or unsent replies pile up stops being read until they halve, so
-// TCP blocks a client that sends without reading. tools/osap_client is
+// error (exit 1). Defaults: 1 edge, permanent defaulting.
+// --edge-threads N runs N independent event loops, each owning one shard
+// of the service; edge 0 accepts every connection and places it on the
+// edge with the fewest open connections. --shards N is still accepted
+// and has no effect (perfbench/wire.cc passes it). Overload gets
+// answers, not queues: a STEP past --max-in-flight admitted, undecided
+// STEPs is answered BUSY, an OPEN past --max-sessions open sessions FULL,
+// and a connection whose admitted backlog or unsent replies pile up stops
+// being read until they halve, so TCP blocks a client that sends without
+// reading. tools/osap_client is
 // the load generator: its
 // default mode streams the six datasets' test traces as viewers and
 // prints the per-dataset defaulted / mean-QoE table.
@@ -88,7 +89,7 @@ std::string DescribeArtifacts(const core::TrainedBundle& bundle,
 
 int main(int argc, char** argv) {
   std::string signal_name;
-  std::size_t shards = 4;
+  std::size_t shards = 0;  // accepted, unread
   bool revocable = false;
   std::size_t listen_port = 0;
   std::size_t max_in_flight = 64 * 1024;
@@ -101,7 +102,10 @@ int main(int argc, char** argv) {
       "service; drive it with osap_client.");
   parser.AddPositional("signal", "safety signal: us | upi | uv",
                        &signal_name);
-  parser.AddOption("--shards", "N", "service shards (default 4)", &shards);
+  parser.AddOption("--shards", "N",
+                   "no effect: one shard per edge thread (accepted until "
+                   "the next benchmark change drops it)",
+                   &shards);
   parser.AddFlag("--revocable", "revocable defaulting (default permanent)",
                  &revocable);
   parser.AddOption("--listen", "PORT",
@@ -113,9 +117,8 @@ int main(int argc, char** argv) {
   parser.AddOption("--max-sessions", "N", "FULL past N open sessions",
                    &max_sessions);
   parser.AddOption("--edge-threads", "N",
-                   "independent event-loop threads, each owning "
-                   "shards/N lanes; connections go to the least loaded "
-                   "(default 1)",
+                   "independent event-loop threads, each owning one "
+                   "shard; connections go to the least loaded (default 1)",
                    &edge_threads);
   if (!parser.Parse(argc, argv)) parser.ExitWithError();
   if (parser.HelpRequested()) parser.ExitWithHelp();
@@ -124,10 +127,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "osap_serve: --listen PORT must be <= 65535\n");
     return 2;
   }
-  if (edge_threads == 0 || edge_threads > shards) {
-    std::fprintf(stderr,
-                 "osap_serve: need 1 <= --edge-threads <= --shards "
-                 "(one shard lane per edge minimum)\n");
+  if (edge_threads == 0) {
+    std::fprintf(stderr, "osap_serve: --edge-threads must be >= 1\n");
     return 2;
   }
   const core::ArtifactCache cache{core::WorkbenchConfig{}};  // ./osap_cache
@@ -161,7 +162,6 @@ int main(int argc, char** argv) {
   net_cfg.max_in_flight = max_in_flight;
   net_cfg.max_sessions = max_sessions;
   net_cfg.edge_threads = edge_threads;
-  net_cfg.service.shard_count = shards;
   net::NetServer server(model, net_cfg);
   try {
     server.Start();
@@ -172,9 +172,8 @@ int main(int argc, char** argv) {
   g_server = &server;
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
-  std::printf("osap_serve: %s, %zu shard(s), %zu edge(s), "
-              "listening on port %u\n",
-              signal_name.c_str(), shards, edge_threads, server.Port());
+  std::printf("osap_serve: %s, %zu edge(s), listening on port %u\n",
+              signal_name.c_str(), edge_threads, server.Port());
   std::fflush(stdout);
   struct rusage ru_before {};
   getrusage(RUSAGE_SELF, &ru_before);

@@ -14,7 +14,7 @@
 #
 # Usage:
 #   wire_sweep.sh SERVE CLIENT [sessions] [rounds] [rate] [edge_threads]
-#                 [shards] [client_threads] [replay] [signal]
+#                 [client_threads] [replay] [signal]
 #
 # Run from a directory whose ./osap_cache holds the trained bundle (the
 # server exits on a cold cache; `osap_train ... --calibrate` fills it).
@@ -26,10 +26,9 @@ SESSIONS=${3:-100000}
 ROUNDS=${4:-2}
 RATE=${5:-2000000}
 EDGES=${6:-2}
-SHARDS=${7:-4}
-THREADS=${8:-2}
-REPLAY=${9:-96}
-SIGNAL=${10:-us}
+THREADS=${7:-2}
+REPLAY=${8:-96}
+SIGNAL=${9:-us}
 
 OUT=$(mktemp -d)
 SERVER_PID=
@@ -39,8 +38,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$SERVE" "$SIGNAL" --listen 0 --shards "$SHARDS" --edge-threads "$EDGES" \
-  >"$OUT/serve.log" 2>&1 &
+"$SERVE" "$SIGNAL" --listen 0 --edge-threads "$EDGES" >"$OUT/serve.log" 2>&1 &
 SERVER_PID=$!
 
 # The server prints "listening on port N" once bound, after the model
@@ -62,7 +60,7 @@ if [ -z "$port" ]; then
   exit 1
 fi
 echo "wire_sweep: $SESSIONS sessions x $ROUNDS rounds -> port $port" \
-     "($EDGES edge(s), $SHARDS shard(s), $THREADS client thread(s))"
+     "($EDGES edge(s), $THREADS client thread(s))"
 
 # Nonzero client exit (any protocol error) fails the sweep via pipefail.
 "$CLIENT" 127.0.0.1 "$port" --threads "$THREADS" --sessions "$SESSIONS" \
